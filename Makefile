@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt verify examples bench bench-quick bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-writers bench-wire bench-consistency test-resize test-chaos test-parallel-sim test-lockfree test-wire test-speckit fuzz
+.PHONY: build test vet fmt verify examples bench bench-quick bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-writers bench-wire bench-consistency test-resize test-chaos test-parallel-sim test-lockfree test-wire test-speckit test-ucperf fuzz
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,13 @@ bench-wire:
 # kill -9 + restart repaired by the on-connect digest exchange).
 test-wire:
 	$(GO) test -race -run 'TestTCP|TestMailbox|Wire' ./internal/transport/ ./internal/core/ .
+
+# test-ucperf vets and tests the regression instrument. benchmark/ is
+# a module of its own (it imports this one through a replace), so the
+# root's build/vet/test never compile it: an internal/ API change that
+# breaks ucperf fails here instead of at the next benchmark run.
+test-ucperf:
+	cd benchmark && $(GO) vet . && $(GO) test -race .
 
 # fuzz runs a short coverage-guided pass over the byte-level decoders
 # that face the network: the wire-frame envelope codec and the batch

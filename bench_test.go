@@ -240,7 +240,9 @@ func BenchmarkMemory(b *testing.B) {
 	})
 	b.Run("generic-replay-read", func(b *testing.B) {
 		net := transport.NewSim(transport.SimOptions{N: 2, Seed: 3})
-		reps := core.Cluster(2, spec.Memory("0"), net, core.ClusterOptions{})
+		reps := core.Cluster(2, spec.Memory("0"), net, core.ClusterOptions{
+			NewEngine: func() core.Engine { return core.NewReplayEngine() },
+		})
 		kv := core.NewKV(reps[0])
 		for k := 0; k < writes; k++ {
 			kv.Put(keys[k%len(keys)], fmt.Sprint(k))

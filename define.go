@@ -22,7 +22,8 @@ import (
 //   - AppendCodec unlocks allocation-free message encoding.
 //   - StateCodec unlocks snapshot transfer (anti-entropy fallback,
 //     crash repair) for states the log alone cannot rebuild.
-//   - Undoable unlocks the Undo query engine (WithEngine(Undo)).
+//   - Undoable lets the query engine repair its kept state after a
+//     late arrival by undo/redo instead of a rebuild.
 //   - Commutative marks update commutativity, which E22 prices: a
 //     commutative object converges under causal delivery alone.
 type (
@@ -47,9 +48,9 @@ type (
 	// StateCodec serializes whole states for snapshot transfer.
 	StateCodec = spec.StateCodec
 	// UndoPatch is an inverse patch returned by Undoable.ApplyUndo.
-	// (The name Undo belongs to the EngineKind that consumes these.)
 	UndoPatch = spec.Undo
-	// Undoable is the capability behind the Undo query engine.
+	// Undoable is the capability behind the query engine's undo/redo
+	// repair of late arrivals.
 	Undoable = spec.Undoable
 	// Partitionable is the capability behind WithShards and Resize:
 	// per-key state decomposition with merge/unmerge/extract.

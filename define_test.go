@@ -232,7 +232,7 @@ func TestDefineOptionErrGates(t *testing.T) {
 			return err
 		}(), ErrUnsupported},
 		{"causal+engine", func() error {
-			_, _, err := New(2, RegisterObject(""), WithConsistency(Causal), WithEngine(Undo))
+			_, _, err := New(2, RegisterObject(""), WithConsistency(Causal), WithEngine(Replay))
 			return err
 		}(), ErrUnsupported},
 		{"causal on alg2", func() error {
@@ -289,7 +289,7 @@ func TestDefineShardedResizeConvergence(t *testing.T) {
 // codec carries the updates, and the cluster must reach the in-process
 // reference state.
 func TestDefineWireLoopbackConvergence(t *testing.T) {
-	runWireInProcess(t, peakObject, 2, func(hs []peakBoard) {
+	runWireInProcess(t, peakObject, 2, true, func(hs []peakBoard) {
 		for i, h := range hs {
 			for j := 0; j < 20; j++ {
 				h.Score(fmt.Sprintf("p%d", j%5), int64(100*i+j))

@@ -29,7 +29,7 @@ func main() {
 		"api:get", "api:put", "cart:add", "cart:drop"}
 
 	cluster, maps, err := updatec.New(n, updatec.CounterMapObject(),
-		updatec.WithShards(shards), updatec.WithEngine(updatec.Undo))
+		updatec.WithShards(shards))
 	if err != nil {
 		panic(err)
 	}

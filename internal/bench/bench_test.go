@@ -153,24 +153,33 @@ func TestComplexityShapes(t *testing.T) {
 				}
 			}
 		}
-		// (b) replay cost grows with the log; undo stays cheaper than
-		// replay at large logs.
-		var replaySmall, replayLarge, undoLarge int64
+		// (b) replay cost grows with the log; undo (the default) stays
+		// cheaper than replay at large logs, and so does checkpoint (the
+		// default for a spec that cannot undo) even when every read
+		// follows a late arrival.
+		var replaySmall, replayLarge, replayAllLate, undoLarge, undoLate, plainAllLate int64
 		for _, row := range res.Engines {
 			switch {
 			case row.Engine == "replay" && row.LogLen == 64:
 				replaySmall = row.PerQuery.Nanoseconds()
 			case row.Engine == "replay" && row.LogLen == 512:
 				replayLarge = row.PerQuery.Nanoseconds()
+			case row.Engine == "replay (plain spec)" && row.LogLen == 512:
+				replayAllLate = row.PerQueryAllLate.Nanoseconds()
 			case row.Engine == "undo" && row.LogLen == 512:
 				undoLarge = row.PerQuery.Nanoseconds()
+				undoLate = row.PerQueryLate.Nanoseconds()
+			case row.Engine == "checkpoint(64) (plain spec)" && row.LogLen == 512:
+				plainAllLate = row.PerQueryAllLate.Nanoseconds()
 			}
 		}
 		switch {
 		case replayLarge < replaySmall*3/2:
 			lastErr = "replay cost did not grow with the log"
-		case undoLarge > replayLarge:
+		case undoLarge > replayLarge || undoLate > replayLarge:
 			lastErr = "undo engine slower than replay at large logs"
+		case plainAllLate > replayAllLate:
+			lastErr = "checkpoints over a spec that cannot undo paid more than a replay per late arrival"
 		default:
 			return // shape confirmed
 		}

@@ -29,14 +29,19 @@ type MsgRow struct {
 	BytesPerUpdate float64
 }
 
-// EngineRow is one line of the query-cost series (E8b).
+// EngineRow is one line of the query-cost series (E8b). Every figure
+// is the cost of one State() between two arrivals.
 type EngineRow struct {
 	LogLen   int
 	Engine   string
 	PerQuery time.Duration
-	// PerQueryLate is the query cost when 10% of the log arrived late
-	// (out of timestamp order).
-	PerQueryLate time.Duration
+	// PerQueryLate is the query cost when 10% of the arrivals — in the
+	// preloaded log and between the timed queries — sort up to 64
+	// entries below the log's tail; PerQueryAllLate when every arrival
+	// between the timed queries does, so each read follows a late
+	// insert.
+	PerQueryLate    time.Duration
+	PerQueryAllLate time.Duration
 }
 
 // GCRow is one line of the log-growth series (E8c).
@@ -93,29 +98,44 @@ func Complexity(w io.Writer, quickRun bool) ComplexityResult {
 
 	// (b) query engines.
 	fmt.Fprintf(w, "\n(b) query cost by engine and log length\n")
-	tb := newTable(w, "log length", "engine", "ns/query (in-order)", "ns/query (10% late)")
+	tb := newTable(w, "log length", "engine", "ns/query (in-order)", "ns/query (10% late)", "ns/query (all late)")
 	lengths := []int{64, 512, 4096}
 	queryIters := 200
 	if quickRun {
 		lengths = []int{64, 512}
 		queryIters = 50
 	}
+	// plain hides the set's Undoable implementation: a spec that cannot
+	// undo, for which replicas pick the checkpoint engine. The wrapper
+	// costs a second dynamic dispatch per call, so its rows compare with
+	// each other, not with the bare set's.
+	plain := struct{ spec.UQADT }{spec.Set()}
 	for _, length := range lengths {
-		for _, mk := range []func() core.Engine{
-			func() core.Engine { return core.NewReplayEngine() },
-			func() core.Engine { return core.NewCheckpointEngine(64) },
-			func() core.Engine { return core.NewUndoEngine() },
+		for _, e := range []struct {
+			name string
+			adt  spec.UQADT
+			mk   func() core.Engine
+		}{
+			{"undo", spec.Set(), func() core.Engine { return core.NewUndoEngine() }},
+			{"replay", spec.Set(), func() core.Engine { return core.NewReplayEngine() }},
+			{"replay (plain spec)", plain, func() core.Engine { return core.NewReplayEngine() }},
+			{"checkpoint(64)", spec.Set(), func() core.Engine { return core.NewCheckpointEngine(64) }},
+			{"checkpoint(64) (plain spec)", plain, func() core.Engine { return core.NewCheckpointEngine(64) }},
 		} {
-			inOrder := engineQueryCost(mk(), length, 0, queryIters)
-			late := engineQueryCost(mk(), length, 10, queryIters)
-			row := EngineRow{LogLen: length, Engine: mk().Name(),
-				PerQuery: inOrder, PerQueryLate: late}
+			row := EngineRow{
+				LogLen: length, Engine: e.name,
+				PerQuery:        engineQueryCost(e.adt, e.mk(), length, 0, queryIters),
+				PerQueryLate:    engineQueryCost(e.adt, e.mk(), length, 10, queryIters),
+				PerQueryAllLate: engineQueryCost(e.adt, e.mk(), length, 100, queryIters),
+			}
 			res.Engines = append(res.Engines, row)
-			tb.row(row.LogLen, row.Engine, row.PerQuery.Nanoseconds(), row.PerQueryLate.Nanoseconds())
+			tb.row(row.LogLen, row.Engine, row.PerQuery.Nanoseconds(),
+				row.PerQueryLate.Nanoseconds(), row.PerQueryAllLate.Nanoseconds())
 		}
 	}
 	tb.flush()
-	fmt.Fprintf(w, "reading: replay grows linearly with the log; checkpoint and undo stay flat\n")
+	fmt.Fprintf(w, "reading: replay grows linearly with the log; undo (the default) and checkpoint (the\n")
+	fmt.Fprintf(w, "default for a spec that cannot undo) stay flat, late arrivals or not\n")
 
 	// (c) garbage collection.
 	fmt.Fprintf(w, "\n(c) live log length with and without stability GC (n=3, FIFO)\n")
@@ -149,14 +169,17 @@ func Complexity(w io.Writer, quickRun bool) ComplexityResult {
 }
 
 // engineQueryCost builds a log of the given length (latePct percent of
-// entries delivered out of order), then times State() evaluations
-// interleaved with single appends (the steady-state query pattern).
-func engineQueryCost(eng core.Engine, length, latePct, iters int) time.Duration {
-	adt := spec.Set()
+// entries delivered out of order), checks the engine against a plain
+// replay of it, then times State() evaluations interleaved with single
+// arrivals (the steady-state query pattern), latePct percent of which
+// sort up to 64 entries below the tail.
+func engineQueryCost(adt spec.UQADT, eng core.Engine, length, latePct, iters int) time.Duration {
 	log := core.NewLog(adt)
 	eng.Bind(adt, log)
 	rng := rand.New(rand.NewSource(9))
 	// Deliver `length` entries; latePct% of them arrive displaced.
+	// Preloaded and tail entries carry even clocks, so a late arrival
+	// always finds a free odd clock right under the entry it displaces.
 	perm := make([]int, length)
 	for i := range perm {
 		perm[i] = i
@@ -167,21 +190,31 @@ func engineQueryCost(eng core.Engine, length, latePct, iters int) time.Duration 
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 	}
-	for _, p := range perm {
+	insert := func(cl uint64, proc, v int) {
 		at := log.Insert(core.Entry{
-			TS: clock.Timestamp{Clock: uint64(p + 1), Proc: 0},
-			U:  spec.Ins{V: fmt.Sprint(p % 5)},
+			TS: clock.Timestamp{Clock: cl, Proc: proc},
+			U:  spec.Ins{V: fmt.Sprint(v % 5)},
 		})
 		eng.Inserted(at)
+	}
+	for _, p := range perm {
+		insert(uint64(2*(p+1)), 0, p)
+	}
+	if got, want := adt.KeyState(eng.State()), adt.KeyState(log.Replay()); got != want {
+		panic(fmt.Sprintf("bench: engine %s computed %s, a replay of the same log %s", eng.Name(), got, want))
 	}
 	next := length + 1
 	return timePerOp(iters, func() {
 		_ = eng.State()
-		at := log.Insert(core.Entry{
-			TS: clock.Timestamp{Clock: uint64(next), Proc: 0},
-			U:  spec.Ins{V: fmt.Sprint(next % 5)},
-		})
-		eng.Inserted(at)
+		if rng.Intn(100) < latePct {
+			// Proc next is unique, so two late arrivals displacing the
+			// same entry still carry distinct timestamps.
+			entries := log.Entries()
+			depth := 1 + rng.Intn(min(64, len(entries)))
+			insert(entries[len(entries)-depth].TS.Clock-1, next, next)
+		} else {
+			insert(uint64(2*next), 0, next)
+		}
 		next++
 	})
 }
@@ -239,7 +272,7 @@ func MemoryExperiment(w io.Writer, quickRun bool) MemoryResult {
 			d := timePerOp(iters, func() { kv.Get("a") })
 			return d, reps[0].Stats().LogLen
 		}
-		replayRead, logLen := generic(nil)
+		replayRead, logLen := generic(func() core.Engine { return core.NewReplayEngine() })
 		ckptRead, _ := generic(func() core.Engine { return core.NewCheckpointEngine(64) })
 
 		row := MemRow{

@@ -112,7 +112,7 @@ func shardScaleRun(n, shards, perProc int, names []string) ShardRow {
 	elapsed := time.Since(start)
 
 	// (b) keyed reads on replay: replaying only the owning shard's log.
-	rreps, rnet := mkCluster(nil)
+	rreps, rnet := mkCluster(func() core.Engine { return core.NewReplayEngine() })
 	for k := 0; k < total; k++ {
 		rreps[k%n].Update(spec.AddKey{K: names[k%len(names)], N: 1})
 	}

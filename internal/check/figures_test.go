@@ -133,6 +133,44 @@ func TestFig1bInsertWins(t *testing.T) {
 	}
 }
 
+// TestInsertWinsMembershipQueries: Figure 1(b) observed through C(v)
+// instead of R is judged by the same Insert-wins rule, element by
+// element — both insertions winning is admissible, an element present
+// at one replica and absent at the other after convergence is not, and
+// neither is a present element nobody inserted. The SUC decider agrees
+// with itself across the two query forms.
+func TestInsertWinsMembershipQueries(t *testing.T) {
+	h := history.MustParse(`
+		set
+		p0: I(1) D(2) C(1)/⊤ C(2)/⊤ω
+		p1: I(2) D(1) C(2)/⊤ C(1)/⊤ω
+	`)
+	if r := InsertWins(h); !r.Holds {
+		t.Fatalf("Fig1b through membership queries must be Insert-wins SEC: %s", r.Reason)
+	}
+	if UC(h).Holds {
+		t.Fatal("Fig1b through membership queries must not be UC")
+	}
+	for name, text := range map[string]string{
+		"diverged": "set\np0: I(1) D(2) C(1)/⊤ω\np1: I(2) D(1) C(1)/⊥ω\n",
+		"phantom":  "set\np0: I(1) C(3)/⊤ω\np1: D(1) C(3)/⊤ω\n",
+	} {
+		if InsertWins(history.MustParse(text)).Holds {
+			t.Fatalf("%s history must not be Insert-wins SEC", name)
+		}
+	}
+	suc := history.MustParse(`
+		set
+		p0: I(1) C(1)/⊤ C(2)/⊥ R/{1}ω
+		p1: I(2) D(2) C(2)/⊥ C(1)/⊤ω
+	`)
+	if r := SUC(suc); !r.Holds {
+		t.Fatalf("mixed R and C(v) observations of one linearization must be SUC: %s", r.Reason)
+	} else if err := InsertWinsFromSUC(suc, r.Witness); err != nil {
+		t.Fatalf("Proposition 3 on a history with membership queries: %v", err)
+	}
+}
+
 // TestFig1aNotInsertWins: Figure 1(a) is not even SEC, so it cannot be
 // Insert-wins SEC either.
 func TestFig1aNotInsertWins(t *testing.T) {

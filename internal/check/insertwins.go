@@ -157,9 +157,42 @@ func iwAssign(env *visEnv, h *history.History, full uint64,
 	return w
 }
 
-// iwOutputMatches evaluates the Insert-wins read rule for query q under
-// visibility mask and the given insertion→deletion edges.
+// iwPresent is the Insert-wins rule for one element under visibility
+// mask and the given insertion→deletion edges: x is present iff some
+// visible insertion of x is not visible to any visible deletion of x.
+func iwPresent(env *visEnv, x string, mask uint64, edges map[[2]int]bool) bool {
+	for i, u := range env.updates {
+		ins, isIns := u.U.(spec.Ins)
+		if !isIns || ins.V != x || mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		wins := true
+		for j, v := range env.updates {
+			del, isDel := v.U.(spec.Del)
+			if !isDel || del.V != x || mask&(1<<uint(j)) == 0 {
+				continue
+			}
+			if edges[[2]int{u.ID, v.ID}] {
+				wins = false
+				break
+			}
+		}
+		if wins {
+			return true
+		}
+	}
+	return false
+}
+
+// iwOutputMatches evaluates the Insert-wins rule for query q under
+// visibility mask and the given insertion→deletion edges: a read R
+// must report exactly the present elements, a membership query C(v)
+// the presence of v.
 func iwOutputMatches(env *visEnv, q *history.Event, mask uint64, edges map[[2]int]bool) bool {
+	if has, ok := q.QIn.(spec.Has); ok {
+		want, ok := q.QOut.(spec.Bool)
+		return ok && iwPresent(env, has.V, mask, edges) == bool(want)
+	}
 	want, ok := q.QOut.(spec.Elems)
 	if !ok {
 		return false
@@ -179,29 +212,7 @@ func iwOutputMatches(env *visEnv, q *history.Event, mask uint64, edges map[[2]in
 		}
 	}
 	for x := range elements {
-		present := false
-		for i, u := range env.updates {
-			ins, isIns := u.U.(spec.Ins)
-			if !isIns || ins.V != x || mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			wins := true
-			for j, v := range env.updates {
-				del, isDel := v.U.(spec.Del)
-				if !isDel || del.V != x || mask&(1<<uint(j)) == 0 {
-					continue
-				}
-				if edges[[2]int{u.ID, v.ID}] {
-					wins = false
-					break
-				}
-			}
-			if wins {
-				present = true
-				break
-			}
-		}
-		if present != wantSet[x] {
+		if iwPresent(env, x, mask, edges) != wantSet[x] {
 			return false
 		}
 	}

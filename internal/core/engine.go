@@ -10,26 +10,43 @@ import (
 // literal algorithm replays the whole update list on every query
 // (ReplayEngine); §VII-C notes that "in an effective implementation, a
 // process can keep intermediate states", re-computed "only if very
-// late messages arrive" (CheckpointEngine), and cites Karsenty &
-// Beaudouin-Lafon's undo-based scheme for splicing late updates
-// without replay (UndoEngine). All three engines produce identical
-// states — the ablation benchmarks (experiment E8) measure only their
-// cost.
+// late messages arrive", and cites Karsenty & Beaudouin-Lafon's
+// undo-based scheme for splicing late updates without replay.
+//
+// UndoEngine is that effective implementation, and what a replica runs
+// unless told otherwise (DefaultEngine): it keeps the folded state H of
+// a log prefix, does no fold work on the delivery path (Inserted only
+// moves a mark), and repairs H when a query asks for it — the suffix a
+// late arrival displaced is undone and redone, from undo records kept
+// for the undoWindow most recently folded entries only (the memory
+// bound); an arrival that sorted below that window rebuilds H from the
+// log base, one ReplayEngine.State().
+//
+// It needs a spec.Undoable spec. A spec that cannot undo gets
+// CheckpointEngine, whose late arrivals cost a replay from the last
+// snapshot before them instead of a rebuild (experiment E8b prices
+// both on such a spec). ReplayEngine is the oracle the tests and the
+// benchmarks compare against. All engines produce identical states.
 //
 // Engines are driven by their replica under its lock; State and the
-// mutating notifications (Bind, Inserted) require the exclusive lock,
-// while StateConcurrent may run under a shared lock concurrently with
-// other StateConcurrent calls.
+// mutating notifications (Bind, Inserted, Compacted) require the
+// exclusive lock, while StateConcurrent and Folded may run under a
+// shared lock concurrently with other readers.
 type Engine interface {
 	// Name identifies the engine in benchmark tables.
 	Name() string
 	// Bind attaches the engine to a log. It is called once before use
-	// and again after log compaction (the engine must drop caches that
-	// referenced compacted entries).
+	// and again whenever the log was replaced or rewritten behind the
+	// engine's back (Restore, MergeSnapshot): the engine must drop
+	// everything it derived from the previous contents.
 	Bind(adt spec.UQADT, log *Log)
 	// Inserted notifies the engine that log.Entries()[at] was just
 	// inserted.
 	Inserted(at int)
+	// Compacted notifies the engine that the first cut live entries
+	// were just folded into the log base (Log.CompactBelow): every
+	// remaining entry's index dropped by cut.
+	Compacted(cut int)
 	// State returns the state after all live entries (on top of the
 	// log's base). The caller treats it as read-only and does not
 	// retain it across mutations.
@@ -41,7 +58,177 @@ type Engine interface {
 	// exclusive lock (e.g. a checkpoint engine that would have to
 	// record a new snapshot).
 	StateConcurrent() (s spec.State, ok bool)
+	// Folded reports whether the engine retains a state and how many
+	// live entries that state covers (0 right after those entries were
+	// all compacted into the base). Replica.StateKey uses held to avoid
+	// making a never-queried replica pin a state.
+	Folded() (n int, held bool)
 }
+
+// DefaultEngine returns the engine a replica of adt runs when its
+// configuration names none: the undo engine where the spec can undo,
+// a snapshot every 64 entries where it cannot.
+func DefaultEngine(adt spec.UQADT) Engine {
+	if _, ok := adt.(spec.Undoable); ok {
+		return NewUndoEngine()
+	}
+	return NewCheckpointEngine(64)
+}
+
+// undoWindow is how many undo records an UndoEngine keeps: those of the
+// most recently folded entries. A late arrival that sorts deeper costs
+// a rebuild; the bound is what keeps the engine's memory independent of
+// the log length, so it is a constant rather than an option.
+const undoWindow = 256
+
+// UndoEngine keeps h, the fold of the log base and of n live entries,
+// and brings it up to date only when a query asks (State): a late
+// arrival at position p is spliced in by undoing the folded suffix
+// beyond p and redoing it — the Karsenty & Beaudouin-Lafon scheme cited
+// in §VII-C, made lazy and bounded. O(1) per insert, O(what arrived
+// since the last read) per query in the common case, O(|log|) per query
+// at worst (see the Engine documentation). Requires a spec
+// implementing spec.Undoable.
+type UndoEngine struct {
+	adt spec.UQADT
+	und spec.Undoable
+	log *Log
+	// h is nil until the first State call and after drop; n is then 0.
+	h spec.State
+	n int
+	// dirty is the lowest index an entry was inserted at below n since
+	// h was last repaired, n when there was none: entries[:dirty) are
+	// the first dirty entries folded into h, the other n-dirty folded
+	// entries now sit somewhere above.
+	dirty int
+	// undos holds the undo records of the undos.size entries most
+	// recently folded into h.
+	undos undoRing
+}
+
+// undoRing is a fixed-capacity stack of undo records that forgets its
+// oldest record when full.
+type undoRing struct {
+	buf  []spec.Undo // allocated on first push
+	top  int         // slot of the next push
+	size int
+}
+
+func (r *undoRing) push(u spec.Undo) {
+	if r.buf == nil {
+		r.buf = make([]spec.Undo, undoWindow)
+	}
+	r.buf[r.top] = u
+	r.top = (r.top + 1) % undoWindow
+	r.size = min(r.size+1, undoWindow)
+}
+
+func (r *undoRing) pop() spec.Undo {
+	r.top = (r.top + undoWindow - 1) % undoWindow
+	u := r.buf[r.top]
+	r.buf[r.top] = nil
+	r.size--
+	return u
+}
+
+func (r *undoRing) reset() {
+	clear(r.buf)
+	r.top, r.size = 0, 0
+}
+
+// NewUndoEngine returns the lazily maintained fold; Bind panics if the
+// data type does not support undo.
+func NewUndoEngine() *UndoEngine { return &UndoEngine{} }
+
+// Name implements Engine.
+func (*UndoEngine) Name() string { return "undo" }
+
+// Bind implements Engine.
+func (e *UndoEngine) Bind(adt spec.UQADT, log *Log) {
+	und, ok := adt.(spec.Undoable)
+	if !ok {
+		panic(fmt.Sprintf("core: %s does not implement spec.Undoable", adt.Name()))
+	}
+	e.adt, e.und, e.log = adt, und, log
+	e.drop()
+}
+
+// drop forgets h; the next State call rebuilds it from the log base.
+func (e *UndoEngine) drop() {
+	e.h, e.n, e.dirty = nil, 0, 0
+	e.undos.reset()
+}
+
+// Inserted implements Engine: no fold work happens here. An arrival
+// above everything folded — any arrival at all while no h is held —
+// needs no bookkeeping; one below it lowers the dirty mark.
+func (e *UndoEngine) Inserted(at int) {
+	if e.h != nil {
+		e.dirty = min(e.dirty, at)
+	}
+}
+
+// Compacted implements Engine: when the compacted entries are a prefix
+// of what h folded, h stays and the cursor shifts. (Undo records of
+// compacted entries may linger in the ring; a repair never reaches
+// them, since it undoes at most the n entries above the base.)
+func (e *UndoEngine) Compacted(cut int) {
+	if e.h == nil {
+		return
+	}
+	if cut > e.dirty {
+		e.drop()
+		return
+	}
+	e.n -= cut
+	e.dirty -= cut
+}
+
+// State implements Engine: repair h below the cursor, then fold what
+// sits above it.
+func (e *UndoEngine) State() spec.State {
+	if e.n-e.dirty > e.undos.size {
+		// Deeper than the undo window.
+		e.drop()
+	}
+	if e.h == nil {
+		e.h = e.log.BaseState()
+	}
+	for e.n > e.dirty {
+		e.h = e.undos.pop()(e.h)
+		e.n--
+	}
+	rest := e.log.Entries()[e.n:]
+	// Only the last undoWindow entries get undo records (a catch-up
+	// that long overwrites the whole ring, so the records stay those of
+	// the top of the fold).
+	plain := max(0, len(rest)-undoWindow)
+	for i := range rest[:plain] {
+		e.h = e.adt.Apply(e.h, rest[i].U)
+	}
+	for i := range rest[plain:] {
+		var u spec.Undo
+		e.h, u = e.und.ApplyUndo(e.h, rest[plain+i].U)
+		e.undos.push(u)
+	}
+	e.n += len(rest)
+	e.dirty = e.n
+	return e.h
+}
+
+// StateConcurrent implements Engine: h is served only when it is
+// current — every insert grows the log past n, and Compacted keeps the
+// two in step — so a stale or absent h sends the caller to State under
+// the exclusive lock.
+func (e *UndoEngine) StateConcurrent() (spec.State, bool) {
+	if e.h == nil || e.n != e.log.Len() {
+		return nil, false
+	}
+	return e.h, true
+}
+
+// Folded implements Engine: the fold cursor.
+func (e *UndoEngine) Folded() (int, bool) { return e.n, e.h != nil }
 
 // ReplayEngine is line 14–17 of Algorithm 1 verbatim: every query
 // replays the whole update list from the initial state. O(|log|) per
@@ -62,6 +249,12 @@ func (e *ReplayEngine) Bind(adt spec.UQADT, log *Log) { e.adt, e.log = adt, log 
 
 // Inserted implements Engine.
 func (*ReplayEngine) Inserted(int) {}
+
+// Compacted implements Engine.
+func (*ReplayEngine) Compacted(int) {}
+
+// Folded implements Engine: a replay retains nothing.
+func (*ReplayEngine) Folded() (int, bool) { return 0, false }
 
 // State implements Engine.
 func (e *ReplayEngine) State() spec.State { return e.log.Replay() }
@@ -142,6 +335,18 @@ func (e *CheckpointEngine) Inserted(at int) {
 	e.marks = e.marks[:keep]
 }
 
+// Compacted implements Engine: the marks count entries from the old
+// base, so they are dropped.
+func (e *CheckpointEngine) Compacted(int) { e.marks = e.marks[:0] }
+
+// Folded implements Engine: the entries under the last mark.
+func (e *CheckpointEngine) Folded() (int, bool) {
+	if len(e.marks) == 0 {
+		return 0, false
+	}
+	return e.marks[len(e.marks)-1].n, true
+}
+
 // record appends a snapshot, dropping the oldest mark when the cap is
 // reached (the slot storage is reused in place).
 func (e *CheckpointEngine) record(c checkpoint) {
@@ -206,71 +411,8 @@ func (e *CheckpointEngine) StateConcurrent() (spec.State, bool) {
 	return e.replay(false), true
 }
 
-// UndoEngine maintains the current state plus an undo closure per live
-// entry; a late insertion at position p undoes the suffix beyond p,
-// applies the new update, and redoes the suffix — the Karsenty &
-// Beaudouin-Lafon scheme cited in §VII-C. O(1) per in-order insert and
-// query; O(suffix) per late insert. Requires a spec implementing
-// spec.Undoable.
-type UndoEngine struct {
-	adt   spec.UQADT
-	und   spec.Undoable
-	log   *Log
-	state spec.State
-	undos []spec.Undo
-}
-
-// NewUndoEngine returns an undo-redo engine; Bind panics if the data
-// type does not support undo.
-func NewUndoEngine() *UndoEngine { return &UndoEngine{} }
-
-// Name implements Engine.
-func (*UndoEngine) Name() string { return "undo" }
-
-// Bind implements Engine.
-func (e *UndoEngine) Bind(adt spec.UQADT, log *Log) {
-	und, ok := adt.(spec.Undoable)
-	if !ok {
-		panic(fmt.Sprintf("core: %s does not implement spec.Undoable", adt.Name()))
-	}
-	e.adt, e.und, e.log = adt, und, log
-	e.state = log.BaseState()
-	e.undos = e.undos[:0]
-	for _, en := range log.Entries() {
-		var u spec.Undo
-		e.state, u = e.und.ApplyUndo(e.state, en.U)
-		e.undos = append(e.undos, u)
-	}
-}
-
-// Inserted implements Engine.
-func (e *UndoEngine) Inserted(at int) {
-	entries := e.log.Entries()
-	// Undo the suffix that now sits after the new entry. Before the
-	// insertion the engine had applied len(entries)-1 updates; entries
-	// [at+1:] are the displaced ones.
-	for len(e.undos) > at {
-		e.state = e.undos[len(e.undos)-1](e.state)
-		e.undos = e.undos[:len(e.undos)-1]
-	}
-	// Redo from the insertion point, including the new entry.
-	for i := at; i < len(entries); i++ {
-		var u spec.Undo
-		e.state, u = e.und.ApplyUndo(e.state, entries[i].U)
-		e.undos = append(e.undos, u)
-	}
-}
-
-// State implements Engine.
-func (e *UndoEngine) State() spec.State { return e.state }
-
-// StateConcurrent implements Engine: the undo engine's state is
-// maintained incrementally by Inserted, so reading it never mutates
-// anything.
-func (e *UndoEngine) StateConcurrent() (spec.State, bool) { return e.state, true }
-
 var (
+	_ Engine = (*UndoEngine)(nil)
 	_ Engine = (*ReplayEngine)(nil)
 	_ Engine = (*CheckpointEngine)(nil)
-	_ Engine = (*UndoEngine)(nil)
 )

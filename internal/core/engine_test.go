@@ -45,8 +45,8 @@ func randomScript(rng *rand.Rand, n int) []Entry {
 	return script
 }
 
-// TestQuickEnginesAgree: the three engines must produce identical
-// states after every insertion, for arbitrary out-of-order delivery.
+// TestQuickEnginesAgree: the engines must produce identical states
+// after every insertion, for arbitrary out-of-order delivery.
 func TestQuickEnginesAgree(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%30) + 1

@@ -282,9 +282,9 @@ func TestCheckpointMarkCap(t *testing.T) {
 // against concurrent deliveries.
 func TestConcurrentQueriesAllEngines(t *testing.T) {
 	for _, mk := range []func() Engine{
-		nil,
+		nil, // the default: UndoEngine
+		func() Engine { return NewReplayEngine() },
 		func() Engine { return NewCheckpointEngine(8) },
-		func() Engine { return NewUndoEngine() },
 	} {
 		opt := ClusterOptions{}
 		if mk != nil {

@@ -162,8 +162,7 @@ type Config struct {
 	Codec spec.Codec
 	// Net is the broadcast transport shared by the cluster.
 	Net transport.Network
-	// Engine selects the query engine; nil means ReplayEngine (the
-	// paper's literal algorithm).
+	// Engine selects the query engine; nil means DefaultEngine(ADT).
 	Engine Engine
 	// GC enables stability-based log compaction. It requires a FIFO
 	// transport (see Log.Insert) and piggybacks a reached-clock vector
@@ -196,7 +195,7 @@ func NewReplica(cfg Config) *Replica {
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		eng = NewReplayEngine()
+		eng = DefaultEngine(cfg.ADT)
 	}
 	gcEvery := cfg.GCEvery
 	if gcEvery <= 0 {
@@ -538,7 +537,7 @@ func (r *Replica) compact() {
 	n := r.log.CompactBelow(r.stab.Horizon())
 	if n > 0 {
 		r.compacted += uint64(n)
-		r.engine.Bind(r.adt, r.log)
+		r.engine.Compacted(n)
 	}
 }
 
@@ -577,12 +576,16 @@ type Stats struct {
 	DupDropped  uint64
 	SyncApplied uint64
 	Clock       uint64
+	// Folded is how many live entries the engine's retained state
+	// covers (Engine.Folded): 0 on a replica no query has touched.
+	Folded int
 }
 
 // Stats returns a snapshot of the replica counters.
 func (r *Replica) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	folded, _ := r.engine.Folded()
 	return Stats{
 		LogLen:      r.log.Len(),
 		TotalOps:    r.log.TotalLen(),
@@ -591,6 +594,7 @@ func (r *Replica) Stats() Stats {
 		DupDropped:  r.dupDrops,
 		SyncApplied: r.syncApplied,
 		Clock:       r.clk.Now(),
+		Folded:      folded,
 	}
 }
 
@@ -600,6 +604,13 @@ func (r *Replica) Stats() Stats {
 // is a pure function of the log), so polling convergence on a settled
 // cluster costs one version compare per call instead of a full state
 // serialization.
+//
+// StateKey never makes the engine retain a state it does not already
+// hold: convergence polling reaches replicas no query ever touched, and
+// installing a fold there would pin a second copy of the object for
+// nothing. An engine that holds one is asked for it (catching it up is
+// cheaper than a replay); otherwise the log is replayed into a
+// throwaway state.
 func (r *Replica) StateKey() string {
 	r.flushIntake()
 	r.mu.RLock()
@@ -615,7 +626,13 @@ func (r *Replica) StateKey() string {
 	if r.fpOK && r.fpVer == ver {
 		return r.fpKey
 	}
-	r.fpKey = r.adt.KeyState(r.engine.State())
+	var s spec.State
+	if _, held := r.engine.Folded(); held {
+		s = r.engine.State()
+	} else {
+		s = r.log.Replay()
+	}
+	r.fpKey = r.adt.KeyState(s)
 	r.fpVer = ver
 	r.fpOK = true
 	return r.fpKey
@@ -717,7 +734,7 @@ func Cluster(n int, adt spec.UQADT, net transport.Network, opt ClusterOptions) [
 
 // ClusterOptions configures Cluster.
 type ClusterOptions struct {
-	// NewEngine builds each replica's engine (nil → ReplayEngine).
+	// NewEngine builds each replica's engine (nil → DefaultEngine).
 	NewEngine func() Engine
 	// Codec overrides the update codec (nil → the ADT's own, as in
 	// Config.Codec).

@@ -152,8 +152,8 @@ func TestResizeMatchesFreshCluster(t *testing.T) {
 // targets (grow and shrink).
 func TestResizeMatchesUnresizedReference(t *testing.T) {
 	engines := map[string]func() Engine{
-		"replay": nil,
-		"undo":   func() Engine { return NewUndoEngine() },
+		"replay": func() Engine { return NewReplayEngine() },
+		"undo":   nil, // the default
 	}
 	for name, mk := range engines {
 		for _, to := range []int{1, 3, 8} {

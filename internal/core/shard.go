@@ -151,7 +151,7 @@ type ShardedConfig struct {
 	// and LiveNetwork do); when it also implements
 	// transport.ResizableNetwork the replica supports Resize.
 	Net transport.Network
-	// NewEngine builds each shard's query engine (nil → ReplayEngine).
+	// NewEngine builds each shard's query engine (nil → DefaultEngine).
 	NewEngine func() Engine
 	// GC enables per-shard stability-based log compaction; it requires
 	// a FIFO transport, exactly as for a plain Replica. GCEvery is the
@@ -635,6 +635,7 @@ func (r *ShardedReplica) Stats() Stats {
 		agg.LateInserts += st.LateInserts
 		agg.DupDropped += st.DupDropped
 		agg.SyncApplied += st.SyncApplied
+		agg.Folded += st.Folded
 		if st.Clock > agg.Clock {
 			agg.Clock = st.Clock
 		}

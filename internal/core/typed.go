@@ -37,15 +37,9 @@ func (s *Set) Elements() []string {
 	return s.r.Query(spec.Read{}).(spec.Elems)
 }
 
-// Contains reports membership of v in the current local state.
-func (s *Set) Contains(v string) bool {
-	for _, e := range s.Elements() {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
+// Contains reports membership of v in the current local state (the
+// keyed point query spec.Has).
+func (s *Set) Contains(v string) bool { return bool(s.r.Query(spec.Has{V: v}).(spec.Bool)) }
 
 // Counter is an update consistent replicated counter. Counter updates
 // commute, so this object is also a CRDT; it exists for the §VII-C

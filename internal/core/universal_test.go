@@ -92,14 +92,9 @@ func TestUniversalityAllTypesAllEngines(t *testing.T) {
 			label string
 			mk    func() Engine
 		}{
-			{"replay", nil},
+			{"replay", func() Engine { return NewReplayEngine() }},
 			{"checkpoint", func() Engine { return NewCheckpointEngine(8) }},
-		}
-		if undoCapable(adt) {
-			engines = append(engines, struct {
-				label string
-				mk    func() Engine
-			}{"undo", func() Engine { return NewUndoEngine() }})
+			{"undo", nil}, // the default
 		}
 		for _, eng := range engines {
 			eng := eng

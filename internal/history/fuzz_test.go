@@ -13,6 +13,7 @@ func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"set\np0: I(1) R/{2} R/{1} R/∅ω\np1: I(2) R/{1} R/{2} R/∅ω\n",
 		"set\np0: I(1) D(2) R/{1,2}ω\np1: I(2) D(1) R/{1,2}ω\n",
+		"set\np0: I(1) C(1)/⊤ C(2)/⊥ R/{1}ω\np1: D(1) C(1)/⊥ω\n",
 		"counter\np0: Inc(1) Dec(2) R/-1ω\n",
 		"register\np0: W(a) R/aω\n",
 		"memory\np0: W(x,1) R(x)/1ω\n",

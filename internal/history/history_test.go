@@ -237,3 +237,38 @@ func TestParseCounterMap(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", back.String(), h.String())
 	}
 }
+
+func TestParseSetMembership(t *testing.T) {
+	h, err := Parse(`
+		set
+		p0: I(1) C(1)/⊤ C(2)/⊥ R/{1}ω
+		p1: I(a)/b) C(a)/b)/⊤ C(3)/⊥ω
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	q := h.Proc(0)[1]
+	if in, ok := q.QIn.(spec.Has); !ok || in.V != "1" || q.QOut != spec.Bool(true) {
+		t.Fatalf("C(1)/⊤ parsed as %v/%v", q.QIn, q.QOut)
+	}
+	// The element of C(a)/b)/⊤ splits at the LAST ")/": element "a)/b".
+	if in := h.Proc(1)[1].QIn.(spec.Has); in.V != "a)/b" {
+		t.Fatalf("element split at the wrong \")/\": %q", in.V)
+	}
+	text := Format(h)
+	back, err := Parse(text)
+	if err != nil {
+		t.Fatalf("parse(format): %v\n%s", err, text)
+	}
+	if back.String() != h.String() {
+		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", back.String(), h.String())
+	}
+	for _, bad := range []string{"set\np0: C(1)\n", "set\np0: C(1)/yes\n", "set\np0: C(1/⊤\n"} {
+		if _, err := Parse(bad); err == nil {
+			t.Fatalf("expected parse error for %q", bad)
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 //
 // Supported op grammars:
 //
-//	set:      I(v)  D(v)  R/{a, b}  R/∅
+//	set:      I(v)  D(v)  R/{a, b}  R/∅  C(v)/⊤  C(v)/⊥
 //	counter:  Inc(n)  Dec(n)  R/n
 //	register: W(v)  R/v
 //	memory:   W(k,v)  R(k)/v
@@ -152,6 +152,22 @@ func parseOp(adtName, tok string) (any, spec.QueryOutput, bool, error) {
 				return nil, nil, false, err
 			}
 			return spec.Read{}, elems, true, nil
+		}
+		if strings.HasPrefix(tok, "C(") {
+			// Split at the LAST ")/": the output is one fixed rune, the
+			// element may contain ")/" itself.
+			rest := tok[2:]
+			close := strings.LastIndex(rest, ")/")
+			if close < 0 {
+				return nil, nil, false, fmt.Errorf("history: bad set membership query %q", tok)
+			}
+			switch rest[close+2:] {
+			case "⊤":
+				return spec.Has{V: rest[:close]}, spec.Bool(true), true, nil
+			case "⊥":
+				return spec.Has{V: rest[:close]}, spec.Bool(false), true, nil
+			}
+			return nil, nil, false, fmt.Errorf("history: bad set membership output %q", tok)
 		}
 	case "counter":
 		if v, ok := arg("Inc"); ok {

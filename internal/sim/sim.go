@@ -93,12 +93,12 @@ func newSetCluster(kind SetKind, n, shards int, net transport.Network) []node {
 	nodes := make([]node, n)
 	switch kind {
 	case UCSet, UCSetCheckpoint, UCSetUndo:
-		var mk func() core.Engine
+		mk := func() core.Engine { return core.NewReplayEngine() }
 		switch kind {
 		case UCSetCheckpoint:
 			mk = func() core.Engine { return core.NewCheckpointEngine(64) }
 		case UCSetUndo:
-			mk = func() core.Engine { return core.NewUndoEngine() }
+			mk = nil // the default engine
 		}
 		if shards > 1 {
 			reps := core.ShardedCluster(n, shards, spec.Set(), net, core.ClusterOptions{NewEngine: mk})

@@ -83,8 +83,12 @@ func (SetSpec) UpdateKey(u Update) string {
 	}
 }
 
-// QueryKey implements Partitionable: the read R observes the whole set.
-func (SetSpec) QueryKey(in QueryInput) (string, bool) { return "", false }
+// QueryKey implements Partitionable: a membership query addresses its
+// element; the read R observes the whole set.
+func (SetSpec) QueryKey(in QueryInput) (string, bool) {
+	h, ok := in.(Has)
+	return h.V, ok
+}
 
 // MergeInto implements Partitionable: union of disjoint element sets
 // (set states hold only present elements, so every entry copies over).

@@ -29,11 +29,14 @@ type QueryKeyer interface {
 	QueryInputKey(in QueryInput) (key QueryCacheKey, ok bool)
 }
 
-// QueryInputKey implements QueryKeyer: the set's only query is the
-// whole-state read R.
+// QueryInputKey implements QueryKeyer: the whole-state read R caches
+// under the zero key, a membership query under its element.
 func (SetSpec) QueryInputKey(in QueryInput) (QueryCacheKey, bool) {
-	if _, ok := in.(Read); ok {
+	switch q := in.(type) {
+	case Read:
 		return QueryCacheKey{}, true
+	case Has:
+		return QueryCacheKey{Kind: 1, Key: q.V}, true
 	}
 	return QueryCacheKey{}, false
 }

@@ -7,8 +7,8 @@ import "testing"
 // not, and distinct query types never share a cache key.
 func TestQueryKeyerAllBuiltins(t *testing.T) {
 	queries := map[string][]QueryInput{
-		"set":        {Read{}},
-		"gset":       {Read{}},
+		"set":        {Read{}, Has{V: "a"}, Has{V: "b"}, Has{V: ""}},
+		"gset":       {Read{}, Has{V: "a"}},
 		"register":   {Read{}},
 		"counter":    {Read{}},
 		"countermap": {ReadCtr{K: "a"}, ReadCtr{K: "b"}, ReadAllCtrs{}},

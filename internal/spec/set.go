@@ -24,9 +24,30 @@ type Read struct{}
 // String renders the query input in the paper's notation "R".
 func (Read) String() string { return "R" }
 
+// Has is the membership query C(v) of the set: whether v is present,
+// returned as a Bool. It is the set's keyed point query — O(1) on the
+// state, cached per (log version, v), and on a sharded replica served
+// by the shard owning v alone — where R walks and sorts the whole set.
+type Has struct{ V string }
+
+// String renders the query input, e.g. "C(1)".
+func (h Has) String() string { return fmt.Sprintf("C(%s)", h.V) }
+
+// Bool is the query output of Has.
+type Bool bool
+
+// String renders the output as "⊤" or "⊥".
+func (b Bool) String() string {
+	if b {
+		return "⊤"
+	}
+	return "⊥"
+}
+
 // SetSpec is the set object S_Val of Example 1: updates insert and
-// delete single elements, the single query R returns the finite set of
-// present elements. States are map[string]bool with only true entries.
+// delete single elements, the query R returns the finite set of present
+// elements and C(v) membership of one. States are map[string]bool with
+// only true entries.
 type SetSpec struct{}
 
 // Set returns the set UQ-ADT.
@@ -62,25 +83,31 @@ func (SetSpec) Clone(s State) State {
 	return c
 }
 
-// Query implements UQADT: G(s, R) = s, rendered canonically.
+// Query implements UQADT: G(s, R) = s, rendered canonically, and
+// G(s, C(v)) = (v ∈ s).
 func (SetSpec) Query(s State, in QueryInput) QueryOutput {
-	if _, ok := in.(Read); !ok {
+	switch q := in.(type) {
+	case Read:
+		return setElems(s.(map[string]bool))
+	case Has:
+		return Bool(s.(map[string]bool)[q.V])
+	default:
 		panic(fmt.Sprintf("spec: set does not recognize query %T", in))
 	}
-	return setElems(s.(map[string]bool))
 }
 
 // EqualOutput implements UQADT.
 func (SetSpec) EqualOutput(a, b QueryOutput) bool {
-	ea, ok := a.(Elems)
-	if !ok {
+	switch va := a.(type) {
+	case Elems:
+		vb, ok := b.(Elems)
+		return ok && equalElems(va, vb)
+	case Bool:
+		vb, ok := b.(Bool)
+		return ok && va == vb
+	default:
 		return false
 	}
-	eb, ok := b.(Elems)
-	if !ok {
-		return false
-	}
-	return equalElems(ea, eb)
 }
 
 // KeyState implements UQADT.
@@ -119,26 +146,47 @@ func (sp SetSpec) ApplyUndo(s State, u Update) (State, Undo) {
 	}
 }
 
-// ExplainState implements StateExplainer: every read reveals the whole
-// state, so all observations must report the same set, which is then
-// the explaining state.
+// ExplainState implements StateExplainer: a read R reveals the whole
+// state, so all of them must report the same set; a membership
+// observation C(v) constrains v alone. Conflicting constraints on one
+// element — between two C(v), or between a C(v) and a read — are
+// unsatisfiable. Without a read, the explaining state holds exactly
+// the elements observed present.
 func (SetSpec) ExplainState(obs []Observation) (State, bool) {
-	if len(obs) == 0 {
-		return map[string]bool{}, true
-	}
-	first, ok := obs[0].Out.(Elems)
-	if !ok {
-		return nil, false
-	}
-	for _, o := range obs[1:] {
-		e, ok := o.Out.(Elems)
-		if !ok || !equalElems(first, e) {
+	var read Elems
+	haveRead := false
+	has := map[string]bool{}
+	for _, o := range obs {
+		switch out := o.Out.(type) {
+		case Elems:
+			if _, ok := o.In.(Read); !ok || (haveRead && !equalElems(read, out)) {
+				return nil, false
+			}
+			read, haveRead = out, true
+		case Bool:
+			q, ok := o.In.(Has)
+			if !ok {
+				return nil, false
+			}
+			if prev, seen := has[q.V]; seen && prev != bool(out) {
+				return nil, false
+			}
+			has[q.V] = bool(out)
+		default:
 			return nil, false
 		}
 	}
-	m := make(map[string]bool, len(first))
-	for _, v := range first {
+	m := make(map[string]bool, len(read))
+	for _, v := range read {
 		m[v] = true
+	}
+	for v, present := range has {
+		switch {
+		case haveRead && m[v] != present:
+			return nil, false
+		case present:
+			m[v] = true
+		}
 	}
 	return m, true
 }

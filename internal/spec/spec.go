@@ -44,7 +44,9 @@ type (
 // Apply may mutate its argument state for efficiency; callers must use
 // the returned State and must not touch the argument afterwards. To
 // branch a state (as the consistency deciders do during linearization
-// search), Clone it first. Query must never mutate the state.
+// search), Clone it first. Query must never mutate the state, and its
+// output must share nothing mutable with it: replicas keep folding
+// updates into the state a cached output was read from.
 type UQADT interface {
 	// Name identifies the data type (e.g. "set", "memory").
 	Name() string

@@ -372,6 +372,28 @@ func TestExplainState(t *testing.T) {
 	}); ok {
 		t.Fatalf("inconsistent set observations should not explain")
 	}
+	// Set membership: per-element constraints, consistent with any read.
+	for _, c := range []struct {
+		obs  []Observation
+		want string // canonical explaining state, "" when none exists
+	}{
+		{[]Observation{{Has{"1"}, Bool(true)}, {Has{"2"}, Bool(false)}}, "{1}"},
+		{[]Observation{{Has{"1"}, Bool(true)}, {Has{"1"}, Bool(true)}}, "{1}"},
+		{[]Observation{{Has{"1"}, Bool(true)}, {Has{"1"}, Bool(false)}}, ""},
+		{[]Observation{{Read{}, Elems{"1", "3"}}, {Has{"1"}, Bool(true)}, {Has{"2"}, Bool(false)}}, "{1, 3}"},
+		{[]Observation{{Has{"2"}, Bool(true)}, {Read{}, Elems{"1", "3"}}}, ""},
+		{[]Observation{{Read{}, Elems{"1", "3"}}, {Has{"3"}, Bool(false)}}, ""},
+		{[]Observation{{Has{"1"}, Elems{"1"}}}, ""},
+		{[]Observation{{Read{}, Bool(true)}}, ""},
+	} {
+		s, ok := ex.ExplainState(c.obs)
+		if ok != (c.want != "") {
+			t.Fatalf("set observations %v: explained=%v, want %v", c.obs, ok, c.want != "")
+		}
+		if ok && Set().KeyState(s) != c.want {
+			t.Fatalf("set observations %v explained by %s, want %s", c.obs, Set().KeyState(s), c.want)
+		}
+	}
 	// Memory: per-register constraints.
 	ex = Memory("0")
 	s, ok := ex.ExplainState([]Observation{
@@ -399,6 +421,7 @@ func TestExplainedStateSatisfiesObservations(t *testing.T) {
 		obs []Observation
 	}{
 		{Set(), []Observation{{Read{}, Elems{"1", "2"}}}},
+		{Set(), []Observation{{Has{"1"}, Bool(true)}, {Has{"2"}, Bool(false)}, {Read{}, Elems{"1", "3"}}}},
 		{Register("init"), []Observation{{Read{}, RegVal("w")}}},
 		{Counter(), []Observation{{Read{}, CtrVal(41)}}},
 		{Log(), []Observation{{ReadLog{}, Lines{"a", "b"}}}},

@@ -420,18 +420,24 @@ func (p *tcpPeer) serve(conn net.Conn) error {
 		Kind: KindHello, From: p.net.opts.ID,
 		Payload: helloPayload(RolePeer, p.net.n, p.net.opts.ObjectName),
 	})
+	// The queue must be open before the hello is on the wire: the peer
+	// answers the hello with its digest on its own send link, and our
+	// reply to that digest — everything the peer missed while this link
+	// was down — is pushed here by the receive goroutine, possibly
+	// before this goroutine runs again. A queue still discarding at
+	// that moment loses the repair for good (nothing asks again until
+	// the next reconnect). Only this goroutine drains the queue, so the
+	// hello still goes out first.
+	p.mb.setDiscard(false)
+	defer p.mb.setDiscard(true)
 	if _, err := conn.Write(hello); err != nil {
 		return err
 	}
 	if p.connects.Add(1) > 1 {
 		p.net.reconnects.Add(1)
 	}
-	p.mb.setDiscard(false)
 	p.connected.Store(true)
-	defer func() {
-		p.connected.Store(false)
-		p.mb.setDiscard(true)
-	}()
+	defer p.connected.Store(false)
 	// Sync-on-connect, outbound side: tell the peer what we hold so it
 	// can send back what we lack.
 	p.net.queueDigest(p)

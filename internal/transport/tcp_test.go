@@ -507,3 +507,90 @@ func TestTCPAttachWrongIDPanics(t *testing.T) {
 	}()
 	tn.Attach(1, func(int, []byte) {})
 }
+
+// helloTapConn is a send link whose far end acts the moment the first
+// write (the hello) lands; it records everything written. Reads block
+// until Close, like a peer that never writes on a send link.
+type helloTapConn struct {
+	net.Conn // nil: the tests use only the methods below
+	onHello  func()
+	mu       sync.Mutex
+	written  []byte
+	writes   int
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func (c *helloTapConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.written = append(c.written, b...)
+	c.writes++
+	first := c.writes == 1
+	c.mu.Unlock()
+	if first {
+		c.onHello()
+	}
+	return len(b), nil
+}
+
+func (c *helloTapConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *helloTapConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *helloTapConn) frames(t *testing.T) []Frame {
+	t.Helper()
+	c.mu.Lock()
+	br := bufio.NewReader(strings.NewReader(string(c.written)))
+	c.mu.Unlock()
+	var out []Frame
+	for {
+		f, err := ReadFrame(br, MaxFrame)
+		if err != nil {
+			return out
+		}
+		out = append(out, f)
+	}
+}
+
+// TestTCPSendQueueOpenBeforeHello pins the sync-on-connect ordering: a
+// peer answers our hello with its digest, and our reply to that digest
+// is pushed onto this send queue by the receive goroutine — possibly
+// before the sender runs again after writing the hello. The queue must
+// already accept it then; a reply discarded there is lost until the
+// next reconnect.
+func TestTCPSendQueueOpenBeforeHello(t *testing.T) {
+	tn, err := NewTCP(TCPOptions{ID: 0, Peers: []string{"", "127.0.0.1:1"}, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	p := tn.peers[1]
+	pushed := -1
+	conn := &helloTapConn{closed: make(chan struct{})}
+	conn.onHello = func() {
+		pushed = p.mb.push(envelope{kind: KindSyncReply, from: 0, to: 1, payload: []byte("repair")}, true)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.serve(conn) }()
+	waitUntil(t, 5*time.Second, "the sync reply to follow the hello", func() bool {
+		return len(conn.frames(t)) >= 2
+	})
+	conn.Close()
+	<-done
+	if pushed != pushQueued {
+		t.Fatalf("a sync reply pushed while the hello was in flight was dropped (push outcome %d)", pushed)
+	}
+	fs := conn.frames(t)
+	if fs[0].Kind != KindHello || fs[1].Kind != KindSyncReply || string(fs[1].Payload) != "repair" {
+		t.Fatalf("send link carried kinds %d, %d; want hello then the sync reply", fs[0].Kind, fs[1].Kind)
+	}
+	if _, _, _, down, _ := p.mb.depth(); down != 0 {
+		t.Fatalf("%d envelopes discarded", down)
+	}
+}

@@ -117,15 +117,10 @@ func (s *Set) Delete(v string) { s.p.Update(spec.Del{V: v}) }
 // Elements returns this replica's current view, sorted.
 func (s *Set) Elements() []string { return s.p.Query(spec.Read{}).(spec.Elems) }
 
-// Contains reports membership in this replica's current view.
-func (s *Set) Contains(v string) bool {
-	for _, e := range s.Elements() {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
+// Contains reports membership in this replica's current view. It is a
+// keyed point query: O(1) on the replica's maintained state, served by
+// the one shard that owns v, and a single bool on the wire.
+func (s *Set) Contains(v string) bool { return bool(s.p.Query(spec.Has{V: v}).(spec.Bool)) }
 
 // SetObject describes the replicated set. Partitionable (each element
 // is its own key), so it accepts WithShards.

@@ -20,6 +20,7 @@ import (
 // law its spec implements:
 //
 //   - Apply determinism and Clone/Initial independence (always)
+//   - query outputs share nothing mutable with the state they read
 //   - Codec round-trip, and AppendCodec agreement with Codec
 //   - Undoable: apply-then-undo restores the pre-state
 //   - Partitionable: per-key routing commutes with folding, MergeInto /
@@ -68,6 +69,24 @@ func Run[H any](t *testing.T, obj updatec.Object[H]) {
 			t.Fatalf("mutating one Initial() state changed another: %q -> %q", empty, got)
 		}
 	})
+
+	if in, ok := obj.Omega(); ok {
+		t.Run("query-output-independence", func(t *testing.T) {
+			// The default engine keeps one state between reads and folds
+			// arrivals into it in place, while outputs it returned sit
+			// in caches and with callers: they must not move with it.
+			us := sample(obj, 10, 30)
+			s := fold(obj, us[:15])
+			out := adt.Query(s, in)
+			before := fmt.Sprint(out)
+			for _, u := range us[15:] {
+				s = adt.Apply(s, u)
+			}
+			if got := fmt.Sprint(out); got != before {
+				t.Fatalf("output of %v changed when its state was updated: %s -> %s", in, before, got)
+			}
+		})
+	}
 
 	t.Run("codec-roundtrip", func(t *testing.T) {
 		codec := obj.Codec()

@@ -83,17 +83,17 @@ import (
 	"updatec/internal/transport"
 )
 
-// EngineKind selects the query engine of the generic construction
-// (§VII-C): Replay is the paper's literal algorithm, Checkpoint keeps
-// periodic snapshots, Undo splices late updates with inverse patches.
+// EngineKind names a query engine of the generic construction
+// (§VII-C) to run instead of the default. Without WithEngine a cluster
+// keeps its state between reads and repairs it when a read asks — by
+// undo/redo of what a late update displaced when the object is
+// Undoable (every built-in is), from periodic snapshots otherwise (see
+// ARCHITECTURE.md, "read path"). Replay is the paper's literal
+// algorithm: every read replays the log and nothing is retained.
 type EngineKind int
 
-// Available query engines.
-const (
-	Replay EngineKind = iota
-	Checkpoint
-	Undo
-)
+// Replay is the one selectable query engine.
+const Replay EngineKind = 0
 
 // Level selects a consistency level for a cluster (WithConsistency).
 type Level int
@@ -384,12 +384,11 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 		cl.omega = func(p int) { cl.causal[p].QueryOmega(obj.omega) }
 		return cl, handles, nil
 	}
+	// Without WithEngine the replicas pick their engine from the
+	// object's capabilities (core.DefaultEngine).
 	var mkEngine func() core.Engine
-	switch cfg.engine {
-	case Checkpoint:
-		mkEngine = func() core.Engine { return core.NewCheckpointEngine(64) }
-	case Undo:
-		mkEngine = func() core.Engine { return core.NewUndoEngine() }
+	if cfg.engineSet && cfg.engine == Replay {
+		mkEngine = func() core.Engine { return core.NewReplayEngine() }
 	}
 	copt := core.ClusterOptions{NewEngine: mkEngine, Codec: obj.codec, GC: cfg.gc, LockFree: cfg.lockfree}
 	if cfg.shards == 1 {

@@ -228,8 +228,9 @@ func TestOptionValidation(t *testing.T) {
 
 func TestOptionObjectCombinationErrors(t *testing.T) {
 	// MemoryObject (Algorithm 2) keeps no log: WithEngine and WithGC
-	// used to be silently ignored and must now be rejected.
-	if _, _, err := New(2, MemoryObject(""), WithEngine(Undo)); err == nil {
+	// used to be silently ignored and must now be rejected — WithEngine
+	// even though Replay is the zero EngineKind.
+	if _, _, err := New(2, MemoryObject(""), WithEngine(Replay)); err == nil {
 		t.Fatalf("WithEngine on a memory cluster must be rejected")
 	}
 	if _, _, err := New(2, MemoryObject(""), WithSeed(1), WithFIFO(), WithGC()); err == nil {
@@ -237,11 +238,6 @@ func TestOptionObjectCombinationErrors(t *testing.T) {
 	}
 	if _, _, err := New(2, MemoryObject(""), WithShards(2)); err == nil {
 		t.Fatalf("WithShards on a memory cluster must be rejected")
-	}
-	// Even the default engine kind, when requested explicitly, is an
-	// unsupported option for Algorithm 2.
-	if _, _, err := New(2, MemoryObject(""), WithEngine(Replay)); err == nil {
-		t.Fatalf("explicit WithEngine(Replay) on a memory cluster must be rejected")
 	}
 	// WithShards requires a partitionable object.
 	for _, tc := range []struct {
@@ -271,8 +267,9 @@ func TestOptionObjectCombinationErrors(t *testing.T) {
 }
 
 func TestEngineOptions(t *testing.T) {
-	for _, k := range []EngineKind{Replay, Checkpoint, Undo} {
-		cluster, sets, err := New(2, SetObject(), WithSeed(19), WithEngine(k))
+	// The default engine, then the selectable one.
+	for _, engine := range [][]Option{nil, {WithEngine(Replay)}} {
+		cluster, sets, err := New(2, SetObject(), append(engine, WithSeed(19))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +277,7 @@ func TestEngineOptions(t *testing.T) {
 		sets[1].Delete("x")
 		cluster.Settle()
 		if !cluster.Converged() {
-			t.Fatalf("engine %v: cluster diverged", k)
+			t.Fatalf("cluster diverged")
 		}
 	}
 }

@@ -398,9 +398,29 @@ func (c *Client[H]) send(kind byte, payload []byte) error {
 		err = c.bw.Flush()
 	}
 	if err != nil {
-		c.err = fmt.Errorf("updatec: client send: %w", err)
+		c.err = c.sendFailure(err)
 	}
 	return c.err
+}
+
+// sendFailure explains a failed write (mu held). A daemon that refuses
+// the hello answers with an error frame and hangs up, so the write that
+// first notices the closed socket fails with a bare "broken pipe" while
+// the reason sits unread in the receive buffer: report that instead.
+// The connection is dead either way, so consuming a frame is harmless.
+func (c *Client[H]) sendFailure(werr error) error {
+	if c.conn.SetReadDeadline(time.Now().Add(time.Second)) == nil {
+		if f, err := transport.ReadFrame(c.br, transport.MaxFrame); err == nil && isObjectMismatch(f) {
+			return fmt.Errorf("updatec: server: %s: %w", f.Payload, ErrObjectMismatch)
+		}
+	}
+	return fmt.Errorf("updatec: client send: %w", werr)
+}
+
+// isObjectMismatch recognizes the daemon's refusal of a hello naming a
+// different object.
+func isObjectMismatch(f transport.Frame) bool {
+	return f.Kind == transport.KindError && strings.HasPrefix(string(f.Payload), "object mismatch")
 }
 
 // roundTrip sends one frame and reads the matching reply (mu held).
@@ -417,7 +437,7 @@ func (c *Client[H]) roundTrip(kind byte, payload []byte, want byte) ([]byte, err
 	case want:
 		return f.Payload, nil
 	case transport.KindError:
-		if strings.HasPrefix(string(f.Payload), "object mismatch") {
+		if isObjectMismatch(f) {
 			// The daemon refused our hello and hung up: this connection is
 			// dead, and the configuration is wrong, not the network.
 			c.err = fmt.Errorf("updatec: server: %s: %w", f.Payload, ErrObjectMismatch)

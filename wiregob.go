@@ -25,12 +25,12 @@ func init() {
 		spec.AddV{}, spec.RemV{}, spec.AddE{}, spec.RemE{},
 		spec.InsAt{}, spec.DelAt{}, spec.AddKey{}, spec.WriteKey{},
 		// query inputs
-		spec.Read{}, spec.ReadLog{}, spec.ReadSeq{}, spec.ReadGraph{},
+		spec.Read{}, spec.Has{}, spec.ReadLog{}, spec.ReadSeq{}, spec.ReadGraph{},
 		spec.ReadKey{}, spec.ReadCtr{}, spec.ReadAllCtrs{},
 		spec.Front{}, spec.Top{},
 		// query outputs
 		spec.Elems{}, spec.Lines{}, spec.GraphVal{},
-		spec.CtrVal(0), spec.RegVal(""),
+		spec.CtrVal(0), spec.RegVal(""), spec.Bool(false),
 	} {
 		gob.Register(v)
 	}

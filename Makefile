@@ -89,11 +89,15 @@ test-ucperf:
 	cd benchmark && $(GO) vet . && $(GO) test -race .
 
 # fuzz runs a short coverage-guided pass over the byte-level decoders
-# that face the network: the wire-frame envelope codec and the batch
-# frame iterator. The seed corpora also run under plain `go test`.
+# that face the network: the wire-frame envelope codec, the batch frame
+# iterator, and the two halves of the anti-entropy exchange (a peer's
+# digest, a donor's sync reply). The seed corpora also run under plain
+# `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzBatchFrame -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzApplySync -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzWireDigest -fuzztime 10s ./internal/core/
 
 # test-parallel-sim runs the parallel-adversary suite under the race
 # detector: the transport's sharded stepper vs the sequential one, the

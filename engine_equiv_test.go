@@ -278,7 +278,9 @@ func (p *equivPair) readAll(where string) {
 // delivery under the seeded adversary, with and without stability GC —
 // through the paths that rewrite a log behind its engine: compaction,
 // Resize (both directions), MergeSnapshot onto a replica that holds
-// state, and Restore into a fresh one.
+// state, Restore into a fresh one, and a partition both sides write
+// through, healed by digest pulls whose replies merge in below what the
+// engines folded.
 func TestReplicasMatchReplayAcrossRebinds(t *testing.T) {
 	const steps = 600
 	for _, obj := range equivObjects(t) {
@@ -323,6 +325,20 @@ func TestReplicasMatchReplayAcrossRebinds(t *testing.T) {
 								p.mergeSnapshot(1, 0)
 								p.readAll(where + " after MergeSnapshot")
 							}
+						case 370:
+							// Without GC no donor compacts, so every pull
+							// is an entry reply and lands as a merge (the
+							// snapshot fallback is step 350's subject).
+							if !gc {
+								p.nets[0].Partition([]int{0}, []int{1, 2})
+								p.nets[1].Partition([]int{0}, []int{1, 2})
+							}
+						case 440:
+							if !gc {
+								p.readAll(where + " before the heal")
+								p.healAndSync()
+								p.readAll(where + " after the heal's pulls")
+							}
 						case 450:
 							if p.canSnapshot {
 								p.restoreFresh(0, where)
@@ -354,6 +370,27 @@ func (p *equivPair) mergeSnapshot(dst, src int) {
 			}
 			if _, err := reps[dst].Shard(s).MergeSnapshot(snap); err != nil {
 				p.t.Fatal(err)
+			}
+		}
+	}
+}
+
+// healAndSync removes the cut and runs the anti-entropy round of
+// Cluster.Heal — replica 0 pulls from every peer, every peer from it —
+// on both clusters.
+func (p *equivPair) healAndSync() {
+	p.t.Helper()
+	for c, reps := range [][]*core.ShardedReplica{p.fold, p.replay} {
+		p.nets[c].Heal()
+		for pass := 0; pass < 2; pass++ {
+			for _, peer := range reps[1:] {
+				dst, src := reps[0], peer
+				if pass == 1 {
+					dst, src = src, dst
+				}
+				if _, err := dst.SyncFrom(src); err != nil {
+					p.t.Fatal(err)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"updatec/internal/sim"
@@ -105,5 +106,24 @@ func TestReshardShapes(t *testing.T) {
 	// E17 benchmark output is where the recovery claim lives.
 	if res.RecoveryRatio <= 0 {
 		t.Fatalf("recovery ratio not computed: %v", res.RecoveryRatio)
+	}
+}
+
+// BenchmarkApplySyncInterleaved is E18's two-sided variant as a Go
+// benchmark: one anti-entropy round after a cut both sides wrote
+// through, per size; ns/entry staying flat across the sizes is the
+// linear repair.
+func BenchmarkApplySyncInterleaved(b *testing.B) {
+	for _, n := range twoSidedSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			applied := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				reps := twoSidedCut(n)
+				b.StartTimer()
+				applied += hubRepair(reps)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(applied), "ns/entry")
+		})
 	}
 }

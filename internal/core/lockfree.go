@@ -395,21 +395,20 @@ func (f *batchFrame) next() ([]byte, error) {
 	return msg, nil
 }
 
-// handleBatch delivers a peer drain's batch frame: every message is
-// decoded and inserted under ONE lock hold, and the stability/GC
-// bookkeeping runs once per frame — the receiver-side mirror of the
-// drain's sender-side amortization. Observing only the frame's last
-// (highest) stamp is the same direct observation the per-message path
-// feeds: stamps within a frame strictly increase, so the last one is
-// the sender's reached clock.
+// handleBatch delivers a peer drain's batch frame: the messages are
+// decoded, then merged into the log under ONE lock hold (mergeLocked),
+// and the stability/GC bookkeeping runs once per frame — the
+// receiver-side mirror of the drain's sender-side amortization.
+// Observing only the frame's last (highest) stamp is the same direct
+// observation the per-message path feeds: stamps within a frame strictly
+// increase, so the last one is the sender's reached clock.
 func (r *Replica) handleBatch(from int, payload []byte) {
 	f, err := openBatchFrame(payload)
 	if err != nil {
 		panic(fmt.Sprintf("core: replica %d: corrupt batch from %d: %v", r.id, from, err))
 	}
-	var last clock.Timestamp
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	// A message is at least a length byte and a two-byte timestamp.
+	batch := make([]Entry, 0, min(f.count, uint64(len(payload))/3))
 	for i := uint64(0); i < f.count; i++ {
 		msg, err := f.next()
 		if err != nil {
@@ -419,13 +418,20 @@ func (r *Replica) handleBatch(from int, payload []byte) {
 		if derr != nil {
 			panic(fmt.Sprintf("core: replica %d: corrupt batch message: %v", r.id, derr))
 		}
-		r.insertLocked(ts, u)
-		last = ts
+		batch = append(batch, Entry{TS: ts, U: u})
 	}
-	if r.stab != nil && f.count > 0 {
+	if len(batch) == 0 {
+		return
+	}
+	last := batch[len(batch)-1].TS
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.log.SortEntries(batch)
+	r.mergeLocked(batch)
+	if r.stab != nil {
 		r.stab.ObservePeer(last.Proc, last.Clock)
 		r.stab.ObserveSelf(r.clk.Now())
-		r.sinceGC += int(f.count)
+		r.sinceGC += len(batch)
 		if r.sinceGC >= r.gcEvery {
 			r.sinceGC = 0
 			r.compact()

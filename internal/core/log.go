@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"updatec/internal/clock"
@@ -216,6 +217,105 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 	return at, true
 }
 
+// SortEntries puts batch into log order, keeping equal entries in
+// arrival order (the first of them is the one a merge keeps). A batch
+// that is already ordered — a donor's reply, a peer's frame, another
+// log's live suffix — costs one linear check.
+func (l *Log) SortEntries(batch []Entry) {
+	cmp := func(a, b Entry) int {
+		switch {
+		case l.less(a, b):
+			return -1
+		case l.less(b, a):
+			return 1
+		}
+		return 0
+	}
+	if !slices.IsSortedFunc(batch, cmp) {
+		slices.SortStableFunc(batch, cmp)
+	}
+}
+
+// MergeSorted lands a whole batch that is already in log order (see
+// SortEntries for callers that cannot promise it) and leaves the log
+// exactly as InsertDedup would, entry by entry: an entry equal to a live
+// one or to its predecessor in the batch is dropped as a duplicate, one
+// below a merged base's horizon likewise, and below any other base it
+// panics. The survivors are merged from the back, so the cost is
+// O(len(batch) + displaced suffix) where the one-at-a-time path shifts
+// the suffix once per entry — the difference between a linear and a
+// quadratic partition repair. The buffer grows by append's policy and
+// the version by the number landed.
+//
+// It returns the lowest index an entry landed at (the one position a
+// query engine needs to hear about), how many landed, how many of those
+// sorted below the previous maximum (late inserts), and the duplicates.
+func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
+	if rest := l.aboveBase(batch); len(rest) < len(batch) {
+		if !l.merged {
+			panic(fmt.Sprintf("core: update %s arrived below compaction horizon %s — stability was not honored (is the transport FIFO?)",
+				batch[0].TS, l.baseTS))
+		}
+		batch, dups = rest, len(batch)-len(rest)
+	}
+	live := l.buf[l.head:]
+	n := len(live)
+	if len(batch) == 0 {
+		return n, 0, 0, dups
+	}
+	// Nothing under lo moves or can equal a batch entry.
+	lo := sort.Search(n, func(i int) bool { return !l.less(live[i], batch[0]) })
+	// dupOf reports whether batch[j] repeats its predecessor.
+	dupOf := func(j int) bool {
+		if j == 0 || l.less(batch[j-1], batch[j]) {
+			return false
+		}
+		if l.less(batch[j], batch[j-1]) {
+			panic(fmt.Sprintf("core: MergeSorted batch out of log order at %s", batch[j].TS))
+		}
+		return true
+	}
+	// Pass 1, upwards: count what will land, so the buffer grows once.
+	i := lo
+	for j := range batch {
+		for i < n && l.less(live[i], batch[j]) {
+			i++
+		}
+		if dupOf(j) || i < n && !l.less(batch[j], live[i]) {
+			dups++
+			continue
+		}
+		landed++
+		if i < n {
+			late++
+		}
+	}
+	if landed == 0 {
+		return n, 0, 0, dups
+	}
+	// Pass 2, downwards: every live entry above a survivor moves once.
+	// w-i is how many survivors are still to place.
+	l.buf = append(l.buf, make([]Entry, landed)...)
+	live = l.buf[l.head:]
+	i, w := n-1, n+landed-1
+	for j := len(batch) - 1; w > i; j-- {
+		if dupOf(j) {
+			continue
+		}
+		for i >= lo && l.less(batch[j], live[i]) {
+			live[w] = live[i]
+			i, w = i-1, w-1
+		}
+		if i >= lo && !l.less(live[i], batch[j]) {
+			continue
+		}
+		live[w] = batch[j]
+		first, w = w, w-1
+	}
+	l.version += uint64(landed)
+	return first, landed, late, dups
+}
+
 // Covers reports whether ts is at or below the compaction horizon —
 // i.e. the update carrying it is already folded into the base (the
 // stability argument: everything under the horizon was delivered before
@@ -223,6 +323,16 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 // already accounts for.
 func (l *Log) Covers(ts clock.Timestamp) bool {
 	return l.base != nil && belowHorizon(l, ts)
+}
+
+// aboveBase returns the part of batch, which is in log order, that the
+// base does not already cover: coverage is downward closed in that
+// order, so the covered entries are a prefix.
+func (l *Log) aboveBase(batch []Entry) []Entry {
+	for len(batch) > 0 && l.Covers(batch[0].TS) {
+		batch = batch[1:]
+	}
+	return batch
 }
 
 // CompactBelow folds every entry with timestamp clock ≤ horizon into

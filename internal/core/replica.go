@@ -506,11 +506,42 @@ func (r *Replica) insertLocked(ts clock.Timestamp, u spec.Update) bool {
 	if at != r.log.Len()-1 {
 		r.lateInserts++
 	}
+	r.observeOrigin(ts)
+	r.engine.Inserted(at)
+	return true
+}
+
+// mergeLocked is insertLocked for a whole batch in log order — a sync
+// reply, a peer's batch frame, a resharding seed — landed by one
+// Log.MergeSorted with the same clock, coverage and counter effects as
+// inserting the entries one by one. The engine hears of the lowest
+// landing index only: everything it folded below that is untouched, and
+// no engine tracks more than the lowest position disturbed since it last
+// caught up. Returns how many entries were new. Caller holds the
+// exclusive lock.
+func (r *Replica) mergeLocked(batch []Entry) int {
+	for i := range batch {
+		r.observeOrigin(batch[i].TS)
+	}
+	if n := len(batch); n > 0 {
+		// The batch is sorted, so its last entry carries its highest clock.
+		r.clk.Observe(batch[n-1].TS.Clock)
+	}
+	first, landed, late, dups := r.log.MergeSorted(batch)
+	r.dupDrops += uint64(dups)
+	r.lateInserts += uint64(late)
+	if landed > 0 {
+		r.engine.Inserted(first)
+	}
+	return landed
+}
+
+// observeOrigin raises the origin coverage to an update this replica
+// holds.
+func (r *Replica) observeOrigin(ts clock.Timestamp) {
 	if ts.Proc >= 0 && ts.Proc < len(r.originMax) && ts.Clock > r.originMax[ts.Proc] {
 		r.originMax[ts.Proc] = ts.Clock
 	}
-	r.engine.Inserted(at)
-	return true
 }
 
 // Absorb inserts an already-timestamped update directly into the

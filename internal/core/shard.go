@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -871,29 +870,23 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 		o.mu.Unlock()
 	}
 
-	// Replay each seed into its new shard: seed the base, insert the
-	// entries in log order (per-origin runs are already sorted; sorting
-	// the merged bucket makes every insert take the O(1) tail path),
-	// float the clock to the replica-wide maximum so post-resize
-	// updates stamp above everything moved, and carry over retirement
-	// (a crashed process stays crashed; everything else the fresh
-	// stability trackers re-learn from current-epoch deliveries).
+	// Replay each seed into its new shard: seed the base, land the bucket
+	// — sorted, since it interleaves several old shards' runs — as one
+	// merge under one lock hold, float the clock to the replica-wide
+	// maximum so post-resize updates stamp above everything moved, and
+	// carry over retirement (a crashed process stays crashed; everything
+	// else the fresh stability trackers re-learn from current-epoch
+	// deliveries).
 	oldStab := old.shards[0].stab
 	for s := range seeds {
 		rep := next.shards[s]
 		if seeds[s].base != nil {
 			rep.log.SeedBase(seeds[s].base, horizon, 0)
 		}
-		if n := len(seeds[s].entries); n > 0 {
-			entries := seeds[s].entries
-			sort.Slice(entries, func(i, j int) bool {
-				return rep.log.less(entries[i], entries[j])
-			})
-			rep.log.Reserve(n)
-			for _, e := range entries {
-				rep.Absorb(e.TS, e.U)
-			}
-		}
+		rep.log.SortEntries(seeds[s].entries)
+		rep.mu.Lock()
+		rep.mergeLocked(seeds[s].entries)
+		rep.mu.Unlock()
 		rep.clk.Observe(maxClock)
 		if rep.stab != nil {
 			rep.stab.ObserveSelf(rep.clk.Now())

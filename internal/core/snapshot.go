@@ -187,9 +187,7 @@ func (r *Replica) Restore(snap []byte) error {
 	}
 	for _, e := range sd.entries {
 		r.log.Insert(e)
-		if e.TS.Proc >= 0 && e.TS.Proc < len(r.originMax) && e.TS.Clock > r.originMax[e.TS.Proc] {
-			r.originMax[e.TS.Proc] = e.TS.Clock
-		}
+		r.observeOrigin(e.TS)
 	}
 	r.clk.Observe(sd.clock)
 	if r.stab != nil {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"updatec/internal/clock"
 )
 
 // Anti-entropy log repair. The paper's convergence argument (§VI)
@@ -23,12 +21,14 @@ import (
 //	applied := r.ApplySync(payload)  — land the missing suffix
 //
 // or, end to end, r.SyncFrom(donor). The payload reuses the update
-// wire format (timestamp + spec codec bytes), and entries land through
-// the same dedup'd insert path as resharding's Absorb: no broadcast,
-// no stability peer-observation (the FIFO argument does not hold for
-// sync-transferred entries), duplicates dropped and counted. Pulls are
-// one-directional; a symmetric exchange is two pulls. Because logs
-// only grow and inserts are idempotent, one all-pairs round of pulls
+// wire format (timestamp + spec codec bytes), and a reply lands as one
+// sorted merge into the log (Log.MergeSorted, linear in the reply plus
+// the suffix it displaces) with the semantics of resharding's Absorb:
+// no broadcast, no stability peer-observation (the FIFO argument does
+// not hold for sync-transferred entries), duplicates dropped and
+// counted. Pulls are one-directional; a symmetric exchange is two
+// pulls. Because logs only grow and inserts are idempotent, one
+// all-pairs round of pulls
 // after a heal makes every replica's update set the union of what the
 // group held — the transport's queued originals then arrive as counted
 // duplicates instead of divergence.
@@ -47,18 +47,38 @@ import (
 // snapshot transfer (Replica.MergeSnapshot).
 var ErrCompacted = errors.New("core: donor compacted past requester's digest base; use snapshot transfer")
 
-// OriginDigest summarizes one origin process's live entries in a log:
-// how many, the highest clock among them, and an order-independent
-// hash of their clocks. Count and Hash let a donor decide whether the
-// requester's holdings are exactly the donor's own prefix (send only
-// the suffix) or something weirder — gaps from dropped links,
-// cross-epoch strays — in which case the donor sends everything it has
-// for that origin and the requester's dedup sorts it out.
-type OriginDigest struct {
+// Rung is one cumulative summary of an origin's live entries: how many
+// carry a clock at or below Clock, and an order-independent hash of
+// those clocks.
+type Rung struct {
+	Clock uint64
 	Count uint64
-	Max   uint64
 	Hash  uint64
 }
+
+// ladderRungs is how many rungs an origin's digest carries at most. With
+// the spacing halving towards the top, the finest step is 1/2^15 of the
+// origin's clock span, so a requester that diverges from the donor only
+// near the top — the shape a partition heal or a dropped message leaves —
+// is resolved to within a handful of entries by a digest of a few
+// hundred bytes. It bounds a decoder's allocation too, so it is a
+// constant, not an option.
+const ladderRungs = 16
+
+// OriginDigest summarizes one origin process's live entries in a log as
+// a ladder of rungs in ascending clock order. The top (last) rung sits at
+// the origin's highest live clock, so its Count and Hash cover everything
+// held; the rungs below it sit at clocks spaced geometrically down from
+// there — the gap to the top doubles rung by rung until it reaches half
+// the span above the compaction horizon. A donor compares its own
+// cumulative count and hash at each rung's clock: the highest rung that
+// agrees proves both sides hold the same entries up to it, and only what
+// the donor holds above it need travel. A requester that is ahead of the
+// donor, or has a hole, therefore costs the duplicates between that rung
+// and the top — at most about twice the clock depth of the deepest
+// disagreement — instead of the origin's whole history. An origin with
+// no live entries has an empty ladder.
+type OriginDigest []Rung
 
 // Digest summarizes what a replica's log holds, per origin, for an
 // anti-entropy exchange.
@@ -76,16 +96,73 @@ type Digest struct {
 	Origins []OriginDigest
 }
 
-// mix64 is the splitmix64 finalizer; the per-origin set hash is the
-// wrapping sum of mix64 over entry clocks, which is order-independent
-// (insertion interleavings don't matter) and handles the multiplicity
-// a resharded log can legitimately hold (equal (clock, proc) under
-// different keys sums twice on both sides).
+// mix64 is the splitmix64 finalizer; a rung's set hash is the wrapping
+// sum of mix64 over entry clocks, which is order-independent (insertion
+// interleavings don't matter) and handles the multiplicity a resharded
+// log can legitimately hold (equal (clock, proc) under different keys
+// sums twice on both sides).
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// newLadder places the rungs for an origin whose highest live clock is
+// top in a log compacted up to base: the counts are filled in by
+// tallyLadders.
+func newLadder(base, top uint64) OriginDigest {
+	od := make(OriginDigest, 0, ladderRungs)
+	for i := 1; i < ladderRungs; i++ {
+		c := top - (top-base)>>i
+		if len(od) == 0 || od[len(od)-1].Clock < c {
+			od = append(od, Rung{Clock: c})
+		}
+	}
+	if len(od) == 0 || od[len(od)-1].Clock < top {
+		od = append(od, Rung{Clock: top})
+	}
+	return od
+}
+
+// tallyLadders makes every rung of ladders[j] cumulative over the
+// entries of origin j with a clock above base: Count and Hash are
+// overwritten, the clocks (ascending) are the caller's. Entries above an
+// origin's top rung are counted in above[j]. One pass: entries ascend by
+// clock, so each origin's rung cursor only moves up.
+func tallyLadders(entries []Entry, base uint64, ladders []OriginDigest) (above []uint64) {
+	above = make([]uint64, len(ladders))
+	cur := make([]int, len(ladders))
+	for _, od := range ladders {
+		for i := range od {
+			od[i].Count, od[i].Hash = 0, 0
+		}
+	}
+	for i := range entries {
+		ts := entries[i].TS
+		if ts.Clock <= base || ts.Proc < 0 || ts.Proc >= len(ladders) {
+			continue
+		}
+		od := ladders[ts.Proc]
+		p := cur[ts.Proc]
+		for p < len(od) && od[p].Clock < ts.Clock {
+			p++
+		}
+		cur[ts.Proc] = p
+		if p == len(od) {
+			above[ts.Proc]++
+			continue
+		}
+		od[p].Count++
+		od[p].Hash += mix64(ts.Clock)
+	}
+	for _, od := range ladders {
+		for i := 1; i < len(od); i++ {
+			od[i].Count += od[i-1].Count
+			od[i].Hash += od[i-1].Hash
+		}
+	}
+	return above
 }
 
 // Digest summarizes the replica's log for an anti-entropy pull.
@@ -96,27 +173,21 @@ func (r *Replica) Digest() Digest {
 	d := Digest{Ver: r.log.Version(), Origins: make([]OriginDigest, r.n)}
 	_, baseTS := r.log.Base()
 	d.Base = baseTS.Clock
-	for _, e := range r.log.Entries() {
-		if e.TS.Proc < 0 || e.TS.Proc >= r.n {
-			continue
+	entries := r.log.Entries()
+	// Entries ascend by clock: an origin's last entry carries its top.
+	top := make([]uint64, r.n)
+	for i := range entries {
+		if ts := entries[i].TS; ts.Proc >= 0 && ts.Proc < r.n && ts.Clock > d.Base {
+			top[ts.Proc] = ts.Clock
 		}
-		o := &d.Origins[e.TS.Proc]
-		o.Count++
-		if e.TS.Clock > o.Max {
-			o.Max = e.TS.Clock
-		}
-		o.Hash += mix64(e.TS.Clock)
 	}
+	for j, c := range top {
+		if c > 0 {
+			d.Origins[j] = newLadder(d.Base, c)
+		}
+	}
+	tallyLadders(entries, d.Base, d.Origins)
 	return d
-}
-
-// originOf returns the digest's summary for origin j (zero when the
-// digest is narrower than the donor's process count).
-func originOf(d Digest, j int) OriginDigest {
-	if j < len(d.Origins) {
-		return d.Origins[j]
-	}
-	return OriginDigest{}
 }
 
 // SyncReply encodes the update suffix a peer with digest d is missing
@@ -128,12 +199,12 @@ func originOf(d Digest, j int) OriginDigest {
 // — with each frame in the broadcast wire format, so ApplySync decodes
 // with the same codec as live traffic. A nil, nil reply means the peer
 // is missing nothing this donor can tell. Per origin the donor sends
-// the suffix above the peer's Max when the peer's holdings match the
-// donor's own prefix exactly (count and hash agree), and everything
-// above d.Base otherwise — a superset of the missing set is always
-// correct, since the receiver deduplicates. ErrCompacted is returned
-// when this donor's own compaction horizon is above d.Base: part of
-// what the peer is missing exists here only folded into state.
+// what it holds above the highest rung of the peer's ladder at which its
+// own cumulative count and hash agree (see OriginDigest), and everything
+// above d.Base when no rung does — a superset of the missing set is
+// always correct, since the receiver deduplicates. ErrCompacted is
+// returned when this donor's own compaction horizon is above d.Base:
+// part of what the peer is missing exists here only folded into state.
 func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	r.flushIntake()
 	r.mu.RLock()
@@ -143,44 +214,32 @@ func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 		return nil, ErrCompacted
 	}
 	entries := r.log.Entries()
-	// Pass 1: the donor's view of each origin above d.Base, split at
-	// the peer's per-origin Max.
-	type donorStat struct {
-		prefixCount uint64
-		prefixHash  uint64
-		suffixCount uint64
-	}
-	stats := make([]donorStat, r.n)
-	for i := range entries {
-		ts := entries[i].TS
-		if ts.Clock <= d.Base || ts.Proc < 0 || ts.Proc >= r.n {
-			continue
-		}
-		if ts.Clock <= originOf(d, ts.Proc).Max {
-			stats[ts.Proc].prefixCount++
-			stats[ts.Proc].prefixHash += mix64(ts.Clock)
-		} else {
-			stats[ts.Proc].suffixCount++
+	// Pass 1: the donor's own cumulative view at the peer's rung clocks
+	// (a digest narrower than r.n leaves the other origins no ladder),
+	// and from it the clock above which each origin is sent.
+	mine := make([]OriginDigest, r.n)
+	for j := range mine {
+		if j < len(d.Origins) {
+			mine[j] = append(OriginDigest(nil), d.Origins[j]...)
 		}
 	}
-	const (
-		sendNothing = iota
-		sendSuffix
-		sendAll
-	)
-	mode := make([]byte, r.n)
+	above := tallyLadders(entries, d.Base, mine)
+	cut := make([]uint64, r.n)
 	total := uint64(0)
-	for j := 0; j < r.n; j++ {
-		od := originOf(d, j)
-		if stats[j].prefixCount == od.Count && stats[j].prefixHash == od.Hash {
-			if stats[j].suffixCount > 0 {
-				mode[j] = sendSuffix
-				total += stats[j].suffixCount
-			}
-		} else {
-			mode[j] = sendAll
-			total += stats[j].prefixCount + stats[j].suffixCount
+	for j, od := range mine {
+		cut[j] = d.Base
+		send := above[j]
+		if len(od) > 0 {
+			send += od[len(od)-1].Count
 		}
+		for i := len(od) - 1; i >= 0; i-- {
+			if od[i] == d.Origins[j][i] {
+				cut[j] = od[i].Clock
+				send -= od[i].Count
+				break
+			}
+		}
+		total += send
 	}
 	if total == 0 {
 		return nil, nil
@@ -196,16 +255,8 @@ func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	scratch := make([]byte, 0, 64)
 	for i := range entries {
 		ts := entries[i].TS
-		if ts.Clock <= d.Base || ts.Proc < 0 || ts.Proc >= r.n {
+		if ts.Clock <= d.Base || ts.Proc < 0 || ts.Proc >= r.n || ts.Clock <= cut[ts.Proc] {
 			continue
-		}
-		switch mode[ts.Proc] {
-		case sendNothing:
-			continue
-		case sendSuffix:
-			if ts.Clock <= originOf(d, ts.Proc).Max {
-				continue
-			}
 		}
 		scratch = ts.Encode(scratch[:0])
 		if r.acodec != nil {
@@ -228,47 +279,58 @@ func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	return out, nil
 }
 
-// ApplySync lands a SyncReply payload: each frame decodes with the
-// update codec and inserts through the same path as Absorb — no
-// broadcast, no stability peer-observation, duplicates dropped and
-// counted. Returns how many entries were actually new. Frames at or
-// below this replica's own compaction horizon are skipped (they are
-// already folded into the base; stability guarantees they were
-// delivered before compaction).
-func (r *Replica) ApplySync(payload []byte) (int, error) {
-	if len(payload) == 0 {
-		return 0, nil
-	}
+// decodeSyncReply parses a whole SyncReply payload, touching no replica
+// state: a reply is landed entirely or not at all.
+func (r *Replica) decodeSyncReply(payload []byte) ([]Entry, error) {
 	count, off := binary.Uvarint(payload)
 	if off <= 0 {
-		return 0, fmt.Errorf("core: malformed sync reply count")
+		return nil, fmt.Errorf("core: malformed sync reply count")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	applied := 0
+	// A frame is at least a length byte and a two-byte timestamp, which
+	// bounds what a hostile count can make this allocate.
+	if count > uint64(len(payload))/3 {
+		return nil, fmt.Errorf("core: sync reply claims %d frames in %d bytes", count, len(payload))
+	}
+	batch := make([]Entry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		flen, m := binary.Uvarint(payload[off:])
 		if m <= 0 || uint64(len(payload)-off-m) < flen {
-			return applied, fmt.Errorf("core: truncated sync reply frame %d", i)
+			return nil, fmt.Errorf("core: truncated sync reply frame %d", i)
 		}
 		off += m
 		frame := payload[off : off+int(flen)]
 		off += int(flen)
-		ts, tn, err := clock.DecodeTimestamp(frame)
+		ts, u, err := r.decode(frame)
 		if err != nil {
-			return applied, fmt.Errorf("core: malformed sync frame %d timestamp: %w", i, err)
+			return nil, fmt.Errorf("core: decoding sync frame %d: %w", i, err)
 		}
-		u, err := r.codec.DecodeUpdate(frame[tn:])
-		if err != nil {
-			return applied, fmt.Errorf("core: decoding sync frame %d: %w", i, err)
-		}
-		if r.log.Covers(ts) {
-			continue
-		}
-		if r.insertLocked(ts, u) {
-			applied++
-		}
+		batch = append(batch, Entry{TS: ts, U: u})
 	}
+	return batch, nil
+}
+
+// ApplySync lands a SyncReply payload. The whole payload is decoded and
+// validated first — a malformed reply lands nothing — and the entries
+// then merge into the log under one lock hold (mergeLocked): no
+// broadcast, no stability peer-observation, duplicates dropped and
+// counted, one engine notification. Returns how many entries were
+// actually new. Frames at or below this replica's own compaction horizon
+// are skipped (they are already folded into the base; stability
+// guarantees they were delivered before compaction).
+func (r *Replica) ApplySync(payload []byte) (int, error) {
+	if len(payload) == 0 {
+		return 0, nil
+	}
+	batch, err := r.decodeSyncReply(payload)
+	if err != nil {
+		return 0, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// A donor replies in its log order, which is ours; anything else is
+	// sorted rather than trusted.
+	r.log.SortEntries(batch)
+	applied := r.mergeLocked(r.log.aboveBase(batch))
 	r.syncApplied += uint64(applied)
 	return applied, nil
 }
@@ -279,9 +341,9 @@ func (r *Replica) ApplySync(payload []byte) (int, error) {
 // missed. The donor's base replaces this replica's own (stability makes
 // it a superset: both bases fold downward-closed sets of delivered
 // updates, and the donor's horizon is strictly higher or SyncReply
-// would not have refused); this replica's live entries above the
-// donor's horizon are re-inserted, then the donor's live entries are
-// merged in, deduplicated. Returns how many of the donor's entries
+// would not have refused); the new log is then two merges — this
+// replica's live entries above the donor's horizon, and the donor's live
+// entries on top, deduplicated. Returns how many of the donor's entries
 // were new here.
 func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
 	sd, err := r.parseSnapshot(snap)
@@ -314,26 +376,15 @@ func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
 		nl.seeded = old.seeded
 		nl.merged = old.merged
 	}
-	for _, e := range old.Entries() {
-		if nl.Covers(e.TS) {
-			continue // folded into the donor's base
-		}
-		nl.InsertDedup(e)
+	// What either side held under the adopted base is folded into it.
+	nl.MergeSorted(nl.aboveBase(old.Entries()))
+	nl.SortEntries(sd.entries)
+	theirs := nl.aboveBase(sd.entries)
+	for i := range theirs {
+		r.observeOrigin(theirs[i].TS)
 	}
-	applied := 0
-	for _, e := range sd.entries {
-		if nl.Covers(e.TS) {
-			continue
-		}
-		if _, ok := nl.InsertDedup(e); ok {
-			applied++
-			if e.TS.Proc >= 0 && e.TS.Proc < len(r.originMax) && e.TS.Clock > r.originMax[e.TS.Proc] {
-				r.originMax[e.TS.Proc] = e.TS.Clock
-			}
-		} else {
-			r.dupDrops++
-		}
-	}
+	_, applied, _, dups := nl.MergeSorted(theirs)
+	r.dupDrops += uint64(dups)
 	// The log version must stay monotone across the swap: the state-key
 	// memo, the query-output cache and the sharded merged-state cache
 	// all treat the version as a fingerprint of everything ever

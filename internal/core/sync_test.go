@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"updatec/internal/clock"
 	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
@@ -287,5 +288,318 @@ func TestSyncIsIdempotent(t *testing.T) {
 	if second != 0 || reps[1].StateKey() != key {
 		t.Fatalf("second pull applied %d entries and %s the state",
 			second, map[bool]string{true: "kept", false: "changed"}[reps[1].StateKey() == key])
+	}
+}
+
+// pull runs one anti-entropy pull taken apart, and returns how many
+// entries the reply carried and how many of them were new.
+func pull(t *testing.T, req, donor *Replica) (carried, applied int) {
+	t.Helper()
+	payload, err := donor.SyncReply(req.Digest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload != nil {
+		count, off := binary.Uvarint(payload)
+		if off <= 0 {
+			t.Fatal("malformed sync reply")
+		}
+		carried = int(count)
+	}
+	if applied, err = req.ApplySync(payload); err != nil {
+		t.Fatal(err)
+	}
+	return carried, applied
+}
+
+// rungBound is the digest ladder's promise, recomputed by brute force
+// from the two logs: per origin, a reply may repeat only entries the
+// requester already holds within about twice the clock depth of the
+// lowest disagreement under the requester's top (one rung's worth —
+// rung gaps double going down), and nothing at all when the requester
+// simply holds a prefix of the donor.
+func rungBound(req, donor *Replica) int {
+	type holding map[uint64]int
+	per := func(r *Replica) []holding {
+		hs := make([]holding, r.n)
+		for j := range hs {
+			hs[j] = holding{}
+		}
+		for _, e := range r.log.Entries() {
+			hs[e.TS.Proc][e.TS.Clock]++
+		}
+		return hs
+	}
+	mine, theirs := per(req), per(donor)
+	_, baseTS := req.log.Base()
+	bound := 0
+	for j := range mine {
+		var top uint64
+		for c := range mine[j] {
+			top = max(top, c)
+		}
+		lowest, differ := top, false
+		for c := uint64(baseTS.Clock + 1); c <= top; c++ {
+			if mine[j][c] != theirs[j][c] {
+				lowest, differ = c, true
+				break
+			}
+		}
+		if !differ {
+			continue
+		}
+		span := top - baseTS.Clock
+		reach := 2*(top-lowest) + 1 + span>>(ladderRungs-1)
+		if top-lowest >= span/2 {
+			reach = span // no rung agrees: everything above the base
+		}
+		for c, k := range theirs[j] {
+			if c <= top && c+reach > top && mine[j][c] > 0 {
+				bound += k
+			}
+		}
+	}
+	return bound
+}
+
+// TestSyncReplyDonorBehindRequester: a donor that holds less of an
+// origin than the requester used to answer with that origin's whole
+// history; the ladder finds the rung both agree at and sends what little
+// lies above it.
+func TestSyncReplyDonorBehindRequester(t *testing.T) {
+	const ops = 6000
+	net := transport.NewSim(transport.SimOptions{N: 3, Seed: 21, FIFO: true})
+	reps := Cluster(3, spec.Log(), net, ClusterOptions{})
+	for i := 0; i < ops; i++ {
+		reps[i%2].Update(spec.Append{V: fmt.Sprint(i)})
+		if i == ops-40 {
+			// Everything so far reaches everyone; of the last 40 updates,
+			// replica 2 then hears nothing.
+			net.Quiesce()
+			net.Partition([]int{0, 1}, []int{2})
+		}
+	}
+	net.Quiesce()
+	bound := rungBound(reps[0], reps[2])
+	carried, applied := pull(t, reps[0], reps[2])
+	t.Logf("donor 40 behind: reply carried %d (rung bound %d)", carried, bound)
+	if applied != 0 {
+		t.Fatalf("a donor that is behind landed %d entries", applied)
+	}
+	if carried > bound || carried > 100 {
+		t.Fatalf("donor 40 updates behind sent %d of its %d entries (bound %d)", carried, reps[2].log.Len(), bound)
+	}
+	// The other direction is a clean suffix: no duplicate at all.
+	if carried, applied = pull(t, reps[2], reps[0]); carried != 39 || applied != 39 {
+		t.Fatalf("requester 39 behind: reply carried %d, landed %d", carried, applied)
+	}
+	if reps[2].StateKey() != reps[0].StateKey() {
+		t.Fatal("pull did not converge")
+	}
+}
+
+// TestSyncReplyRequesterWithHoles drops messages on one link — near the
+// top of the log in one run, deep inside it in another — and checks that
+// the pull repairs the holes at the cost of one rung, not of the origin
+// (rungs reach down to half the origin's span; a hole deeper than that
+// is the everything-above-the-base fallback, which twice its depth
+// covers anyway).
+func TestSyncReplyRequesterWithHoles(t *testing.T) {
+	const ops = 8000
+	for _, tc := range []struct {
+		name   string
+		holeAt int
+		// most is the most duplicates the reply may carry.
+		most int
+	}{
+		{"near the top", ops - 30, 150},
+		{"deep", ops * 5 / 8, ops / 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewSim(transport.SimOptions{N: 2, Seed: 23, FIFO: true})
+			reps := Cluster(2, spec.Log(), net, ClusterOptions{})
+			for i := 0; i < ops; i++ {
+				if i == tc.holeAt {
+					net.SetLinkFault(0, 1, transport.LinkFault{Drop: 0.5})
+				}
+				if i == tc.holeAt+12 {
+					net.SetLinkFault(0, 1, transport.LinkFault{})
+				}
+				reps[0].Update(spec.Append{V: fmt.Sprint(i)})
+			}
+			net.Quiesce()
+			missing := ops - reps[1].log.Len()
+			if missing == 0 || missing >= 12 {
+				t.Fatalf("setup: the faulted link dropped %d of 12 messages; want holes between deliveries", missing)
+			}
+			bound := rungBound(reps[1], reps[0])
+			carried, applied := pull(t, reps[1], reps[0])
+			if applied != missing || reps[1].StateKey() != reps[0].StateKey() {
+				t.Fatalf("pull landed %d of the %d dropped updates, converged=%v", applied, missing, reps[1].StateKey() == reps[0].StateKey())
+			}
+			t.Logf("%d holes: reply carried %d (rung bound %d on the duplicates)", missing, carried, bound)
+			if dups := carried - applied; dups > bound || dups > tc.most {
+				t.Fatalf("reply carried %d duplicates (rung bound %d, most %d)", dups, bound, tc.most)
+			}
+		})
+	}
+}
+
+// TestSyncReshardedTwins: a resharded log may hold two entries with one
+// (clock, proc) under different keys. The ladder cuts by clock, so twins
+// travel together, and the requester's dedup keeps the one it had.
+func TestSyncReshardedTwins(t *testing.T) {
+	mk := func(id int) *Replica {
+		r := NewReplica(Config{ID: id, N: 2, ADT: spec.CounterMap(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})})
+		r.log.SetTieKey(spec.CounterMap().UpdateKey)
+		return r
+	}
+	donor, req := mk(0), mk(1)
+	for cl := uint64(1); cl <= 200; cl++ {
+		ts := clock.Timestamp{Clock: cl, Proc: int(cl % 2)}
+		donor.Absorb(ts, spec.AddKey{K: "a", N: 1})
+		donor.Absorb(ts, spec.AddKey{K: "b", N: 1}) // the twin from another old shard
+		req.Absorb(ts, spec.AddKey{K: "a", N: 1})
+		if cl != 150 && cl <= 190 {
+			req.Absorb(ts, spec.AddKey{K: "b", N: 1})
+		}
+	}
+	carried, applied := pull(t, req, donor)
+	if applied != 11 || req.StateKey() != donor.StateKey() {
+		t.Fatalf("pull landed %d of the 11 missing twins, converged=%v", applied, req.StateKey() == donor.StateKey())
+	}
+	if carried >= donor.log.Len() {
+		t.Fatalf("reply carried the whole log (%d entries)", carried)
+	}
+	if _, again := pull(t, req, donor); again != 0 {
+		t.Fatalf("second pull landed %d entries", again)
+	}
+}
+
+// TestSyncReplyNarrowDigest: origins the digest does not mention are
+// origins the requester holds nothing of.
+func TestSyncReplyNarrowDigest(t *testing.T) {
+	net := transport.NewSim(transport.SimOptions{N: 3, Seed: 4})
+	reps := Cluster(3, spec.Set(), net, ClusterOptions{})
+	for i := 0; i < 90; i++ {
+		reps[i%3].Update(spec.Ins{V: fmt.Sprint(i)})
+	}
+	net.Quiesce()
+	d := reps[1].Digest()
+	d.Origins = d.Origins[:2]
+	payload, err := reps[0].SyncReply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count, _ := binary.Uvarint(payload); count != 30 {
+		t.Fatalf("reply carried %d entries, want origin 2's 30", count)
+	}
+}
+
+// TestHealCarriesAtMostOneRung is the benchmark's sim-heal in small:
+// three writers, {0} cut from {1, 2}, a bounded delivery budget so that
+// 1 and 2 are each a little behind the other at the heal, then the hub
+// pulls from both peers and both pull from the hub. Every pull stays
+// within the ladder's bound, and the whole repair carries a few
+// duplicates where it used to carry an origin's history.
+func TestHealCarriesAtMostOneRung(t *testing.T) {
+	const ops = 6000
+	net := transport.NewSim(transport.SimOptions{N: 3, Seed: 31})
+	reps := Cluster(3, spec.Log(), net, ClusterOptions{})
+	net.Partition([]int{0}, []int{1, 2})
+	for i := 0; i < ops; i++ {
+		reps[i%3].Update(spec.Append{V: fmt.Sprint(i)})
+		if i%256 == 255 {
+			net.StepN(500)
+		}
+	}
+	if reps[1].log.Len() == reps[2].log.Len() && reps[1].StateKey() == reps[2].StateKey() {
+		t.Fatal("setup: replicas 1 and 2 are level; the heal would have no donor that is behind")
+	}
+	net.Heal()
+	totalCarried, totalApplied := 0, 0
+	for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 0}, {2, 0}} {
+		req, donor := reps[p[0]], reps[p[1]]
+		bound := rungBound(req, donor)
+		carried, applied := pull(t, req, donor)
+		t.Logf("pull %d<-%d: carried %d, applied %d (rung bound %d on the duplicates)", p[0], p[1], carried, applied, bound)
+		if dups := carried - applied; dups > bound {
+			t.Fatalf("pull %d<-%d: %d duplicates in the reply, rung bound %d", p[0], p[1], dups, bound)
+		}
+		totalCarried, totalApplied = totalCarried+carried, totalApplied+applied
+	}
+	if dups := totalCarried - totalApplied; dups*20 > totalApplied {
+		t.Fatalf("the heal's replies carried %d duplicates for %d applied", dups, totalApplied)
+	}
+	want := reps[0].StateKey()
+	for p, r := range reps {
+		if r.StateKey() != want {
+			t.Fatalf("p%d did not converge after the pulls", p)
+		}
+	}
+	net.Quiesce() // the cut's queued originals: duplicates, every one
+	for p, r := range reps {
+		if r.StateKey() != want {
+			t.Fatalf("p%d diverged after the backlog drained", p)
+		}
+	}
+}
+
+// TestApplySyncAllOrNothing: a reply that is malformed anywhere lands
+// nothing and moves no counter; the same reply twice lands nothing the
+// second time and does not move the version. On every engine, with a
+// state folded before the merge lands below it.
+func TestApplySyncAllOrNothing(t *testing.T) {
+	for _, mk := range []func() Engine{
+		func() Engine { return NewUndoEngine() },
+		func() Engine { return NewCheckpointEngine(64) },
+		func() Engine { return NewReplayEngine() },
+	} {
+		t.Run(mk().Name(), func(t *testing.T) {
+			net := transport.NewSim(transport.SimOptions{N: 2, Seed: 13})
+			reps := Cluster(2, spec.Log(), net, ClusterOptions{NewEngine: mk})
+			net.Partition([]int{0}, []int{1})
+			for i := 0; i < 1200; i++ {
+				reps[i%2].Update(spec.Append{V: fmt.Sprint(i)})
+			}
+			reps[1].Query(spec.ReadLog{}) // fold replica 1's half
+			payload, err := reps[0].SyncReply(reps[1].Digest())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ver, stats := reps[1].Version(), reps[1].Stats()
+			for _, bad := range [][]byte{
+				payload[:len(payload)-1],
+				append(append([]byte(nil), payload...), 0)[:len(payload)-3],
+				{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+				{0x80},
+			} {
+				if n, err := reps[1].ApplySync(bad); err == nil || n != 0 {
+					t.Fatalf("malformed reply: landed %d, err %v", n, err)
+				}
+				if reps[1].Version() != ver || reps[1].Stats() != stats {
+					t.Fatalf("a refused reply moved the replica: version %d -> %d, stats %+v -> %+v", ver, reps[1].Version(), stats, reps[1].Stats())
+				}
+			}
+			first, err := reps[1].ApplySync(payload)
+			if err != nil || first != 600 {
+				t.Fatalf("first apply: landed %d, err %v", first, err)
+			}
+			if got := reps[1].Stats(); got.SyncApplied != 600 || got.LateInserts-stats.LateInserts == 0 {
+				t.Fatalf("interleaved reply: SyncApplied %d, late inserts %d", got.SyncApplied, got.LateInserts-stats.LateInserts)
+			}
+			ver = reps[1].Version()
+			lines := reps[1].Query(spec.ReadLog{})
+			if want := spec.Log().Query(reps[1].log.Replay(), spec.ReadLog{}); !spec.Log().EqualOutput(lines, want) {
+				t.Fatal("read after a merge below the folded state differs from a replay")
+			}
+			again, err := reps[1].ApplySync(payload)
+			if err != nil || again != 0 || reps[1].Version() != ver {
+				t.Fatalf("second apply: landed %d, err %v, version %d -> %d", again, err, ver, reps[1].Version())
+			}
+			if got := reps[1].Stats().DupDropped; got != 600 {
+				t.Fatalf("second apply counted %d duplicates, want 600", got)
+			}
+		})
 	}
 }

@@ -19,7 +19,11 @@ import (
 //	uvarint shardCount
 //	shardCount × ( uvarint base,
 //	               uvarint originCount,
-//	               originCount × ( uvarint count, uvarint max, uvarint hash ) )
+//	               originCount × ( uvarint rungCount,
+//	                               rungCount × ( uvarint clock, uvarint count, uvarint hash ) ) )
+//
+// with at most ladderRungs rungs per origin, in strictly ascending clock
+// order (see OriginDigest).
 //
 // Reply payload:
 //
@@ -62,16 +66,21 @@ func (w *WireSync) DigestPayload() ([]byte, error) {
 		d := sh.Digest()
 		out = binary.AppendUvarint(out, d.Base)
 		out = binary.AppendUvarint(out, uint64(len(d.Origins)))
-		for _, o := range d.Origins {
-			out = binary.AppendUvarint(out, o.Count)
-			out = binary.AppendUvarint(out, o.Max)
-			out = binary.AppendUvarint(out, o.Hash)
+		for _, od := range d.Origins {
+			out = binary.AppendUvarint(out, uint64(len(od)))
+			for _, g := range od {
+				out = binary.AppendUvarint(out, g.Clock)
+				out = binary.AppendUvarint(out, g.Count)
+				out = binary.AppendUvarint(out, g.Hash)
+			}
 		}
 	}
 	return out, nil
 }
 
-// decodeWireDigest parses a DigestPayload into per-shard Digests.
+// decodeWireDigest parses a DigestPayload into per-shard Digests. Every
+// count is checked against what the remaining bytes could hold (or its
+// fixed ceiling) before anything is allocated for it.
 func decodeWireDigest(p []byte) ([]Digest, error) {
 	next := func() (uint64, error) {
 		v, n := binary.Uvarint(p)
@@ -81,8 +90,9 @@ func decodeWireDigest(p []byte) ([]Digest, error) {
 		p = p[n:]
 		return v, nil
 	}
+	// A shard is at least two bytes (base, origin count), an origin one.
 	nshards, err := next()
-	if err != nil || nshards > 1<<20 {
+	if err != nil || nshards > uint64(len(p))/2 {
 		return nil, errors.New("core: malformed wire digest shard count")
 	}
 	ds := make([]Digest, nshards)
@@ -91,21 +101,32 @@ func decodeWireDigest(p []byte) ([]Digest, error) {
 			return nil, err
 		}
 		norig, err := next()
-		if err != nil || norig > 1<<20 {
+		if err != nil || norig > uint64(len(p)) {
 			return nil, errors.New("core: malformed wire digest origin count")
 		}
 		ds[s].Origins = make([]OriginDigest, norig)
 		for j := range ds[s].Origins {
-			o := &ds[s].Origins[j]
-			if o.Count, err = next(); err != nil {
-				return nil, err
+			nrungs, err := next()
+			if err != nil || nrungs > ladderRungs {
+				return nil, errors.New("core: malformed wire digest rung count")
 			}
-			if o.Max, err = next(); err != nil {
-				return nil, err
+			od := make(OriginDigest, nrungs)
+			for i := range od {
+				g := &od[i]
+				if g.Clock, err = next(); err != nil {
+					return nil, err
+				}
+				if g.Count, err = next(); err != nil {
+					return nil, err
+				}
+				if g.Hash, err = next(); err != nil {
+					return nil, err
+				}
+				if i > 0 && g.Clock <= od[i-1].Clock {
+					return nil, errors.New("core: wire digest rungs out of order")
+				}
 			}
-			if o.Hash, err = next(); err != nil {
-				return nil, err
-			}
+			ds[s].Origins[j] = od
 		}
 	}
 	return ds, nil

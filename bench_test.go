@@ -243,14 +243,13 @@ func BenchmarkMemory(b *testing.B) {
 		reps := core.Cluster(2, spec.Memory("0"), net, core.ClusterOptions{
 			NewEngine: func() core.Engine { return core.NewReplayEngine() },
 		})
-		kv := core.NewKV(reps[0])
 		for k := 0; k < writes; k++ {
-			kv.Put(keys[k%len(keys)], fmt.Sprint(k))
+			reps[0].Update(spec.WriteKey{K: keys[k%len(keys)], V: fmt.Sprint(k)})
 		}
 		net.Quiesce()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			kv.Get("a")
+			reps[0].Query(spec.ReadKey{K: "a"})
 		}
 	})
 	b.Run("generic-ckpt-read", func(b *testing.B) {
@@ -258,14 +257,13 @@ func BenchmarkMemory(b *testing.B) {
 		reps := core.Cluster(2, spec.Memory("0"), net, core.ClusterOptions{
 			NewEngine: func() core.Engine { return core.NewCheckpointEngine(64) },
 		})
-		kv := core.NewKV(reps[0])
 		for k := 0; k < writes; k++ {
-			kv.Put(keys[k%len(keys)], fmt.Sprint(k))
+			reps[0].Update(spec.WriteKey{K: keys[k%len(keys)], V: fmt.Sprint(k)})
 		}
 		net.Quiesce()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			kv.Get("a")
+			reps[0].Query(spec.ReadKey{K: "a"})
 		}
 	})
 	b.Run("alg2-write", func(b *testing.B) {
@@ -613,7 +611,7 @@ func BenchmarkSimStepBacklogSizes(b *testing.B) {
 // BenchmarkConverged measures the cluster convergence predicate on a
 // settled 4-replica cluster — the polling loop of every experiment.
 func BenchmarkConverged(b *testing.B) {
-	cluster, sets, err := NewSetCluster(4, WithSeed(11))
+	cluster, sets, err := New(4, SetObject(), WithSeed(11))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -264,12 +264,11 @@ func MemoryExperiment(w io.Writer, quickRun bool) MemoryResult {
 		generic := func(mk func() core.Engine) (time.Duration, int) {
 			netB := transport.NewSim(transport.SimOptions{N: 2, Seed: 3})
 			reps := core.Cluster(2, spec.Memory("0"), netB, core.ClusterOptions{NewEngine: mk})
-			kv := core.NewKV(reps[0])
 			for k := 0; k < ops; k++ {
-				kv.Put(keys[k%len(keys)], fmt.Sprint(k))
+				reps[0].Update(spec.WriteKey{K: keys[k%len(keys)], V: fmt.Sprint(k)})
 			}
 			netB.Quiesce()
-			d := timePerOp(iters, func() { kv.Get("a") })
+			d := timePerOp(iters, func() { reps[0].Query(spec.ReadKey{K: "a"}) })
 			return d, reps[0].Stats().LogLen
 		}
 		replayRead, logLen := generic(func() core.Engine { return core.NewReplayEngine() })

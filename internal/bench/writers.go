@@ -84,9 +84,8 @@ func contendedRun(writers, totalOps int, lockfree bool) (time.Duration, core.Int
 // (core.Config.LockFree, public updatec.WithLockFreeWriters). The
 // lock-free engine wins by doing less per operation, not by spinning
 // harder: announcing is one fetch-add plus one atomic store, and the
-// drain folds whole batches under a single lock hold, a single batched
-// clock reservation, a single payload allocation, and skips the
-// transport's self-delivery decode entirely.
+// drain runs the write step on whole batches: a single lock hold, a
+// single batched clock reservation, a single payload allocation.
 func Writers(w io.Writer, quickRun bool) WritersResult {
 	section(w, "E20", "contended writers: single-replica ops/sec, mutex vs lock-free engine")
 	totalOps := 200_000

@@ -11,27 +11,27 @@ import (
 	"updatec/internal/spec"
 )
 
-// This file implements the lock-free writer hot path: a second, opt-in
-// ingestion engine for Replica (Config.LockFree) in the style of the
-// classic consensus-based universal constructions (Herlihy's
-// LFUniversal; Kogan–Petrank helping). Inside one replica the mutex
-// path serializes every Update through r.mu — two exclusive sections
-// per update (stamp+encode, then the self-delivery insert) — so
-// concurrent in-process writers contend on lock handoffs. The
-// lock-free path replaces that with three stages:
+// This file is the opt-in lock-free intake (Config.LockFree): the write
+// step of replica.go — stamp, land in the own log, encode, stability/GC
+// tail, broadcast after the unlock — run on a batch of announced updates
+// instead of on one, in the style of the consensus-based universal
+// constructions (Herlihy's LFUniversal; Kogan–Petrank helping): helping
+// changes who runs the step, not what the step is. Without it every
+// Update takes r.mu itself, so concurrent in-process writers contend on
+// lock handoffs; with it
 //
 //	announce   writers claim a cell in a segmented intake list with one
 //	           fetch-add, write their update, and publish it with one
 //	           atomic store — never blocking on another writer;
-//	drain      whichever writer acquires the drain token folds EVERY
-//	           published cell — its own and everyone else's (the
-//	           helping that makes the append bounded-wait) — into the
-//	           existing Log/broadcast machinery: one batched clock
-//	           reservation (clock.AtomicLamport.TickN), one exclusive
-//	           lock hold for the whole batch, one payload allocation
-//	           for the whole batch, broadcasts issued in stamp order so
-//	           the per-origin FIFO that stability GC relies on is
-//	           preserved by construction;
+//	drain      whichever writer acquires the drain token runs the step
+//	           for EVERY published cell — its own and everyone else's
+//	           (the helping that makes the append bounded-wait): one
+//	           batched clock reservation (clock.AtomicLamport.TickN),
+//	           one exclusive hold in which each cell goes through
+//	           issueLocked and the batch through one tailLocked, one
+//	           payload allocation and one broadcast for the whole batch,
+//	           frames issued in stamp order so the per-origin FIFO that
+//	           stability GC relies on is preserved by construction;
 //	retire     a fully drained segment is sealed and unlinked once its
 //	           last writer has exited; its update references are
 //	           dropped eagerly at drain time, and the segment itself is
@@ -45,13 +45,11 @@ import (
 // published, its operation is completed by whichever writer drains
 // next, even if the announcer never runs again.
 //
-// The local insert happens in the drain (under r.mu, before the
-// broadcast goes out), so the transport's inline self-delivery is
-// skipped entirely in this mode (see Replica.handle) — which also
-// closes a window the mutex path tolerates: stamps are assigned and
-// inserted under one lock hold, so the replica's own reached-clock
-// (stability) can never overtake an own update that is not in the log
-// yet.
+// What differs from the default path, then, is the intake segment list
+// in front of the step, the deferral it allows (a plain Update returns
+// before its step has run; every read flushes first) and the wire shape:
+// a drain broadcasts one batch frame (batchFrame) where the default path
+// broadcasts one bare message, so a cluster runs one mode throughout.
 
 // lfSegCells is the cell count of one intake segment. 64 bounds a
 // drain batch's lock hold while keeping the fetch-add fast path hot
@@ -67,8 +65,8 @@ const lfSegCells = 64
 const lfSealed = uint32(1) << 30
 
 // Cell lifecycle: empty (claimed or unclaimed, not yet published) →
-// ready (update visible to the drainer) → done (timestamp assigned,
-// locally inserted, broadcast issued).
+// ready (update visible to the drainer) → done (the write step has run:
+// stamped, in the log, broadcast issued).
 const (
 	lfEmpty uint32 = iota
 	lfReady
@@ -238,8 +236,8 @@ func (r *Replica) updateLockFree(u spec.Update) clock.Timestamp {
 // it. All read paths call it before serving, which is what keeps the
 // deferred drain invisible: a query observes everything its process
 // announced before it (read-your-writes), and by extension everything
-// any local writer announced before the flush began. No-op on the
-// mutex engine and on an empty intake (two atomic loads).
+// any local writer announced before the flush began. No-op without the
+// intake and on an empty one (two atomic loads).
 func (r *Replica) flushIntake() {
 	lf := r.lf
 	if lf == nil {
@@ -262,22 +260,21 @@ func (r *Replica) flushIntake() {
 // hold back convergence.
 func (r *Replica) FlushIntake() { r.flushIntake() }
 
-// drainIntake folds every published cell into the log/broadcast
-// machinery. Caller holds the drain token (lf.drainMu).
+// drainIntake runs the write step for every published cell. Caller holds
+// the drain token (lf.drainMu).
 //
-// Phase 1 collects the ready cells in segment order — the drain-visit
-// order IS the serialization the timestamps will encode. Phase 2 holds
-// r.mu once for the whole batch: one TickN reserves the stamp range,
-// each cell is encoded into a shared batch frame and inserted, and the
-// stability self-observation is fed only after its entries are in the
-// log. Phase 3, outside r.mu, broadcasts the whole batch as ONE frame
-// — one payload allocation, one mailbox envelope per peer, decoded and
-// inserted under one lock hold at each receiver (handleBatch) — and
-// flips each cell to done. Messages inside the frame are in stamp
-// order and a single token holder issues the frames sequentially, so
-// the per-origin FIFO that stability GC relies on holds by
-// construction. Finally fully drained segments are sealed and
-// unlinked.
+// Collect: the ready cells in segment order — the drain-visit order IS
+// the serialization the timestamps will encode. Issue: r.mu is held once
+// for the whole batch; one TickN reserves the stamp range, each cell goes
+// through issueLocked (landed in the log, recorded, its message staged
+// into the shared batch frame) and the batch through one tailLocked.
+// Broadcast, outside r.mu: the whole batch as ONE frame — one payload
+// allocation, one mailbox envelope per peer, decoded and merged under one
+// lock hold at each receiver (handleBatch) — then each cell flips to
+// done. Messages inside the frame are in stamp order and a single token
+// holder issues the frames sequentially, so the per-origin FIFO that
+// stability GC relies on holds by construction. Finally fully drained
+// segments are sealed and unlinked.
 func (r *Replica) drainIntake() int {
 	lf := r.lf
 	cells := lf.cellbuf[:0]
@@ -304,28 +301,13 @@ func (r *Replica) drainIntake() int {
 	hi := r.clk.TickN(k)
 	lo := hi - k + 1
 	for b, c := range cells {
-		ts := clock.Timestamp{Clock: lo + uint64(b), Proc: r.id}
-		c.ts = ts
-		msg := r.appendMessage(lf.msgbuf[:0], ts, c.u)
-		lf.msgbuf = msg[:0]
-		enc = binary.AppendUvarint(enc, uint64(len(msg)))
-		enc = append(enc, msg...)
-		r.insertLocked(ts, c.u)
-		if r.rec != nil {
-			r.rec.Update(r.id, c.u)
-		}
+		c.ts = clock.Timestamp{Clock: lo + uint64(b), Proc: r.id}
+		lf.msgbuf = r.issueLocked(lf.msgbuf[:0], c.ts, c.u)
+		enc = binary.AppendUvarint(enc, uint64(len(lf.msgbuf)))
+		enc = append(enc, lf.msgbuf...)
 		c.seg.drained++
 	}
-	if r.stab != nil {
-		// Self-observation strictly after the inserts above: the
-		// horizon may now pass these stamps, and they are in the log.
-		r.stab.ObserveSelf(hi)
-		r.sinceGC += len(cells)
-		if r.sinceGC >= r.gcEvery {
-			r.sinceGC = 0
-			r.compact()
-		}
-	}
+	r.tailLocked(clock.Timestamp{Clock: hi, Proc: r.id}, len(cells))
 	r.mu.Unlock()
 
 	// One allocation and one broadcast for the whole batch; the
@@ -397,11 +379,11 @@ func (f *batchFrame) next() ([]byte, error) {
 
 // handleBatch delivers a peer drain's batch frame: the messages are
 // decoded, then merged into the log under ONE lock hold (mergeLocked),
-// and the stability/GC bookkeeping runs once per frame — the
-// receiver-side mirror of the drain's sender-side amortization.
-// Observing only the frame's last (highest) stamp is the same direct
-// observation the per-message path feeds: stamps within a frame strictly
-// increase, so the last one is the sender's reached clock.
+// and the stability/GC tail runs once per frame — the receiver-side
+// mirror of the drain's sender-side amortization. Feeding the tail only
+// the frame's last (highest) stamp is the same direct observation the
+// per-message path makes: stamps within a frame strictly increase, so the
+// last one is the sender's reached clock.
 func (r *Replica) handleBatch(from int, payload []byte) {
 	f, err := openBatchFrame(payload)
 	if err != nil {
@@ -428,19 +410,11 @@ func (r *Replica) handleBatch(from int, payload []byte) {
 	defer r.mu.Unlock()
 	r.log.SortEntries(batch)
 	r.mergeLocked(batch)
-	if r.stab != nil {
-		r.stab.ObservePeer(last.Proc, last.Clock)
-		r.stab.ObserveSelf(r.clk.Now())
-		r.sinceGC += len(batch)
-		if r.sinceGC >= r.gcEvery {
-			r.sinceGC = 0
-			r.compact()
-		}
-	}
+	r.tailLocked(last, len(batch))
 }
 
 // IntakeStats reports the lock-free intake's counters; zero when the
-// replica runs the mutex engine. LiveSegments is the current announce
+// replica has no intake. LiveSegments is the current announce
 // list length (head to tail) — the reclamation boundedness test
 // asserts it returns to a constant after quiesce, however many
 // segments a run burned through.

@@ -306,30 +306,44 @@ func (c countingCounterSpec) DecodeUpdate(b []byte) (spec.Update, error) {
 	return c.CounterSpec.DecodeUpdate(b)
 }
 
-// TestLoopbackSkipsSelfDecode guards the mutex write path's loopback
-// stash: the transport's inline self-delivery re-enters handle with
-// the very payload Update just encoded, and the replica must recognize
-// it by slice identity instead of decoding its own bytes back. A
-// single-writer replica therefore performs zero update decodes for its
-// own traffic; only its peer decodes.
+// TestLoopbackSkipsSelfDecode guards the write path's handling of the
+// transport's inline self-delivery: the replica landed its update in the
+// step that stamped it, so the broadcast coming back is dropped unread —
+// a writer performs zero update decodes for its own traffic, however
+// many goroutines write through it (the loopback stash this replaces
+// fell back to decoding whenever two writers raced); only its peer
+// decodes.
 func TestLoopbackSkipsSelfDecode(t *testing.T) {
-	net := transport.NewLive(2)
-	defer net.Close()
-	var dec0, dec1 atomic.Uint64
-	r0 := NewReplica(Config{ID: 0, N: 2, ADT: countingCounterSpec{decodes: &dec0}, Net: net})
-	NewReplica(Config{ID: 1, N: 2, ADT: countingCounterSpec{decodes: &dec1}, Net: net})
-	const ops = 50
-	for i := 0; i < ops; i++ {
-		r0.Update(spec.Add{N: 1})
-	}
-	net.Drain()
-	if got := dec0.Load(); got != 0 {
-		t.Fatalf("writer decoded %d of its own payloads, want 0 (loopback stash)", got)
-	}
-	if got := dec1.Load(); got != ops {
-		t.Fatalf("peer decoded %d payloads, want %d", got, ops)
-	}
-	if got := int64(r0.Query(spec.Read{}).(spec.CtrVal)); got != ops {
-		t.Fatalf("writer state %d, want %d", got, ops)
+	for _, writers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
+			net := transport.NewLive(2)
+			defer net.Close()
+			var dec0, dec1 atomic.Uint64
+			r0 := NewReplica(Config{ID: 0, N: 2, ADT: countingCounterSpec{decodes: &dec0}, Net: net})
+			NewReplica(Config{ID: 1, N: 2, ADT: countingCounterSpec{decodes: &dec1}, Net: net})
+			const ops = 50
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < ops; i++ {
+						r0.Update(spec.Add{N: 1})
+					}
+				}()
+			}
+			wg.Wait()
+			net.Drain()
+			total := uint64(writers * ops)
+			if got := dec0.Load(); got != 0 {
+				t.Fatalf("writer decoded %d of its own payloads, want 0", got)
+			}
+			if got := dec1.Load(); got != total {
+				t.Fatalf("peer decoded %d payloads, want %d", got, total)
+			}
+			if got := int64(r0.Query(spec.Read{}).(spec.CtrVal)); got != int64(total) {
+				t.Fatalf("writer state %d, want %d", got, total)
+			}
+		})
 	}
 }

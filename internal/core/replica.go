@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,10 @@ import (
 //
 // Every operation completes using only local state — the replica never
 // waits for the network — so the implementation is wait-free and
-// tolerates any number of crashes (Proposition 4).
+// tolerates any number of crashes (Proposition 4). The paper's sender
+// receives its own broadcast instantaneously; here the step that stamps
+// an update performs that receive itself (issueLocked), and the copy the
+// transport hands back is dropped (handle).
 //
 // A Replica is safe for concurrent use. Mutating steps (update
 // issuance, delivery, compaction) hold the write half of an RW mutex,
@@ -74,20 +78,9 @@ type Replica struct {
 	// (spec.QueryKeyer); it enables the query-output cache below.
 	qkeyer spec.QueryKeyer
 	qc     queryCache
-	// lf is the lock-free ingestion engine (Config.LockFree); nil on
-	// the default mutex path. See lockfree.go.
+	// lf is the lock-free intake (Config.LockFree); nil by default. See
+	// lockfree.go.
 	lf *lfIntake
-	// selfTS/selfU/selfPayload stash the last update issued by
-	// UpdateTimestamped (guarded by mu): the transport's inline
-	// self-delivery re-enters handle with the very payload just
-	// encoded, and matching it here by slice identity skips the
-	// redundant decode — and its allocation — on every update's write
-	// path. A concurrent writer overwriting the stash before the
-	// self-delivery lands merely forces that delivery onto the decode
-	// fallback.
-	selfTS      clock.Timestamp
-	selfU       spec.Update
-	selfPayload []byte
 }
 
 // maxQueryCacheEntries bounds the per-replica query-output cache; when
@@ -168,19 +161,19 @@ type Config struct {
 	// transport (see Log.Insert) and piggybacks a reached-clock vector
 	// on every update message.
 	GC bool
-	// GCEvery triggers a compaction attempt every GCEvery deliveries
-	// (default 32) when GC is enabled.
+	// GCEvery triggers a compaction attempt every GCEvery landed updates
+	// — deliveries and the replica's own — (default 32) when GC is
+	// enabled.
 	GCEvery int
 	// Recorder, when set, records this replica's operations for the
 	// consistency deciders.
 	Recorder *history.Recorder
-	// LockFree replaces the mutex ingestion path with the lock-free
-	// intake/drain engine (see lockfree.go): local appends become a
-	// fetch-add claim plus an atomic publish, and whichever writer
-	// holds the drain token folds every published update into the log
-	// and broadcast machinery in batches. Requires a transport that is
-	// safe for concurrent Broadcast calls (the live transport is; the
-	// simulated one is single-driver by design).
+	// LockFree puts the lock-free intake in front of the write step (see
+	// lockfree.go): local appends become a fetch-add claim plus an
+	// atomic publish, and whichever writer holds the drain token runs
+	// the step for every published update, in batches. Requires a
+	// transport that is safe for concurrent Broadcast calls (the live
+	// transport is; the simulated one is single-driver by design).
 	LockFree bool
 }
 
@@ -234,14 +227,16 @@ func (r *Replica) ID() int { return r.id }
 func (r *Replica) ADT() spec.UQADT { return r.adt }
 
 // Update implements lines 4–7 of Algorithm 1: stamp the update with
-// (clock+1, id) and reliably broadcast it. On the mutex engine the
-// state change lands via the broadcast's self-delivery, so the update
-// is locally visible when Update returns. On the lock-free engine
-// (Config.LockFree) Update announces and returns — the fold happens in
-// a deferred, batched drain — and local visibility is guaranteed at
-// the next read instead, which flushes the intake first; callers that
-// need the fold completed (and its timestamp) before proceeding use
-// UpdateTimestamped.
+// (clock+1, id), insert it in the replica's own log and reliably
+// broadcast it (UpdateTimestamped, minus the returned stamp), so the
+// update is locally visible when Update returns — whatever the transport
+// does with the broadcast: an update issued while the process is crashed
+// still lands here, and anti-entropy spreads it after a recovery. With
+// the lock-free intake (Config.LockFree) Update announces and returns —
+// the same step runs later, batched, in a drain — and local visibility is
+// guaranteed at the next read instead, which flushes the intake first;
+// callers that need the step completed (and its timestamp) before
+// proceeding use UpdateTimestamped.
 func (r *Replica) Update(u spec.Update) {
 	if r.lf != nil {
 		r.updateLockFreeAsync(u)
@@ -421,27 +416,18 @@ func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 	return out
 }
 
-// handle implements lines 8–11 of Algorithm 1 plus the GC bookkeeping.
-//
-// Stability only trusts *direct* observations: a sender's update stamps
-// strictly increase, so on a FIFO link the highest stamp delivered from
-// a sender bounds every still-in-flight message from it. Hearsay (a
-// vector piggybacked by a third process) is NOT sound here — another
-// process's knowledge of j's clock can overtake j's own in-flight
-// messages on our link, which would let the horizon pass an update
-// that has not arrived yet.
+// handle implements lines 8–11 of Algorithm 1 for a peer's broadcast.
+// A delivery from the replica itself — the transports hand every
+// broadcast back to its sender inline — carries nothing new: the update
+// was inserted by the step that stamped it (issueLocked), before the
+// broadcast went out.
 func (r *Replica) handle(from int, payload []byte) {
-	if r.lf != nil {
-		// Lock-free mode: every broadcast is a drain's batch frame. The
-		// replica's own frames carry nothing new — the drain inserted
-		// their entries (and fed the stability tracker) before
-		// broadcasting.
-		if from != r.id {
-			r.handleBatch(from, payload)
-		}
+	if from == r.id {
 		return
 	}
-	if from == r.id && r.handleLoopback(payload) {
+	if r.lf != nil {
+		// Lock-free peers broadcast one frame per drained batch.
+		r.handleBatch(from, payload)
 		return
 	}
 	ts, u, err := r.decode(payload)
@@ -450,44 +436,52 @@ func (r *Replica) handle(from int, payload []byte) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.deliverLocked(ts, u)
-}
-
-// handleLoopback serves a self-delivery from the loopback stash: when
-// the payload is the very slice UpdateTimestamped just encoded (slice
-// identity — the transports hand the sender's copy back verbatim), the
-// stashed timestamp and update are used directly and the write path
-// skips re-decoding the message it produced microseconds earlier. A
-// mismatch (another writer overwrote the stash in between) reports
-// false and the caller decodes as usual.
-func (r *Replica) handleLoopback(payload []byte) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.selfU == nil || len(payload) == 0 || len(r.selfPayload) != len(payload) ||
-		&r.selfPayload[0] != &payload[0] {
-		return false
-	}
-	ts, u := r.selfTS, r.selfU
-	r.selfU, r.selfPayload = nil, nil
-	r.deliverLocked(ts, u)
-	return true
-}
-
-// deliverLocked is the shared tail of every delivery: the insert plus
-// the stability/GC bookkeeping. Caller holds the exclusive lock.
-func (r *Replica) deliverLocked(ts clock.Timestamp, u spec.Update) {
 	r.insertLocked(ts, u)
-	if r.stab != nil {
-		r.stab.ObservePeer(ts.Proc, ts.Clock)
-		// Delivery advanced our own clock too: our next update will be
-		// stamped above it, so our own reached-clock may follow — this
-		// lets passive (query-only) replicas compact.
-		r.stab.ObserveSelf(r.clk.Now())
-		r.sinceGC++
-		if r.sinceGC >= r.gcEvery {
-			r.sinceGC = 0
-			r.compact()
-		}
+	r.tailLocked(ts, 1)
+}
+
+// issueLocked is update(u) of Algorithm 1 up to the send, for one update:
+// the caller has reserved the stamp (one Tick, or its share of a drain's
+// TickN) and holds the exclusive lock; the update lands in the replica's
+// own log — the only way a replica learns of its own update — is recorded,
+// and its message(ts, u) bytes are appended to dst for the caller to
+// broadcast after unlocking. UpdateTimestamped runs it once per hold, the
+// lock-free drain once per announced cell; because stamp and insert share
+// the hold, no other step of this replica (a tied peer delivery, a
+// compaction) ever sees the clock at ts without the entry in the log.
+func (r *Replica) issueLocked(dst []byte, ts clock.Timestamp, u spec.Update) []byte {
+	r.insertLocked(ts, u)
+	if r.rec != nil {
+		r.rec.Update(r.id, u)
+	}
+	return r.appendMessage(dst, ts, u)
+}
+
+// tailLocked is the stability/GC tail of every step that lands updates
+// from one sender — a delivery, a peer's batch frame, the replica's own
+// issue — run after the insert; last is the highest stamp landed, landed
+// how many entries. Caller holds the exclusive lock.
+//
+// Stability only trusts *direct* observations: a sender's update stamps
+// strictly increase, so on a FIFO link the highest stamp delivered from
+// a sender bounds every still-in-flight message from it. Hearsay (a
+// vector piggybacked by a third process) is NOT sound here — another
+// process's knowledge of j's clock can overtake j's own in-flight
+// messages on our link, which would let the horizon pass an update
+// that has not arrived yet.
+func (r *Replica) tailLocked(last clock.Timestamp, landed int) {
+	if r.stab == nil {
+		return
+	}
+	r.stab.ObservePeer(last.Proc, last.Clock)
+	// Landing advanced our own clock too, and every stamp we issued at or
+	// below it is in the log (issueLocked), so our own reached-clock may
+	// follow — this lets passive (query-only) replicas compact.
+	r.stab.ObserveSelf(r.clk.Now())
+	r.sinceGC += landed
+	if r.sinceGC >= r.gcEvery {
+		r.sinceGC = 0
+		r.compact()
 	}
 }
 
@@ -670,51 +664,33 @@ func (r *Replica) StateKey() string {
 }
 
 // UpdateTimestamped is Update returning the timestamp assigned to the
-// update; sessions use it to record their own writes. On a lock-free
-// replica (Config.LockFree) it routes through the intake/drain engine;
-// the returned timestamp is the one the drain assigned.
+// update; sessions use it to record their own writes. One exclusive hold
+// stamps the update, lands it in the log, encodes it and runs the
+// stability/GC tail; the broadcast goes out after the unlock. With the
+// lock-free intake (Config.LockFree) the call announces the update and
+// helps drain until a drain has run that step for it.
 func (r *Replica) UpdateTimestamped(u spec.Update) clock.Timestamp {
 	if r.lf != nil {
 		return r.updateLockFree(u)
 	}
 	r.mu.Lock()
-	cl := r.clk.Tick()
-	if r.stab != nil {
-		r.stab.ObserveSelf(cl)
-	}
-	ts := clock.Timestamp{Clock: cl, Proc: r.id}
-	payload := r.encode(ts, u)
-	r.selfTS, r.selfU, r.selfPayload = ts, u, payload
-	if r.rec != nil {
-		r.rec.Update(r.id, u)
-	}
+	ts := clock.Timestamp{Clock: r.clk.Tick(), Proc: r.id}
+	r.enc = r.issueLocked(r.enc[:0], ts, u)
+	payload := bytes.Clone(r.enc)
+	r.tailLocked(ts, 1)
 	r.mu.Unlock()
-	// Broadcast outside the lock: self-delivery re-enters handle,
-	// which serves it from the loopback stash set above.
 	r.net.Broadcast(r.id, payload)
 	return ts
 }
 
-// encode serializes an update message: timestamp, then the op bytes.
-// This is exactly the paper's message(cl, i, u) — "the information to
-// identify the update and a timestamp composed of two integer values,
-// that only grow logarithmically with the number of processes and the
-// number of operations" (§VII-C), measured by BenchmarkMessageOverhead.
-//
-// The encoding is staged in a scratch buffer reused across calls
-// (caller holds the lock); only the final payload — which the
-// transport retains until delivery — is allocated.
-func (r *Replica) encode(ts clock.Timestamp, u spec.Update) []byte {
-	scratch := r.appendMessage(r.enc[:0], ts, u)
-	r.enc = scratch[:0]
-	payload := make([]byte, len(scratch))
-	copy(payload, scratch)
-	return payload
-}
-
-// appendMessage appends the wire encoding of message(ts, id, u) to dst
-// and returns the extended slice; encode and the lock-free drain (which
-// stages a whole batch in one buffer) share it.
+// appendMessage appends the wire encoding of message(ts, id, u) to dst:
+// timestamp, then the op bytes. This is exactly the paper's
+// message(cl, i, u) — "the information to identify the update and a
+// timestamp composed of two integer values, that only grow
+// logarithmically with the number of processes and the number of
+// operations" (§VII-C), measured by BenchmarkMessageOverhead. Callers
+// stage it in a scratch buffer reused across calls; only the payload the
+// transport retains until delivery is allocated.
 func (r *Replica) appendMessage(dst []byte, ts clock.Timestamp, u spec.Update) []byte {
 	dst = ts.Encode(dst)
 	if r.acodec != nil {

@@ -246,7 +246,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			u = spec.Del{V: v}
 		}
 		ts := clock.Timestamp{Clock: cl % 1000000, Proc: 0}
-		payload := r.encode(ts, u)
+		payload := r.appendMessage(nil, ts, u)
 		ts2, u2, err := r.decode(payload)
 		return err == nil && ts2 == ts && u2 == u
 	}
@@ -301,4 +301,46 @@ func codecSansCodec() spec.UQADT {
 	return struct {
 		spec.UQADT
 	}{spec.Counter()}
+}
+
+// tiedPeerNet is a transport for one replica that answers every broadcast
+// by first delivering a message from peer 1 stamped with the SAME clock —
+// it sorts right after the sender's own (clock, 0) — and only then the
+// sender's own copy: a legal interleaving on the live transport, where
+// remote deliveries run on the dispatcher goroutine while the sender is
+// still inside Broadcast.
+type tiedPeerNet struct{ h transport.Handler }
+
+func (n *tiedPeerNet) Attach(_ int, h transport.Handler) { n.h = h }
+
+func (n *tiedPeerNet) Broadcast(from int, payload []byte) {
+	ts, _, err := clock.DecodeTimestamp(payload)
+	if err != nil {
+		panic(err)
+	}
+	op, err := spec.Log().EncodeUpdate(spec.Append{V: "peer"})
+	if err != nil {
+		panic(err)
+	}
+	n.h(1, append(clock.Timestamp{Clock: ts.Clock, Proc: 1}.Encode(nil), op...))
+	n.h(from, payload)
+}
+
+// TestTiedPeerDeliveryBeforeSelfDelivery: with GC compacting after every
+// delivery, a peer message tied on clock with an own update that has been
+// stamped but whose self-delivery has not run yet used to compact past the
+// own stamp — the replica had told its stability tracker about a clock
+// whose update was not in the log — and the self-delivery then panicked
+// "arrived below compaction horizon". The own update now lands in the step
+// that stamps it, so both entries are there, in (clock, id) order.
+func TestTiedPeerDeliveryBeforeSelfDelivery(t *testing.T) {
+	r := NewReplica(Config{ID: 0, N: 2, ADT: spec.Log(), Net: &tiedPeerNet{}, GC: true, GCEvery: 1})
+	r.Update(spec.Append{V: "own"})
+	got := r.Query(spec.ReadLog{}).(spec.Lines)
+	if len(got) != 2 || got[0] != "own" || got[1] != "peer" {
+		t.Fatalf("log reads %q, want [own peer]", got)
+	}
+	if st := r.Stats(); st.TotalOps != 2 {
+		t.Fatalf("replica holds %d updates, want 2", st.TotalOps)
+	}
 }

@@ -16,10 +16,10 @@ import (
 // construction: one process's instance of S independent copies of
 // Algorithm 1, one per shard of the key space. Each shard owns its own
 // Log, Lamport clock and query engine, and broadcasts on its own
-// transport channel (transport.ShardedNetwork), so deliveries and
-// updates touching different shards never contend — one replica's
-// update path scales across cores, and a late-arriving update displaces
-// only its own shard's log suffix instead of the whole log.
+// shard-tagged transport channel (transport.ResizableNetwork), so
+// deliveries and updates touching different shards never contend — one
+// replica's update path scales across cores, and a late-arriving update
+// displaces only its own shard's log suffix instead of the whole log.
 //
 // The construction is sound for spec.Partitionable data types: updates
 // to different keys are independent, so running Algorithm 1 per shard
@@ -61,10 +61,9 @@ type ShardedReplica struct {
 	gc        bool
 	gcEvery   int
 	lockfree  bool
-	// rnet is the epoch-aware transport; nil when the network does not
-	// implement transport.ResizableNetwork, in which case the replica
-	// runs in the legacy per-shard-handler mode and Resize is
-	// unavailable.
+	// rnet is the shard- and epoch-aware transport; nil on a plain
+	// transport.Network (URB), where the replica is its one shard attached
+	// directly and Resize is unavailable.
 	rnet transport.ResizableNetwork
 
 	// routeMu excludes a resize against updates, queries and session
@@ -146,9 +145,9 @@ type ShardedConfig struct {
 	// Config.Codec).
 	Codec spec.Codec
 	// Net is the broadcast transport shared by the cluster. It must
-	// implement transport.ShardedNetwork when Shards > 1 (both SimNetwork
-	// and LiveNetwork do); when it also implements
-	// transport.ResizableNetwork the replica supports Resize.
+	// implement transport.ResizableNetwork (SimNetwork, LiveNetwork and
+	// TCPNetwork do) when Shards > 1 and for Resize; a plain Network
+	// carries one shard.
 	Net transport.Network
 	// NewEngine builds each shard's query engine (nil → DefaultEngine).
 	NewEngine func() Engine
@@ -172,7 +171,7 @@ type ShardedConfig struct {
 // NewShardedReplica builds the per-shard replicas and attaches the
 // replica to the transport: on a ResizableNetwork one delivery router
 // per process (each per-shard replica broadcasts with its shard and
-// epoch tags), otherwise one handler per (process, shard) channel.
+// epoch tags); on a plain Network the single shard attaches itself.
 func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 	if cfg.Shards <= 0 {
 		panic("core: ShardedConfig.Shards must be positive")
@@ -180,9 +179,9 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 	if cfg.Recorder != nil && cfg.Shards > 1 {
 		panic("core: replica-level recording requires one shard; record at the harness level")
 	}
-	snet, ok := cfg.Net.(transport.ShardedNetwork)
-	if !ok && cfg.Shards > 1 {
-		panic(fmt.Sprintf("core: %T does not implement transport.ShardedNetwork; use one shard", cfg.Net))
+	rnet, _ := cfg.Net.(transport.ResizableNetwork)
+	if rnet == nil && cfg.Shards > 1 {
+		panic(fmt.Sprintf("core: %T does not implement transport.ResizableNetwork; use one shard", cfg.Net))
 	}
 	part, _ := cfg.ADT.(spec.Partitionable)
 	r := &ShardedReplica{
@@ -194,21 +193,19 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		gc:        cfg.GC,
 		gcEvery:   cfg.GCEvery,
 		lockfree:  cfg.LockFree,
+		rnet:      rnet,
 	}
 	if r.codec = cfg.Codec; r.codec == nil {
 		r.codec, _ = cfg.ADT.(spec.Codec)
 	}
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
-	r.rnet, _ = cfg.Net.(transport.ResizableNetwork)
 	r.mc.vers = make([]uint64, cfg.Shards)
 	r.mc.parts = make([]spec.State, cfg.Shards)
 	g := &shardGen{shards: make([]*Replica, cfg.Shards)}
 	for s := range g.shards {
-		var net transport.Network = cfg.Net
-		if r.rnet != nil {
-			net = epochChannel{net: r.rnet, shard: s, epoch: cfg.Shards}
-		} else if snet != nil {
-			net = shardChannel{net: snet, shard: s}
+		net := cfg.Net
+		if rnet != nil {
+			net = epochChannel{net: rnet, shard: s, epoch: cfg.Shards}
 		}
 		var eng Engine
 		if cfg.NewEngine != nil {
@@ -224,29 +221,10 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		}
 	}
 	r.gen.Store(g)
-	if r.rnet != nil {
-		r.rnet.AttachRouter(cfg.ID, r.route)
+	if rnet != nil {
+		rnet.AttachRouter(cfg.ID, r.route)
 	}
 	return r
-}
-
-// shardChannel restricts a ShardedNetwork to one shard's channel, so a
-// per-shard Replica can be attached unchanged: its Attach and Broadcast
-// calls become the tagged AttachShard/BroadcastShard of the parent.
-// It is the legacy (non-resizable) wiring.
-type shardChannel struct {
-	net   transport.ShardedNetwork
-	shard int
-}
-
-// Attach implements transport.Network.
-func (c shardChannel) Attach(id int, h transport.Handler) {
-	c.net.AttachShard(id, c.shard, h)
-}
-
-// Broadcast implements transport.Network.
-func (c shardChannel) Broadcast(from int, payload []byte) {
-	c.net.BroadcastShard(from, c.shard, payload)
 }
 
 // epochChannel binds a per-shard Replica's broadcasts to its (shard,
@@ -276,7 +254,9 @@ func (c epochChannel) Broadcast(from int, payload []byte) {
 }
 
 // route is the per-process delivery router (transport.EpochHandler).
-// A delivery whose epoch tag — the sender's shard count, which fully
+// The process's own broadcasts, handed back inline by the transport, stop
+// here: the shard that issued them already holds them (Replica.handle).
+// A peer delivery whose epoch tag — the sender's shard count, which fully
 // determines the routing table — matches ours goes straight to the
 // tagged shard's handler: the hot path, no second decode, correct even
 // if sender and receiver reached that count through different resize
@@ -292,6 +272,9 @@ func (c epochChannel) Broadcast(from int, payload []byte) {
 // routeMu: a coordinated live resize drains the network while holding
 // the write half, and a blocking router would deadlock that drain.
 func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
+	if from == r.id {
+		return
+	}
 	g := r.gen.Load()
 	if epoch == len(g.shards) && shard < len(g.shards) {
 		g.shards[shard].handle(from, payload)
@@ -341,7 +324,7 @@ func (r *ShardedReplica) absorbCrossEpoch(g *shardGen, payload []byte) {
 }
 
 // FlushIntake folds and broadcasts every shard's announced lock-free
-// updates (no-op on mutex-engine shards).
+// updates (no-op on shards without an intake).
 func (r *ShardedReplica) FlushIntake() {
 	for _, s := range r.gen.Load().shards {
 		s.FlushIntake()
@@ -349,7 +332,7 @@ func (r *ShardedReplica) FlushIntake() {
 }
 
 // IntakeStats sums the lock-free intake counters over the current
-// shards (zero on the mutex engine).
+// shards (zero without an intake).
 func (r *ShardedReplica) IntakeStats() IntakeStats {
 	var sum IntakeStats
 	for _, s := range r.gen.Load().shards {

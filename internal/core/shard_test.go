@@ -256,15 +256,15 @@ func TestShardedLiveHammer(t *testing.T) {
 	}
 }
 
-// TestShardedRequiresShardedNetwork: a multi-shard replica on a
+// TestShardedRequiresResizableNetwork: a multi-shard replica on a
 // transport without shard channels must refuse loudly.
-func TestShardedRequiresShardedNetwork(t *testing.T) {
+func TestShardedRequiresResizableNetwork(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-sharded transport with Shards > 1")
 		}
 	}()
 	base := transport.NewSim(transport.SimOptions{N: 2, Seed: 0})
-	urb := transport.NewURB(base, 2) // URB does not implement ShardedNetwork
+	urb := transport.NewURB(base, 2) // URB is a plain Network
 	NewShardedReplica(ShardedConfig{ID: 0, N: 2, Shards: 2, ADT: spec.CounterMap(), Net: urb})
 }

@@ -11,7 +11,7 @@ import (
 // the counter as the canonical "pure CRDT" for which the naive
 // implementation is already update consistent — experiment E7's
 // counter row verifies that claim by comparing this baseline to the
-// core.Counter built on Algorithm 1.
+// spec.Counter replica built on Algorithm 1.
 type PNCounter struct {
 	base
 	value int64

@@ -30,8 +30,8 @@ import (
 )
 
 // ReplicatedSet is the common interface of all set baselines, shaped
-// to match the typed core.Set façade so the experiment harness can
-// swap implementations.
+// to match the update consistent set's handle so the experiment harness
+// can swap implementations.
 type ReplicatedSet interface {
 	// Name identifies the implementation in experiment tables.
 	Name() string

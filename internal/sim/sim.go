@@ -55,17 +55,19 @@ type node interface {
 	SupportsDelete() bool
 }
 
-// ucNode adapts the typed core.Set to the node interface.
+// ucNode adapts a replica over the set spec to the node interface.
 type ucNode struct {
-	set  *core.Set
+	rep  *core.Replica
 	kind SetKind
 }
 
-func (n ucNode) Name() string         { return string(n.kind) }
-func (n ucNode) Insert(v string)      { n.set.Insert(v) }
-func (n ucNode) Delete(v string)      { n.set.Delete(v) }
-func (n ucNode) Elements() []string   { return n.set.Elements() }
-func (n ucNode) StateKey() string     { return n.set.Replica().StateKey() }
+func (n ucNode) Name() string    { return string(n.kind) }
+func (n ucNode) Insert(v string) { n.rep.Update(spec.Ins{V: v}) }
+func (n ucNode) Delete(v string) { n.rep.Update(spec.Del{V: v}) }
+func (n ucNode) Elements() []string {
+	return n.rep.Query(spec.Read{}).(spec.Elems)
+}
+func (n ucNode) StateKey() string     { return n.rep.StateKey() }
 func (n ucNode) SupportsDelete() bool { return true }
 
 // shardedNode adapts a key-sharded replica over the set spec: elements
@@ -109,7 +111,7 @@ func newSetCluster(kind SetKind, n, shards int, net transport.Network) []node {
 		}
 		reps := core.Cluster(n, spec.Set(), net, core.ClusterOptions{NewEngine: mk})
 		for i, r := range reps {
-			nodes[i] = ucNode{set: core.NewSet(r), kind: kind}
+			nodes[i] = ucNode{rep: r, kind: kind}
 		}
 	case Eager:
 		for i := range nodes {

@@ -40,7 +40,7 @@ func refStep(n *SimNetwork) bool {
 		n.stats.Bytes += uint64(len(e.payload))
 	}
 	n.stats.Delivered++
-	n.handlers[e.to][e.shard](e.from, e.payload)
+	n.deliver(e.to, e.from, e.shard, e.epoch, e.payload)
 	return true
 }
 

@@ -13,8 +13,8 @@ import (
 
 // TCPNetwork is the real-wire transport: one instance per OS process,
 // hosting exactly one process id of the cluster, connected to its
-// peers over TCP. It implements the same Network / ShardedNetwork /
-// ResizableNetwork surface as the in-process transports, so a replica
+// peers over TCP. It implements the same Network / ResizableNetwork
+// surface as the in-process transports, so a replica
 // (sharded or not) runs on it unchanged — the difference is that
 // Broadcast frames the payload (wire.go) and hands it to per-peer
 // outbound queues instead of in-memory mailboxes.
@@ -45,7 +45,7 @@ type TCPNetwork struct {
 	ln   net.Listener
 
 	mu       sync.Mutex
-	handlers []Handler // local process's per-shard handlers
+	handler  Handler // local process's plain (shard 0) handler
 	router   EpochHandler
 	provider SyncProvider
 	clientFn ClientConnHandler
@@ -258,18 +258,12 @@ func (t *TCPNetwork) maxFrame() int {
 
 // Attach implements Network. A TCPNetwork hosts one process: attaching
 // any other id is a wiring bug and panics.
-func (t *TCPNetwork) Attach(id int, h Handler) { t.AttachShard(id, 0, h) }
-
-// AttachShard implements ShardedNetwork (local process only).
-func (t *TCPNetwork) AttachShard(id, shard int, h Handler) {
+func (t *TCPNetwork) Attach(id int, h Handler) {
 	if id != t.opts.ID {
 		panic(fmt.Sprintf("transport: TCPNetwork hosts process %d only; Attach(%d) is a wiring bug", t.opts.ID, id))
 	}
 	t.mu.Lock()
-	for len(t.handlers) <= shard {
-		t.handlers = append(t.handlers, nil)
-	}
-	t.handlers[shard] = h
+	t.handler = h
 	t.mu.Unlock()
 }
 
@@ -294,14 +288,8 @@ func (t *TCPNetwork) Broadcast(from int, payload []byte) {
 	t.BroadcastShardEpoch(from, 0, 0, payload)
 }
 
-// BroadcastShard implements ShardedNetwork (epoch 0).
-func (t *TCPNetwork) BroadcastShard(from, shard int, payload []byte) {
-	t.BroadcastShardEpoch(from, shard, 0, payload)
-}
-
 // BroadcastShardEpoch implements ResizableNetwork: self-delivery is
-// inline (the paper's instantaneous self-receipt, preserving the
-// replica's stashed-payload identity optimization), remote copies are
+// inline (the paper's instantaneous self-receipt), remote copies are
 // framed and queued per peer under the configured backpressure policy.
 func (t *TCPNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte) {
 	if from != t.opts.ID {
@@ -332,20 +320,14 @@ func (t *TCPNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte)
 }
 
 // deliver dispatches an inbound (or self) data payload to the local
-// router or per-shard handler.
+// router, or on shard 0 to the plain handler.
 func (t *TCPNetwork) deliver(from, shard, epoch int, payload []byte) {
 	t.mu.Lock()
-	rt := t.router
-	var h Handler
-	if rt == nil && shard >= 0 && shard < len(t.handlers) {
-		h = t.handlers[shard]
-	}
+	rt, h := t.router, t.handler
 	t.mu.Unlock()
 	if rt != nil {
 		rt(from, shard, epoch, payload)
-		return
-	}
-	if h != nil {
+	} else if h != nil && shard == 0 {
 		h(from, payload)
 	}
 }
@@ -823,8 +805,4 @@ func (t *TCPNetwork) Close() error {
 	return nil
 }
 
-var (
-	_ Network          = (*TCPNetwork)(nil)
-	_ ShardedNetwork   = (*TCPNetwork)(nil)
-	_ ResizableNetwork = (*TCPNetwork)(nil)
-)
+var _ ResizableNetwork = (*TCPNetwork)(nil)

@@ -21,12 +21,12 @@
 // are received instantaneously by the sender") and to every other
 // process asynchronously.
 //
-// Both also implement ShardedNetwork: envelopes carry a shard tag and
-// each (process, shard) pair attaches its own handler, which is what
-// the key-sharded construction (core.ShardedReplica) runs on. FIFO
-// ordering, when enabled, is enforced per link across all shards —
-// each shard's messages are a subsequence of the link, so every shard
-// individually observes FIFO delivery too.
+// Both also implement ResizableNetwork: envelopes carry a shard and an
+// epoch tag and each process attaches one router that receives them,
+// which is what the key-sharded construction (core.ShardedReplica) runs
+// on. FIFO ordering, when enabled, is enforced per link across all
+// shards — each shard's messages are a subsequence of the link, so every
+// shard individually observes FIFO delivery too.
 package transport
 
 import (
@@ -51,29 +51,6 @@ type Network interface {
 	Broadcast(from int, payload []byte)
 }
 
-// ShardedNetwork extends Network with per-shard channels: every
-// envelope carries a shard tag, and each (process, shard) pair has its
-// own handler. A key-sharded replica (core.ShardedReplica) runs one
-// instance of Algorithm 1 per shard; tagging at the transport layer
-// means the network delivers each message directly to the owning
-// shard — no demultiplexing inside the replica, and (on LiveNetwork)
-// an independent mailbox and dispatcher per shard, so deliveries to
-// different shards of one process proceed in parallel.
-//
-// Attach and Broadcast are equivalent to AttachShard and BroadcastShard
-// with shard 0, so unsharded replicas compose transparently.
-type ShardedNetwork interface {
-	Network
-	// AttachShard registers the handler for shard `shard` of process
-	// id. It must be called before any BroadcastShard involving that
-	// pair.
-	AttachShard(id, shard int, h Handler)
-	// BroadcastShard sends payload from shard `shard` of process
-	// `from` to the same shard of every process. Self-delivery is
-	// synchronous; remote delivery is asynchronous.
-	BroadcastShard(from, shard int, payload []byte)
-}
-
 // EpochHandler consumes a delivery on a resizable sharded network: the
 // envelope's shard and epoch tags are handed to the process's router,
 // which dispatches to the owning shard — directly when the epoch
@@ -81,27 +58,32 @@ type ShardedNetwork interface {
 // sender was on an older (or newer) table.
 type EpochHandler func(from, shard, epoch int, payload []byte)
 
-// ResizableNetwork extends ShardedNetwork with what live resharding
-// needs: envelopes carry an epoch tag alongside the shard tag, each
-// process can register a single router that receives every delivery
-// with both tags (instead of one handler per shard), and the set of
-// per-(process, shard) channels can grow at runtime. A message
-// broadcast under epoch e is delivered with that tag even if receivers
-// have since flipped to a later routing table — the in-flight
-// old-epoch envelope reaches the receiver's router, which lands it in
-// the shard that owns its key *now*.
+// ResizableNetwork extends Network with what a key-sharded, live
+// resharding replica needs: every envelope carries a shard tag — the
+// network moves each shard's messages on its own channel (on
+// LiveNetwork an independent mailbox and dispatcher per shard, so
+// deliveries to different shards of one process proceed in parallel) —
+// and an epoch tag, each process registers a single router that receives
+// every delivery with both tags, and the set of per-(process, shard)
+// channels can grow at runtime. A message broadcast under epoch e is
+// delivered with that tag even if receivers have since flipped to a
+// later routing table — the in-flight old-epoch envelope reaches the
+// receiver's router, which lands it in the shard that owns its key
+// *now*.
 //
-// Attach and AttachRouter are mutually exclusive per process: a
-// process with a router receives everything through it.
+// Attach and Broadcast are the shard-0, epoch-0 channel, so unsharded
+// replicas compose transparently. Attach and AttachRouter are mutually
+// exclusive per process: a process with a router receives everything
+// through it.
 type ResizableNetwork interface {
-	ShardedNetwork
+	Network
 	// AttachRouter registers the per-process router. It must be called
 	// before any broadcast involving id.
 	AttachRouter(id int, h EpochHandler)
 	// BroadcastShardEpoch sends payload from shard `shard` of process
 	// `from`, tagged with the sender's routing epoch, to the same shard
 	// of every process. Self-delivery is synchronous; remote delivery
-	// is asynchronous. BroadcastShard is equivalent with epoch 0.
+	// is asynchronous.
 	BroadcastShardEpoch(from, shard, epoch int, payload []byte)
 	// EnsureShards guarantees channels exist for shard indices below
 	// shards at every process (growing a live network's mailboxes; a
@@ -154,7 +136,7 @@ func (s *Stats) add(d Stats) {
 // transport never copies message bytes per recipient.
 type envelope struct {
 	from, to int
-	shard    int // destination shard of a ShardedNetwork broadcast
+	shard    int // destination shard (ResizableNetwork broadcasts)
 	epoch    int // sender's routing epoch (ResizableNetwork broadcasts)
 	// kind distinguishes wire frame types on the TCP path (data vs the
 	// sync-on-connect control frames); the in-process networks carry
@@ -246,12 +228,11 @@ type IndexRepairStats struct {
 type SimNetwork struct {
 	opts SimOptions
 	rng  *rand.Rand
-	// handlers[id][shard] is the delivery target for shard `shard` of
-	// process id; the inner slices grow on AttachShard. Plain Attach
-	// and Broadcast use shard 0.
-	handlers [][]Handler
+	// handlers[id] is the delivery target of process id's plain
+	// (shard 0) channel, set by Attach.
+	handlers []Handler
 	// routers[id], when set, receives every delivery to id with its
-	// shard and epoch tags, replacing the per-shard handlers
+	// shard and epoch tags, replacing the plain handler
 	// (ResizableNetwork).
 	routers []EpochHandler
 	crashed []bool
@@ -318,7 +299,7 @@ func NewSim(opts SimOptions) *SimNetwork {
 	n := &SimNetwork{
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
-		handlers: make([][]Handler, opts.N),
+		handlers: make([]Handler, opts.N),
 		routers:  make([]EpochHandler, opts.N),
 		crashed:  make([]bool, opts.N),
 		group:    make([]int, opts.N),
@@ -359,26 +340,13 @@ func (n *SimNetwork) shardOf(to int) *simShard { return &n.shards[to%n.nshards] 
 func (n *SimNetwork) Workers() int { return n.nshards }
 
 // Attach implements Network.
-func (n *SimNetwork) Attach(id int, h Handler) { n.AttachShard(id, 0, h) }
-
-// AttachShard implements ShardedNetwork.
-func (n *SimNetwork) AttachShard(id, shard int, h Handler) {
-	for len(n.handlers[id]) <= shard {
-		n.handlers[id] = append(n.handlers[id], nil)
-	}
-	n.handlers[id][shard] = h
-}
+func (n *SimNetwork) Attach(id int, h Handler) { n.handlers[id] = h }
 
 // Broadcast implements Network. The sender's own copy is delivered
 // inline; copies to other live processes are queued for adversarial
 // delivery. A crashed sender cannot broadcast.
 func (n *SimNetwork) Broadcast(from int, payload []byte) {
 	n.BroadcastShardEpoch(from, 0, 0, payload)
-}
-
-// BroadcastShard implements ShardedNetwork (epoch 0).
-func (n *SimNetwork) BroadcastShard(from, shard int, payload []byte) {
-	n.BroadcastShardEpoch(from, shard, 0, payload)
 }
 
 // AttachRouter implements ResizableNetwork.
@@ -390,13 +358,14 @@ func (n *SimNetwork) AttachRouter(id int, h EpochHandler) { n.routers[id] = h }
 func (n *SimNetwork) EnsureShards(int) {}
 
 // deliver hands an envelope's content to the receiving process: its
-// router when one is attached, the per-shard handler otherwise.
+// router when one is attached, otherwise the plain handler, which is the
+// shard-0 channel only.
 func (n *SimNetwork) deliver(to, from, shard, epoch int, payload []byte) {
 	if rt := n.routers[to]; rt != nil {
 		rt(from, shard, epoch, payload)
-		return
+	} else if shard == 0 {
+		n.handlers[to](from, payload)
 	}
-	n.handlers[to][shard](from, payload)
 }
 
 // fault returns the fault configuration of a link: the per-link
@@ -413,8 +382,8 @@ func (n *SimNetwork) fault(link int) LinkFault {
 
 // BroadcastShardEpoch implements ResizableNetwork: each queued envelope
 // is tagged with the shard and the sender's routing epoch, and delivery
-// invokes the receiver's router (or, without one, the handler attached
-// for (to, shard)).
+// invokes the receiver's router (or, without one and on shard 0, its
+// plain handler).
 //
 // During a parallel round (StepParallel) a handler's broadcast is
 // buffered instead: the sender's own copy is still delivered inline on
@@ -799,11 +768,7 @@ func (n *SimNetwork) Stats() Stats { return n.stats }
 // IndexRepair returns the cumulative index-repair work counters.
 func (n *SimNetwork) IndexRepair() IndexRepairStats { return n.idxRepair }
 
-var (
-	_ Network          = (*SimNetwork)(nil)
-	_ ShardedNetwork   = (*SimNetwork)(nil)
-	_ ResizableNetwork = (*SimNetwork)(nil)
-)
+var _ ResizableNetwork = (*SimNetwork)(nil)
 
 // LiveNetwork delivers messages with one dispatcher goroutine and an
 // unbounded mailbox per (process, shard) pair, so Broadcast never
@@ -979,11 +944,8 @@ func (nd *liveNode) run() {
 }
 
 // Attach implements Network.
-func (ln *LiveNetwork) Attach(id int, h Handler) { ln.AttachShard(id, 0, h) }
-
-// AttachShard implements ShardedNetwork.
-func (ln *LiveNetwork) AttachShard(id, shard int, h Handler) {
-	nd := ln.snapshot()[id][shard]
+func (ln *LiveNetwork) Attach(id int, h Handler) {
+	nd := ln.snapshot()[id][0]
 	nd.hmu.Lock()
 	nd.handler = h
 	nd.hmu.Unlock()
@@ -993,11 +955,6 @@ func (ln *LiveNetwork) AttachShard(id, shard int, h Handler) {
 // on the caller's goroutine); remote deliveries are enqueued.
 func (ln *LiveNetwork) Broadcast(from int, payload []byte) {
 	ln.BroadcastShardEpoch(from, 0, 0, payload)
-}
-
-// BroadcastShard implements ShardedNetwork (epoch 0).
-func (ln *LiveNetwork) BroadcastShard(from, shard int, payload []byte) {
-	ln.BroadcastShardEpoch(from, shard, 0, payload)
 }
 
 // BroadcastShardEpoch implements ResizableNetwork: the message goes to
@@ -1120,11 +1077,7 @@ func (ln *LiveNetwork) Stats() Stats {
 	return s
 }
 
-var (
-	_ Network          = (*LiveNetwork)(nil)
-	_ ShardedNetwork   = (*LiveNetwork)(nil)
-	_ ResizableNetwork = (*LiveNetwork)(nil)
-)
+var _ ResizableNetwork = (*LiveNetwork)(nil)
 
 // String renders traffic counters for experiment tables.
 func (s Stats) String() string {

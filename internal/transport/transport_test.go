@@ -420,9 +420,9 @@ func TestQuickSimAllSeedsConverge(t *testing.T) {
 	}
 }
 
-// TestSimShardedDelivery: every (process, shard) handler receives
-// exactly the messages broadcast on its shard, and self-delivery stays
-// synchronous per shard.
+// TestSimShardedDelivery: every process's router receives, tagged with
+// its shard, exactly the messages broadcast on that shard, and
+// self-delivery stays synchronous per shard.
 func TestSimShardedDelivery(t *testing.T) {
 	const n, shards = 3, 4
 	net := NewSim(SimOptions{N: n, Seed: 5})
@@ -430,20 +430,17 @@ func TestSimShardedDelivery(t *testing.T) {
 	got := make([][][]string, n)
 	for i := 0; i < n; i++ {
 		got[i] = make([][]string, shards)
-		for s := 0; s < shards; s++ {
-			i, s := i, s
-			net.AttachShard(i, s, func(from int, payload []byte) {
-				mu.Lock()
-				got[i][s] = append(got[i][s], fmt.Sprintf("%d:%s", from, payload))
-				mu.Unlock()
-			})
-		}
+		net.AttachRouter(i, func(from, s, _ int, payload []byte) {
+			mu.Lock()
+			got[i][s] = append(got[i][s], fmt.Sprintf("%d:%s", from, payload))
+			mu.Unlock()
+		})
 	}
-	net.BroadcastShard(0, 2, []byte("a"))
+	net.BroadcastShardEpoch(0, 2, shards, []byte("a"))
 	if len(got[0][2]) != 1 {
 		t.Fatalf("self-delivery on shard 2 must be inline, got %v", got[0])
 	}
-	net.BroadcastShard(1, 0, []byte("b"))
+	net.BroadcastShardEpoch(1, 0, shards, []byte("b"))
 	net.Quiesce()
 	for i := 0; i < n; i++ {
 		for s := 0; s < shards; s++ {
@@ -468,15 +465,12 @@ func TestSimShardedDelivery(t *testing.T) {
 func TestSimShardedFIFOPerShard(t *testing.T) {
 	net := NewSim(SimOptions{N: 2, Seed: 9, FIFO: true})
 	var got []string
-	for s := 0; s < 2; s++ {
-		net.AttachShard(0, s, func(int, []byte) {})
-		s := s
-		net.AttachShard(1, s, func(from int, payload []byte) {
-			got = append(got, fmt.Sprintf("s%d:%s", s, payload))
-		})
-	}
+	net.AttachRouter(0, func(int, int, int, []byte) {})
+	net.AttachRouter(1, func(_, s, _ int, payload []byte) {
+		got = append(got, fmt.Sprintf("s%d:%s", s, payload))
+	})
 	for k := 0; k < 6; k++ {
-		net.BroadcastShard(0, k%2, []byte(fmt.Sprint(k)))
+		net.BroadcastShardEpoch(0, k%2, 2, []byte(fmt.Sprint(k)))
 	}
 	net.Quiesce()
 	var shard0, shard1 []string
@@ -506,14 +500,11 @@ func TestLiveShardedDeliversAll(t *testing.T) {
 	counts := make([][]int, n)
 	for i := 0; i < n; i++ {
 		counts[i] = make([]int, shards)
-		for s := 0; s < shards; s++ {
-			i, s := i, s
-			net.AttachShard(i, s, func(from int, payload []byte) {
-				mu.Lock()
-				counts[i][s]++
-				mu.Unlock()
-			})
-		}
+		net.AttachRouter(i, func(_, s, _ int, _ []byte) {
+			mu.Lock()
+			counts[i][s]++
+			mu.Unlock()
+		})
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -522,7 +513,7 @@ func TestLiveShardedDeliversAll(t *testing.T) {
 			go func(id, shard int) {
 				defer wg.Done()
 				for k := 0; k < per; k++ {
-					net.BroadcastShard(id, shard, []byte{byte(k)})
+					net.BroadcastShardEpoch(id, shard, shards, []byte{byte(k)})
 				}
 			}(i, s)
 		}

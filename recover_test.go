@@ -300,3 +300,65 @@ func TestConvergedScopeTracksCrashSet(t *testing.T) {
 		t.Fatalf("recovered replica holds %q", got)
 	}
 }
+
+// TestUpdateOnCrashedReplica: a crash stops the transport, not the
+// replica, so an update issued on a crashed replica is a local step like
+// any other — it lands in that replica's log (read-your-write holds at
+// once) and Recover's anti-entropy round spreads it. One outcome on every
+// write path and backend; the default path used to learn of its own
+// update from the broadcast's self-delivery, which a crashed transport
+// suppresses, and lost it.
+func TestUpdateOnCrashedReplica(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default/live", nil},
+		{"default/sim", []Option{WithSeed(3)}},
+		{"lockfree/live", []Option{WithLockFreeWriters()}},
+		{"recorded/sim", []Option{WithSeed(3), WithRecording()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster, sets, err := New(3, SetObject(), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			sets[1].Insert("before")
+			cluster.Settle()
+			if err := cluster.Crash(0); err != nil {
+				t.Fatal(err)
+			}
+			sets[0].Insert("while-down")
+			if !sets[0].Contains("while-down") {
+				t.Fatal("crashed replica does not read its own write")
+			}
+			cluster.Settle()
+			if sets[1].Contains("while-down") {
+				t.Fatal("a crashed replica's broadcast reached a peer")
+			}
+			if err := cluster.Recover(0); err != nil {
+				t.Fatal(err)
+			}
+			cluster.Settle()
+			if !cluster.Converged() {
+				t.Fatal("cluster diverged after recovery")
+			}
+			for p, s := range sets {
+				if got := strings.Join(s.Elements(), ","); got != "before,while-down" {
+					t.Fatalf("replica %d reads %q, want before,while-down", p, got)
+				}
+			}
+			if cluster.rec == nil {
+				return
+			}
+			class, err := cluster.Classify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !class.UpdateConsistent || !class.StrongUpdateConsistent {
+				t.Fatalf("recorded run classified %+v, want update consistent", class)
+			}
+		})
+	}
+}

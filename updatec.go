@@ -188,15 +188,18 @@ func WithRecording() Option { return func(c *config) { c.record = true } }
 // deterministic.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
-// WithLockFreeWriters replaces each replica's mutex ingestion path with
-// the lock-free intake/drain engine: concurrent writers on one handle
-// announce their updates with a single fetch-add each and never block
-// on one another; whichever writer holds the drain token folds every
-// announced update — its own and stalled peers' (helping) — into the
-// log and broadcast machinery in one batch. Choose it for the
-// in-process many-core regime, where many goroutines write through the
-// same replica handle; with one writer per handle the mutex engine is
-// just as fast and remains the reference implementation.
+// WithLockFreeWriters puts a lock-free intake in front of each replica's
+// write step: concurrent writers on one handle announce their updates
+// with a single fetch-add each and never block on one another; whichever
+// writer holds the drain token runs the step — stamp, land in the log,
+// encode, broadcast — for every announced update, its own and stalled
+// peers' (helping), as one batch under one lock hold and one network
+// frame. It is the default path's step, batched; what differs is that a
+// plain update may return before its step has run (every read flushes
+// the intake first, so the deferral is not observable) and that replicas
+// exchange batch frames. Choose it for the in-process many-core regime,
+// where many goroutines write through the same replica handle; with one
+// writer per handle the default path is just as fast.
 //
 // It composes with WithShards (each per-shard replica gets its own
 // intake), WithGC, WithEngine and Resize. It requires the live
@@ -618,11 +621,15 @@ func (c *Cluster[H]) ScheduleFingerprint() uint64 {
 	return c.sim.ScheduleFingerprint()
 }
 
-// Crash halts a replica: it stops receiving (on every shard, with
-// messages addressed to it dropped while it is down) and its broadcasts
-// are suppressed. Survivors keep operating — wait-freedom. Crashed
-// replicas are excluded from Converged, from recorded ω queries, and
-// from anti-entropy rounds until they Recover. Crashing an id that is
+// Crash halts a replica's transport: it stops receiving (on every shard,
+// with messages addressed to it dropped while it is down) and its
+// broadcasts are suppressed. Survivors keep operating — wait-freedom.
+// The replica itself keeps its state, and its handle still works: an
+// update issued on it while it is down lands in its own log (visible to
+// its own reads) and reaches the others when Recover runs anti-entropy —
+// on every write path and both backends. Crashed replicas are excluded
+// from Converged, from recorded ω queries, and from anti-entropy rounds
+// until they Recover. Crashing an id that is
 // out of range or already crashed is an error on both backends — the
 // sim and live transports used to diverge here (silent no-op versus
 // index panic), and Recover needs the crash set to be exact.
@@ -654,7 +661,8 @@ func (c *Cluster[H]) Crash(p int) error {
 // suffix from each live, reachable peer (digest → encoded suffix →
 // dedup'd insert; peers across an open partition wait for Heal's
 // round), then every peer pulls from it, repairing updates the crashed
-// replica had broadcast but that were lost with its in-flight messages.
+// replica had broadcast but that were lost with its in-flight messages,
+// and updates issued on it while it was down.
 // When a peer has compacted past what the recovering replica missed,
 // the pull falls back to snapshot transfer. Recovery composes with
 // Resize: a cluster resized while p was down resizes p's routing too

@@ -412,39 +412,46 @@ func TestHistoryWithoutRecordingErrs(t *testing.T) {
 	}
 }
 
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	// The pre-generic constructors are thin shims over New; a caller
-	// written against them must keep working, sessions included.
-	cluster, sets, err := NewSetCluster(2, WithSeed(53))
+func TestSetSessionAndMemoryClusterThroughNew(t *testing.T) {
+	// What the deleted pre-generic constructor and session shims were
+	// tested for, through New and Cluster.Session.
+	cluster, sets, err := New(2, SetObject(), WithSeed(53))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sets[0].Insert("x")
-	sess := cluster.NewSetSession(0)
-	sess.Insert("y")
-	if _, ok := sess.TryElements(); !ok {
+	sess, err := cluster.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tryElements := func() (elems []string, ok bool) {
+		ok = sess.TryQuery(func(h *Set) { elems = h.Elements() })
+		return elems, ok
+	}
+	sess.Handle().Insert("y")
+	if _, ok := tryElements(); !ok {
 		t.Fatalf("own replica must serve the session")
 	}
 	sess.Switch(1)
-	if _, ok := sess.TryElements(); ok {
+	if _, ok := tryElements(); ok {
 		t.Fatalf("stale replica must refuse the session")
 	}
 	cluster.Settle()
-	elems, ok := sess.TryElements()
+	elems, ok := tryElements()
 	if !ok || strings.Join(elems, ",") != "x,y" {
 		t.Fatalf("settled session read wrong: %v %v", elems, ok)
 	}
 	if !cluster.Converged() {
-		t.Fatalf("shim cluster diverged")
+		t.Fatalf("set cluster diverged")
 	}
 
-	clusterM, mems, err := NewMemoryCluster(2, "0", WithSeed(2))
+	clusterM, mems, err := New(2, MemoryObject("0"), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mems[0].Write("k", "v")
 	clusterM.Settle()
 	if mems[1].Read("k") != "v" {
-		t.Fatalf("shim memory cluster lost a write")
+		t.Fatalf("memory cluster lost a write")
 	}
 }

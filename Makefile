@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race verify examples bench bench-quick bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-writers bench-wire bench-consistency test-wire test-ucperf fuzz
+.PHONY: build test vet fmt race verify examples bench bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-consistency test-wire test-ucperf fuzz
 
 build:
 	$(GO) build ./...
@@ -34,14 +34,12 @@ examples:
 		$(GO) run ./$$d >/dev/null; \
 	done
 
-# bench runs the full -benchmem suite.
+# bench runs the full -benchmem suite. One comparison is worth running on
+# its own with repeats, now that no ucbench table records it: mutex vs
+# lock-free intake under contended in-process writers,
+# `go test -run xxx -bench ContendedUpdate -benchmem -count 10 .`
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-
-# bench-quick prints the hot-path table in seconds, without updating
-# the recorded trajectory.
-bench-quick:
-	$(GO) run ./cmd/ucbench -exp hotpath -quick
 
 # bench-shards prints the E14 shard-scaling table (1/2/4/8 shards).
 bench-shards:
@@ -67,19 +65,6 @@ bench-recovery:
 bench-scenario:
 	$(GO) run ./cmd/ucbench -exp scenario
 
-# bench-writers prints the E20 table: single-replica update throughput
-# under 1/2/4/8 in-process writers, mutex engine vs the lock-free
-# intake (WithLockFreeWriters), plus the contended-update Go benchmarks.
-bench-writers:
-	$(GO) run ./cmd/ucbench -exp writers
-	$(GO) test -run xxx -bench ContendedUpdate -benchmem .
-
-# bench-wire prints the E21 table: the insert workload on real ucserve
-# daemon processes over loopback TCP (batching off and at the default
-# threshold) against the in-process LiveNetwork baseline.
-bench-wire:
-	$(GO) run ./cmd/ucbench -exp wire
-
 # test-wire runs the loopback wire-transport suite under the race
 # detector: the TCP transport and mailbox unit tests, the byte-level
 # anti-entropy exchange, in-process daemon clusters for every object
@@ -97,12 +82,15 @@ test-ucperf:
 	cd benchmark && $(GO) vet . && $(GO) test -race .
 
 # fuzz runs a short coverage-guided pass over the byte-level decoders
-# that face the network: the wire-frame envelope codec, the batch frame
-# iterator, and the two halves of the anti-entropy exchange (a peer's
-# digest, a donor's sync reply). The seed corpora also run under plain
-# `go test`.
+# that face the network: the wire-frame envelope codec and the hello, the
+# run decoder behind every batch frame, sync reply and snapshot suffix,
+# the snapshot as a whole, and the two halves of the anti-entropy exchange
+# (a peer's digest, a donor's sync reply). The seed corpora also run under
+# plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzHello -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzBatchFrame -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzApplySync -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzWireDigest -fuzztime 10s ./internal/core/
@@ -115,11 +103,12 @@ fuzz:
 bench-consistency:
 	$(GO) run ./cmd/ucbench -exp consistency
 
-# bench-json refreshes the recorded perf trajectory (hot paths, shard
-# scaling, read caches, adversary step, live resharding, recovery,
-# scenario scaling). Set LABEL to this PR's entry; the matching entry
-# in the trajectory's runs array is replaced, the rest are preserved
-# and kept sorted by label.
+# bench-json records the experiment tables (shard scaling, read caches,
+# adversary step, live resharding, recovery, scenario scaling,
+# consistency levels) in BENCH_ucbench.json. Set LABEL to this PR's entry;
+# the matching entry in the runs array is replaced, the rest are preserved
+# and kept sorted by label. Regressions are judged by `ucperf -compare`
+# (benchmark/), not by reading this file.
 LABEL ?= dev
 bench-json:
-	$(GO) run ./cmd/ucbench -exp hotpath,shards,readmostly,stepbacklog,resize,recovery,scenario,writers,wire,consistency -json BENCH_ucbench.json -label $(LABEL)
+	$(GO) run ./cmd/ucbench -exp shards,readmostly,stepbacklog,resize,recovery,scenario,consistency -json BENCH_ucbench.json -label $(LABEL)

@@ -364,14 +364,14 @@ func BenchmarkGCEveryAblation(b *testing.B) {
 // over a raw query.
 func BenchmarkSession(b *testing.B) {
 	net := transport.NewSim(transport.SimOptions{N: 3, Seed: 5})
-	reps := core.Cluster(3, spec.Set(), net, core.ClusterOptions{
+	reps := core.ShardedCluster(3, 1, spec.Set(), net, core.ClusterOptions{
 		NewEngine: func() core.Engine { return core.NewUndoEngine() },
 	})
 	for k := 0; k < 100; k++ {
 		reps[k%3].Update(spec.Ins{V: fmt.Sprint(k % 9)})
 	}
 	net.Quiesce()
-	sess := core.NewSession(reps[0])
+	sess := core.NewShardedSession(reps[0])
 	sess.Update(spec.Ins{V: "mine"})
 	b.Run("raw-query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -288,8 +288,8 @@ func MemoryExperiment(w io.Writer, quickRun bool) MemoryResult {
 	return res
 }
 
-// PerfRow is one hot-path micro-benchmark result; the JSON shape is
-// what ucbench -json emits into the perf trajectory file.
+// PerfRow is one micro-benchmark result of the read-path experiment
+// (E15, read.go); the JSON shape is what ucbench -json emits.
 type PerfRow struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -297,15 +297,10 @@ type PerfRow struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// PerfResult reports experiment E13, the hot-path suite.
-type PerfResult struct {
-	Rows []PerfRow `json:"rows"`
-}
-
 // measure times iters calls of f on one goroutine and attributes the
 // allocation delta to them. It is a deliberately simple harness — the
-// go test -bench suite in bench_test.go is the precise instrument;
-// this one feeds the recorded perf trajectory.
+// go test -bench suite in bench_test.go and ucperf are the precise
+// instruments.
 func measure(name string, iters int, f func()) PerfRow {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -324,124 +319,6 @@ func measure(name string, iters int, f func()) PerfRow {
 	}
 }
 
-// HotPath (E13) measures the latency and allocation cost of each hot
-// path of the universal construction: in-order and late log inserts,
-// log compaction, update issuance, transport broadcast/delivery, and
-// convergence polling. These are the paths the wait-free claim rides
-// on; the recorded rows form the benchmark trajectory tracked in
-// BENCH_ucbench.json.
-func HotPath(w io.Writer, quickRun bool) PerfResult {
-	section(w, "E13", "hot-path cost: log, replica, transport, convergence")
-	iters := 200000
-	if quickRun {
-		iters = 20000
-	}
-	var res PerfResult
-	add := func(r PerfRow) { res.Rows = append(res.Rows, r) }
-
-	const window = 8192
-	adt := spec.Set()
-	var ins spec.Update = spec.Ins{V: "x"}
-
-	{ // (a) in-order insert: the FIFO fast path.
-		log := core.NewLog(adt)
-		log.Reserve(window)
-		next := uint64(1)
-		add(measure("log-insert-inorder", iters, func() {
-			if log.Len() == window {
-				log = core.NewLog(adt)
-				log.Reserve(window)
-			}
-			log.Insert(core.Entry{TS: clock.Timestamp{Clock: next, Proc: 0}, U: ins})
-			next++
-		}))
-	}
-	{ // (b) late insert displacing a 256-entry suffix.
-		const suffix = 256
-		mkLog := func() *core.Log {
-			log := core.NewLog(adt)
-			log.Reserve(window + suffix)
-			for i := 0; i < suffix; i++ {
-				log.Insert(core.Entry{TS: clock.Timestamp{Clock: 1 << 40, Proc: i}, U: ins})
-			}
-			return log
-		}
-		log := mkLog()
-		next := uint64(1)
-		add(measure("log-insert-late", iters, func() {
-			if log.Len() == window+suffix {
-				log = mkLog()
-			}
-			log.Insert(core.Entry{TS: clock.Timestamp{Clock: next, Proc: 0}, U: ins})
-			next++
-		}))
-	}
-	{ // (c) steady-state compaction: stream a chunk, fold it away.
-		log := core.NewLog(adt)
-		next := uint64(1)
-		add(measure("log-compact-64", iters/16, func() {
-			for k := 0; k < 64; k++ {
-				log.Insert(core.Entry{TS: clock.Timestamp{Clock: next, Proc: 0}, U: ins})
-				next++
-			}
-			log.CompactBelow(next - 1)
-		}))
-	}
-	{ // (d) update issuance: stamp, encode, broadcast, self-apply.
-		net := transport.NewSim(transport.SimOptions{N: 3, Seed: 4})
-		reps := core.Cluster(3, adt, net, core.ClusterOptions{
-			NewEngine: func() core.Engine { return core.NewUndoEngine() },
-		})
-		i := 0
-		add(measure("replica-update", iters, func() {
-			reps[0].Update(ins)
-			if i++; i%64 == 0 {
-				net.Quiesce()
-			}
-		}))
-		net.Quiesce()
-	}
-	{ // (e) transport broadcast plus full delivery, n=8.
-		const n = 8
-		net := transport.NewSim(transport.SimOptions{N: n, Seed: 1})
-		for i := 0; i < n; i++ {
-			net.Attach(i, func(int, []byte) {})
-		}
-		payload := []byte("0123456789abcdef")
-		i := 0
-		add(measure("sim-broadcast-deliver", iters, func() {
-			net.Broadcast(i%n, payload)
-			net.StepN(n - 1)
-			i++
-		}))
-	}
-	{ // (f) convergence polling on a settled 4-replica cluster.
-		net := transport.NewSim(transport.SimOptions{N: 4, Seed: 11})
-		reps := core.Cluster(4, adt, net, core.ClusterOptions{})
-		for k := 0; k < 512; k++ {
-			reps[k%4].Update(spec.Ins{V: fmt.Sprint(k % 50)})
-		}
-		net.Quiesce()
-		add(measure("converged-poll", iters, func() {
-			key := reps[0].StateKey()
-			for _, r := range reps[1:] {
-				if r.StateKey() != key {
-					panic("bench: settled cluster diverged")
-				}
-			}
-		}))
-	}
-
-	t := newTable(w, "benchmark", "ns/op", "B/op", "allocs/op")
-	for _, r := range res.Rows {
-		t.row(r.Name, fmt.Sprintf("%.1f", r.NsPerOp), r.BytesPerOp, r.AllocsPerOp)
-	}
-	t.flush()
-	fmt.Fprintf(w, "reading: in-order inserts are O(1) and allocation-free; updates allocate\n")
-	fmt.Fprintf(w, "only their payload; convergence polling is memoized against the log version\n")
-	return res
-}
-
 // AllResults aggregates the machine-readable results of every
 // experiment (ucbench -json serializes the whole set into the
 // BENCH_ucbench.json trajectory).
@@ -457,7 +334,6 @@ type AllResults struct {
 	Partition   PartitionResult
 	Latency     LatencyResult
 	Join        JoinResult
-	HotPath     PerfResult
 	ReadMostly  ReadMostlyResult
 	StepBacklog StepBacklogResult
 }
@@ -480,7 +356,6 @@ func All(w io.Writer, quickRun bool) AllResults {
 	res.Partition = PartitionHeal(w)
 	res.Latency = ConvergenceLatency(w)
 	res.Join = StateTransfer(w)
-	res.HotPath = HotPath(w, quickRun)
 	res.ReadMostly = ReadMostly(w, quickRun)
 	res.StepBacklog = StepBacklog(w, quickRun)
 	return res

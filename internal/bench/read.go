@@ -47,9 +47,9 @@ func ReadMostly(w io.Writer, quickRun bool) ReadMostlyResult {
 	var res ReadMostlyResult
 	add := func(r PerfRow) { res.Rows = append(res.Rows, r) }
 
-	{ // (a) plain replica query cache, 256-update settled set.
+	{ // (a) one-shard replica query cache, 256-update settled set.
 		net := transport.NewSim(transport.SimOptions{N: 2, Seed: 6})
-		reps := core.Cluster(2, spec.Set(), net, core.ClusterOptions{
+		reps := core.ShardedCluster(2, 1, spec.Set(), net, core.ClusterOptions{
 			NewEngine: func() core.Engine { return core.NewUndoEngine() },
 		})
 		for k := 0; k < 256; k++ {
@@ -74,7 +74,7 @@ func ReadMostly(w io.Writer, quickRun bool) ReadMostlyResult {
 		// and the cached query share one shared-lock acquisition
 		// (Replica.SessionQuery), so a covered session read should cost
 		// a raw cached read.
-		sess := core.NewSession(rep)
+		sess := core.NewShardedSession(rep)
 		sess.Update(spec.Ins{V: "mine"})
 		net.Quiesce()
 		sessHit := measure("session-hit", iters, func() {

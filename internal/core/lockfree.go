@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,8 +46,8 @@ import (
 // What differs from the default path, then, is the intake segment list
 // in front of the step, the deferral it allows (a plain Update returns
 // before its step has run; every read flushes first) and the wire shape:
-// a drain broadcasts one batch frame (batchFrame) where the default path
-// broadcasts one bare message, so a cluster runs one mode throughout.
+// a drain broadcasts one run (codec.go) where the default path broadcasts
+// one bare message, so a cluster runs one mode throughout.
 
 // lfSegCells is the cell count of one intake segment. 64 bounds a
 // drain batch's lock hold while keeping the fetch-add fast path hot
@@ -126,13 +124,11 @@ type lfIntake struct {
 	segments atomic.Uint64 // segments ever activated
 	retired  atomic.Uint64 // segments sealed, unlinked and released
 
-	// drainer scratch, guarded by drainMu: the cell batch, the batch
-	// frame under construction and a per-message staging buffer. Reused
-	// across batches so a drain's only allocation is the batch frame the
-	// transport retains.
+	// drainer scratch, guarded by drainMu: the cell batch and the run
+	// under construction. Reused across batches so a drain's only
+	// allocation is the payload the transport retains.
 	cellbuf []*lfCell
 	encbuf  []byte
-	msgbuf  []byte
 }
 
 func newLFIntake() *lfIntake {
@@ -266,15 +262,14 @@ func (r *Replica) FlushIntake() { r.flushIntake() }
 // Collect: the ready cells in segment order — the drain-visit order IS
 // the serialization the timestamps will encode. Issue: r.mu is held once
 // for the whole batch; one TickN reserves the stamp range, each cell goes
-// through issueLocked (landed in the log, recorded, its message staged
-// into the shared batch frame) and the batch through one tailLocked.
-// Broadcast, outside r.mu: the whole batch as ONE frame — one payload
-// allocation, one mailbox envelope per peer, decoded and merged under one
-// lock hold at each receiver (handleBatch) — then each cell flips to
-// done. Messages inside the frame are in stamp order and a single token
-// holder issues the frames sequentially, so the per-origin FIFO that
-// stability GC relies on holds by construction. Finally fully drained
-// segments are sealed and unlinked.
+// through issueLocked (landed in the log, recorded) and is appended to the
+// run, and the batch goes through one tailLocked. Broadcast, outside r.mu:
+// the whole batch as ONE run — one payload allocation, one mailbox
+// envelope per peer, decoded and merged under one lock hold at each
+// receiver (handleBatch) — then each cell flips to done. Messages inside
+// the run are in stamp order and a single token holder issues the runs
+// sequentially, so the per-origin FIFO that stability GC relies on holds
+// by construction. Finally fully drained segments are sealed and unlinked.
 func (r *Replica) drainIntake() int {
 	lf := r.lf
 	cells := lf.cellbuf[:0]
@@ -296,15 +291,14 @@ func (r *Replica) drainIntake() int {
 	}
 
 	k := uint64(len(cells))
-	enc := binary.AppendUvarint(lf.encbuf[:0], k)
+	enc := appendRunHeader(lf.encbuf[:0], len(cells))
 	r.mu.Lock()
 	hi := r.clk.TickN(k)
 	lo := hi - k + 1
 	for b, c := range cells {
 		c.ts = clock.Timestamp{Clock: lo + uint64(b), Proc: r.id}
-		lf.msgbuf = r.issueLocked(lf.msgbuf[:0], c.ts, c.u)
-		enc = binary.AppendUvarint(enc, uint64(len(lf.msgbuf)))
-		enc = append(enc, lf.msgbuf...)
+		r.issueLocked(c.ts, c.u)
+		enc = mustEncode(r.wire.appendFramed(enc, c.ts, c.u))
 		c.seg.drained++
 	}
 	r.tailLocked(clock.Timestamp{Clock: hi, Proc: r.id}, len(cells))
@@ -347,60 +341,17 @@ func (r *Replica) drainIntake() int {
 	return int(k)
 }
 
-// batchFrame iterates a drain's wire frame: uvarint message count,
-// then per message a uvarint length prefix and the usual ts|update
-// bytes. Lock-free replicas broadcast nothing else, so the receive
-// paths (handleBatch, the cross-epoch router) parse every delivery
-// with it.
-type batchFrame struct {
-	rest  []byte
-	count uint64
-}
-
-func openBatchFrame(payload []byte) (batchFrame, error) {
-	count, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return batchFrame{}, fmt.Errorf("malformed batch count")
-	}
-	return batchFrame{rest: payload[off:], count: count}, nil
-}
-
-// next returns the following message's bytes; after count calls the
-// frame is exhausted (callers loop count times).
-func (f *batchFrame) next() ([]byte, error) {
-	mlen, n := binary.Uvarint(f.rest)
-	if n <= 0 || uint64(len(f.rest)-n) < mlen {
-		return nil, fmt.Errorf("malformed batch message length")
-	}
-	msg := f.rest[n : uint64(n)+mlen]
-	f.rest = f.rest[uint64(n)+mlen:]
-	return msg, nil
-}
-
-// handleBatch delivers a peer drain's batch frame: the messages are
-// decoded, then merged into the log under ONE lock hold (mergeLocked),
-// and the stability/GC tail runs once per frame — the receiver-side
-// mirror of the drain's sender-side amortization. Feeding the tail only
-// the frame's last (highest) stamp is the same direct observation the
-// per-message path makes: stamps within a frame strictly increase, so the
-// last one is the sender's reached clock.
+// handleBatch delivers a peer drain's run: decoded as a whole, then merged
+// into the log under ONE lock hold (mergeLocked), and the stability/GC
+// tail runs once per run — the receiver-side mirror of the drain's
+// sender-side amortization. Feeding the tail only the run's last (highest)
+// stamp is the same direct observation the per-message path makes: stamps
+// within a run strictly increase, so the last one is the sender's reached
+// clock.
 func (r *Replica) handleBatch(from int, payload []byte) {
-	f, err := openBatchFrame(payload)
+	batch, err := r.wire.decodeRun(payload)
 	if err != nil {
-		panic(fmt.Sprintf("core: replica %d: corrupt batch from %d: %v", r.id, from, err))
-	}
-	// A message is at least a length byte and a two-byte timestamp.
-	batch := make([]Entry, 0, min(f.count, uint64(len(payload))/3))
-	for i := uint64(0); i < f.count; i++ {
-		msg, err := f.next()
-		if err != nil {
-			panic(fmt.Sprintf("core: replica %d: corrupt batch from %d: %v", r.id, from, err))
-		}
-		ts, u, derr := r.decode(msg)
-		if derr != nil {
-			panic(fmt.Sprintf("core: replica %d: corrupt batch message: %v", r.id, derr))
-		}
-		batch = append(batch, Entry{TS: ts, U: u})
+		panic(r.badPayload(from, err))
 	}
 	if len(batch) == 0 {
 		return

@@ -287,7 +287,8 @@ func TestLockFreeUpdateTimestamped(t *testing.T) {
 			t.Fatalf("after %d synchronous updates read %d", i, got)
 		}
 	}
-	sess := NewSession(reps[1])
+	sreps := ShardedCluster(2, 1, spec.Counter(), transport.NewSim(transport.SimOptions{N: 2, Seed: 4}), ClusterOptions{LockFree: true})
+	sess := NewShardedSession(sreps[1])
 	sess.Update(spec.Add{N: 1})
 	if _, ok := sess.TryQuery(spec.Read{}); !ok {
 		t.Fatal("session read-your-writes failed on the lock-free engine")

@@ -39,8 +39,7 @@ type Replica struct {
 	id      int
 	n       int
 	adt     spec.UQADT
-	codec   spec.Codec
-	acodec  spec.AppendCodec // non-nil when codec supports append encoding
+	wire    messageCodec
 	clk     clock.AtomicLamport
 	log     *Log
 	engine  Engine
@@ -198,7 +197,7 @@ func NewReplica(cfg Config) *Replica {
 		id:        cfg.ID,
 		n:         cfg.N,
 		adt:       cfg.ADT,
-		codec:     codec,
+		wire:      newMessageCodec(codec),
 		log:       NewLog(cfg.ADT),
 		engine:    eng,
 		net:       cfg.Net,
@@ -207,7 +206,6 @@ func NewReplica(cfg Config) *Replica {
 		rec:       cfg.Recorder,
 		originMax: clock.NewVector(cfg.N),
 	}
-	r.acodec, _ = codec.(spec.AppendCodec)
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
 	if cfg.LockFree {
 		r.lf = newLFIntake()
@@ -420,41 +418,46 @@ func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 // A delivery from the replica itself — the transports hand every
 // broadcast back to its sender inline — carries nothing new: the update
 // was inserted by the step that stamped it (issueLocked), before the
-// broadcast went out.
+// broadcast went out. The payload is decoded completely before the lock is
+// taken; one that does not decode lands nothing and is raised as
+// transport.BadPayload.
 func (r *Replica) handle(from int, payload []byte) {
 	if from == r.id {
 		return
 	}
 	if r.lf != nil {
-		// Lock-free peers broadcast one frame per drained batch.
+		// Lock-free peers broadcast one run per drained batch.
 		r.handleBatch(from, payload)
 		return
 	}
-	ts, u, err := r.decode(payload)
+	e, err := r.wire.decodeMessage(payload)
 	if err != nil {
-		panic(fmt.Sprintf("core: replica %d: corrupt update message: %v", r.id, err))
+		panic(r.badPayload(from, err))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.insertLocked(ts, u)
-	r.tailLocked(ts, 1)
+	r.insertLocked(e.TS, e.U)
+	r.tailLocked(e.TS, 1)
+}
+
+func (r *Replica) badPayload(from int, err error) transport.BadPayload {
+	return transport.BadPayload{Err: fmt.Errorf("core: replica %d: corrupt payload from %d: %w", r.id, from, err)}
 }
 
 // issueLocked is update(u) of Algorithm 1 up to the send, for one update:
 // the caller has reserved the stamp (one Tick, or its share of a drain's
 // TickN) and holds the exclusive lock; the update lands in the replica's
-// own log — the only way a replica learns of its own update — is recorded,
-// and its message(ts, u) bytes are appended to dst for the caller to
-// broadcast after unlocking. UpdateTimestamped runs it once per hold, the
-// lock-free drain once per announced cell; because stamp and insert share
-// the hold, no other step of this replica (a tied peer delivery, a
-// compaction) ever sees the clock at ts without the entry in the log.
-func (r *Replica) issueLocked(dst []byte, ts clock.Timestamp, u spec.Update) []byte {
+// own log — the only way a replica learns of its own update — and is
+// recorded. The caller encodes it under the same hold and broadcasts after
+// unlocking. UpdateTimestamped runs it once per hold, the lock-free drain
+// once per announced cell; because stamp and insert share the hold, no
+// other step of this replica (a tied peer delivery, a compaction) ever
+// sees the clock at ts without the entry in the log.
+func (r *Replica) issueLocked(ts clock.Timestamp, u spec.Update) {
 	r.insertLocked(ts, u)
 	if r.rec != nil {
 		r.rec.Update(r.id, u)
 	}
-	return r.appendMessage(dst, ts, u)
 }
 
 // tailLocked is the stability/GC tail of every step that lands updates
@@ -675,50 +678,13 @@ func (r *Replica) UpdateTimestamped(u spec.Update) clock.Timestamp {
 	}
 	r.mu.Lock()
 	ts := clock.Timestamp{Clock: r.clk.Tick(), Proc: r.id}
-	r.enc = r.issueLocked(r.enc[:0], ts, u)
+	r.issueLocked(ts, u)
+	r.enc = mustEncode(r.wire.appendMessage(r.enc[:0], ts, u))
 	payload := bytes.Clone(r.enc)
 	r.tailLocked(ts, 1)
 	r.mu.Unlock()
 	r.net.Broadcast(r.id, payload)
 	return ts
-}
-
-// appendMessage appends the wire encoding of message(ts, id, u) to dst:
-// timestamp, then the op bytes. This is exactly the paper's
-// message(cl, i, u) — "the information to identify the update and a
-// timestamp composed of two integer values, that only grow
-// logarithmically with the number of processes and the number of
-// operations" (§VII-C), measured by BenchmarkMessageOverhead. Callers
-// stage it in a scratch buffer reused across calls; only the payload the
-// transport retains until delivery is allocated.
-func (r *Replica) appendMessage(dst []byte, ts clock.Timestamp, u spec.Update) []byte {
-	dst = ts.Encode(dst)
-	if r.acodec != nil {
-		var err error
-		dst, err = r.acodec.AppendUpdate(dst, u)
-		if err != nil {
-			panic(fmt.Sprintf("core: cannot encode update: %v", err))
-		}
-		return dst
-	}
-	op, err := r.codec.EncodeUpdate(u)
-	if err != nil {
-		panic(fmt.Sprintf("core: cannot encode update: %v", err))
-	}
-	return append(dst, op...)
-}
-
-// decode parses an update message.
-func (r *Replica) decode(payload []byte) (clock.Timestamp, spec.Update, error) {
-	ts, off, err := clock.DecodeTimestamp(payload)
-	if err != nil {
-		return ts, nil, err
-	}
-	u, err := r.codec.DecodeUpdate(payload[off:])
-	if err != nil {
-		return ts, nil, err
-	}
-	return ts, u, nil
 }
 
 // Cluster builds n replicas sharing one transport, all with the same

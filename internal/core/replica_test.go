@@ -246,9 +246,12 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			u = spec.Del{V: v}
 		}
 		ts := clock.Timestamp{Clock: cl % 1000000, Proc: 0}
-		payload := r.appendMessage(nil, ts, u)
-		ts2, u2, err := r.decode(payload)
-		return err == nil && ts2 == ts && u2 == u
+		payload, err := r.wire.appendMessage(nil, ts, u)
+		if err != nil {
+			return false
+		}
+		e, err := r.wire.decodeMessage(payload)
+		return err == nil && e.TS == ts && e.U == u
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -264,7 +267,7 @@ func TestDecodeRejectsCorruptMessages(t *testing.T) {
 		{0x01, 0x00, 0x05}, // unknown set-update tag 0x05
 	}
 	for _, b := range bad {
-		if _, _, err := r.decode(b); err == nil {
+		if _, err := r.wire.decodeMessage(b); err == nil {
 			t.Fatalf("decode(%v) should fail", b)
 		}
 	}

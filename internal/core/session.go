@@ -7,13 +7,13 @@ import (
 	"updatec/internal/spec"
 )
 
-// Session provides per-client *session guarantees* on top of update
-// consistent replicas: read-your-writes and monotonic reads, preserved
-// across failover from one replica to another. Update consistency is a
-// convergence guarantee — it says nothing about which prefix of the
-// update stream a given replica has seen at a given moment, so a
-// client that switches replicas mid-session could observe a state
-// missing updates it already saw (or issued). A Session tracks, per
+// ShardedSession provides per-client *session guarantees* on top of
+// update consistent replicas: read-your-writes and monotonic reads,
+// preserved across failover from one replica to another. Update
+// consistency is a convergence guarantee — it says nothing about which
+// prefix of the update stream a given replica has seen at a given moment,
+// so a client that switches replicas mid-session could observe a state
+// missing updates it already saw (or issued). A session tracks, per
 // originating process, the highest update timestamp the client has
 // observed; a replica can serve the session only when its log covers
 // that vector.
@@ -27,63 +27,21 @@ import (
 // reports a stale replica instead, and the client chooses to retry,
 // switch replicas, or accept the stale read.
 //
-// A Session is a single client's state and is not safe for concurrent
-// use by multiple goroutines (the replicas it speaks to are).
-type Session struct {
-	r   *Replica
-	vec clock.Vector
-}
-
-// NewSession starts a session against the given replica.
-func NewSession(r *Replica) *Session {
-	return &Session{r: r, vec: clock.NewVector(r.n)}
-}
-
-// Replica returns the session's current replica.
-func (s *Session) Replica() *Replica { return s.r }
-
-// Switch fails the session over to another replica of the same
-// cluster. The next TryQuery succeeds only once the new replica has
-// caught up with everything this session observed.
-func (s *Session) Switch(r *Replica) { s.r = r }
-
-// Update issues an update through the session's replica and folds its
-// timestamp into the session vector (read-your-writes).
-func (s *Session) Update(u spec.Update) {
-	ts := s.r.UpdateTimestamped(u)
-	s.vec.Observe(ts)
-}
-
-// TryQuery evaluates the query if the replica covers the session's
-// observation vector; otherwise it returns ok = false without
-// blocking. On success the session vector absorbs the replica's
-// current coverage (monotonic reads). Covered queries ride the
-// replica's query-output cache under a single shared-lock acquisition
-// (see Replica.SessionQuery), so a session read of a settled replica
-// costs the same as a raw read.
-func (s *Session) TryQuery(in spec.QueryInput) (out spec.QueryOutput, ok bool) {
-	return s.r.SessionQuery(s.vec, in)
-}
-
-// Covered reports whether the session's current replica covers every
-// update the session has observed — i.e. whether TryQuery would
-// succeed right now. It does not advance the session vector.
-func (s *Session) Covered() bool { return s.r.Covers(s.vec) }
-
-// ShardedSession is the Session analogue for key-sharded replicas.
 // A ShardedReplica runs one Lamport clock and log per shard, so the
 // session tracks one observation vector per shard lane: an update is
 // recorded in the lane of the shard that owns its key, a keyed query
 // is checked against (and absorbs) only the owning shard's coverage,
 // and a whole-state query requires every lane to be covered before the
-// merged state is served.
+// merged state is served. At one shard that is one vector checked by one
+// Replica.SessionQuery — a covered read of a settled replica costs a raw
+// read.
 //
 // The guarantees compose per key exactly like the construction itself:
 // a covering replica's shard log contains everything the session
 // observed on that shard, so keyed reads are monotonic per key and
-// whole-state reads are monotonic overall. Like Session, a
-// ShardedSession is one client's state and is not safe for concurrent
-// use.
+// whole-state reads are monotonic overall. A ShardedSession is one
+// client's state and is not safe for concurrent use by multiple
+// goroutines (the replicas it speaks to are).
 //
 // A session's lanes are bound to the shard count it was opened at: a
 // lane's vector describes observations about one key range, and a

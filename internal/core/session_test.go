@@ -12,8 +12,8 @@ import (
 
 func TestSessionReadYourWrites(t *testing.T) {
 	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 1})
-	reps := Cluster(2, spec.Set(), net, ClusterOptions{})
-	sess := NewSession(reps[0])
+	reps := ShardedCluster(2, 1, spec.Set(), net, ClusterOptions{})
+	sess := NewShardedSession(reps[0])
 	sess.Update(spec.Ins{V: "mine"})
 	out, ok := sess.TryQuery(spec.Read{})
 	if !ok {
@@ -26,8 +26,8 @@ func TestSessionReadYourWrites(t *testing.T) {
 
 func TestSessionFailoverBlocksStaleReplica(t *testing.T) {
 	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 2})
-	reps := Cluster(2, spec.Set(), net, ClusterOptions{})
-	sess := NewSession(reps[0])
+	reps := ShardedCluster(2, 1, spec.Set(), net, ClusterOptions{})
+	sess := NewShardedSession(reps[0])
 	sess.Update(spec.Ins{V: "x"})
 	// Fail over before the broadcast reaches replica 1.
 	sess.Switch(reps[1])
@@ -46,7 +46,7 @@ func TestSessionFailoverBlocksStaleReplica(t *testing.T) {
 
 func TestSessionMonotonicReadsAcrossFailover(t *testing.T) {
 	net := transport.NewSim(transport.SimOptions{N: 3, Seed: 3})
-	reps := Cluster(3, spec.Set(), net, ClusterOptions{})
+	reps := ShardedCluster(3, 1, spec.Set(), net, ClusterOptions{})
 	// Replica 2 issues an update; only replica 0 receives it yet.
 	reps[2].Update(spec.Ins{V: "seen"})
 	for net.Pending() > 1 {
@@ -55,7 +55,7 @@ func TestSessionMonotonicReadsAcrossFailover(t *testing.T) {
 		}
 	}
 	// Find a replica that has the update and one that does not.
-	var fresh, stale *Replica
+	var fresh, stale *ShardedReplica
 	for _, r := range reps[:2] {
 		if r.StateKey() == "{seen}" {
 			fresh = r
@@ -66,7 +66,7 @@ func TestSessionMonotonicReadsAcrossFailover(t *testing.T) {
 	if fresh == nil || stale == nil {
 		t.Skip("delivery order did not split the replicas")
 	}
-	sess := NewSession(fresh)
+	sess := NewShardedSession(fresh)
 	if _, ok := sess.TryQuery(spec.Read{}); !ok {
 		t.Fatalf("fresh replica must serve")
 	}
@@ -85,8 +85,8 @@ func TestSessionWithCompactedReplica(t *testing.T) {
 	// Coverage must account for the compacted prefix: a replica whose
 	// log was GC'd still covers sessions that observed old updates.
 	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 4, FIFO: true})
-	reps := Cluster(2, spec.Set(), net, ClusterOptions{GC: true, GCEvery: 4})
-	sess := NewSession(reps[0])
+	reps := ShardedCluster(2, 1, spec.Set(), net, ClusterOptions{GC: true, GCEvery: 4})
+	sess := NewShardedSession(reps[0])
 	for k := 0; k < 30; k++ {
 		sess.Update(spec.Ins{V: fmt.Sprint(k % 3)})
 		net.StepN(3)
@@ -112,9 +112,9 @@ func TestQuickSessionNeverReadsBackwards(t *testing.T) {
 	f := func(seed int64) bool {
 		const n = 3
 		net := transport.NewSim(transport.SimOptions{N: n, Seed: seed})
-		reps := Cluster(n, spec.Counter(), net, ClusterOptions{})
+		reps := ShardedCluster(n, 1, spec.Counter(), net, ClusterOptions{})
 		rng := rand.New(rand.NewSource(seed))
-		sess := NewSession(reps[0])
+		sess := NewShardedSession(reps[0])
 		var prevCov []uint64
 		for step := 0; step < 40; step++ {
 			switch rng.Intn(4) {
@@ -128,7 +128,7 @@ func TestQuickSessionNeverReadsBackwards(t *testing.T) {
 				target := reps[rng.Intn(n)]
 				sess.Switch(target)
 				if _, ok := sess.TryQuery(spec.Read{}); ok {
-					cov := target.Coverage()
+					cov := target.Shard(0).Coverage()
 					for j := range prevCov {
 						if cov[j] < prevCov[j] {
 							return false
@@ -149,10 +149,10 @@ func TestSessionQueryRidesCache(t *testing.T) {
 	// A covered session read of a settled replica must be served by the
 	// query-output cache (no state walk) and allocate nothing.
 	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 9})
-	reps := Cluster(2, spec.Set(), net, ClusterOptions{
+	reps := ShardedCluster(2, 1, spec.Set(), net, ClusterOptions{
 		NewEngine: func() Engine { return NewUndoEngine() },
 	})
-	sess := NewSession(reps[0])
+	sess := NewShardedSession(reps[0])
 	for k := 0; k < 50; k++ {
 		sess.Update(spec.Ins{V: fmt.Sprint(k % 9)})
 	}

@@ -262,8 +262,8 @@ func (c epochChannel) Broadcast(from int, payload []byte) {
 // if sender and receiver reached that count through different resize
 // histories. A cross-epoch delivery (the sender's table differs from
 // ours: an in-flight message from before a resize, or from a sender
-// that resized first) is decoded and landed, original timestamp
-// intact, in the shard that owns its key under the *current* table —
+// that resized first) is decoded and each update landed, original
+// timestamp intact, in the shard that owns its key under the *current* table —
 // exactly where a local move would have put it, so every update ends
 // up in the owning shard exactly once whatever the interleaving of
 // resizes and deliveries.
@@ -280,47 +280,32 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		g.shards[shard].handle(from, payload)
 		return
 	}
+	// Decode with the codec every shard shares — a run from a lock-free
+	// sender, one message otherwise — before any shard is touched.
+	wire := g.shards[0].wire
+	var entries []Entry
+	var err error
 	if r.lockfree {
-		// Lock-free shards broadcast batch frames: land each message of
-		// the cross-epoch frame in the shard owning its key.
-		f, err := openBatchFrame(payload)
-		if err != nil {
-			panic(fmt.Sprintf("core: replica %d: corrupt cross-epoch batch: %v", r.id, err))
-		}
-		for i := uint64(0); i < f.count; i++ {
-			msg, err := f.next()
-			if err != nil {
-				panic(fmt.Sprintf("core: replica %d: corrupt cross-epoch batch: %v", r.id, err))
-			}
-			r.absorbCrossEpoch(g, msg)
-		}
-		return
+		entries, err = wire.decodeRun(payload)
+	} else {
+		entries = make([]Entry, 1)
+		entries[0], err = wire.decodeMessage(payload)
 	}
-	r.absorbCrossEpoch(g, payload)
-}
-
-// absorbCrossEpoch decodes one cross-epoch message and lands it,
-// original timestamp intact, in the shard that owns its key under the
-// current table.
-func (r *ShardedReplica) absorbCrossEpoch(g *shardGen, payload []byte) {
-	ts, off, err := clock.DecodeTimestamp(payload)
 	if err != nil {
-		panic(fmt.Sprintf("core: replica %d: corrupt cross-epoch message: %v", r.id, err))
+		panic(g.shards[0].badPayload(from, err))
 	}
-	u, err := r.codec.DecodeUpdate(payload[off:])
-	if err != nil {
-		panic(fmt.Sprintf("core: replica %d: corrupt cross-epoch message: %v", r.id, err))
+	for _, e := range entries {
+		dst := 0
+		if r.part != nil && len(g.shards) > 1 {
+			dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
+		}
+		// Absorb, not handle: the entry keeps its timestamp but must not
+		// feed the stability tracker's peer observations — stamps from a
+		// different epoch's channel interleave non-monotonically with this
+		// shard's, so the FIFO argument behind direct observations does
+		// not apply (see Replica.Absorb).
+		g.shards[dst].Absorb(e.TS, e.U)
 	}
-	dst := 0
-	if r.part != nil && len(g.shards) > 1 {
-		dst = routeKey(r.part.UpdateKey(u), len(g.shards))
-	}
-	// Absorb, not handle: the entry keeps its timestamp but must not
-	// feed the stability tracker's peer observations — stamps from a
-	// different epoch's channel interleave non-monotonically with this
-	// shard's, so the FIFO argument behind direct observations does
-	// not apply (see Replica.Absorb).
-	g.shards[dst].Absorb(ts, u)
 }
 
 // FlushIntake folds and broadcasts every shard's announced lock-free

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -26,8 +25,7 @@ import (
 //	                  per-range count is unrecoverable)
 //	byte    hasBase  (1 when a base block follows)
 //	[ baseTS, uvarint len(baseState), baseState ]   when hasBase == 1
-//	uvarint entryCount
-//	entryCount × ( timestamp, uvarint opLen, op )
+//	the live entries, as one run (codec.go)
 //
 // Base presence is an explicit flag rather than baseLen > 0 exactly
 // because of seeded bases: base != nil with baseLen == 0 is a legal
@@ -36,25 +34,19 @@ import (
 // Encoding the base state requires the spec to implement
 // spec.StateCodec; uncompacted replicas need only the update codec.
 
-// Snapshot serializes the replica's replicated state.
+// Snapshot serializes the replica's replicated state. Like SyncReply it
+// holds only the read half of the lock, so the donor keeps serving.
 func (r *Replica) Snapshot() ([]byte, error) {
 	r.flushIntake()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var buf bytes.Buffer
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], r.clk.Now())
-	buf.Write(lenb[:n])
-
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	entries := r.log.Entries()
+	out := binary.AppendUvarint(make([]byte, 0, 32+len(entries)*16), r.clk.Now())
+	out = binary.AppendUvarint(out, uint64(r.log.TotalLen()-r.log.Len()))
 	base, baseTS := r.log.Base()
-	n = binary.PutUvarint(lenb[:], uint64(r.log.TotalLen()-r.log.Len()))
-	buf.Write(lenb[:n])
-	if base != nil {
-		buf.WriteByte(1)
+	if base == nil {
+		out = append(out, 0)
 	} else {
-		buf.WriteByte(0)
-	}
-	if base != nil {
 		sc, ok := r.adt.(spec.StateCodec)
 		if !ok {
 			return nil, fmt.Errorf("core: %s has a compacted log but no spec.StateCodec; cannot snapshot", r.adt.Name())
@@ -63,26 +55,11 @@ func (r *Replica) Snapshot() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: encoding base state: %w", err)
 		}
-		buf.Write(baseTS.Encode(nil))
-		n = binary.PutUvarint(lenb[:], uint64(len(stateBytes)))
-		buf.Write(lenb[:n])
-		buf.Write(stateBytes)
+		out = baseTS.Encode(append(out, 1))
+		out = binary.AppendUvarint(out, uint64(len(stateBytes)))
+		out = append(out, stateBytes...)
 	}
-
-	entries := r.log.Entries()
-	n = binary.PutUvarint(lenb[:], uint64(len(entries)))
-	buf.Write(lenb[:n])
-	for _, e := range entries {
-		op, err := r.codec.EncodeUpdate(e.U)
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding log entry: %w", err)
-		}
-		buf.Write(e.TS.Encode(nil))
-		n = binary.PutUvarint(lenb[:], uint64(len(op)))
-		buf.Write(lenb[:n])
-		buf.Write(op)
-	}
-	return buf.Bytes(), nil
+	return r.wire.appendRun(out, entries)
 }
 
 // snapshotData is a decoded Snapshot; parseSnapshot produces it for
@@ -141,29 +118,9 @@ func (r *Replica) parseSnapshot(snap []byte) (snapshotData, error) {
 		off += int(stateLen)
 		sd.base, sd.baseTS = base, baseTS
 	}
-	count, n := binary.Uvarint(snap[off:])
-	if n <= 0 {
-		return sd, fmt.Errorf("core: malformed snapshot entry count")
-	}
-	off += n
-	sd.entries = make([]Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		ts, m, err := clock.DecodeTimestamp(snap[off:])
-		if err != nil {
-			return sd, fmt.Errorf("core: malformed snapshot entry %d: %w", i, err)
-		}
-		off += m
-		opLen, m2 := binary.Uvarint(snap[off:])
-		if m2 <= 0 || uint64(len(snap)-off-m2) < opLen {
-			return sd, fmt.Errorf("core: truncated snapshot entry %d", i)
-		}
-		off += m2
-		u, err := r.codec.DecodeUpdate(snap[off : off+int(opLen)])
-		if err != nil {
-			return sd, fmt.Errorf("core: decoding snapshot entry %d: %w", i, err)
-		}
-		off += int(opLen)
-		sd.entries = append(sd.entries, Entry{TS: ts, U: u})
+	var err error
+	if sd.entries, err = r.wire.decodeRun(snap[off:]); err != nil {
+		return sd, fmt.Errorf("core: snapshot entries: %w", err)
 	}
 	return sd, nil
 }
@@ -172,6 +129,9 @@ func (r *Replica) parseSnapshot(snap []byte) (snapshotData, error) {
 // observed yet). The replica's clock is lifted to the snapshot clock
 // so its future updates are ordered after everything it absorbed. A
 // replica that already holds state recovers with MergeSnapshot instead.
+// The restored base keeps the strict below-horizon guard, so a snapshot
+// that carries a live entry at or below its own base is refused as
+// malformed rather than landed.
 func (r *Replica) Restore(snap []byte) error {
 	sd, err := r.parseSnapshot(snap)
 	if err != nil {
@@ -183,17 +143,13 @@ func (r *Replica) Restore(snap []byte) error {
 		return fmt.Errorf("core: Restore requires a fresh replica (log has %d updates)", r.log.TotalLen())
 	}
 	if sd.base != nil {
-		r.log.RestoreBase(sd.base, sd.baseTS, sd.baseLen)
+		for _, e := range sd.entries {
+			if !sd.baseTS.Less(e.TS) {
+				return fmt.Errorf("core: snapshot holds live entry %s at or below its own base %s", e.TS, sd.baseTS)
+			}
+		}
 	}
-	for _, e := range sd.entries {
-		r.log.Insert(e)
-		r.observeOrigin(e.TS)
-	}
-	r.clk.Observe(sd.clock)
-	if r.stab != nil {
-		r.stab.ObserveSelf(sd.clock)
-	}
-	r.engine.Bind(r.adt, r.log)
+	r.installSnapshotLocked(sd, false)
 	return nil
 }
 

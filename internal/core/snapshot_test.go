@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"updatec/internal/clock"
 	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
@@ -64,17 +65,7 @@ func TestSnapshotClockOrdersFutureUpdates(t *testing.T) {
 }
 
 func TestSnapshotWithCompactedBase(t *testing.T) {
-	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 5, FIFO: true})
-	reps := Cluster(2, spec.Set(), net, ClusterOptions{GC: true, GCEvery: 4})
-	for k := 0; k < 40; k++ {
-		reps[k%2].Update(spec.Ins{V: fmt.Sprint(k % 5)})
-		net.StepN(3)
-	}
-	net.Quiesce()
-	reps[0].ForceCompact()
-	if reps[0].Stats().Compacted == 0 {
-		t.Fatalf("test needs a compacted donor")
-	}
+	reps := compactedDonor(t)
 	snap, err := reps[0].Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -126,36 +117,133 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
-// TestQuickSnapshotRoundTrip: donors at arbitrary points of arbitrary
-// runs produce snapshots whose restore matches the donor state key,
-// across all snapshot-capable types.
+// TestQuickSnapshotRoundTrip: for every registered type, donors at
+// arbitrary points of arbitrary runs produce snapshots whose Restore into
+// a fresh replica matches the donor's state key, and whose MergeSnapshot
+// into a peer that holds a different part of the run leaves that peer
+// with exactly the union of the two logs.
 func TestQuickSnapshotRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		net := transport.NewSim(transport.SimOptions{N: 2, Seed: seed})
-		reps := Cluster(2, spec.Set(), net, ClusterOptions{})
-		for k := 0; k < rng.Intn(20); k++ {
-			v := fmt.Sprint(rng.Intn(4))
-			if rng.Intn(2) == 0 {
-				reps[0].Update(spec.Ins{V: v})
-			} else {
-				reps[1].Update(spec.Del{V: v})
-			}
-			net.StepN(rng.Intn(3))
-		}
-		snap, err := reps[0].Snapshot()
+	for _, name := range spec.Names() {
+		adt, err := spec.ByName(name)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		net2 := transport.NewSim(transport.SimOptions{N: 2, Seed: seed + 1})
-		fresh := NewReplica(Config{ID: 1, N: 2, ADT: spec.Set(), Net: net2})
-		if err := fresh.Restore(snap); err != nil {
-			return false
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			net := transport.NewSim(transport.SimOptions{N: 2, Seed: seed})
+			reps := Cluster(2, adt, net, ClusterOptions{})
+			for k := 0; k < rng.Intn(20); k++ {
+				reps[rng.Intn(2)].Update(randomUpdateFor(adt, rng))
+				net.StepN(rng.Intn(3))
+			}
+			snap, err := reps[0].Snapshot()
+			if err != nil {
+				return false
+			}
+			net2 := transport.NewSim(transport.SimOptions{N: 2, Seed: seed + 1})
+			fresh := NewReplica(Config{ID: 1, N: 2, ADT: adt, Net: net2})
+			if err := fresh.Restore(snap); err != nil || fresh.StateKey() != reps[0].StateKey() {
+				return false
+			}
+			union := map[clock.Timestamp]bool{}
+			for _, r := range reps {
+				for _, e := range r.log.Entries() {
+					union[e.TS] = true
+				}
+			}
+			if _, err := reps[1].MergeSnapshot(snap); err != nil || reps[1].log.Len() != len(union) {
+				return false
+			}
+			// The originals still in flight arrive as duplicates.
+			net.Quiesce()
+			return reps[1].StateKey() == reps[0].StateKey()
 		}
-		return fresh.StateKey() == reps[0].StateKey()
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+}
+
+// compactedDonor is a settled two-replica set cluster under GC whose
+// replica 0 has folded part of its log into a base.
+func compactedDonor(t testing.TB) []*Replica {
+	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 5, FIFO: true})
+	reps := Cluster(2, spec.Set(), net, ClusterOptions{GC: true, GCEvery: 4})
+	for k := 0; k < 40; k++ {
+		reps[k%2].Update(spec.Ins{V: fmt.Sprint(k % 5)})
+		net.StepN(3)
+	}
+	net.Quiesce()
+	reps[0].ForceCompact()
+	if reps[0].Stats().Compacted == 0 {
+		t.Fatal("test needs a compacted donor")
+	}
+	return reps
+}
+
+// TestSnapshotBaseGuards: Restore and MergeSnapshot land through one
+// helper and differ in the guard the adopted base gets. A merged base
+// drops a later below-horizon arrival as the redelivery it is; a restored
+// base keeps the strict guard and panics; and a snapshot whose own live
+// entries sit at or below its base is refused by Restore with nothing
+// landed.
+func TestSnapshotBaseGuards(t *testing.T) {
+	donor := compactedDonor(t)[0]
+	snap, err := donor.Snapshot()
+	if err != nil {
 		t.Fatal(err)
+	}
+	stale, err := donor.wire.appendMessage(nil, clock.Timestamp{Clock: 1, Proc: 1}, spec.Ins{V: "late"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() *Replica {
+		return NewReplica(Config{ID: 1, N: 2, ADT: spec.Set(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 6})})
+	}
+
+	merged := mk()
+	merged.Update(spec.Ins{V: "held"})
+	if _, err := merged.MergeSnapshot(snap); err != nil || !merged.log.merged {
+		t.Fatalf("MergeSnapshot: %v, merged guard %v", err, merged.log.merged)
+	}
+	merged.handle(0, stale)
+	if got := merged.Stats().DupDropped; got != 1 {
+		t.Fatalf("below-horizon redelivery on a merged base: %d duplicate drops, want 1", got)
+	}
+
+	restored := mk()
+	if err := restored.Restore(snap); err != nil || restored.log.merged {
+		t.Fatalf("Restore: %v, merged guard %v", err, restored.log.merged)
+	}
+	if restored.StateKey() != donor.StateKey() || restored.Stats().SyncApplied != 0 {
+		t.Fatalf("restored %s (%d sync-applied), donor %s", restored.StateKey(), restored.Stats().SyncApplied, donor.StateKey())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a below-horizon arrival on a restored base must panic")
+			}
+		}()
+		restored.handle(0, stale)
+	}()
+
+	// The donor's snapshot with one more live entry, under its own base.
+	sd, err := donor.parseSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := donor.wire.appendRun(nil, sd.entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low := append([]Entry{{TS: clock.Timestamp{Clock: 1, Proc: 1}, U: spec.Ins{V: "low"}}}, sd.entries...)
+	bad, err := donor.wire.appendRun(snap[:len(snap)-len(run):len(snap)-len(run)], low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := mk()
+	if err := fresh.Restore(bad); err == nil || fresh.Stats().TotalOps != 0 {
+		t.Fatalf("Restore of a snapshot with a live entry under its base: %v, %d ops landed", err, fresh.Stats().TotalOps)
 	}
 }
 

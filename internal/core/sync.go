@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -20,9 +19,8 @@ import (
 //	payload := donor.SyncReply(digest)
 //	applied := r.ApplySync(payload)  — land the missing suffix
 //
-// or, end to end, r.SyncFrom(donor). The payload reuses the update
-// wire format (timestamp + spec codec bytes), and a reply lands as one
-// sorted merge into the log (Log.MergeSorted, linear in the reply plus
+// or, end to end, r.SyncFrom(donor). The payload is a run (codec.go),
+// and a reply lands as one sorted merge into the log (Log.MergeSorted, linear in the reply plus
 // the suffix it displaces) with the semantics of resharding's Absorb:
 // no broadcast, no stability peer-observation (the FIFO argument does
 // not hold for sync-transferred entries), duplicates dropped and
@@ -35,9 +33,9 @@ import (
 //
 // When the donor has compacted past the requester's horizon the
 // missing prefix no longer exists as entries; SyncReply reports
-// ErrCompacted and SyncFrom falls back to full state transfer,
-// merging the donor's Snapshot with the requester's surviving live
-// suffix (MergeSnapshot). Stability makes the fallback sound: the
+// ErrCompacted and the pull falls back to full state transfer (syncAnswer,
+// syncLand), merging the donor's Snapshot with the requester's surviving
+// live suffix (MergeSnapshot). Stability makes the fallback sound: the
 // donor's base folds every update at or below its horizon, and the
 // requester's own base — compacted at a strictly lower horizon, or it
 // would not have hit ErrCompacted — is a prefix of that.
@@ -191,20 +189,16 @@ func (r *Replica) Digest() Digest {
 }
 
 // SyncReply encodes the update suffix a peer with digest d is missing
-// from this replica's log. The reply is self-delimiting —
-//
-//	uvarint entryCount
-//	entryCount × ( uvarint frameLen, timestamp, op )
-//
-// — with each frame in the broadcast wire format, so ApplySync decodes
-// with the same codec as live traffic. A nil, nil reply means the peer
-// is missing nothing this donor can tell. Per origin the donor sends
-// what it holds above the highest rung of the peer's ladder at which its
-// own cumulative count and hash agree (see OriginDigest), and everything
-// above d.Base when no rung does — a superset of the missing set is
-// always correct, since the receiver deduplicates. ErrCompacted is
-// returned when this donor's own compaction horizon is above d.Base:
-// part of what the peer is missing exists here only folded into state.
+// from this replica's log, as one run (codec.go) — the format of live
+// lock-free traffic, so ApplySync decodes it with the same decoder. A nil,
+// nil reply means the peer is missing nothing this donor can tell. Per
+// origin the donor sends what it holds above the highest rung of the
+// peer's ladder at which its own cumulative count and hash agree (see
+// OriginDigest), and everything above d.Base when no rung does — a
+// superset of the missing set is always correct, since the receiver
+// deduplicates. ErrCompacted is returned when this donor's own compaction
+// horizon is above d.Base: part of what the peer is missing exists here
+// only folded into state.
 func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	r.flushIntake()
 	r.mu.RLock()
@@ -248,65 +242,18 @@ func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	// the broadcast hot path, so the buffer is local (r.enc needs the
 	// exclusive lock; holding only the read half keeps concurrent
 	// queries flowing on the donor).
-	var lenb [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, 16+total*16)
-	n := binary.PutUvarint(lenb[:], total)
-	out = append(out, lenb[:n]...)
-	scratch := make([]byte, 0, 64)
+	out := appendRunHeader(make([]byte, 0, 16+total*16), int(total))
 	for i := range entries {
 		ts := entries[i].TS
 		if ts.Clock <= d.Base || ts.Proc < 0 || ts.Proc >= r.n || ts.Clock <= cut[ts.Proc] {
 			continue
 		}
-		scratch = ts.Encode(scratch[:0])
-		if r.acodec != nil {
-			var err error
-			scratch, err = r.acodec.AppendUpdate(scratch, entries[i].U)
-			if err != nil {
-				return nil, fmt.Errorf("core: encoding sync entry %s: %w", ts, err)
-			}
-		} else {
-			op, err := r.codec.EncodeUpdate(entries[i].U)
-			if err != nil {
-				return nil, fmt.Errorf("core: encoding sync entry %s: %w", ts, err)
-			}
-			scratch = append(scratch, op...)
+		var err error
+		if out, err = r.wire.appendFramed(out, ts, entries[i].U); err != nil {
+			return nil, err
 		}
-		n = binary.PutUvarint(lenb[:], uint64(len(scratch)))
-		out = append(out, lenb[:n]...)
-		out = append(out, scratch...)
 	}
 	return out, nil
-}
-
-// decodeSyncReply parses a whole SyncReply payload, touching no replica
-// state: a reply is landed entirely or not at all.
-func (r *Replica) decodeSyncReply(payload []byte) ([]Entry, error) {
-	count, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return nil, fmt.Errorf("core: malformed sync reply count")
-	}
-	// A frame is at least a length byte and a two-byte timestamp, which
-	// bounds what a hostile count can make this allocate.
-	if count > uint64(len(payload))/3 {
-		return nil, fmt.Errorf("core: sync reply claims %d frames in %d bytes", count, len(payload))
-	}
-	batch := make([]Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		flen, m := binary.Uvarint(payload[off:])
-		if m <= 0 || uint64(len(payload)-off-m) < flen {
-			return nil, fmt.Errorf("core: truncated sync reply frame %d", i)
-		}
-		off += m
-		frame := payload[off : off+int(flen)]
-		off += int(flen)
-		ts, u, err := r.decode(frame)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding sync frame %d: %w", i, err)
-		}
-		batch = append(batch, Entry{TS: ts, U: u})
-	}
-	return batch, nil
 }
 
 // ApplySync lands a SyncReply payload. The whole payload is decoded and
@@ -321,9 +268,9 @@ func (r *Replica) ApplySync(payload []byte) (int, error) {
 	if len(payload) == 0 {
 		return 0, nil
 	}
-	batch, err := r.decodeSyncReply(payload)
+	batch, err := r.wire.decodeRun(payload)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: sync reply: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -336,7 +283,7 @@ func (r *Replica) ApplySync(payload []byte) (int, error) {
 }
 
 // MergeSnapshot merges a donor's Snapshot into a replica that already
-// holds state — the ErrCompacted fallback of SyncFrom, and the general
+// holds state — the ErrCompacted fallback of a pull, and the general
 // recovery move when a donor has GC'd past what a rejoining replica
 // missed. The donor's base replaces this replica's own (stability makes
 // it a superset: both bases fold downward-closed sets of delivered
@@ -352,6 +299,19 @@ func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	applied := r.installSnapshotLocked(sd, true)
+	r.syncApplied += uint64(applied)
+	return applied, nil
+}
+
+// installSnapshotLocked rebuilds the log as the union of what the replica
+// holds and a decoded snapshot — for Restore the replica holds nothing —
+// and returns how many of the snapshot's live entries were new. merged is
+// the guard an adopted snapshot base gets (Log.merged): true for
+// MergeSnapshot, whose later below-horizon arrivals are redeliveries of
+// folded updates, false for Restore, whose base stays strict. Caller holds
+// the exclusive lock.
+func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	old := r.log
 	nl := NewLog(r.adt)
 	nl.tieKey = old.tieKey
@@ -366,11 +326,9 @@ func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
 		nl.RestoreBase(sd.base, sd.baseTS, sd.baseLen)
 		// A seeded (post-resize merged-domain) receiver keeps the
 		// relaxed below-horizon guard: cross-epoch stragglers that
-		// collide with the merged horizon remain legal arrivals. The
-		// merged flag makes later below-horizon redeliveries (healed
-		// links draining their queues) duplicate drops, not panics.
+		// collide with the merged horizon remain legal arrivals.
 		nl.seeded = old.seeded
-		nl.merged = true
+		nl.merged = merged
 	} else if obase != nil {
 		nl.RestoreBase(obase, obaseTS, old.baseLen)
 		nl.seeded = old.seeded
@@ -396,8 +354,49 @@ func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
 		r.stab.ObserveSelf(r.clk.Now())
 	}
 	r.engine.Bind(r.adt, r.log)
-	r.syncApplied += uint64(applied)
-	return applied, nil
+	return applied
+}
+
+// The two halves of a pull. What travels between them is a mode and a
+// body: in process SyncFrom passes them as values, across a socket
+// WireSync frames them per shard.
+const (
+	syncNone     byte = 0 // the requester is missing nothing
+	syncEntries  byte = 1 // body is a SyncReply run
+	syncSnapshot byte = 2 // body is a Snapshot
+)
+
+// syncAnswer is the donor half: the entries a peer with digest d is
+// missing, or — when this donor has compacted past the peer's horizon and
+// they no longer exist as entries — its snapshot.
+func (r *Replica) syncAnswer(d Digest) (mode byte, body []byte, err error) {
+	body, err = r.SyncReply(d)
+	switch {
+	case errors.Is(err, ErrCompacted):
+		if body, err = r.Snapshot(); err != nil {
+			return 0, nil, fmt.Errorf("core: sync snapshot fallback: %w", err)
+		}
+		return syncSnapshot, body, nil
+	case err != nil:
+		return 0, nil, err
+	case body == nil:
+		return syncNone, nil, nil
+	}
+	return syncEntries, body, nil
+}
+
+// syncLand is the requester half: land what a donor's syncAnswer produced,
+// reporting how many entries were new here.
+func (r *Replica) syncLand(mode byte, body []byte) (int, error) {
+	switch mode {
+	case syncNone:
+		return 0, nil
+	case syncEntries:
+		return r.ApplySync(body)
+	case syncSnapshot:
+		return r.MergeSnapshot(body)
+	}
+	return 0, fmt.Errorf("core: unknown sync mode %d", mode)
 }
 
 // SyncFrom runs one complete anti-entropy pull from donor: digest,
@@ -409,18 +408,11 @@ func (r *Replica) SyncFrom(donor *Replica) (int, error) {
 	if donor == r {
 		return 0, nil
 	}
-	payload, err := donor.SyncReply(r.Digest())
-	if errors.Is(err, ErrCompacted) {
-		snap, serr := donor.Snapshot()
-		if serr != nil {
-			return 0, fmt.Errorf("core: sync snapshot fallback: %w", serr)
-		}
-		return r.MergeSnapshot(snap)
-	}
+	mode, body, err := donor.syncAnswer(r.Digest())
 	if err != nil {
 		return 0, err
 	}
-	return r.ApplySync(payload)
+	return r.syncLand(mode, body)
 }
 
 // SyncFrom pulls every shard's missing suffix from the corresponding

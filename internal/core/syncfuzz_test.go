@@ -124,3 +124,55 @@ func FuzzWireDigest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSnapshot feeds arbitrary bytes to both ways a snapshot lands —
+// Restore on a fresh replica, MergeSnapshot on one that holds state — for
+// a spec that can decode a base state and one that cannot. Neither may
+// panic; a snapshot either refuses must leave the replica as it was; one
+// it accepts must leave a log in order whose state can be derived.
+func FuzzSnapshot(f *testing.F) {
+	f.Add(append([]byte{0x04, 0x00, 0x00}, goldenRun(f)...))
+	compacted, err := compactedDonor(f)[0].Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compacted)
+	f.Add(compacted[:len(compacted)/2])
+	f.Add([]byte{})
+	f.Add([]byte{0x05, 0x00, 0x02})
+	f.Add([]byte{0x05, 0x03, 0x01, 0x09, 0x00, 0x00, 0x01, 0x03, 0x02, 0x00, 0x49}) // live entry under its own base
+	f.Add([]byte{0x01, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	// noState hides every optional capability of the set spec, StateCodec
+	// included; the update codec is configured beside it.
+	type noState struct{ spec.UQADT }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, adt := range []spec.UQADT{spec.Set(), noState{spec.Set()}} {
+			mk := func() *Replica {
+				return NewReplica(Config{ID: 1, N: 2, ADT: adt, Codec: spec.Set(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})})
+			}
+			check := func(name string, r *Replica, land func() error) {
+				key, ver, stats := r.StateKey(), r.Version(), r.Stats()
+				if err := land(); err != nil {
+					if r.StateKey() != key || r.Version() != ver || r.Stats() != stats {
+						t.Fatalf("%s on %s: a refused snapshot changed the replica: %v", name, adt.Name(), err)
+					}
+					return
+				}
+				entries := r.log.Entries()
+				for i := 1; i < len(entries); i++ {
+					if !r.log.less(entries[i-1], entries[i]) {
+						t.Fatalf("%s: log out of order at %d: %s then %s", name, i, entries[i-1].TS, entries[i].TS)
+					}
+				}
+				r.StateKey()
+			}
+			fresh, held := mk(), mk()
+			for i := 0; i < 6; i++ {
+				held.Update(spec.Ins{V: fmt.Sprint(i % 4)})
+			}
+			check("Restore", fresh, func() error { return fresh.Restore(data) })
+			check("MergeSnapshot", held, func() error { _, err := held.MergeSnapshot(data); return err })
+		}
+	})
+}

@@ -30,23 +30,17 @@ import (
 //	uvarint shardCount
 //	shardCount × ( byte mode, mode≠0 → uvarint len + body )
 //
-// where mode 1 carries a Replica.SyncReply entry suffix and mode 2 a
-// full Replica.Snapshot — the per-shard ErrCompacted fallback, taken
-// exactly when the donor shard has compacted past the requester's
-// horizon, mirroring SyncFrom's in-process fallback. Mode 0 means the
-// requester's shard is missing nothing.
+// where mode and body are exactly what the donor shard's syncAnswer
+// produced and the requester shard's syncLand consumes (sync.go): 1
+// carries a Replica.SyncReply entry run and 2 a full Replica.Snapshot —
+// the per-shard fallback when the donor shard has compacted past the
+// requester's horizon. Mode 0 means the requester's shard is missing
+// nothing.
 //
 // Both sides refuse mismatched shard counts, like
 // ShardedReplica.SyncFrom: wire clusters do not resize live (the TCP
 // transport has no cross-process drain barrier), so a mismatch means
 // misconfiguration, not a transient.
-
-// Reply modes.
-const (
-	wireSyncNone     byte = 0
-	wireSyncEntries  byte = 1
-	wireSyncSnapshot byte = 2
-)
 
 // WireSync adapts a ShardedReplica to the transport's byte-level sync
 // exchange. It is stateless beyond the replica pointer and safe for
@@ -147,22 +141,15 @@ func (w *WireSync) SyncReply(digest []byte) ([]byte, error) {
 	out := binary.AppendUvarint(nil, uint64(len(gen.shards)))
 	empty := true
 	for s, sh := range gen.shards {
-		body, err := sh.SyncReply(ds[s])
-		mode := wireSyncEntries
-		if errors.Is(err, ErrCompacted) {
-			if body, err = sh.Snapshot(); err != nil {
-				return nil, fmt.Errorf("core: shard %d snapshot fallback: %w", s, err)
-			}
-			mode = wireSyncSnapshot
-		} else if err != nil {
+		mode, body, err := sh.syncAnswer(ds[s])
+		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", s, err)
 		}
-		if body == nil && mode == wireSyncEntries {
-			out = append(out, wireSyncNone)
+		out = append(out, mode)
+		if mode == syncNone {
 			continue
 		}
 		empty = false
-		out = append(out, mode)
 		out = binary.AppendUvarint(out, uint64(len(body)))
 		out = append(out, body...)
 	}
@@ -189,7 +176,7 @@ func (w *WireSync) ApplySync(payload []byte) error {
 		}
 		mode := p[0]
 		p = p[1:]
-		if mode == wireSyncNone {
+		if mode == syncNone {
 			continue
 		}
 		blen, m := binary.Uvarint(p)
@@ -198,17 +185,8 @@ func (w *WireSync) ApplySync(payload []byte) error {
 		}
 		body := p[m : m+int(blen)]
 		p = p[m+int(blen):]
-		switch mode {
-		case wireSyncEntries:
-			if _, err := sh.ApplySync(body); err != nil {
-				return fmt.Errorf("core: shard %d: %w", s, err)
-			}
-		case wireSyncSnapshot:
-			if _, err := sh.MergeSnapshot(body); err != nil {
-				return fmt.Errorf("core: shard %d: %w", s, err)
-			}
-		default:
-			return fmt.Errorf("core: unknown wire sync mode %d at shard %d", mode, s)
+		if _, err := sh.syncLand(mode, body); err != nil {
+			return fmt.Errorf("core: shard %d: %w", s, err)
 		}
 	}
 	return nil

@@ -127,7 +127,7 @@ func TestWireSyncMalformedPayloads(t *testing.T) {
 		}
 	}
 	// A structurally valid header with a truncated body.
-	if err := w.ApplySync([]byte{2, wireSyncEntries, 200}); err == nil {
+	if err := w.ApplySync([]byte{2, syncEntries, 200}); err == nil {
 		t.Fatal("ApplySync accepted a reply with a truncated shard body")
 	}
 	if w.r.StateKey() != key {
@@ -167,7 +167,7 @@ func TestWireSyncSnapshotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reply) < 2 || reply[1] != wireSyncSnapshot {
+	if len(reply) < 2 || reply[1] != syncSnapshot {
 		t.Fatalf("compacted donor must answer with the snapshot mode, got %v", reply[:min(len(reply), 2)])
 	}
 	if err := requester.ApplySync(reply); err != nil {

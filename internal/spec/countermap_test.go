@@ -88,6 +88,19 @@ func TestCounterMapStateCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeStateBoundsHostileCount: the string-list decoder behind every
+// built-in StateCodec refuses a count its bytes cannot back instead of
+// allocating for it (found by core's FuzzSnapshot: a four-byte uvarint
+// count made a snapshot's base decode reserve gigabytes).
+func TestDecodeStateBoundsHostileCount(t *testing.T) {
+	hostile := []byte{0xae, 0xae, 0xae, 0x30, 0xae, 0xae, 0xae, 0xae, 0x90, 0x30, 0x30}
+	for _, sc := range []StateCodec{Set(), CounterMap(), Memory(""), Log(), Sequence(), Graph(), Queue(), Stack()} {
+		if s, err := sc.DecodeState(hostile); err == nil {
+			t.Fatalf("%T decoded a hostile count to %v", sc, s)
+		}
+	}
+}
+
 // TestPartitionableContracts checks the Partitionable independence and
 // locality contracts on every partitionable built-in: updates to
 // distinct keys commute, and merging the per-key restrictions of a

@@ -39,6 +39,11 @@ func decodeStrings(b []byte) ([]string, int, error) {
 	if off <= 0 {
 		return nil, 0, fmt.Errorf("spec: malformed string list")
 	}
+	// Every string costs at least its length byte, which bounds what a
+	// hostile count can make this allocate.
+	if count > uint64(len(b)-off) {
+		return nil, 0, fmt.Errorf("spec: string list claims %d strings in %d bytes", count, len(b)-off)
+	}
 	out := make([]string, 0, count)
 	for i := uint64(0); i < count; i++ {
 		l, n := binary.Uvarint(b[off:])

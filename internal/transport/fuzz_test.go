@@ -65,3 +65,34 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHello feeds arbitrary bytes to the hello parser — the first thing
+// a daemon reads from any connection, before it knows who is speaking. It
+// must never panic; a hello it accepts names a known role, a bounded
+// cluster size and a bounded object name, and survives a re-encode.
+func FuzzHello(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte(WireMagic))
+	f.Add(helloPayload(RolePeer, 3, "set"))
+	f.Add(helloPayload(RoleClient, 0, ""))
+	f.Add(helloPayload(RolePeer, 3, "set")[:len(WireMagic)+2]) // pre-name hello
+	f.Add(append(helloPayload(RolePeer, 3, ""), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	f.Add(append([]byte(WireMagic), 0x07, 0x03))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		role, n, name, err := parseHello(data)
+		if err != nil {
+			if role != 0 || n != 0 || name != "" {
+				t.Fatalf("a refused hello returned role=%d n=%d name=%q", role, n, name)
+			}
+			return
+		}
+		if role != RolePeer && role != RoleClient || n < 0 || n > 1<<20 || len(name) > 1<<10 {
+			t.Fatalf("accepted role=%d n=%d name of %d bytes", role, n, len(name))
+		}
+		r2, n2, name2, err := parseHello(helloPayload(role, n, name))
+		if err != nil || r2 != role || n2 != n || name2 != name {
+			t.Fatalf("re-encoded hello parses to %d/%d/%q, %v; want %d/%d/%q", r2, n2, name2, err, role, n, name)
+		}
+	})
+}

@@ -526,9 +526,10 @@ func (t *TCPNetwork) forget(conn net.Conn) {
 
 // serveConn reads one inbound connection: a hello classifies it as a
 // peer receive link or a client, then frames are dispatched until the
-// stream ends or turns malformed. A bad frame closes the connection
-// (and is counted) without disturbing the rest of the daemon — the
-// remote side redials if it was a real peer.
+// stream ends or turns malformed. A bad frame — one that does not parse,
+// or a data payload the replica cannot decode — closes the connection (and
+// is counted) without disturbing the rest of the daemon; the remote side
+// redials if it was a real peer.
 func (t *TCPNetwork) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -607,34 +608,51 @@ func (t *TCPNetwork) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		t.handleFrame(from, f)
+		if err := t.handleFrame(from, f); err != nil {
+			t.badFrames.Add(1)
+			t.logf("peer %d: dropping receive link: %v", from, err)
+			return
+		}
 	}
 }
 
-// handleFrame dispatches one inbound peer frame.
-func (t *TCPNetwork) handleFrame(from int, f Frame) {
+// handleFrame dispatches one inbound peer frame. The error is a data
+// payload the replica could not decode (BadPayload): nothing of it was
+// landed, and the caller drops the link — the peer redials and the digest
+// exchange on connect repairs whatever the frame stood for. Any other
+// panic out of the handler is an invariant violation and keeps going.
+func (t *TCPNetwork) handleFrame(from int, f Frame) (err error) {
 	switch f.Kind {
 	case KindData:
 		if f.From < 0 || f.From >= t.n {
 			t.badFrames.Add(1)
-			return
+			return nil
 		}
-		t.delivered.Add(1)
+		defer func() {
+			if v := recover(); v != nil {
+				bad, ok := v.(BadPayload)
+				if !ok {
+					panic(v)
+				}
+				err = bad
+			}
+		}()
 		t.deliver(f.From, f.Shard, f.Epoch, f.Payload)
+		t.delivered.Add(1)
 	case KindDigest:
 		t.mu.Lock()
 		prov := t.provider
 		t.mu.Unlock()
 		if prov == nil {
-			return
+			return nil
 		}
 		reply, err := prov.SyncReply(f.Payload)
 		if err != nil {
 			t.logf("sync reply for peer %d: %v", from, err)
-			return
+			return nil
 		}
 		if reply == nil {
-			return
+			return nil
 		}
 		if p := t.peers[from]; p != nil {
 			p.mb.push(envelope{kind: KindSyncReply, from: t.opts.ID, to: from, payload: reply}, true)
@@ -644,17 +662,18 @@ func (t *TCPNetwork) handleFrame(from int, f Frame) {
 		prov := t.provider
 		t.mu.Unlock()
 		if prov == nil {
-			return
+			return nil
 		}
 		if err := prov.ApplySync(f.Payload); err != nil {
 			t.logf("applying sync from peer %d: %v", from, err)
-			return
+			return nil
 		}
 		t.syncsApplied.Add(1)
 	default:
 		// Unknown peer frame kinds are skipped, not fatal: the framing
 		// is self-delimiting, so newer peers can add kinds.
 	}
+	return nil
 }
 
 // Flush blocks until every peer's outbound queue has drained to the

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -368,6 +369,43 @@ func TestTCPRejectsGarbageWithoutDying(t *testing.T) {
 	waitUntil(t, 5*time.Second, "post-garbage delivery", func() bool {
 		return sinks[0].has("1/0/0:still-alive")
 	})
+}
+
+// TestHandleFrameRecoversBadPayloadOnly: a handler that rejects a data
+// payload with BadPayload costs its sender the link — handleFrame hands
+// the error to the receive loop — while any other panic out of a handler
+// (an invariant violation in the replica) is not swallowed.
+func TestHandleFrameRecoversBadPayloadOnly(t *testing.T) {
+	tn, err := NewTCP(TCPOptions{ID: 0, Peers: []string{"", "127.0.0.1:1"}, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	tn.AttachRouter(0, func(from, shard, epoch int, payload []byte) {
+		switch string(payload) {
+		case "corrupt":
+			panic(BadPayload{Err: errors.New("does not decode")})
+		case "below-horizon":
+			panic("core: update arrived below compaction horizon")
+		}
+	})
+	data := func(p string) Frame { return Frame{Kind: KindData, From: 1, Payload: []byte(p)} }
+	if err := tn.handleFrame(1, data("fine")); err != nil {
+		t.Fatalf("a payload the handler took returned %v", err)
+	}
+	var bad BadPayload
+	if err := tn.handleFrame(1, data("corrupt")); !errors.As(err, &bad) {
+		t.Fatalf("an undecodable payload returned %v, want the handler's BadPayload", err)
+	}
+	if got := tn.Stats().Delivered; got != 1 {
+		t.Fatalf("%d payloads counted delivered, want the one the handler took", got)
+	}
+	defer func() {
+		if v := recover(); v != "core: update arrived below compaction horizon" {
+			t.Fatalf("an invariant panic came out as %v", v)
+		}
+	}()
+	tn.handleFrame(1, data("below-horizon"))
 }
 
 func TestTCPWrongClusterSizeRejected(t *testing.T) {

@@ -41,6 +41,16 @@ import (
 // invoked serially per process.
 type Handler func(from int, payload []byte)
 
+// BadPayload is the value a Handler or EpochHandler panics with when a
+// delivered payload does not decode. On the in-process networks the bytes
+// were written by this program, so the panic stands: it is a bug. On
+// TCPNetwork they came off a socket, and the receive loop recovers this
+// type — and nothing else — to drop the link as it does for any bad frame.
+// A handler raises it before it has landed any part of the payload.
+type BadPayload struct{ Err error }
+
+func (e BadPayload) Error() string { return e.Err.Error() }
+
 // Network is the broadcast interface replicas are written against.
 type Network interface {
 	// Attach registers the handler for process id. It must be called

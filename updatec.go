@@ -248,20 +248,16 @@ type Cluster[H any] struct {
 	closed  bool
 }
 
-// NetworkStats summarizes transport traffic.
-type NetworkStats struct {
-	// Broadcasts counts application-level broadcasts (one per update).
-	Broadcasts uint64
-	// Sends and Bytes count point-to-point transmissions and payload
-	// bytes.
-	Sends, Bytes uint64
-	// DroppedCrash and DroppedLink attribute message loss: envelopes
-	// lost to crashed receivers (in flight when the crash hit, or sent
-	// while the process stayed down) versus losses injected by per-link
-	// faults (FaultLink). Partitions drop nothing — cut messages stay
-	// queued until Heal.
-	DroppedCrash, DroppedLink uint64
-}
+// NetworkStats summarizes transport traffic: Broadcasts counts
+// application-level broadcasts (one per update), Sends and Bytes
+// point-to-point transmissions and payload bytes. DroppedCrash and
+// DroppedLink attribute message loss: envelopes lost to crashed receivers
+// (in flight when the crash hit, or sent while the process stayed down)
+// versus losses injected by per-link faults (FaultLink) or, on a wire
+// node, discarded while a peer link was down. Partitions drop nothing —
+// cut messages stay queued until Heal. DroppedFull and Reconnects stay
+// zero off the wire.
+type NetworkStats = transport.Stats
 
 // New builds n replicas of the object described by obj and returns the
 // cluster together with one typed handle per replica. It is the single
@@ -872,16 +868,10 @@ func (c *Cluster[H]) Close() {
 
 // Stats returns transport traffic counters.
 func (c *Cluster[H]) Stats() NetworkStats {
-	var s transport.Stats
 	if c.sim != nil {
-		s = c.sim.Stats()
-	} else {
-		s = c.live.Stats()
+		return c.sim.Stats()
 	}
-	return NetworkStats{
-		Broadcasts: s.Broadcasts, Sends: s.Sends, Bytes: s.Bytes,
-		DroppedCrash: s.DroppedCrash, DroppedLink: s.DroppedLink,
-	}
+	return c.live.Stats()
 }
 
 // Converged reports whether all surviving (non-crashed) replicas

@@ -52,32 +52,20 @@ type WireConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// WirePeerStats describes one peer link of a daemon.
-type WirePeerStats struct {
-	Peer        int
-	Addr        string
-	Connected   bool
-	QueueDepth  int
-	QueueBytes  int
-	Connects    uint64
-	SentFrames  uint64
-	SentBytes   uint64
-	DroppedFull uint64
-	DroppedDown uint64
-}
+// WirePeerStats describes one peer link of a daemon: queue depth and
+// connection churn.
+type WirePeerStats = transport.PeerStats
 
-// WireStats is a daemon's observability snapshot.
+// WireStats is a daemon's observability snapshot. In the embedded
+// counters DroppedLink counts envelopes discarded while a peer link was
+// down (repaired by the reconnect digest exchange), DroppedFull
+// bounded-queue rejections under the DropOnFull policy and Reconnects
+// peer link re-establishments.
 type WireStats struct {
 	NetworkStats
-	// DroppedLink counts envelopes discarded while a peer link was down
-	// (repaired by the reconnect digest exchange); DroppedFull counts
-	// bounded-queue rejections under the DropOnFull policy; Reconnects
-	// counts peer link re-establishments; BadFrames counts malformed
-	// frames and connections rejected.
-	DroppedLink uint64
-	DroppedFull uint64
-	Reconnects  uint64
-	BadFrames   uint64
+	// BadFrames counts malformed frames, undecodable data payloads and
+	// connections rejected.
+	BadFrames uint64
 	// DigestsSent and SyncsApplied count the sync-on-connect exchange.
 	DigestsSent  uint64
 	SyncsApplied uint64
@@ -173,26 +161,8 @@ func (w *WireNode[H]) SyncNow() { w.tcp.SyncNow() }
 
 // Stats snapshots the daemon's transport counters.
 func (w *WireNode[H]) Stats() WireStats {
-	s := w.tcp.Stats()
-	ws := WireStats{
-		NetworkStats: NetworkStats{
-			Broadcasts: s.Broadcasts, Sends: s.Sends, Bytes: s.Bytes,
-			DroppedCrash: s.DroppedCrash, DroppedLink: s.DroppedLink,
-		},
-		DroppedLink: s.DroppedLink,
-		DroppedFull: s.DroppedFull,
-		Reconnects:  s.Reconnects,
-		BadFrames:   w.tcp.BadFrames(),
-	}
+	ws := WireStats{NetworkStats: w.tcp.Stats(), BadFrames: w.tcp.BadFrames(), Peers: w.tcp.PeerStats()}
 	ws.DigestsSent, ws.SyncsApplied = w.tcp.SyncExchanges()
-	for _, p := range w.tcp.PeerStats() {
-		ws.Peers = append(ws.Peers, WirePeerStats{
-			Peer: p.Peer, Addr: p.Addr, Connected: p.Connected,
-			QueueDepth: p.QueueDepth, QueueBytes: p.QueueBytes,
-			Connects: p.Connects, SentFrames: p.SentFrames, SentBytes: p.SentBytes,
-			DroppedFull: p.DroppedFull, DroppedDown: p.DroppedDown,
-		})
-	}
 	return ws
 }
 

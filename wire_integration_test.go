@@ -2,6 +2,7 @@ package updatec
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"updatec/internal/transport"
 )
 
 // Loopback integration suite for the wire transport: in-process
@@ -324,6 +327,75 @@ func TestWireRejectsGarbage(t *testing.T) {
 	c.Handle().Insert("still-alive")
 	if !c.Handle().Contains("still-alive") {
 		t.Fatal("daemon stopped serving after garbage connections")
+	}
+}
+
+// TestWireHostilePeerPayload: a connection that speaks a valid peer hello
+// and then sends a data frame whose payload does not decode — a lone
+// 0xff, a truncated timestamp, a timestamp followed by op bytes the set
+// codec does not know — costs that connection and nothing else. Each
+// payload goes once to the tagged shard's handler (the frame's epoch is
+// the node's shard count) and once through the router's cross-epoch
+// branch: every connection is counted as one bad frame and closed by the
+// daemon, nothing lands, and a client still inserts and reads. At the
+// parent commit the first of these frames killed the process.
+func TestWireHostilePeerPayload(t *testing.T) {
+	addrs := wireAddrs(t, 2)
+	var logged strings.Builder
+	var logMu sync.Mutex
+	node, err := ListenAndServe(SetObject(), WireConfig{ID: 0, Peers: addrs, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	hello := transport.AppendFrame(nil, transport.Frame{
+		Kind: transport.KindHello, From: 1,
+		Payload: append([]byte(transport.WireMagic), transport.RolePeer, 2),
+	})
+	empty, sent := node.StateKey(), 0
+	for _, payload := range [][]byte{{0xff}, {0x01}, {0x01, 0x01, 0x05, 0x05}} {
+		for _, epoch := range []int{node.rep.NumShards(), 0} {
+			before := node.Stats().BadFrames
+			conn, err := net.Dial("tcp", node.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.Write(hello)
+			conn.Write(transport.AppendFrame(nil, transport.Frame{Kind: transport.KindData, From: 1, Epoch: epoch, Payload: payload}))
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("payload %x epoch %d: the daemon kept the link (read: %v)", payload, epoch, err)
+			}
+			conn.Close()
+			sent++
+			if got := node.Stats().BadFrames; got != before+1 {
+				t.Fatalf("payload %x epoch %d: BadFrames %d -> %d, want one more", payload, epoch, before, got)
+			}
+		}
+	}
+	logMu.Lock()
+	dropped := strings.Count(logged.String(), "dropping receive link")
+	logMu.Unlock()
+	if dropped != sent {
+		t.Fatalf("%d of %d dropped links were logged:\n%s", dropped, sent, logged.String())
+	}
+	if key := node.StateKey(); key != empty {
+		t.Fatalf("hostile payloads landed state %s", key)
+	}
+
+	c, err := Dial(SetObject(), node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Handle().Insert("still-alive")
+	if !c.Handle().Contains("still-alive") {
+		t.Fatal("daemon stopped serving after hostile peer payloads")
 	}
 }
 

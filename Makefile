@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race verify examples bench bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-consistency test-wire test-ucperf fuzz
+.PHONY: build test vet fmt race stress verify examples bench bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-consistency test-wire test-ucperf fuzz
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,21 @@ fmt:
 
 # race runs every package's tests under the race detector — the whole
 # tree, not name patterns that stop matching when a test is renamed:
-# resharding, the chaos schedules, the parallel simulator, the lock-free
-# intake's oracle suites, the object kit and the wire suite all run here.
+# resharding, the chaos schedules, the parallel simulator, the
+# concurrent-writer suites (with and without GC), the object kit and the
+# wire suite all run here.
 race:
 	$(GO) test -race ./...
+
+# stress repeats the suites where a race or a send-order slip shows up
+# only sometimes — the wire cluster, concurrent writers on one handle
+# (with GC), per-origin stamp order at the transport, a lone update sent
+# without help — twenty times plain and three times under the race
+# detector (-short: three GC rounds instead of twenty, no multi-process
+# daemons). About 75 s on a 2-vCPU box.
+stress:
+	$(GO) test -count=20 -run 'Wire|Concurrent|StampOrder|SentWithoutHelp' . ./internal/core
+	$(GO) test -race -short -count=3 -run 'Wire|Concurrent|StampOrder|SentWithoutHelp' . ./internal/core
 
 # verify is the tier-1 gate plus the race run: one command for CI and
 # reviewers.
@@ -34,9 +45,9 @@ examples:
 		$(GO) run ./$$d >/dev/null; \
 	done
 
-# bench runs the full -benchmem suite. One comparison is worth running on
-# its own with repeats, now that no ucbench table records it: mutex vs
-# lock-free intake under contended in-process writers,
+# bench runs the full -benchmem suite. One benchmark is worth running on
+# its own with repeats, now that no ucbench table records it: contended
+# in-process writers on one handle,
 # `go test -run xxx -bench ContendedUpdate -benchmem -count 10 .`
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -83,7 +94,7 @@ test-ucperf:
 
 # fuzz runs a short coverage-guided pass over the byte-level decoders
 # that face the network: the wire-frame envelope codec and the hello, the
-# run decoder behind every batch frame, sync reply and snapshot suffix,
+# run decoder behind every sync reply and snapshot suffix,
 # the snapshot as a whole, and the two halves of the anti-entropy exchange
 # (a peer's digest, a donor's sync reply). The seed corpora also run under
 # plain `go test`.

@@ -768,69 +768,53 @@ func BenchmarkDeciders(b *testing.B) {
 }
 
 // BenchmarkContendedUpdate (E20): in-process writer contention on one
-// replica handle of a live 3-replica cluster, mutex engine vs the
-// lock-free intake (WithLockFreeWriters / core.Config.LockFree).
-// b.SetParallelism scales the writer goroutines per core; the reported
-// ns/op is the issue cost, with the final intake flush and transport
-// drain folded into the timed region so neither engine hides delivery
-// work past the stop.
+// replica handle of a live 3-replica cluster. b.SetParallelism scales the
+// writer goroutines per core; the reported ns/op is the issue cost, with
+// the final transport drain folded into the timed region so no delivery
+// work hides past the stop.
 func BenchmarkContendedUpdate(b *testing.B) {
-	for _, engine := range []string{"mutex", "lockfree"} {
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/parallelism=%d", engine, par), func(b *testing.B) {
-				net := transport.NewLive(3)
-				defer net.Close()
-				reps := core.Cluster(3, spec.Counter(), net, core.ClusterOptions{
-					LockFree: engine == "lockfree",
-				})
-				b.SetParallelism(par)
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						reps[0].Update(spec.Add{N: 1})
-					}
-				})
-				for _, r := range reps {
-					r.FlushIntake()
+	for _, par := range []int{1, 4} {
+		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
+			net := transport.NewLive(3)
+			defer net.Close()
+			reps := core.Cluster(3, spec.Counter(), net, core.ClusterOptions{})
+			b.SetParallelism(par)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					reps[0].Update(spec.Add{N: 1})
 				}
-				net.Drain()
 			})
-		}
+			net.Drain()
+		})
 	}
 }
 
 // BenchmarkShardedContendedUpdate (E20): the same contention shape on
-// a 4-shard counter map — writers hash across shard lanes, so the
-// lock-free intake contends per shard rather than per replica.
+// a 4-shard counter map — writers hash across shard lanes, so they
+// contend per shard rather than per replica.
 func BenchmarkShardedContendedUpdate(b *testing.B) {
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%02d", i)
 	}
-	for _, engine := range []string{"mutex", "lockfree"} {
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/parallelism=%d", engine, par), func(b *testing.B) {
-				net := transport.NewLiveSharded(3, 4)
-				defer net.Close()
-				reps := core.ShardedCluster(3, 4, spec.CounterMap(), net, core.ClusterOptions{
-					LockFree: engine == "lockfree",
-				})
-				var seq atomic.Uint64
-				b.SetParallelism(par)
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						k := seq.Add(1)
-						reps[0].Update(spec.AddKey{K: keys[k%uint64(len(keys))], N: 1})
-					}
-				})
-				for _, r := range reps {
-					r.FlushIntake()
+	for _, par := range []int{1, 4} {
+		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
+			net := transport.NewLiveSharded(3, 4)
+			defer net.Close()
+			reps := core.ShardedCluster(3, 4, spec.CounterMap(), net, core.ClusterOptions{})
+			var seq atomic.Uint64
+			b.SetParallelism(par)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					k := seq.Add(1)
+					reps[0].Update(spec.AddKey{K: keys[k%uint64(len(keys))], N: 1})
 				}
-				net.Drain()
 			})
-		}
+			net.Drain()
+		})
 	}
 }

@@ -211,8 +211,8 @@ func TestQuickStabilityNeverExceedsTrueMin(t *testing.T) {
 }
 
 func TestAtomicLamportTickN(t *testing.T) {
-	// TickN reserves a contiguous stamp block: the lock-free drain
-	// stamps a whole batch with one clock operation. TickN(k) returns
+	// TickN reserves a contiguous stamp block: a batched writer stamps
+	// a whole batch with one clock operation. TickN(k) returns
 	// the highest stamp of the block [hi-k+1, hi], and the block never
 	// overlaps a concurrent Tick or TickN.
 	var l AtomicLamport

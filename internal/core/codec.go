@@ -17,11 +17,11 @@ import (
 //	          and a timestamp composed of two integer values, that only
 //	          grow logarithmically with the number of processes and the
 //	          number of operations" (§VII-C), measured by
-//	          BenchmarkMessageOverhead. The default write path broadcasts
-//	          one bare message per update.
+//	          BenchmarkMessageOverhead. The write path broadcasts one bare
+//	          message per update.
 //	run       uvarint count, then count × ( uvarint length, message ).
-//	          A lock-free drain's batch frame, an anti-entropy reply and a
-//	          snapshot's live suffix are each one run.
+//	          An anti-entropy reply and a snapshot's live suffix are each
+//	          one run.
 //
 // The append side stages into a caller-owned buffer and uses the spec's
 // AppendCodec when it has one. The decode side parses a whole message or

@@ -16,7 +16,8 @@ import (
 // goldenScript is four set updates — one long enough that its message
 // needs a two-byte length prefix, one with an empty value — and goldenRun
 // the run a replica with id 0 emitted for them at the commit before the
-// codec was unified (lock-free batch frame and SyncReply body alike).
+// codec was unified (as a SyncReply body, and as the batch frame of the
+// opt-in intake that has since been removed).
 var goldenScript = []spec.Update{spec.Ins{V: "a"}, spec.Del{V: "a"}, spec.Ins{V: strings.Repeat("x", 130)}, spec.Ins{V: ""}}
 
 func goldenRun(t testing.TB) []byte {
@@ -39,37 +40,27 @@ func (n *tapNet) Broadcast(from int, p []byte) {
 }
 
 // TestRunBytesMatchParent pins the wire formats this package may not
-// change: a default replica broadcasts bare messages, a lock-free drain
-// one run, a SyncReply body is that same run byte for byte, and a
-// snapshot is its header followed by it.
+// change: a replica broadcasts bare messages, a SyncReply body is the
+// golden run byte for byte, and a snapshot is its header followed by it.
 func TestRunBytesMatchParent(t *testing.T) {
 	want := goldenRun(t)
-	for _, lockfree := range []bool{false, true} {
-		tap := &tapNet{Network: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})}
-		r := NewReplica(Config{ID: 0, N: 2, ADT: spec.Set(), Net: tap, LockFree: lockfree})
-		for _, u := range goldenScript {
-			r.Update(u)
-		}
-		r.FlushIntake()
-		if lockfree {
-			if len(tap.sent) != 1 || !bytes.Equal(tap.sent[0], want) {
-				t.Fatalf("lock-free drain broadcast %x, want one run %x", tap.sent, want)
-			}
-		} else {
-			// The same messages, bare: the run minus count and length prefixes.
-			bare := [][]byte{want[2:6], want[7:11], want[13 : 13+133], want[len(want)-3:]}
-			if !slices.EqualFunc(tap.sent, bare, bytes.Equal) {
-				t.Fatalf("default path broadcast %x, want %x", tap.sent, bare)
-			}
-		}
-		reply, err := r.SyncReply(Digest{})
-		if err != nil || !bytes.Equal(reply, want) {
-			t.Fatalf("lockfree=%v: SyncReply = %x, %v; want %x", lockfree, reply, err, want)
-		}
-		snap, err := r.Snapshot()
-		if wantSnap := append([]byte{0x04, 0x00, 0x00}, want...); err != nil || !bytes.Equal(snap, wantSnap) {
-			t.Fatalf("lockfree=%v: Snapshot = %x, %v; want %x", lockfree, snap, err, wantSnap)
-		}
+	tap := &tapNet{Network: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})}
+	r := NewReplica(Config{ID: 0, N: 2, ADT: spec.Set(), Net: tap})
+	for _, u := range goldenScript {
+		r.Update(u)
+	}
+	// The same messages, bare: the run minus count and length prefixes.
+	bare := [][]byte{want[2:6], want[7:11], want[13 : 13+133], want[len(want)-3:]}
+	if !slices.EqualFunc(tap.sent, bare, bytes.Equal) {
+		t.Fatalf("broadcast %x, want %x", tap.sent, bare)
+	}
+	reply, err := r.SyncReply(Digest{})
+	if err != nil || !bytes.Equal(reply, want) {
+		t.Fatalf("SyncReply = %x, %v; want %x", reply, err, want)
+	}
+	snap, err := r.Snapshot()
+	if wantSnap := append([]byte{0x04, 0x00, 0x00}, want...); err != nil || !bytes.Equal(snap, wantSnap) {
+		t.Fatalf("Snapshot = %x, %v; want %x", snap, err, wantSnap)
 	}
 }
 
@@ -114,10 +105,10 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 }
 
 // FuzzBatchFrame drives the run decoder — the one parser behind every
-// lock-free delivery, cross-epoch re-route, sync reply and snapshot suffix
-// — with arbitrary bytes through a real spec codec. It must never panic
-// and never allocate for a count the bytes cannot back; what it accepts
-// must survive a re-encode and decode unchanged.
+// sync reply and snapshot suffix — with arbitrary bytes through a real
+// spec codec. It must never panic and never allocate for a count the
+// bytes cannot back; what it accepts must survive a re-encode and decode
+// unchanged.
 func FuzzBatchFrame(f *testing.F) {
 	golden := goldenRun(f)
 	f.Add(golden)
@@ -150,10 +141,10 @@ func FuzzBatchFrame(f *testing.F) {
 	})
 }
 
-// corruptPayloads are data payloads the set codec accepts neither as one
-// message nor as a run: a lone 0xff (an unterminated uvarint), a timestamp
-// cut after its clock, and a whole timestamp followed by op bytes the spec
-// does not know — bare, and as the one message of a run.
+// corruptPayloads are data payloads the set codec does not accept as a
+// message: a lone 0xff (an unterminated uvarint), a timestamp cut after
+// its clock, and a whole timestamp followed by op bytes the spec does not
+// know — bare, and wrapped as the one message of a run.
 var corruptPayloads = [][]byte{{0xff}, {0x01}, {0x01, 0x01, 0x05, 0x05}, {0x01, 0x03, 0x01, 0x01, 0x05}}
 
 // trapNet wraps the handlers process 0 attaches so a test can see what
@@ -180,9 +171,9 @@ func (n trapNet) AttachRouter(id int, h transport.EpochHandler) {
 
 // TestCorruptPayloadPanicsInProcess: on the simulated and the live
 // network a corrupt payload reaches the transport as a panic carrying
-// transport.BadPayload, through Replica.handle (both modes), the sharded
-// router's same-epoch dispatch and its cross-epoch branch; the replica
-// has landed nothing.
+// transport.BadPayload, through Replica.handle, the sharded router's
+// same-epoch dispatch and its cross-epoch branch; the replica has landed
+// nothing.
 func TestCorruptPayloadPanicsInProcess(t *testing.T) {
 	nets := map[string]func() (transport.ResizableNetwork, func()){
 		"sim": func() (transport.ResizableNetwork, func()) {
@@ -196,32 +187,30 @@ func TestCorruptPayloadPanicsInProcess(t *testing.T) {
 		},
 	}
 	for name, mk := range nets {
-		for _, lockfree := range []bool{false, true} {
-			for _, payload := range corruptPayloads {
-				check := func(path string, got chan any, ops func() int) {
-					t.Helper()
-					if _, ok := (<-got).(transport.BadPayload); !ok || ops() != 0 {
-						t.Fatalf("%s lockfree=%v %s %x: want a transport.BadPayload panic and nothing landed (holds %d)",
-							name, lockfree, path, payload, ops())
-					}
+		for _, payload := range corruptPayloads {
+			check := func(path string, got chan any, ops func() int) {
+				t.Helper()
+				if _, ok := (<-got).(transport.BadPayload); !ok || ops() != 0 {
+					t.Fatalf("%s %s %x: want a transport.BadPayload panic and nothing landed (holds %d)",
+						name, path, payload, ops())
 				}
-				net, settle := mk()
-				trap := trapNet{ResizableNetwork: net, got: make(chan any, 1)}
-				r := NewReplica(Config{ID: 0, N: 2, ADT: spec.Set(), Net: trap, LockFree: lockfree})
-				net.Attach(1, func(int, []byte) {})
-				net.Broadcast(1, payload)
-				settle()
-				check("handle", trap.got, func() int { return r.Stats().TotalOps })
+			}
+			net, settle := mk()
+			trap := trapNet{ResizableNetwork: net, got: make(chan any, 1)}
+			r := NewReplica(Config{ID: 0, N: 2, ADT: spec.Set(), Net: trap})
+			net.Attach(1, func(int, []byte) {})
+			net.Broadcast(1, payload)
+			settle()
+			check("handle", trap.got, func() int { return r.Stats().TotalOps })
 
-				net, settle = mk()
-				trap = trapNet{ResizableNetwork: net, got: make(chan any, 1)}
-				sr := NewShardedReplica(ShardedConfig{ID: 0, N: 2, Shards: 1, ADT: spec.Set(), Net: trap, LockFree: lockfree})
-				net.AttachRouter(1, func(int, int, int, []byte) {})
-				for _, epoch := range []int{1, 7} {
-					net.BroadcastShardEpoch(1, 0, epoch, payload)
-					settle()
-					check("route", trap.got, func() int { return sr.Stats().TotalOps })
-				}
+			net, settle = mk()
+			trap = trapNet{ResizableNetwork: net, got: make(chan any, 1)}
+			sr := NewShardedReplica(ShardedConfig{ID: 0, N: 2, Shards: 1, ADT: spec.Set(), Net: trap})
+			net.AttachRouter(1, func(int, int, int, []byte) {})
+			for _, epoch := range []int{1, 7} {
+				net.BroadcastShardEpoch(1, 0, epoch, payload)
+				settle()
+				check("route", trap.got, func() int { return sr.Stats().TotalOps })
 			}
 		}
 	}

@@ -25,8 +25,8 @@ import (
 // waits for the network — so the implementation is wait-free and
 // tolerates any number of crashes (Proposition 4). The paper's sender
 // receives its own broadcast instantaneously; here the step that stamps
-// an update performs that receive itself (issueLocked), and the copy the
-// transport hands back is dropped (handle).
+// an update performs that receive itself (UpdateTimestamped), and the
+// copy the transport hands back is dropped (handle).
 //
 // A Replica is safe for concurrent use. Mutating steps (update
 // issuance, delivery, compaction) hold the write half of an RW mutex,
@@ -34,7 +34,15 @@ import (
 // without touching engine-internal caches (Engine.StateConcurrent) run
 // under the read half, concurrently with each other. The logical clock
 // is atomic so those readers can still stamp their query events.
+// Writers additionally hold the writer token (sendMu) from the stamp
+// until their broadcast returns, so the replica sends in stamp order.
 type Replica struct {
+	// sendMu is the writer token: UpdateTimestamped holds it across
+	// stamp and broadcast, so concurrent writers hand the transport
+	// their stamps in the order they were issued — the per-origin FIFO
+	// that stability-based compaction relies on (tailLocked). Lock
+	// order is sendMu → mu; nothing else takes sendMu.
+	sendMu  sync.Mutex
 	mu      sync.RWMutex
 	id      int
 	n       int
@@ -77,9 +85,6 @@ type Replica struct {
 	// (spec.QueryKeyer); it enables the query-output cache below.
 	qkeyer spec.QueryKeyer
 	qc     queryCache
-	// lf is the lock-free intake (Config.LockFree); nil by default. See
-	// lockfree.go.
-	lf *lfIntake
 }
 
 // maxQueryCacheEntries bounds the per-replica query-output cache; when
@@ -167,13 +172,6 @@ type Config struct {
 	// Recorder, when set, records this replica's operations for the
 	// consistency deciders.
 	Recorder *history.Recorder
-	// LockFree puts the lock-free intake in front of the write step (see
-	// lockfree.go): local appends become a fetch-add claim plus an
-	// atomic publish, and whichever writer holds the drain token runs
-	// the step for every published update, in batches. Requires a
-	// transport that is safe for concurrent Broadcast calls (the live
-	// transport is; the simulated one is single-driver by design).
-	LockFree bool
 }
 
 // NewReplica builds the replica and attaches it to the transport.
@@ -207,9 +205,6 @@ func NewReplica(cfg Config) *Replica {
 		originMax: clock.NewVector(cfg.N),
 	}
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
-	if cfg.LockFree {
-		r.lf = newLFIntake()
-	}
 	if cfg.GC {
 		r.stab = clock.NewStability(cfg.N, cfg.ID)
 	}
@@ -227,21 +222,11 @@ func (r *Replica) ADT() spec.UQADT { return r.adt }
 // Update implements lines 4–7 of Algorithm 1: stamp the update with
 // (clock+1, id), insert it in the replica's own log and reliably
 // broadcast it (UpdateTimestamped, minus the returned stamp), so the
-// update is locally visible when Update returns — whatever the transport
-// does with the broadcast: an update issued while the process is crashed
-// still lands here, and anti-entropy spreads it after a recovery. With
-// the lock-free intake (Config.LockFree) Update announces and returns —
-// the same step runs later, batched, in a drain — and local visibility is
-// guaranteed at the next read instead, which flushes the intake first;
-// callers that need the step completed (and its timestamp) before
-// proceeding use UpdateTimestamped.
-func (r *Replica) Update(u spec.Update) {
-	if r.lf != nil {
-		r.updateLockFreeAsync(u)
-		return
-	}
-	r.UpdateTimestamped(u)
-}
+// update is locally visible and sent when Update returns — whatever the
+// transport does with the broadcast: an update issued while the process
+// is crashed still lands here, and anti-entropy spreads it after a
+// recovery.
+func (r *Replica) Update(u spec.Update) { r.UpdateTimestamped(u) }
 
 // Query implements lines 12–19 of Algorithm 1: advance the clock and
 // evaluate the query on the state derived from the sorted update list.
@@ -272,7 +257,6 @@ func (r *Replica) Query(in spec.QueryInput) spec.QueryOutput {
 // (cacheable) query share one lock acquisition, so a covered session
 // read costs a raw read.
 func (r *Replica) queryCovered(cover clock.Vector, in spec.QueryInput) (spec.QueryOutput, bool) {
-	r.flushIntake()
 	key, cacheable := spec.QueryCacheKey{}, false
 	if r.qkeyer != nil {
 		key, cacheable = r.qkeyer.QueryInputKey(in)
@@ -375,7 +359,6 @@ func (r *Replica) ReadState(f func(spec.State)) {
 // pair is consistent. The sharded merged-state cache keys each shard's
 // cached contribution on it.
 func (r *Replica) ReadStateAt(f func(s spec.State, ver uint64)) {
-	r.flushIntake()
 	r.mu.RLock()
 	if s, ok := r.engine.StateConcurrent(); ok {
 		f(s, r.log.Version())
@@ -393,7 +376,6 @@ func (r *Replica) ReadStateAt(f func(s spec.State, ver uint64)) {
 // log). Two equal Version results bracket a window with no log
 // mutation.
 func (r *Replica) Version() uint64 {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.log.Version()
@@ -403,7 +385,6 @@ func (r *Replica) Version() uint64 {
 // converged (ω) observation. The simulation harness calls it once per
 // replica after quiescence.
 func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
-	r.flushIntake()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.clk.Tick()
@@ -417,17 +398,12 @@ func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 // handle implements lines 8–11 of Algorithm 1 for a peer's broadcast.
 // A delivery from the replica itself — the transports hand every
 // broadcast back to its sender inline — carries nothing new: the update
-// was inserted by the step that stamped it (issueLocked), before the
-// broadcast went out. The payload is decoded completely before the lock is
-// taken; one that does not decode lands nothing and is raised as
+// was inserted by the step that stamped it (UpdateTimestamped), before
+// the broadcast went out. The payload is decoded completely before the
+// lock is taken; one that does not decode lands nothing and is raised as
 // transport.BadPayload.
 func (r *Replica) handle(from int, payload []byte) {
 	if from == r.id {
-		return
-	}
-	if r.lf != nil {
-		// Lock-free peers broadcast one run per drained batch.
-		r.handleBatch(from, payload)
 		return
 	}
 	e, err := r.wire.decodeMessage(payload)
@@ -437,51 +413,37 @@ func (r *Replica) handle(from int, payload []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.insertLocked(e.TS, e.U)
-	r.tailLocked(e.TS, 1)
+	r.tailLocked(e.TS)
 }
 
 func (r *Replica) badPayload(from int, err error) transport.BadPayload {
 	return transport.BadPayload{Err: fmt.Errorf("core: replica %d: corrupt payload from %d: %w", r.id, from, err)}
 }
 
-// issueLocked is update(u) of Algorithm 1 up to the send, for one update:
-// the caller has reserved the stamp (one Tick, or its share of a drain's
-// TickN) and holds the exclusive lock; the update lands in the replica's
-// own log — the only way a replica learns of its own update — and is
-// recorded. The caller encodes it under the same hold and broadcasts after
-// unlocking. UpdateTimestamped runs it once per hold, the lock-free drain
-// once per announced cell; because stamp and insert share the hold, no
-// other step of this replica (a tied peer delivery, a compaction) ever
-// sees the clock at ts without the entry in the log.
-func (r *Replica) issueLocked(ts clock.Timestamp, u spec.Update) {
-	r.insertLocked(ts, u)
-	if r.rec != nil {
-		r.rec.Update(r.id, u)
-	}
-}
-
-// tailLocked is the stability/GC tail of every step that lands updates
-// from one sender — a delivery, a peer's batch frame, the replica's own
-// issue — run after the insert; last is the highest stamp landed, landed
-// how many entries. Caller holds the exclusive lock.
+// tailLocked is the stability/GC tail of the two steps that land one
+// update from one sender — a peer's delivery and the replica's own
+// update — run after the insert; ts is the stamp landed. Caller holds the
+// exclusive lock.
 //
 // Stability only trusts *direct* observations: a sender's update stamps
-// strictly increase, so on a FIFO link the highest stamp delivered from
-// a sender bounds every still-in-flight message from it. Hearsay (a
-// vector piggybacked by a third process) is NOT sound here — another
-// process's knowledge of j's clock can overtake j's own in-flight
-// messages on our link, which would let the horizon pass an update
-// that has not arrived yet.
-func (r *Replica) tailLocked(last clock.Timestamp, landed int) {
+// strictly increase and it sends them in that order (UpdateTimestamped's
+// writer token), so on a FIFO link the highest stamp delivered from a
+// sender bounds every still-in-flight message from it. Hearsay (a vector
+// piggybacked by a third process) is NOT sound here — another process's
+// knowledge of j's clock can overtake j's own in-flight messages on our
+// link, which would let the horizon pass an update that has not arrived
+// yet.
+func (r *Replica) tailLocked(ts clock.Timestamp) {
 	if r.stab == nil {
 		return
 	}
-	r.stab.ObservePeer(last.Proc, last.Clock)
+	r.stab.ObservePeer(ts.Proc, ts.Clock)
 	// Landing advanced our own clock too, and every stamp we issued at or
-	// below it is in the log (issueLocked), so our own reached-clock may
-	// follow — this lets passive (query-only) replicas compact.
+	// below it is in the log (UpdateTimestamped stamps and inserts under
+	// one hold), so our own reached-clock may follow — this lets passive
+	// (query-only) replicas compact.
 	r.stab.ObserveSelf(r.clk.Now())
-	r.sinceGC += landed
+	r.sinceGC++
 	if r.sinceGC >= r.gcEvery {
 		r.sinceGC = 0
 		r.compact()
@@ -509,13 +471,12 @@ func (r *Replica) insertLocked(ts clock.Timestamp, u spec.Update) bool {
 }
 
 // mergeLocked is insertLocked for a whole batch in log order — a sync
-// reply, a peer's batch frame, a resharding seed — landed by one
-// Log.MergeSorted with the same clock, coverage and counter effects as
-// inserting the entries one by one. The engine hears of the lowest
-// landing index only: everything it folded below that is untouched, and
-// no engine tracks more than the lowest position disturbed since it last
-// caught up. Returns how many entries were new. Caller holds the
-// exclusive lock.
+// reply, a resharding seed — landed by one Log.MergeSorted with the same
+// clock, coverage and counter effects as inserting the entries one by
+// one. The engine hears of the lowest landing index only: everything it
+// folded below that is untouched, and no engine tracks more than the
+// lowest position disturbed since it last caught up. Returns how many
+// entries were new. Caller holds the exclusive lock.
 func (r *Replica) mergeLocked(batch []Entry) int {
 	for i := range batch {
 		r.observeOrigin(batch[i].TS)
@@ -640,7 +601,6 @@ func (r *Replica) Stats() Stats {
 // cheaper than a replay); otherwise the log is replayed into a
 // throwaway state.
 func (r *Replica) StateKey() string {
-	r.flushIntake()
 	r.mu.RLock()
 	if r.fpOK && r.fpVer == r.log.Version() {
 		k := r.fpKey
@@ -667,21 +627,27 @@ func (r *Replica) StateKey() string {
 }
 
 // UpdateTimestamped is Update returning the timestamp assigned to the
-// update; sessions use it to record their own writes. One exclusive hold
-// stamps the update, lands it in the log, encodes it and runs the
-// stability/GC tail; the broadcast goes out after the unlock. With the
-// lock-free intake (Config.LockFree) the call announces the update and
-// helps drain until a drain has run that step for it.
+// update; sessions use it to record their own writes. It is the one write
+// step. One exclusive hold stamps the update, lands it in the replica's
+// own log — the only way a replica learns of its own update, so no other
+// step of this replica (a tied peer delivery, a compaction) ever sees the
+// clock at ts without the entry in the log — records it, encodes it and
+// runs the stability/GC tail; the broadcast goes out after the unlock, so
+// queries and deliveries never wait on the network. The writer token is
+// held from the stamp until the broadcast returns: concurrent writers
+// send in the order they stamped.
 func (r *Replica) UpdateTimestamped(u spec.Update) clock.Timestamp {
-	if r.lf != nil {
-		return r.updateLockFree(u)
-	}
+	r.sendMu.Lock()
+	defer r.sendMu.Unlock()
 	r.mu.Lock()
 	ts := clock.Timestamp{Clock: r.clk.Tick(), Proc: r.id}
-	r.issueLocked(ts, u)
+	r.insertLocked(ts, u)
+	if r.rec != nil {
+		r.rec.Update(r.id, u)
+	}
 	r.enc = mustEncode(r.wire.appendMessage(r.enc[:0], ts, u))
 	payload := bytes.Clone(r.enc)
-	r.tailLocked(ts, 1)
+	r.tailLocked(ts)
 	r.mu.Unlock()
 	r.net.Broadcast(r.id, payload)
 	return ts
@@ -699,7 +665,7 @@ func Cluster(n int, adt spec.UQADT, net transport.Network, opt ClusterOptions) [
 		reps[i] = NewReplica(Config{
 			ID: i, N: n, ADT: adt, Codec: opt.Codec, Net: net,
 			Engine: eng, GC: opt.GC, GCEvery: opt.GCEvery,
-			Recorder: opt.Recorder, LockFree: opt.LockFree,
+			Recorder: opt.Recorder,
 		})
 	}
 	return reps
@@ -718,6 +684,4 @@ type ClusterOptions struct {
 	GCEvery int
 	// Recorder records all replicas' operations when set.
 	Recorder *history.Recorder
-	// LockFree selects the lock-free writer engine (Config.LockFree).
-	LockFree bool
 }

@@ -60,7 +60,6 @@ type ShardedReplica struct {
 	newEngine func() Engine
 	gc        bool
 	gcEvery   int
-	lockfree  bool
 	// rnet is the shard- and epoch-aware transport; nil on a plain
 	// transport.Network (URB), where the replica is its one shard attached
 	// directly and Resize is unavailable.
@@ -163,9 +162,6 @@ type ShardedConfig struct {
 	// runs must record at the harness level instead (as internal/sim and
 	// the public updatec package do).
 	Recorder *history.Recorder
-	// LockFree selects the lock-free writer engine for every per-shard
-	// replica (Config.LockFree); resizes carry it into the new shards.
-	LockFree bool
 }
 
 // NewShardedReplica builds the per-shard replicas and attaches the
@@ -192,7 +188,6 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		newEngine: cfg.NewEngine,
 		gc:        cfg.GC,
 		gcEvery:   cfg.GCEvery,
-		lockfree:  cfg.LockFree,
 		rnet:      rnet,
 	}
 	if r.codec = cfg.Codec; r.codec == nil {
@@ -214,7 +209,7 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		g.shards[s] = NewReplica(Config{
 			ID: cfg.ID, N: cfg.N, ADT: cfg.ADT, Codec: r.codec, Net: net,
 			Engine: eng, GC: cfg.GC, GCEvery: cfg.GCEvery,
-			Recorder: cfg.Recorder, LockFree: cfg.LockFree,
+			Recorder: cfg.Recorder,
 		})
 		if part != nil {
 			g.shards[s].log.SetTieKey(part.UpdateKey)
@@ -280,63 +275,29 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		g.shards[shard].handle(from, payload)
 		return
 	}
-	// Decode with the codec every shard shares — a run from a lock-free
-	// sender, one message otherwise — before any shard is touched.
-	wire := g.shards[0].wire
-	var entries []Entry
-	var err error
-	if r.lockfree {
-		entries, err = wire.decodeRun(payload)
-	} else {
-		entries = make([]Entry, 1)
-		entries[0], err = wire.decodeMessage(payload)
-	}
+	// Decode with the codec every shard shares before any shard is
+	// touched.
+	e, err := g.shards[0].wire.decodeMessage(payload)
 	if err != nil {
 		panic(g.shards[0].badPayload(from, err))
 	}
-	for _, e := range entries {
-		dst := 0
-		if r.part != nil && len(g.shards) > 1 {
-			dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
-		}
-		// Absorb, not handle: the entry keeps its timestamp but must not
-		// feed the stability tracker's peer observations — stamps from a
-		// different epoch's channel interleave non-monotonically with this
-		// shard's, so the FIFO argument behind direct observations does
-		// not apply (see Replica.Absorb).
-		g.shards[dst].Absorb(e.TS, e.U)
+	dst := 0
+	if r.part != nil && len(g.shards) > 1 {
+		dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
 	}
+	// Absorb, not handle: the entry keeps its timestamp but must not feed
+	// the stability tracker's peer observations — stamps from a different
+	// epoch's channel interleave non-monotonically with this shard's, so
+	// the FIFO argument behind direct observations does not apply (see
+	// Replica.Absorb).
+	g.shards[dst].Absorb(e.TS, e.U)
 }
 
-// FlushIntake folds and broadcasts every shard's announced lock-free
-// updates (no-op on shards without an intake).
-func (r *ShardedReplica) FlushIntake() {
-	for _, s := range r.gen.Load().shards {
-		s.FlushIntake()
-	}
-}
-
-// IntakeStats sums the lock-free intake counters over the current
-// shards (zero without an intake).
-func (r *ShardedReplica) IntakeStats() IntakeStats {
-	var sum IntakeStats
-	for _, s := range r.gen.Load().shards {
-		st := s.IntakeStats()
-		sum.Appended += st.Appended
-		sum.Drained += st.Drained
-		sum.Batches += st.Batches
-		sum.Retired += st.Retired
-		sum.Segments += st.Segments
-		sum.LiveSegments += st.LiveSegments
-		if st.MaxBatch > sum.MaxBatch {
-			sum.MaxBatch = st.MaxBatch
-		}
-	}
-	return sum
-}
-
-// LockFree reports whether the shards run the lock-free intake.
-func (r *ShardedReplica) LockFree() bool { return r.lockfree }
+// FlushIntake does nothing: every Update has been stamped, landed and
+// handed to the transport by the time it returns, so there is nothing
+// left to flush. It stays because the benchmark harness (benchmark/)
+// calls it before draining a live cluster.
+func (r *ShardedReplica) FlushIntake() {}
 
 // ID returns the process id.
 func (r *ShardedReplica) ID() int { return r.id }
@@ -725,11 +686,6 @@ func ResizeCluster(reps []*ShardedReplica, newShards int, drain func()) {
 			r.routeMu.Unlock()
 		}
 	}()
-	// Fold announced-but-undrained lock-free updates first, so their
-	// broadcasts are in flight before the drain below settles them.
-	for _, r := range reps {
-		r.FlushIntake()
-	}
 	if drain != nil {
 		drain()
 	}
@@ -745,11 +701,6 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 	old := r.gen.Load()
 	if newShards == len(old.shards) {
 		return
-	}
-	// The move replays each old shard's log; announced-but-undrained
-	// lock-free updates must be in those logs first.
-	for _, s := range old.shards {
-		s.FlushIntake()
 	}
 	// Mirror the constructor's recording guard: a 1-shard replica may
 	// carry a replica-level recorder, but the new shards are built
@@ -768,7 +719,6 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 			ID: r.id, N: r.n, ADT: r.adt, Codec: r.codec,
 			Net:    epochChannel{net: r.rnet, shard: s, epoch: newShards},
 			Engine: eng, GC: r.gc, GCEvery: r.gcEvery,
-			LockFree: r.lockfree,
 		})
 		rep.log.SetTieKey(r.part.UpdateKey)
 		next.shards[s] = rep
@@ -895,7 +845,7 @@ func ShardedCluster(n, shards int, adt spec.UQADT, net transport.Network, opt Cl
 		reps[i] = NewShardedReplica(ShardedConfig{
 			ID: i, N: n, Shards: shards, ADT: adt, Codec: opt.Codec, Net: net,
 			NewEngine: opt.NewEngine, GC: opt.GC, GCEvery: opt.GCEvery,
-			Recorder: opt.Recorder, LockFree: opt.LockFree,
+			Recorder: opt.Recorder,
 		})
 	}
 	return reps

@@ -37,7 +37,6 @@ import (
 // Snapshot serializes the replica's replicated state. Like SyncReply it
 // holds only the read half of the lock, so the donor keeps serving.
 func (r *Replica) Snapshot() ([]byte, error) {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	entries := r.log.Entries()

@@ -165,7 +165,6 @@ func tallyLadders(entries []Entry, base uint64, ladders []OriginDigest) (above [
 
 // Digest summarizes the replica's log for an anti-entropy pull.
 func (r *Replica) Digest() Digest {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	d := Digest{Ver: r.log.Version(), Origins: make([]OriginDigest, r.n)}
@@ -189,9 +188,9 @@ func (r *Replica) Digest() Digest {
 }
 
 // SyncReply encodes the update suffix a peer with digest d is missing
-// from this replica's log, as one run (codec.go) — the format of live
-// lock-free traffic, so ApplySync decodes it with the same decoder. A nil,
-// nil reply means the peer is missing nothing this donor can tell. Per
+// from this replica's log, as one run (codec.go) — the format of a
+// snapshot's live suffix, so ApplySync decodes it with the same decoder. A
+// nil, nil reply means the peer is missing nothing this donor can tell. Per
 // origin the donor sends what it holds above the highest rung of the
 // peer's ladder at which its own cumulative count and hash agree (see
 // OriginDigest), and everything above d.Base when no rung does — a
@@ -200,7 +199,6 @@ func (r *Replica) Digest() Digest {
 // horizon is above d.Base: part of what the peer is missing exists here
 // only folded into state.
 func (r *Replica) SyncReply(d Digest) ([]byte, error) {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	_, baseTS := r.log.Base()

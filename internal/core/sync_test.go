@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"updatec/internal/clock"
@@ -440,6 +441,85 @@ func TestSyncReplyRequesterWithHoles(t *testing.T) {
 			t.Logf("%d holes: reply carried %d (rung bound %d on the duplicates)", missing, carried, bound)
 			if dups := carried - applied; dups > bound || dups > tc.most {
 				t.Fatalf("reply carried %d duplicates (rung bound %d, most %d)", dups, bound, tc.most)
+			}
+		})
+	}
+}
+
+// TestDigestDeepHoleResendBound pins OriginDigest's promise where the
+// ladder is coarsest: the lowest rung sits at half an origin's span above
+// the base, so a hole below it costs everything above the base. Per
+// origin the reply may resend at most twice the clock depth of the
+// deepest hole (top − hole + 1) — for a hole near the top, just above and
+// just below mid-span, at base+1, and for two holes — and an origin the
+// requester holds completely costs nothing. Each pull makes the requester
+// complete.
+func TestDigestDeepHoleResendBound(t *testing.T) {
+	const base, top = 256, 1280 // a span of 1024 clocks above the base
+	const mid = base + (top-base)/2
+	for _, tc := range []struct {
+		name  string
+		holes []uint64
+	}{
+		{"near the top", []uint64{top - 1}},
+		{"just above mid-span", []uint64{mid + 1}},
+		{"just below mid-span", []uint64{mid - 1}},
+		{"at base+1", []uint64{base + 1}},
+		{"two holes", []uint64{base + 700, top - 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(id int) *Replica {
+				return NewReplica(Config{ID: id, N: 2, ADT: spec.Counter(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})})
+			}
+			donor, req := mk(0), mk(1)
+			hole := map[uint64]bool{}
+			for _, c := range tc.holes {
+				hole[c] = true
+			}
+			// Origin 0 stamps every clock and has the holes; origin 1 every
+			// second clock, all of which the requester holds.
+			for cl := uint64(1); cl <= top; cl++ {
+				ts := clock.Timestamp{Clock: cl, Proc: 0}
+				donor.Absorb(ts, spec.Add{N: 1})
+				if !hole[cl] {
+					req.Absorb(ts, spec.Add{N: 1})
+				}
+				if cl%2 == 0 {
+					ts.Proc = 1
+					donor.Absorb(ts, spec.Add{N: 2})
+					req.Absorb(ts, spec.Add{N: 2})
+				}
+			}
+			for _, r := range []*Replica{donor, req} {
+				r.mu.Lock()
+				r.engine.Compacted(r.log.CompactBelow(base))
+				r.mu.Unlock()
+			}
+			payload, err := donor.SyncReply(req.Digest())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent, err := donor.wire.decodeRun(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resent := make([]uint64, 2)
+			for _, e := range sent {
+				resent[e.TS.Proc]++
+			}
+			depth := top - slices.Min(tc.holes) + 1
+			t.Logf("holes %v: origin 0 resent %d (depth %d), origin 1 resent %d", tc.holes, resent[0], depth, resent[1])
+			if resent[0] > 2*depth {
+				t.Fatalf("origin 0 resent %d entries for a hole %d deep; the ladder promises at most %d", resent[0], depth, 2*depth)
+			}
+			if resent[1] != 0 {
+				t.Fatalf("origin 1, held completely, resent %d entries", resent[1])
+			}
+			if applied, err := req.ApplySync(payload); err != nil || applied != len(tc.holes) {
+				t.Fatalf("ApplySync landed %d of %d holes: %v", applied, len(tc.holes), err)
+			}
+			if req.log.Len() != donor.log.Len() || req.StateKey() != donor.StateKey() {
+				t.Fatal("requester not complete after the pull")
 			}
 		})
 	}

@@ -19,16 +19,16 @@ import (
 //	  payload              (bodyLen - header bytes)
 //
 // The payload of a data frame is exactly the bytes a Broadcast carried
-// — the zero-alloc AppendCodec update encoding, or a lock-free drain's
-// self-delimiting batch frame — so the socket transport adds a handful
-// of header bytes and reuses the in-process wire format unchanged. The
+// — one timestamped update in its zero-alloc AppendCodec encoding — so
+// the socket transport adds a handful of header bytes and reuses the
+// in-process wire format unchanged. The
 // same framing carries the connection hello, the sync-on-connect
 // digest exchange, and the client protocol (updates, queries, stats).
 
 // Frame kinds.
 const (
-	// KindData is a replicated broadcast payload (timestamped update or
-	// batch frame), tagged with its shard and epoch like an in-process
+	// KindData is a replicated broadcast payload (one timestamped
+	// update), tagged with its shard and epoch like an in-process
 	// envelope.
 	KindData byte = 1
 	// KindHello opens a connection: payload is the wire magic, a role

@@ -304,10 +304,10 @@ func TestConvergedScopeTracksCrashSet(t *testing.T) {
 // TestUpdateOnCrashedReplica: a crash stops the transport, not the
 // replica, so an update issued on a crashed replica is a local step like
 // any other — it lands in that replica's log (read-your-write holds at
-// once) and Recover's anti-entropy round spreads it. One outcome on every
-// write path and backend; the default path used to learn of its own
-// update from the broadcast's self-delivery, which a crashed transport
-// suppresses, and lost it.
+// once) and Recover's anti-entropy round spreads it. One outcome on both
+// backends, with and without compaction; the write path used to learn of
+// its own update from the broadcast's self-delivery, which a crashed
+// transport suppresses, and lost it.
 func TestUpdateOnCrashedReplica(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -315,7 +315,7 @@ func TestUpdateOnCrashedReplica(t *testing.T) {
 	}{
 		{"default/live", nil},
 		{"default/sim", []Option{WithSeed(3)}},
-		{"lockfree/live", []Option{WithLockFreeWriters()}},
+		{"gc/live", []Option{WithGC()}},
 		{"recorded/sim", []Option{WithSeed(3), WithRecording()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -108,9 +108,9 @@ const (
 	// guaranteed only when concurrent updates commute (Commutative
 	// objects, or workloads that happen to commute). Causal mode keeps
 	// the wait-free broadcast machinery but supports none of the
-	// log-based upgrades: WithGC, WithEngine, WithShards,
-	// WithLockFreeWriters, Resize, Session, Crash/Recover and
-	// fault-injection repair are all rejected with ErrUnsupported.
+	// log-based upgrades: WithGC, WithEngine, WithShards, Resize, Session,
+	// Crash/Recover and fault-injection repair are all rejected with
+	// ErrUnsupported.
 	Causal
 )
 
@@ -136,7 +136,6 @@ type config struct {
 	record    bool
 	shards    int
 	workers   int
-	lockfree  bool
 	level     Level
 }
 
@@ -156,7 +155,9 @@ func WithFIFO() Option { return func(c *config) { c.fifo = true } }
 
 // WithGC enables stability-based log compaction (§VII-C garbage
 // collection). It requires FIFO delivery and an object built on the
-// generic construction (MemoryObject keeps no log to compact).
+// generic construction (MemoryObject keeps no log to compact). Any number
+// of goroutines may write through one handle: a replica sends its updates
+// in the order it stamps them, which is what compaction relies on.
 func WithGC() Option { return func(c *config) { c.gc = true } }
 
 // WithEngine selects the query engine. It requires an object built on
@@ -187,27 +188,6 @@ func WithRecording() Option { return func(c *config) { c.record = true } }
 // changes which schedule the seed denotes, not whether it is
 // deterministic.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
-
-// WithLockFreeWriters puts a lock-free intake in front of each replica's
-// write step: concurrent writers on one handle announce their updates
-// with a single fetch-add each and never block on one another; whichever
-// writer holds the drain token runs the step — stamp, land in the log,
-// encode, broadcast — for every announced update, its own and stalled
-// peers' (helping), as one batch under one lock hold and one network
-// frame. It is the default path's step, batched; what differs is that a
-// plain update may return before its step has run (every read flushes
-// the intake first, so the deferral is not observable) and that replicas
-// exchange batch frames. Choose it for the in-process many-core regime,
-// where many goroutines write through the same replica handle; with one
-// writer per handle the default path is just as fast.
-//
-// It composes with WithShards (each per-shard replica gets its own
-// intake), WithGC, WithEngine and Resize. It requires the live
-// transport — the simulated adversary (WithSeed) is driven by a single
-// goroutine and cannot accept broadcasts from concurrent writers — and
-// an object built on the generic construction (MemoryObject's
-// Algorithm 2 has no ingestion mutex to replace).
-func WithLockFreeWriters() Option { return func(c *config) { c.lockfree = true } }
 
 // WithConsistency selects the cluster's consistency level. The default
 // is UpdateConsistent; see Level for what Causal trades away.
@@ -320,9 +300,6 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 		if cfg.engineSet {
 			return nil, nil, fmt.Errorf("updatec: WithEngine is not supported at WithConsistency(Causal): causal delivery keeps no log to query: %w", ErrUnsupported)
 		}
-		if cfg.lockfree {
-			return nil, nil, fmt.Errorf("updatec: WithLockFreeWriters is not supported at WithConsistency(Causal): causal delivery has no intake engine: %w", ErrUnsupported)
-		}
 	}
 	if cfg.gc && cfg.simulated && !cfg.fifo {
 		return nil, nil, fmt.Errorf("updatec: WithGC on a simulated network requires WithFIFO: %w", ErrUnsupported)
@@ -332,14 +309,6 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	}
 	if cfg.workers > 1 && !cfg.simulated {
 		return nil, nil, fmt.Errorf("updatec: WithWorkers requires WithSeed (the parallel adversary shards the simulated transport): %w", ErrUnsupported)
-	}
-	if cfg.lockfree {
-		if obj.alg2 {
-			return nil, nil, fmt.Errorf("updatec: %s does not support WithLockFreeWriters: Algorithm 2 has no ingestion mutex to replace: %w", obj.name, ErrUnsupported)
-		}
-		if cfg.simulated {
-			return nil, nil, fmt.Errorf("updatec: WithLockFreeWriters requires the live transport; the simulated adversary (WithSeed) is single-goroutine: %w", ErrUnsupported)
-		}
 	}
 	if cfg.record && !obj.alg2 && !obj.hasOmega {
 		return nil, nil, fmt.Errorf("updatec: %s has no converged query; WithRecording requires an object defined with WithOmega: %w", obj.name, ErrUnsupported)
@@ -389,7 +358,7 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	if cfg.engineSet && cfg.engine == Replay {
 		mkEngine = func() core.Engine { return core.NewReplayEngine() }
 	}
-	copt := core.ClusterOptions{NewEngine: mkEngine, Codec: obj.codec, GC: cfg.gc, LockFree: cfg.lockfree}
+	copt := core.ClusterOptions{NewEngine: mkEngine, Codec: obj.codec, GC: cfg.gc}
 	if cfg.shards == 1 {
 		// One shard is exactly the unsharded construction, so recording
 		// can live inside the replica (one clock per process).
@@ -593,11 +562,6 @@ func (c *Cluster[H]) Settle() {
 		c.sim.Quiesce()
 		return
 	}
-	// Lock-free replicas defer drains; fold and broadcast everything
-	// announced so the Drain below really settles the cluster.
-	for _, r := range c.replicas {
-		r.FlushIntake()
-	}
 	c.live.Drain()
 }
 
@@ -623,7 +587,7 @@ func (c *Cluster[H]) ScheduleFingerprint() uint64 {
 // The replica itself keeps its state, and its handle still works: an
 // update issued on it while it is down lands in its own log (visible to
 // its own reads) and reaches the others when Recover runs anti-entropy —
-// on every write path and both backends. Crashed replicas are excluded
+// on both backends. Crashed replicas are excluded
 // from Converged, from recorded ω queries, and from anti-entropy rounds
 // until they Recover. Crashing an id that is
 // out of range or already crashed is an error on both backends — the

@@ -100,17 +100,37 @@ func referenceWireKey[H any](t *testing.T, obj Object[H], shards int, drive func
 // convergence timeout prints each node's stats.
 func runWireInProcess[H any](t *testing.T, obj Object[H], shards int, reference bool, drive func(hs []H)) []H {
 	t.Helper()
-	addrs := wireAddrs(t, 3)
+	nodes := serveWireMesh(t, obj, WireConfig{Shards: shards})
+	hs := make([]H, len(nodes))
+	for i, n := range nodes {
+		hs[i] = n.Handle()
+	}
+	drive(hs)
+	want := ""
+	if reference {
+		want = referenceWireKey(t, obj, shards, drive)
+	}
+	waitWireNodes(t, nodes, fmt.Sprintf("wire cluster convergence (reference key %q)", want), func(key string) bool {
+		return !reference || key == want
+	})
+	return hs
+}
+
+// serveWireMesh starts a 3-node ListenAndServe cluster over real loopback
+// sockets, each node configured as cfg with its own ID and the shared peer
+// list, and waits until every peer link is up.
+func serveWireMesh[H any](t *testing.T, obj Object[H], cfg WireConfig) []*WireNode[H] {
+	t.Helper()
+	cfg.Peers = wireAddrs(t, 3)
 	nodes := make([]*WireNode[H], 3)
-	hs := make([]H, 3)
 	for i := range nodes {
-		node, err := ListenAndServe(obj, WireConfig{ID: i, Peers: addrs, Shards: shards})
+		cfg.ID = i
+		node, err := ListenAndServe(obj, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { node.Close() })
 		nodes[i] = node
-		hs[i] = node.Handle()
 	}
 	waitWire(t, 10*time.Second, "peer mesh", func() bool {
 		for _, n := range nodes {
@@ -122,19 +142,22 @@ func runWireInProcess[H any](t *testing.T, obj Object[H], shards int, reference 
 		}
 		return true
 	})
-	drive(hs)
+	return nodes
+}
+
+// waitWireNodes flushes every node's outbound queues, then waits until all
+// nodes hold one state key that also satisfies ok; a timeout prints each
+// node's stats.
+func waitWireNodes[H any](t *testing.T, nodes []*WireNode[H], what string, ok func(key string) bool) {
+	t.Helper()
 	for _, n := range nodes {
 		if err := n.Flush(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := ""
-	if reference {
-		want = referenceWireKey(t, obj, shards, drive)
-	}
-	waitWire(t, 10*time.Second, fmt.Sprintf("wire cluster convergence (reference key %q)", want), func() bool {
+	waitWire(t, 10*time.Second, what, func() bool {
 		key := nodes[0].StateKey()
-		converged := !reference || key == want
+		converged := ok(key)
 		for _, n := range nodes[1:] {
 			converged = converged && n.StateKey() == key
 		}
@@ -146,7 +169,6 @@ func runWireInProcess[H any](t *testing.T, obj Object[H], shards int, reference 
 		}
 		return b.String()
 	})
-	return hs
 }
 
 // TestWireInProcessConvergence runs the in-process wire cluster for
@@ -397,6 +419,39 @@ func TestWireHostilePeerPayload(t *testing.T) {
 	if !c.Handle().Contains("still-alive") {
 		t.Fatal("daemon stopped serving after hostile peer payloads")
 	}
+}
+
+// TestWireConcurrentGCWriters: three GC daemons, each written by four
+// goroutines through its handle — what serveClient does for four Dial
+// clients of `ucserve -gc` — converge to the exact per-key sums. A daemon
+// whose writers hand the transport stamps out of order makes its peers
+// observe a stamp, compact past it and then receive a lower one: at the
+// parent commit that invariant panic escaped handleFrame and killed the
+// test binary.
+func TestWireConcurrentGCWriters(t *testing.T) {
+	const writers, perWriter, keys = 4, 2000, 7
+	nodes := serveWireMesh(t, CounterMapObject(), WireConfig{GC: true})
+	var wg sync.WaitGroup
+	for _, n := range nodes {
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(h *CounterMap, w int) {
+				defer wg.Done()
+				for k := 0; k < perWriter; k++ {
+					h.Add(fmt.Sprintf("k%d", (w+k)%keys), 1)
+				}
+			}(n.Handle(), w)
+		}
+	}
+	wg.Wait()
+	want := int64(len(nodes) * writers * perWriter)
+	waitWireNodes(t, nodes, fmt.Sprintf("GC wire cluster convergence at sum %d", want), func(string) bool {
+		var total int64
+		for k := 0; k < keys; k++ {
+			total += nodes[0].Handle().Value(fmt.Sprintf("k%d", k))
+		}
+		return total == want
+	})
 }
 
 // TestWireConfigRejections pins the constructor's validation: the wire

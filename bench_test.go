@@ -628,6 +628,40 @@ func BenchmarkConverged(b *testing.B) {
 	}
 }
 
+// BenchmarkConvergenceKey prices one convergence poll of a replica that
+// is still moving — a 100 000-element set that lands one more update
+// before every poll, as a wire daemon does while a client streams into
+// its cluster: the canonical StateKey derives and serializes the whole
+// state (O(n)), the update-set Fingerprint reads two words (O(1)).
+func BenchmarkConvergenceKey(b *testing.B) {
+	const size = 100_000
+	for _, poll := range []struct {
+		name string
+		f    func(r *core.Replica)
+	}{
+		{"StateKey", func(r *core.Replica) { r.StateKey() }},
+		{"Fingerprint", func(r *core.Replica) { r.Fingerprint() }},
+	} {
+		b.Run(poll.name, func(b *testing.B) {
+			r := core.NewReplica(core.Config{ID: 1, N: 2, ADT: spec.Set(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})})
+			next := uint64(1)
+			land := func() {
+				r.Absorb(clock.Timestamp{Clock: next, Proc: 0}, spec.Ins{V: fmt.Sprint("e", next)})
+				next++
+			}
+			for next <= size {
+				land()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				land()
+				poll.f(r)
+			}
+		})
+	}
+}
+
 // BenchmarkConcurrentQuery measures query throughput with many reader
 // goroutines on one settled replica (live transport, undo engine).
 func BenchmarkConcurrentQuery(b *testing.B) {

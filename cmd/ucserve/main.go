@@ -20,8 +20,11 @@
 //	ucserve -client ADDR stats
 //
 // Each remaining argument is one command. Protocol-level commands
-// (statekey, stats, ping) work for any object; data commands depend on
-// -obj:
+// (statekey, stats, ping) work for any object; statekey prints the
+// daemon's update-set fingerprint, equal on two daemons of one cluster
+// exactly when they hold the same update stamps (the same updates, as
+// long as no daemon was written to straight after a restart, before it
+// caught up with its peers). Data commands depend on -obj:
 //
 //	set:        insert V | delete V | elems
 //	counter:    add N | value

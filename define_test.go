@@ -336,6 +336,7 @@ func TestDefineWireObjectMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
+	empty := node.StateKey()
 	c, err := Dial(SetObject(), node.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +348,7 @@ func TestDefineWireObjectMismatch(t *testing.T) {
 	if err := c.Err(); !errors.Is(err, ErrObjectMismatch) {
 		t.Fatalf("Err() = %v, want the sticky ErrObjectMismatch", err)
 	}
-	if node.StateKey() != "" {
+	if node.StateKey() != empty {
 		t.Fatal("mismatched client must not have changed daemon state")
 	}
 }

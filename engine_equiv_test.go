@@ -3,6 +3,7 @@ package updatec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -18,7 +19,8 @@ import (
 // repaired lazily) to the paper's literal algorithm
 // (core.ReplayEngine): same arrivals, same reads, equal states and
 // equal query outputs at every read — for every registered object,
-// driven by its own workload generator.
+// driven by its own workload generator. They hold the update-set
+// fingerprint to the canonical state key the same way.
 
 var equivKeys = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
@@ -440,6 +442,196 @@ func (p *equivPair) restoreFresh(src int, where string) {
 		r.Absorb(ts, u)
 		compare(fmt.Sprintf("after absorbing clock +%d", off))
 	}
+}
+
+// TestFingerprintSoundEveryObject holds the update-set fingerprint to the
+// canonical state key on every registered object. Whenever two replicas'
+// fingerprints are equal their StateKeys are too, and every route to one
+// update set ends at one fingerprint: the adversary's delivery orders,
+// injected duplicates, a partition healed by SyncFrom pulls, GC
+// compaction, Snapshot+Restore, MergeSnapshot onto a replica holding an
+// older snapshot (and an older snapshot onto a newer one) and a pull from
+// a compacted donor, which falls back to a snapshot. A Resize withdraws
+// the fingerprint, on the resized replica and on the peers its
+// cross-epoch broadcasts reach.
+func TestFingerprintSoundEveryObject(t *testing.T) {
+	for _, obj := range equivObjects(t) {
+		obj := obj
+		for _, gc := range []bool{false, true} {
+			gc := gc
+			t.Run(fmt.Sprintf("%s/gc=%v", obj.name, gc), func(t *testing.T) {
+				for seed := int64(1); seed <= 3; seed++ {
+					fingerprintRun(t, obj, seed, gc)
+				}
+			})
+		}
+	}
+}
+
+func fingerprintRun(t *testing.T, obj Object[Handle], seed int64, gc bool) {
+	t.Helper()
+	_, hasStateCodec := obj.adt.(spec.StateCodec)
+	canSnapshot := hasStateCodec || !gc
+	shards := 1
+	if obj.partitionable() {
+		shards = 2
+	}
+	net := transport.NewSim(transport.SimOptions{N: 3, Seed: seed, FIFO: gc})
+	reps := core.ShardedCluster(3, shards, obj.adt, net, core.ClusterOptions{Codec: obj.codec, GC: gc, GCEvery: 8})
+	if !gc {
+		// Compaction needs exactly-once delivery; without it every link
+		// delivers a fifth of its messages twice.
+		net.SetLinkFaultAll(transport.LinkFault{Dup: 0.2})
+	}
+	rng := rand.New(rand.NewSource(seed * 104729))
+	update := func(r *core.ShardedReplica) {
+		r.Update(obj.workload(rng, equivKeys[rng.Intn(len(equivKeys))]))
+	}
+	agreed := 0
+	// compare checks equal fingerprints ⇒ equal state keys on every pair.
+	compare := func(where string) {
+		t.Helper()
+		fps := make([][]core.Fingerprint, len(reps))
+		for i, r := range reps {
+			var ok bool
+			if fps[i], ok = r.Fingerprint(); !ok {
+				t.Fatalf("%s: replica %d withdrew its fingerprint without a resize", where, i)
+			}
+		}
+		for i := range reps {
+			for j := i + 1; j < len(reps); j++ {
+				if !slices.Equal(fps[i], fps[j]) {
+					continue
+				}
+				agreed++
+				if a, b := reps[i].StateKey(), reps[j].StateKey(); a != b {
+					t.Fatalf("%s: replicas %d and %d share fingerprint %v but not state: %s vs %s", where, i, j, fps[i], a, b)
+				}
+			}
+		}
+	}
+	var early [][]byte // replica 0's shard snapshots, mid-run
+	for step := 0; step < 400; step++ {
+		update(reps[rng.Intn(3)])
+		net.StepN(rng.Intn(4))
+		where := fmt.Sprintf("seed %d step %d", seed, step)
+		if rng.Intn(3) == 0 {
+			compare(where)
+		}
+		if step%50 == 49 {
+			net.Quiesce()
+			compare(where + " quiesced")
+		}
+		switch step {
+		case 100:
+			if gc {
+				for _, r := range reps {
+					r.ForceCompact()
+				}
+			}
+		case 150:
+			if !gc {
+				net.Partition([]int{0}, []int{1, 2})
+			}
+		case 200:
+			if canSnapshot {
+				early = shardSnapshots(t, reps[0])
+			}
+		case 300:
+			if !gc {
+				net.Heal()
+				for _, dst := range reps {
+					for _, src := range reps {
+						if _, err := dst.SyncFrom(src); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				compare(where + " after the heal's pulls")
+			}
+		}
+	}
+	net.Quiesce()
+	where := fmt.Sprintf("seed %d settled", seed)
+	compare(where)
+	want, _ := reps[0].Fingerprint()
+	for i, r := range reps[1:] {
+		if got, _ := r.Fingerprint(); !slices.Equal(got, want) {
+			t.Fatalf("%s: replica %d fingerprint %v, replica 0 %v", where, i+1, got, want)
+		}
+	}
+	if agreed < 20 {
+		t.Fatalf("seed %d: vacuous run: fingerprints agreed on only %d pairs", seed, agreed)
+	}
+
+	if canSnapshot {
+		final := shardSnapshots(t, reps[0])
+		for s := range final {
+			donor := reps[0].Shard(s)
+			fresh := func() *core.Replica {
+				return core.NewReplica(core.Config{
+					ID: 1, N: 3, ADT: obj.adt, Codec: obj.codec,
+					Net: transport.NewSim(transport.SimOptions{N: 3, Seed: 1}),
+				})
+			}
+			restore := func(r *core.Replica, snap []byte) *core.Replica {
+				if err := r.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			merge := func(r *core.Replica, snap []byte) *core.Replica {
+				if _, err := r.MergeSnapshot(snap); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			pulled := fresh()
+			if _, err := pulled.SyncFrom(donor); err != nil {
+				t.Fatal(err)
+			}
+			for name, r := range map[string]*core.Replica{
+				"Restore":                        restore(fresh(), final[s]),
+				"MergeSnapshot onto an older":    merge(restore(fresh(), early[s]), final[s]),
+				"an older MergeSnapshot onto it": merge(restore(fresh(), final[s]), early[s]),
+				"SyncFrom into a fresh replica":  pulled,
+			} {
+				if got, want := r.Fingerprint(), donor.Fingerprint(); got != want {
+					t.Fatalf("%s shard %d: %s fingerprint %v, donor %v", where, s, name, got, want)
+				}
+				if got, want := r.StateKey(), donor.StateKey(); got != want {
+					t.Fatalf("%s shard %d: %s state %s, donor %s", where, s, name, got, want)
+				}
+			}
+		}
+	}
+
+	if obj.partitionable() {
+		reps[0].Resize(4)
+		if _, ok := reps[0].Fingerprint(); ok {
+			t.Fatalf("%s: a resized replica still reports a fingerprint", where)
+		}
+		update(reps[0])
+		net.Quiesce()
+		for i, r := range reps[1:] {
+			if _, ok := r.Fingerprint(); ok {
+				t.Fatalf("%s: replica %d landed a cross-epoch delivery and still reports a fingerprint", where, i+1)
+			}
+		}
+	}
+}
+
+// shardSnapshots returns a Snapshot of every shard of r.
+func shardSnapshots(t *testing.T, r *core.ShardedReplica) [][]byte {
+	t.Helper()
+	snaps := make([][]byte, r.NumShards())
+	for s := range snaps {
+		var err error
+		if snaps[s], err = r.Shard(s).Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return snaps
 }
 
 // TestShardedContainsAsksOneShard: Contains is a keyed point query, so

@@ -75,8 +75,9 @@ type CausalReplica struct {
 	// and stats.
 	applied, buffered uint64
 
-	fpKey string
-	fpOK  bool
+	// keyMemo caches StateKey's canonical key while keyMemoOK.
+	keyMemo   string
+	keyMemoOK bool
 }
 
 // NewCausalReplica builds the replica and attaches it to the transport.
@@ -120,7 +121,7 @@ func (r *CausalReplica) Update(u spec.Update) {
 	r.vc[r.id]++
 	r.state = r.adt.Apply(r.state, u)
 	r.applied++
-	r.fpOK = false
+	r.keyMemoOK = false
 	// The payload is deps followed by the codec bytes; the transport
 	// retains it until delivery, so it is allocated per message.
 	payload := deps.Encode(make([]byte, 0, 8*(r.n+1)))
@@ -190,7 +191,7 @@ func (r *CausalReplica) drainLocked() {
 			r.state = r.adt.Apply(r.state, m.u)
 			r.vc[m.from]++
 			r.applied++
-			r.fpOK = false
+			r.keyMemoOK = false
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
 			progress = true
 		}
@@ -219,15 +220,16 @@ func (r *CausalReplica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 	return out
 }
 
-// StateKey fingerprints the folded state, memoized between folds.
+// StateKey is the canonical key of the folded state, memoized between
+// folds.
 func (r *CausalReplica) StateKey() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.fpOK {
-		r.fpKey = r.adt.KeyState(r.state)
-		r.fpOK = true
+	if !r.keyMemoOK {
+		r.keyMemo = r.adt.KeyState(r.state)
+		r.keyMemoOK = true
 	}
-	return r.fpKey
+	return r.keyMemo
 }
 
 // Pending reports buffered (undeliverable-yet) remote updates.

@@ -48,10 +48,14 @@ type Log struct {
 	head int
 	// version increments on every mutation (insert, compaction,
 	// restore). The state after base+suffix is a pure function of the
-	// log, so version doubles as an incremental state fingerprint:
-	// cached derivations (Replica.StateKey) are valid while it is
-	// unchanged.
+	// log, so a derivation cached at one version (Replica.StateKey's
+	// canonical key, the query-output cache) stays valid while the
+	// version is unchanged. It is replica-local: equal versions on two
+	// replicas say nothing (Fingerprint compares across replicas).
 	version uint64
+	// sum is the wrapping sum of entryHash over every update this log has
+	// landed, compacted ones included (see Fingerprint).
+	sum uint64
 	// tieKey, when set, breaks timestamp ties by update key. A single
 	// clock domain never produces two equal timestamps, but a resharded
 	// log merges entries from several old shards' clock domains, where
@@ -125,6 +129,48 @@ func (l *Log) TotalLen() int { return l.baseLen + l.Len() }
 
 // Entries exposes the live suffix; callers must not mutate it.
 func (l *Log) Entries() []Entry { return l.buf[l.head:] }
+
+// Fingerprint summarizes the set of updates a log has ever landed:
+// how many, and the wrapping sum of entryHash over their timestamps.
+// Both are order-independent and neither changes when entries are
+// compacted, so two logs that landed the same updates — in any delivery
+// order, with duplicates dropped, through merges, compaction or a
+// snapshot — carry equal fingerprints. Within one clock domain a
+// (clock, proc) pair names exactly one update as long as no replica
+// reuses a stamp — one restarted empty, its clock back at 0, can — so
+// equal fingerprints mean equal update sets (up to a 64-bit hash
+// collision), and Algorithm 1's state is a function of that set: equal
+// fingerprints mean equal states at O(1) per comparison, where comparing
+// canonical state keys
+// replays the log. A resharded log merges several clock domains; there
+// one pair can name two updates, and the sharded layer reports no
+// fingerprint (ShardedReplica.Fingerprint).
+type Fingerprint struct {
+	Count uint64
+	Sum   uint64
+}
+
+// String renders the fingerprint as count:sum.
+func (f Fingerprint) String() string { return fmt.Sprintf("%d:%016x", f.Count, f.Sum) }
+
+// entryHash is one update's term in a fingerprint's sum.
+func entryHash(ts clock.Timestamp) uint64 { return mix64(ts.Clock ^ mix64(uint64(ts.Proc))) }
+
+// Fingerprint returns the fingerprint of every update the log has
+// landed. O(1): the sum is kept on the landing paths.
+func (l *Log) Fingerprint() Fingerprint {
+	return Fingerprint{Count: uint64(l.TotalLen()), Sum: l.sum}
+}
+
+// baseSum is the part of the fingerprint's sum the compacted base
+// accounts for — what a snapshot of this log carries beside its base.
+func (l *Log) baseSum() uint64 {
+	s := l.sum
+	for _, e := range l.Entries() {
+		s -= entryHash(e.TS)
+	}
+	return s
+}
 
 // Version returns the log's mutation counter. Two calls returning the
 // same value bracket a window in which the log — and therefore every
@@ -201,6 +247,7 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 		// Fast tail path: strictly above the current maximum.
 		l.buf = append(l.buf, e)
 		l.version++
+		l.sum += entryHash(e.TS)
 		return n, true
 	}
 	at := sort.Search(n, func(i int) bool {
@@ -214,6 +261,7 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 	copy(live[at+1:], live[at:])
 	live[at] = e
 	l.version++
+	l.sum += entryHash(e.TS)
 	return at, true
 }
 
@@ -244,8 +292,8 @@ func (l *Log) SortEntries(batch []Entry) {
 // panics. The survivors are merged from the back, so the cost is
 // O(len(batch) + displaced suffix) where the one-at-a-time path shifts
 // the suffix once per entry — the difference between a linear and a
-// quadratic partition repair. The buffer grows by append's policy and
-// the version by the number landed.
+// quadratic partition repair. The buffer grows by append's policy, the
+// version by the number landed and the fingerprint by what landed.
 //
 // It returns the lowest index an entry landed at (the one position a
 // query engine needs to hear about), how many landed, how many of those
@@ -310,6 +358,7 @@ func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 			continue
 		}
 		live[w] = batch[j]
+		l.sum += entryHash(batch[j].TS)
 		first, w = w, w-1
 	}
 	l.version += uint64(landed)
@@ -384,7 +433,8 @@ func (l *Log) CompactBelow(horizon uint64) int {
 // the minimum). count is how many folded updates s represents when the
 // caller knows it, 0 otherwise (the per-key split of a folded state
 // cannot recover per-range update counts; the sharded layer accounts
-// for them separately).
+// for them separately). For the same reason a seeded base adds nothing
+// to the fingerprint's sum.
 func (l *Log) SeedBase(s spec.State, ts clock.Timestamp, count int) {
 	if l.base != nil || l.Len() != 0 {
 		panic("core: SeedBase requires an empty log")

@@ -135,8 +135,8 @@ func TestLogReserve(t *testing.T) {
 	}
 }
 
-// TestLogVersionTracksMutation checks the incremental fingerprint
-// counter: it changes on every mutation and only on mutation.
+// TestLogVersionTracksMutation checks the log's mutation counter: it
+// changes on every mutation and only on mutation.
 func TestLogVersionTracksMutation(t *testing.T) {
 	log := NewLog(spec.Set())
 	v0 := log.Version()
@@ -158,8 +158,8 @@ func TestLogVersionTracksMutation(t *testing.T) {
 	}
 }
 
-// TestStateKeyMatchesKeyStateAcrossSpecs checks the memoized
-// fingerprint against a direct serialization of the engine state, for
+// TestStateKeyMatchesKeyStateAcrossSpecs checks the memoized canonical
+// key against a direct serialization of the engine state, for
 // every spec the library ships, before and after extra traffic.
 func TestStateKeyMatchesKeyStateAcrossSpecs(t *testing.T) {
 	cases := []struct {
@@ -201,7 +201,7 @@ func TestStateKeyMatchesKeyStateAcrossSpecs(t *testing.T) {
 			if reps[0].StateKey() != reps[1].StateKey() {
 				t.Fatal("settled replicas disagree")
 			}
-			// More traffic must invalidate the fingerprint.
+			// More traffic must invalidate the memoized key.
 			reps[0].Update(c.ups[0])
 			net.Quiesce()
 			check()

@@ -69,7 +69,7 @@ func (c mergeCase) seed(live []Entry) *Log {
 		}
 		l.CompactBelow(mergeHorizon)
 	case "merged":
-		l.RestoreBase(spec.Set().Initial(), clock.Timestamp{Clock: mergeHorizon, Proc: 1}, 5)
+		l.RestoreBase(spec.Set().Initial(), clock.Timestamp{Clock: mergeHorizon, Proc: 1}, 5, 0)
 		l.merged = true
 	}
 	for _, e := range live {
@@ -91,8 +91,9 @@ func sameEntries(a, b []Entry) bool {
 }
 
 // TestMergeSortedMatchesInsertDedup is the property the bulk paths rest
-// on: merging a batch leaves the log, its version and the returned
-// counts exactly as inserting the same entries one at a time does.
+// on: merging a batch leaves the log, its version, its fingerprint and
+// the returned counts exactly as inserting the same entries one at a
+// time does.
 func TestMergeSortedMatchesInsertDedup(t *testing.T) {
 	for _, c := range mergeCases {
 		c := c
@@ -196,6 +197,9 @@ func TestMergeSortedMatchesInsertDedup(t *testing.T) {
 				}
 				if merged.Version() != oracle.Version() {
 					t.Fatalf("seed %d: version %d, one by one %d", seed, merged.Version(), oracle.Version())
+				}
+				if fp := merged.Fingerprint(); fp != oracle.Fingerprint() || fp != arrival.Fingerprint() {
+					t.Fatalf("seed %d: fingerprint %v, one by one %v, in arrival order %v", seed, fp, oracle.Fingerprint(), arrival.Fingerprint())
 				}
 			}
 		})

@@ -75,12 +75,12 @@ type Replica struct {
 	// enc is the reusable encode scratch buffer (guarded by mu); the
 	// outgoing payload is the only allocation an Update performs.
 	enc []byte
-	// fpKey caches adt.KeyState of the current state; it is valid while
-	// fpVer matches the log's version (the log fingerprints the state:
-	// the state is a pure function of base + live entries).
-	fpKey string
-	fpVer uint64
-	fpOK  bool
+	// keyMemo caches adt.KeyState of the current state (StateKey); it is
+	// valid while keyMemoOK and keyMemoVer matches the log's version (the
+	// state is a pure function of base + live entries).
+	keyMemo    string
+	keyMemoVer uint64
+	keyMemoOK  bool
 	// qkeyer is non-nil when the spec canonicalizes query inputs
 	// (spec.QueryKeyer); it enables the query-output cache below.
 	qkeyer spec.QueryKeyer
@@ -94,7 +94,7 @@ const maxQueryCacheEntries = 64
 
 // queryCache memoizes query outputs against the log version. The
 // output of a query is a pure function of (log contents, query input);
-// the log's mutation counter fingerprints the contents and
+// the log's mutation counter changes whenever the contents do and
 // spec.QueryKeyer canonicalizes the input, so a cached output is valid
 // exactly while the version is unchanged — invalidation is a version
 // compare on lookup, never an explicit flush on the write path.
@@ -371,10 +371,10 @@ func (r *Replica) ReadStateAt(f func(s spec.State, ver uint64)) {
 	f(r.engine.State(), r.log.Version())
 }
 
-// Version returns the replica's log version — a cheap fingerprint of
-// everything query-observable (the state is a pure function of the
-// log). Two equal Version results bracket a window with no log
-// mutation.
+// Version returns the replica's log version, a mutation counter: two
+// equal Version results bracket a window with no log mutation, and so
+// nothing query-observable changed (the state is a pure function of the
+// log). It is local to this replica; Fingerprint compares replicas.
 func (r *Replica) Version() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -588,11 +588,13 @@ func (r *Replica) Stats() Stats {
 }
 
 // StateKey returns the canonical key of the replica's current state —
-// the convergence predicate of the experiments compares these across
-// replicas. The key is memoized against the log's version (the state
-// is a pure function of the log), so polling convergence on a settled
-// cluster costs one version compare per call instead of a full state
-// serialization.
+// the oracle that replicas, clusters and engines are compared by: equal
+// keys mean equal states, whatever produced them. The key is memoized
+// against the log's version (the state is a pure function of the log),
+// so asking a settled replica again costs one version compare; asking a
+// moving one derives and serializes the whole state, under the
+// exclusive lock. Fingerprint answers "same updates as that replica?"
+// in O(1) instead.
 //
 // StateKey never makes the engine retain a state it does not already
 // hold: convergence polling reaches replicas no query ever touched, and
@@ -602,8 +604,8 @@ func (r *Replica) Stats() Stats {
 // throwaway state.
 func (r *Replica) StateKey() string {
 	r.mu.RLock()
-	if r.fpOK && r.fpVer == r.log.Version() {
-		k := r.fpKey
+	if r.keyMemoOK && r.keyMemoVer == r.log.Version() {
+		k := r.keyMemo
 		r.mu.RUnlock()
 		return k
 	}
@@ -611,8 +613,8 @@ func (r *Replica) StateKey() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ver := r.log.Version()
-	if r.fpOK && r.fpVer == ver {
-		return r.fpKey
+	if r.keyMemoOK && r.keyMemoVer == ver {
+		return r.keyMemo
 	}
 	var s spec.State
 	if _, held := r.engine.Folded(); held {
@@ -620,10 +622,21 @@ func (r *Replica) StateKey() string {
 	} else {
 		s = r.log.Replay()
 	}
-	r.fpKey = r.adt.KeyState(s)
-	r.fpVer = ver
-	r.fpOK = true
-	return r.fpKey
+	r.keyMemo = r.adt.KeyState(s)
+	r.keyMemoVer = ver
+	r.keyMemoOK = true
+	return r.keyMemo
+}
+
+// Fingerprint returns the fingerprint of the update set this replica
+// holds (Log.Fingerprint): O(1), under the shared lock. Two replicas of
+// one cluster with equal fingerprints hold the same updates and so the
+// same state; fingerprints of independent clusters are not comparable,
+// because the same updates carry different timestamps there.
+func (r *Replica) Fingerprint() Fingerprint {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.log.Fingerprint()
 }
 
 // UpdateTimestamped is Update returning the timestamp assigned to the

@@ -77,6 +77,10 @@ type ShardedReplica struct {
 	// generations are immutable once published.
 	gen atomic.Pointer[shardGen]
 	mc  mergedCache
+	// mixedDomains is set once a shard lands an entry stamped in another
+	// shard's clock domain — by a resize or a cross-epoch delivery — and
+	// withdraws the fingerprint (Fingerprint).
+	mixedDomains atomic.Bool
 
 	// resize bookkeeping (written under routeMu's write half):
 	// resizes counts Resize calls that changed the shard count,
@@ -281,6 +285,7 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 	if err != nil {
 		panic(g.shards[0].badPayload(from, err))
 	}
+	r.mixedDomains.Store(true)
 	dst := 0
 	if r.part != nil && len(g.shards) > 1 {
 		dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
@@ -525,10 +530,10 @@ func (r *ShardedReplica) QueryCacheStats() (hits, misses uint64) {
 }
 
 // StateKey returns the canonical key of the replica's merged state —
-// the convergence predicate compares these across replicas, exactly as
-// with Replica.StateKey. It is assembled from the per-shard state keys
-// (each memoized against its shard's log version), so polling a settled
-// cluster stays cheap: S version compares, no state serialization.
+// the oracle replicas are compared by, exactly as with
+// Replica.StateKey. It is assembled from the per-shard state keys (each
+// memoized against its shard's log version), so asking a settled
+// replica again costs S version compares, no state serialization.
 func (r *ShardedReplica) StateKey() string {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
@@ -544,6 +549,28 @@ func (r *ShardedReplica) StateKey() string {
 		b.WriteString(sh.StateKey())
 	}
 	return b.String()
+}
+
+// Fingerprint returns every shard's Replica.Fingerprint, in shard order.
+// Two replicas of one cluster hold the same updates — and so the same
+// merged state — exactly when the lists are equal. The per-shard pairs
+// are never summed: a (clock, proc) pair is unique only within one
+// shard's clock domain. ok is false once a shard has landed entries from
+// another domain — this replica resized, moving several old shards'
+// entries (and seeded bases that record nothing of what they folded)
+// into each new shard, or it routed a peer's cross-epoch delivery — since
+// one pair can then name two updates. A cluster is comparable by
+// fingerprint only while every replica reports ok (a peer may have
+// pulled the mixed entries by anti-entropy); compare StateKey otherwise.
+func (r *ShardedReplica) Fingerprint() (fps []Fingerprint, ok bool) {
+	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
+	g := r.gen.Load()
+	fps = make([]Fingerprint, len(g.shards))
+	for s, sh := range g.shards {
+		fps[s] = sh.Fingerprint()
+	}
+	return fps, !r.mixedDomains.Load()
 }
 
 // Stats aggregates the per-shard replica counters: lengths and counts
@@ -709,6 +736,7 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 	if old.shards[0].rec != nil {
 		panic("core: Resize would drop replica-level recording; record at the harness level to resize a recorded run")
 	}
+	r.mixedDomains.Store(true)
 	next := &shardGen{epoch: old.epoch + 1, shards: make([]*Replica, newShards)}
 	for s := range next.shards {
 		var eng Engine

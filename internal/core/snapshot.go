@@ -24,8 +24,13 @@ import (
 //	                  resharded shard's seeded base carries state whose
 //	                  per-range count is unrecoverable)
 //	byte    hasBase  (1 when a base block follows)
-//	[ baseTS, uvarint len(baseState), baseState ]   when hasBase == 1
+//	[ baseTS, u64le baseSum, uvarint len(baseState), baseState ]
+//	                 when hasBase == 1
 //	the live entries, as one run (codec.go)
+//
+// baseSum is the base's share of the log's Fingerprint sum, so a
+// restored or merged log carries the donor's fingerprint for what it
+// adopts folded.
 //
 // Base presence is an explicit flag rather than baseLen > 0 exactly
 // because of seeded bases: base != nil with baseLen == 0 is a legal
@@ -55,6 +60,7 @@ func (r *Replica) Snapshot() ([]byte, error) {
 			return nil, fmt.Errorf("core: encoding base state: %w", err)
 		}
 		out = baseTS.Encode(append(out, 1))
+		out = binary.LittleEndian.AppendUint64(out, r.log.baseSum())
 		out = binary.AppendUvarint(out, uint64(len(stateBytes)))
 		out = append(out, stateBytes...)
 	}
@@ -69,6 +75,7 @@ type snapshotData struct {
 	baseLen int
 	base    spec.State // nil when nothing was compacted
 	baseTS  clock.Timestamp
+	baseSum uint64
 	entries []Entry
 }
 
@@ -105,6 +112,11 @@ func (r *Replica) parseSnapshot(snap []byte) (snapshotData, error) {
 			return sd, fmt.Errorf("core: malformed snapshot base timestamp: %w", err)
 		}
 		off += m
+		if len(snap)-off < 8 {
+			return sd, fmt.Errorf("core: truncated snapshot base sum")
+		}
+		sd.baseSum = binary.LittleEndian.Uint64(snap[off:])
+		off += 8
 		stateLen, m2 := binary.Uvarint(snap[off:])
 		if m2 <= 0 || uint64(len(snap)-off-m2) < stateLen {
 			return sd, fmt.Errorf("core: truncated snapshot base state")
@@ -153,13 +165,14 @@ func (r *Replica) Restore(snap []byte) error {
 }
 
 // RestoreBase installs a compacted prefix into an empty log (state
-// transfer only).
-func (l *Log) RestoreBase(base spec.State, baseTS clock.Timestamp, baseLen int) {
+// transfer only); baseSum is the base's share of the fingerprint sum.
+func (l *Log) RestoreBase(base spec.State, baseTS clock.Timestamp, baseLen int, baseSum uint64) {
 	if l.TotalLen() != 0 {
 		panic("core: RestoreBase requires an empty log")
 	}
 	l.base = base
 	l.baseTS = baseTS
 	l.baseLen = baseLen
+	l.sum = baseSum
 	l.version++
 }

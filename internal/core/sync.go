@@ -321,14 +321,14 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	// MergeSnapshot is also a general recovery entry point.
 	obase, obaseTS := old.Base()
 	if sd.base != nil && (obase == nil || obaseTS.Clock < sd.baseTS.Clock) {
-		nl.RestoreBase(sd.base, sd.baseTS, sd.baseLen)
+		nl.RestoreBase(sd.base, sd.baseTS, sd.baseLen, sd.baseSum)
 		// A seeded (post-resize merged-domain) receiver keeps the
 		// relaxed below-horizon guard: cross-epoch stragglers that
 		// collide with the merged horizon remain legal arrivals.
 		nl.seeded = old.seeded
 		nl.merged = merged
 	} else if obase != nil {
-		nl.RestoreBase(obase, obaseTS, old.baseLen)
+		nl.RestoreBase(obase, obaseTS, old.baseLen, old.baseSum())
 		nl.seeded = old.seeded
 		nl.merged = old.merged
 	}
@@ -343,8 +343,9 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	r.dupDrops += uint64(dups)
 	// The log version must stay monotone across the swap: the state-key
 	// memo, the query-output cache and the sharded merged-state cache
-	// all treat the version as a fingerprint of everything ever
-	// observed, so the new log resumes counting above the old one.
+	// all treat the version as a mutation counter — a derivation cached
+	// at one version stays valid while it is unchanged — so the new log
+	// resumes counting above the old one.
 	nl.version += old.version
 	r.log = nl
 	r.clk.Observe(sd.clock)

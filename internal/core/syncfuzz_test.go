@@ -140,7 +140,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(compacted[:len(compacted)/2])
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x00, 0x02})
-	f.Add([]byte{0x05, 0x03, 0x01, 0x09, 0x00, 0x00, 0x01, 0x03, 0x02, 0x00, 0x49}) // live entry under its own base
+	f.Add([]byte{0x05, 0x03, 0x01, 0x09, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0x01, 0x03, 0x02, 0x00, 0x49}) // live entry under its own base
 	f.Add([]byte{0x01, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	// noState hides every optional capability of the set spec, StateCodec

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"updatec/internal/spec"
@@ -137,8 +138,9 @@ func TestWireSyncMalformedPayloads(t *testing.T) {
 
 // TestWireSyncSnapshotFallback: when the donor has compacted past the
 // requester's horizon, the byte-level reply must carry the snapshot
-// mode and MergeSnapshot must land the donor's full state — the
-// restart-after-long-downtime repair path over the wire.
+// mode and MergeSnapshot must land the donor's full state and update-set
+// fingerprint — the restart-after-long-downtime repair path over the
+// wire.
 func TestWireSyncSnapshotFallback(t *testing.T) {
 	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 5, FIFO: true})
 	reps := ShardedCluster(2, 1, spec.Set(), net, ClusterOptions{GC: true, GCEvery: 8})
@@ -175,5 +177,11 @@ func TestWireSyncSnapshotFallback(t *testing.T) {
 	}
 	if restored.StateKey() != want {
 		t.Fatal("snapshot fallback over the wire did not reach the donor's state")
+	}
+	// The snapshot's base block carries the donor's fingerprint for what
+	// it folded, so the restored replica reports the donor's update set.
+	got, ok := restored.Fingerprint()
+	if wantFP, _ := reps[0].Fingerprint(); !ok || !slices.Equal(got, wantFP) {
+		t.Fatalf("restored fingerprint %v (ok=%v), donor %v", got, ok, wantFP)
 	}
 }

@@ -841,6 +841,12 @@ func (c *Cluster[H]) Stats() NetworkStats {
 // Converged reports whether all surviving (non-crashed) replicas
 // currently have identical states (call Settle first for a meaningful
 // answer). On a sharded cluster the comparison covers every shard.
+//
+// It compares canonical StateKeys, not update-set fingerprints (the wire
+// daemons' StateKey): it is the oracle in-process runs end with, it must
+// cover resized clusters, where fingerprints are withdrawn, and the
+// causal and Algorithm 2 replicas, which keep no log; and it runs once,
+// after Settle, not in a polling loop.
 func (c *Cluster[H]) Converged() bool {
 	crashed := c.crashedSet()
 	key := func(p int) string {

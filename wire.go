@@ -23,6 +23,12 @@ import (
 // companion result, on a network that can genuinely partition).
 // Dial connects a thin client to any daemon and speaks the same framed
 // protocol: updates as spec codec bytes, queries as gob round-trips.
+// "Converged yet?" is answered without touching the state: a daemon's
+// StateKey is its update-set fingerprint, O(1) per shard however much
+// the replica holds. Equal keys mean equal sets of update stamps; that
+// is the same updates, and so the same state (Algorithm 1's state is a
+// function of that set), only while no stamp names two updates — see
+// WireNode.StateKey for the one way a daemon breaks that.
 
 // WireConfig configures one ListenAndServe daemon replica.
 type WireConfig struct {
@@ -146,9 +152,26 @@ func (w *WireNode[H]) Handle() H { return w.handle }
 // Addr returns the bound listen address (resolving ":0").
 func (w *WireNode[H]) Addr() string { return w.tcp.Addr() }
 
-// StateKey returns the replica's canonical state fingerprint; two wire
-// replicas agree exactly when their keys are equal.
-func (w *WireNode[H]) StateKey() string { return w.rep.StateKey() }
+// StateKey returns the replica's convergence key: its per-shard update-set
+// fingerprints (core.ShardedReplica.Fingerprint), rendered. Two daemons
+// of one cluster have equal keys exactly when they hold the same set of
+// update stamps (clock, proc); keys of independent clusters are not
+// comparable. It costs O(shards) whatever the replica holds, so polling
+// a replica that is still ingesting is cheap. Wire clusters never
+// resize, so the fingerprint is always defined.
+//
+// Equal stamps mean equal updates, and so equal states, only while no
+// daemon reuses a stamp. A daemon restarted after a crash breaks that:
+// it comes back empty with its clock at 0 and serves clients before its
+// on-connect digest exchange has caught it up, so an update written to
+// it in that window can take a stamp its peers hold for a different,
+// pre-crash update. Each log keeps whichever of the two it saw first,
+// the states differ for good, and the keys still agree. Only a canonical
+// comparison (Replica.StateKey, the object's ω query) shows it.
+func (w *WireNode[H]) StateKey() string {
+	fps, _ := w.rep.Fingerprint()
+	return fmt.Sprint(fps)
+}
 
 // Flush blocks until every queued outbound envelope has been written
 // to its peer socket (or the timeout expires).
@@ -216,32 +239,16 @@ func (w *WireNode[H]) serveClient(conn net.Conn, br *bufio.Reader) {
 			}
 			w.rep.Update(u)
 		case transport.KindQuery:
-			in, err := gobDecode(f.Payload)
+			kind := transport.KindResult
+			outv, err := w.answerQuery(f.Payload)
 			if err != nil {
-				if !reply(transport.KindError, []byte(err.Error())) {
-					return
-				}
-				continue
+				kind, outv = transport.KindError, []byte(err.Error())
 			}
-			outv, err := func() (p []byte, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("query rejected: %v", r)
-					}
-				}()
-				return gobEncode(w.rep.Query(in))
-			}()
-			if err != nil {
-				if !reply(transport.KindError, []byte(err.Error())) {
-					return
-				}
-				continue
-			}
-			if !reply(transport.KindResult, outv) {
+			if !reply(kind, outv) {
 				return
 			}
 		case transport.KindStateKey:
-			if !reply(transport.KindResult, []byte(w.rep.StateKey())) {
+			if !reply(transport.KindResult, []byte(w.StateKey())) {
 				return
 			}
 		case transport.KindStats:
@@ -262,6 +269,23 @@ func (w *WireNode[H]) serveClient(conn net.Conn, br *bufio.Reader) {
 			}
 		}
 	}
+}
+
+// answerQuery decodes and evaluates one client query. Every failure —
+// bytes gob cannot decode, an input the object does not know (specs
+// panic on those) — is an error for the client, never a panic out of its
+// serving goroutine.
+func (w *WireNode[H]) answerQuery(payload []byte) (out []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("query rejected: %v", r)
+		}
+	}()
+	in, err := gobDecode(payload)
+	if err != nil {
+		return nil, err
+	}
+	return gobEncode(w.rep.Query(in))
 }
 
 // Client is a thin connection to one daemon: updates stream as codec
@@ -341,7 +365,11 @@ func (c *Client[H]) Flush() error {
 	return nil
 }
 
-// StateKey returns the daemon replica's canonical state fingerprint.
+// StateKey returns the daemon's convergence key (WireNode.StateKey):
+// two daemons of one cluster return equal keys exactly when they hold
+// the same set of update stamps, which is the same updates only while no
+// daemon reuses a stamp (not so for writes to a daemon restarted after
+// a crash, before it has caught up; see WireNode.StateKey).
 func (c *Client[H]) StateKey() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

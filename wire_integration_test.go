@@ -18,12 +18,17 @@ import (
 // Loopback integration suite for the wire transport: in-process
 // ListenAndServe clusters (full -race coverage of the daemon paths)
 // and real multi-process ucserve clusters, including kill -9 and
-// restart. Converged states are asserted against an in-process
-// reference cluster fed the same updates where the workload is
-// commutative (distinct inserts, counter adds, writes to distinct
-// keys) — there the converged state is delivery-order independent and
-// the comparison is exact; the order-sensitive log is held to mutual
-// convergence plus per-writer order instead.
+// restart. A cluster has converged when its daemons' StateKeys — their
+// update-set fingerprints — agree and so does every daemon's canonical
+// state: Replica.StateKey in process, the object's ω query through a
+// client. That state is then asserted against an in-process reference
+// cluster fed the same updates where the workload is commutative
+// (distinct inserts, counter adds, writes to distinct keys) — there the
+// converged state is delivery-order independent and the comparison is
+// exact; the order-sensitive log is held to mutual convergence plus
+// per-writer order instead. Fingerprints of independent clusters differ
+// (the same updates carry other timestamps), so the reference comparison
+// is always of canonical state, never of keys.
 
 func wireAddrs(t *testing.T, n int) []string {
 	t.Helper()
@@ -69,9 +74,9 @@ func clientDump[H any](cs []*Client[H]) func() string {
 	}
 }
 
-// referenceWireKey replays the same workload on an in-process live
-// cluster and returns its converged state key.
-func referenceWireKey[H any](t *testing.T, obj Object[H], shards int, drive func(hs []H)) string {
+// referenceWire replays the same workload on an in-process live cluster
+// and returns it settled and converged; it closes when the test ends.
+func referenceWire[H any](t *testing.T, obj Object[H], shards int, drive func(hs []H)) *Cluster[H] {
 	t.Helper()
 	var opts []Option
 	if shards > 1 {
@@ -81,13 +86,36 @@ func referenceWireKey[H any](t *testing.T, obj Object[H], shards int, drive func
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(cl.Close)
 	drive(hs)
 	cl.Settle()
 	if !cl.Converged() {
 		t.Fatal("reference cluster did not converge")
 	}
-	return cl.replicas[0].StateKey()
+	return cl
+}
+
+// refOmega is the reference cluster's answer to the object's ω query.
+func refOmega[H any](obj Object[H], ref *Cluster[H]) string {
+	in, _ := obj.Omega()
+	return fmt.Sprint(ref.replicas[0].Query(in))
+}
+
+// omegaOf asks the daemon behind c the object's ω query.
+func omegaOf[H any](obj Object[H], c *Client[H]) string {
+	in, _ := obj.Omega()
+	return fmt.Sprint(clientPort[H]{c}.Query(in))
+}
+
+// sameOmega reports whether every daemon behind cs answers the object's
+// ω query with want.
+func sameOmega[H any](obj Object[H], cs []*Client[H], want string) bool {
+	for _, c := range cs {
+		if omegaOf(obj, c) != want {
+			return false
+		}
+	}
+	return true
 }
 
 // runWireInProcess starts a 3-node ListenAndServe cluster over real
@@ -108,10 +136,10 @@ func runWireInProcess[H any](t *testing.T, obj Object[H], shards int, reference 
 	drive(hs)
 	want := ""
 	if reference {
-		want = referenceWireKey(t, obj, shards, drive)
+		want = referenceWire(t, obj, shards, drive).replicas[0].StateKey()
 	}
-	waitWireNodes(t, nodes, fmt.Sprintf("wire cluster convergence (reference key %q)", want), func(key string) bool {
-		return !reference || key == want
+	waitWireNodes(t, nodes, fmt.Sprintf("wire cluster convergence (reference state %q)", want), func(state string) bool {
+		return !reference || state == want
 	})
 	return hs
 }
@@ -146,9 +174,10 @@ func serveWireMesh[H any](t *testing.T, obj Object[H], cfg WireConfig) []*WireNo
 }
 
 // waitWireNodes flushes every node's outbound queues, then waits until all
-// nodes hold one state key that also satisfies ok; a timeout prints each
-// node's stats.
-func waitWireNodes[H any](t *testing.T, nodes []*WireNode[H], what string, ok func(key string) bool) {
+// nodes hold one state key — the same updates — and, checked
+// independently of that key, one canonical state that satisfies ok; a
+// timeout prints each node's key, canonical state and stats.
+func waitWireNodes[H any](t *testing.T, nodes []*WireNode[H], what string, ok func(state string) bool) {
 	t.Helper()
 	for _, n := range nodes {
 		if err := n.Flush(5 * time.Second); err != nil {
@@ -157,15 +186,22 @@ func waitWireNodes[H any](t *testing.T, nodes []*WireNode[H], what string, ok fu
 	}
 	waitWire(t, 10*time.Second, what, func() bool {
 		key := nodes[0].StateKey()
-		converged := ok(key)
 		for _, n := range nodes[1:] {
-			converged = converged && n.StateKey() == key
+			if n.StateKey() != key {
+				return false
+			}
 		}
-		return converged
+		state := nodes[0].rep.StateKey()
+		for _, n := range nodes[1:] {
+			if n.rep.StateKey() != state {
+				return false
+			}
+		}
+		return ok(state)
 	}, func() string {
 		var b strings.Builder
 		for i, n := range nodes {
-			fmt.Fprintf(&b, "node %d: key %q\n%s", i, n.StateKey(), n.StatsText())
+			fmt.Fprintf(&b, "node %d: key %q state %q\n%s", i, n.StateKey(), n.rep.StateKey(), n.StatsText())
 		}
 		return b.String()
 	})
@@ -554,24 +590,28 @@ func dialRetry[H any](t *testing.T, obj Object[H], addr string) *Client[H] {
 	}
 }
 
-// waitClientKeys polls daemons through their clients until every state
-// key equals want.
-func waitClientKeys[H any](t *testing.T, cs []*Client[H], want, what string) {
+// waitClients polls daemons through their clients until they all report
+// one state key — they hold the same updates — and ok holds.
+func waitClients[H any](t *testing.T, cs []*Client[H], what string, ok func() bool) {
 	t.Helper()
 	waitWire(t, 15*time.Second, what, func() bool {
-		for _, c := range cs {
+		want, err := cs[0].StateKey()
+		if err != nil {
+			return false
+		}
+		for _, c := range cs[1:] {
 			key, err := c.StateKey()
 			if err != nil || key != want {
 				return false
 			}
 		}
-		return true
+		return ok()
 	}, clientDump(cs))
 }
 
 // runWireProcs spawns a 3-daemon ucserve cluster, applies the workload
 // through one Dial client per daemon, and requires every daemon to
-// converge to the in-process reference key.
+// converge to the in-process reference state.
 func runWireProcs[H any](t *testing.T, objName string, obj Object[H], shards int, drive func(hs []H)) []*Client[H] {
 	t.Helper()
 	bin := buildUcserve(t)
@@ -595,8 +635,8 @@ func runWireProcs[H any](t *testing.T, objName string, obj Object[H], shards int
 			t.Fatal(err)
 		}
 	}
-	want := referenceWireKey(t, obj, shards, drive)
-	waitClientKeys(t, cs, want, objName+" cluster convergence")
+	want := refOmega(obj, referenceWire(t, obj, shards, drive))
+	waitClients(t, cs, objName+" cluster convergence", func() bool { return sameOmega(obj, cs, want) })
 	return cs
 }
 
@@ -660,17 +700,7 @@ func runWireProcsMutual[H any](t *testing.T, objName string, obj Object[H], extr
 			t.Fatal(err)
 		}
 	}
-	waitWire(t, 15*time.Second, objName+" mutual convergence", func() bool {
-		keys := make([]string, 3)
-		for i, c := range cs {
-			key, err := c.StateKey()
-			if err != nil {
-				return false
-			}
-			keys[i] = key
-		}
-		return keys[0] == keys[1] && keys[1] == keys[2]
-	}, clientDump(cs))
+	waitClients(t, cs, objName+" mutual convergence", func() bool { return sameOmega(obj, cs, omegaOf(obj, cs[0])) })
 }
 
 // TestWireMultiProcessAllKinds runs a real 3-daemon cluster for every
@@ -809,8 +839,10 @@ func TestWireKillRestartRepair(t *testing.T) {
 	if err := c1.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ref1 := referenceWireKey(t, CounterMapObject(), 2, func(hs []*CounterMap) { phase1(hs[0], hs[1]) })
-	waitClientKeys(t, []*Client[*CounterMap]{c0, c1, c2}, ref1, "pre-kill convergence")
+	obj := CounterMapObject()
+	all := []*Client[*CounterMap]{c0, c1, c2}
+	ref1 := refOmega(obj, referenceWire(t, obj, 2, func(hs []*CounterMap) { phase1(hs[0], hs[1]) }))
+	waitClients(t, all, "pre-kill convergence", func() bool { return sameOmega(obj, all, ref1) })
 
 	// kill -9: no flush, no goodbye. The ping barrier above made the
 	// pre-kill state durable on the survivors.
@@ -821,15 +853,19 @@ func TestWireKillRestartRepair(t *testing.T) {
 	if err := c0.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ref2 := referenceWireKey(t, CounterMapObject(), 2, func(hs []*CounterMap) {
+	ref2 := refOmega(obj, referenceWire(t, obj, 2, func(hs []*CounterMap) {
 		phase1(hs[0], hs[1])
 		phase2(hs[0])
-	})
-	waitClientKeys(t, []*Client[*CounterMap]{c0, c1}, ref2, "survivor convergence")
+	}))
+	survivors := []*Client[*CounterMap]{c0, c1}
+	waitClients(t, survivors, "survivor convergence", func() bool { return sameOmega(obj, survivors, ref2) })
 
 	// Restart with the same flags: the daemon comes back empty and the
-	// on-connect digest exchange pulls everything it ever missed.
+	// on-connect digest exchange pulls everything it ever missed. The
+	// restarted daemon's own state is held to the reference, not only its
+	// update-set key to its peers'.
 	daemons[2] = startDaemon(t, bin, 2, addrs, "countermap", "-shards", "2")
-	c2 = dialRetry(t, CounterMapObject(), addrs[2])
-	waitClientKeys(t, []*Client[*CounterMap]{c0, c1, c2}, ref2, "restarted replica repair")
+	c2 = dialRetry(t, obj, addrs[2])
+	all = []*Client[*CounterMap]{c0, c1, c2}
+	waitClients(t, all, "restarted replica repair", func() bool { return sameOmega(obj, all, ref2) })
 }

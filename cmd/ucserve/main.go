@@ -131,8 +131,8 @@ type wireServer interface {
 
 // serve starts the daemon for the named registry object. Nothing here
 // is keyed on built-in names: any registered object serves, and
-// ListenAndServe itself refuses the ones the wire cannot carry
-// (Algorithm 2's memory).
+// ListenAndServe itself refuses configurations the object cannot take
+// (shards on a non-partitionable spec).
 func serve(name string, cfg updatec.WireConfig) (wireServer, error) {
 	obj, err := updatec.Lookup(name)
 	if err != nil {

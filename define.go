@@ -26,6 +26,10 @@ import (
 //     late arrival by undo/redo instead of a rebuild.
 //   - Commutative marks update commutativity, which E22 prices: a
 //     commutative object converges under causal delivery alone.
+//   - Masking names what an update overwrites, so the replica's log
+//     keeps one entry per register instead of one per write
+//     (Algorithm 2's observation; MemoryObject, KVObject and
+//     RegisterObject use it).
 type (
 	// State is an object state (Definition 1's S). Opaque to the
 	// construction; only the Spec interprets it.
@@ -61,6 +65,9 @@ type (
 	QueryCacheKey = spec.QueryCacheKey
 	// Commutative marks specs whose updates all commute.
 	Commutative = spec.Commutative
+	// Masking marks specs where a later update erases an earlier one
+	// with the same mask key.
+	Masking = spec.Masking
 )
 
 // defineConfig collects DefineOption state.

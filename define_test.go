@@ -235,10 +235,6 @@ func TestDefineOptionErrGates(t *testing.T) {
 			_, _, err := New(2, RegisterObject(""), WithConsistency(Causal), WithEngine(Replay))
 			return err
 		}(), ErrUnsupported},
-		{"causal on alg2", func() error {
-			_, _, err := New(2, MemoryObject(""), WithConsistency(Causal))
-			return err
-		}(), ErrUnsupported},
 	} {
 		if tc.err == nil {
 			t.Fatalf("%s: option combination was accepted", tc.name)

@@ -24,8 +24,7 @@ import (
 
 var equivKeys = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
-// equivObjects returns the registered objects the engines apply to:
-// log-based (not Algorithm 2) and with a workload generator.
+// equivObjects returns the registered objects with a workload generator.
 func equivObjects(t *testing.T) []Object[Handle] {
 	var objs []Object[Handle]
 	for _, name := range Objects() {
@@ -33,7 +32,7 @@ func equivObjects(t *testing.T) []Object[Handle] {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if obj.alg2 || obj.workload == nil {
+		if obj.workload == nil {
 			continue
 		}
 		objs = append(objs, obj)

@@ -22,8 +22,8 @@ var (
 	ErrBadOption = errors.New("invalid option value")
 
 	// ErrUnsupported marks an object/option combination the object does
-	// not support: WithShards on a non-partitionable spec, WithGC on
-	// Algorithm 2 or on a causal cluster, Resize without the
+	// not support: WithShards on a non-partitionable spec, WithGC on a
+	// causal cluster, Resize without the
 	// Partitionable capability, and so on. The message says which
 	// capability is missing.
 	ErrUnsupported = errors.New("unsupported object/option combination")

@@ -197,22 +197,27 @@ func TestMemoryExperimentShapes(t *testing.T) {
 		res := MemoryExperiment(&buf, true)
 		if attempt == 0 {
 			for _, row := range res.Rows {
-				if row.Alg2Cells != 4 {
-					t.Fatalf("alg2 cells %d, want 4 registers", row.Alg2Cells)
+				if row.MaskedLog > 2*4 {
+					t.Fatalf("%d writes: masking log holds %d entries, want at most twice the 4 registers", row.Ops, row.MaskedLog)
 				}
-				if row.GenericLog != row.Ops {
-					t.Fatalf("generic log %d, want %d", row.GenericLog, row.Ops)
+				if row.UnmaskedLog != row.Ops {
+					t.Fatalf("unmasked log %d, want %d", row.UnmaskedLog, row.Ops)
+				}
+			}
+			for _, row := range res.KV {
+				if row.Keys == 0 || row.MaxLive > 2*row.Keys {
+					t.Fatalf("kv shard %d: live log reached %d entries for %d keys", row.Shard, row.MaxLive, row.Keys)
 				}
 			}
 		}
-		// Reads of the generic replay memory must slow down as the log
-		// grows; Algorithm 2 must not.
+		// Replay reads of the unmasked memory must slow down as the log
+		// grows; the masking replica's must not.
 		first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
 		switch {
-		case last.GenericRead < first.GenericRead*2:
-			lastErr = "generic read did not degrade with history length"
-		case last.Alg2Read > first.GenericRead && last.Alg2Read > last.CheckpointRead:
-			lastErr = "alg2 read unexpectedly slow"
+		case last.ReplayRead < first.ReplayRead*2:
+			lastErr = "unmasked replay read did not degrade with history length"
+		case last.MaskedRead > first.ReplayRead && last.MaskedRead > last.CheckpointRead:
+			lastErr = "masked read unexpectedly slow"
 		default:
 			return
 		}

@@ -1,10 +1,12 @@
 // Package core implements the paper's primary contribution: the
 // universal construction of strong update consistent objects
 // (Algorithm 1, §VII-B) for arbitrary UQ-ADTs in wait-free asynchronous
-// crash-prone message-passing systems, the optimized shared memory of
-// Algorithm 2, the query-engine optimizations sketched in §VII-C
-// (cached intermediate states and undo-redo splicing), and
-// stability-based garbage collection of the update log.
+// crash-prone message-passing systems, the query-engine optimizations
+// sketched in §VII-C (cached intermediate states and undo-redo
+// splicing), and two ways of keeping the update log small:
+// stability-based garbage collection, and — for a spec.Masking spec —
+// Algorithm 2's observation that an overwritten register value can never
+// be read again, which keeps one log entry per register.
 package core
 
 import (
@@ -70,6 +72,17 @@ type Log struct {
 	// such logs get the relaxed below-horizon guard (see belowHorizon);
 	// a base built by this log's own CompactBelow keeps the strict one.
 	seeded bool
+	// mask is Algorithm 2's log policy (spec.Masking.MaskKey), installed
+	// by the replica of a masking spec; nil otherwise. A masking log keeps
+	// in winners the highest entry per mask key. An arrival that sorts
+	// below its key's winner is dropped and counted in masked; one above
+	// it lands, and the old winner becomes one of the dead entries —
+	// still in the live suffix, where the engines' positions point, until
+	// purge drops them. A masking log never compacts into a base.
+	mask    func(u spec.Update) string
+	winners map[string]Entry
+	dead    int
+	masked  uint64
 	// merged marks a base installed by MergeSnapshot (anti-entropy's
 	// snapshot fallback). Such a base proves containment at the *donor*:
 	// everything at or below its horizon was delivered there and folded
@@ -91,6 +104,11 @@ func NewLog(adt spec.UQADT) *Log {
 // construction sets it for partitionable types; a plain replica's log
 // never needs it.
 func (l *Log) SetTieKey(f func(u spec.Update) string) { l.tieKey = f }
+
+// setMask installs Algorithm 2's masking policy on an empty log.
+func (l *Log) setMask(f func(u spec.Update) string) {
+	l.mask, l.winners = f, map[string]Entry{}
+}
 
 // less is the log's entry order: timestamp order, ties broken by
 // update key when a tie-break is installed.
@@ -120,6 +138,67 @@ func belowHorizon(l *Log, ts clock.Timestamp) bool {
 	return !l.baseTS.Less(ts)
 }
 
+// masks reports whether e sorts below the winner of its mask key: a
+// masked arrival, or a dead entry of the live suffix.
+func (l *Log) masks(e Entry) bool {
+	if l.mask == nil {
+		return false
+	}
+	w, ok := l.winners[l.mask(e.U)]
+	return ok && l.less(e, w)
+}
+
+// win makes a landed entry the winner of its mask key; the entry it
+// replaces is dead, and leaves the fingerprint.
+func (l *Log) win(e Entry) {
+	k := l.mask(e.U)
+	if w, ok := l.winners[k]; ok {
+		l.dead++
+		l.sum -= entryHash(w.TS)
+	}
+	l.winners[k] = e
+}
+
+// unmasked is the live suffix without its dead entries: the entries a
+// digest tallies, a sync reply sends and a snapshot carries. It is
+// Entries itself unless the log holds dead entries, a copy then.
+func (l *Log) unmasked() []Entry {
+	if l.dead == 0 {
+		return l.Entries()
+	}
+	out := make([]Entry, 0, len(l.winners))
+	for _, e := range l.Entries() {
+		if !l.masks(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// purge rewrites a masking log's live suffix without its dead entries
+// once they outnumber the winners, so the suffix stays within twice the
+// key count and each landing pays O(1) amortised for it. It reports
+// whether it rewrote the suffix; the positions an engine holds are then
+// stale (Engine.Bind). Purged entries count as no longer live, like
+// compacted ones.
+func (l *Log) purge() bool {
+	if l.dead <= len(l.winners) {
+		return false
+	}
+	kept := l.buf[:0]
+	for _, e := range l.buf[l.head:] {
+		if !l.masks(e) {
+			kept = append(kept, e)
+		}
+	}
+	clear(l.buf[len(kept):])
+	l.buf, l.head = kept, 0
+	l.baseLen += l.dead
+	l.dead = 0
+	l.version++
+	return true
+}
+
 // Len returns the number of live (non-compacted) entries.
 func (l *Log) Len() int { return len(l.buf) - l.head }
 
@@ -145,6 +224,13 @@ func (l *Log) Entries() []Entry { return l.buf[l.head:] }
 // replays the log. A resharded log merges several clock domains; there
 // one pair can name two updates, and the sharded layer reports no
 // fingerprint (ShardedReplica.Fingerprint).
+//
+// A masking log fingerprints its winners instead: the count of mask keys
+// and the sum of entryHash over each key's winning stamp, updated
+// whenever a winner is replaced. Its state is the fold of the winners
+// (spec.Masking), so equal winner sets mean equal states, and replicas
+// that landed the same updates hold the same winners whatever they
+// masked on the way.
 type Fingerprint struct {
 	Count uint64
 	Sum   uint64
@@ -159,6 +245,9 @@ func entryHash(ts clock.Timestamp) uint64 { return mix64(ts.Clock ^ mix64(uint64
 // Fingerprint returns the fingerprint of every update the log has
 // landed. O(1): the sum is kept on the landing paths.
 func (l *Log) Fingerprint() Fingerprint {
+	if l.mask != nil {
+		return Fingerprint{Count: uint64(len(l.winners)), Sum: l.sum}
+	}
 	return Fingerprint{Count: uint64(l.TotalLen()), Sum: l.sum}
 }
 
@@ -229,8 +318,13 @@ func (l *Log) Insert(e Entry) int {
 // suffix, and the cut's queued originals still deliver afterwards — and
 // under injected per-link duplication. A duplicate can never take the
 // fast tail path (an equal timestamp is not strictly greater), so the
-// O(1) hot path is untouched.
+// O(1) hot path is untouched. On a masking log an entry below its key's
+// winner is dropped too, and counted as masked.
 func (l *Log) InsertDedup(e Entry) (int, bool) {
+	if l.masks(e) {
+		l.masked++
+		return 0, false
+	}
 	if l.base != nil && belowHorizon(l, e.TS) {
 		if l.merged {
 			// A merge-installed base provably contains everything under
@@ -248,6 +342,9 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 		l.buf = append(l.buf, e)
 		l.version++
 		l.sum += entryHash(e.TS)
+		if l.mask != nil {
+			l.win(e)
+		}
 		return n, true
 	}
 	at := sort.Search(n, func(i int) bool {
@@ -262,6 +359,9 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 	live[at] = e
 	l.version++
 	l.sum += entryHash(e.TS)
+	if l.mask != nil {
+		l.win(e)
+	}
 	return at, true
 }
 
@@ -298,6 +398,8 @@ func (l *Log) SortEntries(batch []Entry) {
 // It returns the lowest index an entry landed at (the one position a
 // query engine needs to hear about), how many landed, how many of those
 // sorted below the previous maximum (late inserts), and the duplicates.
+// On a masking log the entries below their key's winner are dropped
+// first (admit) and counted as masked, not as duplicates.
 func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 	if rest := l.aboveBase(batch); len(rest) < len(batch) {
 		if !l.merged {
@@ -305,6 +407,9 @@ func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 				batch[0].TS, l.baseTS))
 		}
 		batch, dups = rest, len(batch)-len(rest)
+	}
+	if l.mask != nil {
+		batch, dups = l.admit(batch)
 	}
 	live := l.buf[l.head:]
 	n := len(live)
@@ -365,6 +470,28 @@ func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 	return first, landed, late, dups
 }
 
+// admit is MergeSorted's masking step. It drops the batch entries at or
+// below their key's winner — exact duplicates, returned as dups, and
+// masked arrivals, counted in masked — and makes each survivor, in batch
+// order, its key's winner, so every survivor lands and the fingerprint
+// already accounts for the winners it replaces.
+func (l *Log) admit(batch []Entry) (kept []Entry, dups int) {
+	kept = make([]Entry, 0, len(batch))
+	for _, e := range batch {
+		if w, ok := l.winners[l.mask(e.U)]; ok && !l.less(w, e) {
+			if l.less(e, w) {
+				l.masked++
+			} else {
+				dups++
+			}
+			continue
+		}
+		l.win(e)
+		kept = append(kept, e)
+	}
+	return kept, dups
+}
+
 // Covers reports whether ts is at or below the compaction horizon —
 // i.e. the update carrying it is already folded into the base (the
 // stability argument: everything under the horizon was delivered before
@@ -387,8 +514,12 @@ func (l *Log) aboveBase(batch []Entry) []Entry {
 // CompactBelow folds every entry with timestamp clock ≤ horizon into
 // the base snapshot and returns how many entries were folded. The
 // caller (the replica) must guarantee, via the stability tracker, that
-// no future insert can sort at or below the horizon.
+// no future insert can sort at or below the horizon. A masking log
+// never compacts: purge is its garbage collection.
 func (l *Log) CompactBelow(horizon uint64) int {
+	if l.mask != nil {
+		return 0
+	}
 	live := l.buf[l.head:]
 	cut := 0
 	for cut < len(live) && live[cut].TS.Clock <= horizon {

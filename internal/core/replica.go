@@ -205,6 +205,9 @@ func NewReplica(cfg Config) *Replica {
 		originMax: clock.NewVector(cfg.N),
 	}
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
+	if m, ok := cfg.ADT.(spec.Masking); ok {
+		r.log.setMask(m.MaskKey)
+	}
 	if cfg.GC {
 		r.stab = clock.NewStability(cfg.N, cfg.ID)
 	}
@@ -454,20 +457,37 @@ func (r *Replica) tailLocked(ts clock.Timestamp) {
 // origin coverage and the engine, reporting whether the entry was new.
 // An exact duplicate — legal on the repair paths, see Log.InsertDedup —
 // is counted and skipped: no version bump, no engine notification (the
-// state is unchanged). Caller holds the exclusive lock.
+// state is unchanged). So is an arrival its key's winner masks; it still
+// raises the origin coverage, because the replica's state already
+// reflects it — overwritten. Caller holds the exclusive lock.
 func (r *Replica) insertLocked(ts clock.Timestamp, u spec.Update) bool {
 	r.clk.Observe(ts.Clock)
-	at, ok := r.log.InsertDedup(Entry{TS: ts, U: u})
+	r.observeOrigin(ts)
+	e := Entry{TS: ts, U: u}
+	at, ok := r.log.InsertDedup(e)
 	if !ok {
-		r.dupDrops++
+		if !r.log.masks(e) {
+			r.dupDrops++
+		}
 		return false
 	}
 	if at != r.log.Len()-1 {
 		r.lateInserts++
 	}
-	r.observeOrigin(ts)
 	r.engine.Inserted(at)
+	if r.log.mask != nil {
+		r.purgeLocked()
+	}
 	return true
+}
+
+// purgeLocked drops a masking log's dead entries once they outnumber its
+// winners (Log.purge) and rebinds the engine to the rewritten suffix.
+// Caller holds the exclusive lock.
+func (r *Replica) purgeLocked() {
+	if r.log.purge() {
+		r.engine.Bind(r.adt, r.log)
+	}
 }
 
 // mergeLocked is insertLocked for a whole batch in log order — a sync
@@ -490,6 +510,9 @@ func (r *Replica) mergeLocked(batch []Entry) int {
 	r.lateInserts += uint64(late)
 	if landed > 0 {
 		r.engine.Inserted(first)
+		if r.log.mask != nil {
+			r.purgeLocked()
+		}
 	}
 	return landed
 }
@@ -561,8 +584,10 @@ type Stats struct {
 	// recomputation).
 	LateInserts uint64
 	// DupDropped counts exact-duplicate arrivals skipped by the log;
-	// SyncApplied counts entries landed by anti-entropy repair.
+	// Masked counts arrivals a masking log dropped below their key's
+	// winner; SyncApplied counts entries landed by anti-entropy repair.
 	DupDropped  uint64
+	Masked      uint64
 	SyncApplied uint64
 	Clock       uint64
 	// Folded is how many live entries the engine's retained state
@@ -581,6 +606,7 @@ func (r *Replica) Stats() Stats {
 		Compacted:   r.compacted,
 		LateInserts: r.lateInserts,
 		DupDropped:  r.dupDrops,
+		Masked:      r.log.masked,
 		SyncApplied: r.syncApplied,
 		Clock:       r.clk.Now(),
 		Folded:      folded,

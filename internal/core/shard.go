@@ -589,6 +589,7 @@ func (r *ShardedReplica) Stats() Stats {
 		agg.Compacted += st.Compacted
 		agg.LateInserts += st.LateInserts
 		agg.DupDropped += st.DupDropped
+		agg.Masked += st.Masked
 		agg.SyncApplied += st.SyncApplied
 		agg.Folded += st.Folded
 		if st.Clock > agg.Clock {
@@ -808,7 +809,7 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 			}
 			r.movedCompacted += uint64(o.log.baseLen)
 		}
-		for _, e := range o.log.Entries() {
+		for _, e := range o.log.unmasked() {
 			dst := routeKey(r.part.UpdateKey(e.U), newShards)
 			seeds[dst].entries = append(seeds[dst].entries, e)
 			r.movedEntries++

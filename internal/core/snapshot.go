@@ -37,14 +37,16 @@ import (
 // log shape after a Resize, and encoder and decoder must agree on it.
 //
 // Encoding the base state requires the spec to implement
-// spec.StateCodec; uncompacted replicas need only the update codec.
+// spec.StateCodec; uncompacted replicas need only the update codec. A
+// masking log never has a base: its snapshot is the winners alone, one
+// per mask key, without the dead entries it has not purged yet.
 
 // Snapshot serializes the replica's replicated state. Like SyncReply it
 // holds only the read half of the lock, so the donor keeps serving.
 func (r *Replica) Snapshot() ([]byte, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	entries := r.log.Entries()
+	entries := r.log.unmasked()
 	out := binary.AppendUvarint(make([]byte, 0, 32+len(entries)*16), r.clk.Now())
 	out = binary.AppendUvarint(out, uint64(r.log.TotalLen()-r.log.Len()))
 	base, baseTS := r.log.Base()

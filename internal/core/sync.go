@@ -170,7 +170,7 @@ func (r *Replica) Digest() Digest {
 	d := Digest{Ver: r.log.Version(), Origins: make([]OriginDigest, r.n)}
 	_, baseTS := r.log.Base()
 	d.Base = baseTS.Clock
-	entries := r.log.Entries()
+	entries := r.log.unmasked()
 	// Entries ascend by clock: an origin's last entry carries its top.
 	top := make([]uint64, r.n)
 	for i := range entries {
@@ -205,7 +205,7 @@ func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	if baseTS.Clock > d.Base {
 		return nil, ErrCompacted
 	}
-	entries := r.log.Entries()
+	entries := r.log.unmasked()
 	// Pass 1: the donor's own cumulative view at the peer's rung clocks
 	// (a digest narrower than r.n leaves the other origins no ladder),
 	// and from it the clock above which each origin is sent.
@@ -313,6 +313,10 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	old := r.log
 	nl := NewLog(r.adt)
 	nl.tieKey = old.tieKey
+	if old.mask != nil {
+		nl.setMask(old.mask)
+		nl.masked = old.masked
+	}
 	// Keep whichever base folded further. A base's folded entries exist
 	// nowhere else, so adopting the lower-horizon one would lose the
 	// difference; the higher base is a superset of the lower (both fold
@@ -333,7 +337,7 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 		nl.merged = old.merged
 	}
 	// What either side held under the adopted base is folded into it.
-	nl.MergeSorted(nl.aboveBase(old.Entries()))
+	nl.MergeSorted(nl.aboveBase(old.unmasked()))
 	nl.SortEntries(sd.entries)
 	theirs := nl.aboveBase(sd.entries)
 	for i := range theirs {
@@ -347,6 +351,7 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	// at one version stays valid while it is unchanged — so the new log
 	// resumes counting above the old one.
 	nl.version += old.version
+	nl.purge()
 	r.log = nl
 	r.clk.Observe(sd.clock)
 	if r.stab != nil {

@@ -100,6 +100,16 @@ func (MemorySpec) KeyState(s State) string {
 	return b.String()
 }
 
+// MaskKey implements Masking: a write masks every earlier write to the
+// same register.
+func (MemorySpec) MaskKey(u Update) string {
+	w, ok := u.(WriteKey)
+	if !ok {
+		panic(fmt.Sprintf("spec: memory does not recognize update %T", u))
+	}
+	return w.K
+}
+
 // ApplyUndo implements Undoable: a write's inverse restores the
 // register's previous binding (or removes it if the register was
 // unwritten).

@@ -64,6 +64,10 @@ func (RegisterSpec) EqualOutput(a, b QueryOutput) bool {
 // KeyState implements UQADT.
 func (RegisterSpec) KeyState(s State) string { return s.(string) }
 
+// MaskKey implements Masking: the register is one cell, so every write
+// masks every earlier one.
+func (RegisterSpec) MaskKey(Update) string { return "" }
+
 // ApplyUndo implements Undoable: a write's inverse restores the
 // previous content.
 func (RegisterSpec) ApplyUndo(s State, u Update) (State, Undo) {

@@ -135,6 +135,23 @@ type Commutative interface {
 	CommutativeUpdates() bool
 }
 
+// Masking is implemented by specifications where a later update can
+// erase an earlier one: the register observation behind Algorithm 2
+// (§VII-C) — an overwritten value can never be read again, so a replica
+// needs only the latest update per register. MaskKey names what u
+// overwrites. Implementations must satisfy, for all states s and
+// updates u, u':
+//
+//   - masking: MaskKey(u) = MaskKey(u') ⇒ T(T(s,u'),u) = T(s,u), and
+//   - independence: MaskKey(u) ≠ MaskKey(u') ⇒ T(T(s,u),u') = T(T(s,u'),u),
+//
+// so an update followed anywhere later in a linearization by one with
+// the same mask key can be dropped from it without changing the state.
+// The replica's log keeps one entry per mask key (core.Log).
+type Masking interface {
+	MaskKey(u Update) string
+}
+
 // Replay runs the word of updates from the initial state and returns the
 // resulting state.
 func Replay(adt UQADT, updates []Update) State {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"updatec/internal/check"
-	"updatec/internal/core"
 	"updatec/internal/history"
 	"updatec/internal/spec"
 )
@@ -13,9 +12,9 @@ import (
 // Handle is the object surface every typed handle is written against:
 // issue an update, evaluate a query. Depending on how the handle was
 // obtained it is backed by a (possibly sharded) replica of the generic
-// construction, a causal replica, an Algorithm 2 memory, a recording
-// wrapper, or a client session — the handle's methods are identical in
-// all cases. Define's handle wiring receives one and wraps it into the
+// construction, a causal replica, a recording wrapper, a wire client,
+// or a client session — the handle's methods are identical in all
+// cases. Define's handle wiring receives one and wraps it into the
 // application's typed handle; Lookup's dynamic descriptors hand it out
 // directly.
 type Handle interface {
@@ -44,10 +43,6 @@ type Object[H any] struct {
 	hasOmega bool
 	// workload is the optional random-update generator (WithWorkload).
 	workload func(rng *rand.Rand, key string) spec.Update
-	// alg2 marks the Algorithm 2 shared memory, which replaces the
-	// log-based construction entirely (no engines, no GC, no shards).
-	alg2 bool
-	init string // Algorithm 2 initial register value
 }
 
 // Name returns the descriptor's data type name (e.g. "set").
@@ -89,16 +84,11 @@ func (o Object[H]) Dynamic() Object[Handle] {
 		omega:    o.omega,
 		hasOmega: o.hasOmega,
 		workload: o.workload,
-		alg2:     o.alg2,
-		init:     o.init,
 	}
 }
 
 // partitionable reports whether the object may be key-sharded.
 func (o Object[H]) partitionable() bool {
-	if o.alg2 {
-		return false
-	}
 	_, ok := o.adt.(spec.Partitionable)
 	return ok
 }
@@ -280,13 +270,12 @@ func SequenceObject() Object[*Sequence] {
 		})))
 }
 
-// KV is an update consistent key-value store built on the *generic*
-// construction (Algorithm 1 over the register-map type). It is
+// KV is an update consistent key-value store: the register-map type of
+// MemoryObject with an empty initial value. A write masks every earlier
+// write to its key (Algorithm 2's observation, spec.Masking), so each
+// replica's log keeps one entry per key, not one per write. It is
 // partitionable — each register is its own key — so it accepts
-// WithShards. Prefer MemoryObject (Algorithm 2) for unsharded
-// applications: it implements the same semantics with O(1) reads and
-// bounded memory; KV exists for the paper's complexity comparison and
-// as the sharded register map.
+// WithShards and Resize.
 type KV struct{ p port }
 
 // Put writes v to register k. Wait-free.
@@ -305,8 +294,8 @@ func KVObject() Object[*KV] {
 		WithWorkload(kvWorkload)))
 }
 
-// kvWorkload is shared by the kv and memory descriptors (same spec,
-// different construction).
+// kvWorkload is shared by the kv and memory descriptors (one spec,
+// different handles).
 func kvWorkload(rng *rand.Rand, key string) Update {
 	return spec.WriteKey{K: key, V: fmt.Sprintf("v%d", rng.Intn(64))}
 }
@@ -352,18 +341,21 @@ func CounterMapObject() Object[*CounterMap] {
 }
 
 // Memory is the shared memory of Algorithm 2: per-register
-// last-writer-wins cells ordered by the same timestamps as the generic
-// construction, giving update consistency with O(1) reads and writes
-// and memory bounded by the number of registers. Memory clusters
-// support neither WithEngine, WithGC nor WithShards (Algorithm 2 keeps
-// no log and is already per-register); New reports an error for those
-// combinations.
+// last-writer-wins cells ordered by the same timestamps as Algorithm 1.
+// It is Algorithm 1 with Algorithm 2's observation as the log's policy:
+// an overwritten value can never be read again, so a replica keeps only
+// the latest write per register, and its log stays within twice the
+// number of registers written however many writes it has seen. Reads
+// are keyed queries on the maintained state. Memory accepts every
+// option the generic construction does — WithShards and Resize (it is
+// partitionable), WithEngine, WithGC (there is nothing left to fold),
+// sessions, the wire transport and Dial.
 type Memory struct{ p port }
 
-// Write stores v in register x. Wait-free, O(1).
+// Write stores v in register x. Wait-free, O(1) amortised.
 func (m *Memory) Write(x, v string) { m.p.Update(spec.WriteKey{K: x, V: v}) }
 
-// Read returns register x at this replica. O(1).
+// Read returns register x at this replica.
 func (m *Memory) Read(x string) string {
 	return string(m.p.Query(spec.ReadKey{K: x}).(spec.RegVal))
 }
@@ -371,28 +363,10 @@ func (m *Memory) Read(x string) string {
 // MemoryObject describes the Algorithm 2 shared memory with initial
 // register value v0.
 func MemoryObject(v0 string) Object[*Memory] {
-	obj := mustDefine(define("memory", spec.Memory(v0), nil,
+	return mustDefine(define("memory", spec.Memory(v0), nil,
 		func(p Handle) *Memory { return &Memory{p: p} },
 		WithOmega(spec.ReadKey{K: ""}),
 		WithWorkload(kvWorkload)))
-	obj.alg2 = true
-	obj.init = v0
-	return obj
-}
-
-// memPort adapts an Algorithm 2 memory to the Handle interface, so the
-// Memory handle (and the recording machinery) speak the same surface
-// as the generic construction.
-type memPort struct{ m *core.Memory }
-
-func (p memPort) Update(u spec.Update) {
-	w := u.(spec.WriteKey)
-	p.m.Write(w.K, w.V)
-}
-
-func (p memPort) Query(in spec.QueryInput) spec.QueryOutput {
-	r := in.(spec.ReadKey)
-	return spec.RegVal(p.m.Read(r.K))
 }
 
 // ClassifyHistory parses a history in the paper's notation (see

@@ -172,13 +172,20 @@ func TestClusterResizeRecordedSharded(t *testing.T) {
 }
 
 // TestResizeErrors: Resize follows the same option/object discipline
-// as WithShards.
+// as WithShards — and accepts the Algorithm 2 memory, which is
+// partitionable like any register map.
 func TestResizeErrors(t *testing.T) {
-	if cluster, _, err := New(2, MemoryObject("")); err != nil {
+	if cluster, mems, err := New(2, MemoryObject("")); err != nil {
 		t.Fatal(err)
 	} else {
-		if err := cluster.Resize(4); err == nil {
-			t.Fatal("Resize on MemoryObject did not error")
+		mems[0].Write("x", "1")
+		if err := cluster.Resize(4); err != nil {
+			t.Fatalf("Resize on MemoryObject: %v", err)
+		}
+		mems[1].Write("y", "2")
+		cluster.Settle()
+		if cluster.Shards() != 4 || mems[1].Read("x") != "1" || mems[0].Read("y") != "2" || !cluster.Converged() {
+			t.Fatalf("resized memory cluster: %d shards, x=%q y=%q", cluster.Shards(), mems[1].Read("x"), mems[0].Read("y"))
 		}
 		cluster.Close()
 	}

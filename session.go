@@ -34,15 +34,11 @@ type Session[H any] struct {
 }
 
 // Session opens a session against replica p. It returns an error for
-// MemoryObject clusters (Algorithm 2 keeps no per-origin coverage to
-// check a session against) and for causal clusters (causal delivery
-// tracks dependency vectors, not per-origin log coverage).
+// causal clusters (causal delivery tracks dependency vectors, not
+// per-origin log coverage).
 func (c *Cluster[H]) Session(p int) (*Session[H], error) {
 	if c.level == Causal {
 		return nil, fmt.Errorf("updatec: Session is not supported at WithConsistency(Causal): causal replicas track no per-origin coverage: %w", ErrUnsupported)
-	}
-	if c.replicas == nil {
-		return nil, fmt.Errorf("updatec: sessions require the generic construction; %s (Algorithm 2) does not track per-origin coverage: %w", c.obj.name, ErrUnsupported)
 	}
 	if p < 0 || p >= c.n {
 		return nil, fmt.Errorf("updatec: session replica %d out of range [0,%d): %w", p, c.n, ErrBadOption)

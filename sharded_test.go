@@ -363,13 +363,27 @@ func TestSessionHandleStaleReadPanics(t *testing.T) {
 	sess.Handle().Elements()
 }
 
-func TestSessionOnMemoryClusterErrs(t *testing.T) {
-	cluster, _, err := New(2, MemoryObject(""), WithSeed(1))
+// TestSessionOnMemoryCluster: the Algorithm 2 memory tracks per-origin
+// coverage like every log-based object, so its sessions keep
+// read-your-writes across failover; an out-of-range replica is refused.
+func TestSessionOnMemoryCluster(t *testing.T) {
+	cluster, _, err := New(2, MemoryObject("v0"), WithSeed(1), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.Session(0); err == nil {
-		t.Fatalf("sessions on an Algorithm 2 cluster must be rejected")
+	sess, err := cluster.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Handle().Write("x", "mine")
+	sess.Switch(1)
+	if sess.TryQuery(func(m *Memory) { m.Read("x") }) {
+		t.Fatal("replica 1 has not seen the session's write yet, but served it")
+	}
+	cluster.Settle()
+	var got string
+	if !sess.TryQuery(func(m *Memory) { got = m.Read("x") }) || got != "mine" {
+		t.Fatalf("after delivery the session read %q, want its own write", got)
 	}
 	clusterS, _, err := New(2, SetObject(), WithSeed(1))
 	if err != nil {

@@ -26,6 +26,8 @@ import (
 //   - Partitionable: per-key routing commutes with folding, MergeInto /
 //     UnmergeFrom / ExtractRange are mutual inverses
 //   - QueryKeyer determinism and StateCodec round-trip
+//   - Masking: a later update masks an earlier one of its mask key, and
+//     updates of different mask keys commute
 //   - a 3-replica convergence run through the real construction
 //
 // The object must carry a workload generator (updatec.WithWorkload) —
@@ -234,6 +236,26 @@ func Run[H any](t *testing.T, obj updatec.Object[H]) {
 			}
 			if want, got := adt.KeyState(s), adt.KeyState(dec); want != got {
 				t.Fatalf("state round-trip diverged: %q vs %q", got, want)
+			}
+		})
+	}
+
+	if m, ok := adt.(updatec.Masking); ok {
+		t.Run("masking", func(t *testing.T) {
+			// Round-robin over k0, k0, k1 gives pairs of both kinds.
+			us := sampleKeyed(obj, 11, 40, []string{"k0", "k0", "k1"})
+			s := fold(obj, us[:10])
+			for i := 10; i+1 < len(us); i++ {
+				a, b := us[i], us[i+1]
+				got := adt.KeyState(adt.Apply(adt.Apply(adt.Clone(s), a), b))
+				want := adt.Apply(adt.Clone(s), b)
+				if m.MaskKey(a) != m.MaskKey(b) {
+					want = adt.Apply(want, a)
+				}
+				if got != adt.KeyState(want) {
+					t.Fatalf("%v then %v (mask keys %q, %q): %q, want %q", a, b, m.MaskKey(a), m.MaskKey(b), got, adt.KeyState(want))
+				}
+				s = adt.Apply(s, a)
 			}
 		})
 	}

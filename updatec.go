@@ -2,9 +2,9 @@
 // consistency criterion of Perrin, Mostéfaoui and Jard, "Update
 // Consistency for Wait-free Concurrent Objects" (IPDPS 2015) — together
 // with the paper's universal construction for arbitrary update-query
-// data types (Algorithm 1), its optimized shared memory (Algorithm 2),
-// the CRDT baselines it compares against, and machine-checked deciders
-// for the paper's consistency criteria.
+// data types (Algorithm 1) with the optimization of its shared memory
+// (Algorithm 2) as a log policy, the CRDT baselines it compares against,
+// and machine-checked deciders for the paper's consistency criteria.
 //
 // The package offers replicated objects (Set, Counter, Register,
 // TextLog, Graph, Sequence, KV, CounterMap, Memory) whose replicas
@@ -36,7 +36,7 @@
 // that can be classified under the paper's criteria.
 //
 // Partitionable objects — those whose state decomposes into
-// independent per-key components: SetObject, KVObject,
+// independent per-key components: SetObject, KVObject, MemoryObject,
 // CounterMapObject — additionally accept WithShards(s): each replica
 // then runs one instance of Algorithm 1 per key shard (own log, clock,
 // engine and transport channel), so updates to different keys never
@@ -57,10 +57,10 @@
 // public kit applications use. Define builds an Object descriptor from
 // any sequential specification (a Spec), and the optional capability
 // interfaces the built-ins implement — Codec, Undoable, Partitionable,
-// QueryKeyer, StateCodec, Commutative — unlock the same upgrades
-// (sharding, Resize, the undo engine, query caching) for user-defined
-// types. No layer below the descriptor registry knows the built-ins by
-// name.
+// QueryKeyer, StateCodec, Commutative, Masking — unlock the same
+// upgrades (sharding, Resize, the undo engine, query caching, a log of
+// one entry per register) for user-defined types. No layer below the
+// descriptor registry knows the built-ins by name.
 //
 // # Consistency levels
 //
@@ -154,14 +154,14 @@ func WithSeed(seed int64) Option {
 func WithFIFO() Option { return func(c *config) { c.fifo = true } }
 
 // WithGC enables stability-based log compaction (§VII-C garbage
-// collection). It requires FIFO delivery and an object built on the
-// generic construction (MemoryObject keeps no log to compact). Any number
-// of goroutines may write through one handle: a replica sends its updates
-// in the order it stamps them, which is what compaction relies on.
+// collection). It requires FIFO delivery. A Masking object (MemoryObject,
+// KVObject, RegisterObject) accepts it with nothing to fold: its log
+// already keeps one entry per register. Any number of goroutines may
+// write through one handle: a replica sends its updates in the order it
+// stamps them, which is what compaction relies on.
 func WithGC() Option { return func(c *config) { c.gc = true } }
 
-// WithEngine selects the query engine. It requires an object built on
-// the generic construction (MemoryObject keeps no log to query).
+// WithEngine selects the query engine.
 func WithEngine(k EngineKind) Option {
 	return func(c *config) { c.engine = k; c.engineSet = true }
 }
@@ -196,7 +196,8 @@ func WithConsistency(l Level) Option { return func(c *config) { c.level = l } }
 // WithShards runs each replica as s key shards — one instance of
 // Algorithm 1 (log, Lamport clock, query engine, transport channel)
 // per shard, updates routed to the shard owning their key. It requires
-// a partitionable object (SetObject, KVObject, CounterMapObject):
+// a partitionable object (SetObject, KVObject, MemoryObject,
+// CounterMapObject):
 // distinct keys are independent there, so update consistency composes
 // per key and the merged object keeps the paper's guarantee. One shard
 // is the unsharded construction. The count is a starting point, not a
@@ -212,7 +213,6 @@ type Cluster[H any] struct {
 	sim      *transport.SimNetwork
 	live     *transport.LiveNetwork
 	replicas []*core.ShardedReplica // generic construction (nil otherwise)
-	memories []*core.Memory         // Algorithm 2 (nil otherwise)
 	causal   []*core.CausalReplica  // causal delivery (nil otherwise)
 	level    Level
 	rec      *history.Recorder
@@ -251,11 +251,11 @@ type NetworkStats = transport.Stats
 // rather than silently ignoring the option — when the object does not
 // support it. Support is probed through the object's capabilities, not
 // a list of built-in names: WithShards needs a Partitionable spec,
-// WithRecording needs a converged query (WithOmega), Algorithm 2
-// objects (MemoryObject) support none of the log-based options, and
-// WithConsistency(Causal) rejects them too. Every validation error
-// wraps one of the package sentinels (ErrBadObject, ErrBadOption,
-// ErrUnsupported), so callers can test categories with errors.Is.
+// WithRecording needs a converged query (WithOmega), and
+// WithConsistency(Causal) rejects the log-based options. Every
+// validation error wraps one of the package sentinels (ErrBadObject,
+// ErrBadOption, ErrUnsupported), so callers can test categories with
+// errors.Is.
 func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) {
 	if obj.wrap == nil {
 		return nil, nil, fmt.Errorf("updatec: zero Object; use Define or a built-in descriptor (SetObject, CounterObject, ...): %w", ErrBadObject)
@@ -274,24 +274,12 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 		return nil, nil, fmt.Errorf("updatec: WithShards needs at least one shard, got %d: %w", cfg.shards, ErrBadOption)
 	}
 	if cfg.shards > 1 {
-		if obj.alg2 {
-			return nil, nil, fmt.Errorf("updatec: %s does not support WithShards: Algorithm 2 is already per-register: %w", obj.name, ErrUnsupported)
-		}
 		if cfg.level == Causal {
 			return nil, nil, fmt.Errorf("updatec: WithShards is not supported at WithConsistency(Causal): causal delivery gates on one dependency vector per process: %w", ErrUnsupported)
 		}
 		if !obj.partitionable() {
 			return nil, nil, fmt.Errorf("updatec: %s is not partitionable; WithShards requires a spec implementing Partitionable: %w", obj.name, ErrUnsupported)
 		}
-	}
-	if obj.alg2 && cfg.engineSet {
-		return nil, nil, fmt.Errorf("updatec: %s does not support WithEngine: Algorithm 2 keeps no update log to query: %w", obj.name, ErrUnsupported)
-	}
-	if obj.alg2 && cfg.gc {
-		return nil, nil, fmt.Errorf("updatec: %s does not support WithGC: Algorithm 2 keeps no log to compact: %w", obj.name, ErrUnsupported)
-	}
-	if obj.alg2 && cfg.level == Causal {
-		return nil, nil, fmt.Errorf("updatec: %s does not support WithConsistency(Causal): Algorithm 2 is its own construction: %w", obj.name, ErrUnsupported)
 	}
 	if cfg.level == Causal {
 		if cfg.gc {
@@ -310,7 +298,7 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	if cfg.workers > 1 && !cfg.simulated {
 		return nil, nil, fmt.Errorf("updatec: WithWorkers requires WithSeed (the parallel adversary shards the simulated transport): %w", ErrUnsupported)
 	}
-	if cfg.record && !obj.alg2 && !obj.hasOmega {
+	if cfg.record && !obj.hasOmega {
 		return nil, nil, fmt.Errorf("updatec: %s has no converged query; WithRecording requires an object defined with WithOmega: %w", obj.name, ErrUnsupported)
 	}
 	cl := &Cluster[H]{n: n, obj: obj, level: cfg.level, shards: cfg.shards, gc: cfg.gc, crashed: map[int]bool{}}
@@ -329,21 +317,6 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 		cl.rec = history.NewRecorder(obj.adt, n)
 	}
 	handles := make([]H, n)
-	if obj.alg2 {
-		cl.memories = make([]*core.Memory, n)
-		for i := 0; i < n; i++ {
-			m := core.NewMemory(core.MemoryConfig{ID: i, Init: obj.init, Net: net, Recorder: cl.rec})
-			cl.memories[i] = m
-			handles[i] = obj.wrap(memPort{m: m})
-		}
-		cl.omega = func(p int) {
-			for _, k := range cl.memories[p].Keys() {
-				cl.memories[p].ReadOmega(k)
-				break // one ω read suffices for the classification
-			}
-		}
-		return cl, handles, nil
-	}
 	if cfg.level == Causal {
 		cl.causal = core.CausalCluster(n, obj.adt, obj.codec, net, cl.rec)
 		for i, r := range cl.causal {
@@ -459,15 +432,14 @@ func (c *Cluster[H]) ShardOf(key string) int {
 // replica moves, then all flip together.
 //
 // Resize follows the same option/object discipline as WithShards: it
-// returns an error for non-partitionable objects, MemoryObject
-// (Algorithm 2), non-positive shard counts, and closed clusters. A
-// 1-shard cluster recording at the replica level (WithRecording
-// without WithShards) cannot resize — recording would have to move to
-// the harness level mid-run; build the cluster with WithShards to
-// record a resized run. Sessions opened before a Resize to a different
-// shard count are invalidated: their per-shard observation lanes no
-// longer correspond to key ranges, and further use panics — open a new
-// session.
+// returns an error for non-partitionable objects, non-positive shard
+// counts, and closed clusters. A 1-shard cluster recording at the
+// replica level (WithRecording without WithShards) cannot resize —
+// recording would have to move to the harness level mid-run; build the
+// cluster with WithShards to record a resized run. Sessions opened
+// before a Resize to a different shard count are invalidated: their
+// per-shard observation lanes no longer correspond to key ranges, and
+// further use panics — open a new session.
 func (c *Cluster[H]) Resize(newShards int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -476,9 +448,6 @@ func (c *Cluster[H]) Resize(newShards int) error {
 	}
 	if newShards < 1 {
 		return fmt.Errorf("updatec: Resize needs at least one shard, got %d: %w", newShards, ErrBadOption)
-	}
-	if c.obj.alg2 {
-		return fmt.Errorf("updatec: %s does not support Resize: Algorithm 2 is already per-register: %w", c.obj.name, ErrUnsupported)
 	}
 	if c.level == Causal {
 		return fmt.Errorf("updatec: Resize is not supported at WithConsistency(Causal): causal clusters are unsharded: %w", ErrUnsupported)
@@ -510,7 +479,7 @@ func (c *Cluster[H]) Resize(newShards int) error {
 // different portions of the backlog delivered, so each moves a
 // different number of entries (the stragglers arrive later as
 // cross-epoch deliveries, which are not counted as moved). Zero for
-// MemoryObject clusters.
+// causal clusters.
 func (c *Cluster[H]) ResizeStats() (resizes, movedEntries uint64) {
 	if c.replicas == nil {
 		return 0, 0
@@ -522,8 +491,7 @@ func (c *Cluster[H]) ResizeStats() (resizes, movedEntries uint64) {
 // summed over every replica and shard. Hits accrue on recorded and GC
 // clusters too — the cache serves those modes since PR 5, feeding the
 // recorder and the stability tick on the hit path — which the tests
-// assert through this counter. Zero for MemoryObject clusters
-// (Algorithm 2 keeps no query cache).
+// assert through this counter. Zero for causal clusters.
 func (c *Cluster[H]) CacheStats() (hits, misses uint64) {
 	for _, r := range c.replicas {
 		h, m := r.QueryCacheStats()
@@ -738,22 +706,12 @@ func (c *Cluster[H]) syncHubLocked(hub int) error {
 			if pass == 1 {
 				dst, src = q, hub
 			}
-			if err := c.syncPair(dst, src); err != nil {
+			if _, err := c.replicas[dst].SyncFrom(c.replicas[src]); err != nil {
 				return fmt.Errorf("updatec: anti-entropy pull %d<-%d: %w", dst, src, err)
 			}
 		}
 	}
 	return nil
-}
-
-// syncPair runs one anti-entropy pull dst<-src.
-func (c *Cluster[H]) syncPair(dst, src int) error {
-	if c.memories != nil {
-		c.memories[dst].SyncFrom(c.memories[src])
-		return nil
-	}
-	_, err := c.replicas[dst].SyncFrom(c.replicas[src])
-	return err
 }
 
 // FaultLink injects message faults on the directed link from→to of a
@@ -804,9 +762,9 @@ func (c *Cluster[H]) FaultAll(drop, dup float64) error {
 // RepairStats sums the repair counters over every replica and shard:
 // entries landed by anti-entropy (sync rounds and snapshot fallbacks)
 // and exact-duplicate arrivals the log dropped (post-heal redelivery of
-// already-synced entries, injected duplication). Zero for MemoryObject
-// clusters — Algorithm 2's cells merge idempotently, so there is
-// nothing to count.
+// already-synced entries, injected duplication). A write a Masking
+// object's log drops because a newer write to its register is already
+// there is not a duplicate and is not counted here.
 func (c *Cluster[H]) RepairStats() (syncApplied, dupDropped uint64) {
 	for _, r := range c.replicas {
 		st := r.Stats()
@@ -844,20 +802,16 @@ func (c *Cluster[H]) Stats() NetworkStats {
 //
 // It compares canonical StateKeys, not update-set fingerprints (the wire
 // daemons' StateKey): it is the oracle in-process runs end with, it must
-// cover resized clusters, where fingerprints are withdrawn, and the
-// causal and Algorithm 2 replicas, which keep no log; and it runs once,
-// after Settle, not in a polling loop.
+// cover resized clusters, where fingerprints are withdrawn, and causal
+// replicas, which keep no log; and it runs once, after Settle, not in a
+// polling loop.
 func (c *Cluster[H]) Converged() bool {
 	crashed := c.crashedSet()
 	key := func(p int) string {
-		switch {
-		case c.memories != nil:
-			return c.memories[p].StateKey()
-		case c.causal != nil:
+		if c.causal != nil {
 			return c.causal[p].StateKey()
-		default:
-			return c.replicas[p].StateKey()
 		}
+		return c.replicas[p].StateKey()
 	}
 	want, first := "", true
 	for p := 0; p < c.n; p++ {

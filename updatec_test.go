@@ -227,17 +227,24 @@ func TestOptionValidation(t *testing.T) {
 }
 
 func TestOptionObjectCombinationErrors(t *testing.T) {
-	// MemoryObject (Algorithm 2) keeps no log: WithEngine and WithGC
-	// used to be silently ignored and must now be rejected — WithEngine
-	// even though Replay is the zero EngineKind.
-	if _, _, err := New(2, MemoryObject(""), WithEngine(Replay)); err == nil {
-		t.Fatalf("WithEngine on a memory cluster must be rejected")
-	}
-	if _, _, err := New(2, MemoryObject(""), WithSeed(1), WithFIFO(), WithGC()); err == nil {
-		t.Fatalf("WithGC on a memory cluster must be rejected")
-	}
-	if _, _, err := New(2, MemoryObject(""), WithShards(2)); err == nil {
-		t.Fatalf("WithShards on a memory cluster must be rejected")
+	// MemoryObject (Algorithm 2) is the register map with a masking log:
+	// it takes every option the generic construction does.
+	for name, opts := range map[string][]Option{
+		"WithEngine": {WithSeed(1), WithEngine(Replay)},
+		"WithGC":     {WithSeed(1), WithFIFO(), WithGC()},
+		"WithShards": {WithSeed(1), WithShards(2)},
+	} {
+		cluster, mems, err := New(2, MemoryObject("v0"), opts...)
+		if err != nil {
+			t.Fatalf("%s on a memory cluster: %v", name, err)
+		}
+		for k := 0; k < 40; k++ {
+			mems[k%2].Write(fmt.Sprint("k", k%3), fmt.Sprint(k))
+		}
+		cluster.Settle()
+		if !cluster.Converged() || mems[0].Read("k0") != "39" || mems[1].Read("absent") != "v0" {
+			t.Fatalf("%s: memory cluster reads k0=%q absent=%q", name, mems[0].Read("k0"), mems[1].Read("absent"))
+		}
 	}
 	// WithShards requires a partitionable object.
 	for _, tc := range []struct {

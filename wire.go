@@ -97,9 +97,6 @@ func ListenAndServe[H any](obj Object[H], cfg WireConfig) (*WireNode[H], error) 
 	if obj.wrap == nil {
 		return nil, fmt.Errorf("updatec: zero Object; use a registered descriptor (SetObject, Define, ...): %w", ErrBadObject)
 	}
-	if obj.alg2 {
-		return nil, fmt.Errorf("updatec: %s does not support the wire transport: Algorithm 2 replicates registers, not a log the digest exchange can repair: %w", obj.name, ErrUnsupported)
-	}
 	n := len(cfg.Peers)
 	if n == 0 {
 		return nil, fmt.Errorf("updatec: WireConfig.Peers must list every replica address: %w", ErrBadOption)
@@ -312,9 +309,6 @@ type Client[H any] struct {
 func Dial[H any](obj Object[H], addr string) (*Client[H], error) {
 	if obj.wrap == nil {
 		return nil, fmt.Errorf("updatec: zero Object; use a registered descriptor (SetObject, Define, ...): %w", ErrBadObject)
-	}
-	if obj.alg2 {
-		return nil, fmt.Errorf("updatec: %s does not support the wire transport: %w", obj.name, ErrUnsupported)
 	}
 	codec := obj.codec
 	if codec == nil {

@@ -277,6 +277,23 @@ func TestWireInProcessConvergence(t *testing.T) {
 			}
 		})
 	})
+	t.Run("memory-sharded", func(t *testing.T) {
+		// Every node overwrites the same registers: arrivals below a
+		// register's winner are masked, and the nodes must still agree.
+		hs := runWireInProcess(t, MemoryObject("v0"), 2, false, func(hs []*Memory) {
+			for i, h := range hs {
+				for j := 0; j < 25; j++ {
+					h.Write(fmt.Sprintf("r%d", j%5), fmt.Sprintf("%d-%d", i, j))
+				}
+			}
+		})
+		want := hs[0].Read("r0")
+		for i, h := range hs {
+			if got := h.Read("r0"); got != want || got == "v0" {
+				t.Fatalf("node %d reads r0=%q, node 0 %q", i, got, want)
+			}
+		}
+	})
 }
 
 // TestWireClientProtocol drives a daemon through Dial: updates, a
@@ -491,21 +508,15 @@ func TestWireConcurrentGCWriters(t *testing.T) {
 }
 
 // TestWireConfigRejections pins the constructor's validation: the wire
-// transport refuses Algorithm 2 objects and sharding non-partitionable
-// ones, with errors rather than panics.
+// transport refuses sharding non-partitionable objects and out-of-range
+// ids, with errors rather than panics.
 func TestWireConfigRejections(t *testing.T) {
 	addrs := wireAddrs(t, 1)
-	if _, err := ListenAndServe(MemoryObject(""), WireConfig{ID: 0, Peers: addrs}); err == nil {
-		t.Fatal("MemoryObject (Algorithm 2) must be rejected")
-	}
 	if _, err := ListenAndServe(CounterObject(), WireConfig{ID: 0, Peers: addrs, Shards: 4}); err == nil {
 		t.Fatal("sharding a non-partitionable object must be rejected")
 	}
 	if _, err := ListenAndServe(SetObject(), WireConfig{ID: 3, Peers: addrs}); err == nil {
 		t.Fatal("out-of-range ID must be rejected")
-	}
-	if _, err := Dial(MemoryObject(""), addrs[0]); err == nil {
-		t.Fatal("Dial must reject Algorithm 2 objects")
 	}
 }
 
@@ -757,6 +768,20 @@ func TestWireMultiProcessAllKinds(t *testing.T) {
 			for i, h := range hs {
 				for j := 0; j < 10; j++ {
 					h.Put(fmt.Sprintf("shared%d", j), fmt.Sprintf("from-%d", i))
+				}
+			}
+		})
+	})
+	t.Run("memory", func(t *testing.T) {
+		// ucserve -obj memory, driven through Dial clients. The writes
+		// race on the register the ω query reads (""), so the daemons
+		// must agree on its winner, with the losers masked wherever they
+		// arrive late.
+		runWireProcsMutual(t, "memory", MemoryObject(""), []string{"-shards", "2"}, func(hs []*Memory) {
+			for i, h := range hs {
+				for j := 0; j < 10; j++ {
+					h.Write("", fmt.Sprintf("from-%d-%d", i, j))
+					h.Write(fmt.Sprintf("r%d", j%3), fmt.Sprint(i))
 				}
 			}
 		})

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race stress verify examples bench bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-consistency test-wire test-ucperf fuzz
+.PHONY: build test vet fmt race stress verify examples bench bench-recovery bench-consistency test-wire test-ucperf fuzz
 
 build:
 	$(GO) build ./...
@@ -52,29 +52,10 @@ examples:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# bench-shards prints the E14 shard-scaling table (1/2/4/8 shards).
-bench-shards:
-	$(GO) run ./cmd/ucbench -exp shards
-
-# bench-read prints the E15 read-mostly cache and E16 backlog-step
-# tables.
-bench-read:
-	$(GO) run ./cmd/ucbench -exp readmostly,stepbacklog
-
-# bench-resize prints the E17 live-resharding table (throughput dip
-# and recovery across a 2→8 resize).
-bench-resize:
-	$(GO) run ./cmd/ucbench -exp resize
-
 # bench-recovery prints the E18 table: time-to-convergence after a
 # long fault, backlog redelivery vs anti-entropy digest sync.
 bench-recovery:
 	$(GO) run ./cmd/ucbench -exp recovery
-
-# bench-scenario prints the E19 table: scenario generator at scale,
-# parallel adversary steps/sec vs worker count (critical-path basis).
-bench-scenario:
-	$(GO) run ./cmd/ucbench -exp scenario
 
 # test-wire runs the loopback wire-transport suite under the race
 # detector: the TCP transport and mailbox unit tests, the byte-level
@@ -115,13 +96,3 @@ fuzz:
 # table prices the gate (throughput, arrivals held back per update).
 bench-consistency:
 	$(GO) run ./cmd/ucbench -exp consistency
-
-# bench-json records the experiment tables (shard scaling, read caches,
-# adversary step, live resharding, recovery, scenario scaling,
-# consistency levels) in BENCH_ucbench.json. Set LABEL to this PR's entry;
-# the matching entry in the runs array is replaced, the rest are preserved
-# and kept sorted by label. Regressions are judged by `ucperf -compare`
-# (benchmark/), not by reading this file.
-LABEL ?= dev
-bench-json:
-	$(GO) run ./cmd/ucbench -exp shards,readmostly,stepbacklog,resize,recovery,scenario,consistency -json BENCH_ucbench.json -label $(LABEL)

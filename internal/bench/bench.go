@@ -1,8 +1,9 @@
 // Package bench implements the experiment harness: one runner per
-// paper artifact (see the experiment index in DESIGN.md), each printing
-// the table or series that reproduces it and returning a result struct
-// the tests assert on. The cmd/ucbench binary and the repository-root
-// benchmarks are thin wrappers over this package.
+// paper artifact (Figures 1–2, Propositions 1–4, the §VI set study, the
+// §VII-C complexity claims, the partition claim) plus the anti-entropy
+// repair (E18) and consistency-level (E22) tables, each printing the
+// table that reproduces it and returning a result struct the tests
+// assert on. The cmd/ucbench binary is a thin printer over this package.
 package bench
 
 import (

@@ -14,33 +14,33 @@ import (
 // workload through the update-consistent construction and through the
 // same construction with gated visibility (core.ClusterOptions.Causal).
 type ConsistencyRow struct {
-	Object string `json:"object"`
+	Object string
 	// Level is "uc" or "causal".
-	Level string `json:"level"`
-	Ops   int    `json:"ops"`
+	Level string
+	Ops   int
 	// OpsPerSec is issued updates per second, wall clock from the first
 	// update to the last delivery draining.
-	OpsPerSec float64 `json:"ops_per_sec"`
+	OpsPerSec float64
 	// Speedup is this row's OpsPerSec over the uc row for the same
 	// object (1.0 on uc rows).
-	Speedup float64 `json:"speedup,omitempty"`
+	Speedup float64
 	// GatedPerUpdate is the arrivals held back for a missing dependency,
 	// summed over the replicas, per issued update (0 on uc rows).
-	GatedPerUpdate float64 `json:"gated_per_update"`
+	GatedPerUpdate float64
 	// Converged reports whether all replicas reached the same state
 	// key: both levels converge for every object.
-	Converged bool `json:"converged"`
+	Converged bool
 	// Commutative records whether the object declares commutative
 	// updates (spec.Commutative).
-	Commutative bool `json:"commutative"`
+	Commutative bool
 }
 
 // ConsistencyResult reports experiment E22.
 type ConsistencyResult struct {
-	Rows []ConsistencyRow `json:"rows"`
+	Rows []ConsistencyRow
 	// CausalSpeedupCounter is causal over uc ops/sec on the commutative
 	// counter.
-	CausalSpeedupCounter float64 `json:"causal_speedup_counter"`
+	CausalSpeedupCounter float64
 }
 
 // consistencyObject is one workload of the E22 sweep.

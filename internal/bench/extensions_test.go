@@ -35,81 +35,6 @@ func TestPartitionHealShapes(t *testing.T) {
 	}
 }
 
-func TestConvergenceLatencyShapes(t *testing.T) {
-	var buf bytes.Buffer
-	res := ConvergenceLatency(&buf)
-	per := map[sim.SetKind]map[int]LatencyRow{}
-	for _, row := range res.Rows {
-		if !row.Converged {
-			t.Fatalf("%s n=%d never converged", row.Kind, row.N)
-		}
-		if per[row.Kind] == nil {
-			per[row.Kind] = map[int]LatencyRow{}
-		}
-		per[row.Kind][row.N] = row
-	}
-	// Deliveries must grow with n for every implementation (broadcast
-	// fan-out), and the UC set must not need asymptotically more
-	// deliveries than the OR-set: both converge when every update has
-	// been delivered everywhere.
-	for kind, rows := range per {
-		if rows[8].Deliveries <= rows[2].Deliveries {
-			t.Fatalf("%s: deliveries did not grow with n: %+v", kind, rows)
-		}
-	}
-	// Identical budget at n=8: 2n updates to n replicas. OR-set
-	// deletes may broadcast zero-observed tags but still one message
-	// per op; allow a 2x envelope.
-	uc, or := per[sim.UCSet][8].Deliveries, per[sim.ORSet][8].Deliveries
-	if uc > 2*or {
-		t.Fatalf("uc-set needed %d deliveries vs or-set %d — more than 2x", uc, or)
-	}
-}
-
-func TestStateTransferShapes(t *testing.T) {
-	var buf bytes.Buffer
-	res := StateTransfer(&buf)
-	if !res.JoinerMatched {
-		t.Fatalf("joiner diverged from donor")
-	}
-	if res.LiveLogEntries >= 120 {
-		t.Fatalf("GC should have truncated the shipped log, got %d entries", res.LiveLogEntries)
-	}
-	if res.SnapshotBytes == 0 {
-		t.Fatalf("empty snapshot")
-	}
-}
-
-func TestReshardShapes(t *testing.T) {
-	var buf bytes.Buffer
-	res := Reshard(&buf, true)
-	if len(res.Rows) != 7 {
-		t.Fatalf("E17 rows: got %d, want 7", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		want := 2
-		if row.Phase != "pre" {
-			want = 8
-		}
-		if row.Shards != want {
-			t.Fatalf("window %d (%s): %d shards, want %d", row.Window, row.Phase, row.Shards, want)
-		}
-		if row.UpdatesPerSec <= 0 {
-			t.Fatalf("window %d: no throughput", row.Window)
-		}
-	}
-	if res.MovedEntries == 0 {
-		t.Fatalf("resize moved no entries")
-	}
-	// Shape only: RecoveryRatio must be a computed positive ratio, but
-	// its magnitude is a wall-clock measurement — asserting > 1 here
-	// would make `go test ./...` flaky on noisy runners. The recorded
-	// E17 benchmark output is where the recovery claim lives.
-	if res.RecoveryRatio <= 0 {
-		t.Fatalf("recovery ratio not computed: %v", res.RecoveryRatio)
-	}
-}
-
 // TestConsistencyShapes: E22's causal rows are the log with gated
 // visibility, so both levels converge on the non-commutative log as well
 // as on the counters.

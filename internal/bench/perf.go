@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"updatec/internal/clock"
@@ -328,78 +327,5 @@ func MemoryExperiment(w io.Writer, quickRun bool) MemoryResult {
 	tk.flush()
 	fmt.Fprintf(w, "reading: the masking log stays within twice the register count, per shard too,\n")
 	fmt.Fprintf(w, "and its reads stay flat; the unmasked log holds every write and its replay read grows\n")
-	return res
-}
-
-// PerfRow is one micro-benchmark result of the read-path experiment
-// (E15, read.go); the JSON shape is what ucbench -json emits.
-type PerfRow struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// measure times iters calls of f on one goroutine and attributes the
-// allocation delta to them. It is a deliberately simple harness — the
-// go test -bench suite in bench_test.go and ucperf are the precise
-// instruments.
-func measure(name string, iters int, f func()) PerfRow {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		f()
-	}
-	dur := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	return PerfRow{
-		Name:        name,
-		NsPerOp:     float64(dur.Nanoseconds()) / float64(iters),
-		AllocsPerOp: int64(m1.Mallocs-m0.Mallocs) / int64(iters),
-		BytesPerOp:  int64(m1.TotalAlloc-m0.TotalAlloc) / int64(iters),
-	}
-}
-
-// AllResults aggregates the machine-readable results of every
-// experiment (ucbench -json serializes the whole set into the
-// BENCH_ucbench.json trajectory).
-type AllResults struct {
-	Figures     FiguresResult
-	Prop1       Prop1Result
-	Prop2       Prop2Result
-	Prop3       Prop3Result
-	Prop4       Prop4Result
-	Sets        []SetsResult
-	Complexity  ComplexityResult
-	Memory      MemoryResult
-	Partition   PartitionResult
-	Latency     LatencyResult
-	Join        JoinResult
-	ReadMostly  ReadMostlyResult
-	StepBacklog StepBacklogResult
-}
-
-// All runs every experiment in order.
-func All(w io.Writer, quickRun bool) AllResults {
-	var res AllResults
-	res.Figures = Figures(w)
-	res.Prop1 = Proposition1(w)
-	runs := 400
-	if quickRun {
-		runs = 100
-	}
-	res.Prop2 = Proposition2(w, runs)
-	res.Prop3 = Proposition3(w, runs/4)
-	res.Prop4 = Proposition4(w)
-	res.Sets = SetCaseStudy(w)
-	res.Complexity = Complexity(w, quickRun)
-	res.Memory = MemoryExperiment(w, quickRun)
-	res.Partition = PartitionHeal(w)
-	res.Latency = ConvergenceLatency(w)
-	res.Join = StateTransfer(w)
-	res.ReadMostly = ReadMostly(w, quickRun)
-	res.StepBacklog = StepBacklog(w, quickRun)
 	return res
 }

@@ -14,41 +14,41 @@ import (
 // missed a long one-sided burst, by transport backlog redelivery vs
 // one anti-entropy digest exchange.
 type RecoveryResult struct {
-	Updates int `json:"updates"`
+	Updates int
 	// Partition variant: the minority side misses Updates broadcasts.
 	// Redelivery drains the queued backlog through the adversary one
 	// message at a time; anti-entropy pulls the whole missing suffix in
 	// a single digest exchange per peer.
-	RedeliverySteps int     `json:"redelivery_steps"`
-	RedeliveryMs    float64 `json:"redelivery_ms"`
-	AntiEntropyMs   float64 `json:"anti_entropy_ms"`
-	SyncApplied     uint64  `json:"sync_applied"`
+	RedeliverySteps int
+	RedeliveryMs    float64
+	AntiEntropyMs   float64
+	SyncApplied     uint64
 	// DupDropped counts the queued backlog arriving after the sync
 	// already landed every entry: all of it is absorbed as duplicates,
 	// none of it double-applies.
-	DupDropped uint64 `json:"dup_dropped"`
+	DupDropped uint64
 	// Speedup is RedeliveryMs / AntiEntropyMs: how much faster the
 	// digest exchange reaches convergence than draining the backlog.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// Crash variant: a crashed replica's inbound messages are dropped,
 	// not queued, so after recovery there is nothing to redeliver —
 	// CrashMissing entries are simply gone from its log until the
 	// digest exchange lands them in CrashRepairMs.
-	CrashMissing  uint64  `json:"crash_missing"`
-	CrashRepairMs float64 `json:"crash_repair_ms"`
+	CrashMissing  uint64
+	CrashRepairMs float64
 	// Two-sided variant: both sides of the cut write, so every reply
 	// interleaves with a live log (the one-sided runs above sync into
 	// empty logs and land everything at the tail). One row per size;
 	// NsPerEntry flat across sizes is what a linear repair looks like.
-	TwoSided []TwoSidedRow `json:"two_sided"`
+	TwoSided []TwoSidedRow
 }
 
 // TwoSidedRow is one size of E18's two-sided variant.
 type TwoSidedRow struct {
-	Updates    int     `json:"updates"`
-	Applied    int     `json:"applied"`
-	RepairMs   float64 `json:"repair_ms"`
-	NsPerEntry float64 `json:"ns_per_applied_entry"`
+	Updates    int
+	Applied    int
+	RepairMs   float64
+	NsPerEntry float64
 }
 
 // twoSidedSizes are the update counts of the two-sided rows.

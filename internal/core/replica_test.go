@@ -130,41 +130,38 @@ func TestCrashedReplicaDoesNotBlockConvergence(t *testing.T) {
 	}
 }
 
-func TestPartialBroadcastCrashNeedsURB(t *testing.T) {
-	// With best-effort broadcast, a crash mid-broadcast may leave the
-	// survivors diverged; with URB it cannot (the relay repairs it).
-	diverged := false
-	for seed := int64(0); seed < 200 && !diverged; seed++ {
+// TestPartialBroadcastCrashRepairedByAntiEntropy: with best-effort
+// broadcast, a crash mid-broadcast may leave the survivors diverged;
+// one digest exchange each way between them closes the gap.
+func TestPartialBroadcastCrashRepairedByAntiEntropy(t *testing.T) {
+	diverged := 0
+	for seed := int64(0); seed < 200; seed++ {
 		net := transport.NewSim(transport.SimOptions{N: 3, Seed: seed})
 		reps := Cluster(3, spec.Set(), net, ClusterOptions{})
 		reps[0].Update(spec.Ins{V: "x"})
 		net.StepN(1) // one copy reaches someone, then the sender dies
 		net.CrashPartialBroadcast(0, 0)
 		net.Quiesce()
-		if reps[1].StateKey() != reps[2].StateKey() {
-			diverged = true
+		if reps[1].StateKey() == reps[2].StateKey() {
+			continue
+		}
+		diverged++
+		for _, p := range [][2]int{{1, 2}, {2, 1}} {
+			if _, err := reps[p[0]].SyncFrom(reps[p[1]]); err != nil {
+				t.Fatalf("seed %d: sync %d<-%d: %v", seed, p[0], p[1], err)
+			}
+		}
+		if a, b := reps[1].StateKey(), reps[2].StateKey(); a != b || a != "{x}" {
+			t.Fatalf("seed %d: survivors after repair: %s vs %s, want {x}", seed, a, b)
 		}
 	}
-	if !diverged {
+	if diverged == 0 {
 		t.Fatalf("best-effort broadcast never diverged under partial crash")
-	}
-	for seed := int64(0); seed < 200; seed++ {
-		base := transport.NewSim(transport.SimOptions{N: 3, Seed: seed})
-		urb := transport.NewURB(base, 3)
-		reps := Cluster(3, spec.Set(), urb, ClusterOptions{})
-		reps[0].Update(spec.Ins{V: "x"})
-		base.StepN(1)
-		base.CrashPartialBroadcast(0, 0.5)
-		base.Quiesce()
-		if reps[1].StateKey() != reps[2].StateKey() {
-			t.Fatalf("seed %d: URB survivors diverged: %s vs %s",
-				seed, reps[1].StateKey(), reps[2].StateKey())
-		}
 	}
 }
 
 func TestClusterOnAtLeastOnceChannelDedups(t *testing.T) {
-	// Raw duplicating network, no URB: the log-level dedup absorbs the
+	// Raw duplicating network: the log-level dedup absorbs the
 	// redeliveries (they are counted, not applied) and the replicas
 	// still converge. Before anti-entropy repair existed this was a
 	// panic — duplicates could only mean a broken transport; now they
@@ -185,19 +182,6 @@ func TestClusterOnAtLeastOnceChannelDedups(t *testing.T) {
 	}
 	if dups == 0 {
 		t.Fatalf("DuplicateProb=0.9 over 50 seeds produced no duplicate drops")
-	}
-	// With URB layered in, duplicates are absorbed below the replica
-	// (transport-level dedup) and the cluster converges.
-	for seed := int64(0); seed < 20; seed++ {
-		base := transport.NewSim(transport.SimOptions{N: 2, Seed: seed, DuplicateProb: 0.5})
-		urb := transport.NewURB(base, 2)
-		reps := Cluster(2, spec.Set(), urb, ClusterOptions{})
-		reps[0].Update(spec.Ins{V: "a"})
-		reps[1].Update(spec.Del{V: "a"})
-		base.Quiesce()
-		if reps[0].StateKey() != reps[1].StateKey() {
-			t.Fatalf("seed %d: URB cluster diverged", seed)
-		}
 	}
 }
 

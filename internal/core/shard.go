@@ -60,10 +60,8 @@ type ShardedReplica struct {
 	newEngine func() Engine
 	gc        bool
 	gcEvery   int
-	// rnet is the shard- and epoch-aware transport; nil on a plain
-	// transport.Network (URB), where the replica is its one shard attached
-	// directly and Resize is unavailable.
-	rnet transport.ResizableNetwork
+	// net is the shard- and epoch-aware transport the cluster shares.
+	net transport.ResizableNetwork
 
 	// routeMu excludes a resize against updates, queries and session
 	// reads: the hot paths hold the read half, Resize the write half.
@@ -147,11 +145,10 @@ type ShardedConfig struct {
 	// Codec overrides the update codec (nil → the ADT's own, as in
 	// Config.Codec).
 	Codec spec.Codec
-	// Net is the broadcast transport shared by the cluster. It must
-	// implement transport.ResizableNetwork (SimNetwork, LiveNetwork and
-	// TCPNetwork do) when Shards > 1 and for Resize; a plain Network
-	// carries one shard.
-	Net transport.Network
+	// Net is the broadcast transport shared by the cluster: every
+	// transport (SimNetwork, LiveNetwork, TCPNetwork) carries shard and
+	// epoch tags.
+	Net transport.ResizableNetwork
 	// NewEngine builds each shard's query engine (nil → DefaultEngine).
 	NewEngine func() Engine
 	// GC enables per-shard stability-based log compaction; it requires
@@ -171,20 +168,15 @@ type ShardedConfig struct {
 	Causal bool
 }
 
-// NewShardedReplica builds the per-shard replicas and attaches the
-// replica to the transport: on a ResizableNetwork one delivery router
-// per process (each per-shard replica broadcasts with its shard and
-// epoch tags); on a plain Network the single shard attaches itself.
+// NewShardedReplica builds the per-shard replicas and attaches one
+// delivery router per process to the transport (each per-shard replica
+// broadcasts with its shard and epoch tags).
 func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 	if cfg.Shards <= 0 {
 		panic("core: ShardedConfig.Shards must be positive")
 	}
 	if (cfg.Recorder != nil || cfg.Causal) && cfg.Shards > 1 {
 		panic("core: replica-level recording and causal visibility require one shard")
-	}
-	rnet, _ := cfg.Net.(transport.ResizableNetwork)
-	if rnet == nil && cfg.Shards > 1 {
-		panic(fmt.Sprintf("core: %T does not implement transport.ResizableNetwork; use one shard", cfg.Net))
 	}
 	part, _ := cfg.ADT.(spec.Partitionable)
 	r := &ShardedReplica{
@@ -195,7 +187,7 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		newEngine: cfg.NewEngine,
 		gc:        cfg.GC,
 		gcEvery:   cfg.GCEvery,
-		rnet:      rnet,
+		net:       cfg.Net,
 	}
 	if r.codec = cfg.Codec; r.codec == nil {
 		r.codec, _ = cfg.ADT.(spec.Codec)
@@ -205,16 +197,13 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 	r.mc.parts = make([]spec.State, cfg.Shards)
 	g := &shardGen{shards: make([]*Replica, cfg.Shards)}
 	for s := range g.shards {
-		net := cfg.Net
-		if rnet != nil {
-			net = epochChannel{net: rnet, shard: s, epoch: cfg.Shards}
-		}
 		var eng Engine
 		if cfg.NewEngine != nil {
 			eng = cfg.NewEngine()
 		}
 		g.shards[s] = NewReplica(Config{
-			ID: cfg.ID, N: cfg.N, ADT: cfg.ADT, Codec: r.codec, Net: net,
+			ID: cfg.ID, N: cfg.N, ADT: cfg.ADT, Codec: r.codec,
+			Net:    epochChannel{net: cfg.Net, shard: s, epoch: cfg.Shards},
 			Engine: eng, GC: cfg.GC, GCEvery: cfg.GCEvery,
 			Recorder: cfg.Recorder, Causal: cfg.Causal,
 		})
@@ -223,9 +212,7 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		}
 	}
 	r.gen.Store(g)
-	if rnet != nil {
-		rnet.AttachRouter(cfg.ID, r.route)
-	}
+	cfg.Net.AttachRouter(cfg.ID, r.route)
 	return r
 }
 
@@ -668,8 +655,7 @@ func (r *ShardedReplica) RetireProcess(j int) {
 // On a live (goroutine) transport a lone Resize would race concurrent
 // deliveries against the move; use ResizeCluster, which coordinates
 // all replicas and drains the network first. Resize panics for
-// non-partitionable data types (there is nothing to re-partition) and
-// on transports that do not implement transport.ResizableNetwork.
+// non-partitionable data types (there is nothing to re-partition).
 func (r *ShardedReplica) Resize(newShards int) {
 	if newShards <= 0 {
 		panic("core: Resize needs at least one shard")
@@ -677,10 +663,7 @@ func (r *ShardedReplica) Resize(newShards int) {
 	if r.part == nil {
 		panic(fmt.Sprintf("core: %s is not partitionable; Resize requires per-key state", r.adt.Name()))
 	}
-	if r.rnet == nil {
-		panic("core: Resize requires a transport.ResizableNetwork")
-	}
-	r.rnet.EnsureShards(newShards)
+	r.net.EnsureShards(newShards)
 	r.routeMu.Lock()
 	defer r.routeMu.Unlock()
 	r.resizeLocked(newShards)
@@ -704,12 +687,7 @@ func ResizeCluster(reps []*ShardedReplica, newShards int, drain func()) {
 	if newShards <= 0 {
 		panic("core: ResizeCluster needs at least one shard")
 	}
-	for _, r := range reps {
-		if r.rnet == nil {
-			panic("core: ResizeCluster requires a transport.ResizableNetwork")
-		}
-	}
-	reps[0].rnet.EnsureShards(newShards)
+	reps[0].net.EnsureShards(newShards)
 	for _, r := range reps {
 		r.routeMu.Lock()
 	}
@@ -750,7 +728,7 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 		}
 		rep := NewReplica(Config{
 			ID: r.id, N: r.n, ADT: r.adt, Codec: r.codec,
-			Net:    epochChannel{net: r.rnet, shard: s, epoch: newShards},
+			Net:    epochChannel{net: r.net, shard: s, epoch: newShards},
 			Engine: eng, GC: r.gc, GCEvery: r.gcEvery,
 		})
 		rep.log.SetTieKey(r.part.UpdateKey)
@@ -872,7 +850,7 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 // process, which sharding deliberately gives up — sharded runs must
 // record at the harness level instead (as internal/sim and the public
 // updatec package do), and passing a recorder with shards > 1 panics.
-func ShardedCluster(n, shards int, adt spec.UQADT, net transport.Network, opt ClusterOptions) []*ShardedReplica {
+func ShardedCluster(n, shards int, adt spec.UQADT, net transport.ResizableNetwork, opt ClusterOptions) []*ShardedReplica {
 	reps := make([]*ShardedReplica, n)
 	for i := 0; i < n; i++ {
 		reps[i] = NewShardedReplica(ShardedConfig{

@@ -255,16 +255,3 @@ func TestShardedLiveHammer(t *testing.T) {
 		t.Fatalf("merged state sums to %d, want %d", total, workers*perWorker)
 	}
 }
-
-// TestShardedRequiresResizableNetwork: a multi-shard replica on a
-// transport without shard channels must refuse loudly.
-func TestShardedRequiresResizableNetwork(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-sharded transport with Shards > 1")
-		}
-	}()
-	base := transport.NewSim(transport.SimOptions{N: 2, Seed: 0})
-	urb := transport.NewURB(base, 2) // URB is a plain Network
-	NewShardedReplica(ShardedConfig{ID: 0, N: 2, Shards: 2, ADT: spec.CounterMap(), Net: urb})
-}

@@ -8,14 +8,9 @@ package sim
 // timeline (events, issuing replica per slot, key per slot): the spec
 // plus a seed IS the run.
 //
-// Two executors consume a compiled timeline:
-//
-//   - internal/chaos.RunScenario drives a real replicated-object
-//     cluster through it (the public updatec API) and asserts
-//     convergence after final repair — the correctness backend;
-//   - sim.RunScale drives a bare transport.SimNetwork with synthetic
-//     constant-work replicas — the capacity backend, scaling to 10⁶
-//     simulated replicas for the parallel-adversary experiments.
+// internal/chaos.RunScenario executes a compiled timeline: it drives a
+// real replicated-object cluster through it (the public updatec API)
+// and asserts convergence after final repair.
 
 import (
 	"fmt"

@@ -117,34 +117,3 @@ func TestScenarioFlashAndSkewShapeTraffic(t *testing.T) {
 		t.Fatalf("skew did not bend traffic: fastest class issued %d, slowest %d", fast, slow)
 	}
 }
-
-// TestRunScaleDeterministicSchedule: the capacity backend is an
-// adversary too — equal (spec, workers) must reproduce the schedule
-// fingerprint and the delivery count exactly, and the run must drain.
-func TestRunScaleDeterministicSchedule(t *testing.T) {
-	spec := Presets()["mixed"]
-	spec.N, spec.Ops, spec.Seed = 60, 120, 5
-	for _, workers := range []int{1, 2, 4} {
-		a := RunScale(spec, ScaleOptions{Workers: workers, Batch: 64})
-		b := RunScale(spec, ScaleOptions{Workers: workers, Batch: 64})
-		if a.Fingerprint != b.Fingerprint || a.Delivered != b.Delivered {
-			t.Fatalf("workers=%d: runs diverge: %x/%d vs %x/%d",
-				workers, a.Fingerprint, a.Delivered, b.Fingerprint, b.Delivered)
-		}
-		if a.Delivered == 0 || a.Broadcasts == 0 {
-			t.Fatalf("workers=%d: empty run (%d broadcasts, %d delivered)", workers, a.Broadcasts, a.Delivered)
-		}
-		if a.Rounds == 0 || a.Span <= 0 {
-			t.Fatalf("workers=%d: no span recorded (%d rounds, span %v)", workers, a.Rounds, a.Span)
-		}
-	}
-	// Without faults or churn, every broadcast reaches all N replicas
-	// regardless of the worker count: the adversaries differ, the
-	// delivered totals cannot.
-	plain := ScenarioSpec{N: 40, Ops: 50, Seed: 9}
-	d1 := RunScale(plain, ScaleOptions{Workers: 1, Batch: 32})
-	d4 := RunScale(plain, ScaleOptions{Workers: 4, Batch: 32})
-	if d1.Delivered != d4.Delivered {
-		t.Fatalf("lossless scenario delivered %d at 1 worker, %d at 4", d1.Delivered, d4.Delivered)
-	}
-}

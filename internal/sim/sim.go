@@ -91,7 +91,7 @@ func (n shardedNode) SupportsDelete() bool { return true }
 // newSetCluster builds n replicas of the given kind on the network;
 // shards > 1 selects the key-sharded construction for the uc-set kinds
 // (the network then delivers each update to the owning shard).
-func newSetCluster(kind SetKind, n, shards int, net transport.Network) []node {
+func newSetCluster(kind SetKind, n, shards int, net transport.ResizableNetwork) []node {
 	nodes := make([]node, n)
 	switch kind {
 	case UCSet, UCSetCheckpoint, UCSetUndo:

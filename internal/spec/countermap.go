@@ -45,8 +45,8 @@ func (ReadAllCtrs) String() string { return "R*" }
 // additions to different counters are independent), so the type is a
 // pure CRDT; it is also Partitionable — each update and each keyed read
 // addresses exactly one counter — which makes it the canonical workload
-// for the key-sharded construction (core.ShardedReplica) and the E14
-// shard-scaling experiment.
+// for the key-sharded construction (core.ShardedReplica) and its
+// benchmarks.
 type CounterMapSpec struct{}
 
 // CounterMap returns the counter-map UQ-ADT.

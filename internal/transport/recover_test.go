@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
@@ -117,69 +116,5 @@ func TestSetLinkFaultValidates(t *testing.T) {
 			}()
 			bad()
 		}()
-	}
-}
-
-// TestURBDuplicateFramesNeverDoubleApply is the at-least-once property
-// test: under heavy transport-level duplication, every application
-// broadcast is handed up exactly once per process.
-func TestURBDuplicateFramesNeverDoubleApply(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		base := NewSim(SimOptions{N: 3, Seed: seed, DuplicateProb: 0.8})
-		urb := NewURB(base, 3)
-		logs := collect(urb, 3)
-		rng := rand.New(rand.NewSource(seed))
-		const msgs = 40
-		for i := 0; i < msgs; i++ {
-			urb.Broadcast(rng.Intn(3), []byte(fmt.Sprint(i)))
-		}
-		base.Quiesce()
-		for p := 0; p < 3; p++ {
-			seen := map[string]int{}
-			for _, m := range *logs[p] {
-				seen[m]++
-			}
-			if len(seen) != msgs {
-				t.Fatalf("seed %d: p%d delivered %d distinct of %d broadcasts", seed, p, len(seen), msgs)
-			}
-			for m, k := range seen {
-				if k != 1 {
-					t.Fatalf("seed %d: p%d applied %s %d times", seed, p, m, k)
-				}
-			}
-		}
-	}
-}
-
-// TestURBDedupStateBounded is the GC property test: however many frames
-// and duplicates were in flight, once the network settles the
-// out-of-order dedup overflow drains to zero — the entire dedup state
-// collapses back to one watermark integer per (process, origin) pair.
-func TestURBDedupStateBounded(t *testing.T) {
-	maxPeak := 0
-	for seed := int64(0); seed < 20; seed++ {
-		base := NewSim(SimOptions{N: 4, Seed: seed, DuplicateProb: 0.6})
-		urb := NewURB(base, 4)
-		collect(urb, 4)
-		rng := rand.New(rand.NewSource(seed))
-		peak := 0
-		for i := 0; i < 120; i++ {
-			urb.Broadcast(rng.Intn(4), []byte(fmt.Sprint(i)))
-			// Partial delivery keeps a churn of out-of-order arrivals.
-			base.StepN(rng.Intn(4))
-			if l := urb.DedupLoad(); l > peak {
-				peak = l
-			}
-		}
-		base.Quiesce()
-		if got := urb.DedupLoad(); got != 0 {
-			t.Fatalf("seed %d: settled network still parks %d dedup entries (peak %d)", seed, got, peak)
-		}
-		if peak > maxPeak {
-			maxPeak = peak
-		}
-	}
-	if maxPeak == 0 {
-		t.Fatal("no schedule ever parked an out-of-order entry — the property is vacuous")
 	}
 }

@@ -18,7 +18,7 @@ package transport
 //   - replica handlers only mutate the receiving replica (delivery in
 //     Algorithm 1 is a log insert, never a broadcast), so concurrent
 //     deliveries to distinct processes don't race;
-//   - handlers that DO broadcast on delivery (URB relays) broadcast as
+//   - handlers that DO broadcast on delivery (a relay) broadcast as
 //     the process being delivered to, which the current worker owns:
 //     the self-copy is delivered inline and the remote fan-out is
 //     buffered in the worker's outbox, replayed by the coordinator
@@ -36,7 +36,6 @@ package transport
 import (
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // simShard is one worker's slice of the adversary: the pending
@@ -187,33 +186,9 @@ func (n *SimNetwork) StepParallel(batch int) int {
 	w := n.nshards
 	base, extra := batch/w, batch%w
 	n.inRound = true
-	if w == 1 || n.timing {
-		// Inline execution: one worker needs no goroutines, and the
-		// span-timing mode runs workers sequentially to time each
-		// round's critical path — the schedule is identical either way,
-		// because workers share no mutable state during a round.
-		var roundMax int64
-		for i := 0; i < w; i++ {
-			quota := base
-			if i < extra {
-				quota++
-			}
-			if quota == 0 {
-				n.shards[i].delivered = 0
-				continue
-			}
-			var t0 time.Time
-			if n.timing {
-				t0 = time.Now()
-			}
-			n.shards[i].delivered = n.runWorker(i, quota)
-			if n.timing {
-				if dt := int64(time.Since(t0)); dt > roundMax {
-					roundMax = dt
-				}
-			}
-		}
-		n.spanNS += roundMax
+	if w == 1 {
+		// One worker needs no goroutines.
+		n.shards[0].delivered = n.runWorker(0, batch)
 	} else {
 		var wg sync.WaitGroup
 		for i := 0; i < w; i++ {
@@ -236,10 +211,6 @@ func (n *SimNetwork) StepParallel(batch int) int {
 	n.inRound = false
 	// Serial coordinator tail: replay buffered broadcasts in worker
 	// order (drop draws from the root rng), merge the stat deltas.
-	var t1 time.Time
-	if n.timing {
-		t1 = time.Now()
-	}
 	total := 0
 	for i := 0; i < w; i++ {
 		sh := &n.shards[i]
@@ -253,16 +224,12 @@ func (n *SimNetwork) StepParallel(batch int) int {
 		n.stats.add(sh.roundStats)
 		sh.roundStats = Stats{}
 	}
-	if n.timing {
-		n.serialNS += int64(time.Since(t1))
-		n.rounds++
-	}
 	return total
 }
 
 // QuiesceParallel runs parallel rounds of the given batch size until a
 // round delivers nothing, returning the total delivered. Handlers may
-// broadcast during rounds (URB relays); the replayed fan-out keeps the
+// broadcast during rounds (a relay does); the replayed fan-out keeps the
 // loop going until those are drained too.
 func (n *SimNetwork) QuiesceParallel(batch int) int {
 	total := 0
@@ -289,21 +256,4 @@ func (n *SimNetwork) ScheduleFingerprint() uint64 {
 		h = fpMix(h, sh.fp, sh.picks)
 	}
 	return h
-}
-
-// SetSpanTiming toggles the serial-instrumented mode: parallel rounds
-// execute their workers sequentially, timing each, and accumulate the
-// round's critical path (the slowest worker) plus the coordinator's
-// serial tail. The schedule is identical to the concurrent mode —
-// workers share nothing during a round — so the span is a faithful
-// measure of the parallel critical path even on a single-core host,
-// where wall-clock speedup is physically unobservable.
-func (n *SimNetwork) SetSpanTiming(on bool) { n.timing = on }
-
-// SpanStats reports the accumulated critical-path time (max worker
-// time per round, summed), the serial coordinator time, and the number
-// of timed rounds. Zero unless SetSpanTiming(true) was set before the
-// rounds ran.
-func (n *SimNetwork) SpanStats() (span, serial time.Duration, rounds int) {
-	return time.Duration(n.spanNS), time.Duration(n.serialNS), n.rounds
 }

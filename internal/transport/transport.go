@@ -177,9 +177,8 @@ type SimOptions struct {
 	// DuplicateProb re-enqueues a delivered message with this
 	// probability, modeling at-least-once channels. Incompatible with
 	// FIFO (a duplicate is inherently out of order; per-link in-order
-	// duplication is available via SetLinkFault instead). Algorithm 1
-	// assumes exactly-once delivery; layer NewURB (which deduplicates)
-	// between a duplicating network and the replicas.
+	// duplication is available via SetLinkFault instead). A replica drops
+	// and counts a redelivered update (core.Stats.DupDropped).
 	DuplicateProb float64
 	// Workers shards the adversary: the backlog is partitioned by
 	// destination process (to mod workers) and each shard picks with
@@ -200,8 +199,8 @@ type SimOptions struct {
 // delivered message is re-enqueued once at the link tail with
 // probability Dup — an in-order duplicate carrying a fresh sequence
 // number, so FIFO delivery order is preserved while the receiver sees
-// the same frame again later, exercising the dedup layers above (URB's
-// seen-set, the core replica's duplicate-tolerant insert).
+// the same frame again later, exercising the core replica's
+// duplicate-tolerant insert.
 //
 // Faults do NOT compose with stability GC: the horizon argument assumes
 // every sent message is delivered exactly once on its FIFO link. Run
@@ -281,11 +280,6 @@ type SimNetwork struct {
 	hasFaults bool
 	stats     Stats
 	idxRepair IndexRepairStats
-	// Span-timing instrumentation for parallel rounds (simparallel.go).
-	timing   bool
-	spanNS   int64
-	serialNS int64
-	rounds   int
 }
 
 // NewSim returns a deterministic network for opts.N processes.
@@ -714,8 +708,8 @@ func clearTail(s []envelope, length int) {
 // model at its harshest: the process halts mid-broadcast, so each of
 // its in-flight messages independently survives with probability
 // keepProb. With best-effort broadcast this can leave correct processes
-// disagreeing about the crashed process's updates; the URB wrapper
-// exists to repair exactly this.
+// disagreeing about the crashed process's updates, which the replicas'
+// anti-entropy repair closes.
 //
 // Survival draws come from the coordinator rng in shard-major,
 // ascending-position order (the historical global-array order when
@@ -805,9 +799,10 @@ type LiveNetwork struct {
 	crashedProc []bool
 	mu          sync.Mutex
 	stats       Stats
-	// droppedCrash counts messages the dispatchers discarded because
-	// their process was crashed; atomic because dispatchers bump it
-	// outside mu.
+	// delivered counts messages the dispatchers handed to a handler, and
+	// droppedCrash those they discarded because their process was
+	// crashed; atomic because dispatchers bump them outside mu.
+	delivered    atomic.Uint64
 	droppedCrash atomic.Uint64
 	closed       bool
 }
@@ -829,10 +824,10 @@ type liveNode struct {
 	// takes effect mid-backlog without reintroducing a lock round-trip
 	// per envelope.
 	crashed atomic.Bool
-	// drops points at the owning network's crash-drop counter; the
-	// dispatcher bumps it for every message it discards while crashed.
-	drops *atomic.Uint64
-	done  chan struct{}
+	// ln is the owning network, whose delivery and crash-drop counters
+	// the dispatcher bumps once per batch.
+	ln   *LiveNetwork
+	done chan struct{}
 }
 
 // NewLive returns a live network for n processes with a single shard
@@ -851,15 +846,15 @@ func NewLiveSharded(n, shards int) *LiveNetwork {
 	for i := range nodes {
 		nodes[i] = make([]*liveNode, shards)
 		for s := range nodes[i] {
-			nodes[i][s] = newLiveNode(&ln.droppedCrash)
+			nodes[i][s] = newLiveNode(ln)
 		}
 	}
 	ln.nodes.Store(&nodes)
 	return ln
 }
 
-func newLiveNode(drops *atomic.Uint64) *liveNode {
-	node := &liveNode{mb: newMailbox(0), drops: drops, done: make(chan struct{})}
+func newLiveNode(ln *LiveNetwork) *liveNode {
+	node := &liveNode{mb: newMailbox(0), ln: ln, done: make(chan struct{})}
 	go node.run()
 	return node
 }
@@ -886,7 +881,7 @@ func (ln *LiveNetwork) EnsureShards(shards int) {
 		row := make([]*liveNode, shards)
 		copy(row, old[i])
 		for s := ln.shards; s < shards; s++ {
-			node := newLiveNode(&ln.droppedCrash)
+			node := newLiveNode(ln)
 			if rt := ln.routers[i]; rt != nil {
 				node.hmu.Lock()
 				node.route = rt
@@ -934,9 +929,10 @@ func (nd *liveNode) run() {
 		h, rt := nd.handler, nd.route
 		nd.hmu.Unlock()
 		if h != nil || rt != nil {
+			handled := 0
 			for i := range batch {
 				if nd.crashed.Load() {
-					nd.drops.Add(uint64(len(batch) - i))
+					nd.ln.droppedCrash.Add(uint64(len(batch) - i))
 					break // a crash mid-batch drops the rest
 				}
 				if rt != nil {
@@ -944,7 +940,9 @@ func (nd *liveNode) run() {
 				} else {
 					h(batch[i].from, batch[i].payload)
 				}
+				handled++
 			}
+			nd.ln.delivered.Add(uint64(handled))
 		}
 		// Zero the handled slots so the shared payloads become
 		// collectable while the buffer waits for reuse.
@@ -980,11 +978,12 @@ func (ln *LiveNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byt
 		return
 	}
 	// One batched stats update per broadcast, not one lock round-trip
-	// per recipient.
+	// per recipient. Only the inline self copy counts as delivered here;
+	// the dispatchers count the rest as they hand them over.
 	ln.mu.Lock()
 	ln.stats.Broadcasts++
 	ln.stats.Sends += uint64(ln.n)
-	ln.stats.Delivered += uint64(ln.n) // self + n-1 mailboxes
+	ln.stats.Delivered++
 	ln.stats.Bytes += uint64(len(payload) * ln.n)
 	ln.mu.Unlock()
 	if rt != nil {
@@ -1058,8 +1057,8 @@ func (ln *LiveNetwork) Close() {
 
 // Drain blocks until every mailbox is empty and every dispatcher is
 // idle, repeating until one full pass observes the whole network
-// quiescent (handlers may re-broadcast, e.g. URB relays, refilling
-// mailboxes checked earlier in the pass). With no concurrent
+// quiescent (a handler may broadcast, refilling mailboxes checked
+// earlier in the pass). With no concurrent
 // broadcasters, Drain returning means every sent message has been
 // fully handled.
 func (ln *LiveNetwork) Drain() {
@@ -1083,6 +1082,7 @@ func (ln *LiveNetwork) Stats() Stats {
 	ln.mu.Lock()
 	s := ln.stats
 	ln.mu.Unlock()
+	s.Delivered += ln.delivered.Load()
 	s.DroppedCrash += ln.droppedCrash.Load()
 	return s
 }

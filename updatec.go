@@ -301,7 +301,7 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	if cl.workers = cfg.workers; cl.workers < 1 {
 		cl.workers = 1
 	}
-	var net transport.Network
+	var net transport.ResizableNetwork
 	if cfg.simulated {
 		cl.sim = transport.NewSim(transport.SimOptions{N: n, Seed: cfg.seed, FIFO: cfg.fifo, Workers: cfg.workers})
 		net = cl.sim

@@ -82,18 +82,6 @@ func workerSeed(seed uint64, w int) uint64 {
 	return x
 }
 
-// fpMix folds one pick (sender, receiver) into a running schedule
-// fingerprint (splitmix64-style).
-func fpMix(h, from, to uint64) uint64 {
-	x := h ^ (from*0x9e3779b97f4a7c15 + to + 0x632be59bd9b4e019)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // bufferBroadcast handles a Broadcast issued by a handler during a
 // parallel round: self-delivery inline on the owning worker, remote
 // fan-out deferred to the coordinator. Handlers must broadcast only as
@@ -240,20 +228,4 @@ func (n *SimNetwork) QuiesceParallel(batch int) int {
 			return total
 		}
 	}
-}
-
-// ScheduleFingerprint returns a hash pinning the delivery schedule so
-// far: each shard's pick sequence is folded in pick order, and the
-// per-shard chains are merged in shard order. Two runs with the same
-// (seed, workers, batch sequence) produce identical fingerprints; any
-// divergence in which envelope was delivered when, anywhere, changes
-// the value. Maintained by both the sequential and the parallel
-// steppers.
-func (n *SimNetwork) ScheduleFingerprint() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for i := range n.shards {
-		sh := &n.shards[i]
-		h = fpMix(h, sh.fp, sh.picks)
-	}
-	return h
 }

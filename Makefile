@@ -17,9 +17,8 @@ fmt:
 
 # race runs every package's tests under the race detector — the whole
 # tree, not name patterns that stop matching when a test is renamed:
-# resharding, the chaos schedules, the parallel simulator, the
-# concurrent-writer suites (with and without GC), the object kit and the
-# wire suite all run here.
+# resharding, the chaos schedules, the concurrent-writer suites (with
+# and without GC), the object kit and the wire suite all run here.
 race:
 	$(GO) test -race ./...
 

@@ -20,18 +20,17 @@
 //	ucsim -obj countermap -n 3 -shards 4 -ops 100 [-seed 1] [-crash p] [-classify]
 //	      [-resize s'] [-recover] [-consistency uc|causal]
 //	ucsim -chaos 12 [-obj set] [-n 4] [-ops 400] [-seed 1] [-shards s]
-//	      [-resize s'] [-classify]
+//	      [-resize s'] [-fifo] [-classify]
 //	ucsim -scenario churn|flash|zipf-hot|regions|skew|mixed [-obj set] [-n 8]
-//	      [-ops 400] [-seed 1] [-shards s] [-workers w] [-classify]
+//	      [-ops 400] [-seed 1] [-shards s] [-resize s'] [-fifo] [-classify]
 //
-// -scenario name compiles a declarative scenario (internal/sim DSL) —
-// churn (join/retire waves), flash crowds, zipf-skewed key popularity,
+// -scenario name compiles a declarative scenario (internal/chaos DSL) —
+// churn (crash/recover waves), flash crowds, zipf-skewed key popularity,
 // regional partitions with partial heals, clock-skewed sessions, or all
 // of them at once (mixed) — into a deterministic fault/workload
-// timeline and replays it against a real cluster. -workers w runs the
-// delivery adversary sharded across w workers; the same (seed, workers)
-// pair reproduces the identical schedule, and the schedule fingerprint
-// is printed so reruns can be compared.
+// timeline and replays it against a real cluster. The schedule
+// fingerprint is printed so reruns can be compared: the same seed
+// reproduces it.
 //
 // -resize s' (generic object mode, partitionable objects) resizes the
 // cluster live to s' shards halfway through the workload, with the
@@ -41,11 +40,12 @@
 // three-quarter mark: it rejoins with its pre-crash state and pulls the
 // update suffix it missed from its peers by anti-entropy digest sync.
 //
-// -chaos e runs a seeded chaos schedule (internal/chaos): e fault
-// events — crash/recover/partition/heal/lossy-link windows — are
-// interleaved into the workload, the cluster is repaired (heal, rejoin,
-// digest sync rounds) and convergence is asserted. The event trace is
-// printed; the same seed reproduces it bit-for-bit.
+// -chaos e adds e feasible-action fault events — crash/recover/
+// partition/heal/lossy-link windows — to the timeline (with or without
+// -scenario). Both modes run on the one chaos executor: the cluster is
+// repaired (heal, rejoin, digest sync rounds) and convergence is
+// asserted. The event trace is printed; the same seed reproduces it
+// bit-for-bit.
 package main
 
 import (
@@ -78,7 +78,6 @@ func main() {
 	recoverFlag := flag.Bool("recover", false, "with -crash p: recover the crashed replica at the 3/4 mark (anti-entropy rejoin)")
 	chaosEvents := flag.Int("chaos", 0, "run a seeded chaos schedule with this many fault events")
 	scenario := flag.String("scenario", "", "run a generated scenario preset: "+presetList())
-	workers := flag.Int("workers", 1, "shard the delivery adversary across this many deterministic workers")
 	flag.Parse()
 
 	var level updatec.Level
@@ -96,35 +95,29 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *scenario != "" {
-		implSet := false
-		flag.Visit(func(f *flag.Flag) { implSet = implSet || f.Name == "impl" })
-		if implSet || *fig2 || *crash >= 0 || *recoverFlag || *chaosEvents > 0 || *resize != 0 {
-			fmt.Fprintf(os.Stderr, "ucsim: -scenario schedules its own faults and workload; it cannot be combined with -impl, -fig2, -crash, -recover, -chaos or -resize\n")
-			os.Exit(2)
-		}
-		object := *obj
-		if object == "" {
-			object = "set"
-		}
-		if err := runScenario(*scenario, object, *n, *shards, *workers, *ops, *seed, *fifo, *classify); err != nil {
-			fmt.Fprintf(os.Stderr, "ucsim: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *chaosEvents > 0 {
+	if *scenario != "" || *chaosEvents > 0 {
 		implSet := false
 		flag.Visit(func(f *flag.Flag) { implSet = implSet || f.Name == "impl" })
 		if implSet || *fig2 || *crash >= 0 || *recoverFlag {
-			fmt.Fprintf(os.Stderr, "ucsim: -chaos schedules its own faults; it cannot be combined with -impl, -fig2, -crash or -recover\n")
+			fmt.Fprintf(os.Stderr, "ucsim: -chaos and -scenario schedule their own faults; they cannot be combined with -impl, -fig2, -crash or -recover\n")
 			os.Exit(2)
 		}
-		object := *obj
-		if object == "" {
-			object = "set"
+		var cfg chaos.Config
+		if *scenario != "" {
+			preset, ok := chaos.Presets()[*scenario]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "ucsim: unknown scenario %q (known: %s)\n", *scenario, presetList())
+				os.Exit(2)
+			}
+			cfg = preset
 		}
-		if err := runChaos(object, *n, *shards, *resize, *ops, *seed, *chaosEvents, *classify); err != nil {
+		cfg.Object = *obj
+		if cfg.Object == "" {
+			cfg.Object = "set"
+		}
+		cfg.N, cfg.Ops, cfg.Seed, cfg.FIFO = *n, *ops, *seed, *fifo
+		cfg.Shards, cfg.Resize, cfg.Events, cfg.Record = *shards, *resize, *chaosEvents, *classify
+		if err := runChaos(cfg, *scenario); err != nil {
 			fmt.Fprintf(os.Stderr, "ucsim: %v\n", err)
 			os.Exit(2)
 		}
@@ -145,7 +138,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ucsim: -obj cannot be combined with -impl or -fig2 (they select the set comparison harness)\n")
 			os.Exit(2)
 		}
-		if err := runObject(*obj, level, *n, *shards, *resize, *workers, *ops, *seed, *crash, *fifo, *classify, *recoverFlag); err != nil {
+		if err := runObject(*obj, level, *n, *shards, *resize, *ops, *seed, *crash, *fifo, *classify, *recoverFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "ucsim: %v\n", err)
 			os.Exit(2)
 		}
@@ -208,7 +201,7 @@ func main() {
 // Define-registered — and its own workload generator issues the
 // updates; the scenario loop (crash injection, adversarial partial
 // deliveries, settle, convergence report) is object-independent.
-func runObject(name string, level updatec.Level, n, shards, resize, workers int, ops int, seed int64, crash int, fifo, classify, recoverCrashed bool) error {
+func runObject(name string, level updatec.Level, n, shards, resize int, ops int, seed int64, crash int, fifo, classify, recoverCrashed bool) error {
 	obj, err := updatec.Lookup(name)
 	if err != nil {
 		return err
@@ -216,17 +209,14 @@ func runObject(name string, level updatec.Level, n, shards, resize, workers int,
 	if _, ok := obj.RandomUpdate(rand.New(rand.NewSource(0)), "probe"); !ok {
 		return fmt.Errorf("object %q has no workload generator (Define it with updatec.WithWorkload)", name)
 	}
-	return runGeneric(obj, level, n, shards, resize, workers, ops, seed, crash, fifo, classify, recoverCrashed)
+	return runGeneric(obj, level, n, shards, resize, ops, seed, crash, fifo, classify, recoverCrashed)
 }
 
-func runGeneric(obj updatec.Object[updatec.Handle], level updatec.Level, n, shards, resize, workers int, ops int, seed int64, crash int, fifo, classify, recoverCrashed bool) error {
+func runGeneric(obj updatec.Object[updatec.Handle], level updatec.Level, n, shards, resize int, ops int, seed int64, crash int, fifo, classify, recoverCrashed bool) error {
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	opts := []updatec.Option{updatec.WithSeed(seed)}
 	if level != updatec.UpdateConsistent {
 		opts = append(opts, updatec.WithConsistency(level))
-	}
-	if workers > 1 {
-		opts = append(opts, updatec.WithWorkers(workers))
 	}
 	if fifo {
 		opts = append(opts, updatec.WithFIFO())
@@ -308,69 +298,29 @@ func runGeneric(obj updatec.Object[updatec.Handle], level updatec.Level, n, shar
 	return nil
 }
 
-// runChaos hands the run to the internal/chaos scheduler and reports
-// its trace, fault/repair counters and (optionally) the recorded
-// history's classification.
-func runChaos(object string, n, shards, resize, ops int, seed int64, events int, classify bool) error {
-	res, err := chaos.Run(chaos.Config{
-		Object: object, N: n, Shards: shards, Resize: resize,
-		Seed: seed, Ops: ops, Events: events, Record: classify,
-	})
+// runChaos hands the run to the internal/chaos executor and reports
+// its trace, fault/repair counters, schedule fingerprint and
+// (optionally) the recorded history's classification.
+func runChaos(cfg chaos.Config, scenario string) error {
+	res, err := chaos.Run(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("chaos: object=%s n=%d ops=%d seed=%d events=%d\n", object, n, ops, seed, events)
+	if scenario == "" {
+		scenario = "none"
+	}
+	fmt.Printf("chaos: object=%s n=%d ops=%d seed=%d shards=%d events=%d scenario=%s\n",
+		cfg.Object, cfg.N, cfg.Ops, cfg.Seed, cfg.Shards, cfg.Events, scenario)
 	for _, line := range res.Trace {
 		fmt.Printf("  %s\n", line)
 	}
-	fmt.Printf("issued: %d updates   events: %d crashes, %d recoveries, %d partitions, %d heals, %d fault windows\n",
-		res.Issued, res.Crashes, res.Recovers, res.Partitions, res.Heals, res.FaultWindows)
+	fmt.Printf("issued: %d updates   events: %d crashes, %d recoveries, %d partitions, %d partial heals, %d heals, %d fault windows\n",
+		res.Issued, res.Crashes, res.Recovers, res.Partitions, res.PartialHeals, res.Heals, res.FaultWindows)
 	fmt.Printf("loss: %d dropped to crashed replicas, %d dropped/duplicated on faulty links\n",
 		res.DroppedCrash, res.DroppedLink)
 	fmt.Printf("repair: %d entries landed by anti-entropy, %d duplicate arrivals absorbed\n",
 		res.SyncApplied, res.DupDropped)
-	if res.Classification != nil {
-		c := res.Classification
-		fmt.Printf("classification: EC=%v SEC=%v UC=%v SUC=%v PC=%v CC=%v\n",
-			c.EventuallyConsistent, c.StrongEventuallyConsistent,
-			c.UpdateConsistent, c.StrongUpdateConsistent, c.PipelinedConsistent,
-			c.CausallyConsistent)
-	}
-	fmt.Printf("converged: %v\n", res.Converged)
-	if !res.Converged {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// runScenario compiles a scenario preset into its deterministic
-// timeline, replays it against a real cluster via the chaos executor,
-// and reports the event trace, fault/repair counters, the schedule
-// fingerprint and convergence.
-func runScenario(preset, object string, n, shards, workers, ops int, seed int64, fifo, classify bool) error {
-	spec, ok := sim.Presets()[preset]
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (known: %s)", preset, presetList())
-	}
-	spec.N, spec.Ops, spec.Seed, spec.FIFO = n, ops, seed, fifo
-	res, err := chaos.RunScenario(chaos.ScenarioConfig{
-		Object: object, Shards: shards, Workers: workers, Record: classify, Spec: spec,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario: %s   object=%s n=%d ops=%d seed=%d shards=%d workers=%d\n",
-		preset, object, n, ops, seed, shards, workers)
-	for _, line := range res.Trace {
-		fmt.Printf("  %s\n", line)
-	}
-	fmt.Printf("issued: %d updates   events: %d retires, %d rejoins, %d partitions, %d partial heals, %d heals, %d fault windows\n",
-		res.Issued, res.Retires, res.Rejoins, res.Partitions, res.PartialHeals, res.Heals, res.FaultWindows)
-	fmt.Printf("loss: %d dropped to crashed replicas, %d dropped/duplicated on faulty links\n",
-		res.DroppedCrash, res.DroppedLink)
-	fmt.Printf("repair: %d entries landed by anti-entropy, %d duplicate arrivals absorbed\n",
-		res.SyncApplied, res.DupDropped)
-	fmt.Printf("schedule fingerprint: %016x (same seed+workers reproduces it)\n", res.Fingerprint)
+	fmt.Printf("schedule fingerprint: %016x (the same seed reproduces it)\n", res.Fingerprint)
 	if res.Classification != nil {
 		c := res.Classification
 		fmt.Printf("classification: EC=%v SEC=%v UC=%v SUC=%v PC=%v CC=%v\n",
@@ -387,7 +337,7 @@ func runScenario(preset, object string, n, shards, workers, ops int, seed int64,
 
 func presetList() string {
 	names := make([]string, 0)
-	for name := range sim.Presets() {
+	for name := range chaos.Presets() {
 		names = append(names, name)
 	}
 	sort.Strings(names)

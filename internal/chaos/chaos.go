@@ -1,7 +1,8 @@
 // Package chaos drives seeded fault schedules — crash, recover,
-// partition, heal, per-link drop/duplication windows, live resizes —
-// against any object of the public updatec API, then repairs the
-// cluster (heal + recover + anti-entropy) and asserts convergence.
+// partition, heal, per-link drop/duplication windows, live resizes,
+// churn, flash crowds, skewed keys and clients — against any object of
+// the public updatec API, then repairs the cluster (heal + recover +
+// anti-entropy) and asserts convergence.
 //
 // The harness exists to demonstrate the robustness claim of the
 // partitionable-systems companion paper: update consistency is exactly
@@ -9,9 +10,14 @@
 // lossy links, PROVIDED the missing update suffixes are repaired — by
 // the transport's redelivery where it still holds them, and by the
 // anti-entropy digest sync where it does not (crash-dropped messages,
-// injected link drops). A schedule is reproducible from its seed: the
-// same Config always produces the same event trace, fault timing and
-// delivery order, so a failing schedule is a regression test.
+// injected link drops).
+//
+// A run has two halves. Config.Compile (timeline.go) turns the config
+// into a timeline: the fault events in slot order, and the issuer and
+// key of every update slot. Run executes that timeline, the one
+// executor. A run is reproducible from its config: the same Config
+// always produces the same trace, fault timing and delivery order, so a
+// failing schedule is a regression test.
 package chaos
 
 import (
@@ -22,60 +28,61 @@ import (
 	"updatec"
 )
 
-// Config describes one seeded chaos schedule.
+// Config describes one seeded run: the object under test, the cluster,
+// and the scenario that Compile turns into a timeline. Zero Events, no
+// Resize and nil sub-specs mean a plain uniform workload without faults.
 type Config struct {
-	// Object names the replicated data type, as in `ucsim -obj`: set,
-	// counter, register, log, sequence, graph, kv, memory, countermap.
+	// Object names the replicated data type, as in `ucsim -obj`: any
+	// registered object with a workload generator.
 	Object string
-	// N is the cluster size (default 4 — enough for a two-sided
-	// partition with a spectator).
-	N int
+	// N replicas execute Ops update slots over a key space of Keys keys.
+	// Defaults: N 4 (enough for a two-sided partition with a
+	// spectator), Ops 400, Keys 16. A slot whose issuer is crashed issues
+	// nothing, like a real client whose server is down.
+	N, Ops, Keys int
 	// Shards runs partitionable objects key-sharded.
 	Shards int
-	// Seed drives the schedule, the fault coin-flips and the network
-	// adversary.
+	// Seed fixes the compiled timeline, the update payloads and the
+	// network adversary's delivery schedule.
 	Seed int64
-	// Ops is the number of update slots in the schedule (default 400).
-	// A slot on a crashed replica issues nothing, like a real client
-	// whose server is down.
-	Ops int
-	// Events is the number of fault events interleaved into the
-	// schedule (default 12). Each event picks uniformly among the
-	// actions currently feasible: crash a live replica (keeping at
-	// least one alive), recover a crashed one, open a random two-sided
-	// partition, heal it, open a drop/dup fault window on every link,
-	// or close it.
-	Events int
-	// Drop and Dup are the per-link fault probabilities applied while a
-	// fault window is open. Both zero defaults to 0.2/0.2.
-	Drop, Dup float64
-	// Resize, when positive, resizes the cluster to this shard count at
-	// the schedule midpoint — recovery and repair must compose with
-	// epoch-tagged routing.
-	Resize int
-	// Workers, when above 1, runs the cluster on the parallel sharded
-	// adversary (updatec.WithWorkers): deliveries happen in
-	// deterministic parallel rounds instead of one message at a time.
-	// The schedule is then defined by (Seed, Workers) — still
-	// bit-for-bit reproducible, but a different (equally valid)
-	// adversary than the sequential one.
-	Workers int
+	// FIFO requests per-link FIFO delivery from the transport.
+	FIFO bool
 	// Record records the run's history and classifies it under the
 	// paper's criteria. Keep Ops small (the deciders solve NP-complete
 	// problems).
 	Record bool
+	// Events is the number of feasible-action fault events placed
+	// uniformly over the slots. Each picks uniformly among the actions
+	// feasible at that point: crash a live replica (keeping at least one
+	// alive), recover a crashed one, open a random two-sided partition,
+	// heal it, open a drop/dup fault window on every link, or close it.
+	Events int
+	// Resize, when positive, resizes the cluster to this shard count at
+	// the timeline midpoint — recovery and repair must compose with
+	// epoch-tagged routing.
+	Resize int
+
+	// The scenario sub-specs (timeline.go); each non-nil one adds its
+	// dimension to the timeline.
+	Zipf    *ZipfSpec
+	Churn   *ChurnSpec
+	Flash   *FlashSpec
+	Regions *RegionSpec
+	Skew    *SkewSpec
+	Faults  *FaultSpec
 }
 
-// Result reports one schedule.
+// Result reports one run.
 type Result struct {
 	// Converged reports whether every replica reached the same state
-	// after final repair — the acceptance bar of every schedule.
+	// after final repair — the acceptance bar of every run.
 	Converged bool
-	// Issued counts updates actually issued (slots on crashed replicas
-	// issue nothing).
+	// Issued counts updates actually issued (slots whose issuer was
+	// crashed issue nothing — during a zero-replica churn window, no one
+	// does).
 	Issued int
-	// Event counts.
-	Crashes, Recovers, Partitions, Heals, FaultWindows int
+	// Event counts, as executed.
+	Crashes, Recovers, Partitions, PartialHeals, Heals, FaultWindows int
 	// SyncApplied counts log entries landed by anti-entropy pulls;
 	// DupDropped counts exact-duplicate arrivals the logs absorbed
 	// (injected duplication, post-heal redelivery of synced entries).
@@ -84,15 +91,18 @@ type Result struct {
 	// loss; every one of these losses had to be repaired by a digest
 	// exchange for Converged to hold.
 	DroppedCrash, DroppedLink uint64
+	// Fingerprint pins the adversary's delivery schedule — equal configs
+	// reproduce it bit for bit.
+	Fingerprint uint64
 	// Classification is set when Config.Record was on.
 	Classification *updatec.Classification
-	// Trace is the human-readable event narrative, one line per fault
-	// event plus the final repair.
+	// Trace is the human-readable event narrative, one line per event
+	// plus the final repair.
 	Trace []string
 }
 
 // control is the object-independent slice of *updatec.Cluster[H] the
-// scheduler drives; every instantiation of the generic cluster
+// executor drives; every instantiation of the generic cluster
 // satisfies it.
 type control interface {
 	Crash(p int) error
@@ -114,16 +124,12 @@ type control interface {
 
 // harness pairs the type-erased cluster control with a mutator that
 // issues one update on a given replica's typed handle, keyed by the
-// schedule's chosen key (so workload generators control key
-// popularity); any secondary randomness comes from the rng.
+// timeline's chosen key (so the timeline controls key popularity); any
+// secondary randomness comes from the rng.
 type harness struct {
 	ctl    control
 	update func(p int, key string, rng *rand.Rand)
 }
-
-var chaosKeys = []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
-
-func pickKey(rng *rand.Rand) string { return chaosKeys[rng.Intn(len(chaosKeys))] }
 
 // build constructs the cluster for cfg.Object through the public API.
 // The object is resolved from the descriptor registry, so any name a
@@ -139,11 +145,11 @@ func build(cfg Config) (*harness, error) {
 		return nil, fmt.Errorf("chaos: object %q has no workload generator (Define it with updatec.WithWorkload)", cfg.Object)
 	}
 	opts := []updatec.Option{updatec.WithSeed(cfg.Seed)}
+	if cfg.FIFO {
+		opts = append(opts, updatec.WithFIFO())
+	}
 	if cfg.Shards > 1 {
 		opts = append(opts, updatec.WithShards(cfg.Shards))
-	}
-	if cfg.Workers > 1 {
-		opts = append(opts, updatec.WithWorkers(cfg.Workers))
 	}
 	if cfg.Record {
 		opts = append(opts, updatec.WithRecording())
@@ -162,59 +168,22 @@ func build(cfg Config) (*harness, error) {
 	}, nil
 }
 
-// finalRepair is the harness's repair protocol, shared by the chaos
-// schedule and the scenario executor: close any open fault window (so
-// the remaining backlog drains losslessly), heal the partition
-// (automatic digest exchange), bring every crashed replica back in id
-// order (each rejoins and pulls what it missed), settle the transport,
-// then one last all-replica sync round to repair anything the fault
-// window dropped after the last exchange. Returns the replicas it
-// recovered.
-func finalRepair(ctl control, crashed map[int]bool, partitioned, faulted bool) ([]int, error) {
-	if faulted {
-		if err := ctl.FaultAll(0, 0); err != nil {
-			return nil, err
-		}
-	}
-	if partitioned {
-		if err := ctl.Heal(); err != nil {
-			return nil, err
-		}
-	}
-	var down []int
-	for p := range crashed {
-		down = append(down, p)
-	}
-	sort.Ints(down)
-	for _, p := range down {
-		if err := ctl.Recover(p); err != nil {
-			return down, err
-		}
-	}
-	ctl.Settle()
-	if err := ctl.Sync(); err != nil {
-		return down, err
-	}
-	return down, nil
-}
-
-// Run executes one schedule. The returned error reports harness-level
-// failures (unknown object, invalid option combination, a repair call
-// that errored); a schedule that ran but failed to converge is NOT an
-// error — it is Result.Converged == false, for the caller to assert.
+// Run compiles cfg and executes its timeline: before each update slot
+// it fires the slot's events, then the slot's issuer (if up) issues one
+// update and the adversary delivers a few messages. The final repair
+// closes any open fault window (so the remaining backlog drains
+// losslessly), heals the partition (automatic digest exchange), brings
+// every crashed replica back in id order (each pulls what it missed),
+// settles the transport, and runs one last all-replica sync round to
+// repair anything the fault window dropped after the last exchange.
+//
+// The returned error reports harness-level failures (unknown object,
+// invalid option combination, a cluster call that errored); a run that
+// completed but failed to converge is NOT an error — it is
+// Result.Converged == false, for the caller to assert.
 func Run(cfg Config) (Result, error) {
-	if cfg.N == 0 {
-		cfg.N = 4
-	}
-	if cfg.Ops == 0 {
-		cfg.Ops = 400
-	}
-	if cfg.Events == 0 {
-		cfg.Events = 12
-	}
-	if cfg.Drop == 0 && cfg.Dup == 0 {
-		cfg.Drop, cfg.Dup = 0.2, 0.2
-	}
+	tl := cfg.Compile()
+	cfg = tl.Config
 	if cfg.N < 2 {
 		return Result{}, fmt.Errorf("chaos: need at least 2 replicas, got %d", cfg.N)
 	}
@@ -224,148 +193,90 @@ func Run(cfg Config) (Result, error) {
 	}
 	defer h.ctl.Close()
 
-	// Three independent deterministic streams: the schedule (which
-	// event fires where), the workload (which replica updates with
-	// what), and the network adversary (inside the cluster, from
-	// cfg.Seed). Separating them keeps the event sequence stable when a
-	// mutator changes how much randomness it consumes.
-	schedRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5c4ed0))
-	workRng := rand.New(rand.NewSource(cfg.Seed ^ 0x0b5e55))
-
-	// Place the fault events uniformly over the update slots.
-	eventAt := make(map[int]int)
-	for e := 0; e < cfg.Events; e++ {
-		eventAt[schedRng.Intn(cfg.Ops)]++
-	}
-	resizeAt := -1
-	if cfg.Resize > 0 {
-		resizeAt = cfg.Ops / 2
-	}
-
 	var res Result
+	// Delivery pacing gets its own stream, apart from the timeline's, so
+	// it stays stable when a mutator changes its randomness use.
+	delRng := rand.New(rand.NewSource(cfg.Seed ^ 0xde11))
 	crashed := map[int]bool{}
 	partitioned, faulted := false, false
-	trace := func(slot int, format string, args ...any) {
-		res.Trace = append(res.Trace, fmt.Sprintf("op %4d: %s", slot, fmt.Sprintf(format, args...)))
-	}
-
-	fire := func(slot int) error {
-		// Enumerate the feasible actions, then pick uniformly. The
-		// enumeration order is fixed, so the pick is seed-stable.
-		var actions []string
-		if len(crashed) < cfg.N-1 {
-			actions = append(actions, "crash")
-		}
-		if len(crashed) > 0 {
-			actions = append(actions, "recover")
-		}
-		if partitioned {
-			actions = append(actions, "heal")
-		} else if cfg.N >= 2 {
-			actions = append(actions, "partition")
-		}
-		if faulted {
-			actions = append(actions, "unfault")
-		} else {
-			actions = append(actions, "fault")
-		}
-		switch actions[schedRng.Intn(len(actions))] {
-		case "crash":
-			var live []int
-			for p := 0; p < cfg.N; p++ {
-				if !crashed[p] {
-					live = append(live, p)
-				}
+	next := 0
+	for slot := 0; slot < cfg.Ops; slot++ {
+		for ; next < len(tl.Events) && tl.Events[next].Slot == slot; next++ {
+			ev := tl.Events[next]
+			var err error
+			switch ev.Kind {
+			case EvCrash:
+				err = h.ctl.Crash(ev.Proc)
+				crashed[ev.Proc] = true
+				res.Crashes++
+			case EvRecover:
+				err = h.ctl.Recover(ev.Proc)
+				delete(crashed, ev.Proc)
+				res.Recovers++
+			case EvPartition:
+				err = h.ctl.Partition(ev.Groups...)
+				partitioned = true
+				res.Partitions++
+			case EvPartialHeal:
+				err = h.ctl.Partition(ev.Groups...)
+				res.PartialHeals++
+			case EvHeal:
+				// This may fire inside an open fault window: the heal-round
+				// digest pulls then run over lossy links, and the final
+				// repair must still close the gap.
+				err = h.ctl.Heal()
+				partitioned = false
+				res.Heals++
+			case EvFaultOpen:
+				err = h.ctl.FaultAll(ev.Drop, ev.Dup)
+				faulted = true
+				res.FaultWindows++
+			case EvFaultClose:
+				err = h.ctl.FaultAll(0, 0)
+				faulted = false
+			case EvResize:
+				err = h.ctl.Resize(ev.Shards)
 			}
-			p := live[schedRng.Intn(len(live))]
-			if err := h.ctl.Crash(p); err != nil {
-				return err
-			}
-			crashed[p] = true
-			res.Crashes++
-			trace(slot, "crash p%d", p)
-		case "recover":
-			var down []int
-			for p := 0; p < cfg.N; p++ {
-				if crashed[p] {
-					down = append(down, p)
-				}
-			}
-			p := down[schedRng.Intn(len(down))]
-			if err := h.ctl.Recover(p); err != nil {
-				return err
-			}
-			delete(crashed, p)
-			res.Recovers++
-			trace(slot, "recover p%d (anti-entropy pull from reachable peers)", p)
-		case "partition":
-			// A random non-trivial two-sided split.
-			var side []int
-			for p := 0; p < cfg.N; p++ {
-				if schedRng.Intn(2) == 0 {
-					side = append(side, p)
-				}
-			}
-			if len(side) == 0 || len(side) == cfg.N {
-				side = []int{schedRng.Intn(cfg.N)}
-			}
-			if err := h.ctl.Partition(side); err != nil {
-				return err
-			}
-			partitioned = true
-			res.Partitions++
-			trace(slot, "partition %v | rest", side)
-		case "heal":
-			if err := h.ctl.Heal(); err != nil {
-				return err
-			}
-			partitioned = false
-			res.Heals++
-			trace(slot, "heal (automatic digest exchange)")
-		case "fault":
-			if err := h.ctl.FaultAll(cfg.Drop, cfg.Dup); err != nil {
-				return err
-			}
-			faulted = true
-			res.FaultWindows++
-			trace(slot, "fault window open: drop=%.2f dup=%.2f on every link", cfg.Drop, cfg.Dup)
-		case "unfault":
-			if err := h.ctl.FaultAll(0, 0); err != nil {
-				return err
-			}
-			faulted = false
-			trace(slot, "fault window closed")
-		}
-		return nil
-	}
-
-	for i := 0; i < cfg.Ops; i++ {
-		for e := eventAt[i]; e > 0; e-- {
-			if err := fire(i); err != nil {
+			if err != nil {
 				return res, err
 			}
+			res.Trace = append(res.Trace, ev.String())
 		}
-		if i == resizeAt {
-			if err := h.ctl.Resize(cfg.Resize); err != nil {
-				return res, err
-			}
-			trace(i, "resize to %d shards (backlog in flight)", cfg.Resize)
-		}
-		p := workRng.Intn(cfg.N)
-		mutRng := rand.New(rand.NewSource(cfg.Seed ^ int64(i)<<20 ^ int64(p)))
+		p := tl.Issuer[slot]
 		if !crashed[p] {
-			h.update(p, pickKey(mutRng), mutRng)
+			mutRng := rand.New(rand.NewSource(cfg.Seed ^ int64(slot)<<20 ^ int64(p)))
+			h.update(p, fmt.Sprintf("k%d", tl.Key[slot]), mutRng)
 			res.Issued++
 		}
-		for d := workRng.Intn(4); d > 0; d-- {
+		for d := delRng.Intn(4); d > 0; d-- {
 			if !h.ctl.Deliver() {
 				break
 			}
 		}
 	}
 
-	down, err := finalRepair(h.ctl, crashed, partitioned, faulted)
-	if err != nil {
+	if faulted {
+		if err := h.ctl.FaultAll(0, 0); err != nil {
+			return res, err
+		}
+	}
+	if partitioned {
+		if err := h.ctl.Heal(); err != nil {
+			return res, err
+		}
+	}
+	var down []int
+	for p := range crashed {
+		down = append(down, p)
+	}
+	sort.Ints(down)
+	for _, p := range down {
+		if err := h.ctl.Recover(p); err != nil {
+			return res, err
+		}
+	}
+	h.ctl.Settle()
+	if err := h.ctl.Sync(); err != nil {
 		return res, err
 	}
 	res.Trace = append(res.Trace, fmt.Sprintf("repair: heal + recover %v + settle + sync round", down))
@@ -374,6 +285,7 @@ func Run(cfg Config) (Result, error) {
 	res.SyncApplied, res.DupDropped = h.ctl.RepairStats()
 	st := h.ctl.Stats()
 	res.DroppedCrash, res.DroppedLink = st.DroppedCrash, st.DroppedLink
+	res.Fingerprint = h.ctl.ScheduleFingerprint()
 	if cfg.Record {
 		cl, err := h.ctl.Classify()
 		if err != nil {

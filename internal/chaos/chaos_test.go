@@ -123,3 +123,169 @@ func TestUnknownObject(t *testing.T) {
 		t.Fatal("expected an error for an unknown object")
 	}
 }
+
+// findChurnBlackout searches the (deterministic) compile space for a
+// seed whose churn timeline retires every replica simultaneously — the
+// zero-replica window. Compilation is pure, so the search result is
+// stable; failing to find one means the generator lost the ability to
+// express the edge case.
+func findChurnBlackout(t *testing.T, spec Config) Config {
+	t.Helper()
+	for seed := int64(0); seed < 500; seed++ {
+		spec.Seed = seed
+		tl := spec.Compile()
+		down := 0
+		for _, ev := range tl.Events {
+			switch ev.Kind {
+			case EvCrash:
+				if down++; down == spec.N {
+					return spec
+				}
+			case EvRecover:
+				down--
+			}
+		}
+	}
+	t.Fatal("no seed under 500 produces a zero-replica churn window; the generator can no longer express it")
+	return spec
+}
+
+// TestScenarioZeroReplicaChurnWindow: churn may retire the whole
+// cluster at once; updates issued in that window are simply not issued
+// (their issuers are down), everyone rejoins and pulls what they
+// missed, and the run converges.
+func TestScenarioZeroReplicaChurnWindow(t *testing.T) {
+	spec := findChurnBlackout(t, Config{
+		Object: "set", N: 3, Ops: 250,
+		Churn: &ChurnSpec{Events: 24},
+	})
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("zero-replica churn scenario (seed %d) did not converge:\n%v", spec.Seed, res.Trace)
+	}
+	if res.Issued >= spec.Ops {
+		t.Fatalf("every slot issued (%d of %d) — the blackout window issued updates from retired replicas", res.Issued, spec.Ops)
+	}
+	if res.Crashes < spec.N {
+		t.Fatalf("only %d crashes executed, want at least %d", res.Crashes, spec.N)
+	}
+}
+
+// TestScenarioAllIsolatedPartition: a regional partition with as many
+// regions as replicas isolates every replica — nothing crosses the
+// wire until the heal, whose digest round must repair all sides.
+func TestScenarioAllIsolatedPartition(t *testing.T) {
+	res, err := Run(Config{
+		Object: "kv", Shards: 2, N: 4, Ops: 200, Seed: 17,
+		Regions: &RegionSpec{Regions: 4, Cycles: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("all-isolated partition scenario did not converge:\n%v", res.Trace)
+	}
+	if res.Partitions != 1 || res.Heals != 1 {
+		t.Fatalf("expected one partition and one heal, got %d/%d", res.Partitions, res.Heals)
+	}
+}
+
+// TestScenarioZipfSingleHotKey: a steep zipf exponent funnels nearly
+// every update through one key — maximal per-key contention, every
+// replica ends with the same resolution of it.
+func TestScenarioZipfSingleHotKey(t *testing.T) {
+	spec := Config{
+		Object: "set", N: 4, Ops: 300, Seed: 23, Keys: 8,
+		Zipf: &ZipfSpec{S: 20, V: 1},
+	}
+	tl := spec.Compile()
+	hot := 0
+	for _, k := range tl.Key {
+		if k == 0 {
+			hot++
+		}
+	}
+	if hot*10 < len(tl.Key)*9 {
+		t.Fatalf("zipf hot key holds only %d/%d updates", hot, len(tl.Key))
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("single-hot-key scenario did not converge:\n%v", res.Trace)
+	}
+}
+
+// findHealInFaultWindow searches for a seed whose timeline fires a
+// heal while a fault window is open — the repair-under-loss edge case.
+func findHealInFaultWindow(t *testing.T, spec Config) Config {
+	t.Helper()
+	for seed := int64(0); seed < 500; seed++ {
+		spec.Seed = seed
+		tl := spec.Compile()
+		faulted := false
+		for _, ev := range tl.Events {
+			switch ev.Kind {
+			case EvFaultOpen:
+				faulted = true
+			case EvFaultClose:
+				faulted = false
+			case EvHeal:
+				if faulted {
+					return spec
+				}
+			}
+		}
+	}
+	t.Fatal("no seed under 500 heals inside an open fault window; the generator can no longer express it")
+	return spec
+}
+
+// TestScenarioHealDuringFaultWindow: the partition heals while every
+// link still drops and duplicates — the heal's cross-cut redelivery
+// runs lossy, and the final repair's sync round must close whatever it
+// loses.
+func TestScenarioHealDuringFaultWindow(t *testing.T) {
+	spec := findHealInFaultWindow(t, Config{
+		Object: "countermap", Shards: 2, N: 5, Ops: 300,
+		Regions: &RegionSpec{Regions: 3, Cycles: 2, PartialHeals: true},
+		Faults:  &FaultSpec{Windows: 3, Width: 0.25, Drop: 0.3, Dup: 0.2},
+	})
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("heal-during-fault-window scenario (seed %d) did not converge:\n%v", spec.Seed, res.Trace)
+	}
+	if res.DroppedLink == 0 {
+		t.Fatal("fault window dropped nothing — the edge case did not exercise loss")
+	}
+}
+
+// TestScenarioMixedPresetConverges: the kitchen-sink preset — churn,
+// flash crowds, zipf skew, regional partial heals, clock skew and
+// fault windows together — still converges after final repair, and a
+// second run reproduces its schedule exactly.
+func TestScenarioMixedPresetConverges(t *testing.T) {
+	cfg := Presets()["mixed"]
+	cfg.Object, cfg.Shards, cfg.N, cfg.Ops, cfg.Seed = "set", 2, 6, 300, 41
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Converged {
+		t.Fatalf("mixed preset did not converge:\n%v", a.Trace)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint != b.Fingerprint {
+		t.Fatalf("fingerprints diverge across identical runs: %x vs %x", a.Fingerprint, b.Fingerprint)
+	}
+}

@@ -1,16 +1,12 @@
-package sim
+package chaos
 
 // The scenario DSL: a declarative description of a large, messy run —
-// replica churn, flash crowds, zipf-skewed key popularity, regional
-// partitions that heal piecewise, clock-skewed sessions, lossy-link
-// windows — compiled into a deterministic timeline that any backend
-// can execute. The same ScenarioSpec always compiles to the same
-// timeline (events, issuing replica per slot, key per slot): the spec
-// plus a seed IS the run.
-//
-// internal/chaos.RunScenario executes a compiled timeline: it drives a
-// real replicated-object cluster through it (the public updatec API)
-// and asserts convergence after final repair.
+// feasible-action fault schedules, replica churn, flash crowds,
+// zipf-skewed key popularity, regional partitions that heal piecewise,
+// clock-skewed sessions, lossy-link windows, a mid-run resize —
+// compiled into a deterministic timeline that Run executes. The same
+// Config always compiles to the same timeline (events, issuing replica
+// per slot, key per slot): the config plus a seed IS the run.
 
 import (
 	"fmt"
@@ -27,13 +23,13 @@ type ZipfSpec struct {
 	S, V float64
 }
 
-// ChurnSpec injects replica churn: Events retire/rejoin events are
-// placed uniformly over the timeline. A retired replica stops
-// receiving and issues nothing until it rejoins (in the cluster
-// backend it later pulls what it missed by anti-entropy). MaxDown
-// bounds how many replicas may be down at once; 0 means no bound — the
-// whole cluster may be retired simultaneously, the zero-replica
-// window, and the scenario must still converge after repair.
+// ChurnSpec injects replica churn: Events crash/recover events are
+// placed uniformly over the timeline. A crashed replica stops
+// receiving and issues nothing until it recovers (and then pulls what
+// it missed by anti-entropy). MaxDown bounds how many replicas may be
+// down at once; 0 means no bound — the whole cluster may be down
+// simultaneously, the zero-replica window, and the run must still
+// converge after repair.
 type ChurnSpec struct {
 	Events  int
 	MaxDown int
@@ -79,50 +75,31 @@ type SkewSpec struct {
 type FaultSpec struct {
 	Windows   int
 	Width     float64 // fraction of the timeline per window (default 0.15)
-	Drop, Dup float64 // default 0.2 / 0.2
-}
-
-// ScenarioSpec is the declarative description of one scenario. Zero
-// sub-specs mean a plain uniform workload; each non-nil sub-spec adds
-// its dimension. Compile turns the spec into the deterministic
-// timeline both backends execute.
-type ScenarioSpec struct {
-	Name string
-	// N replicas execute Ops update slots over a key space of Keys
-	// keys. Defaults: N 4, Ops 400, Keys 16.
-	N, Ops, Keys int
-	// Seed fixes the compiled timeline and (with the worker count) the
-	// network adversary's schedule.
-	Seed int64
-	// FIFO requests per-link FIFO delivery from the transport.
-	FIFO bool
-
-	Zipf    *ZipfSpec
-	Churn   *ChurnSpec
-	Flash   *FlashSpec
-	Regions *RegionSpec
-	Skew    *SkewSpec
-	Faults  *FaultSpec
+	Drop, Dup float64 // default faultDrop / faultDup
 }
 
 // EventKind is a timeline event type.
 type EventKind int
 
-// Timeline event kinds.
+// Timeline event kinds, one per cluster operation Run performs.
 const (
-	// EvRetire/EvRejoin are churn: the replica leaves (crashes) or
-	// comes back (recovers, pulling what it missed).
-	EvRetire EventKind = iota
-	EvRejoin
-	// EvPartition splits the cluster into the event's groups;
-	// EvPartialHeal re-partitions with one boundary merged; EvHeal
-	// restores full connectivity.
+	// EvCrash/EvRecover crash a replica and bring it back (it pulls
+	// what it missed by anti-entropy).
+	EvCrash EventKind = iota
+	EvRecover
+	// EvPartition splits the cluster into the event's groups (the
+	// processes no group names form one more); EvPartialHeal
+	// re-partitions with one boundary merged; EvHeal restores full
+	// connectivity.
 	EvPartition
 	EvPartialHeal
 	EvHeal
 	// EvFaultOpen/EvFaultClose toggle the every-link drop/dup window.
 	EvFaultOpen
 	EvFaultClose
+	// EvResize re-partitions the key space across the event's shard
+	// count, with the backlog in flight.
+	EvResize
 )
 
 // Event is one compiled timeline event, fired before the update slot
@@ -130,40 +107,46 @@ const (
 type Event struct {
 	Slot int
 	Kind EventKind
-	// Proc is the replica for EvRetire/EvRejoin.
+	// Proc is the replica for EvCrash/EvRecover.
 	Proc int
 	// Groups is the topology for EvPartition/EvPartialHeal.
 	Groups [][]int
 	// Drop/Dup are the probabilities for EvFaultOpen.
 	Drop, Dup float64
+	// Shards is the new shard count for EvResize.
+	Shards int
 }
 
 // String renders the event for traces.
 func (e Event) String() string {
+	var what string
 	switch e.Kind {
-	case EvRetire:
-		return fmt.Sprintf("slot %4d: retire p%d", e.Slot, e.Proc)
-	case EvRejoin:
-		return fmt.Sprintf("slot %4d: rejoin p%d", e.Slot, e.Proc)
+	case EvCrash:
+		what = fmt.Sprintf("crash p%d", e.Proc)
+	case EvRecover:
+		what = fmt.Sprintf("recover p%d (anti-entropy pull from reachable peers)", e.Proc)
 	case EvPartition:
-		return fmt.Sprintf("slot %4d: partition into %d regions", e.Slot, len(e.Groups))
+		what = fmt.Sprintf("partition %v", e.Groups)
 	case EvPartialHeal:
-		return fmt.Sprintf("slot %4d: partial heal to %d regions", e.Slot, len(e.Groups))
+		what = fmt.Sprintf("partial heal to %v", e.Groups)
 	case EvHeal:
-		return fmt.Sprintf("slot %4d: heal", e.Slot)
+		what = "heal (automatic digest exchange)"
 	case EvFaultOpen:
-		return fmt.Sprintf("slot %4d: fault window open (drop=%.2f dup=%.2f)", e.Slot, e.Drop, e.Dup)
+		what = fmt.Sprintf("fault window open: drop=%.2f dup=%.2f on every link", e.Drop, e.Dup)
+	case EvFaultClose:
+		what = "fault window closed"
 	default:
-		return fmt.Sprintf("slot %4d: fault window closed", e.Slot)
+		what = fmt.Sprintf("resize to %d shards (backlog in flight)", e.Shards)
 	}
+	return fmt.Sprintf("slot %4d: %s", e.Slot, what)
 }
 
-// Timeline is a compiled scenario: the events in slot order and, for
+// Timeline is a compiled config: the events in slot order and, for
 // every update slot, the issuing replica and the key index it updates.
-// A timeline is a pure function of its spec — same spec, same
-// timeline — and is executor-independent.
+// A timeline is a pure function of its config — same config, same
+// timeline.
 type Timeline struct {
-	Spec   ScenarioSpec
+	Config Config
 	Events []Event
 	Issuer []int
 	Key    []int
@@ -172,8 +155,8 @@ type Timeline struct {
 // skewClasses is the number of issue-rate classes under SkewSpec.
 const skewClasses = 8
 
-// rateOf returns replica i's base issue rate under the spec's skew.
-func (s *ScenarioSpec) rateOf(i int) float64 {
+// rateOf returns replica i's base issue rate under the config's skew.
+func (s *Config) rateOf(i int) float64 {
 	if s.Skew == nil || s.Skew.MaxSkew <= 0 {
 		return 1
 	}
@@ -181,7 +164,7 @@ func (s *ScenarioSpec) rateOf(i int) float64 {
 }
 
 // normalize fills in the documented defaults.
-func (s ScenarioSpec) normalize() ScenarioSpec {
+func (s Config) normalize() Config {
 	if s.N <= 0 {
 		s.N = 4
 	}
@@ -210,7 +193,7 @@ func (s ScenarioSpec) normalize() ScenarioSpec {
 			f.Width = 0.15
 		}
 		if f.Drop == 0 && f.Dup == 0 {
-			f.Drop, f.Dup = 0.2, 0.2
+			f.Drop, f.Dup = faultDrop, faultDup
 		}
 		s.Faults = &f
 	}
@@ -255,16 +238,100 @@ func regionGroups(n, k, merged int) [][]int {
 	return groups
 }
 
-// Compile turns the spec into its deterministic timeline. Three
+// faultDrop and faultDup are the per-link probabilities of a fault
+// window that names none: FaultSpec's default, and every window the
+// feasible-action schedule (Config.Events) opens.
+const faultDrop, faultDup = 0.2, 0.2
+
+// slotsFor draws k event slots uniformly over [0, ops), in slot order.
+func slotsFor(rng *rand.Rand, k, ops int) []int {
+	slots := make([]int, k)
+	for i := range slots {
+		slots[i] = rng.Intn(ops)
+	}
+	sort.Ints(slots)
+	return slots
+}
+
+// pickProc draws uniformly among the processes below n whose down
+// flag equals want: a live one to crash, a down one to recover.
+func pickProc(rng *rand.Rand, n int, down map[int]bool, want bool) int {
+	var ps []int
+	for p := 0; p < n; p++ {
+		if down[p] == want {
+			ps = append(ps, p)
+		}
+	}
+	return ps[rng.Intn(len(ps))]
+}
+
+// Compile turns the config into its deterministic timeline. Three
 // independent rng streams — events, issuers, keys — keep each
-// dimension stable when another's spec changes how much randomness it
-// consumes (the same discipline as the chaos harness).
-func (s ScenarioSpec) Compile() Timeline {
+// dimension stable when another's sub-spec changes how much randomness
+// it consumes.
+func (s Config) Compile() Timeline {
 	s = s.normalize()
 	evRng := rand.New(rand.NewSource(s.Seed ^ 0x5c4ed0))
 	workRng := rand.New(rand.NewSource(s.Seed ^ 0x0b5e55))
 	keyRng := rand.New(rand.NewSource(s.Seed ^ 0x7e1ead))
-	tl := Timeline{Spec: s}
+	tl := Timeline{Config: s}
+
+	// Feasible-action faults: each event picks uniformly among the
+	// actions feasible at its point of the walk — crash a live replica
+	// (keeping one alive), recover a crashed one, open a random
+	// two-sided partition or heal it, open or close a fault window.
+	if s.Events > 0 {
+		down := map[int]bool{}
+		partitioned, faulted := false, false
+		for _, slot := range slotsFor(evRng, s.Events, s.Ops) {
+			var actions []EventKind
+			if len(down) < s.N-1 {
+				actions = append(actions, EvCrash)
+			}
+			if len(down) > 0 {
+				actions = append(actions, EvRecover)
+			}
+			if partitioned {
+				actions = append(actions, EvHeal)
+			} else {
+				actions = append(actions, EvPartition)
+			}
+			if faulted {
+				actions = append(actions, EvFaultClose)
+			} else {
+				actions = append(actions, EvFaultOpen)
+			}
+			ev := Event{Slot: slot, Kind: actions[evRng.Intn(len(actions))]}
+			switch ev.Kind {
+			case EvCrash:
+				ev.Proc = pickProc(evRng, s.N, down, false)
+				down[ev.Proc] = true
+			case EvRecover:
+				ev.Proc = pickProc(evRng, s.N, down, true)
+				delete(down, ev.Proc)
+			case EvPartition:
+				var side []int
+				for p := 0; p < s.N; p++ {
+					if evRng.Intn(2) == 0 {
+						side = append(side, p)
+					}
+				}
+				if len(side) == 0 || len(side) == s.N {
+					side = []int{evRng.Intn(s.N)}
+				}
+				ev.Groups = [][]int{side}
+				partitioned = true
+			case EvHeal:
+				partitioned = false
+			case EvFaultOpen:
+				ev.Drop, ev.Dup = faultDrop, faultDup
+				faulted = true
+			case EvFaultClose:
+				faulted = false
+			}
+			tl.Events = append(tl.Events, ev)
+		}
+	}
 
 	// Churn: walk the chosen slots keeping the down-set feasible.
 	if c := s.Churn; c != nil && c.Events > 0 {
@@ -272,45 +339,24 @@ func (s ScenarioSpec) Compile() Timeline {
 		if maxDown <= 0 || maxDown > s.N {
 			maxDown = s.N
 		}
-		slots := make([]int, c.Events)
-		for i := range slots {
-			slots[i] = evRng.Intn(s.Ops)
-		}
-		sort.Ints(slots)
 		down := map[int]bool{}
-		for _, slot := range slots {
-			retire := len(down) == 0 || (len(down) < maxDown && evRng.Intn(2) == 0)
-			if retire {
-				var live []int
-				for p := 0; p < s.N; p++ {
-					if !down[p] {
-						live = append(live, p)
-					}
-				}
-				p := live[evRng.Intn(len(live))]
+		for _, slot := range slotsFor(evRng, c.Events, s.Ops) {
+			if len(down) == 0 || (len(down) < maxDown && evRng.Intn(2) == 0) {
+				p := pickProc(evRng, s.N, down, false)
 				down[p] = true
-				tl.Events = append(tl.Events, Event{Slot: slot, Kind: EvRetire, Proc: p})
+				tl.Events = append(tl.Events, Event{Slot: slot, Kind: EvCrash, Proc: p})
 			} else {
-				var gone []int
-				for p := 0; p < s.N; p++ {
-					if down[p] {
-						gone = append(gone, p)
-					}
-				}
-				p := gone[evRng.Intn(len(gone))]
+				p := pickProc(evRng, s.N, down, true)
 				delete(down, p)
-				tl.Events = append(tl.Events, Event{Slot: slot, Kind: EvRejoin, Proc: p})
+				tl.Events = append(tl.Events, Event{Slot: slot, Kind: EvRecover, Proc: p})
 			}
 		}
 		// Rejoin everyone still down, before the end of the timeline,
 		// so final repair starts from a fully-live cluster.
-		var gone []int
-		for p := range down {
-			gone = append(gone, p)
-		}
-		sort.Ints(gone)
-		for _, p := range gone {
-			tl.Events = append(tl.Events, Event{Slot: s.Ops - 1, Kind: EvRejoin, Proc: p})
+		for p := 0; p < s.N; p++ {
+			if down[p] {
+				tl.Events = append(tl.Events, Event{Slot: s.Ops - 1, Kind: EvRecover, Proc: p})
+			}
 		}
 	}
 
@@ -348,6 +394,11 @@ func (s ScenarioSpec) Compile() Timeline {
 			tl.Events = append(tl.Events, Event{Slot: start, Kind: EvFaultOpen, Drop: f.Drop, Dup: f.Dup})
 			tl.Events = append(tl.Events, Event{Slot: end, Kind: EvFaultClose})
 		}
+	}
+
+	// The resize fires after every other event of its slot.
+	if s.Resize > 0 {
+		tl.Events = append(tl.Events, Event{Slot: s.Ops / 2, Kind: EvResize, Shards: s.Resize})
 	}
 
 	sort.SliceStable(tl.Events, func(i, j int) bool { return tl.Events[i].Slot < tl.Events[j].Slot })
@@ -447,45 +498,27 @@ func (s ScenarioSpec) Compile() Timeline {
 	return tl
 }
 
-// EventsAt returns the events attached to one slot, in compiled order.
-// Executors walk the slot range and fire these before issuing the
-// slot's update.
-func (tl *Timeline) EventsAt(slot int) []Event {
-	lo := sort.Search(len(tl.Events), func(i int) bool { return tl.Events[i].Slot >= slot })
-	hi := lo
-	for hi < len(tl.Events) && tl.Events[hi].Slot == slot {
-		hi++
-	}
-	return tl.Events[lo:hi]
-}
-
 // Presets returns the named scenario library `ucsim -scenario` and the
-// tests draw from. Every preset leaves N/Ops/Seed adjustable by the
-// caller; zero values take the DSL defaults.
-func Presets() map[string]ScenarioSpec {
-	return map[string]ScenarioSpec{
+// tests draw from. A preset names no object and leaves N/Ops/Seed to
+// the caller; zero values take the defaults.
+func Presets() map[string]Config {
+	return map[string]Config{
 		"churn": {
-			Name:  "churn",
 			Churn: &ChurnSpec{Events: 12},
 		},
 		"flash": {
-			Name:  "flash",
 			Flash: &FlashSpec{Crowds: 3, Width: 0.15, Boost: 10, Focus: 0.25},
 		},
 		"zipf-hot": {
-			Name: "zipf-hot",
 			Zipf: &ZipfSpec{S: 3.0, V: 1},
 		},
 		"regions": {
-			Name:    "regions",
 			Regions: &RegionSpec{Regions: 3, Cycles: 2, PartialHeals: true},
 		},
 		"skew": {
-			Name: "skew",
 			Skew: &SkewSpec{MaxSkew: 4},
 		},
 		"mixed": {
-			Name:    "mixed",
 			Churn:   &ChurnSpec{Events: 8},
 			Flash:   &FlashSpec{Crowds: 2, Width: 0.1, Boost: 8, Focus: 0.25},
 			Zipf:    &ZipfSpec{S: 1.8, V: 2},

@@ -1,4 +1,4 @@
-package sim
+package chaos
 
 import (
 	"reflect"
@@ -17,24 +17,24 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 	}
 }
 
-// TestScenarioChurnFeasible: compiled churn events must always retire
-// a live replica and rejoin a down one, and leave everyone live by the
+// TestScenarioChurnFeasible: compiled churn events must always crash
+// a live replica and recover a down one, and leave everyone live by the
 // end of the timeline (the executor replays them without guessing).
 func TestScenarioChurnFeasible(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		spec := ScenarioSpec{N: 5, Ops: 200, Seed: seed, Churn: &ChurnSpec{Events: 20}}
+		spec := Config{N: 5, Ops: 200, Seed: seed, Churn: &ChurnSpec{Events: 20}}
 		tl := spec.Compile()
 		down := map[int]bool{}
 		for _, ev := range tl.Events {
 			switch ev.Kind {
-			case EvRetire:
+			case EvCrash:
 				if down[ev.Proc] {
-					t.Fatalf("seed %d: retire of already-down p%d", seed, ev.Proc)
+					t.Fatalf("seed %d: crash of already-down p%d", seed, ev.Proc)
 				}
 				down[ev.Proc] = true
-			case EvRejoin:
+			case EvRecover:
 				if !down[ev.Proc] {
-					t.Fatalf("seed %d: rejoin of live p%d", seed, ev.Proc)
+					t.Fatalf("seed %d: recover of live p%d", seed, ev.Proc)
 				}
 				delete(down, ev.Proc)
 			}
@@ -48,7 +48,7 @@ func TestScenarioChurnFeasible(t *testing.T) {
 // TestScenarioZipfHotKey: a steep zipf exponent concentrates the
 // workload on one scorching key.
 func TestScenarioZipfHotKey(t *testing.T) {
-	spec := ScenarioSpec{N: 4, Ops: 1000, Seed: 7, Keys: 8, Zipf: &ZipfSpec{S: 20, V: 1}}
+	spec := Config{N: 4, Ops: 1000, Seed: 7, Keys: 8, Zipf: &ZipfSpec{S: 20, V: 1}}
 	tl := spec.Compile()
 	hot := 0
 	for _, k := range tl.Key {
@@ -65,7 +65,7 @@ func TestScenarioZipfHotKey(t *testing.T) {
 // region count, then re-partition with strictly fewer groups at every
 // partial heal, then fully heal.
 func TestScenarioRegionsPartialHeals(t *testing.T) {
-	spec := ScenarioSpec{N: 9, Ops: 300, Seed: 3, Regions: &RegionSpec{Regions: 3, Cycles: 2, PartialHeals: true}}
+	spec := Config{N: 9, Ops: 300, Seed: 3, Regions: &RegionSpec{Regions: 3, Cycles: 2, PartialHeals: true}}
 	tl := spec.Compile()
 	groups := -1
 	heals := 0
@@ -95,7 +95,7 @@ func TestScenarioRegionsPartialHeals(t *testing.T) {
 // far above their uniform share during the window, and the fastest
 // skew class outissues the slowest.
 func TestScenarioFlashAndSkewShapeTraffic(t *testing.T) {
-	spec := ScenarioSpec{N: 16, Ops: 4000, Seed: 11,
+	spec := Config{N: 16, Ops: 4000, Seed: 11,
 		Flash: &FlashSpec{Crowds: 1, Width: 0.5, Boost: 12, Focus: 0.25},
 		Skew:  &SkewSpec{MaxSkew: 4},
 	}

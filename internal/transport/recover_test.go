@@ -118,3 +118,39 @@ func TestSetLinkFaultValidates(t *testing.T) {
 		}()
 	}
 }
+
+// TestClearedFaultsTakeNoFaultPath: once every fault is cleared — link
+// by link or all at once — the per-message fault check is off again and
+// no per-link override is left to look up, so a network that once had
+// faults steps like one that never did. A zero override under a global
+// fault still counts: the other links keep theirs.
+func TestClearedFaultsTakeNoFaultPath(t *testing.T) {
+	const n = 3
+	net := NewSim(SimOptions{N: n, Seed: 1})
+	each := func(f LinkFault) {
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if from != to {
+					net.SetLinkFault(from, to, f)
+				}
+			}
+		}
+	}
+	each(LinkFault{Drop: 0.2, Dup: 0.2})
+	if !net.hasFaults {
+		t.Fatal("faulting every link left the fault path off")
+	}
+	each(LinkFault{})
+	if net.hasFaults || len(net.faultMap) != 0 {
+		t.Fatalf("clearing every link left the fault path on (%d overrides)", len(net.faultMap))
+	}
+	net.SetLinkFaultAll(LinkFault{Drop: 0.2})
+	net.SetLinkFault(0, 1, LinkFault{})
+	if !net.hasFaults || net.fault(net.link(0, 1)) != (LinkFault{}) || net.fault(net.link(1, 0)).Drop != 0.2 {
+		t.Fatal("a zero override under a global fault must clear only its own link")
+	}
+	net.SetLinkFaultAll(LinkFault{})
+	if net.hasFaults || len(net.faultMap) != 0 {
+		t.Fatal("SetLinkFaultAll(zero) left the fault path on")
+	}
+}

@@ -5,11 +5,14 @@ import (
 	"sort"
 )
 
-// SimOptions configures a SimNetwork.
+// SimOptions configures a SimNetwork: its process count, the seed of
+// its one adversary, and the channel model it delivers under.
 type SimOptions struct {
 	// N is the number of processes.
 	N int
-	// Seed drives the adversarial delivery order.
+	// Seed drives the adversarial delivery order: the seed alone fixes
+	// the schedule of a given sequence of broadcasts, steps and
+	// structural events.
 	Seed int64
 	// FIFO restricts delivery to per-link FIFO order (the assumption
 	// pipelined consistency needs). When false the adversary may
@@ -23,16 +26,6 @@ type SimOptions struct {
 	// duplication is available via SetLinkFault instead). A replica drops
 	// and counts a redelivered update (core.Stats.DupDropped).
 	DuplicateProb float64
-	// Workers shards the adversary: the backlog is partitioned by
-	// destination process (to mod workers) and each shard picks with
-	// its own seeded PRNG, merged by deterministic round-robin
-	// arbitration (StepParallel, simparallel.go). 0 and 1 both keep a
-	// single shard driven by the root PRNG, so the sequential Step and
-	// the workers=1 parallel stepper reproduce the identical schedule.
-	// With Workers > 1 the sequential Step/StepN/Quiesce panic — the
-	// schedule is defined per (seed, workers, batch), not per seed
-	// alone — and StepParallel/QuiesceParallel must be used instead.
-	Workers int
 }
 
 // LinkFault injects per-link message faults, beyond the adversary's
@@ -66,20 +59,19 @@ type IndexRepairStats struct {
 	// drops) or renumbered (Recover's sequence repair).
 	LinksRepaired uint64
 	// Refreshes counts whole-backlog eligibility recomputes (bits +
-	// Fenwick trees, O(pending) — no per-link work).
+	// Fenwick tree, O(pending) — no per-link work).
 	Refreshes uint64
 }
 
 // SimNetwork is the deterministic simulator. It is not safe for
 // concurrent use: the simulation harness alternates process steps and
 // network steps in one goroutine, which is exactly what makes runs
-// reproducible. (StepParallel internally fans a round out to worker
-// goroutines, but the call itself is still one-at-a-time from the
-// driving goroutine, and structural operations — Crash, Partition,
-// Broadcast from the driver — happen between rounds.)
+// reproducible.
 type SimNetwork struct {
 	opts SimOptions
-	rng  *rand.Rand
+	// rng is the adversary: every pick, duplicate and drop draw comes
+	// from it, in call order.
+	rng *rand.Rand
 	// handlers[id] is the delivery target of process id's plain
 	// (shard 0) channel, set by Attach.
 	handlers []Handler
@@ -89,18 +81,14 @@ type SimNetwork struct {
 	routers []EpochHandler
 	crashed []bool
 	group   []int // partition group per process
-	// shards partitions the in-flight backlog by destination process
-	// (to mod len(shards)): each shard owns its pending array, its
-	// Fenwick eligible index and (during parallel rounds) its own PRNG
-	// and stat deltas. With Workers <= 1 there is exactly one shard and
-	// its PRNG is the root rng, reproducing the historical sequential
-	// adversary bit for bit.
-	shards  []simShard
-	nshards int
-	// inRound is true while worker picks are executing: handler
-	// broadcasts are then buffered per shard (self-delivery inline) and
-	// fanned out by the coordinator after the round (simparallel.go).
-	inRound bool
+	// pending is the in-flight backlog; eligCount counts its deliverable
+	// envelopes and idx indexes them by position (simindex.go).
+	pending   []envelope
+	eligCount int
+	idx       fenwick
+	// fp folds every delivery, in pick order, into the schedule
+	// fingerprint (ScheduleFingerprint).
+	fp uint64
 	// linkSeq and nextSeq are dense per-link sequence tables indexed by
 	// from*N+to: the last sequence number issued on the link and the
 	// last one delivered (for FIFO eligibility). Allocated only in FIFO
@@ -108,16 +96,14 @@ type SimNetwork struct {
 	// and the O(N²) tables would dominate memory at large N.
 	linkSeq []uint64
 	nextSeq []uint64
-	nextID  uint64
 	// linkQ holds the per-link FIFO readiness queues (simindex.go),
-	// FIFO mode only. Queue entries are positions into the owning
-	// shard's pending array (a link's receiver fixes its shard).
+	// FIFO mode only. Queue entries are positions into pending.
 	linkQ       []linkQueue
 	anyCrashed  bool
 	partitioned bool
 	// Link faults: faultAll applies to every link, faultMap overrides
-	// individual links (including with a zero fault). hasFaults caches
-	// "any fault configured" for the per-delivery check.
+	// individual links (a zero override only while faultAll is set).
+	// hasFaults caches "some link has a fault" for the per-message check.
 	faultAll  LinkFault
 	faultMap  map[int]LinkFault
 	hasFaults bool
@@ -136,13 +122,6 @@ func NewSim(opts SimOptions) *SimNetwork {
 	if opts.DuplicateProb >= 1 {
 		panic("transport: DuplicateProb must be below 1 or delivery never quiesces")
 	}
-	if opts.Workers < 0 {
-		panic("transport: SimOptions.Workers must be non-negative")
-	}
-	nsh := opts.Workers
-	if nsh < 1 {
-		nsh = 1
-	}
 	n := &SimNetwork{
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
@@ -150,23 +129,6 @@ func NewSim(opts SimOptions) *SimNetwork {
 		routers:  make([]EpochHandler, opts.N),
 		crashed:  make([]bool, opts.N),
 		group:    make([]int, opts.N),
-		shards:   make([]simShard, nsh),
-		nshards:  nsh,
-	}
-	for w := range n.shards {
-		n.shards[w].self = w
-	}
-	if opts.Workers > 1 {
-		// Each worker draws from its own stream, derived from the seed
-		// so (seed, workers) fixes every per-shard pick sequence. The
-		// root rng stays the coordinator's (drop draws, structural ops).
-		for w := range n.shards {
-			n.shards[w].rng = rand.New(rand.NewSource(int64(workerSeed(uint64(opts.Seed), w))))
-		}
-	} else {
-		// One shard: the parallel stepper and the sequential Step share
-		// the root PRNG, so both reproduce the historical schedule.
-		n.shards[0].rng = n.rng
 	}
 	if opts.FIFO {
 		n.linkQ = make([]linkQueue, opts.N*opts.N)
@@ -178,13 +140,6 @@ func NewSim(opts SimOptions) *SimNetwork {
 
 // link indexes the dense per-link tables.
 func (n *SimNetwork) link(from, to int) int { return from*n.opts.N + to }
-
-// shardOf returns the shard owning deliveries to process `to`.
-func (n *SimNetwork) shardOf(to int) *simShard { return &n.shards[to%n.nshards] }
-
-// Workers reports the number of adversary shards (1 for the sequential
-// configuration).
-func (n *SimNetwork) Workers() int { return n.nshards }
 
 // Attach implements Network.
 func (n *SimNetwork) Attach(id int, h Handler) { n.handlers[id] = h }
@@ -230,18 +185,9 @@ func (n *SimNetwork) fault(link int) LinkFault {
 // BroadcastShardEpoch implements ResizableNetwork: each queued envelope
 // is tagged with the shard and the sender's routing epoch, and delivery
 // invokes the receiver's router (or, without one and on shard 0, its
-// plain handler).
-//
-// During a parallel round (StepParallel) a handler's broadcast is
-// buffered instead: the sender's own copy is still delivered inline on
-// the worker that owns it — handlers may only broadcast as the process
-// they are attached to — and the remote fan-out replays after the
-// round, in deterministic worker order, on the coordinator.
+// plain handler). A handler may broadcast while it is being delivered
+// to (a relay does); its messages join the backlog like any other.
 func (n *SimNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte) {
-	if n.inRound {
-		n.bufferBroadcast(from, shard, epoch, payload)
-		return
-	}
 	if n.crashed[from] {
 		return
 	}
@@ -252,13 +198,6 @@ func (n *SimNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte)
 	n.stats.Delivered++
 	n.stats.Bytes += uint64(len(payload))
 	n.deliver(from, from, shard, epoch, payload)
-	n.fanOut(from, shard, epoch, payload)
-}
-
-// fanOut queues one envelope per live remote process, drawing the
-// per-link drop decisions from the coordinator rng. It is the remote
-// half of a broadcast — the caller has already handled self-delivery.
-func (n *SimNetwork) fanOut(from, shard, epoch int, payload []byte) {
 	for to := 0; to < n.opts.N; to++ {
 		if to == from {
 			continue
@@ -280,16 +219,12 @@ func (n *SimNetwork) fanOut(from, shard, epoch int, payload []byte) {
 			}
 		}
 		// The payload slice is shared, never copied per recipient.
-		e := envelope{
-			from: from, to: to, shard: shard, epoch: epoch, payload: payload,
-			id: n.nextID,
-		}
+		e := envelope{from: from, to: to, shard: shard, epoch: epoch, payload: payload}
 		if n.opts.FIFO {
 			n.linkSeq[link]++
 			e.seq = n.linkSeq[link]
 		}
-		n.enqueueShard(n.shardOf(to), e)
-		n.nextID++
+		n.enqueue(e)
 		n.stats.Sends++
 		n.stats.Bytes += uint64(len(payload))
 	}
@@ -319,29 +254,18 @@ func (n *SimNetwork) eligible(e *envelope) bool {
 // schedule — but it is answered by the eligible index (simindex.go):
 // O(1) when everything is eligible, O(log pending) otherwise, never a
 // walk over the backlog.
-//
-// Step is the sequential adversary and requires Workers <= 1; with
-// more shards the schedule is defined by the round-based parallel
-// stepper, so use StepParallel instead.
 func (n *SimNetwork) Step() bool {
-	if n.nshards > 1 {
-		panic("transport: Step is sequential; use StepParallel with Workers > 1")
-	}
-	sh := &n.shards[0]
-	if sh.eligCount == 0 {
+	if n.eligCount == 0 {
 		return false
 	}
-	k := n.rng.Intn(sh.eligCount)
+	k := n.rng.Intn(n.eligCount)
 	at := k
-	if sh.eligCount != len(sh.pending) {
-		at = sh.idx.selectK(k)
+	if n.eligCount != len(n.pending) {
+		at = n.idx.selectK(k)
 	}
-	e := n.removeFrom(sh, at)
+	e := n.removeAt(at)
 	if n.opts.DuplicateProb > 0 && n.rng.Float64() < n.opts.DuplicateProb {
-		dup := e
-		dup.id = n.nextID
-		n.nextID++
-		n.enqueueShard(sh, dup)
+		n.enqueue(e)
 		n.stats.Sends++
 		n.stats.Bytes += uint64(len(e.payload))
 	}
@@ -351,20 +275,17 @@ func (n *SimNetwork) Step() bool {
 			// Re-enqueue at the link tail with a fresh sequence number:
 			// an in-order duplicate, sound even on FIFO links.
 			dup := e
-			dup.id = n.nextID
-			n.nextID++
 			if n.opts.FIFO {
 				n.linkSeq[link]++
 				dup.seq = n.linkSeq[link]
 			}
-			n.enqueueShard(sh, dup)
+			n.enqueue(dup)
 			n.stats.Sends++
 			n.stats.Bytes += uint64(len(e.payload))
 		}
 	}
 	n.stats.Delivered++
-	sh.picks++
-	sh.fp = fpMix(sh.fp, uint64(e.from), uint64(e.to))
+	n.fp = fpMix(n.fp, uint64(e.from), uint64(e.to))
 	n.deliver(e.to, e.from, e.shard, e.epoch, e.payload)
 	return true
 }
@@ -389,22 +310,10 @@ func (n *SimNetwork) Quiesce() {
 
 // Pending returns the number of in-flight messages (including ones
 // blocked by partitions or addressed to crashed processes).
-func (n *SimNetwork) Pending() int {
-	total := 0
-	for i := range n.shards {
-		total += len(n.shards[i].pending)
-	}
-	return total
-}
+func (n *SimNetwork) Pending() int { return len(n.pending) }
 
 // Eligible returns the number of in-flight messages deliverable now.
-func (n *SimNetwork) Eligible() int {
-	total := 0
-	for i := range n.shards {
-		total += n.shards[i].eligCount
-	}
-	return total
-}
+func (n *SimNetwork) Eligible() int { return n.eligCount }
 
 // Crash halts a process: it stops receiving (its in-flight inbound
 // messages are dropped, and sends to it are suppressed while it stays
@@ -413,12 +322,11 @@ func (n *SimNetwork) Eligible() int {
 // not necessarily forever: Recover brings the process back with its
 // local state intact.
 //
-// Only the crashed process's own links are repaired: its inbound
-// envelopes live in one shard (the one owning deliveries to it), whose
-// pending array is compacted in place, and only its N inbound FIFO
-// queues are cleared — the other links' queues keep their order and
-// merely have their stored positions re-pointed. Eligibility bits and
-// trees are then refreshed, with no per-link scan.
+// Only the crashed process's own links are repaired: the pending array
+// is compacted in place, and only its N inbound FIFO queues are
+// cleared — the other links' queues keep their order and merely have
+// their stored positions re-pointed. Eligibility bits and the tree are
+// then refreshed, with no per-link scan.
 func (n *SimNetwork) Crash(id int) {
 	if n.crashed[id] {
 		return
@@ -477,20 +385,17 @@ func (n *SimNetwork) Recover(id int) {
 // queues stay valid without a rebuild.
 func (n *SimNetwork) repairLinks(id int) {
 	type slot struct {
-		sh, idx int
-		seq     uint64
+		idx int
+		seq uint64
 	}
 	perLink := map[int][]slot{}
-	for s := range n.shards {
-		sh := &n.shards[s]
-		for i := range sh.pending {
-			e := &sh.pending[i]
-			if e.from != id && e.to != id {
-				continue
-			}
-			l := n.link(e.from, e.to)
-			perLink[l] = append(perLink[l], slot{sh: s, idx: i, seq: e.seq})
+	for i := range n.pending {
+		e := &n.pending[i]
+		if e.from != id && e.to != id {
+			continue
 		}
+		l := n.link(e.from, e.to)
+		perLink[l] = append(perLink[l], slot{idx: i, seq: e.seq})
 	}
 	for peer := 0; peer < n.opts.N; peer++ {
 		for _, l := range []int{n.link(id, peer), n.link(peer, id)} {
@@ -502,7 +407,7 @@ func (n *SimNetwork) repairLinks(id int) {
 			seq := n.nextSeq[l]
 			for _, s := range slots {
 				seq++
-				n.shards[s.sh].pending[s.idx].seq = seq
+				n.pending[s.idx].seq = seq
 			}
 			n.linkSeq[l] = seq
 		}
@@ -517,11 +422,17 @@ func (n *SimNetwork) SetLinkFault(from, to int, f LinkFault) {
 		panic("transport: SetLinkFault needs two distinct process ids in range")
 	}
 	checkFault(f)
-	if n.faultMap == nil {
-		n.faultMap = make(map[int]LinkFault)
+	l := n.link(from, to)
+	if f == (LinkFault{}) && n.faultAll == (LinkFault{}) {
+		// Nothing to override: the link is fault-free either way.
+		delete(n.faultMap, l)
+	} else {
+		if n.faultMap == nil {
+			n.faultMap = make(map[int]LinkFault)
+		}
+		n.faultMap[l] = f
 	}
-	n.faultMap[n.link(from, to)] = f
-	n.hasFaults = true
+	n.hasFaults = n.faultAll != LinkFault{} || len(n.faultMap) > 0
 }
 
 // SetLinkFaultAll applies f to every cross-process link (clearing any
@@ -546,14 +457,11 @@ func checkFault(f LinkFault) {
 // disagreeing about the crashed process's updates, which the replicas'
 // anti-entropy repair closes.
 //
-// Survival draws come from the coordinator rng in shard-major,
-// ascending-position order (the historical global-array order when
-// there is one shard).
+// Survival draws come from the adversary rng in ascending
+// pending-array order.
 func (n *SimNetwork) CrashPartialBroadcast(id int, keepProb float64) {
 	already := n.crashed[id]
-	for s := range n.shards {
-		n.dropOutboundPartial(&n.shards[s], id, keepProb)
-	}
+	n.dropOutboundPartial(id, keepProb)
 	if already {
 		// Crash below would no-op; the compaction still moved envelopes.
 		n.refreshEligibility()
@@ -577,7 +485,7 @@ func (n *SimNetwork) Reachable(a, b int) bool {
 // Partition splits the processes into groups; messages only flow within
 // a group. Messages already in flight across the cut stay queued until
 // Heal. Unmentioned processes form group 0. Partitions edit no queues
-// and move no envelopes: only the eligibility bits and trees refresh.
+// and move no envelopes: only the eligibility bits and tree refresh.
 func (n *SimNetwork) Partition(groups ...[]int) {
 	for i := range n.group {
 		n.group[i] = 0
@@ -622,17 +530,8 @@ func fpMix(h, from, to uint64) uint64 {
 }
 
 // ScheduleFingerprint returns a hash pinning the delivery schedule so
-// far: each shard's pick sequence is folded in pick order, and the
-// per-shard chains are merged in shard order. Two runs with the same
-// (seed, workers, batch sequence) produce identical fingerprints; any
-// divergence in which envelope was delivered when, anywhere, changes
-// the value. Maintained by both the sequential and the parallel
-// steppers.
-func (n *SimNetwork) ScheduleFingerprint() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for i := range n.shards {
-		sh := &n.shards[i]
-		h = fpMix(h, sh.fp, sh.picks)
-	}
-	return h
-}
+// far: one fpMix chain over every pick's (sender, receiver) pair, in
+// pick order. Two runs with the same seed and the same sequence of
+// calls produce identical fingerprints; any divergence in which
+// envelope was delivered when changes the value.
+func (n *SimNetwork) ScheduleFingerprint() uint64 { return n.fp }

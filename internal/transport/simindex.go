@@ -1,9 +1,9 @@
 package transport
 
 // This file is SimNetwork's eligible-envelope index. The adversary's
-// pick is uniform among the eligible in-flight envelopes of a shard,
-// in ascending pending-array order; the seed therefore fixes the whole
-// delivery schedule, and every recorded experiment relies on that. The
+// pick is uniform among the eligible in-flight envelopes, in ascending
+// pending-array order; the seed therefore fixes the whole delivery
+// schedule, and every recorded experiment relies on that. The
 // index reproduces the historical scan-based pick bit for bit — same
 // rng draws, same chosen envelope — while making the pick cost
 // independent of the backlog:
@@ -11,9 +11,9 @@ package transport
 //   - each envelope carries its eligibility bit, maintained
 //     incrementally (computed on enqueue, cleared on delivery,
 //     promoted on FIFO link advance, refreshed on crash/partition);
-//   - a Fenwick tree per shard over pending positions turns "the k-th
-//     eligible envelope in array order" — exactly what the scan used
-//     to produce — into an O(log pending) order-statistics query;
+//   - a Fenwick tree over pending positions turns "the k-th eligible
+//     envelope in array order" — exactly what the scan used to
+//     produce — into an O(log pending) order-statistics query;
 //   - per-link queues (FIFO mode only) hold each link's undelivered
 //     envelopes in sequence order, so advancing nextSeq promotes the
 //     link's next envelope in O(1) instead of rescanning;
@@ -21,23 +21,17 @@ package transport
 //     every pending envelope is eligible, the k-th eligible IS
 //     pending[k], and the pick is O(1) without touching the tree.
 //
-// The backlog is partitioned by destination process into shards
-// (simparallel.go); a link (from, to) belongs entirely to the shard
-// owning `to`, so its FIFO queue stores positions into exactly one
-// shard's pending array, and parallel workers touch disjoint queues.
-//
 // Structural fault events repair only what they break:
 //
-//   - Crash(id) compacts one shard (the one owning deliveries to id)
-//     in order, clears id's N inbound queues, and re-points the stored
-//     positions of the survivors through their own lpos back-pointers
-//     — no re-sort, no scan of the other N²−N links (historically a
+//   - Crash(id) compacts the backlog in order, clears id's N inbound
+//     queues, and re-points the stored positions of the survivors
+//     through their own lpos back-pointers — no re-sort, no scan of the other N²−N links (historically a
 //     crash rebuilt and re-sorted every link's queue);
 //   - CrashPartialBroadcast additionally filters id's N outbound
 //     queues through the compaction remap, preserving order;
 //   - Partition/Heal move no envelopes and touch no queues at all;
 //   - every such event ends in refreshEligibility, an O(pending)
-//     recompute of the bits and trees (the regime flags make
+//     recompute of the bits and the tree (the regime flags make
 //     eligibility non-local, so the bits genuinely need the sweep).
 
 // fenwick is a binary indexed tree of 0/1 eligibility marks over
@@ -98,7 +92,7 @@ func (f *fenwick) rebuild(pending []envelope) {
 }
 
 // linkQueue holds one link's undelivered envelopes (as positions into
-// the owning shard's pending array) in sequence order; q[head:] is
+// the pending array) in sequence order; q[head:] is
 // live. Only the head can be FIFO-eligible, so advancing the link pops
 // the head and promotes the new one.
 type linkQueue struct {
@@ -126,17 +120,14 @@ func (n *SimNetwork) uniform() bool {
 	return !n.opts.FIFO && !n.anyCrashed && !n.partitioned
 }
 
-// enqueueShard appends an in-flight envelope to its shard, maintaining
-// the eligibility index. During parallel rounds it is only called by
-// the worker owning the shard (dup re-enqueues; coordinator fan-out
-// happens between rounds), and every structure it touches — the shard
-// itself and the envelope's link entries — is owned by that worker.
-func (n *SimNetwork) enqueueShard(sh *simShard, e envelope) {
-	p := len(sh.pending)
+// enqueue appends an in-flight envelope to the backlog, maintaining
+// the eligibility index.
+func (n *SimNetwork) enqueue(e envelope) {
+	p := len(n.pending)
 	if n.uniform() {
 		e.elig = true
-		sh.pending = append(sh.pending, e)
-		sh.eligCount++
+		n.pending = append(n.pending, e)
+		n.eligCount++
 		return
 	}
 	e.elig = n.eligible(&e)
@@ -145,31 +136,31 @@ func (n *SimNetwork) enqueueShard(sh *simShard, e envelope) {
 		// queue seq-sorted.
 		e.lpos = n.linkQ[n.link(e.from, e.to)].push(p)
 	}
-	sh.pending = append(sh.pending, e)
-	if len(sh.pending) > sh.idx.cap {
-		sh.idx.rebuild(sh.pending)
+	n.pending = append(n.pending, e)
+	if len(n.pending) > n.idx.cap {
+		n.idx.rebuild(n.pending)
 		if e.elig {
-			sh.eligCount++
+			n.eligCount++
 		}
 		return
 	}
 	if e.elig {
-		sh.idx.add(p, 1)
-		sh.eligCount++
+		n.idx.add(p, 1)
+		n.eligCount++
 	}
 }
 
-// removeFrom deletes sh.pending[at] (which must be eligible) from the
-// shard's backlog and index by an O(1) swap with the last element, and
+// removeAt deletes pending[at] (which must be eligible) from the
+// backlog and index by an O(1) swap with the last element, and
 // in FIFO mode advances the link: nextSeq moves past the removed
 // envelope and the link's next envelope, if now deliverable, is
 // promoted into the eligible set.
-func (n *SimNetwork) removeFrom(sh *simShard, at int) envelope {
-	e := sh.pending[at]
-	sh.eligCount--
+func (n *SimNetwork) removeAt(at int) envelope {
+	e := n.pending[at]
+	n.eligCount--
 	uniform := n.uniform()
 	if !uniform {
-		sh.idx.add(at, -1)
+		n.idx.add(at, -1)
 	}
 	if n.opts.FIFO {
 		lq := &n.linkQ[n.link(e.from, e.to)]
@@ -186,106 +177,100 @@ func (n *SimNetwork) removeFrom(sh *simShard, at int) envelope {
 			lq.q = lq.q[:live]
 			lq.head = 0
 			for pos, p := range lq.q {
-				sh.pending[p].lpos = pos
+				n.pending[p].lpos = pos
 			}
 		}
 	}
-	last := len(sh.pending) - 1
+	last := len(n.pending) - 1
 	if at != last {
-		moved := sh.pending[last]
-		sh.pending[at] = moved
+		moved := n.pending[last]
+		n.pending[at] = moved
 		if !uniform && moved.elig {
-			sh.idx.add(last, -1)
-			sh.idx.add(at, 1)
+			n.idx.add(last, -1)
+			n.idx.add(at, 1)
 		}
 		if n.opts.FIFO {
 			n.linkQ[n.link(moved.from, moved.to)].q[moved.lpos] = at
 		}
 	}
-	sh.pending[last] = envelope{}
-	sh.pending = sh.pending[:last]
+	n.pending[last] = envelope{}
+	n.pending = n.pending[:last]
 	if n.opts.FIFO {
 		link := n.link(e.from, e.to)
 		n.nextSeq[link] = e.seq
 		if h, ok := n.linkQ[link].peek(); ok {
-			he := &sh.pending[h]
+			he := &n.pending[h]
 			if !he.elig && n.eligible(he) {
 				he.elig = true
-				sh.idx.add(h, 1)
-				sh.eligCount++
+				n.idx.add(h, 1)
+				n.eligCount++
 			}
 		}
 	}
 	return e
 }
 
-// refreshEligibility recomputes every eligibility bit, per-shard count
-// and Fenwick tree from the pending arrays. It runs after the
+// refreshEligibility recomputes every eligibility bit, the count and
+// the Fenwick tree from the pending array. It runs after the
 // structural events that change eligibility wholesale — crash,
 // recover, partition, heal. It does NOT touch the FIFO link queues:
 // their content and order are maintained by the event-specific repair
 // (dropInbound, dropOutboundPartial, repairLinks), so no per-link scan
 // or re-sort happens here.
 func (n *SimNetwork) refreshEligibility() {
-	uni := n.uniform()
-	for s := range n.shards {
-		sh := &n.shards[s]
-		sh.eligCount = 0
-		for i := range sh.pending {
-			e := &sh.pending[i]
-			e.elig = n.eligible(e)
-			if e.elig {
-				sh.eligCount++
-			}
+	n.eligCount = 0
+	for i := range n.pending {
+		e := &n.pending[i]
+		e.elig = n.eligible(e)
+		if e.elig {
+			n.eligCount++
 		}
-		if !uni {
-			sh.idx.rebuild(sh.pending)
-		}
-		// In the unrestricted regime the tree is not consulted; the
-		// next transition out refreshes it.
 	}
+	if !n.uniform() {
+		n.idx.rebuild(n.pending)
+	}
+	// In the unrestricted regime the tree is not consulted; the next
+	// transition out refreshes it.
 	n.idxRepair.Refreshes++
 }
 
-// dropInbound discards every in-flight envelope addressed to id. Only
-// id's shard holds such envelopes; its pending array is compacted in
-// place, preserving order — so the surviving envelopes' queue order
+// dropInbound discards every in-flight envelope addressed to id. The
+// pending array is compacted in place, preserving order — so the surviving envelopes' queue order
 // and lpos back-pointers stay valid, and only the positions stored in
 // the queues need re-pointing (reseatQueues).
 func (n *SimNetwork) dropInbound(id int) {
-	sh := n.shardOf(id)
-	keep := sh.pending[:0]
-	for _, e := range sh.pending {
+	keep := n.pending[:0]
+	for _, e := range n.pending {
 		if e.to == id {
 			n.stats.DroppedCrash++
 			continue
 		}
 		keep = append(keep, e)
 	}
-	if len(keep) == len(sh.pending) {
+	if len(keep) == len(n.pending) {
 		return // nothing dropped, nothing moved
 	}
-	clearTail(sh.pending, len(keep))
-	sh.pending = keep
+	clearTail(n.pending, len(keep))
+	n.pending = keep
 	if n.opts.FIFO {
-		n.reseatQueues(sh)
+		n.reseatQueues()
 	}
 }
 
-// dropOutboundPartial discards each of id's in-flight envelopes in the
-// given shard with probability 1−keepProb (draws from the coordinator
-// rng, ascending position order), compacting in place and filtering
+// dropOutboundPartial discards each of id's in-flight envelopes with
+// probability 1−keepProb (draws from the adversary rng, ascending
+// position order), compacting in place and filtering
 // id's outbound queues through the old→new position remap — order
 // preserved, no re-sort.
-func (n *SimNetwork) dropOutboundPartial(sh *simShard, id int, keepProb float64) {
+func (n *SimNetwork) dropOutboundPartial(id int, keepProb float64) {
 	var remap []int
 	if n.opts.FIFO {
-		remap = make([]int, len(sh.pending))
+		remap = make([]int, len(n.pending))
 	}
-	keep := sh.pending[:0]
+	keep := n.pending[:0]
 	dropped := 0
-	for i := range sh.pending {
-		e := sh.pending[i]
+	for i := range n.pending {
+		e := n.pending[i]
 		if e.from == id && n.rng.Float64() >= keepProb {
 			n.stats.DroppedCrash++
 			if remap != nil {
@@ -302,15 +287,14 @@ func (n *SimNetwork) dropOutboundPartial(sh *simShard, id int, keepProb float64)
 	if dropped == 0 {
 		return
 	}
-	clearTail(sh.pending, len(keep))
-	sh.pending = keep
+	clearTail(n.pending, len(keep))
+	n.pending = keep
 	if !n.opts.FIFO {
 		return
 	}
-	// Filter id's outbound queues owned by this shard: entries map
-	// through remap (dropping −1), stay in seq order, and get fresh
-	// lpos back-pointers.
-	for to := sh.self; to < n.opts.N; to += n.nshards {
+	// Filter id's outbound queues: entries map through remap (dropping
+	// −1), stay in seq order, and get fresh lpos back-pointers.
+	for to := 0; to < n.opts.N; to++ {
 		if to == id {
 			continue
 		}
@@ -324,7 +308,7 @@ func (n *SimNetwork) dropOutboundPartial(sh *simShard, id int, keepProb float64)
 			if np < 0 {
 				continue
 			}
-			sh.pending[np].lpos = len(out)
+			n.pending[np].lpos = len(out)
 			out = append(out, np)
 		}
 		lq.q, lq.head = out, 0
@@ -332,16 +316,16 @@ func (n *SimNetwork) dropOutboundPartial(sh *simShard, id int, keepProb float64)
 	}
 	// Every other queue kept its content and order; re-point stored
 	// positions via the survivors' (unchanged) lpos back-pointers.
-	n.reseatQueues(sh)
+	n.reseatQueues()
 }
 
 // reseatQueues re-points every live envelope's queue slot at its
 // current pending position. It is valid after any order-preserving
 // compaction: queue content, order and lpos values are unchanged, only
 // the positions the queues store went stale.
-func (n *SimNetwork) reseatQueues(sh *simShard) {
-	for pos := range sh.pending {
-		e := &sh.pending[pos]
+func (n *SimNetwork) reseatQueues() {
+	for pos := range n.pending {
+		e := &n.pending[pos]
 		n.linkQ[n.link(e.from, e.to)].q[e.lpos] = pos
 	}
 }

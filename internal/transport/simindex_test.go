@@ -12,10 +12,9 @@ import (
 // drives a SimNetwork without maintaining the index (which the
 // determinism tests never consult on the reference instance).
 func refStep(n *SimNetwork) bool {
-	sh := &n.shards[0] // the reference is sequential: a single shard
 	var candidates []int
-	for i := range sh.pending {
-		if n.eligible(&sh.pending[i]) {
+	for i := range n.pending {
+		if n.eligible(&n.pending[i]) {
 			candidates = append(candidates, i)
 		}
 	}
@@ -23,19 +22,16 @@ func refStep(n *SimNetwork) bool {
 		return false
 	}
 	at := candidates[n.rng.Intn(len(candidates))]
-	e := sh.pending[at]
-	last := len(sh.pending) - 1
-	sh.pending[at] = sh.pending[last]
-	sh.pending[last] = envelope{}
-	sh.pending = sh.pending[:last]
+	e := n.pending[at]
+	last := len(n.pending) - 1
+	n.pending[at] = n.pending[last]
+	n.pending[last] = envelope{}
+	n.pending = n.pending[:last]
 	if n.opts.FIFO {
 		n.nextSeq[n.link(e.from, e.to)] = e.seq
 	}
 	if n.opts.DuplicateProb > 0 && n.rng.Float64() < n.opts.DuplicateProb {
-		dup := e
-		dup.id = n.nextID
-		n.nextID++
-		sh.pending = append(sh.pending, dup)
+		n.pending = append(n.pending, e)
 		n.stats.Sends++
 		n.stats.Bytes += uint64(len(e.payload))
 	}
@@ -198,73 +194,60 @@ func TestSimStepSameSeedSameSchedule(t *testing.T) {
 // sequence order with back-pointers intact.
 func checkIndex(t *testing.T, n *SimNetwork) {
 	t.Helper()
-	for s := range n.shards {
-		sh := &n.shards[s]
-		count := 0
-		var want []int
-		for i := range sh.pending {
-			e := &sh.pending[i]
-			if e.to%n.nshards != s {
-				t.Fatalf("shard %d holds envelope to %d (owner %d)", s, e.to, e.to%n.nshards)
-			}
-			if e.elig != n.eligible(e) {
-				t.Fatalf("shard %d pending[%d] elig bit %v, eligible() %v", s, i, e.elig, n.eligible(e))
-			}
-			if e.elig {
-				count++
-				want = append(want, i)
-			}
+	count := 0
+	var want []int
+	for i := range n.pending {
+		e := &n.pending[i]
+		if e.elig != n.eligible(e) {
+			t.Fatalf("pending[%d] elig bit %v, eligible() %v", i, e.elig, n.eligible(e))
 		}
-		if count != sh.eligCount {
-			t.Fatalf("shard %d eligCount %d, actual eligible %d", s, sh.eligCount, count)
+		if e.elig {
+			count++
+			want = append(want, i)
 		}
-		if !n.uniform() {
-			for k, pos := range want {
-				if got := sh.idx.selectK(k); got != pos {
-					t.Fatalf("shard %d selectK(%d) = %d, want %d", s, k, got, pos)
-				}
+	}
+	if count != n.eligCount {
+		t.Fatalf("eligCount %d, actual eligible %d", n.eligCount, count)
+	}
+	if !n.uniform() {
+		for k, pos := range want {
+			if got := n.idx.selectK(k); got != pos {
+				t.Fatalf("selectK(%d) = %d, want %d", k, got, pos)
 			}
 		}
 	}
 	if !n.opts.FIFO {
 		return
 	}
-	// seen[shard] maps pending positions covered by the link queues.
-	seen := make([]map[int]bool, n.nshards)
-	for s := range seen {
-		seen[s] = make(map[int]bool)
-	}
+	// seen holds the pending positions covered by the link queues.
+	seen := make(map[int]bool)
 	for l := range n.linkQ {
 		lq := &n.linkQ[l]
-		s := (l % n.opts.N) % n.nshards // link (from,to): shard of `to`
-		sh := &n.shards[s]
 		var prev uint64
 		for pos := lq.head; pos < len(lq.q); pos++ {
 			p := lq.q[pos]
-			if p < 0 || p >= len(sh.pending) {
-				t.Fatalf("link %d queue points at %d, shard %d pending has %d", l, p, s, len(sh.pending))
+			if p < 0 || p >= len(n.pending) {
+				t.Fatalf("link %d queue points at %d, pending has %d", l, p, len(n.pending))
 			}
-			e := &sh.pending[p]
+			e := &n.pending[p]
 			if n.link(e.from, e.to) != l {
 				t.Fatalf("link %d queue holds envelope of link %d", l, n.link(e.from, e.to))
 			}
 			if e.lpos != pos {
-				t.Fatalf("shard %d pending[%d].lpos = %d, queue position %d", s, p, e.lpos, pos)
+				t.Fatalf("pending[%d].lpos = %d, queue position %d", p, e.lpos, pos)
 			}
 			if e.seq <= prev && pos > lq.head {
 				t.Fatalf("link %d queue out of seq order: %d after %d", l, e.seq, prev)
 			}
 			prev = e.seq
-			if seen[s][p] {
-				t.Fatalf("shard %d pending[%d] appears in two link queue slots", s, p)
+			if seen[p] {
+				t.Fatalf("pending[%d] appears in two link queue slots", p)
 			}
-			seen[s][p] = true
+			seen[p] = true
 		}
 	}
-	for s := range n.shards {
-		if len(seen[s]) != len(n.shards[s].pending) {
-			t.Fatalf("shard %d link queues hold %d envelopes, pending %d", s, len(seen[s]), len(n.shards[s].pending))
-		}
+	if len(seen) != len(n.pending) {
+		t.Fatalf("link queues hold %d envelopes, pending %d", len(seen), len(n.pending))
 	}
 }
 
@@ -352,4 +335,64 @@ func TestSimCrashDropKeepsBucketsConsistent(t *testing.T) {
 	if net.Eligible() != 0 {
 		t.Fatalf("quiesced network still reports %d eligible of %d pending", net.Eligible(), net.Pending())
 	}
+}
+
+// TestCrashRepairTouchesOnlyCrashedLinks is the regression test for
+// the historical rebuild-on-crash behavior, which rebuilt and
+// re-sorted the FIFO queue of every link (O(N²) of them) on each
+// crash. The targeted repair may touch only links incident to the
+// crashed process — at most 2N of the N² links per fault event — and
+// the index must remain fully consistent afterwards. This test fails
+// against the historical implementation on the repair-work bound (a
+// full rebuild would count every non-empty link) while both pass
+// checkIndex, i.e. it would have caught the over-rebuild.
+func TestCrashRepairTouchesOnlyCrashedLinks(t *testing.T) {
+	const n = 12
+	net := NewSim(SimOptions{N: n, Seed: 5, FIFO: true})
+	for i := 0; i < n; i++ {
+		net.Attach(i, func(int, []byte) {})
+	}
+	// Put traffic on every link: each process broadcasts several times,
+	// with a few deliveries in between so queues have consumed prefixes.
+	for k := 0; k < 4*n; k++ {
+		net.Broadcast(k%n, []byte(fmt.Sprintf("m%d", k)))
+		net.StepN(2)
+	}
+	if net.Pending() == 0 {
+		t.Fatal("test needs a standing backlog")
+	}
+	base := net.IndexRepair()
+
+	net.Crash(3)
+	checkIndex(t, net)
+	afterCrash := net.IndexRepair()
+	if d := afterCrash.LinksRepaired - base.LinksRepaired; d > 2*n {
+		t.Fatalf("Crash repaired %d links, want at most %d (only the crashed process's links)", d, 2*n)
+	}
+
+	net.CrashPartialBroadcast(7, 0.5)
+	checkIndex(t, net)
+	afterPartial := net.IndexRepair()
+	if d := afterPartial.LinksRepaired - afterCrash.LinksRepaired; d > 2*n {
+		t.Fatalf("CrashPartialBroadcast repaired %d links, want at most %d", d, 2*n)
+	}
+
+	net.Recover(3)
+	net.Recover(7)
+	checkIndex(t, net)
+	afterRecover := net.IndexRepair()
+	if d := afterRecover.LinksRepaired - afterPartial.LinksRepaired; d > 4*n {
+		t.Fatalf("two Recovers repaired %d links, want at most %d", d, 4*n)
+	}
+
+	// Partitions edit no queues at all.
+	net.Partition([]int{0, 1, 2}, []int{3, 4, 5, 6, 7, 8, 9, 10, 11})
+	checkIndex(t, net)
+	net.Heal()
+	checkIndex(t, net)
+	if got := net.IndexRepair().LinksRepaired; got != afterRecover.LinksRepaired {
+		t.Fatalf("Partition/Heal repaired %d links, want 0", got-afterRecover.LinksRepaired)
+	}
+	net.Quiesce()
+	checkIndex(t, net)
 }

@@ -3,25 +3,24 @@
 // sequential processes, any number of which may crash, with no bound on
 // message transfer delays.
 //
-// Two implementations are provided. SimNetwork is a deterministic,
-// seeded simulator in which asynchrony is modeled by adversarially
-// (pseudo-randomly) choosing which in-flight message to deliver next;
-// it supports crash faults, network partitions and per-link FIFO
-// control, and is what the experiment harness uses for reproducible
-// runs. Its backlog is partitioned into per-worker shards (by
-// destination process), so the adversary can also run as a parallel
-// round-based stepper (StepParallel, see simparallel.go) whose schedule
-// is a pure function of (seed, workers, batch). LiveNetwork delivers
-// messages with real goroutines and per-process mailboxes and is used
-// by the examples and the race-detector tests.
+// Three implementations are provided, one file each. SimNetwork
+// (sim.go) is a deterministic, seeded simulator in which asynchrony is
+// modeled by one adversary that pseudo-randomly chooses which in-flight
+// message to deliver next, so the seed alone fixes the delivery
+// schedule; it supports crash faults, network partitions, per-link
+// faults and FIFO control, and is what the experiment harness uses for
+// reproducible runs. LiveNetwork (live.go) delivers messages with real
+// goroutines and per-process mailboxes and is used by the examples and
+// the race-detector tests. TCPNetwork (tcp.go) carries the same
+// envelopes between daemons over sockets.
 //
-// Both networks implement the broadcast contract of Algorithm 1: a
+// Every network implements the broadcast contract of Algorithm 1: a
 // broadcast is delivered to the sender instantaneously (the handler is
 // invoked inline, as in the paper's proof of Proposition 4, "messages
 // are received instantaneously by the sender") and to every other
 // process asynchronously.
 //
-// Both also implement ResizableNetwork: envelopes carry a shard and an
+// Each also implements ResizableNetwork: envelopes carry a shard and an
 // epoch tag and each process attaches one router that receives them,
 // which is what the key-sharded construction (core.ShardedReplica) runs
 // on. FIFO ordering, when enabled, is enforced per link across all
@@ -123,18 +122,6 @@ type Stats struct {
 	Reconnects uint64
 }
 
-// add accumulates a delta (a worker round's per-shard counters) into s.
-func (s *Stats) add(d Stats) {
-	s.Broadcasts += d.Broadcasts
-	s.Sends += d.Sends
-	s.Delivered += d.Delivered
-	s.DroppedCrash += d.DroppedCrash
-	s.DroppedLink += d.DroppedLink
-	s.Bytes += d.Bytes
-	s.DroppedFull += d.DroppedFull
-	s.Reconnects += d.Reconnects
-}
-
 // envelope is one in-flight point-to-point message. The payload slice
 // is immutable and shared by every envelope of one broadcast — the
 // transport never copies message bytes per recipient.
@@ -148,7 +135,6 @@ type envelope struct {
 	kind    byte
 	payload []byte
 	seq     uint64 // per-(from,to) link sequence, for FIFO (zero otherwise)
-	id      uint64 // tie-break id, unique per coordinator/worker stream
 	// elig and lpos belong to SimNetwork's eligible index (simindex.go):
 	// elig mirrors eligible(), lpos is the envelope's position in its
 	// link's FIFO queue. LiveNetwork leaves both zero.

@@ -553,3 +553,40 @@ func TestLiveCrashSurvivesEnsureShards(t *testing.T) {
 		t.Fatalf("live process deliveries: got %d, want 1 (its own broadcast only)", got)
 	}
 }
+
+// TestSimHandlerRelaysReachEveryone: a handler that broadcasts while it
+// is being delivered to (here every process relays the first copy of
+// each message it receives) feeds the backlog Step draws from, so Step
+// and Quiesce carry every relay to every process exactly once.
+func TestSimHandlerRelaysReachEveryone(t *testing.T) {
+	const n, msgs = 8, 30
+	net := NewSim(SimOptions{N: n, Seed: 21})
+	counts := make([]map[string]int, n)
+	for i := 0; i < n; i++ {
+		to := i
+		counts[to] = map[string]int{}
+		net.Attach(i, func(from int, payload []byte) {
+			counts[to][string(payload)]++
+			if payload[0] == 'u' && counts[to][string(payload)] == 1 {
+				net.Broadcast(to, append([]byte("r"), payload...))
+			}
+		})
+	}
+	for k := 0; k < msgs; k++ {
+		net.Broadcast(k%n, []byte(fmt.Sprintf("u%d", k)))
+		net.StepN(6)
+	}
+	net.Quiesce()
+	for to := 0; to < n; to++ {
+		for k := 0; k < msgs; k++ {
+			if c := counts[to][fmt.Sprintf("u%d", k)]; c != 1 {
+				t.Fatalf("process %d delivered u%d %d times, want once", to, k, c)
+			}
+			// One relay from each process that got the original: all n,
+			// the origin's own inline self copy included.
+			if c := counts[to][fmt.Sprintf("ru%d", k)]; c != n {
+				t.Fatalf("process %d delivered %d relays of u%d, want %d", to, c, k, n)
+			}
+		}
+	}
+}

@@ -140,7 +140,6 @@ type config struct {
 	engineSet bool
 	record    bool
 	shards    int
-	workers   int
 	level     Level
 }
 
@@ -182,18 +181,6 @@ func WithEngine(k EngineKind) Option {
 // NP-complete search problems.
 func WithRecording() Option { return func(c *config) { c.record = true } }
 
-// WithWorkers shards the simulated adversary across w parallel worker
-// shards: the in-flight backlog is partitioned by destination replica,
-// each worker picks from its own shard with its own seeded PRNG, and
-// Deliver/Settle drive rounds whose schedule is a pure function of
-// (seed, workers) — reproducible bit for bit across runs, regardless
-// of GOMAXPROCS or machine. It requires WithSeed; one worker (the
-// default) is the classic sequential adversary. Note that different
-// worker counts are different (equally valid) adversaries: changing w
-// changes which schedule the seed denotes, not whether it is
-// deterministic.
-func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
-
 // WithConsistency selects the cluster's consistency level. The default
 // is UpdateConsistent; see Level for what Causal adds and what it cannot.
 func WithConsistency(l Level) Option { return func(c *config) { c.level = l } }
@@ -228,7 +215,6 @@ type Cluster[H any] struct {
 	mu      sync.Mutex
 	crashed map[int]bool
 	shards  int
-	workers int
 	closed  bool
 }
 
@@ -288,22 +274,13 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	if cfg.gc && cfg.simulated && !cfg.fifo {
 		return nil, nil, fmt.Errorf("updatec: WithGC on a simulated network requires WithFIFO: %w", ErrUnsupported)
 	}
-	if cfg.workers < 0 {
-		return nil, nil, fmt.Errorf("updatec: WithWorkers needs a non-negative worker count, got %d: %w", cfg.workers, ErrBadOption)
-	}
-	if cfg.workers > 1 && !cfg.simulated {
-		return nil, nil, fmt.Errorf("updatec: WithWorkers requires WithSeed (the parallel adversary shards the simulated transport): %w", ErrUnsupported)
-	}
 	if cfg.record && !obj.hasOmega {
 		return nil, nil, fmt.Errorf("updatec: %s has no converged query; WithRecording requires an object defined with WithOmega: %w", obj.name, ErrUnsupported)
 	}
 	cl := &Cluster[H]{n: n, obj: obj, level: cfg.level, shards: cfg.shards, gc: cfg.gc, crashed: map[int]bool{}}
-	if cl.workers = cfg.workers; cl.workers < 1 {
-		cl.workers = 1
-	}
 	var net transport.ResizableNetwork
 	if cfg.simulated {
-		cl.sim = transport.NewSim(transport.SimOptions{N: n, Seed: cfg.seed, FIFO: cfg.fifo, Workers: cfg.workers})
+		cl.sim = transport.NewSim(transport.SimOptions{N: n, Seed: cfg.seed, FIFO: cfg.fifo})
 		net = cl.sim
 	} else {
 		cl.live = transport.NewLiveSharded(n, cfg.shards)
@@ -482,45 +459,32 @@ func (c *Cluster[H]) CacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// Deliver delivers in-flight messages on a simulated cluster,
-// reporting whether anything was deliverable: one message on a
-// sequential cluster, one parallel round (up to one pick per worker)
-// under WithWorkers. It panics on a live cluster (delivery is
-// autonomous there).
+// Deliver delivers one in-flight message on a simulated cluster,
+// chosen by the seeded adversary, reporting whether anything was
+// deliverable. It panics on a live cluster (delivery is autonomous
+// there).
 func (c *Cluster[H]) Deliver() bool {
 	if c.sim == nil {
 		panic("updatec: Deliver is only meaningful with WithSeed (simulated transport)")
-	}
-	if c.workers > 1 {
-		return c.sim.StepParallel(c.workers) > 0
 	}
 	return c.sim.Step()
 }
 
 // Settle delivers every in-flight message: on a simulated cluster it
-// runs the adversary to quiescence (in parallel rounds under
-// WithWorkers); on a live cluster it waits for all mailboxes to drain.
-// After Settle (and absent new updates) all replicas have applied the
-// same update set and therefore agree.
+// runs the adversary to quiescence; on a live cluster it waits for all
+// mailboxes to drain. After Settle (and absent new updates) all
+// replicas have applied the same update set and therefore agree.
 func (c *Cluster[H]) Settle() {
 	if c.sim != nil {
-		if c.workers > 1 {
-			c.sim.QuiesceParallel(4 * c.workers)
-			return
-		}
 		c.sim.Quiesce()
 		return
 	}
 	c.live.Drain()
 }
 
-// Workers reports the adversary worker count (1 unless WithWorkers).
-func (c *Cluster[H]) Workers() int { return c.workers }
-
 // ScheduleFingerprint returns a hash pinning the delivery schedule the
 // simulated adversary has executed so far: two runs with the same
-// seed, worker count and driver call sequence produce identical
-// fingerprints, and any divergence in which message was delivered when
+// seed and driver call sequence produce identical fingerprints, and any divergence in which message was delivered when
 // changes the value. It is the determinism regression gate's
 // observable. Requires WithSeed.
 func (c *Cluster[H]) ScheduleFingerprint() uint64 {
@@ -692,33 +656,38 @@ func (c *Cluster[H]) syncHubLocked(hub int) error {
 // refuses WithGC clusters: stability-based compaction assumes
 // exactly-once FIFO delivery, which injected faults break.
 func (c *Cluster[H]) FaultLink(from, to int, drop, dup float64) error {
+	if err := c.checkFault(drop, dup); err != nil {
+		return err
+	}
+	if from < 0 || from >= c.n || to < 0 || to >= c.n || from == to {
+		return fmt.Errorf("updatec: FaultLink(%d, %d): need two distinct replica ids in [0,%d): %w", from, to, c.n, ErrBadOption)
+	}
+	c.sim.SetLinkFault(from, to, transport.LinkFault{Drop: drop, Dup: dup})
+	return nil
+}
+
+// FaultAll applies FaultLink to every cross-replica link at once,
+// replacing any per-link faults; FaultAll(0, 0) clears every fault.
+func (c *Cluster[H]) FaultAll(drop, dup float64) error {
+	if err := c.checkFault(drop, dup); err != nil {
+		return err
+	}
+	c.sim.SetLinkFaultAll(transport.LinkFault{Drop: drop, Dup: dup})
+	return nil
+}
+
+// checkFault is FaultLink's and FaultAll's shared refusal: faults need
+// the simulated transport, break WithGC's compaction, and are
+// probabilities.
+func (c *Cluster[H]) checkFault(drop, dup float64) error {
 	if c.sim == nil {
 		return fmt.Errorf("updatec: FaultLink requires WithSeed (simulated transport): %w", ErrUnsupported)
 	}
 	if c.gc {
 		return fmt.Errorf("updatec: FaultLink on a WithGC cluster would break stability-based compaction: %w", ErrUnsupported)
 	}
-	if from < 0 || from >= c.n || to < 0 || to >= c.n || from == to {
-		return fmt.Errorf("updatec: FaultLink(%d, %d): need two distinct replica ids in [0,%d): %w", from, to, c.n, ErrBadOption)
-	}
 	if drop < 0 || drop >= 1 || dup < 0 || dup >= 1 {
 		return fmt.Errorf("updatec: FaultLink probabilities must be in [0, 1), got drop=%v dup=%v: %w", drop, dup, ErrBadOption)
-	}
-	c.sim.SetLinkFault(from, to, transport.LinkFault{Drop: drop, Dup: dup})
-	return nil
-}
-
-// FaultAll applies FaultLink to every cross-replica link.
-func (c *Cluster[H]) FaultAll(drop, dup float64) error {
-	for from := 0; from < c.n; from++ {
-		for to := 0; to < c.n; to++ {
-			if from == to {
-				continue
-			}
-			if err := c.FaultLink(from, to, drop, dup); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

@@ -462,3 +462,87 @@ func TestSetSessionAndMemoryClusterThroughNew(t *testing.T) {
 		t.Fatalf("memory cluster lost a write")
 	}
 }
+
+// TestScheduleDeterminism is the determinism gate at the public API:
+// the seed alone fixes the adversary's delivery schedule. Two fresh runs
+// with the same seed must report the same ScheduleFingerprint, Stats
+// and Converged — for a plain cluster, a key-sharded one, and one
+// resized mid-run with the backlog in flight, through a workload that
+// also crashes, partitions, heals and recovers — and another seed must
+// give another fingerprint.
+func TestScheduleDeterminism(t *testing.T) {
+	type snap struct {
+		fp        uint64
+		stats     NetworkStats
+		converged bool
+	}
+	run := func(seed int64, shards, resize int) snap {
+		opts := []Option{WithSeed(seed)}
+		if shards > 1 {
+			opts = append(opts, WithShards(shards))
+		}
+		cluster, sets, err := New(4, SetObject(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		crashed := false
+		for k := 0; k < 120; k++ {
+			var err error
+			switch k {
+			case 30:
+				err, crashed = cluster.Crash(2), true
+			case 40:
+				err = cluster.Partition([]int{0, 1})
+			case 55:
+				if resize > 0 {
+					err = cluster.Resize(resize)
+				}
+			case 60:
+				err = cluster.Heal()
+			case 70:
+				err, crashed = cluster.Recover(2), false
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := k % 4
+			if p == 2 && crashed {
+				continue
+			}
+			if k%5 == 0 {
+				sets[p].Delete(fmt.Sprintf("v%d", k%9))
+			} else {
+				sets[p].Insert(fmt.Sprintf("v%d", k%9))
+			}
+			cluster.Deliver()
+		}
+		cluster.Settle()
+		if err := cluster.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		cluster.Settle()
+		return snap{fp: cluster.ScheduleFingerprint(), stats: cluster.Stats(), converged: cluster.Converged()}
+	}
+	for _, v := range []struct {
+		name           string
+		shards, resize int
+	}{
+		{"plain", 1, 0},
+		{"sharded", 4, 0},
+		{"resize", 2, 5},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			a, b := run(31, v.shards, v.resize), run(31, v.shards, v.resize)
+			if !a.converged {
+				t.Fatal("seed 31 did not converge")
+			}
+			if a != b {
+				t.Fatalf("same seed, different runs:\n%+v\n%+v", a, b)
+			}
+			if c := run(32, v.shards, v.resize); c.fp == a.fp {
+				t.Fatalf("seeds 31 and 32 gave the same schedule fingerprint %x", a.fp)
+			}
+		})
+	}
+}

@@ -1,7 +1,7 @@
 package updatec
 
 // One benchmark per reproduced paper artifact (see the experiment
-// index in DESIGN.md). The benchmarks exercise the same code paths as
+// index in the cmd/ucbench doc). The benchmarks exercise the same code paths as
 // the ucbench experiment harness; custom metrics report the
 // shape-level quantities the paper claims (bytes per update, log
 // growth, who-converges-to-what), while ns/op captures the cost of

@@ -32,13 +32,20 @@ func main() {
 	verbose := flag.Bool("v", false, "print witnesses for criteria that hold")
 	fig := flag.String("fig", "", "classify a built-in figure: 1a, 1b, 1c, 1d, 2")
 	flag.Parse()
-
-	h, err := load(*fig, flag.Arg(0))
-	if err != nil {
+	if err := run(os.Stdout, *fig, flag.Arg(0), *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "uccheck: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("history over %s:\n%s\n", h.ADT().Name(), h.String())
+}
+
+// run classifies the history named by fig or read from file (stdin
+// when both are empty) and writes the verdicts to w.
+func run(w io.Writer, fig, file string, verbose bool) error {
+	h, err := load(fig, file)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "history over %s:\n%s\n", h.ADT().Name(), h.String())
 
 	results := []check.Result{
 		check.EC(h), check.SEC(h), check.UC(h), check.SUC(h), check.PC(h), check.CC(h), check.SC(h),
@@ -54,15 +61,16 @@ func main() {
 		case r.Holds:
 			verdict = "YES"
 		}
-		fmt.Printf("%-4s %s", r.Criterion, verdict)
+		fmt.Fprintf(w, "%-4s %s", r.Criterion, verdict)
 		if !r.Holds && !r.Undecided && r.Reason != "" {
-			fmt.Printf("  (%s)", r.Reason)
+			fmt.Fprintf(w, "  (%s)", r.Reason)
 		}
-		fmt.Println()
-		if *verbose && r.Holds {
-			printWitness(h, r)
+		fmt.Fprintln(w)
+		if verbose && r.Holds {
+			printWitness(w, h, r)
 		}
 	}
+	return nil
 }
 
 func load(fig, path string) (*history.History, error) {
@@ -89,27 +97,27 @@ func load(fig, path string) (*history.History, error) {
 	return history.Parse(string(data))
 }
 
-func printWitness(h *history.History, r check.Result) {
+func printWitness(out io.Writer, h *history.History, r check.Result) {
 	w := r.Witness
 	if w == nil {
 		return
 	}
 	switch {
 	case r.Criterion == "EC":
-		fmt.Printf("     converged state: %s\n", h.ADT().KeyState(w.State))
+		fmt.Fprintf(out, "     converged state: %s\n", h.ADT().KeyState(w.State))
 	case len(w.Linearization) > 0:
-		fmt.Printf("     linearization: %s\n", renderWord(w.Linearization))
+		fmt.Fprintf(out, "     linearization: %s\n", renderWord(w.Linearization))
 	case len(w.PerProc) > 0:
 		for p := 0; p < h.NumProcs(); p++ {
-			fmt.Printf("     w%d = %s\n", p+1, renderWord(w.PerProc[p]))
+			fmt.Fprintf(out, "     w%d = %s\n", p+1, renderWord(w.PerProc[p]))
 		}
 	}
 	if len(w.UpdateOrder) > 0 {
-		fmt.Printf("     update order ≤: %s\n", renderWord(w.UpdateOrder))
+		fmt.Fprintf(out, "     update order ≤: %s\n", renderWord(w.UpdateOrder))
 	}
 	if len(w.Visibility) > 0 {
 		for _, q := range h.Queries() {
-			fmt.Printf("     V(%s@p%d) = %v\n", q, q.Proc, w.Visibility[q.ID])
+			fmt.Fprintf(out, "     V(%s@p%d) = %v\n", q, q.Proc, w.Visibility[q.ID])
 		}
 	}
 }

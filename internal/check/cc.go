@@ -4,145 +4,17 @@ import (
 	"fmt"
 
 	"updatec/internal/history"
-	"updatec/internal/spec"
 )
 
 // CC decides causal consistency for histories whose events carry
 // dependency vectors (Event.Deps): pipelined consistency strengthened
 // so that each per-process linearization also respects the recorded
-// causal order. An event with dependency vector D may only be consumed
-// once, for every process k, at least D[k] of k's updates have already
-// been consumed — exactly the delivery gate the causal replicas apply
-// at runtime.
-//
-// Histories without dependency vectors (Deps == nil on every event)
-// impose no extra constraint, so CC coincides with PC there: with no
-// recorded cross-process dependencies, causality degenerates to
-// program order. In particular CC ⇒ PC always.
+// causal order. The package doc gives the finite encoding; it is PC's
+// search with one gate, so CC ⇒ PC always.
 func CC(h *history.History) Result { return CCOpt(h, Options{}) }
 
 // CCOpt is CC with search options.
-func CCOpt(h *history.History, opt Options) Result {
-	const name = "CC"
-	perProc := map[int][]*history.Event{}
-	for p := 0; p < h.NumProcs(); p++ {
-		lin, res := ccForProcess(h, p, opt)
-		if !res.Holds {
-			if res.Undecided {
-				return undecided(name)
-			}
-			return fails(name, "process %d: %s", p, res.Reason)
-		}
-		perProc[p] = lin
-	}
-	return holds(name, &Witness{PerProc: perProc})
-}
-
-// ccForProcess searches a causally-gated linearization for one process.
-// It is pcForProcess with one extra admissibility check per event: the
-// consumed-update counts must dominate the event's dependency vector.
-func ccForProcess(h *history.History, p int, opt Options) ([]*history.Event, Result) {
-	adt := h.ADT()
-	updateChains := h.UpdateChains()
-	// Chains: p's full sequence plus other processes' update chains —
-	// identical to the PC search space; Deps only prunes it.
-	chains := [][]*history.Event{h.Proc(p)}
-	// chainProc[i] is the process whose updates chain i carries; used to
-	// derive per-process consumed-update counts from cursor positions.
-	chainProc := []int{p}
-	for q := 0; q < h.NumProcs(); q++ {
-		if q != p {
-			chains = append(chains, updateChains[q])
-			chainProc = append(chainProc, q)
-		}
-	}
-	cur := newCursor(chains)
-	// cnt[k] = number of process-k updates consumed so far, maintained
-	// incrementally alongside the cursor.
-	cnt := make([]uint64, h.NumProcs())
-	admissible := func(e *history.Event) bool {
-		if e.Deps == nil {
-			return true
-		}
-		if len(e.Deps) != len(cnt) {
-			panic(fmt.Sprintf("check: CC: event %d has a %d-entry dependency vector, history has %d processes", e.ID, len(e.Deps), len(cnt)))
-		}
-		for k, d := range e.Deps {
-			if cnt[k] < d {
-				return false
-			}
-		}
-		return true
-	}
-	memo := map[string]bool{}
-	budget := &counter{left: opt.budget()}
-	var order []*history.Event
-	ok, outOfBudget := run(func() bool {
-		var dfs func(s spec.State) bool
-		dfs = func(s spec.State) bool {
-			budget.spend()
-			// The cursor key determines cnt, so memoization stays sound.
-			key := cur.key(adt.KeyState(s))
-			if memo[key] {
-				return false
-			}
-			if cur.done() {
-				return true
-			}
-			for i := range cur.chains {
-				e := cur.next(i)
-				if e == nil {
-					continue
-				}
-				if !admissible(e) {
-					continue
-				}
-				next := s
-				switch {
-				case e.IsUpdate():
-					next = adt.Apply(adt.Clone(s), e.U)
-				case e.Omega:
-					// Consume the ω query only once all updates are in,
-					// as in the PC search.
-					if cur.remainingUpdates() > 0 {
-						continue
-					}
-					if !adt.EqualOutput(adt.Query(s, e.QIn), e.QOut) {
-						continue
-					}
-				default:
-					if !adt.EqualOutput(adt.Query(s, e.QIn), e.QOut) {
-						continue
-					}
-				}
-				cur.pos[i]++
-				if e.IsUpdate() {
-					cnt[chainProc[i]]++
-				}
-				order = append(order, e)
-				if dfs(next) {
-					return true
-				}
-				order = order[:len(order)-1]
-				if e.IsUpdate() {
-					cnt[chainProc[i]]--
-				}
-				cur.pos[i]--
-			}
-			memo[key] = true
-			return false
-		}
-		return dfs(adt.Initial())
-	})
-	switch {
-	case ok:
-		return append([]*history.Event(nil), order...), Result{Criterion: "CC", Holds: true}
-	case outOfBudget:
-		return nil, undecided("CC")
-	default:
-		return nil, fails("CC", "no causally-gated linearization of U_H ∪ p explains the local view")
-	}
-}
+func CCOpt(h *history.History, opt Options) Result { return perProcess(h, "CC", true, opt) }
 
 // ValidateCCWitness re-validates a CC witness: each per-process word
 // must be a valid PC witness word and additionally respect every

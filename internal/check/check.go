@@ -1,28 +1,93 @@
 // Package check implements decision procedures for the consistency
 // criteria of the paper (Definitions 5–10) on finite ω-annotated
 // histories: eventual consistency (EC), strong eventual consistency
-// (SEC), pipelined consistency (PC), update consistency (UC), strong
-// update consistency (SUC), sequential consistency (SC, as a reference
-// point) and strong eventual consistency for the Insert-wins set.
+// (SEC), pipelined consistency (PC), causal consistency (CC), update
+// consistency (UC), strong update consistency (SUC), sequential
+// consistency (SC, as a reference point) and strong eventual
+// consistency for the Insert-wins set.
 //
 // Finite-history semantics. The paper's criteria quantify over infinite
 // histories; the deciders interpret a query event marked ω as an
 // infinite suffix of identical queries issued after the process's last
 // update (the figures' R/∅^ω notation). Under that interpretation
 // "all but finitely many queries" means "every ω query", and "eventual
-// delivery" means "every ω query sees every update". See DESIGN.md for
-// the per-criterion encodings and their justification.
+// delivery" means "every ω query sees every update".
+//
+// # Finite encodings
+//
+// EC (Definition 5): some state satisfies every ω query. The state need
+// not be reachable from s0: Figure 1(b) converges to {1,2}, which no
+// update linearization produces.
+//
+// UC (Definition 8): the non-ω queries form a finite set, so all of
+// them may be discarded; keeping some could only add constraints. What
+// remains is a program-order linearization of the updates whose final
+// state satisfies every ω query, since each ω query's infinite suffix
+// lies after the last update.
+//
+// PC (Definition 7): for every process p, some linearization of (all
+// updates ∪ p's events) belongs to L(O). p's finite queries are checked
+// at their position; its ω query is consumed only once every update has
+// been applied, since all but finitely many of its instances follow the
+// last update. SC is the same with one linearization of all events.
+//
+// CC: PC where each per-process linearization also respects the
+// recorded causal order. An event with dependency vector D is consumed
+// only once, for every process k, at least D[k] of k's updates have
+// been consumed: the delivery gate causal replicas apply at runtime.
+// Without dependency vectors CC coincides with PC.
+//
+// SEC (Definition 6): the decider chooses, for every query q, the set
+// V(q) of updates visible to it, subject to
+//
+//   - V(q) ⊇ the updates that program-order precede q (vis ⊇ 7→,
+//     plus reflexivity and growth along q's own process);
+//   - V(q) ⊆ V(q') whenever q 7→ q' (growth);
+//   - V(q) = U_H for ω queries (eventual delivery: only finitely many
+//     events may miss an update, and an ω query stands for infinitely
+//     many);
+//   - queries with equal V(q) are jointly explainable by one state
+//     (strong convergence; the state is arbitrary in S, which is why
+//     Figure 1(b) is SEC);
+//   - the relation 7→ ∪ {(u,q) : u ∈ V(q)} is acyclic.
+//
+// These edges need no closure. Growth closure adds (u,e) only where
+// u ∈ V(q) and q 7→ e: that pair is already the path u → q → e of the
+// checked graph, and for a query e it lies in V(e) by growth. So the
+// closed relation stays acyclic and leaves every V(q) unchanged.
+//
+// SUC (Definition 9): for each program-order linearization of U_H (the
+// update part of the total order ≤), a SEC-style choice of V(q) in
+// which replaying V(q) in ≤ order yields q's declared output, and an
+// acyclic 7→ ∪ visibility ∪ update order, which is exactly the
+// existence of a total ≤ extending all three.
+//
+// Insert-wins (Definition 10): SEC on the set, plus a choice of
+// visibility edges between insertions and deletions of one element,
+// under which every query reports exactly the elements with a visible
+// insertion that no visible deletion of the element sees.
+//
+// # Two searches
+//
+// SC, PC, CC, UC and EC (for types without a StateExplainer) share one
+// memoized search over event interleavings, interleave; CC adds its
+// causal gate and UC and EC a final-state predicate. SEC, SUC and
+// Insert-wins share one visibility-assignment search, visEnv.assign,
+// with a per-query predicate and a check of the complete assignment.
+// SUC runs it once per update order; that enumeration is the only other
+// backtracking loop.
 //
 // The deciders are exact (sound and complete) for the encoded
-// semantics, using memoized backtracking searches. Searches carry a
-// node budget; exceeding it yields Result.Undecided = true rather than
-// a wrong answer. All positive answers come with machine-checkable
-// witnesses that the tests re-validate independently.
+// semantics. Searches carry a node budget; exceeding it yields
+// Result.Undecided = true rather than a wrong answer. All positive
+// answers come with machine-checkable witnesses that the tests
+// re-validate independently.
 package check
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"updatec/internal/history"
@@ -156,58 +221,101 @@ func ClassifyOpt(h *history.History, opt Options) history.Classification {
 	}
 }
 
-// chainCursor walks a fixed set of event chains during interleaving
-// searches. pos[i] is the number of consumed events of chain i.
-type chainCursor struct {
-	chains [][]*history.Event
-	pos    []int
-}
-
-func newCursor(chains [][]*history.Event) *chainCursor {
-	return &chainCursor{chains: chains, pos: make([]int, len(chains))}
-}
-
-// next returns the next event of chain i, or nil when exhausted.
-func (c *chainCursor) next(i int) *history.Event {
-	if c.pos[i] >= len(c.chains[i]) {
-		return nil
+// interleave is the memoized interleaving search behind SC, PC, CC, UC
+// and EC. It consumes the events of chains in every order that keeps
+// each chain's own order: an update is applied, a query's output is
+// checked against the state at its position, and an ω query is
+// consumed only once every update has been applied. With causal set,
+// an event is consumed only once the consumed-update counts cover its
+// Deps (CC's gate). With final non-nil, a complete interleaving counts
+// only if final accepts its last state (UC's and EC's predicate).
+// Nodes are memoized on (chain positions, state); the positions fix the
+// consumed-update counts, so the gate keeps the memo sound. It returns
+// the consumed order and the final state of the first accepted
+// interleaving.
+func interleave(h *history.History, chains [][]*history.Event, opt Options,
+	causal bool, final func(spec.State) bool) (order []*history.Event, state spec.State, ok, outOfBudget bool) {
+	adt := h.ADT()
+	pos := make([]int, len(chains))
+	cnt := make([]uint64, h.NumProcs()) // consumed updates per process
+	events, updatesLeft := 0, 0
+	for _, ch := range chains {
+		events += len(ch)
+		for _, e := range ch {
+			if e.IsUpdate() {
+				updatesLeft++
+			}
+		}
 	}
-	return c.chains[i][c.pos[i]]
+	memo := map[string]bool{}
+	budget := &counter{left: opt.budget()}
+	var key []byte
+	var dfs func(s spec.State) bool
+	dfs = func(s spec.State) bool {
+		budget.spend()
+		key = key[:0]
+		for _, p := range pos {
+			key = strconv.AppendInt(key, int64(p), 10)
+			key = append(key, ',')
+		}
+		key = append(append(key, '|'), adt.KeyState(s)...)
+		k := string(key)
+		if memo[k] {
+			return false
+		}
+		if len(order) == events {
+			if final == nil || final(s) {
+				state = s
+				return true
+			}
+			memo[k] = true
+			return false
+		}
+		for i, ch := range chains {
+			if pos[i] == len(ch) {
+				continue
+			}
+			e := ch[pos[i]]
+			if causal && !covers(cnt, e.Deps) {
+				continue
+			}
+			next := s
+			if e.IsUpdate() {
+				next = adt.Apply(adt.Clone(s), e.U)
+				cnt[e.Proc]++
+				updatesLeft--
+			} else if (e.Omega && updatesLeft > 0) || !adt.EqualOutput(adt.Query(s, e.QIn), e.QOut) {
+				continue
+			}
+			pos[i]++
+			order = append(order, e)
+			if dfs(next) {
+				return true
+			}
+			order = order[:len(order)-1]
+			pos[i]--
+			if e.IsUpdate() {
+				cnt[e.Proc]--
+				updatesLeft++
+			}
+		}
+		memo[k] = true
+		return false
+	}
+	ok, outOfBudget = run(func() bool { return dfs(adt.Initial()) })
+	return order, state, ok, outOfBudget
 }
 
-// done reports whether every chain is exhausted.
-func (c *chainCursor) done() bool {
-	for i := range c.chains {
-		if c.pos[i] < len(c.chains[i]) {
+// covers reports whether the consumed-update counts cnt dominate the
+// dependency vector deps (nil deps impose nothing; History.Validate
+// guarantees one entry per process otherwise).
+func covers(cnt, deps []uint64) bool {
+	for k, d := range deps {
+		if cnt[k] < d {
 			return false
 		}
 	}
 	return true
-}
-
-// key produces a memoization key from the cursor position and a state
-// key.
-func (c *chainCursor) key(stateKey string) string {
-	var b strings.Builder
-	for _, p := range c.pos {
-		fmt.Fprintf(&b, "%d,", p)
-	}
-	b.WriteByte('|')
-	b.WriteString(stateKey)
-	return b.String()
-}
-
-// remainingUpdates counts unconsumed update events across all chains.
-func (c *chainCursor) remainingUpdates() int {
-	n := 0
-	for i, ch := range c.chains {
-		for _, e := range ch[c.pos[i]:] {
-			if e.IsUpdate() {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // omegaObservations collects the observations of all ω queries.

@@ -1,11 +1,14 @@
 package check
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"updatec/internal/history"
+	"updatec/internal/spec"
 )
 
 func TestECTrivialWithoutOmega(t *testing.T) {
@@ -255,50 +258,113 @@ func TestQuickLinearizedModeIsSUC(t *testing.T) {
 }
 
 // TestQuickWitnessesRevalidate: every positive verdict on random
-// histories must carry a witness that the independent validators
-// accept.
+// histories of every type must carry a witness that the independent
+// validators accept.
 func TestQuickWitnessesRevalidate(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mode := history.RandomMode(rng.Intn(3))
-		h := history.RandomSet(rng, history.RandomSetOptions{
-			Procs: 2, MaxUpdates: 2, MaxQueries: 1,
-			Mode: mode, Omega: rng.Intn(2) == 0,
-		})
-		if r := EC(h); r.Holds {
-			if err := ValidateECWitness(h, r.Witness); err != nil {
-				t.Logf("EC witness: %v\n%s", err, h.String())
-				return false
-			}
-		}
-		if r := SEC(h); r.Holds {
-			if err := ValidateSECWitness(h, r.Witness); err != nil {
-				t.Logf("SEC witness: %v\n%s", err, h.String())
-				return false
-			}
-		}
-		if r := UC(h); r.Holds {
-			if err := ValidateUCWitness(h, r.Witness); err != nil {
-				t.Logf("UC witness: %v\n%s", err, h.String())
-				return false
-			}
-		}
-		if r := SUC(h); r.Holds {
-			if err := ValidateSUCWitness(h, r.Witness); err != nil {
-				t.Logf("SUC witness: %v\n%s", err, h.String())
-				return false
-			}
-		}
-		if r := PC(h); r.Holds {
-			if err := ValidatePCWitness(h, r.Witness); err != nil {
-				t.Logf("PC witness: %v\n%s", err, h.String())
-				return false
-			}
-		}
-		return true
+	type generator struct {
+		name string
+		gen  func(rng *rand.Rand) *history.History
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	gens := []generator{{"set", func(rng *rand.Rand) *history.History {
+		return history.RandomSet(rng, history.RandomSetOptions{
+			Procs: 2, MaxUpdates: 2, MaxQueries: 1,
+			Mode: history.RandomMode(rng.Intn(3)), Omega: rng.Intn(2) == 0,
+		})
+	}}}
+	for _, tc := range genericCases() {
+		tc := tc
+		gens = append(gens, generator{tc.name, func(rng *rand.Rand) *history.History {
+			return history.Random(rng, tc.adt, history.RandomOptions{
+				Procs: 2, MaxUpdates: 2, MaxQueries: 1,
+				Mode: history.RandomMode(rng.Intn(3)), Omega: rng.Intn(2) == 0,
+				GenUpdate: tc.gen, QueryIn: tc.queryIn,
+			})
+		}})
+	}
+	deciders := []struct {
+		decide   func(*history.History) Result
+		validate func(*history.History, *Witness) error
+	}{
+		{EC, ValidateECWitness}, {SEC, ValidateSECWitness}, {UC, ValidateUCWitness},
+		{SUC, ValidateSUCWitness}, {PC, ValidatePCWitness}, {CC, ValidateCCWitness},
+		{SC, ValidateSCWitness}, {InsertWins, validateIWWitness},
+	}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				h := g.gen(rand.New(rand.NewSource(seed)))
+				for _, d := range deciders {
+					if r := d.decide(h); r.Holds {
+						if err := d.validate(h, r.Witness); err != nil {
+							t.Logf("%s witness: %v\n%s", r.Criterion, err, h.String())
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// validateIWWitness re-checks an Insert-wins witness without the
+// decider's rule code: the relation is a SEC witness, and every query's
+// output is what a set holding exactly the winning insertions answers —
+// the visible insertions no visible deletion of the same element sees.
+func validateIWWitness(h *history.History, w *Witness) error {
+	if err := ValidateSECWitness(h, w); err != nil {
+		return err
+	}
+	seenBy := map[[2]int]bool{}
+	for _, e := range w.UpdateVis {
+		seenBy[e] = true
+	}
+	adt := h.ADT()
+	for _, q := range h.Queries() {
+		s := adt.Initial()
+		for _, i := range w.Visibility[q.ID] {
+			ins, ok := h.Event(i).U.(spec.Ins)
+			if !ok {
+				continue
+			}
+			wins := true
+			for _, d := range w.Visibility[q.ID] {
+				if del, ok := h.Event(d).U.(spec.Del); ok && del.V == ins.V && seenBy[[2]int{i, d}] {
+					wins = false
+				}
+			}
+			if wins {
+				s = adt.Apply(s, ins)
+			}
+		}
+		if !adt.EqualOutput(adt.Query(s, q.QIn), q.QOut) {
+			return fmt.Errorf("query %d: Insert-wins rule gives %v, declared %v", q.ID, adt.Query(s, q.QIn), q.QOut)
+		}
+	}
+	return nil
+}
+
+func TestIWWitnessValidatorRejectsFlippedEdges(t *testing.T) {
+	// Figure 1(b)'s Insert-wins witness lets both insertions win; making
+	// every deletion see the insertion of its element must break it.
+	h := history.Fig1b()
+	r := InsertWins(h)
+	if !r.Holds {
+		t.Fatalf("Fig1b must be Insert-wins SEC: %s", r.Reason)
+	}
+	if err := validateIWWitness(h, r.Witness); err != nil {
 		t.Fatal(err)
+	}
+	flipped := *r.Witness
+	flipped.UpdateVis = nil
+	for _, pr := range insDelPairs(h) {
+		flipped.UpdateVis = append(flipped.UpdateVis, [2]int{pr.ins.ID, pr.del.ID})
+	}
+	if validateIWWitness(h, &flipped) == nil {
+		t.Fatal("a witness whose deletions see every insertion cannot explain {1, 2}")
 	}
 }
 
@@ -367,6 +433,9 @@ func TestInsertWinsRejectsNonSetTypes(t *testing.T) {
 		t.Fatalf("Insert-wins on a counter must fail cleanly: %+v", r)
 	}
 }
+
+// maskPopcount is the number of updates a visibility mask covers.
+func maskPopcount(m uint64) int { return bits.OnesCount64(m) }
 
 func TestVisEnvBitsExhaustive(t *testing.T) {
 	h := history.Fig1b()

@@ -7,10 +7,7 @@ import (
 
 // EC decides eventual consistency (Definition 5): there must exist a
 // state s ∈ S such that only finitely many queries return values
-// inconsistent with s. Under the finite ω-encoding this means: some
-// state satisfies every ω query. The state is *not* required to be
-// reachable from s0 — Figure 1(b) converges to {1,2}, which no update
-// linearization produces.
+// inconsistent with s. The package doc gives the finite encoding.
 //
 // The decider first asks the specification to explain the ω
 // observations (exact for every built-in type: their queries reveal the
@@ -45,9 +42,7 @@ func ECOpt(h *history.History, opt Options) Result {
 		return holds(name, &Witness{State: s})
 	}
 	// Fallback: search reachable final states.
-	found, state, outOfBudget := searchFinalStates(h, opt, func(s spec.State) bool {
-		return stateMatchesAll(adt, s, obs)
-	})
+	_, state, found, outOfBudget := interleave(h, h.UpdateChains(), opt, false, satisfiesOmega(h))
 	switch {
 	case found:
 		return holds(name, &Witness{State: state})
@@ -61,47 +56,9 @@ func ECOpt(h *history.History, opt Options) Result {
 	}
 }
 
-// searchFinalStates enumerates the final states of update
-// linearizations (memoized on (positions, state)) until pred accepts
-// one.
-func searchFinalStates(h *history.History, opt Options, pred func(spec.State) bool) (found bool, state spec.State, outOfBudget bool) {
-	adt := h.ADT()
-	cur := newCursor(h.UpdateChains())
-	memo := map[string]bool{}
-	budget := &counter{left: opt.budget()}
-	var result spec.State
-	ok, oob := run(func() bool {
-		var dfs func(s spec.State) bool
-		dfs = func(s spec.State) bool {
-			budget.spend()
-			key := cur.key(adt.KeyState(s))
-			if memo[key] {
-				return false
-			}
-			if cur.done() {
-				if pred(s) {
-					result = s
-					return true
-				}
-				memo[key] = true
-				return false
-			}
-			for i := range cur.chains {
-				e := cur.next(i)
-				if e == nil {
-					continue
-				}
-				cur.pos[i]++
-				next := adt.Apply(adt.Clone(s), e.U)
-				if dfs(next) {
-					return true
-				}
-				cur.pos[i]--
-			}
-			memo[key] = true
-			return false
-		}
-		return dfs(adt.Initial())
-	})
-	return ok, result, oob
+// satisfiesOmega is the final-state predicate of UC and EC's fallback:
+// the state satisfies every ω query.
+func satisfiesOmega(h *history.History) func(spec.State) bool {
+	obs := omegaObservations(h)
+	return func(s spec.State) bool { return stateMatchesAll(h.ADT(), s, obs) }
 }

@@ -34,7 +34,6 @@ func InsertWinsOpt(h *history.History, opt Options) Result {
 		return undecided(name)
 	}
 	env := newVisEnv(h)
-	full := env.fullMask()
 	pairs := insDelPairs(h)
 	budget := &counter{left: opt.budget()}
 
@@ -67,7 +66,7 @@ func InsertWinsOpt(h *history.History, opt Options) Result {
 					edges[[2]int{pr.ins.ID, pr.del.ID}] = true
 				}
 			}
-			if w := iwAssign(env, h, full, edges, budget); w != nil {
+			if w := iwAssign(env, h, edges, budget); w != nil {
 				witnessResult = w
 				return true
 			}
@@ -109,43 +108,13 @@ func insDelPairs(h *history.History) []iwPair {
 
 // iwAssign searches per-query visibility masks under fixed
 // insertion→deletion edges, then closure-checks the complete relation.
-func iwAssign(env *visEnv, h *history.History, full uint64,
-	edges map[[2]int]bool, budget *counter) *Witness {
-	assigned := make([]uint64, len(env.queries))
-	var dfs func(qi int) bool
-	dfs = func(qi int) bool {
-		budget.spend()
-		if qi == len(env.queries) {
-			return iwValidate(env, h, assigned, edges)
-		}
-		q := env.queries[qi]
-		base := env.baseMask(q, assigned)
-		try := func(mask uint64) bool {
-			if !iwOutputMatches(env, q, mask, edges) {
-				return false
-			}
-			assigned[qi] = mask
-			return dfs(qi + 1)
-		}
-		if q.Omega {
-			if base&^full != 0 {
-				return false
-			}
-			return try(full)
-		}
-		freeBits := full &^ base
-		for sub := freeBits; ; sub = (sub - 1) & freeBits {
-			budget.spend()
-			if try(base | sub) {
-				return true
-			}
-			if sub == 0 {
-				break
-			}
-		}
-		return false
-	}
-	if !dfs(0) {
+func iwAssign(env *visEnv, h *history.History, edges map[[2]int]bool, budget *counter) *Witness {
+	assigned := env.assign(budget, func(qi int, mask uint64, _ []uint64) bool {
+		return iwOutputMatches(env, env.queries[qi], mask, edges)
+	}, func(assigned []uint64) bool {
+		return iwValidate(env, h, assigned, edges)
+	})
+	if assigned == nil {
 		return nil
 	}
 	w := env.witness(assigned)
@@ -323,12 +292,11 @@ func InsertWinsFromSUC(h *history.History, w *Witness) error {
 	// Validate the Insert-wins read rule under V(q) (rules 1 and 3 of
 	// the proof make exactly these updates visible).
 	env := newVisEnv(h)
-	for qi, q := range env.queries {
+	for _, q := range env.queries {
 		var mask uint64
 		for _, id := range w.Visibility[q.ID] {
 			mask |= env.bit[id]
 		}
-		_ = qi
 		if !iwOutputMatches(env, q, mask, edges) {
 			return fmt.Errorf("check: query %d violates the Insert-wins rule under the constructed relation", q.ID)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"updatec/internal/history"
-	"updatec/internal/spec"
 )
 
 // PC decides pipelined consistency (Definition 7), the UQ-ADT
@@ -13,102 +12,39 @@ import (
 // process — some linearization of (all updates ∪ p's events) must
 // belong to L(O).
 //
-// The decider runs one interleaving search per process: the chains are
-// the other processes' update subsequences plus p's full sequence.
-// Non-ω queries of p are validated at their interleaving position; p's
-// ω query (process-final, repeated infinitely) may only be consumed
-// once every update has been applied, since all but finitely many of
-// its instances follow the last update.
+// The package doc gives the finite encoding.
 func PC(h *history.History) Result { return PCOpt(h, Options{}) }
 
 // PCOpt is PC with search options.
-func PCOpt(h *history.History, opt Options) Result {
-	const name = "PC"
+func PCOpt(h *history.History, opt Options) Result { return perProcess(h, "PC", false, opt) }
+
+// perProcess runs one interleaving search per process p, over p's full
+// sequence plus every other process's updates, and collects the words
+// into a PerProc witness. PC and CC differ only in causal, CC's gate.
+func perProcess(h *history.History, name string, causal bool, opt Options) Result {
+	what := "linearization"
+	if causal {
+		what = "causally-gated linearization"
+	}
+	updateChains := h.UpdateChains()
 	perProc := map[int][]*history.Event{}
 	for p := 0; p < h.NumProcs(); p++ {
-		lin, res := pcForProcess(h, p, opt)
-		if !res.Holds {
-			if res.Undecided {
-				return undecided(name)
+		chains := [][]*history.Event{h.Proc(p)}
+		for q, ch := range updateChains {
+			if q != p {
+				chains = append(chains, ch)
 			}
-			return fails(name, "process %d: %s", p, res.Reason)
 		}
-		perProc[p] = lin
+		order, _, ok, outOfBudget := interleave(h, chains, opt, causal, nil)
+		switch {
+		case outOfBudget:
+			return undecided(name)
+		case !ok:
+			return fails(name, "process %d: no %s of U_H ∪ p explains the local view", p, what)
+		}
+		perProc[p] = order
 	}
 	return holds(name, &Witness{PerProc: perProc})
-}
-
-// pcForProcess searches a linearization for one process.
-func pcForProcess(h *history.History, p int, opt Options) ([]*history.Event, Result) {
-	adt := h.ADT()
-	updateChains := h.UpdateChains()
-	// Chains: p's full sequence plus other processes' update chains.
-	chains := [][]*history.Event{h.Proc(p)}
-	for q := 0; q < h.NumProcs(); q++ {
-		if q != p {
-			chains = append(chains, updateChains[q])
-		}
-	}
-	cur := newCursor(chains)
-	memo := map[string]bool{}
-	budget := &counter{left: opt.budget()}
-	var order []*history.Event
-	ok, outOfBudget := run(func() bool {
-		var dfs func(s spec.State) bool
-		dfs = func(s spec.State) bool {
-			budget.spend()
-			key := cur.key(adt.KeyState(s))
-			if memo[key] {
-				return false
-			}
-			if cur.done() {
-				return true
-			}
-			for i := range cur.chains {
-				e := cur.next(i)
-				if e == nil {
-					continue
-				}
-				next := s
-				switch {
-				case e.IsUpdate():
-					next = adt.Apply(adt.Clone(s), e.U)
-				case e.Omega:
-					// All of the infinite instances must return the
-					// declared output; only finitely many may precede
-					// the remaining updates, so consume it last.
-					if cur.remainingUpdates() > 0 {
-						continue
-					}
-					if !adt.EqualOutput(adt.Query(s, e.QIn), e.QOut) {
-						continue
-					}
-				default:
-					if !adt.EqualOutput(adt.Query(s, e.QIn), e.QOut) {
-						continue
-					}
-				}
-				cur.pos[i]++
-				order = append(order, e)
-				if dfs(next) {
-					return true
-				}
-				order = order[:len(order)-1]
-				cur.pos[i]--
-			}
-			memo[key] = true
-			return false
-		}
-		return dfs(adt.Initial())
-	})
-	switch {
-	case ok:
-		return append([]*history.Event(nil), order...), Result{Criterion: "PC", Holds: true}
-	case outOfBudget:
-		return nil, undecided("PC")
-	default:
-		return nil, fails("PC", "no linearization of U_H ∪ p explains the local view")
-	}
 }
 
 // ValidatePCWitness re-validates a PC witness: for every process the

@@ -1,9 +1,6 @@
 package check
 
-import (
-	"updatec/internal/history"
-	"updatec/internal/spec"
-)
+import "updatec/internal/history"
 
 // SC decides sequential consistency: a single linearization of *all*
 // events, consistent with the program order, must belong to L(O). The
@@ -16,63 +13,14 @@ func SC(h *history.History) Result { return SCOpt(h, Options{}) }
 // SCOpt is SC with search options.
 func SCOpt(h *history.History, opt Options) Result {
 	const name = "SC"
-	adt := h.ADT()
 	chains := make([][]*history.Event, h.NumProcs())
 	for p := range chains {
 		chains[p] = h.Proc(p)
 	}
-	cur := newCursor(chains)
-	memo := map[string]bool{}
-	budget := &counter{left: opt.budget()}
-	var order []*history.Event
-	ok, outOfBudget := run(func() bool {
-		var dfs func(s spec.State) bool
-		dfs = func(s spec.State) bool {
-			budget.spend()
-			key := cur.key(adt.KeyState(s))
-			if memo[key] {
-				return false
-			}
-			if cur.done() {
-				return true
-			}
-			for i := range cur.chains {
-				e := cur.next(i)
-				if e == nil {
-					continue
-				}
-				next := s
-				switch {
-				case e.IsUpdate():
-					next = adt.Apply(adt.Clone(s), e.U)
-				case e.Omega:
-					if cur.remainingUpdates() > 0 {
-						continue
-					}
-					if !adt.EqualOutput(adt.Query(s, e.QIn), e.QOut) {
-						continue
-					}
-				default:
-					if !adt.EqualOutput(adt.Query(s, e.QIn), e.QOut) {
-						continue
-					}
-				}
-				cur.pos[i]++
-				order = append(order, e)
-				if dfs(next) {
-					return true
-				}
-				order = order[:len(order)-1]
-				cur.pos[i]--
-			}
-			memo[key] = true
-			return false
-		}
-		return dfs(adt.Initial())
-	})
+	order, _, ok, outOfBudget := interleave(h, chains, opt, false, nil)
 	switch {
 	case ok:
-		return holds(name, &Witness{Linearization: append([]*history.Event(nil), order...)})
+		return holds(name, &Witness{Linearization: order})
 	case outOfBudget:
 		return undecided(name)
 	default:

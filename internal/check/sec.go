@@ -1,8 +1,6 @@
 package check
 
 import (
-	"math/bits"
-
 	"updatec/internal/history"
 	"updatec/internal/spec"
 )
@@ -14,23 +12,7 @@ import (
 // program order, and (strong convergence) any two queries seeing the
 // same set of updates can be explained by a common state.
 //
-// Finite encoding: the decider chooses, for every query q, the set
-// V(q) of updates visible to it, subject to
-//
-//   - V(q) ⊇ the updates that program-order precede q (vis ⊇ 7→,
-//     plus reflexivity and growth along q's own process);
-//   - V(q) ⊆ V(q') whenever q 7→ q' (growth);
-//   - V(q) = U_H for ω queries (eventual delivery: only finitely many
-//     events may miss an update, and an ω query stands for infinitely
-//     many);
-//   - queries with equal V(q) are jointly explainable by one state
-//     (strong convergence — the state is arbitrary in S, not
-//     necessarily reachable, which is why Figure 1(b) is SEC);
-//   - the relation 7→ ∪ {(u,q) : u ∈ V(q)} is acyclic.
-//
-// Minimality of the relation is justified in DESIGN.md: growth closure
-// of these edges adds only pairs that the encoding already accounts
-// for.
+// The package doc gives the finite encoding.
 func SEC(h *history.History) Result { return SECOpt(h, Options{}) }
 
 // SECOpt is SEC with search options.
@@ -40,85 +22,48 @@ func SECOpt(h *history.History, opt Options) Result {
 	if len(updates) > 63 {
 		return undecided(name)
 	}
-	adt := h.ADT()
-	ex, okEx := adt.(spec.StateExplainer)
+	ex, okEx := h.ADT().(spec.StateExplainer)
 	if !okEx {
 		return Result{Criterion: name, Undecided: true,
 			Reason: "type has no StateExplainer; strong convergence cannot be decided"}
 	}
 	env := newVisEnv(h)
-	full := env.fullMask()
 	// Precheck: all ω queries share V = U_H and must be jointly
 	// explainable.
 	if _, ok := ex.ExplainState(omegaObservations(h)); !ok && len(h.OmegaQueries()) > 0 {
 		return fails(name, "ω queries (which all see U_H) are not jointly explainable")
 	}
 	budget := &counter{left: opt.budget()}
-	groups := map[uint64][]spec.Observation{}
-	assigned := make([]uint64, len(env.queries))
-	ok, outOfBudget := run(func() bool {
-		var dfs func(qi int) bool
-		dfs = func(qi int) bool {
-			budget.spend()
-			if qi == len(env.queries) {
-				return env.acyclicAssignment(assigned)
+	adt := h.ADT()
+	var group []spec.Observation
+	// Strong convergence, per query: the queries already assigned the
+	// same mask and this one are jointly explainable.
+	sameStateExplains := func(qi int, mask uint64, assigned []uint64) bool {
+		group = group[:0]
+		for j, m := range assigned[:qi] {
+			if m == mask {
+				group = append(group, env.queries[j].Observation())
 			}
-			q := env.queries[qi]
-			base := env.baseMask(q, assigned)
-			if q.Omega {
-				if base&^full != 0 {
-					return false
-				}
-				return env.tryAssign(qi, full, assigned, groups, ex, adt, dfs)
-			}
-			// Enumerate supersets of base within full.
-			free := full &^ base
-			for sub := free; ; sub = (sub - 1) & free {
-				budget.spend()
-				if env.tryAssign(qi, base|sub, assigned, groups, ex, adt, dfs) {
-					return true
-				}
-				if sub == 0 {
-					break
-				}
-			}
-			return false
 		}
-		return dfs(0)
+		group = append(group, env.queries[qi].Observation())
+		s, found := ex.ExplainState(group)
+		return found && stateMatchesAll(adt, s, group)
+	}
+	var assigned []uint64
+	_, outOfBudget := run(func() bool {
+		assigned = env.assign(budget, sameStateExplains, func(assigned []uint64) bool {
+			return env.acyclicAssignment(assigned, nil)
+		})
+		return assigned != nil
 	})
 	switch {
-	case ok:
+	case assigned != nil:
 		return holds(name, env.witness(assigned))
 	case outOfBudget:
 		return undecided(name)
 	default:
 		return fails(name, "no visibility assignment satisfies Definition 6")
 	}
-}
-
-// tryAssign assigns mask to query qi, maintaining the same-visibility
-// groups, and recurses.
-func (env *visEnv) tryAssign(qi int, mask uint64, assigned []uint64,
-	groups map[uint64][]spec.Observation, ex spec.StateExplainer,
-	adt spec.UQADT, dfs func(int) bool) bool {
-	q := env.queries[qi]
-	obs := q.Observation()
-	groups[mask] = append(groups[mask], obs)
-	okGroup := false
-	if s, found := ex.ExplainState(groups[mask]); found && stateMatchesAll(adt, s, groups[mask]) {
-		okGroup = true
-	}
-	if okGroup {
-		assigned[qi] = mask
-		if dfs(qi + 1) {
-			return true
-		}
-	}
-	groups[mask] = groups[mask][:len(groups[mask])-1]
-	if len(groups[mask]) == 0 {
-		delete(groups, mask)
-	}
-	return false
 }
 
 // visEnv holds the bitmask bookkeeping shared by the SEC, SUC and
@@ -167,31 +112,69 @@ func newVisEnv(h *history.History) *visEnv {
 	return env
 }
 
-func (env *visEnv) fullMask() uint64 {
-	if len(env.updates) == 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(len(env.updates))) - 1
-}
+// fullMask covers every update; the deciders refuse more than 63.
+func (env *visEnv) fullMask() uint64 { return 1<<uint(len(env.updates)) - 1 }
 
 // baseMask is the minimum visibility for query qi: program-order prior
 // updates plus everything the process's previous query saw (growth).
-func (env *visEnv) baseMask(q *history.Event, assigned []uint64) uint64 {
-	for qi, e := range env.queries {
-		if e == q {
-			base := env.priorMask[qi]
-			if prev := env.prevQuery[qi]; prev >= 0 {
-				base |= assigned[prev]
+func (env *visEnv) baseMask(qi int, assigned []uint64) uint64 {
+	base := env.priorMask[qi]
+	if prev := env.prevQuery[qi]; prev >= 0 {
+		base |= assigned[prev]
+	}
+	return base
+}
+
+// assign is the visibility-assignment search behind SEC, SUC and
+// Insert-wins. It gives each query, in (process, index) order, a mask
+// of visible updates: every mask from the query's base up to all
+// updates, or only all updates for an ω query (eventual delivery).
+// admit filters a candidate mask given the masks of the queries before
+// qi; complete judges the finished assignment. It returns the first
+// assignment complete accepts, or nil. The caller must have at most 63
+// updates.
+func (env *visEnv) assign(budget *counter, admit func(qi int, mask uint64, assigned []uint64) bool,
+	complete func(assigned []uint64) bool) []uint64 {
+	assigned := make([]uint64, len(env.queries))
+	full := env.fullMask()
+	var dfs func(qi int) bool
+	try := func(qi int, mask uint64) bool {
+		if !admit(qi, mask, assigned) {
+			return false
+		}
+		assigned[qi] = mask
+		return dfs(qi + 1)
+	}
+	dfs = func(qi int) bool {
+		budget.spend()
+		if qi == len(env.queries) {
+			return complete(assigned)
+		}
+		if env.queries[qi].Omega {
+			return try(qi, full)
+		}
+		base := env.baseMask(qi, assigned)
+		free := full &^ base
+		for sub := free; ; sub = (sub - 1) & free {
+			budget.spend()
+			if try(qi, base|sub) {
+				return true
 			}
-			return base
+			if sub == 0 {
+				return false
+			}
 		}
 	}
-	panic("check: query not in environment")
+	if !dfs(0) {
+		return nil
+	}
+	return assigned
 }
 
 // acyclicAssignment checks acyclicity of program order plus the
-// visibility edges induced by the assignment.
-func (env *visEnv) acyclicAssignment(assigned []uint64) bool {
+// visibility edges induced by the assignment plus, when order is
+// non-nil, the chain of the update total order.
+func (env *visEnv) acyclicAssignment(assigned []uint64, order []*history.Event) bool {
 	edges := poEdges(env.h)
 	for qi, q := range env.queries {
 		mask := assigned[qi]
@@ -200,6 +183,9 @@ func (env *visEnv) acyclicAssignment(assigned []uint64) bool {
 				edges[u.ID] = append(edges[u.ID], q.ID)
 			}
 		}
+	}
+	for i := 0; i+1 < len(order); i++ {
+		edges[order[i].ID] = append(edges[order[i].ID], order[i+1].ID)
 	}
 	return acyclic(len(env.h.Events()), edges)
 }
@@ -218,6 +204,3 @@ func (env *visEnv) witness(assigned []uint64) *Witness {
 	}
 	return &Witness{Visibility: vis}
 }
-
-// maskPopcount is a test helper exposing the number of visible updates.
-func maskPopcount(m uint64) int { return bits.OnesCount64(m) }

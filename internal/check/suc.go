@@ -10,14 +10,7 @@ import (
 // containing it such that each query is explained by replaying exactly
 // the updates it sees, in ≤ order (strong sequential convergence).
 //
-// Finite encoding: the decider enumerates the linearizations of U_H
-// that respect program order (candidate restrictions of ≤ to the
-// updates); for each, it assigns every query a visible set V(q) with
-// the SEC constraints (program-order containment, growth, ω
-// completeness) plus the semantic constraint that replaying V(q) in ≤
-// order yields the declared output, and finally requires acyclicity of
-// program order ∪ visibility edges ∪ the update order, which is
-// exactly the existence of a total ≤ extending all three.
+// The package doc gives the finite encoding.
 func SUC(h *history.History) Result { return SUCOpt(h, Options{}) }
 
 // SUCOpt is SUC with search options.
@@ -35,27 +28,28 @@ func SUCOpt(h *history.History, opt Options) Result {
 
 	var witnessResult *Witness
 	ok, outOfBudget := run(func() bool {
-		// Enumerate update linearizations by DFS over update chains.
-		cur := newCursor(h.UpdateChains())
+		// Enumerate update linearizations by DFS over update chains:
+		// every order, not every state, so no memo.
+		chains := h.UpdateChains()
+		pos := make([]int, len(chains))
 		var order []*history.Event
 		var perOrder func() bool
 		perOrder = func() bool {
 			budget.spend()
-			if cur.done() {
+			if len(order) == len(updates) {
 				return tryOrder(env, adt, order, full, omegaObs, budget, &witnessResult)
 			}
-			for i := range cur.chains {
-				e := cur.next(i)
-				if e == nil {
+			for i, ch := range chains {
+				if pos[i] == len(ch) {
 					continue
 				}
-				cur.pos[i]++
-				order = append(order, e)
+				pos[i]++
+				order = append(order, ch[pos[i]-1])
 				if perOrder() {
 					return true
 				}
 				order = order[:len(order)-1]
-				cur.pos[i]--
+				pos[i]--
 			}
 			return false
 		}
@@ -76,12 +70,10 @@ func SUCOpt(h *history.History, opt Options) Result {
 func tryOrder(env *visEnv, adt spec.UQADT, order []*history.Event,
 	full uint64, omegaObs []spec.Observation, budget *counter,
 	out **Witness) bool {
-	// Position of each update in the candidate order, for replay.
 	replayCache := map[uint64]spec.State{}
 	// replay returns the state after applying the updates of mask in
 	// candidate order.
-	var replay func(mask uint64) spec.State
-	replay = func(mask uint64) spec.State {
+	replay := func(mask uint64) spec.State {
 		if s, ok := replayCache[mask]; ok {
 			return s
 		}
@@ -98,64 +90,20 @@ func tryOrder(env *visEnv, adt spec.UQADT, order []*history.Event,
 	if len(omegaObs) > 0 && !stateMatchesAll(adt, replay(full), omegaObs) {
 		return false
 	}
-	assigned := make([]uint64, len(env.queries))
-	var dfs func(qi int) bool
-	dfs = func(qi int) bool {
-		budget.spend()
-		if qi == len(env.queries) {
-			return env.acyclicWithOrder(assigned, order)
-		}
+	// Strong sequential convergence, per query: replaying the visible
+	// updates in candidate order yields the declared output.
+	replayExplains := func(qi int, mask uint64, _ []uint64) bool {
 		q := env.queries[qi]
-		base := env.baseMask(q, assigned)
-		try := func(mask uint64) bool {
-			s := replay(mask)
-			if !adt.EqualOutput(adt.Query(s, q.QIn), q.QOut) {
-				return false
-			}
-			assigned[qi] = mask
-			return dfs(qi + 1)
-		}
-		if q.Omega {
-			if base&^full != 0 {
-				return false
-			}
-			return try(full)
-		}
-		free := full &^ base
-		for sub := free; ; sub = (sub - 1) & free {
-			budget.spend()
-			if try(base | sub) {
-				return true
-			}
-			if sub == 0 {
-				break
-			}
-		}
-		return false
+		return adt.EqualOutput(adt.Query(replay(mask), q.QIn), q.QOut)
 	}
-	if !dfs(0) {
+	assigned := env.assign(budget, replayExplains, func(assigned []uint64) bool {
+		return env.acyclicAssignment(assigned, order)
+	})
+	if assigned == nil {
 		return false
 	}
 	w := env.witness(assigned)
 	w.UpdateOrder = append([]*history.Event(nil), order...)
 	*out = w
 	return true
-}
-
-// acyclicWithOrder extends acyclicAssignment with the chosen update
-// total order.
-func (env *visEnv) acyclicWithOrder(assigned []uint64, order []*history.Event) bool {
-	edges := poEdges(env.h)
-	for qi, q := range env.queries {
-		mask := assigned[qi]
-		for i, u := range env.updates {
-			if mask&(1<<uint(i)) != 0 {
-				edges[u.ID] = append(edges[u.ID], q.ID)
-			}
-		}
-	}
-	for i := 0; i+1 < len(order); i++ {
-		edges[order[i].ID] = append(edges[order[i].ID], order[i+1].ID)
-	}
-	return acyclic(len(env.h.Events()), edges)
 }

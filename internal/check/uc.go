@@ -1,73 +1,21 @@
 package check
 
-import (
-	"updatec/internal/history"
-	"updatec/internal/spec"
-)
+import "updatec/internal/history"
 
 // UC decides update consistency (Definition 8): a finite set of queries
 // Q' may be discarded such that some linearization of the remaining
 // events belongs to L(O).
 //
-// Under the finite ω-encoding all non-ω queries form a finite set, so
-// they may all be put in Q'; what remains is the updates and the ω
-// queries. Every ω query is process-final and repeated infinitely, so
-// in any accepting linearization its infinite suffix lies after the
-// last update: the decider searches for a linearization of the updates
-// (respecting program order) whose final state satisfies every ω query
-// simultaneously. Keeping some non-ω queries could only add
-// constraints, so discarding them all is complete.
+// The package doc gives the finite encoding.
 func UC(h *history.History) Result { return UCOpt(h, Options{}) }
 
 // UCOpt is UC with search options.
 func UCOpt(h *history.History, opt Options) Result {
 	const name = "UC"
-	adt := h.ADT()
-	obs := omegaObservations(h)
-	chains := h.UpdateChains()
-	cur := newCursor(chains)
-	memo := map[string]bool{}
-	budget := &counter{left: opt.budget()}
-	var order []*history.Event
-	ok, outOfBudget := run(func() bool {
-		var dfs func(s spec.State) bool
-		dfs = func(s spec.State) bool {
-			budget.spend()
-			key := cur.key(adt.KeyState(s))
-			if memo[key] {
-				return false
-			}
-			if cur.done() {
-				if stateMatchesAll(adt, s, obs) {
-					return true
-				}
-				memo[key] = true
-				return false
-			}
-			for i := range cur.chains {
-				e := cur.next(i)
-				if e == nil {
-					continue
-				}
-				cur.pos[i]++
-				order = append(order, e)
-				next := adt.Apply(adt.Clone(s), e.U)
-				if dfs(next) {
-					return true
-				}
-				order = order[:len(order)-1]
-				cur.pos[i]--
-			}
-			memo[key] = true
-			return false
-		}
-		return dfs(adt.Initial())
-	})
+	order, _, ok, outOfBudget := interleave(h, h.UpdateChains(), opt, false, satisfiesOmega(h))
 	switch {
 	case ok:
-		lin := append([]*history.Event(nil), order...)
-		lin = append(lin, h.OmegaQueries()...)
-		return holds(name, &Witness{Linearization: lin})
+		return holds(name, &Witness{Linearization: append(order, h.OmegaQueries()...)})
 	case outOfBudget:
 		return undecided(name)
 	default:

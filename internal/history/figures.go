@@ -4,8 +4,8 @@ import "updatec/internal/spec"
 
 // This file transcribes the example histories of the paper's Figures 1
 // and 2. They are the ground truth for the consistency deciders
-// (experiment E1/E2 in DESIGN.md): the paper states for each which
-// criteria hold.
+// (experiments E1/E2, indexed in the cmd/ucbench doc): the paper states
+// for each which criteria hold.
 
 // Fig1a is Figure 1(a): EC but not SEC nor UC.
 //

@@ -192,8 +192,9 @@ func (h *History) String() string {
 }
 
 // Validate checks structural invariants: dense IDs, correct process and
-// index back-references, ω events process-final, and (when the spec is
-// known to reject them) malformed labels. Builder output always
+// index back-references, ω events process-final, one dependency-vector
+// entry per process, and (when the spec is known to reject them)
+// malformed labels. Builder output always
 // validates; histories arriving through Parse or hand construction are
 // checked before the deciders run.
 func (h *History) Validate() error {
@@ -210,6 +211,9 @@ func (h *History) Validate() error {
 				if i != len(seq)-1 {
 					return fmt.Errorf("history: ω event %d is not process-final", e.ID)
 				}
+			}
+			if e.Deps != nil && len(e.Deps) != len(h.procs) {
+				return fmt.Errorf("history: event %d has a %d-entry dependency vector, history has %d processes", e.ID, len(e.Deps), len(h.procs))
 			}
 			seen++
 		}

@@ -215,6 +215,20 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+func TestBuildRejectsWrongLengthDeps(t *testing.T) {
+	b := New(spec.Register(""))
+	b.Process().UpdateDeps(spec.Write{V: "a"}, []uint64{0, 0, 0})
+	b.Process().QueryOmega(spec.Read{}, spec.RegVal("a"))
+	if _, err := b.Build(); err == nil {
+		t.Fatal("a 3-entry dependency vector in a 2-process history must not build")
+	}
+	rec := NewRecorder(spec.Register(""), 2)
+	rec.UpdateDeps(0, spec.Write{V: "a"}, []uint64{0})
+	if _, err := rec.History(); err == nil {
+		t.Fatal("a 1-entry dependency vector in a 2-process history must not build")
+	}
+}
+
 func TestParseCounterMap(t *testing.T) {
 	h, err := Parse(`
 		countermap

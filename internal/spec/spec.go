@@ -162,15 +162,6 @@ func Replay(adt UQADT, updates []Update) State {
 	return s
 }
 
-// ReplayFrom runs the word of updates from a clone of the given state.
-func ReplayFrom(adt UQADT, s State, updates []Update) State {
-	t := adt.Clone(s)
-	for _, u := range updates {
-		t = adt.Apply(t, u)
-	}
-	return t
-}
-
 // Op is one element of a sequential history: either an update or a
 // query observation. Exactly one of U and Q is meaningful, selected by
 // IsQuery.

@@ -718,17 +718,6 @@ func (t *TCPNetwork) BackpressureErr() error {
 	return nil
 }
 
-// SyncNow queues this node's digest to every currently connected peer
-// — a manual anti-entropy round on top of the automatic on-connect
-// exchange.
-func (t *TCPNetwork) SyncNow() {
-	for _, p := range t.peers {
-		if p != nil && p.connected.Load() {
-			t.queueDigest(p)
-		}
-	}
-}
-
 // BadFrames reports how many malformed or protocol-violating frames
 // (and connections) this node has rejected.
 func (t *TCPNetwork) BadFrames() uint64 { return t.badFrames.Load() }

@@ -174,11 +174,6 @@ func (w *WireNode[H]) StateKey() string {
 // to its peer socket (or the timeout expires).
 func (w *WireNode[H]) Flush(timeout time.Duration) error { return w.tcp.Flush(timeout) }
 
-// SyncNow queues this node's digest exchange with every connected
-// peer — a manual anti-entropy round on top of the automatic
-// on-connect one.
-func (w *WireNode[H]) SyncNow() { w.tcp.SyncNow() }
-
 // Stats snapshots the daemon's transport counters.
 func (w *WireNode[H]) Stats() WireStats {
 	ws := WireStats{NetworkStats: w.tcp.Stats(), BadFrames: w.tcp.BadFrames(), Peers: w.tcp.PeerStats()}

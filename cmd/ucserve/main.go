@@ -4,7 +4,7 @@
 // Daemon:
 //
 //	ucserve -id 0 -listen :7001 -peers :7001,:7002,:7003 -obj set [-shards 4] [-gc]
-//	        [-batch bytes] [-queue len] [-drop] [-v]
+//	        [-batch bytes] [-queue len] [-v]
 //
 // Every process of the cluster runs the same -peers list (index =
 // replica id) with its own -id. The daemon serves replication traffic
@@ -64,7 +64,6 @@ func main() {
 		gc     = flag.Bool("gc", false, "enable stability-based log compaction")
 		batch  = flag.Int("batch", 0, "outbound batch coalescing threshold in bytes (default 64KiB; 1 disables)")
 		queue  = flag.Int("queue", 0, "per-peer send queue bound in envelopes (default 4096)")
-		drop   = flag.Bool("drop", false, "drop on full send queue instead of blocking (backpressure policy)")
 		client = flag.String("client", "", "run as client against the given daemon address")
 		verb   = flag.Bool("v", false, "log connection lifecycle events")
 	)
@@ -90,7 +89,6 @@ func main() {
 		GC:         *gc,
 		BatchBytes: *batch,
 		QueueLen:   *queue,
-		DropOnFull: *drop,
 	}
 	if *verb {
 		cfg.Logf = func(format string, args ...any) {

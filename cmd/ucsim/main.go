@@ -287,10 +287,7 @@ func runGeneric(obj updatec.Object[updatec.Handle], level updatec.Level, n, shar
 		if err != nil {
 			return err
 		}
-		fmt.Printf("classification: EC=%v SEC=%v UC=%v SUC=%v PC=%v CC=%v\n",
-			c.EventuallyConsistent, c.StrongEventuallyConsistent,
-			c.UpdateConsistent, c.StrongUpdateConsistent, c.PipelinedConsistent,
-			c.CausallyConsistent)
+		printClassification(&c)
 	}
 	if !converged {
 		os.Exit(1)
@@ -323,10 +320,7 @@ func runChaos(cfg chaos.Config, scenario string) error {
 	fmt.Printf("schedule fingerprint: %016x (the same seed reproduces it)\n", res.Fingerprint)
 	if res.Classification != nil {
 		c := res.Classification
-		fmt.Printf("classification: EC=%v SEC=%v UC=%v SUC=%v PC=%v CC=%v\n",
-			c.EventuallyConsistent, c.StrongEventuallyConsistent,
-			c.UpdateConsistent, c.StrongUpdateConsistent, c.PipelinedConsistent,
-			c.CausallyConsistent)
+		printClassification(c)
 	}
 	fmt.Printf("converged: %v\n", res.Converged)
 	if !res.Converged {
@@ -359,4 +353,17 @@ func validKind(k sim.SetKind) bool {
 		}
 	}
 	return false
+}
+
+// printClassification prints a classification line, naming the
+// criteria its deciders left undecided (those read false).
+func printClassification(c *updatec.Classification) {
+	fmt.Printf("classification: EC=%v SEC=%v UC=%v SUC=%v PC=%v CC=%v",
+		c.EventuallyConsistent, c.StrongEventuallyConsistent,
+		c.UpdateConsistent, c.StrongUpdateConsistent, c.PipelinedConsistent,
+		c.CausallyConsistent)
+	if c.Undecided != "" {
+		fmt.Printf(" undecided=%s", c.Undecided)
+	}
+	fmt.Println()
 }

@@ -198,27 +198,31 @@ func run(fn func() bool) (ok, outOfBudget bool) {
 
 // Classify runs the five paper criteria plus causal consistency on a
 // history.
-func Classify(h *history.History) history.Classification {
-	return history.Classification{
-		EC:  EC(h).Holds,
-		SEC: SEC(h).Holds,
-		UC:  UC(h).Holds,
-		SUC: SUC(h).Holds,
-		PC:  PC(h).Holds,
-		CC:  CC(h).Holds,
-	}
-}
+func Classify(h *history.History) history.Classification { return ClassifyOpt(h, Options{}) }
 
-// ClassifyOpt is Classify with shared search options.
+// ClassifyOpt is Classify with shared search options. A criterion whose
+// decider is undecided reads false and is named in Undecided.
 func ClassifyOpt(h *history.History, opt Options) history.Classification {
-	return history.Classification{
-		EC:  ECOpt(h, opt).Holds,
-		SEC: SECOpt(h, opt).Holds,
-		UC:  UCOpt(h, opt).Holds,
-		SUC: SUCOpt(h, opt).Holds,
-		PC:  PCOpt(h, opt).Holds,
-		CC:  CCOpt(h, opt).Holds,
+	var c history.Classification
+	var undecided []string
+	for _, d := range []struct {
+		r     Result
+		holds *bool
+	}{
+		{ECOpt(h, opt), &c.EC},
+		{SECOpt(h, opt), &c.SEC},
+		{UCOpt(h, opt), &c.UC},
+		{SUCOpt(h, opt), &c.SUC},
+		{PCOpt(h, opt), &c.PC},
+		{CCOpt(h, opt), &c.CC},
+	} {
+		*d.holds = d.r.Holds
+		if d.r.Undecided {
+			undecided = append(undecided, d.r.Criterion)
+		}
 	}
+	c.Undecided = strings.Join(undecided, " ")
+	return c
 }
 
 // interleave is the memoized interleaving search behind SC, PC, CC, UC

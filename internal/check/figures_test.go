@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"updatec/internal/history"
+	"updatec/internal/spec"
 )
 
 // TestFigure1And2Classification reproduces the paper's headline
@@ -225,6 +226,26 @@ func TestClassifyParsedEqualsBuilt(t *testing.T) {
 		back := history.MustParse(history.Format(fig.H))
 		if got := Classify(back); got != fig.Expect {
 			t.Fatalf("%s after round trip: %+v want %+v", fig.Label, got, fig.Expect)
+		}
+	}
+}
+
+// TestClassifyNamesUndecided: a criterion whose decider gives no answer
+// is named in Undecided rather than passing for a refutation. The
+// countermap has no StateExplainer, so SEC is undecided on its
+// histories while SUC holds; the paper's figures are all decided.
+func TestClassifyNamesUndecided(t *testing.T) {
+	adt := spec.CounterMap()
+	b := history.New(adt)
+	b.Process().Update(spec.AddKey{K: "a", N: 1}).QueryOmega(spec.ReadAllCtrs{}, adt.Query(map[string]int64{"a": 1, "b": 2}, spec.ReadAllCtrs{}))
+	b.Process().Update(spec.AddKey{K: "b", N: 2}).QueryOmega(spec.ReadAllCtrs{}, adt.Query(map[string]int64{"a": 1, "b": 2}, spec.ReadAllCtrs{}))
+	c := Classify(b.MustBuild())
+	if c.Undecided != "SEC" || !c.SUC || !c.UC {
+		t.Fatalf("countermap history classified %+v, want SUC and UC with SEC undecided", c)
+	}
+	for _, fig := range history.Figures() {
+		if got := Classify(fig.H); got.Undecided != "" {
+			t.Fatalf("%s: undecided %q", fig.Label, got.Undecided)
 		}
 	}
 }

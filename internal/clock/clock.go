@@ -71,36 +71,12 @@ func DecodeTimestamp(b []byte) (Timestamp, int, error) {
 	return Timestamp{Clock: cl, Proc: int(pid)}, n + m, nil
 }
 
-// Lamport is a Lamport logical clock (Lamport 1978), the pre-total
-// order that Algorithm 1 refines into a total order with process ids.
-// It is not safe for concurrent use; replicas guard it with their own
-// mutex.
-type Lamport struct {
-	now uint64
-}
-
-// Now returns the current clock value without advancing it.
-func (l *Lamport) Now() uint64 { return l.now }
-
-// Tick advances the clock for a local event (line 5 of Algorithm 1:
-// clock_i <- clock_i + 1) and returns the new value.
-func (l *Lamport) Tick() uint64 {
-	l.now++
-	return l.now
-}
-
-// Observe merges a remote clock value (line 9 of Algorithm 1:
-// clock_i <- max(clock_i, cl)).
-func (l *Lamport) Observe(remote uint64) {
-	if remote > l.now {
-		l.now = remote
-	}
-}
-
-// AtomicLamport is a Lamport clock safe for concurrent use without
-// external locking. Replicas use it so that queries running under a
-// shared (read) lock can still stamp their logical time (line 13 of
-// Algorithm 1) concurrently with each other.
+// AtomicLamport is a Lamport logical clock (Lamport 1978), the
+// pre-total order that Algorithm 1 refines into a total order with
+// process ids. It is safe for concurrent use without external locking:
+// queries running under a replica's shared (read) lock stamp their
+// logical time (line 13 of Algorithm 1) concurrently with each other,
+// and the shards of a sharded replica share one.
 type AtomicLamport struct {
 	now atomic.Uint64
 }

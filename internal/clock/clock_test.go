@@ -66,7 +66,7 @@ func TestTimestampEncodingIsCompact(t *testing.T) {
 }
 
 func TestLamport(t *testing.T) {
-	var l Lamport
+	var l AtomicLamport
 	if l.Tick() != 1 || l.Tick() != 2 {
 		t.Fatalf("tick sequence wrong")
 	}
@@ -86,7 +86,7 @@ func TestLamport(t *testing.T) {
 func TestLamportHappenedBefore(t *testing.T) {
 	// Simulate two processes exchanging a message: the receiver's next
 	// event must be stamped after the sender's send event.
-	var p0, p1 Lamport
+	var p0, p1 AtomicLamport
 	send := p0.Tick()
 	p1.Observe(send)
 	recvNext := p1.Tick()

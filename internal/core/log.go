@@ -60,17 +60,8 @@ type Log struct {
 	// sum is the wrapping sum of entryHash over every update this log has
 	// landed, compacted ones included (see Fingerprint).
 	sum uint64
-	// tieKey, when set, breaks timestamp ties by update key. A single
-	// clock domain never produces two equal timestamps, but a resharded
-	// log merges entries from several old shards' clock domains, where
-	// (cl, j) pairs can collide across *different keys* (the same key
-	// always lived in one old shard, hence one domain). Ordering the
-	// collision by key keeps the log order deterministic across
-	// replicas; for a partitionable type the cross-key order is
-	// semantically irrelevant (updates to distinct keys commute).
-	tieKey func(u spec.Update) string
 	// seeded marks a base installed by SeedBase — a *merged* base whose
-	// horizon is the minimum across several old shards' domains. Only
+	// horizon is the minimum across several old shards' horizons. Only
 	// such logs get the relaxed below-horizon guard (see belowHorizon);
 	// a base built by this log's own CompactBelow keeps the strict one.
 	seeded bool
@@ -101,38 +92,24 @@ func NewLog(adt spec.UQADT) *Log {
 	return &Log{adt: adt}
 }
 
-// SetTieKey installs a per-update key extractor used to order entries
-// whose timestamps collide (see the tieKey field). The key-sharded
-// construction sets it for partitionable types; a plain replica's log
-// never needs it.
-func (l *Log) SetTieKey(f func(u spec.Update) string) { l.tieKey = f }
-
 // setMask installs Algorithm 2's masking policy on an empty log.
 func (l *Log) setMask(f func(u spec.Update) string) {
 	l.mask, l.winners = f, map[string]Entry{}
 }
 
-// less is the log's entry order: timestamp order, ties broken by
-// update key when a tie-break is installed.
-func (l *Log) less(a, b Entry) bool {
-	if a.TS != b.TS {
-		return a.TS.Less(b.TS)
-	}
-	return l.tieKey != nil && l.tieKey(a.U) < l.tieKey(b.U)
-}
-
 // belowHorizon reports whether inserting ts under the compaction
 // horizon would be a stability violation. Normally any ts not
-// strictly above baseTS proves one, and that stays true even for
-// logs receiving cross-epoch traffic: a resized sender's clocks are
-// floored above everything it issued before, so its new stamps
-// strictly exceed every direct observation this log's tracker took.
-// A *seeded* base is different — its horizon is the minimum across
-// several old shards' domains, and a late cross-epoch arrival can
-// collide with that (clock, proc) exactly while still sorting above
-// every folded entry *of its own key* (a key's whole history lives
-// in one domain, strictly above that domain's horizon) — there, only
-// a strictly smaller clock is a violation.
+// strictly above baseTS proves one, and that stays true for logs
+// receiving cross-epoch traffic: a sender stamps every shard from its
+// one process clock, so its stamps after a resize strictly exceed
+// every direct observation this log's tracker took. A *seeded* base
+// keeps a relaxed guard — only a strictly smaller clock is a
+// violation. Its horizon is the minimum of several old shards'
+// horizons, and every update at or below it was folded into one of
+// their bases; since a (clock, proc) pair names one update, an arrival
+// at the horizon's clock that passes this guard is a redelivery of a
+// folded update, and landing it folds it twice (ROADMAP item 1's
+// double fold).
 func belowHorizon(l *Log, ts clock.Timestamp) bool {
 	if l.seeded {
 		return ts.Clock < l.baseTS.Clock
@@ -147,7 +124,7 @@ func (l *Log) masks(e Entry) bool {
 		return false
 	}
 	w, ok := l.winners[l.mask(e.U)]
-	return ok && l.less(e, w)
+	return ok && e.TS.Less(w.TS)
 }
 
 // win makes a landed entry the winner of its mask key; the entry it
@@ -216,16 +193,15 @@ func (l *Log) Entries() []Entry { return l.buf[l.head:] }
 // Both are order-independent and neither changes when entries are
 // compacted, so two logs that landed the same updates — in any delivery
 // order, with duplicates dropped, through merges, compaction or a
-// snapshot — carry equal fingerprints. Within one clock domain a
-// (clock, proc) pair names exactly one update as long as no replica
-// reuses a stamp — one restarted empty, its clock back at 0, can — so
-// equal fingerprints mean equal update sets (up to a 64-bit hash
-// collision), and Algorithm 1's state is a function of that set: equal
-// fingerprints mean equal states at O(1) per comparison, where comparing
-// canonical state keys
-// replays the log. A resharded log merges several clock domains; there
-// one pair can name two updates, and the sharded layer reports no
-// fingerprint (ShardedReplica.Fingerprint).
+// snapshot — carry equal fingerprints. A (clock, proc) pair names
+// exactly one update as long as no replica reuses a stamp — one
+// restarted empty, its clock back at 0, can — so equal fingerprints
+// mean equal update sets (up to a 64-bit hash collision), and
+// Algorithm 1's state is a function of that set: equal fingerprints
+// mean equal states at O(1) per comparison, where comparing canonical
+// state keys replays the log. A resharded log's seeded base carries no
+// stamp sum (SeedBase), so its fingerprint undercounts what it holds,
+// and the sharded layer reports none (ShardedReplica.Fingerprint).
 //
 // A masking log fingerprints its winners instead: the count of mask keys
 // and the sum of entryHash over each key's winning stamp, updated
@@ -314,8 +290,8 @@ func (l *Log) Insert(e Entry) int {
 }
 
 // InsertDedup is Insert tolerating exact duplicates: inserting an entry
-// whose timestamp (and tie-break key) is already present leaves the log
-// untouched and reports false. Duplicates are a legal event on the
+// whose timestamp is already present leaves the log untouched and
+// reports false. Duplicates are a legal event on the
 // repair paths — a partition heals, anti-entropy syncs the missing
 // suffix, and the cut's queued originals still deliver afterwards — and
 // under injected per-link duplication. A duplicate can never take the
@@ -339,7 +315,7 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 	}
 	live := l.buf[l.head:]
 	n := len(live)
-	if n == 0 || l.less(live[n-1], e) {
+	if n == 0 || live[n-1].TS.Less(e.TS) {
 		// Fast tail path: strictly above the current maximum.
 		l.buf = append(l.buf, e)
 		l.version++
@@ -350,9 +326,9 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 		return n, true
 	}
 	at := sort.Search(n, func(i int) bool {
-		return l.less(e, live[i])
+		return e.TS.Less(live[i].TS)
 	})
-	if at > 0 && live[at-1].TS == e.TS && !l.less(live[at-1], e) {
+	if at > 0 && live[at-1].TS == e.TS {
 		return at - 1, false
 	}
 	l.buf = append(l.buf, Entry{})
@@ -372,15 +348,7 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 // that is already ordered — a donor's reply, a peer's frame, another
 // log's live suffix — costs one linear check.
 func (l *Log) SortEntries(batch []Entry) {
-	cmp := func(a, b Entry) int {
-		switch {
-		case l.less(a, b):
-			return -1
-		case l.less(b, a):
-			return 1
-		}
-		return 0
-	}
+	cmp := func(a, b Entry) int { return a.TS.Compare(b.TS) }
 	if !slices.IsSortedFunc(batch, cmp) {
 		slices.SortStableFunc(batch, cmp)
 	}
@@ -419,13 +387,13 @@ func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 		return n, 0, 0, dups
 	}
 	// Nothing under lo moves or can equal a batch entry.
-	lo := sort.Search(n, func(i int) bool { return !l.less(live[i], batch[0]) })
+	lo := sort.Search(n, func(i int) bool { return !live[i].TS.Less(batch[0].TS) })
 	// dupOf reports whether batch[j] repeats its predecessor.
 	dupOf := func(j int) bool {
-		if j == 0 || l.less(batch[j-1], batch[j]) {
+		if j == 0 || batch[j-1].TS.Less(batch[j].TS) {
 			return false
 		}
-		if l.less(batch[j], batch[j-1]) {
+		if batch[j].TS.Less(batch[j-1].TS) {
 			panic(fmt.Sprintf("core: MergeSorted batch out of log order at %s", batch[j].TS))
 		}
 		return true
@@ -433,10 +401,10 @@ func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 	// Pass 1, upwards: count what will land, so the buffer grows once.
 	i := lo
 	for j := range batch {
-		for i < n && l.less(live[i], batch[j]) {
+		for i < n && live[i].TS.Less(batch[j].TS) {
 			i++
 		}
-		if dupOf(j) || i < n && !l.less(batch[j], live[i]) {
+		if dupOf(j) || i < n && !batch[j].TS.Less(live[i].TS) {
 			dups++
 			continue
 		}
@@ -457,11 +425,11 @@ func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 		if dupOf(j) {
 			continue
 		}
-		for i >= lo && l.less(batch[j], live[i]) {
+		for i >= lo && batch[j].TS.Less(live[i].TS) {
 			live[w] = live[i]
 			i, w = i-1, w-1
 		}
-		if i >= lo && !l.less(live[i], batch[j]) {
+		if i >= lo && !live[i].TS.Less(batch[j].TS) {
 			continue
 		}
 		live[w] = batch[j]
@@ -480,8 +448,8 @@ func (l *Log) MergeSorted(batch []Entry) (first, landed, late, dups int) {
 func (l *Log) admit(batch []Entry) (kept []Entry, dups int) {
 	kept = make([]Entry, 0, len(batch))
 	for _, e := range batch {
-		if w, ok := l.winners[l.mask(e.U)]; ok && !l.less(w, e) {
-			if l.less(e, w) {
+		if w, ok := l.winners[l.mask(e.U)]; ok && !w.TS.Less(e.TS) {
+			if e.TS.Less(w.TS) {
 				l.masked++
 			} else {
 				dups++

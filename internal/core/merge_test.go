@@ -10,8 +10,7 @@ import (
 	"updatec/internal/spec"
 )
 
-// mergeKey is the tie-break of the resharded-log cases below: an
-// update's key is what precedes the colon in its value.
+// mergeKey is an update's key: what precedes the colon in its value.
 func mergeKey(u spec.Update) string {
 	k, _, _ := strings.Cut(u.(spec.Ins).V, ":")
 	return k
@@ -19,8 +18,7 @@ func mergeKey(u spec.Update) string {
 
 // mergeCase is one log shape a batch is merged into.
 type mergeCase struct {
-	name   string
-	tieKey bool
+	name string
 	// base: "" none, "own" a CompactBelow base (arrivals below it panic),
 	// "merged" a MergeSnapshot-style base (arrivals below it are
 	// duplicates).
@@ -29,10 +27,8 @@ type mergeCase struct {
 
 var mergeCases = []mergeCase{
 	{name: "plain"},
-	{name: "tiekey", tieKey: true},
 	{name: "compacted", base: "own"},
 	{name: "merged-base", base: "merged"},
-	{name: "merged-base+tiekey", tieKey: true, base: "merged"},
 }
 
 // mergeHorizon is the compaction horizon of the cases that have a base;
@@ -44,9 +40,8 @@ const (
 
 // mergeEntry draws a random entry; serial makes its update distinguishable
 // from every other draw, so the tests can tell which of two equal
-// entries a log kept. With few clocks, procs and keys, equal entries
-// (same stamp, same key) and tie-key collisions (same stamp, other key)
-// are both frequent.
+// entries a log kept. With few clocks and procs, equal stamps are
+// frequent.
 func mergeEntry(rng *rand.Rand, lo, hi uint64, serial *int) Entry {
 	*serial++
 	return Entry{
@@ -59,9 +54,6 @@ func mergeEntry(rng *rand.Rand, lo, hi uint64, serial *int) Entry {
 // every call with the same entries.
 func (c mergeCase) seed(live []Entry) *Log {
 	l := NewLog(spec.Set())
-	if c.tieKey {
-		l.SetTieKey(mergeKey)
-	}
 	switch c.base {
 	case "own":
 		for cl := uint64(1); cl <= mergeHorizon; cl += 7 {

@@ -33,7 +33,8 @@ import (
 // modeling the paper's sequential process; queries that can be served
 // without touching engine-internal caches (Engine.StateConcurrent) run
 // under the read half, concurrently with each other. The logical clock
-// is atomic so those readers can still stamp their query events.
+// is atomic so those readers can still stamp their query events; the
+// shards of a ShardedReplica share one, the process's clock.
 // Writers additionally hold the writer token (sendMu) from the stamp
 // until their broadcast returns, so the replica sends in stamp order.
 type Replica struct {
@@ -48,7 +49,7 @@ type Replica struct {
 	n       int
 	adt     spec.UQADT
 	wire    messageCodec
-	clk     clock.AtomicLamport
+	clk     *clock.AtomicLamport
 	log     *Log
 	engine  Engine
 	net     transport.Network
@@ -187,7 +188,11 @@ type Config struct {
 }
 
 // NewReplica builds the replica and attaches it to the transport.
-func NewReplica(cfg Config) *Replica {
+func NewReplica(cfg Config) *Replica { return newReplica(cfg, new(clock.AtomicLamport)) }
+
+// newReplica is NewReplica stamping with clk: a ShardedReplica passes
+// every shard the process's one clock.
+func newReplica(cfg Config, clk *clock.AtomicLamport) *Replica {
 	codec := cfg.Codec
 	if codec == nil {
 		codec, _ = cfg.ADT.(spec.Codec)
@@ -208,6 +213,7 @@ func NewReplica(cfg Config) *Replica {
 		n:         cfg.N,
 		adt:       cfg.ADT,
 		wire:      newMessageCodec(codec),
+		clk:       clk,
 		log:       NewLog(cfg.ADT),
 		engine:    eng,
 		net:       cfg.Net,

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"updatec/internal/history"
 	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
@@ -422,23 +421,6 @@ func TestResizeInvalidatesSessions(t *testing.T) {
 	if out, ok := fresh.TryQuery(spec.ReadCtr{K: "alpha"}); !ok || out.(spec.CtrVal) != 2 {
 		t.Fatalf("fresh session read: got %v ok=%v, want 2 true", out, ok)
 	}
-}
-
-// TestResizeRejectsReplicaLevelRecording: a 1-shard replica carrying a
-// replica-level recorder must refuse to resize (the new shards would
-// be built without the recorder, silently truncating the history) —
-// the same invariant the constructor enforces for Recorder + shards>1.
-func TestResizeRejectsReplicaLevelRecording(t *testing.T) {
-	adt := spec.Set()
-	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 2})
-	rec := history.NewRecorder(adt, 2)
-	reps := ShardedCluster(2, 1, adt, net, ClusterOptions{Recorder: rec})
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Resize on a replica-level recorded cluster did not panic")
-		}
-	}()
-	reps[0].Resize(4)
 }
 
 // TestResizeShardOfFallback: ShardOf must report shard 0 for

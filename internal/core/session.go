@@ -27,14 +27,15 @@ import (
 // reports a stale replica instead, and the client chooses to retry,
 // switch replicas, or accept the stale read.
 //
-// A ShardedReplica runs one Lamport clock and log per shard, so the
-// session tracks one observation vector per shard lane: an update is
-// recorded in the lane of the shard that owns its key, a keyed query
-// is checked against (and absorbs) only the owning shard's coverage,
-// and a whole-state query requires every lane to be covered before the
-// merged state is served. At one shard that is one vector checked by one
-// Replica.SessionQuery — a covered read of a settled replica costs a raw
-// read.
+// Coverage is per shard log: each shard has its own FIFO channel, so a
+// shard's highest stamp from origin j vouches only for j's updates to
+// that shard. The session therefore tracks one observation vector per
+// shard lane: an update is recorded in the lane of the shard that owns
+// its key, a keyed query is checked against (and absorbs) only the
+// owning shard's coverage, and a whole-state query requires every lane
+// to be covered before the merged state is served. At one shard that is
+// one vector checked by one Replica.SessionQuery — a covered read of a
+// settled replica costs a raw read.
 //
 // The guarantees compose per key exactly like the construction itself:
 // a covering replica's shard log contains everything the session
@@ -82,9 +83,6 @@ func (s *ShardedSession) lanes(g *shardGen) []*Replica {
 	}
 	return g.shards
 }
-
-// Replica returns the session's current sharded replica.
-func (s *ShardedSession) Replica() *ShardedReplica { return s.r }
 
 // Switch fails the session over to another sharded replica of the same
 // cluster. The replica must have the same shard count (shard routing
@@ -142,7 +140,7 @@ func (s *ShardedSession) TryQuery(in spec.QueryInput) (out spec.QueryOutput, ok 
 			return nil, false
 		}
 	}
-	out = r.queryMerged(g, in)
+	out = r.queryMerged(g, in, false)
 	for sh, rep := range shards {
 		rep.AbsorbCoverage(s.vecs[sh])
 	}

@@ -15,11 +15,15 @@ import (
 // ShardedReplica is the key-sharded variant of the universal
 // construction: one process's instance of S independent copies of
 // Algorithm 1, one per shard of the key space. Each shard owns its own
-// Log, Lamport clock and query engine, and broadcasts on its own
-// shard-tagged transport channel (transport.ResizableNetwork), so
-// deliveries and updates touching different shards never contend — one
-// replica's update path scales across cores, and a late-arriving update
-// displaces only its own shard's log suffix instead of the whole log.
+// Log and query engine, and broadcasts on its own shard-tagged
+// transport channel (transport.ResizableNetwork), so deliveries and
+// updates touching different shards never contend — one replica's
+// update path scales across cores, and a late-arriving update displaces
+// only its own shard's log suffix instead of the whole log. Every shard
+// stamps with the process's one Lamport clock, as Algorithm 1 has it:
+// a (clock, proc) pair names one update of the whole replica, and the
+// shard logs merged by stamp give one order of every update that
+// contains each process's issue order.
 //
 // The construction is sound for spec.Partitionable data types: updates
 // to different keys are independent, so running Algorithm 1 per shard
@@ -60,6 +64,11 @@ type ShardedReplica struct {
 	newEngine func() Engine
 	gc        bool
 	gcEvery   int
+	// clk is the process clock every shard stamps with; rec, when set,
+	// records the process's operations: the shards record their updates
+	// and keyed queries, queryMerged and QueryOmega the merged ones.
+	clk clock.AtomicLamport
+	rec *history.Recorder
 	// net is the shard- and epoch-aware transport the cluster shares.
 	net transport.ResizableNetwork
 
@@ -75,10 +84,10 @@ type ShardedReplica struct {
 	// generations are immutable once published.
 	gen atomic.Pointer[shardGen]
 	mc  mergedCache
-	// mixedDomains is set once a shard lands an entry stamped in another
-	// shard's clock domain — by a resize or a cross-epoch delivery — and
-	// withdraws the fingerprint (Fingerprint).
-	mixedDomains atomic.Bool
+	// resharded is set once a shard lands an entry moved across routing
+	// tables — by a resize or a cross-epoch delivery — and withdraws the
+	// fingerprint (Fingerprint).
+	resharded atomic.Bool
 
 	// resize bookkeeping (written under routeMu's write half):
 	// resizes counts Resize calls that changed the shard count,
@@ -157,14 +166,10 @@ type ShardedConfig struct {
 	GC      bool
 	GCEvery int
 	// Recorder records the replica's operations for the consistency
-	// deciders. Replica-level recording assumes one clock per process,
-	// which sharding deliberately gives up, so it is only permitted with
-	// Shards == 1 (where the construction IS a plain Replica); sharded
-	// runs must record at the harness level instead (as internal/sim and
-	// the public updatec package do).
+	// deciders, at every shard count and across a Resize.
 	Recorder *history.Recorder
 	// Causal gates visibility on causal order (Config.Causal). A
-	// dependency vector covers one clock domain, so it requires one shard.
+	// dependency vector describes one log, so it requires one shard.
 	Causal bool
 }
 
@@ -175,8 +180,8 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 	if cfg.Shards <= 0 {
 		panic("core: ShardedConfig.Shards must be positive")
 	}
-	if (cfg.Recorder != nil || cfg.Causal) && cfg.Shards > 1 {
-		panic("core: replica-level recording and causal visibility require one shard")
+	if cfg.Causal && cfg.Shards > 1 {
+		panic("core: causal visibility requires one shard")
 	}
 	part, _ := cfg.ADT.(spec.Partitionable)
 	r := &ShardedReplica{
@@ -187,6 +192,7 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		newEngine: cfg.NewEngine,
 		gc:        cfg.GC,
 		gcEvery:   cfg.GCEvery,
+		rec:       cfg.Recorder,
 		net:       cfg.Net,
 	}
 	if r.codec = cfg.Codec; r.codec == nil {
@@ -201,15 +207,12 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		if cfg.NewEngine != nil {
 			eng = cfg.NewEngine()
 		}
-		g.shards[s] = NewReplica(Config{
+		g.shards[s] = newReplica(Config{
 			ID: cfg.ID, N: cfg.N, ADT: cfg.ADT, Codec: r.codec,
 			Net:    epochChannel{net: cfg.Net, shard: s, epoch: cfg.Shards},
 			Engine: eng, GC: cfg.GC, GCEvery: cfg.GCEvery,
 			Recorder: cfg.Recorder, Causal: cfg.Causal,
-		})
-		if part != nil {
-			g.shards[s].log.SetTieKey(part.UpdateKey)
-		}
+		}, &r.clk)
 	}
 	r.gen.Store(g)
 	cfg.Net.AttachRouter(cfg.ID, r.route)
@@ -275,7 +278,7 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 	if err != nil {
 		panic(g.shards[0].badPayload(from, err))
 	}
-	r.mixedDomains.Store(true)
+	r.resharded.Store(true)
 	dst := 0
 	if r.part != nil && len(g.shards) > 1 {
 		dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
@@ -357,8 +360,8 @@ func (r *ShardedReplica) shardOfUpdate(g *shardGen, u spec.Update) int {
 }
 
 // Update issues u on the shard owning its key (lines 4–7 of
-// Algorithm 1 on that shard's clock and log). Like Replica.Update it is
-// wait-free and locally visible when it returns.
+// Algorithm 1 on the process clock and that shard's log). Like
+// Replica.Update it is wait-free and locally visible when it returns.
 func (r *ShardedReplica) Update(u spec.Update) {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
@@ -390,33 +393,31 @@ func (r *ShardedReplica) Query(in spec.QueryInput) spec.QueryOutput {
 	if key, ok := r.part.QueryKey(in); ok {
 		return g.shards[routeKey(key, len(g.shards))].Query(in)
 	}
-	return r.queryMerged(g, in)
+	return r.queryMerged(g, in, false)
 }
 
 // QueryOmega evaluates a query and records it as the replica's
-// converged (ω) observation when replica-level recording is active.
-// With one shard it is exactly Replica.QueryOmega; on a genuinely
-// sharded replica (where recording lives at the harness level) it is a
-// plain Query and the caller records the observation itself.
+// converged (ω) observation. With one shard it is exactly
+// Replica.QueryOmega; a sharded replica evaluates it on the merged
+// state.
 func (r *ShardedReplica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	if len(g.shards) == 1 {
-		out := g.shards[0].QueryOmega(in)
-		r.routeMu.RUnlock()
-		return out
+	if r.part == nil || len(g.shards) == 1 {
+		return g.shards[0].QueryOmega(in)
 	}
-	r.routeMu.RUnlock()
-	return r.Query(in)
+	return r.queryMerged(g, in, true)
 }
 
 // queryMerged serves a whole-state query from the merged-state cache,
 // memoizing the output against the fold generation when the input is
-// cacheable. Whole-state queries serialize on the cache mutex (they
-// shared no structure before, but each paid a full S-shard fold; now
-// the common settled read is a few version compares). Caller holds
-// routeMu's read half.
-func (r *ShardedReplica) queryMerged(g *shardGen, in spec.QueryInput) spec.QueryOutput {
+// cacheable, and records it — as an ω observation when omega is set.
+// Whole-state queries serialize on the cache mutex (they shared no
+// structure before, but each paid a full S-shard fold; now the common
+// settled read is a few version compares). Caller holds routeMu's read
+// half.
+func (r *ShardedReplica) queryMerged(g *shardGen, in spec.QueryInput, omega bool) spec.QueryOutput {
 	key, cacheable := spec.QueryCacheKey{}, false
 	if r.qkeyer != nil {
 		key, cacheable = r.qkeyer.QueryInputKey(in)
@@ -426,14 +427,23 @@ func (r *ShardedReplica) queryMerged(g *shardGen, in spec.QueryInput) spec.Query
 	defer mc.mu.Unlock()
 	r.refreshMergedLocked(g)
 	mc.reads++
-	if !cacheable {
-		return r.adt.Query(mc.merged, in)
+	out, ok := spec.QueryOutput(nil), false
+	if cacheable {
+		out, ok = mc.outs.lookup(mc.gen, key)
 	}
-	if out, ok := mc.outs.lookup(mc.gen, key); ok {
-		return out
+	if !ok {
+		out = r.adt.Query(mc.merged, in)
+		if cacheable {
+			mc.outs.store(mc.gen, key, out)
+		}
 	}
-	out := r.adt.Query(mc.merged, in)
-	mc.outs.store(mc.gen, key, out)
+	switch {
+	case r.rec == nil:
+	case omega:
+		r.rec.QueryOmega(r.id, in, out)
+	default:
+		r.rec.Query(r.id, in, out)
+	}
 	return out
 }
 
@@ -543,15 +553,14 @@ func (r *ShardedReplica) StateKey() string {
 
 // Fingerprint returns every shard's Replica.Fingerprint, in shard order.
 // Two replicas of one cluster hold the same updates — and so the same
-// merged state — exactly when the lists are equal. The per-shard pairs
-// are never summed: a (clock, proc) pair is unique only within one
-// shard's clock domain. ok is false once a shard has landed entries from
-// another domain — this replica resized, moving several old shards'
-// entries (and seeded bases that record nothing of what they folded)
-// into each new shard, or it routed a peer's cross-epoch delivery — since
-// one pair can then name two updates. A cluster is comparable by
-// fingerprint only while every replica reports ok (a peer may have
-// pulled the mixed entries by anti-entropy); compare StateKey otherwise.
+// merged state — exactly when the lists are equal. ok is false once this
+// replica resized or routed a peer's cross-epoch delivery: a resize
+// seeds each new shard with a base split from the old shards' folded
+// states, and a seeded base carries no stamp sum (Log.SeedBase), so
+// equal fingerprints no longer mean equal update sets. A cluster is
+// comparable by fingerprint only while every replica reports ok (a peer
+// may have pulled the moved entries by anti-entropy); compare StateKey
+// otherwise.
 func (r *ShardedReplica) Fingerprint() (fps []Fingerprint, ok bool) {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
@@ -560,11 +569,11 @@ func (r *ShardedReplica) Fingerprint() (fps []Fingerprint, ok bool) {
 	for s, sh := range g.shards {
 		fps[s] = sh.Fingerprint()
 	}
-	return fps, !r.mixedDomains.Load()
+	return fps, !r.resharded.Load()
 }
 
 // Stats aggregates the per-shard replica counters: lengths and counts
-// sum, the clock reports the maximum across shards. Compacted updates
+// sum, the clock is the process clock. Compacted updates
 // whose folded state was carried across a resize stay counted (a split
 // base cannot recover per-range counts, so the replica accounts for
 // them once, at move time).
@@ -583,10 +592,8 @@ func (r *ShardedReplica) Stats() Stats {
 		agg.SyncApplied += st.SyncApplied
 		agg.Gated += st.Gated
 		agg.Folded += st.Folded
-		if st.Clock > agg.Clock {
-			agg.Clock = st.Clock
-		}
 	}
+	agg.Clock = r.clk.Now()
 	agg.TotalOps += int(r.movedCompacted)
 	agg.Compacted += r.movedCompacted
 	return agg
@@ -624,7 +631,7 @@ func (r *ShardedReplica) RetireProcess(j int) {
 
 // Resize re-partitions the replica's key space across newShards
 // shards, live. It builds a fresh routing generation (new per-shard
-// replicas with their own logs, clocks and engines, broadcasting under
+// replicas with their own logs and engines, broadcasting under
 // the next epoch), transfers every key range's state from the old
 // shard that owned it — the compacted base split per key
 // (spec.Partitionable.ExtractRange), the live log suffix replayed
@@ -712,27 +719,23 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 	if newShards == len(old.shards) {
 		return
 	}
-	// Mirror the constructor's recording guard: a 1-shard replica may
-	// carry a replica-level recorder, but the new shards are built
-	// without one (sharded recording lives at the harness level), so
-	// resizing would silently truncate the recorded history.
-	if old.shards[0].rec != nil || old.shards[0].causal {
-		panic("core: Resize would drop replica-level recording or causal visibility, which require one shard")
+	// Mirror the constructor's guard: causal visibility requires one
+	// shard.
+	if old.shards[0].causal {
+		panic("core: Resize would drop causal visibility, which requires one shard")
 	}
-	r.mixedDomains.Store(true)
+	r.resharded.Store(true)
 	next := &shardGen{epoch: old.epoch + 1, shards: make([]*Replica, newShards)}
 	for s := range next.shards {
 		var eng Engine
 		if r.newEngine != nil {
 			eng = r.newEngine()
 		}
-		rep := NewReplica(Config{
+		next.shards[s] = newReplica(Config{
 			ID: r.id, N: r.n, ADT: r.adt, Codec: r.codec,
 			Net:    epochChannel{net: r.net, shard: s, epoch: newShards},
-			Engine: eng, GC: r.gc, GCEvery: r.gcEvery,
-		})
-		rep.log.SetTieKey(r.part.UpdateKey)
-		next.shards[s] = rep
+			Engine: eng, GC: r.gc, GCEvery: r.gcEvery, Recorder: r.rec,
+		}, &r.clk)
 	}
 
 	// The seed horizon for split bases: the minimum of the old shards'
@@ -767,12 +770,8 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 		entries []Entry
 	}
 	seeds := make([]seed, newShards)
-	var maxClock uint64
 	for _, o := range old.shards {
 		o.mu.Lock()
-		if c := o.clk.Now(); c > maxClock {
-			maxClock = c
-		}
 		if base, _ := o.log.Base(); base != nil {
 			work := r.adt.Clone(base)
 			for s := range seeds {
@@ -801,11 +800,11 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 
 	// Replay each seed into its new shard: seed the base, land the bucket
 	// — sorted, since it interleaves several old shards' runs — as one
-	// merge under one lock hold, float the clock to the replica-wide
-	// maximum so post-resize updates stamp above everything moved, and
-	// carry over retirement (a crashed process stays crashed; everything
-	// else the fresh stability trackers re-learn from current-epoch
-	// deliveries).
+	// merge under one lock hold, and carry over retirement (a crashed
+	// process stays crashed; everything else the fresh stability trackers
+	// re-learn from current-epoch deliveries). The process clock is
+	// already above everything moved, so post-resize updates stamp above
+	// it.
 	oldStab := old.shards[0].stab
 	for s := range seeds {
 		rep := next.shards[s]
@@ -816,7 +815,6 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 		rep.mu.Lock()
 		rep.mergeLocked(seeds[s].entries)
 		rep.mu.Unlock()
-		rep.clk.Observe(maxClock)
 		if rep.stab != nil {
 			rep.stab.ObserveSelf(rep.clk.Now())
 			if oldStab != nil {
@@ -844,12 +842,7 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 }
 
 // ShardedCluster builds n sharded replicas sharing one transport, all
-// with the same shard count and options. ClusterOptions.Recorder is
-// honored only with shards == 1 (where the construction is a plain
-// Replica per process): replica-level recording assumes one clock per
-// process, which sharding deliberately gives up — sharded runs must
-// record at the harness level instead (as internal/sim and the public
-// updatec package do), and passing a recorder with shards > 1 panics.
+// with the same shard count and options.
 func ShardedCluster(n, shards int, adt spec.UQADT, net transport.ResizableNetwork, opt ClusterOptions) []*ShardedReplica {
 	reps := make([]*ShardedReplica, n)
 	for i := 0; i < n; i++ {

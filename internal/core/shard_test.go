@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"updatec/internal/clock"
 	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
@@ -254,4 +255,88 @@ func TestShardedLiveHammer(t *testing.T) {
 	if total != workers*perWorker {
 		t.Fatalf("merged state sums to %d, want %d", total, workers*perWorker)
 	}
+}
+
+// TestShardsShareProcessClock: a sharded replica's shards stamp with the
+// process's one clock, so every stamp names one update of the replica
+// and a process's stamps increase in issue order across shards — at 4
+// shards, after a Resize, and after cross-epoch deliveries landed by
+// Absorb, which the next local stamp must exceed.
+func TestShardsShareProcessClock(t *testing.T) {
+	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 3, FIFO: true})
+	reps := ShardedCluster(2, 4, spec.CounterMap(), net, ClusterOptions{})
+	var issued [2][]int64 // per process, the serials it issued, in order
+	serial := int64(0)
+	issue := func(p, n int) {
+		for i := 0; i < n; i++ {
+			serial++
+			reps[p].Update(spec.AddKey{K: fmt.Sprintf("k%d", serial%11), N: serial})
+			issued[p] = append(issued[p], serial)
+		}
+	}
+	// stamps maps every update replica r holds, by serial, to its stamp,
+	// failing on a stamp two entries share.
+	stamps := func(stage string, r *ShardedReplica) map[int64]clock.Timestamp {
+		out := map[int64]clock.Timestamp{}
+		seen := map[clock.Timestamp]bool{}
+		for s := 0; s < r.NumShards(); s++ {
+			for _, e := range r.Shard(s).log.Entries() {
+				if seen[e.TS] {
+					t.Fatalf("%s: replica %d holds two updates stamped %s", stage, r.ID(), e.TS)
+				}
+				seen[e.TS] = true
+				out[e.U.(spec.AddKey).N] = e.TS
+			}
+		}
+		return out
+	}
+	check := func(stage string) {
+		for _, r := range reps {
+			held := stamps(stage, r)
+			for q := range issued {
+				var prev clock.Timestamp
+				for _, n := range issued[q] {
+					ts, ok := held[n]
+					if !ok {
+						continue // not delivered yet
+					}
+					if ts.Proc != q || !prev.Less(ts) {
+						t.Fatalf("%s: replica %d holds process %d's update %d at %s after %s", stage, r.ID(), q, n, ts, prev)
+					}
+					prev = ts
+				}
+			}
+		}
+	}
+	issue(0, 20)
+	issue(1, 20)
+	check("4 shards")
+	net.Quiesce()
+	check("4 shards, settled")
+
+	reps[1].Resize(2)
+	issue(1, 10)
+	check("after Resize(2)")
+
+	// Replica 0 still runs 4 shards, so replica 1 absorbs its updates as
+	// cross-epoch deliveries; replica 1's next stamps must exceed them.
+	issue(0, 10)
+	net.Quiesce()
+	var absorbed uint64
+	for _, ts := range stamps("absorbed", reps[1]) {
+		absorbed = max(absorbed, ts.Clock)
+	}
+	from := len(issued[1])
+	issue(1, 10)
+	held := stamps("after Absorb", reps[1])
+	for _, n := range issued[1][from:] {
+		if ts := held[n]; ts.Clock <= absorbed {
+			t.Fatalf("update %d stamped %s, not above the absorbed clock %d", n, ts, absorbed)
+		}
+	}
+	check("after Absorb")
+	reps[0].Resize(2)
+	issue(0, 5)
+	net.Quiesce()
+	check("both at 2 shards, settled")
 }

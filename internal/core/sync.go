@@ -319,7 +319,6 @@ func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
 func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	old := r.log
 	nl := NewLog(r.adt)
-	nl.tieKey = old.tieKey
 	if old.mask != nil {
 		nl.setMask(old.mask)
 		nl.masked = old.masked
@@ -333,9 +332,8 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	obase, obaseTS := old.Base()
 	if sd.base != nil && (obase == nil || obaseTS.Clock < sd.baseTS.Clock) {
 		nl.RestoreBase(sd.base, sd.baseTS, sd.baseLen, sd.baseSum)
-		// A seeded (post-resize merged-domain) receiver keeps the
-		// relaxed below-horizon guard: cross-epoch stragglers that
-		// collide with the merged horizon remain legal arrivals.
+		// A seeded (post-resize) receiver keeps the relaxed
+		// below-horizon guard (belowHorizon).
 		nl.seeded = old.seeded
 		nl.merged = merged
 	} else if obase != nil {

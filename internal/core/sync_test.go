@@ -525,37 +525,6 @@ func TestDigestDeepHoleResendBound(t *testing.T) {
 	}
 }
 
-// TestSyncReshardedTwins: a resharded log may hold two entries with one
-// (clock, proc) under different keys. The ladder cuts by clock, so twins
-// travel together, and the requester's dedup keeps the one it had.
-func TestSyncReshardedTwins(t *testing.T) {
-	mk := func(id int) *Replica {
-		r := NewReplica(Config{ID: id, N: 2, ADT: spec.CounterMap(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})})
-		r.log.SetTieKey(spec.CounterMap().UpdateKey)
-		return r
-	}
-	donor, req := mk(0), mk(1)
-	for cl := uint64(1); cl <= 200; cl++ {
-		ts := clock.Timestamp{Clock: cl, Proc: int(cl % 2)}
-		donor.Absorb(ts, spec.AddKey{K: "a", N: 1})
-		donor.Absorb(ts, spec.AddKey{K: "b", N: 1}) // the twin from another old shard
-		req.Absorb(ts, spec.AddKey{K: "a", N: 1})
-		if cl != 150 && cl <= 190 {
-			req.Absorb(ts, spec.AddKey{K: "b", N: 1})
-		}
-	}
-	carried, applied := pull(t, req, donor)
-	if applied != 11 || req.StateKey() != donor.StateKey() {
-		t.Fatalf("pull landed %d of the 11 missing twins, converged=%v", applied, req.StateKey() == donor.StateKey())
-	}
-	if carried >= donor.log.Len() {
-		t.Fatalf("reply carried the whole log (%d entries)", carried)
-	}
-	if _, again := pull(t, req, donor); again != 0 {
-		t.Fatalf("second pull landed %d entries", again)
-	}
-}
-
 // TestSyncReplyNarrowDigest: origins the digest does not mention are
 // origins the requester holds nothing of.
 func TestSyncReplyNarrowDigest(t *testing.T) {

@@ -59,7 +59,7 @@ func FuzzApplySync(f *testing.F) {
 		}
 		entries := req.log.Entries()
 		for i := 1; i < len(entries); i++ {
-			if !req.log.less(entries[i-1], entries[i]) {
+			if !entries[i-1].TS.Less(entries[i].TS) {
 				t.Fatalf("log out of order at %d: %s then %s", i, entries[i-1].TS, entries[i].TS)
 			}
 		}
@@ -161,7 +161,7 @@ func FuzzSnapshot(f *testing.F) {
 				}
 				entries := r.log.Entries()
 				for i := 1; i < len(entries); i++ {
-					if !r.log.less(entries[i-1], entries[i]) {
+					if !entries[i-1].TS.Less(entries[i].TS) {
 						t.Fatalf("%s: log out of order at %d: %s then %s", name, i, entries[i-1].TS, entries[i].TS)
 					}
 				}

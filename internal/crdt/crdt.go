@@ -1,7 +1,7 @@
 // Package crdt implements the eventually consistent set constructions
 // surveyed in §VI of the paper — G-Set, 2P-Set, PN-Set, C-Set, OR-Set
-// and LWW-element-Set — plus counter and register CRDTs, as baselines
-// for the update consistent objects of internal/core.
+// and LWW-element-Set — as baselines for the update consistent objects
+// of internal/core.
 //
 // All implementations are operation-based over the same reliable
 // broadcast transport the core replicas use (exactly-once delivery per

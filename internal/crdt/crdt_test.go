@@ -238,35 +238,3 @@ func TestGSetGrowOnly(t *testing.T) {
 	}()
 	a.Delete("1")
 }
-
-func TestPNCounterConverges(t *testing.T) {
-	net := transport.NewSim(transport.SimOptions{N: 3, Seed: 10})
-	cs := []*PNCounter{NewPNCounter(0, net), NewPNCounter(1, net), NewPNCounter(2, net)}
-	cs[0].Inc()
-	cs[1].Add(5)
-	cs[2].Dec()
-	net.Quiesce()
-	for i, c := range cs {
-		if c.Value() != 5 {
-			t.Fatalf("counter %d = %d, want 5", i, c.Value())
-		}
-	}
-}
-
-func TestLWWRegisterConverges(t *testing.T) {
-	f := func(seed int64) bool {
-		net := transport.NewSim(transport.SimOptions{N: 2, Seed: seed})
-		a, b := NewLWWRegister(0, "init", net), NewLWWRegister(1, "init", net)
-		a.Write("va")
-		b.Write("vb")
-		net.Quiesce()
-		return a.Read() == b.Read()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-	reg := NewLWWRegister(0, "init", transport.NewSim(transport.SimOptions{N: 1, Seed: 0}))
-	if reg.Read() != "init" {
-		t.Fatalf("initial value wrong")
-	}
-}

@@ -131,4 +131,8 @@ type Classification struct {
 	SUC bool // strong update consistency (Def. 9)
 	PC  bool // pipelined consistency (Def. 7)
 	CC  bool // causal consistency (PC + recorded causal order; see check.CC)
+	// Undecided names, space-separated, the criteria whose decider gave
+	// no answer (budget exhausted, or no StateExplainer for SEC); each
+	// reads false above.
+	Undecided string
 }

@@ -229,7 +229,7 @@ func (ln *LiveNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byt
 		// The payload slice is shared with every other mailbox; the
 		// mailboxes are unbounded, so push never blocks (and is a
 		// counted no-op after Close).
-		nodes[to][shard].mb.push(envelope{from: from, to: to, shard: shard, epoch: epoch, payload: payload}, false)
+		nodes[to][shard].mb.push(envelope{from: from, to: to, shard: shard, epoch: epoch, payload: payload})
 	}
 }
 

@@ -8,8 +8,8 @@ import "sync"
 // per backlog (swap the whole queue out, never pop one envelope per
 // acquisition). A mailbox is unbounded when max is zero — the
 // wait-freedom configuration LiveNetwork uses — or bounded, in which
-// case push either blocks until the consumer frees space or rejects
-// the envelope, which is the TCP path's backpressure.
+// case push blocks until the consumer frees space, which is the TCP
+// path's backpressure.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -22,10 +22,8 @@ type mailbox struct {
 	// a dead peer never block or accumulate — the on-reconnect digest
 	// exchange repairs the loss.
 	discard bool
-	// droppedFull counts pushes rejected by the bound (the drop
-	// backpressure policy); droppedDown counts envelopes lost to a down
-	// or closed consumer (discard mode, or push after close).
-	droppedFull uint64
+	// droppedDown counts envelopes lost to a down or closed consumer
+	// (discard mode, or push after close).
 	droppedDown uint64
 	closed      bool
 	busy        bool // consumer is processing a swapped-out batch
@@ -47,14 +45,11 @@ const (
 	// the envelope is gone — the reconnect-time digest exchange is the
 	// repair path.
 	pushDroppedDown
-	// pushDroppedFull: the bound rejected the envelope under the drop
-	// backpressure policy.
-	pushDroppedFull
 )
 
 // push enqueues e. On a bounded, full mailbox it blocks until space
-// frees when block is true, or rejects the envelope otherwise.
-func (m *mailbox) push(e envelope, block bool) int {
+// frees.
+func (m *mailbox) push(e envelope) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed || m.discard {
@@ -62,10 +57,6 @@ func (m *mailbox) push(e envelope, block bool) int {
 		return pushDroppedDown
 	}
 	for m.max > 0 && len(m.queue) >= m.max {
-		if !block {
-			m.droppedFull++
-			return pushDroppedFull
-		}
 		m.cond.Wait()
 		if m.closed || m.discard {
 			m.droppedDown++
@@ -149,11 +140,11 @@ func (m *mailbox) close() {
 }
 
 // depth reports the queued envelope count, payload bytes, the
-// cumulative drop counters, and whether the consumer is mid-batch.
-func (m *mailbox) depth() (n, bytes int, droppedFull, droppedDown uint64, busy bool) {
+// cumulative drop counter, and whether the consumer is mid-batch.
+func (m *mailbox) depth() (n, bytes int, droppedDown uint64, busy bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue), m.bytes, m.droppedFull, m.droppedDown, m.busy
+	return len(m.queue), m.bytes, m.droppedDown, m.busy
 }
 
 // waitEmpty blocks until the mailbox is empty and its consumer idle

@@ -25,10 +25,10 @@ import (
 // independently with exponential backoff.
 //
 // Backpressure: each peer's outbound queue is bounded (QueueLen).
-// When a connected peer falls behind, Broadcast either blocks until
-// the sender drains (the default, lossless policy) or drops the
-// envelope and records it — DropOnFull — with ErrBackpressure visible
-// through BackpressureErr. Either way memory stays bounded. While a
+// When a connected peer falls behind, Broadcast blocks until the
+// sender drains, so memory stays bounded and nothing is lost: the
+// digest exchange runs only on (re)connect, so a live link has no
+// repair path for a dropped envelope. While a
 // peer link is down the queue discards instead of accumulating: the
 // losses are counted like link losses and repaired by the digest
 // exchange that runs automatically on every (re)connect, exactly as
@@ -89,10 +89,6 @@ type TCPOptions struct {
 	// QueueLen bounds each peer's outbound queue in envelopes
 	// (default 4096).
 	QueueLen int
-	// DropOnFull selects the drop backpressure policy: a full queue
-	// rejects the envelope (counted, ErrBackpressure) instead of
-	// blocking the broadcaster.
-	DropOnFull bool
 	// MaxFrame bounds accepted frame bodies (default MaxFrame).
 	MaxFrame int
 	// ObjectName, when set, is carried in every hello this node sends
@@ -132,10 +128,6 @@ type SyncProvider interface {
 // returns, and closes it underneath the handler on Close to unblock
 // its reads.
 type ClientConnHandler func(conn net.Conn, br *bufio.Reader)
-
-// ErrBackpressure reports that a bounded peer queue rejected envelopes
-// under the DropOnFull policy.
-var ErrBackpressure = errors.New("transport: peer send queue full (backpressure)")
 
 type tcpPeer struct {
 	net        *TCPNetwork
@@ -303,7 +295,6 @@ func (t *TCPNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte)
 	t.delivered.Add(1)
 	t.bytes.Add(uint64(len(payload)))
 	t.deliver(from, shard, epoch, payload)
-	block := !t.opts.DropOnFull
 	for id, p := range t.peers {
 		if p == nil {
 			continue
@@ -312,7 +303,7 @@ func (t *TCPNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte)
 		// recipient; the sender goroutine copies it into its staging
 		// buffer when framing.
 		e := envelope{kind: KindData, from: from, to: id, shard: shard, epoch: epoch, payload: payload}
-		if p.mb.push(e, block) == pushQueued {
+		if p.mb.push(e) == pushQueued {
 			t.sends.Add(1)
 			t.bytes.Add(uint64(len(payload)))
 		}
@@ -347,7 +338,7 @@ func (t *TCPNetwork) queueDigest(p *tcpPeer) {
 		t.logf("digest for peer %d: %v", p.id, err)
 		return
 	}
-	if p.mb.push(envelope{kind: KindDigest, from: t.opts.ID, to: p.id, payload: d}, true) == pushQueued {
+	if p.mb.push(envelope{kind: KindDigest, from: t.opts.ID, to: p.id, payload: d}) == pushQueued {
 		t.digestsSent.Add(1)
 	}
 }
@@ -655,7 +646,7 @@ func (t *TCPNetwork) handleFrame(from int, f Frame) (err error) {
 			return nil
 		}
 		if p := t.peers[from]; p != nil {
-			p.mb.push(envelope{kind: KindSyncReply, from: t.opts.ID, to: from, payload: reply}, true)
+			p.mb.push(envelope{kind: KindSyncReply, from: t.opts.ID, to: from, payload: reply})
 		}
 	case KindSyncReply:
 		t.mu.Lock()
@@ -688,7 +679,7 @@ func (t *TCPNetwork) Flush(timeout time.Duration) error {
 			if p == nil {
 				continue
 			}
-			if n, _, _, _, busy := p.mb.depth(); n > 0 || busy {
+			if n, _, _, busy := p.mb.depth(); n > 0 || busy {
 				idle = false
 				break
 			}
@@ -701,21 +692,6 @@ func (t *TCPNetwork) Flush(timeout time.Duration) error {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// BackpressureErr returns ErrBackpressure if any bounded peer queue
-// has rejected envelopes under the DropOnFull policy, nil otherwise.
-// The condition is sticky: it reports history, not current pressure.
-func (t *TCPNetwork) BackpressureErr() error {
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		if _, _, full, _, _ := p.mb.depth(); full > 0 {
-			return ErrBackpressure
-		}
-	}
-	return nil
 }
 
 // BadFrames reports how many malformed or protocol-violating frames
@@ -739,7 +715,6 @@ type PeerStats struct {
 	Connects    uint64 // successful dials of the send link
 	SentFrames  uint64
 	SentBytes   uint64
-	DroppedFull uint64 // rejected by the bound (DropOnFull policy)
 	DroppedDown uint64 // discarded while the link was down
 }
 
@@ -750,7 +725,7 @@ func (t *TCPNetwork) PeerStats() []PeerStats {
 		if p == nil {
 			continue
 		}
-		depth, bytes, full, down, _ := p.mb.depth()
+		depth, bytes, down, _ := p.mb.depth()
 		out = append(out, PeerStats{
 			Peer:        p.id,
 			Addr:        p.addr,
@@ -760,7 +735,6 @@ func (t *TCPNetwork) PeerStats() []PeerStats {
 			Connects:    p.connects.Load(),
 			SentFrames:  p.sentFrames.Load(),
 			SentBytes:   p.sentBytes.Load(),
-			DroppedFull: full,
 			DroppedDown: down,
 		})
 	}
@@ -769,7 +743,7 @@ func (t *TCPNetwork) PeerStats() []PeerStats {
 
 // Stats returns a copy of the traffic counters. Down-peer discards are
 // attributed to DroppedLink (they are link losses, repaired by
-// anti-entropy like any other), bound rejections to DroppedFull.
+// anti-entropy like any other).
 func (t *TCPNetwork) Stats() Stats {
 	s := Stats{
 		Broadcasts: t.broadcasts.Load(),
@@ -782,8 +756,7 @@ func (t *TCPNetwork) Stats() Stats {
 		if p == nil {
 			continue
 		}
-		_, _, full, down, _ := p.mb.depth()
-		s.DroppedFull += full
+		_, _, down, _ := p.mb.depth()
 		s.DroppedLink += down
 	}
 	return s

@@ -75,18 +75,16 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestMailboxBoundedPolicies(t *testing.T) {
 	m := newMailbox(2)
 	e := envelope{payload: []byte("x")}
-	if got := m.push(e, false); got != pushQueued {
+	if got := m.push(e); got != pushQueued {
 		t.Fatalf("push 1 = %d", got)
 	}
-	if got := m.push(e, false); got != pushQueued {
+	if got := m.push(e); got != pushQueued {
 		t.Fatalf("push 2 = %d", got)
 	}
-	if got := m.push(e, false); got != pushDroppedFull {
-		t.Fatalf("push on full without block = %d, want pushDroppedFull", got)
-	}
-	// A blocking push parks until the consumer swaps the queue out.
+	// A push on a full mailbox parks until the consumer swaps the queue
+	// out.
 	done := make(chan int, 1)
-	go func() { done <- m.push(e, true) }()
+	go func() { done <- m.push(e) }()
 	select {
 	case got := <-done:
 		t.Fatalf("blocking push on full returned early: %d", got)
@@ -102,15 +100,15 @@ func TestMailboxBoundedPolicies(t *testing.T) {
 	}
 	// Discard mode clears the queue and rejects pushes as down-drops.
 	m.setDiscard(true)
-	if got := m.push(e, true); got != pushDroppedDown {
+	if got := m.push(e); got != pushDroppedDown {
 		t.Fatalf("push in discard mode = %d", got)
 	}
-	n, _, droppedFull, droppedDown, _ := m.depth()
-	if n != 0 || droppedFull != 1 || droppedDown != 2 {
-		t.Fatalf("depth=%d droppedFull=%d droppedDown=%d; want 0,1,2", n, droppedFull, droppedDown)
+	n, _, droppedDown, _ := m.depth()
+	if n != 0 || droppedDown != 2 {
+		t.Fatalf("depth=%d droppedDown=%d; want 0,2", n, droppedDown)
 	}
 	m.close()
-	if got := m.push(e, true); got != pushDroppedDown {
+	if got := m.push(e); got != pushDroppedDown {
 		t.Fatalf("push after close = %d", got)
 	}
 	if _, ok := m.swapWait(nil); ok {
@@ -226,49 +224,6 @@ func TestTCPDownPeerDiscardsInsteadOfBlocking(t *testing.T) {
 	if s := tn.Stats(); s.DroppedLink == 0 {
 		t.Fatalf("expected down-peer drops, stats %+v", s)
 	}
-	if err := tn.BackpressureErr(); err != nil {
-		t.Fatalf("down-peer drops must not count as backpressure: %v", err)
-	}
-}
-
-func TestTCPBackpressureDropOnFull(t *testing.T) {
-	// Receiver's router blocks, so it stops reading; the sender's
-	// socket writes stall, its bounded queue fills, and the drop policy
-	// rejects the overflow visibly instead of growing without bound.
-	release := make(chan struct{})
-	var once sync.Once
-	defer once.Do(func() { close(release) })
-	var blocked tcpSink
-	nets := newTCPCluster(t, 2, func(id int, o *TCPOptions, tn *TCPNetwork) {
-		if o != nil && id == 0 {
-			o.DropOnFull = true
-			o.QueueLen = 4
-			o.BatchBytes = 1 << 20
-		}
-		if tn != nil {
-			if id == 1 {
-				tn.AttachRouter(1, func(from, shard, epoch int, payload []byte) {
-					<-release
-				})
-			} else {
-				tn.AttachRouter(0, blocked.route)
-			}
-		}
-	})
-	waitUntil(t, 5*time.Second, "link up", func() bool {
-		return nets[0].PeerStats()[0].Connected
-	})
-	payload := make([]byte, 256<<10)
-	for i := 0; i < 200 && nets[0].BackpressureErr() == nil; i++ {
-		nets[0].Broadcast(0, payload)
-	}
-	if err := nets[0].BackpressureErr(); err != ErrBackpressure {
-		t.Fatalf("BackpressureErr = %v, want ErrBackpressure", err)
-	}
-	if s := nets[0].Stats(); s.DroppedFull == 0 {
-		t.Fatalf("expected DroppedFull > 0, stats %+v", s)
-	}
-	once.Do(func() { close(release) })
 }
 
 // fakeSync is a scripted SyncProvider recording the exchange.
@@ -612,7 +567,7 @@ func TestTCPSendQueueOpenBeforeHello(t *testing.T) {
 	pushed := -1
 	conn := &helloTapConn{closed: make(chan struct{})}
 	conn.onHello = func() {
-		pushed = p.mb.push(envelope{kind: KindSyncReply, from: 0, to: 1, payload: []byte("repair")}, true)
+		pushed = p.mb.push(envelope{kind: KindSyncReply, from: 0, to: 1, payload: []byte("repair")})
 	}
 	done := make(chan error, 1)
 	go func() { done <- p.serve(conn) }()
@@ -628,7 +583,7 @@ func TestTCPSendQueueOpenBeforeHello(t *testing.T) {
 	if fs[0].Kind != KindHello || fs[1].Kind != KindSyncReply || string(fs[1].Payload) != "repair" {
 		t.Fatalf("send link carried kinds %d, %d; want hello then the sync reply", fs[0].Kind, fs[1].Kind)
 	}
-	if _, _, _, down, _ := p.mb.depth(); down != 0 {
+	if _, _, down, _ := p.mb.depth(); down != 0 {
 		t.Fatalf("%d envelopes discarded", down)
 	}
 }

@@ -112,11 +112,6 @@ type Stats struct {
 	DroppedCrash uint64
 	DroppedLink  uint64
 	Bytes        uint64
-	// DroppedFull counts envelopes rejected by a bounded per-peer send
-	// queue under the drop backpressure policy (TCPNetwork); the
-	// in-process networks never bound their mailboxes, so it stays zero
-	// there.
-	DroppedFull uint64
 	// Reconnects counts peer link establishments after the first: a
 	// TCPNetwork that dialed each peer exactly once has zero.
 	Reconnects uint64
@@ -152,6 +147,6 @@ func clearTail(s []envelope, length int) {
 
 // String renders traffic counters for experiment tables.
 func (s Stats) String() string {
-	return fmt.Sprintf("broadcasts=%d sends=%d delivered=%d dropped_crash=%d dropped_link=%d dropped_full=%d reconnects=%d bytes=%d",
-		s.Broadcasts, s.Sends, s.Delivered, s.DroppedCrash, s.DroppedLink, s.DroppedFull, s.Reconnects, s.Bytes)
+	return fmt.Sprintf("broadcasts=%d sends=%d delivered=%d dropped_crash=%d dropped_link=%d reconnects=%d bytes=%d",
+		s.Broadcasts, s.Sends, s.Delivered, s.DroppedCrash, s.DroppedLink, s.Reconnects, s.Bytes)
 }

@@ -12,8 +12,8 @@ import (
 // Handle is the object surface every typed handle is written against:
 // issue an update, evaluate a query. Depending on how the handle was
 // obtained it is backed by a (possibly sharded) replica of the generic
-// construction at either consistency level, a recording wrapper, a wire
-// client, or a client session — the handle's methods are identical in all
+// construction at either consistency level, a wire client, or a client
+// session — the handle's methods are identical in all
 // cases. Define's handle wiring receives one and wraps it into the
 // application's typed handle; Lookup's dynamic descriptors hand it out
 // directly.
@@ -389,5 +389,6 @@ func classify(h *history.History) Classification {
 		StrongUpdateConsistent:     c.SUC,
 		PipelinedConsistent:        c.PC,
 		CausallyConsistent:         c.CC,
+		Undecided:                  c.Undecided,
 	}
 }

@@ -2,6 +2,7 @@ package updatec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -146,10 +147,9 @@ func TestClusterResizeSetAndKV(t *testing.T) {
 	})
 }
 
-// TestClusterResizeRecordedSharded: a sharded recorded cluster (where
-// recording already lives at the harness level) records straight
-// through a resize, and the history still classifies as update
-// consistent.
+// TestClusterResizeRecordedSharded: a sharded recorded cluster records
+// straight through a resize, and the history still classifies as
+// update consistent.
 func TestClusterResizeRecordedSharded(t *testing.T) {
 	cluster, maps, err := New(2, CounterMapObject(), WithSeed(9), WithShards(2), WithRecording())
 	if err != nil {
@@ -168,6 +168,72 @@ func TestClusterResizeRecordedSharded(t *testing.T) {
 	}
 	if !c.UpdateConsistent {
 		t.Fatalf("resized recorded run not update consistent: %+v", c)
+	}
+}
+
+// TestResizeRecordedSingleShard: a 1-shard recorded cluster resizes and
+// keeps recording — every operation, session ones included, enters the
+// history before and after the Resize, and the history classifies as
+// update consistent.
+func TestResizeRecordedSingleShard(t *testing.T) {
+	cluster, maps, err := New(2, CounterMapObject(), WithSeed(5), WithRecording())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	maps[0].Add("a", 1)
+	maps[1].Value("a")
+	sess, err := cluster.Session(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Handle().Add("b", 2)
+	if !sess.TryQuery(func(m *CounterMap) { m.Value("b") }) {
+		t.Fatal("session read of its own write refused")
+	}
+	if err := cluster.Resize(4); err != nil {
+		t.Fatalf("Resize on a 1-shard recorded cluster: %v", err)
+	}
+	maps[0].Add("c", 3)
+	maps[1].All()
+	if sess, err = cluster.Session(0); err != nil {
+		t.Fatal(err)
+	}
+	sess.Handle().Add("d", 4)
+	if !sess.TryQuery(func(m *CounterMap) { m.Value("d"); m.All() }) {
+		t.Fatal("session read of its own write refused")
+	}
+	cluster.Settle()
+	c, err := cluster.Classify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.UpdateConsistent {
+		t.Fatalf("resized recorded run not update consistent: %+v", c)
+	}
+	h, err := cluster.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per process: its operations in program order, then its ω query.
+	want := [][]string{
+		{"Inc(a,1)", "Inc(c,3)", "Inc(d,4)", "R(d)/4", "R*/", "R*/{a=1,b=2,c=3,d=4}ω"},
+		{"R(a)/", "Inc(b,2)", "R(b)/2", "R*/", "R*/{a=1,b=2,c=3,d=4}ω"},
+	}
+	lines := strings.Split(strings.TrimSpace(h), "\n")[1:]
+	if len(lines) != len(want) {
+		t.Fatalf("history has %d processes, want %d:\n%s", len(lines), len(want), h)
+	}
+	for p, line := range lines {
+		ops := strings.Fields(line)[1:]
+		if len(ops) != len(want[p]) {
+			t.Fatalf("p%d recorded %d operations, want %d:\n%s", p, len(ops), len(want[p]), h)
+		}
+		for i, op := range ops {
+			if !strings.HasPrefix(op, want[p][i]) {
+				t.Fatalf("p%d operation %d is %s, want %s…:\n%s", p, i, op, want[p][i], h)
+			}
+		}
 	}
 }
 
@@ -196,11 +262,6 @@ func TestResizeErrors(t *testing.T) {
 			t.Fatal("Resize on a non-partitionable object did not error")
 		}
 		cluster.Close()
-	}
-	if cluster, _, err := New(2, SetObject(), WithSeed(1), WithRecording()); err != nil {
-		t.Fatal(err)
-	} else if err := cluster.Resize(4); err == nil {
-		t.Fatal("Resize on a 1-shard recorded cluster did not error")
 	}
 	cluster, _, err := New(2, SetObject(), WithSeed(1))
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"updatec/internal/core"
-	"updatec/internal/history"
 	"updatec/internal/spec"
 )
 
@@ -39,15 +38,7 @@ func (c *Cluster[H]) Session(p int) (*Session[H], error) {
 		return nil, fmt.Errorf("updatec: session replica %d out of range [0,%d): %w", p, c.n, ErrBadOption)
 	}
 	s := &Session[H]{cl: c, sess: core.NewShardedSession(c.replicas[p])}
-	sp := sessionPort{sess: s.sess}
-	if c.rec != nil && c.Shards() > 1 {
-		// Sharded clusters record at the harness level; the session is
-		// part of the harness, so its operations enter the history too,
-		// attributed to the replica currently serving it (exactly where
-		// replica-level recording puts them on 1-shard clusters).
-		sp.rec = c.rec
-	}
-	s.h = c.obj.wrap(sp)
+	s.h = c.obj.wrap(sessionPort{s.sess})
 	return s, nil
 }
 
@@ -114,27 +105,17 @@ func (staleReplica) String() string {
 // updates fold their timestamps into the session's observations, reads
 // are refused (with a staleReplica panic, which Session.TryQuery
 // converts to false) when the replica does not cover the observations
-// the read depends on. With rec set (sharded recorded clusters) every
-// operation also enters the recorded history.
+// the read depends on.
 type sessionPort struct {
 	sess *core.ShardedSession
-	rec  *history.Recorder
 }
 
-func (p sessionPort) Update(u spec.Update) {
-	if p.rec != nil {
-		p.rec.Update(p.sess.Replica().ID(), u)
-	}
-	p.sess.Update(u)
-}
+func (p sessionPort) Update(u spec.Update) { p.sess.Update(u) }
 
 func (p sessionPort) Query(in spec.QueryInput) spec.QueryOutput {
 	out, ok := p.sess.TryQuery(in)
 	if !ok {
 		panic(staleReplica{})
-	}
-	if p.rec != nil {
-		p.rec.Query(p.sess.Replica().ID(), in, out)
 	}
 	return out
 }

@@ -113,9 +113,9 @@ func TestShardedClusterSetAndKV(t *testing.T) {
 }
 
 func TestShardedRecordingAndClassify(t *testing.T) {
-	// Recording on a sharded cluster happens at the harness level (one
-	// clock per shard rules out replica-level recording); the recorded
-	// history must still classify as strong update consistent.
+	// A sharded cluster records inside its replicas, like an unsharded
+	// one; the recorded history must classify as strong update
+	// consistent.
 	cluster, maps, err := New(2, CounterMapObject(), WithSeed(43), WithShards(2), WithRecording())
 	if err != nil {
 		t.Fatal(err)

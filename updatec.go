@@ -79,7 +79,6 @@ import (
 
 	"updatec/internal/core"
 	"updatec/internal/history"
-	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
 
@@ -114,7 +113,7 @@ const (
 	// no wait-free object is both pipelined consistent and convergent, and
 	// a late arrival may be ordered before updates a replica already
 	// showed. Causal accepts every option except WithShards and Resize:
-	// a dependency vector covers one clock domain, and causal visibility
+	// a dependency vector describes one log, and causal visibility
 	// across shards would need one vector per process and shard.
 	Causal
 )
@@ -207,8 +206,9 @@ type Cluster[H any] struct {
 	replicas []*core.ShardedReplica
 	level    Level
 	rec      *history.Recorder
-	omega    func(p int)
-	gc       bool
+	// omegaDone is set once recorded() has recorded the ω queries.
+	omegaDone bool
+	gc        bool
 	// mu guards the mutable control fields below — Crash/Recover,
 	// Resize and Close run concurrently with Shards()/Converged()
 	// readers on a live cluster.
@@ -225,8 +225,8 @@ type Cluster[H any] struct {
 // (in flight when the crash hit, or sent while the process stayed down)
 // versus losses injected by per-link faults (FaultLink) or, on a wire
 // node, discarded while a peer link was down. Partitions drop nothing —
-// cut messages stay queued until Heal. DroppedFull and Reconnects stay
-// zero off the wire.
+// cut messages stay queued until Heal. Reconnects stays zero off the
+// wire.
 type NetworkStats = transport.Stats
 
 // New builds n replicas of the object described by obj and returns the
@@ -265,7 +265,7 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	}
 	if cfg.shards > 1 {
 		if cfg.level == Causal {
-			return nil, nil, fmt.Errorf("updatec: WithShards is not supported at WithConsistency(Causal): a dependency vector covers one shard's clock domain, and causal visibility across keys would need one vector per process and shard: %w", ErrUnsupported)
+			return nil, nil, fmt.Errorf("updatec: WithShards is not supported at WithConsistency(Causal): a dependency vector describes one shard's log, and causal visibility across keys would need one vector per process and shard: %w", ErrUnsupported)
 		}
 		if !obj.partitionable() {
 			return nil, nil, fmt.Errorf("updatec: %s is not partitionable; WithShards requires a spec implementing Partitionable: %w", obj.name, ErrUnsupported)
@@ -296,56 +296,13 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	if cfg.engineSet && cfg.engine == Replay {
 		mkEngine = func() core.Engine { return core.NewReplayEngine() }
 	}
-	copt := core.ClusterOptions{NewEngine: mkEngine, Codec: obj.codec, GC: cfg.gc, Causal: cfg.level == Causal}
-	if cfg.shards == 1 {
-		// One shard is exactly the unsharded construction, so recording
-		// can live inside the replica (one clock per process).
-		copt.Recorder = cl.rec
-	}
-	cl.replicas = core.ShardedCluster(n, cfg.shards, obj.adt, net, copt)
+	cl.replicas = core.ShardedCluster(n, cfg.shards, obj.adt, net, core.ClusterOptions{
+		NewEngine: mkEngine, Codec: obj.codec, GC: cfg.gc, Recorder: cl.rec, Causal: cfg.level == Causal,
+	})
 	for i, r := range cl.replicas {
-		var p port = r
-		if cl.rec != nil && cfg.shards > 1 {
-			// Sharded replicas run one clock per shard, so recording
-			// moves to the harness level: the port sees every operation
-			// the handle performs, in the client's program order.
-			p = recordingPort{p: p, rec: cl.rec, id: i}
-		}
-		handles[i] = obj.wrap(p)
-	}
-	cl.omega = func(p int) {
-		if cl.rec != nil && cfg.shards > 1 {
-			out := cl.replicas[p].Query(obj.omega)
-			cl.rec.QueryOmega(p, obj.omega, out)
-			return
-		}
-		cl.replicas[p].QueryOmega(obj.omega)
+		handles[i] = obj.wrap(r)
 	}
 	return cl, handles, nil
-}
-
-// recordingPort wraps a replica port with harness-level history
-// recording, used for sharded recorded clusters (replica-level
-// recording assumes one clock per process, which sharding gives up).
-// The recorded per-process order is the order operations are issued
-// through the port, which is the process's program order exactly when
-// the handle is driven by one goroutine — the contract WithRecording
-// documents (internal/sim records under the same assumption).
-type recordingPort struct {
-	p   port
-	rec *history.Recorder
-	id  int
-}
-
-func (rp recordingPort) Update(u spec.Update) {
-	rp.rec.Update(rp.id, u)
-	rp.p.Update(u)
-}
-
-func (rp recordingPort) Query(in spec.QueryInput) spec.QueryOutput {
-	out := rp.p.Query(in)
-	rp.rec.Query(rp.id, in, out)
-	return out
 }
 
 // N returns the cluster size.
@@ -395,11 +352,8 @@ func (c *Cluster[H]) ShardOf(key string) int {
 //
 // Resize follows the same option/object discipline as WithShards: it
 // returns an error for non-partitionable objects, non-positive shard
-// counts, and closed clusters. A 1-shard cluster recording at the
-// replica level (WithRecording without WithShards) cannot resize —
-// recording would have to move to the harness level mid-run; build the
-// cluster with WithShards to record a resized run. Sessions opened
-// before a Resize to a different shard count are invalidated: their
+// counts, and closed clusters. A recorded cluster keeps recording
+// across a Resize. Sessions opened before a Resize to a different shard count are invalidated: their
 // per-shard observation lanes no longer correspond to key ranges, and
 // further use panics — open a new session.
 func (c *Cluster[H]) Resize(newShards int) error {
@@ -412,16 +366,13 @@ func (c *Cluster[H]) Resize(newShards int) error {
 		return fmt.Errorf("updatec: Resize needs at least one shard, got %d: %w", newShards, ErrBadOption)
 	}
 	if c.level == Causal {
-		return fmt.Errorf("updatec: Resize is not supported at WithConsistency(Causal): a dependency vector covers one shard's clock domain, so causal clusters stay at one shard: %w", ErrUnsupported)
+		return fmt.Errorf("updatec: Resize is not supported at WithConsistency(Causal): a dependency vector describes one shard's log, so causal clusters stay at one shard: %w", ErrUnsupported)
 	}
 	if !c.obj.partitionable() {
 		return fmt.Errorf("updatec: %s is not partitionable; Resize requires a spec implementing Partitionable: %w", c.obj.name, ErrUnsupported)
 	}
 	if newShards == c.shards {
 		return nil
-	}
-	if c.rec != nil && c.shards == 1 {
-		return fmt.Errorf("updatec: Resize on a 1-shard recorded cluster would strand replica-level recording; build with WithShards to record a resized run: %w", ErrUnsupported)
 	}
 	if c.sim != nil {
 		for _, r := range c.replicas {
@@ -776,6 +727,11 @@ type Classification struct {
 	StrongUpdateConsistent     bool
 	PipelinedConsistent        bool
 	CausallyConsistent         bool
+	// Undecided names, space-separated, the criteria whose decider gave
+	// no answer (EC, SEC, UC, SUC, PC or CC); each reads false above. SEC
+	// is undecided for an object that cannot explain a state from its
+	// observations (no spec.StateExplainer).
+	Undecided string
 }
 
 // Classify finalizes the recorded history and classifies it under the
@@ -794,14 +750,14 @@ func (c *Cluster[H]) recorded() (*history.History, error) {
 		return nil, fmt.Errorf("updatec: cluster was built without WithRecording")
 	}
 	c.Settle()
-	if c.omega != nil {
+	if !c.omegaDone {
 		crashed := c.crashedSet()
 		for p := 0; p < c.n; p++ {
 			if !crashed[p] {
-				c.omega(p)
+				c.replicas[p].QueryOmega(c.obj.omega)
 			}
 		}
-		c.omega = nil // record ω queries only once
+		c.omegaDone = true // record ω queries only once
 	}
 	return c.rec.History()
 }

@@ -48,12 +48,11 @@ type WireConfig struct {
 	// entries skip stability accounting and redeliveries below the
 	// horizon are dropped by the merged-base guard.
 	GC bool
-	// BatchBytes, QueueLen and DropOnFull tune the transport's per-peer
-	// send queues (transport.TCPOptions semantics: coalescing threshold,
-	// queue bound, and drop-vs-block backpressure policy).
+	// BatchBytes and QueueLen tune the transport's per-peer send queues
+	// (transport.TCPOptions semantics: coalescing threshold and queue
+	// bound; a full queue to a connected peer blocks the broadcaster).
 	BatchBytes int
 	QueueLen   int
-	DropOnFull bool
 	// Logf receives transport diagnostics (reconnects, bad frames).
 	Logf func(format string, args ...any)
 }
@@ -64,9 +63,8 @@ type WirePeerStats = transport.PeerStats
 
 // WireStats is a daemon's observability snapshot. In the embedded
 // counters DroppedLink counts envelopes discarded while a peer link was
-// down (repaired by the reconnect digest exchange), DroppedFull
-// bounded-queue rejections under the DropOnFull policy and Reconnects
-// peer link re-establishments.
+// down (repaired by the reconnect digest exchange) and Reconnects peer
+// link re-establishments.
 type WireStats struct {
 	NetworkStats
 	// BadFrames counts malformed frames, undecodable data payloads and
@@ -125,7 +123,7 @@ func ListenAndServe[H any](obj Object[H], cfg WireConfig) (*WireNode[H], error) 
 	tcp, err := transport.NewTCP(transport.TCPOptions{
 		ID: cfg.ID, Peers: cfg.Peers, Listen: listen,
 		BatchBytes: cfg.BatchBytes, QueueLen: cfg.QueueLen,
-		DropOnFull: cfg.DropOnFull, Logf: cfg.Logf,
+		Logf:       cfg.Logf,
 		ObjectName: obj.name,
 	})
 	if err != nil {
@@ -187,11 +185,11 @@ func (w *WireNode[H]) StatsText() string {
 	s := w.Stats()
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %d obj=%s shards=%d addr=%s\n", w.cfg.ID, w.obj.name, w.rep.NumShards(), w.Addr())
-	fmt.Fprintf(&b, "transport: broadcasts=%d sends=%d bytes=%d dropped_link=%d dropped_full=%d reconnects=%d bad_frames=%d digests_sent=%d syncs_applied=%d\n",
-		s.Broadcasts, s.Sends, s.Bytes, s.DroppedLink, s.DroppedFull, s.Reconnects, s.BadFrames, s.DigestsSent, s.SyncsApplied)
+	fmt.Fprintf(&b, "transport: broadcasts=%d sends=%d bytes=%d dropped_link=%d reconnects=%d bad_frames=%d digests_sent=%d syncs_applied=%d\n",
+		s.Broadcasts, s.Sends, s.Bytes, s.DroppedLink, s.Reconnects, s.BadFrames, s.DigestsSent, s.SyncsApplied)
 	for _, p := range s.Peers {
-		fmt.Fprintf(&b, "peer %d addr=%s connected=%v queue=%d/%dB connects=%d sent=%d/%dB dropped_full=%d dropped_down=%d\n",
-			p.Peer, p.Addr, p.Connected, p.QueueDepth, p.QueueBytes, p.Connects, p.SentFrames, p.SentBytes, p.DroppedFull, p.DroppedDown)
+		fmt.Fprintf(&b, "peer %d addr=%s connected=%v queue=%d/%dB connects=%d sent=%d/%dB dropped_down=%d\n",
+			p.Peer, p.Addr, p.Connected, p.QueueDepth, p.QueueBytes, p.Connects, p.SentFrames, p.SentBytes, p.DroppedDown)
 	}
 	return b.String()
 }

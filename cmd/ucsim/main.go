@@ -6,7 +6,10 @@
 //
 //   - the set comparison harness (default): pick a set implementation
 //     (-impl uc-set, or-set, ...) and compare against the CRDT
-//     baselines of §VI;
+//     baselines of §VI. Every kind but the eager set runs on the one
+//     replica of Algorithm 1 (internal/core), a baseline over its own
+//     commutative spec (internal/crdt); -shards applies to the uc-set
+//     kinds only;
 //   - the generic object mode (-obj): build any registered object
 //     through the public updatec.New API — the nine built-ins plus
 //     anything an application registered with updatec.Define — with an
@@ -53,6 +56,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -165,8 +169,12 @@ func main() {
 	if *crash >= 0 {
 		sc.CrashAt = map[int]int{len(sc.Script) / 2: *crash}
 	}
-	if !validKind(sc.Kind) {
+	if !slices.Contains(sim.SetKinds(), sc.Kind) {
 		fmt.Fprintf(os.Stderr, "ucsim: unknown implementation %q (known: %s)\n", *impl, kindList())
+		os.Exit(2)
+	}
+	if sc.Shards > 1 && !sc.Kind.UpdateConsistent() {
+		fmt.Fprintf(os.Stderr, "ucsim: -shards applies to the uc-set kinds only, not %s\n", sc.Kind)
 		os.Exit(2)
 	}
 
@@ -187,8 +195,12 @@ func main() {
 		fmt.Printf("\nrecorded history:\n%s", out.History.String())
 		if *classify || *fig2 {
 			c := check.Classify(out.History)
-			fmt.Printf("classification: EC=%v SEC=%v UC=%v SUC=%v PC=%v CC=%v\n",
-				c.EC, c.SEC, c.UC, c.SUC, c.PC, c.CC)
+			printClassification(&updatec.Classification{
+				EventuallyConsistent: c.EC, StrongEventuallyConsistent: c.SEC,
+				UpdateConsistent: c.UC, StrongUpdateConsistent: c.SUC,
+				PipelinedConsistent: c.PC, CausallyConsistent: c.CC,
+				Undecided: c.Undecided,
+			})
 		}
 	}
 	if !out.Converged {
@@ -344,15 +356,6 @@ func kindList() string {
 		names = append(names, string(k))
 	}
 	return strings.Join(names, ", ")
-}
-
-func validKind(k sim.SetKind) bool {
-	for _, known := range sim.SetKinds() {
-		if k == known {
-			return true
-		}
-	}
-	return false
 }
 
 // printClassification prints a classification line, naming the

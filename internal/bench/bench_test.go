@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"updatec/internal/check"
+	"updatec/internal/history"
 	"updatec/internal/sim"
 )
 
@@ -110,6 +112,25 @@ func TestSetCaseStudyPolicies(t *testing.T) {
 	// 2P-Set and PN-Set favor the deletions here.
 	if got := byKind[sim.TwoPSet].Final; got != "∅" {
 		t.Fatalf("2p-set: %s, want ∅", got)
+	}
+	// The same run, recorded: the OR-set's history is Insert-wins
+	// (Definition 10) and not strong update consistent; the uc-set's is.
+	record := func(kind sim.SetKind) *history.History {
+		script := sim.Fig1bScript()
+		return sim.Run(sim.Scenario{
+			Kind: kind, N: 2, Seed: 7, FIFO: true, Script: script, Record: true,
+			PartitionUntil: len(script), PartitionGroups: [][]int{{0}, {1}},
+		}).History
+	}
+	or := record(sim.ORSet)
+	if r := check.InsertWins(or); !r.Holds {
+		t.Fatalf("or-set Fig1b history not Insert-wins (%s):\n%s", r.Reason, or)
+	}
+	if r := check.SUC(or); r.Holds || r.Undecided {
+		t.Fatalf("or-set Fig1b history must be decided not SUC, got holds=%v undecided=%v", r.Holds, r.Undecided)
+	}
+	if r := check.SUC(record(sim.UCSet)); !r.Holds {
+		t.Fatalf("uc-set Fig1b history not SUC: %s", r.Reason)
 	}
 	// Observed-delete workload: every implementation (including uc-set
 	// and or-set) deletes the element.

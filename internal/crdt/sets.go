@@ -1,510 +1,468 @@
 package crdt
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"strings"
 
-	"updatec/internal/transport"
+	"updatec/internal/spec"
 )
 
-// NaiveSet applies insertions and deletions in delivery order with no
-// conflict resolution. It is wait-free and pipelined consistent on a
-// FIFO transport, but NOT eventually consistent: two replicas that
-// receive concurrent I(x)/D(x) in different orders diverge forever.
-// Proposition 1 proves this is not an implementation bug but a
-// fundamental trade-off — experiment E3 demonstrates it with this
-// type.
-type NaiveSet struct {
-	base
-	present map[string]bool
-}
-
-// NewNaiveSet attaches a naive eager set replica to the transport.
-func NewNaiveSet(id int, net transport.Network) *NaiveSet {
-	s := &NaiveSet{base: base{id: id, net: net}, present: map[string]bool{}}
-	s.attach(s.handle)
-	return s
-}
-
-// Name implements ReplicatedSet.
-func (*NaiveSet) Name() string { return "eager" }
-
-// SupportsDelete implements ReplicatedSet.
-func (*NaiveSet) SupportsDelete() bool { return true }
-
-// Insert implements ReplicatedSet.
-func (s *NaiveSet) Insert(v string) {
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "add", V: v}))
-}
-
-// Delete implements ReplicatedSet.
-func (s *NaiveSet) Delete(v string) {
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "rem", V: v}))
-}
-
-func (s *NaiveSet) handle(_ int, payload []byte) {
-	m := mustUnmarshal(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch m.Kind {
-	case "add":
-		s.present[m.V] = true
-	case "rem":
-		delete(s.present, m.V)
-	}
-}
-
-// Elements implements ReplicatedSet.
-func (s *NaiveSet) Elements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedKeys(s.present)
-}
-
-// StateKey implements ReplicatedSet.
-func (s *NaiveSet) StateKey() string { return elemsKey(s.Elements()) }
-
-// GSet is the grow-only set [9]: insertions only. All updates commute,
-// so eager application converges — the simplest CRDT.
-type GSet struct {
-	base
-	present map[string]bool
-}
-
-// NewGSet attaches a G-Set replica to the transport.
-func NewGSet(id int, net transport.Network) *GSet {
-	s := &GSet{base: base{id: id, net: net}, present: map[string]bool{}}
-	s.attach(s.handle)
-	return s
-}
-
-// Name implements ReplicatedSet.
-func (*GSet) Name() string { return "g-set" }
-
-// SupportsDelete implements ReplicatedSet.
-func (*GSet) SupportsDelete() bool { return false }
-
-// Insert implements ReplicatedSet.
-func (s *GSet) Insert(v string) {
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "add", V: v}))
-}
-
-// Delete implements ReplicatedSet; the G-Set has no deletions.
-func (s *GSet) Delete(string) {
-	panic("crdt: G-Set does not support deletion")
-}
-
-func (s *GSet) handle(_ int, payload []byte) {
-	m := mustUnmarshal(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m.Kind == "add" {
-		s.present[m.V] = true
-	}
-}
-
-// Elements implements ReplicatedSet.
-func (s *GSet) Elements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedKeys(s.present)
-}
-
-// StateKey implements ReplicatedSet.
-func (s *GSet) StateKey() string { return elemsKey(s.Elements()) }
-
-// TwoPhaseSet is the 2P-Set (U-Set) [18]: a white list of insertions
-// and a black list of deletions, both grow-only. An element once
-// deleted can never be re-inserted; concurrent insert/delete resolves
-// in favor of the deletion.
-type TwoPhaseSet struct {
-	base
-	added   map[string]bool
-	removed map[string]bool
-}
-
-// NewTwoPhaseSet attaches a 2P-Set replica to the transport.
-func NewTwoPhaseSet(id int, net transport.Network) *TwoPhaseSet {
-	s := &TwoPhaseSet{
-		base:  base{id: id, net: net},
-		added: map[string]bool{}, removed: map[string]bool{},
-	}
-	s.attach(s.handle)
-	return s
-}
-
-// Name implements ReplicatedSet.
-func (*TwoPhaseSet) Name() string { return "2p-set" }
-
-// SupportsDelete implements ReplicatedSet.
-func (*TwoPhaseSet) SupportsDelete() bool { return true }
-
-// Insert implements ReplicatedSet.
-func (s *TwoPhaseSet) Insert(v string) {
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "add", V: v}))
-}
-
-// Delete implements ReplicatedSet.
-func (s *TwoPhaseSet) Delete(v string) {
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "rem", V: v}))
-}
-
-func (s *TwoPhaseSet) handle(_ int, payload []byte) {
-	m := mustUnmarshal(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch m.Kind {
-	case "add":
-		s.added[m.V] = true
-	case "rem":
-		s.removed[m.V] = true
-	}
-}
-
-// Elements implements ReplicatedSet.
-func (s *TwoPhaseSet) Elements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, v := range sortedKeys(s.added) {
-		if !s.removed[v] {
+// present renders the elements of a per-element map that keep selects
+// as a read output.
+func present[V any](m map[string]V, keep func(v string, x V) bool) spec.Elems {
+	out := spec.Elems{}
+	for _, v := range slices.Sorted(maps.Keys(m)) {
+		if keep(v, m[v]) {
 			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// StateKey implements ReplicatedSet.
-func (s *TwoPhaseSet) StateKey() string { return elemsKey(s.Elements()) }
-
-// PNSet attaches a signed counter to every element [9]: insert
-// broadcasts +1, delete broadcasts −1, the element is present while
-// its counter is positive. Counter updates commute, but the observable
-// semantics surprise users: inserting twice requires deleting twice,
-// and a delete-without-insert drives the counter negative.
-type PNSet struct {
-	base
-	counts map[string]int64
+// equalOutputs compares two query outputs: reads by their elements,
+// any other output by value.
+func equalOutputs(a, b spec.QueryOutput) bool {
+	ea, ok := a.(spec.Elems)
+	eb, ok2 := b.(spec.Elems)
+	if ok || ok2 {
+		return ok && ok2 && slices.Equal(ea, eb)
+	}
+	return reflect.DeepEqual(a, b)
 }
 
-// NewPNSet attaches a PN-Set replica to the transport.
-func NewPNSet(id int, net transport.Network) *PNSet {
-	s := &PNSet{base: base{id: id, net: net}, counts: map[string]int64{}}
-	s.attach(s.handle)
-	return s
+func unknown(name string, x any) string {
+	return fmt.Sprintf("crdt: %s does not recognize %T", name, x)
 }
 
-// Name implements ReplicatedSet.
-func (*PNSet) Name() string { return "pn-set" }
+// TwoPhaseSpec is the 2P-set (U-set) [18] over the set's own updates
+// I(v) and D(v): a grow-only white list of insertions and black list of
+// deletions. An element once deleted can never be re-inserted, and a
+// deletion wins over any concurrent insertion. A state maps each
+// element ever inserted or deleted to whether it is present.
+type TwoPhaseSpec struct{}
 
-// SupportsDelete implements ReplicatedSet.
-func (*PNSet) SupportsDelete() bool { return true }
+// TwoPhaseSet returns the 2P-set spec.
+func TwoPhaseSet() TwoPhaseSpec { return TwoPhaseSpec{} }
 
-// Insert implements ReplicatedSet.
-func (s *PNSet) Insert(v string) {
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "add", V: v, N: 1}))
+// Name implements UQADT.
+func (TwoPhaseSpec) Name() string { return "2p-set" }
+
+// Initial implements UQADT.
+func (TwoPhaseSpec) Initial() spec.State { return map[string]bool{} }
+
+// Apply implements UQADT: D(v) black-lists v for good; I(v) adds v
+// unless it is black-listed.
+func (sp TwoPhaseSpec) Apply(s spec.State, u spec.Update) spec.State {
+	m := s.(map[string]bool)
+	switch op := u.(type) {
+	case spec.Ins:
+		if _, seen := m[op.V]; !seen {
+			m[op.V] = true
+		}
+	case spec.Del:
+		m[op.V] = false
+	default:
+		panic(unknown(sp.Name(), u))
+	}
+	return m
 }
 
-// Delete implements ReplicatedSet.
-func (s *PNSet) Delete(v string) {
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "rem", V: v, N: -1}))
+// Clone implements UQADT.
+func (TwoPhaseSpec) Clone(s spec.State) spec.State { return maps.Clone(s.(map[string]bool)) }
+
+// Query implements UQADT: R reads the present elements.
+func (sp TwoPhaseSpec) Query(s spec.State, in spec.QueryInput) spec.QueryOutput {
+	if _, ok := in.(spec.Read); !ok {
+		panic(unknown(sp.Name(), in))
+	}
+	return present(s.(map[string]bool), func(_ string, in bool) bool { return in })
 }
 
-func (s *PNSet) handle(_ int, payload []byte) {
-	m := mustUnmarshal(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counts[m.V] += m.N
+// EqualOutput implements UQADT.
+func (TwoPhaseSpec) EqualOutput(a, b spec.QueryOutput) bool { return equalOutputs(a, b) }
+
+// KeyState implements UQADT: the present elements, then the
+// black-listed ones.
+func (sp TwoPhaseSpec) KeyState(s spec.State) string {
+	out := present(s.(map[string]bool), func(_ string, in bool) bool { return !in })
+	return fmt.Sprint(sp.Query(s, spec.Read{}), " -", out)
 }
 
-// Elements implements ReplicatedSet.
-func (s *PNSet) Elements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, v := range sortedKeys(s.counts) {
-		if s.counts[v] > 0 {
-			out = append(out, v)
+// CommutativeUpdates implements Commutative.
+func (TwoPhaseSpec) CommutativeUpdates() bool { return true }
+
+// EncodeUpdate implements Codec with the set's wire format.
+func (TwoPhaseSpec) EncodeUpdate(u spec.Update) ([]byte, error) { return spec.Set().EncodeUpdate(u) }
+
+// DecodeUpdate implements Codec.
+func (TwoPhaseSpec) DecodeUpdate(b []byte) (spec.Update, error) { return spec.Set().DecodeUpdate(b) }
+
+// CounterSetSpec is the state of the PN-set [9] and of the C-set of
+// Aslan et al. [19]: a signed counter per element, the counter map's
+// AddKey updates, and the set's read R returning the elements whose
+// count is positive. The two sets differ only in the deltas their
+// issuers choose (IssuePN, IssueC), so they share this spec.
+type CounterSetSpec struct{ spec.CounterMapSpec }
+
+// CounterSet returns the PN-set and C-set spec.
+func CounterSet() CounterSetSpec { return CounterSetSpec{} }
+
+// Name implements UQADT.
+func (CounterSetSpec) Name() string { return "counter-set" }
+
+// Query implements UQADT: R reads the elements of positive count; the
+// counter map's reads see the counts themselves.
+func (c CounterSetSpec) Query(s spec.State, in spec.QueryInput) spec.QueryOutput {
+	if _, ok := in.(spec.Read); ok {
+		return present(s.(map[string]int64), func(_ string, n int64) bool { return n > 0 })
+	}
+	return c.CounterMapSpec.Query(s, in)
+}
+
+// Tag identifies one OR-set insertion: its issuer and the issuer's
+// insertion sequence number, "proc.seq".
+type Tag struct {
+	Proc int
+	Seq  uint64
+}
+
+// OR is an OR-set update: the insertion of V under one fresh tag, or,
+// when Del is set, the deletion of V that black-lists the tags of V its
+// issuer observed and no other.
+type OR struct {
+	V    string
+	Del  bool
+	Tags []Tag
+}
+
+// Observed is the OR-set query for the live tags of V, sorted: those a
+// deletion of V issued now black-lists.
+type Observed struct{ V string }
+
+// NextTag is the OR-set query for a fresh tag of process Proc: one past
+// the highest sequence number of Proc's tags folded so far. An issuer's
+// own insertions are always folded, so the tag is unused.
+type NextTag struct{ Proc int }
+
+// ORSetSpec is the observed-remove set [9], [20], whose concurrent
+// specification is the Insert-wins set of Definition 10. An element is
+// present while one of its insertion tags is not black-listed, so an
+// insertion survives every deletion that did not observe it.
+type ORSetSpec struct{}
+
+// ORSet returns the OR-set spec.
+func ORSet() ORSetSpec { return ORSetSpec{} }
+
+// orSet is an OR-set state: per element, every tag folded, live (true)
+// or black-listed (false). seq is derived from the tags: the highest
+// sequence number per process.
+type orSet struct {
+	tags map[string]map[Tag]bool
+	seq  map[int]uint64
+}
+
+// Name implements UQADT.
+func (ORSetSpec) Name() string { return "or-set" }
+
+// Initial implements UQADT.
+func (ORSetSpec) Initial() spec.State {
+	return &orSet{tags: map[string]map[Tag]bool{}, seq: map[int]uint64{}}
+}
+
+// Apply implements UQADT: a deletion black-lists its tags; an insertion
+// adds its tag unless a deletion already black-listed it.
+func (sp ORSetSpec) Apply(s spec.State, u spec.Update) spec.State {
+	op, ok := u.(OR)
+	if !ok {
+		panic(unknown(sp.Name(), u))
+	}
+	st := s.(*orSet)
+	for _, t := range op.Tags {
+		st.seq[t.Proc] = max(st.seq[t.Proc], t.Seq)
+		if st.tags[op.V] == nil {
+			st.tags[op.V] = map[Tag]bool{}
+		}
+		if _, seen := st.tags[op.V][t]; op.Del || !seen {
+			st.tags[op.V][t] = !op.Del
 		}
 	}
+	return st
+}
+
+// Clone implements UQADT.
+func (ORSetSpec) Clone(s spec.State) spec.State {
+	st := s.(*orSet)
+	tags := make(map[string]map[Tag]bool, len(st.tags))
+	for v, m := range st.tags {
+		tags[v] = maps.Clone(m)
+	}
+	return &orSet{tags: tags, seq: maps.Clone(st.seq)}
+}
+
+// Query implements UQADT: R reads the elements with a live tag;
+// Observed and NextTag serve the issuer.
+func (sp ORSetSpec) Query(s spec.State, in spec.QueryInput) spec.QueryOutput {
+	st := s.(*orSet)
+	switch q := in.(type) {
+	case spec.Read:
+		return present(st.tags, func(_ string, m map[Tag]bool) bool { return len(tagsOf(m, true)) > 0 })
+	case Observed:
+		return tagsOf(st.tags[q.V], true)
+	case NextTag:
+		return Tag{Proc: q.Proc, Seq: st.seq[q.Proc] + 1}
+	default:
+		panic(unknown(sp.Name(), in))
+	}
+}
+
+// EqualOutput implements UQADT.
+func (ORSetSpec) EqualOutput(a, b spec.QueryOutput) bool { return equalOutputs(a, b) }
+
+// KeyState implements UQADT: per element, its live then its
+// black-listed tags.
+func (ORSetSpec) KeyState(s spec.State) string {
+	st := s.(*orSet)
+	var b strings.Builder
+	for _, v := range slices.Sorted(maps.Keys(st.tags)) {
+		fmt.Fprintf(&b, "%s=%v-%v ", v, tagsOf(st.tags[v], true), tagsOf(st.tags[v], false))
+	}
+	return b.String()
+}
+
+// CommutativeUpdates implements Commutative.
+func (ORSetSpec) CommutativeUpdates() bool { return true }
+
+// EncodeUpdate implements Codec. Wire format: 'I' or 'D', uvarint tag
+// count, each tag as uvarint proc and uvarint seq, then the element.
+func (sp ORSetSpec) EncodeUpdate(u spec.Update) ([]byte, error) {
+	op, ok := u.(OR)
+	if !ok {
+		return nil, errors.New(unknown(sp.Name(), u))
+	}
+	b := binary.AppendUvarint([]byte{kindByte(op.Del)}, uint64(len(op.Tags)))
+	for _, t := range op.Tags {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t.Proc)), t.Seq)
+	}
+	return append(b, op.V...), nil
+}
+
+// DecodeUpdate implements Codec.
+func (ORSetSpec) DecodeUpdate(b []byte) (spec.Update, error) {
+	r, del := newReader(b)
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		n = 0
+	}
+	tags := make([]Tag, n)
+	for i := range tags {
+		tags[i] = Tag{Proc: int(r.uvarint()), Seq: r.uvarint()}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return OR{V: string(r.b), Del: del, Tags: tags}, nil
+}
+
+// tagsOf returns the tags of m that are live, or black-listed, sorted.
+func tagsOf(m map[Tag]bool, live bool) []Tag {
+	var out []Tag
+	for t, l := range m {
+		if l == live {
+			out = append(out, t)
+		}
+	}
+	slices.SortFunc(out, func(a, b Tag) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Seq, b.Seq))
+	})
 	return out
 }
 
-// StateKey implements ReplicatedSet.
-func (s *PNSet) StateKey() string { return elemsKey(s.Elements()) }
-
-// CSet is the commutative set of Aslan et al. [19]: like the PN-Set it
-// counts per element, but the delta of each operation is computed from
-// the issuing replica's local count so that a locally observed state
-// change always happens (insert on an absent element brings the count
-// to exactly one, delete on a present element to exactly zero).
-// Operations that would not change the local state broadcast nothing.
-type CSet struct {
-	base
-	counts map[string]int64
+// LWW is a last-writer-wins set update: I(V), or D(V) when Del is set,
+// stamped (Clock, Proc). Stamps order lexicographically.
+type LWW struct {
+	V     string
+	Del   bool
+	Clock uint64
+	Proc  int
 }
 
-// NewCSet attaches a C-Set replica to the transport.
-func NewCSet(id int, net transport.Network) *CSet {
-	s := &CSet{base: base{id: id, net: net}, counts: map[string]int64{}}
-	s.attach(s.handle)
-	return s
-}
+// MaxClock is the LWW-set query for the highest clock folded so far, a
+// spec.CtrVal; an issuer stamps its next update one past it.
+type MaxClock struct{}
 
-// Name implements ReplicatedSet.
-func (*CSet) Name() string { return "c-set" }
+// LWWSetSpec is the last-writer-wins element set [9]: each element
+// keeps the stamps of its latest insertion and deletion, and is present
+// when the insertion is the later. Stamps are Lamport clocks with the
+// process id as tie-break, so conflicts resolve by one arbitrary but
+// common total order.
+//
+// It is not the set spec folded in the replica's stamp order: the
+// replica's clock also ticks on queries, so its stamps order updates
+// differently from the clocks an LWW issuer reads off its folded state.
+type LWWSetSpec struct{}
 
-// SupportsDelete implements ReplicatedSet.
-func (*CSet) SupportsDelete() bool { return true }
+// LWWSet returns the LWW-set spec.
+func LWWSet() LWWSetSpec { return LWWSetSpec{} }
 
-// Insert implements ReplicatedSet.
-func (s *CSet) Insert(v string) {
-	s.mu.Lock()
-	delta := int64(0)
-	if c := s.counts[v]; c <= 0 {
-		delta = 1 - c
-	}
-	s.mu.Unlock()
-	if delta != 0 {
-		s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "add", V: v, N: delta}))
-	}
-}
-
-// Delete implements ReplicatedSet.
-func (s *CSet) Delete(v string) {
-	s.mu.Lock()
-	delta := int64(0)
-	if c := s.counts[v]; c > 0 {
-		delta = -c
-	}
-	s.mu.Unlock()
-	if delta != 0 {
-		s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "rem", V: v, N: delta}))
-	}
-}
-
-func (s *CSet) handle(_ int, payload []byte) {
-	m := mustUnmarshal(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counts[m.V] += m.N
-}
-
-// Elements implements ReplicatedSet.
-func (s *CSet) Elements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, v := range sortedKeys(s.counts) {
-		if s.counts[v] > 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// StateKey implements ReplicatedSet.
-func (s *CSet) StateKey() string { return elemsKey(s.Elements()) }
-
-// ORSet is the Observed-Remove set [9], [20] — the best documented set
-// CRDT, whose concurrent specification is the Insert-wins set of
-// Definition 10. Every insertion carries a globally unique tag; a
-// deletion black-lists exactly the tags it has observed. An element is
-// present while it has a live (inserted, not black-listed) tag, so a
-// concurrent insert always survives a concurrent delete.
-type ORSet struct {
-	base
-	n       int
-	nextTag uint64
-	live    map[string]map[string]bool // element -> live tags
-	removed map[string]bool            // black-listed tags
-}
-
-// NewORSet attaches an OR-Set replica to the transport.
-func NewORSet(id int, net transport.Network) *ORSet {
-	s := &ORSet{
-		base: base{id: id, net: net},
-		live: map[string]map[string]bool{}, removed: map[string]bool{},
-	}
-	s.attach(s.handle)
-	return s
-}
-
-// Name implements ReplicatedSet.
-func (*ORSet) Name() string { return "or-set" }
-
-// SupportsDelete implements ReplicatedSet.
-func (*ORSet) SupportsDelete() bool { return true }
-
-// Insert implements ReplicatedSet.
-func (s *ORSet) Insert(v string) {
-	s.mu.Lock()
-	s.nextTag++
-	tag := fmt.Sprintf("%d.%d", s.id, s.nextTag)
-	s.mu.Unlock()
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "add", V: v, Tag: tag}))
-}
-
-// Delete implements ReplicatedSet: it black-lists the currently
-// observed tags of v; unobserved concurrent insertions win.
-func (s *ORSet) Delete(v string) {
-	s.mu.Lock()
-	var tags []string
-	for tag := range s.live[v] {
-		tags = append(tags, tag)
-	}
-	s.mu.Unlock()
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "rem", V: v, Tags: tags}))
-}
-
-func (s *ORSet) handle(_ int, payload []byte) {
-	m := mustUnmarshal(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch m.Kind {
-	case "add":
-		if s.removed[m.Tag] {
-			return // the remove overtook the add
-		}
-		if s.live[m.V] == nil {
-			s.live[m.V] = map[string]bool{}
-		}
-		s.live[m.V][m.Tag] = true
-	case "rem":
-		for _, tag := range m.Tags {
-			s.removed[tag] = true
-			if set := s.live[m.V]; set != nil {
-				delete(set, tag)
-				if len(set) == 0 {
-					delete(s.live, m.V)
-				}
-			}
-		}
-	}
-}
-
-// Elements implements ReplicatedSet.
-func (s *ORSet) Elements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, v := range sortedKeys(s.live) {
-		if len(s.live[v]) > 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// StateKey implements ReplicatedSet.
-func (s *ORSet) StateKey() string { return elemsKey(s.Elements()) }
-
-// TombstoneCount reports the black-list size — the space cost the
-// paper alludes to when noting an OR-set "in some cases may have a
-// better space complexity than update consistency" (and in others,
-// worse).
-func (s *ORSet) TombstoneCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.removed)
-}
-
-// LWWSet is the last-writer-wins element set [9]: each element keeps
-// the timestamps of its latest insertion and deletion; the element is
-// present when the insertion is newer. Timestamps are Lamport clocks
-// with process-id tie-break, so concurrent conflicts resolve by an
-// arbitrary but convergent total order.
-type LWWSet struct {
-	base
+// stamp is an LWW timestamp.
+type stamp struct {
 	clock uint64
-	addTS map[string][2]uint64 // element -> (clock, pid) of latest add
-	remTS map[string][2]uint64
+	proc  int
 }
 
-// NewLWWSet attaches an LWW-element-Set replica to the transport.
-func NewLWWSet(id int, net transport.Network) *LWWSet {
-	s := &LWWSet{
-		base:  base{id: id, net: net},
-		addTS: map[string][2]uint64{}, remTS: map[string][2]uint64{},
+func (a stamp) less(b stamp) bool {
+	return a.clock < b.clock || (a.clock == b.clock && a.proc < b.proc)
+}
+
+// lwwSet is an LWW-set state: the latest stamp per element, of its
+// insertions and of its deletions.
+type lwwSet struct{ add, rem map[string]stamp }
+
+// Name implements UQADT.
+func (LWWSetSpec) Name() string { return "lww-set" }
+
+// Initial implements UQADT.
+func (LWWSetSpec) Initial() spec.State {
+	return &lwwSet{add: map[string]stamp{}, rem: map[string]stamp{}}
+}
+
+// Apply implements UQADT: the update's stamp replaces an earlier one of
+// its element and kind.
+func (sp LWWSetSpec) Apply(s spec.State, u spec.Update) spec.State {
+	op, ok := u.(LWW)
+	if !ok {
+		panic(unknown(sp.Name(), u))
 	}
-	s.attach(s.handle)
-	return s
-}
-
-// Name implements ReplicatedSet.
-func (*LWWSet) Name() string { return "lww-set" }
-
-// SupportsDelete implements ReplicatedSet.
-func (*LWWSet) SupportsDelete() bool { return true }
-
-// Insert implements ReplicatedSet.
-func (s *LWWSet) Insert(v string) {
-	s.mu.Lock()
-	s.clock++
-	cl := s.clock
-	s.mu.Unlock()
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "add", V: v, Cl: cl, Pid: s.id}))
-}
-
-// Delete implements ReplicatedSet.
-func (s *LWWSet) Delete(v string) {
-	s.mu.Lock()
-	s.clock++
-	cl := s.clock
-	s.mu.Unlock()
-	s.net.Broadcast(s.id, mustMarshal(setMsg{Kind: "rem", V: v, Cl: cl, Pid: s.id}))
-}
-
-func tsLess(a, b [2]uint64) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
+	st := s.(*lwwSet)
+	m, ts := st.add, stamp{op.Clock, op.Proc}
+	if op.Del {
+		m = st.rem
 	}
-	return a[1] < b[1]
+	if cur, ok := m[op.V]; !ok || cur.less(ts) {
+		m[op.V] = ts
+	}
+	return st
 }
 
-func (s *LWWSet) handle(_ int, payload []byte) {
-	m := mustUnmarshal(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m.Cl > s.clock {
-		s.clock = m.Cl
-	}
-	ts := [2]uint64{m.Cl, uint64(m.Pid)}
-	switch m.Kind {
-	case "add":
-		if cur, ok := s.addTS[m.V]; !ok || tsLess(cur, ts) {
-			s.addTS[m.V] = ts
+// Clone implements UQADT.
+func (LWWSetSpec) Clone(s spec.State) spec.State {
+	st := s.(*lwwSet)
+	return &lwwSet{add: maps.Clone(st.add), rem: maps.Clone(st.rem)}
+}
+
+// Query implements UQADT: R reads the elements whose insertion is later
+// than their deletion; MaxClock the highest folded clock.
+func (sp LWWSetSpec) Query(s spec.State, in spec.QueryInput) spec.QueryOutput {
+	st := s.(*lwwSet)
+	switch in.(type) {
+	case spec.Read:
+		return present(st.add, func(v string, add stamp) bool {
+			rem, removed := st.rem[v]
+			return !removed || rem.less(add)
+		})
+	case MaxClock:
+		var c uint64
+		for _, ts := range st.add {
+			c = max(c, ts.clock)
 		}
-	case "rem":
-		if cur, ok := s.remTS[m.V]; !ok || tsLess(cur, ts) {
-			s.remTS[m.V] = ts
+		for _, ts := range st.rem {
+			c = max(c, ts.clock)
 		}
+		return spec.CtrVal(c)
+	default:
+		panic(unknown(sp.Name(), in))
 	}
 }
 
-// Elements implements ReplicatedSet.
-func (s *LWWSet) Elements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, v := range sortedKeys(s.addTS) {
-		add := s.addTS[v]
-		rem, removed := s.remTS[v]
-		if !removed || tsLess(rem, add) {
-			out = append(out, v)
+// EqualOutput implements UQADT.
+func (LWWSetSpec) EqualOutput(a, b spec.QueryOutput) bool { return equalOutputs(a, b) }
+
+// KeyState implements UQADT: the insertion stamps, then the deletion
+// stamps, per element.
+func (LWWSetSpec) KeyState(s spec.State) string {
+	st := s.(*lwwSet)
+	var b strings.Builder
+	for _, m := range []map[string]stamp{st.add, st.rem} {
+		for _, v := range slices.Sorted(maps.Keys(m)) {
+			fmt.Fprintf(&b, "%s@%d.%d ", v, m[v].clock, m[v].proc)
 		}
+		b.WriteString("-")
 	}
-	return out
+	return b.String()
 }
 
-// StateKey implements ReplicatedSet.
-func (s *LWWSet) StateKey() string { return elemsKey(s.Elements()) }
+// CommutativeUpdates implements Commutative.
+func (LWWSetSpec) CommutativeUpdates() bool { return true }
 
-var (
-	_ ReplicatedSet = (*NaiveSet)(nil)
-	_ ReplicatedSet = (*GSet)(nil)
-	_ ReplicatedSet = (*TwoPhaseSet)(nil)
-	_ ReplicatedSet = (*PNSet)(nil)
-	_ ReplicatedSet = (*CSet)(nil)
-	_ ReplicatedSet = (*ORSet)(nil)
-	_ ReplicatedSet = (*LWWSet)(nil)
-)
+// EncodeUpdate implements Codec. Wire format: 'I' or 'D', uvarint
+// clock, uvarint proc, then the element.
+func (sp LWWSetSpec) EncodeUpdate(u spec.Update) ([]byte, error) {
+	op, ok := u.(LWW)
+	if !ok {
+		return nil, errors.New(unknown(sp.Name(), u))
+	}
+	b := binary.AppendUvarint(binary.AppendUvarint([]byte{kindByte(op.Del)}, op.Clock), uint64(op.Proc))
+	return append(b, op.V...), nil
+}
+
+// DecodeUpdate implements Codec.
+func (LWWSetSpec) DecodeUpdate(b []byte) (spec.Update, error) {
+	r, del := newReader(b)
+	clock, proc := r.uvarint(), r.uvarint()
+	if r.err != nil {
+		return nil, r.err
+	}
+	return LWW{V: string(r.b), Del: del, Clock: clock, Proc: int(proc)}, nil
+}
+
+// kindByte is the leading byte of an update: 'D' for a deletion, 'I'
+// for an insertion.
+func kindByte(del bool) byte {
+	if del {
+		return 'D'
+	}
+	return 'I'
+}
+
+// reader decodes an update after its kind byte, keeping the first
+// error.
+type reader struct {
+	b   []byte
+	err error
+}
+
+// newReader reads the kind byte of b, reporting a deletion, and returns
+// a reader over the rest.
+func newReader(b []byte) (*reader, bool) {
+	r := &reader{}
+	if len(b) == 0 || (b[0] != 'I' && b[0] != 'D') {
+		r.fail()
+		return r, false
+	}
+	r.b = b[1:]
+	return r, b[0] == 'D'
+}
+
+func (r *reader) fail() {
+	if r.err == nil {
+		r.err = fmt.Errorf("crdt: malformed update")
+	}
+	r.b = nil
+}
+
+func (r *reader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return x
+}

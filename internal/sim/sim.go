@@ -45,106 +45,65 @@ func SetKinds() []SetKind {
 	return []SetKind{UCSet, UCSetCheckpoint, UCSetUndo, Eager, GSet, TwoPSet, PNSet, CSet, ORSet, LWWSet}
 }
 
-// node abstracts one replica of any set implementation.
-type node interface {
-	Name() string
-	Insert(v string)
-	Delete(v string)
-	Elements() []string
-	StateKey() string
-	SupportsDelete() bool
+// UpdateConsistent reports whether the kind is Algorithm 1 over the
+// set spec itself, the only kinds Scenario.Shards applies to.
+func (k SetKind) UpdateConsistent() bool {
+	return k == UCSet || k == UCSetCheckpoint || k == UCSetUndo
 }
 
-// ucNode adapts a replica over the set spec to the node interface.
-type ucNode struct {
-	rep  *core.Replica
-	kind SetKind
+// impl is how a kind runs: the spec its replicas fold (nil for the
+// eager set, the one kind that keeps no log), their query engine (nil:
+// the spec's default) and the update a process issues for a scripted
+// I(v) or D(v).
+type impl struct {
+	adt    spec.UQADT
+	engine func() core.Engine
+	issue  crdt.Issue
 }
 
-func (n ucNode) Name() string    { return string(n.kind) }
-func (n ucNode) Insert(v string) { n.rep.Update(spec.Ins{V: v}) }
-func (n ucNode) Delete(v string) { n.rep.Update(spec.Del{V: v}) }
-func (n ucNode) Elements() []string {
-	return n.rep.Query(spec.Read{}).(spec.Elems)
-}
-func (n ucNode) StateKey() string     { return n.rep.StateKey() }
-func (n ucNode) SupportsDelete() bool { return true }
-
-// shardedNode adapts a key-sharded replica over the set spec: elements
-// hash to shards, reads merge the per-shard states.
-type shardedNode struct {
-	rep  *core.ShardedReplica
-	kind SetKind
+var impls = map[SetKind]impl{
+	UCSet:           {spec.Set(), func() core.Engine { return core.NewReplayEngine() }, crdt.IssueSet},
+	UCSetCheckpoint: {spec.Set(), func() core.Engine { return core.NewCheckpointEngine(64) }, crdt.IssueSet},
+	UCSetUndo:       {spec.Set(), nil, crdt.IssueSet},
+	Eager:           {nil, nil, crdt.IssueSet},
+	GSet:            {spec.GSet(), nil, crdt.IssueSet},
+	TwoPSet:         {crdt.TwoPhaseSet(), nil, crdt.IssueSet},
+	PNSet:           {crdt.CounterSet(), nil, crdt.IssuePN},
+	CSet:            {crdt.CounterSet(), nil, crdt.IssueC},
+	ORSet:           {crdt.ORSet(), nil, crdt.IssueOR},
+	LWWSet:          {crdt.LWWSet(), nil, crdt.IssueLWW},
 }
 
-func (n shardedNode) Name() string {
-	return fmt.Sprintf("%s/%d-shards", n.kind, n.rep.NumShards())
+// replica is one process's copy of a set, whatever the kind:
+// *core.Replica, *core.ShardedReplica and *crdt.NaiveSet satisfy it.
+type replica interface {
+	Update(spec.Update)
+	Query(spec.QueryInput) spec.QueryOutput
 }
-func (n shardedNode) Insert(v string) { n.rep.Update(spec.Ins{V: v}) }
-func (n shardedNode) Delete(v string) { n.rep.Update(spec.Del{V: v}) }
-func (n shardedNode) Elements() []string {
-	return n.rep.Query(spec.Read{}).(spec.Elems)
-}
-func (n shardedNode) StateKey() string     { return n.rep.StateKey() }
-func (n shardedNode) SupportsDelete() bool { return true }
 
-// newSetCluster builds n replicas of the given kind on the network;
-// shards > 1 selects the key-sharded construction for the uc-set kinds
-// (the network then delivers each update to the owning shard).
-func newSetCluster(kind SetKind, n, shards int, net transport.ResizableNetwork) []node {
-	nodes := make([]node, n)
-	switch kind {
-	case UCSet, UCSetCheckpoint, UCSetUndo:
-		mk := func() core.Engine { return core.NewReplayEngine() }
-		switch kind {
-		case UCSetCheckpoint:
-			mk = func() core.Engine { return core.NewCheckpointEngine(64) }
-		case UCSetUndo:
-			mk = nil // the default engine
+// replicas builds the scenario's replicas on the network: one
+// core.Replica per process, a core.ShardedReplica when sc.Shards > 1,
+// or the eager set's crdt.NaiveSet.
+func replicas(sc Scenario, im impl, net *transport.SimNetwork) []replica {
+	reps := make([]replica, sc.N)
+	opt := core.ClusterOptions{NewEngine: im.engine}
+	switch {
+	case im.adt == nil:
+		for i := range reps {
+			s := crdt.NewNaiveSet(i, func(b []byte) { net.Broadcast(i, b) })
+			net.Attach(i, s.Deliver)
+			reps[i] = s
 		}
-		if shards > 1 {
-			reps := core.ShardedCluster(n, shards, spec.Set(), net, core.ClusterOptions{NewEngine: mk})
-			for i, r := range reps {
-				nodes[i] = shardedNode{rep: r, kind: kind}
-			}
-			break
-		}
-		reps := core.Cluster(n, spec.Set(), net, core.ClusterOptions{NewEngine: mk})
-		for i, r := range reps {
-			nodes[i] = ucNode{rep: r, kind: kind}
-		}
-	case Eager:
-		for i := range nodes {
-			nodes[i] = crdt.NewNaiveSet(i, net)
-		}
-	case GSet:
-		for i := range nodes {
-			nodes[i] = crdt.NewGSet(i, net)
-		}
-	case TwoPSet:
-		for i := range nodes {
-			nodes[i] = crdt.NewTwoPhaseSet(i, net)
-		}
-	case PNSet:
-		for i := range nodes {
-			nodes[i] = crdt.NewPNSet(i, net)
-		}
-	case CSet:
-		for i := range nodes {
-			nodes[i] = crdt.NewCSet(i, net)
-		}
-	case ORSet:
-		for i := range nodes {
-			nodes[i] = crdt.NewORSet(i, net)
-		}
-	case LWWSet:
-		for i := range nodes {
-			nodes[i] = crdt.NewLWWSet(i, net)
+	case sc.Shards > 1:
+		for i, r := range core.ShardedCluster(sc.N, sc.Shards, im.adt, net, opt) {
+			reps[i] = r
 		}
 	default:
-		panic(fmt.Sprintf("sim: unknown set kind %q", kind))
+		for i, r := range core.Cluster(sc.N, im.adt, net, opt) {
+			reps[i] = r
+		}
 	}
-	return nodes
+	return reps
 }
 
 // OpKind is a scripted operation type.
@@ -182,9 +141,9 @@ type Scenario struct {
 	Kind SetKind
 	N    int
 	// Shards, when above 1, runs the uc-set kinds as key-sharded
-	// replicas (core.ShardedReplica): one log and clock per shard, the
-	// simulated network delivering each update to the owning shard.
-	// Non-uc kinds ignore it.
+	// replicas (core.ShardedReplica): one log per shard under the
+	// process's one Lamport clock, the simulated network delivering
+	// each update to the owning shard. Run rejects it for other kinds.
 	Shards int
 	// Seed drives both the adversarial network and the interleaving.
 	Seed int64
@@ -207,7 +166,7 @@ type Scenario struct {
 
 // Outcome reports a run.
 type Outcome struct {
-	// Final maps surviving process ids to their converged state keys.
+	// Final maps surviving process ids to their rendered final read R.
 	Final map[int]string
 	// Converged reports whether all survivors agree.
 	Converged bool
@@ -227,8 +186,15 @@ func Run(sc Scenario) Outcome {
 	if deliverMax <= 0 {
 		deliverMax = 3
 	}
+	im, ok := impls[sc.Kind]
+	if !ok {
+		panic(fmt.Sprintf("sim: unknown set kind %q", sc.Kind))
+	}
+	if sc.Shards > 1 && !sc.Kind.UpdateConsistent() {
+		panic(fmt.Sprintf("sim: %s cannot be sharded", sc.Kind))
+	}
 	net := transport.NewSim(transport.SimOptions{N: sc.N, Seed: sc.Seed, FIFO: sc.FIFO})
-	nodes := newSetCluster(sc.Kind, sc.N, sc.Shards, net)
+	reps := replicas(sc, im, net)
 	var rec *history.Recorder
 	if sc.Record {
 		rec = history.NewRecorder(spec.Set(), sc.N)
@@ -249,24 +215,24 @@ func Run(sc Scenario) Outcome {
 		if crashed[op.Proc] {
 			continue // a crashed process issues nothing
 		}
-		switch op.Kind {
-		case OpInsert:
-			nodes[op.Proc].Insert(op.V)
-			if rec != nil {
-				rec.Update(op.Proc, spec.Ins{V: op.V})
-			}
-		case OpDelete:
-			if !nodes[op.Proc].SupportsDelete() {
-				continue
-			}
-			nodes[op.Proc].Delete(op.V)
-			if rec != nil {
-				rec.Update(op.Proc, spec.Del{V: op.V})
-			}
-		case OpRead:
-			out := spec.Elems(nodes[op.Proc].Elements())
+		r, del := reps[op.Proc], op.Kind == OpDelete
+		switch {
+		case op.Kind == OpRead:
+			out := r.Query(spec.Read{})
 			if rec != nil {
 				rec.Query(op.Proc, spec.Read{}, out)
+			}
+		case del && sc.Kind == GSet:
+			continue // the grow-only set has no deletions
+		default:
+			if u, ok := im.issue(r, op.Proc, op.V, del); ok {
+				r.Update(u)
+			}
+			if rec != nil {
+				// The history records the set operation, whatever
+				// update the kind issued for it.
+				set, _ := crdt.IssueSet(nil, op.Proc, op.V, del)
+				rec.Update(op.Proc, set)
 			}
 		}
 		net.StepN(rng.Intn(deliverMax + 1))
@@ -276,14 +242,15 @@ func Run(sc Scenario) Outcome {
 	out := Outcome{Final: map[int]string{}, Converged: true}
 	var wantKey string
 	first := true
-	for p, nd := range nodes {
+	for p, r := range reps {
 		if crashed[p] {
 			continue
 		}
-		key := nd.StateKey()
+		read := r.Query(spec.Read{})
+		key := read.(spec.Elems).String()
 		out.Final[p] = key
 		if rec != nil {
-			rec.QueryOmega(p, spec.Read{}, spec.Elems(nd.Elements()))
+			rec.QueryOmega(p, spec.Read{}, read)
 		}
 		if first {
 			wantKey, first = key, false

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -192,4 +193,21 @@ func TestShardedScenarioWithPartition(t *testing.T) {
 	if !out.Converged {
 		t.Fatalf("sharded cluster did not converge after heal: %v", out.Final)
 	}
+	// Final is the merged read R, not a per-shard rendering.
+	for p, key := range out.Final {
+		if strings.Contains(key, "|") {
+			t.Fatalf("p%d final %q is not a set read", p, key)
+		}
+	}
+}
+
+// TestShardsRejectedForBaselines: only the uc-set kinds shard; a §VI
+// baseline asked for shards is refused, not run unsharded.
+func TestShardsRejectedForBaselines(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a sharded or-set scenario ran")
+		}
+	}()
+	Run(Scenario{Kind: ORSet, N: 2, Shards: 2, Script: Fig1bScript()})
 }

@@ -76,9 +76,9 @@ test-ucperf:
 # that face the network: the wire-frame envelope codec and the hello, the
 # run decoder behind every sync reply and snapshot suffix,
 # the snapshot as a whole, and the two halves of the anti-entropy exchange
-# (a peer's digest, a donor's sync reply), and a client's query as a daemon
-# decodes and evaluates it. The seed corpora also run under plain
-# `go test`.
+# (a peer's digest, a donor's sync reply), a client's query as a daemon
+# decodes and evaluates it, and a daemon's answer as a client decodes it.
+# The seed corpora also run under plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzHello -fuzztime 10s ./internal/transport/
@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzApplySync -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzWireDigest -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzClientQuery -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzQueryOutput -fuzztime 10s ./internal/spec/
 
 # bench-consistency prints the E22 table: the same workload at the
 # update-consistent level and at the causal level — the same log with

@@ -854,3 +854,43 @@ func BenchmarkShardedContendedUpdate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWireQuery prices one query round trip through Dial against an
+// in-process daemon holding a 1 000-element set: "Contains" is the keyed
+// point query, "Elements" ships the whole set. Allocations count both
+// ends, client and daemon, since they share the process.
+func BenchmarkWireQuery(b *testing.B) {
+	node, err := ListenAndServe(SetObject(), WireConfig{ID: 0, Peers: []string{"127.0.0.1:0"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer node.Close()
+	c, err := Dial(SetObject(), node.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	set := c.Handle()
+	for i := 0; i < 1000; i++ {
+		set.Insert(fmt.Sprintf("v%04d", i))
+	}
+	if err := c.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Contains", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !set.Contains("v0500") {
+				b.Fatal("v0500 missing")
+			}
+		}
+	})
+	b.Run("Elements", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if n := len(set.Elements()); n != 1000 {
+				b.Fatalf("%d elements, want 1000", n)
+			}
+		}
+	})
+}

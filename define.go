@@ -20,6 +20,7 @@ import (
 //   - Partitionable unlocks WithShards, keyed routing and Resize.
 //   - QueryKeyer unlocks the per-key query-output cache.
 //   - AppendCodec unlocks allocation-free message encoding.
+//   - QueryCodec unlocks queries from wire clients (Dial).
 //   - StateCodec unlocks snapshot transfer (anti-entropy fallback,
 //     crash repair) for states the log alone cannot rebuild.
 //   - Undoable lets the query engine repair its kept state after a
@@ -49,6 +50,8 @@ type (
 	Codec = spec.Codec
 	// AppendCodec is the allocation-free upgrade of Codec.
 	AppendCodec = spec.AppendCodec
+	// QueryCodec serializes query inputs and outputs for wire clients.
+	QueryCodec = spec.QueryCodec
 	// StateCodec serializes whole states for snapshot transfer.
 	StateCodec = spec.StateCodec
 	// UndoPatch is an inverse patch returned by Undoable.ApplyUndo.
@@ -113,9 +116,9 @@ func WithWorkload(gen func(rng *rand.Rand, key string) Update) DefineOption {
 // two wire peers built for different names refuse each other at
 // handshake.
 //
-// Queries sent by wire *clients* (Dial) travel as gob; a custom object
-// used through Dial must gob.Register its QueryInput/QueryOutput types.
-// Updates need no registration — they use the codec bytes everywhere.
+// A wire client (Dial) sends updates as codec bytes and queries through
+// the object's QueryCodec. An object without one still takes updates
+// over Dial; its queries there fail with ErrNoCodec.
 func Define[H any](name string, s Spec, codec Codec, wrap func(Handle) H, opts ...DefineOption) (Object[H], error) {
 	obj, err := define(name, s, codec, wrap, opts...)
 	if err != nil {
@@ -157,6 +160,10 @@ func define[H any](name string, s Spec, codec Codec, wrap func(Handle) H, opts .
 	if codec == nil {
 		return Object[H]{}, fmt.Errorf("updatec: Define(%q): spec implements no Codec and none was supplied: %w", name, ErrNoCodec)
 	}
+	queries, ok := codec.(spec.QueryCodec)
+	if !ok {
+		queries, _ = s.(spec.QueryCodec)
+	}
 	var cfg defineConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -165,6 +172,7 @@ func define[H any](name string, s Spec, codec Codec, wrap func(Handle) H, opts .
 		name:     name,
 		adt:      s,
 		codec:    codec,
+		queries:  queries,
 		wrap:     wrap,
 		omega:    cfg.omega,
 		hasOmega: cfg.hasOmega,

@@ -2,7 +2,6 @@ package updatec
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -97,6 +96,66 @@ func (peakSpec) DecodeUpdate(b []byte) (Update, error) {
 	return peakScore{Player: player, Points: int64(pts)}, nil
 }
 
+// peakSpec's QueryCodec, for Dial clients: an input is a tag byte (0 for
+// Top, 1 for Best) and then Best's player; Best answers a varint, Top a
+// run of length-prefixed strings.
+func (peakSpec) AppendQueryInput(dst []byte, in QueryInput) ([]byte, error) {
+	switch q := in.(type) {
+	case peakTop:
+		return append(dst, 0), nil
+	case peakBest:
+		return append(append(dst, 1), q.Player...), nil
+	}
+	return dst, fmt.Errorf("peakmap: unknown query %T", in)
+}
+
+func (peakSpec) DecodeQueryInput(b []byte) (QueryInput, error) {
+	switch {
+	case len(b) == 1 && b[0] == 0:
+		return peakTop{}, nil
+	case len(b) > 0 && b[0] == 1:
+		return peakBest{Player: string(b[1:])}, nil
+	}
+	return nil, fmt.Errorf("peakmap: malformed query input")
+}
+
+func (peakSpec) AppendQueryOutput(dst []byte, out QueryOutput) ([]byte, error) {
+	switch v := out.(type) {
+	case int64:
+		return binary.AppendVarint(dst, v), nil
+	case []string:
+		for _, s := range v {
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			dst = append(dst, s...)
+		}
+		return dst, nil
+	}
+	return dst, fmt.Errorf("peakmap: unknown output %T", out)
+}
+
+func (peakSpec) DecodeQueryOutput(in QueryInput, b []byte) (QueryOutput, error) {
+	switch in.(type) {
+	case peakBest:
+		v, n := binary.Varint(b)
+		if n <= 0 || n != len(b) {
+			return nil, fmt.Errorf("peakmap: malformed score")
+		}
+		return v, nil
+	case peakTop:
+		out := []string{}
+		for len(b) > 0 {
+			l, n := binary.Uvarint(b)
+			if n <= 0 || uint64(len(b)-n) < l {
+				return nil, fmt.Errorf("peakmap: truncated top list")
+			}
+			out = append(out, string(b[n:n+int(l)]))
+			b = b[n+int(l):]
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("peakmap: unknown query %T", in)
+}
+
 func (peakSpec) UpdateKey(u Update) string { return u.(peakScore).Player }
 
 func (peakSpec) QueryKey(in QueryInput) (string, bool) {
@@ -154,14 +213,12 @@ var peakObject = MustDefine("peakmap", peakSpec{}, nil,
 	}),
 )
 
-func init() {
-	// Dial moves queries as gob; a custom object registers its concrete
-	// query types, as the Define documentation requires.
-	gob.Register(peakTop{})
-	gob.Register(peakBest{})
-	gob.Register([]string(nil))
-	gob.Register(int64(0))
-}
+// peakNoQueries is peakmap without its QueryCodec: the spec and its
+// update codec, and nothing else.
+var peakNoQueries = MustDefine("peakmap-noquery", struct {
+	Spec
+	Codec
+}{peakSpec{}, peakSpec{}}, nil, func(p Handle) peakBoard { return peakBoard{p} })
 
 func TestDefineRegistryExposesCustomObject(t *testing.T) {
 	found := false
@@ -306,8 +363,9 @@ func TestDefineWireLoopbackConvergence(t *testing.T) {
 	})
 }
 
-// TestDefineWireDialQueries covers the gob query path for a custom
-// object: typed queries round-trip through Dial against a live daemon.
+// TestDefineWireDialQueries covers the query path for a custom object:
+// typed queries round-trip through Dial against a live daemon, in the
+// object's own QueryCodec.
 func TestDefineWireDialQueries(t *testing.T) {
 	addrs := wireAddrs(t, 1)
 	node, err := ListenAndServe(peakObject, WireConfig{ID: 0, Peers: addrs})
@@ -331,6 +389,44 @@ func TestDefineWireDialQueries(t *testing.T) {
 	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefineWireNoQueryCodec: an object without a QueryCodec still takes
+// updates over Dial. Its queries fail with ErrNoCodec before anything is
+// sent, so the connection stays aligned and keeps working; a daemon asked
+// such a query anyway answers with the same error.
+func TestDefineWireNoQueryCodec(t *testing.T) {
+	node, err := ListenAndServe(peakNoQueries, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	empty := node.StateKey()
+	c, err := Dial(peakNoQueries, node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := c.Handle()
+	b.Score("alice", 420)
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, ErrNoCodec) {
+				t.Fatalf("query without a QueryCodec panicked with %v, want ErrNoCodec", err)
+			}
+		}()
+		b.Best("alice")
+	}()
+	key, err := c.StateKey()
+	if err != nil {
+		t.Fatalf("StateKey after the refused query: %v", err)
+	}
+	if key == empty || key != node.StateKey() {
+		t.Fatalf("client key %q, daemon key %q, empty key %q: the update did not land", key, node.StateKey(), empty)
+	}
+	if _, err := node.answerQuery(nil, []byte{0}); !errors.Is(err, ErrNoCodec) {
+		t.Fatalf("daemon answered a query without a QueryCodec with %v, want ErrNoCodec", err)
 	}
 }
 

@@ -28,10 +28,11 @@ var (
 	// capability is missing.
 	ErrUnsupported = errors.New("unsupported object/option combination")
 
-	// ErrNoCodec marks a Define call whose spec neither implements
-	// Codec nor was given an explicit one — updates could never be
-	// broadcast.
-	ErrNoCodec = errors.New("spec has no update codec")
+	// ErrNoCodec marks a missing codec: a Define call whose spec
+	// neither implements Codec nor was given an explicit one (updates
+	// could never be broadcast), or a wire client's query on an object
+	// without a QueryCodec.
+	ErrNoCodec = errors.New("spec has no codec")
 
 	// ErrUnknownObject marks a registry Lookup for a name no Define or
 	// built-in registered.

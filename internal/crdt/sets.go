@@ -125,6 +125,14 @@ func (c CounterSetSpec) Query(s spec.State, in spec.QueryInput) spec.QueryOutput
 	return c.CounterMapSpec.Query(s, in)
 }
 
+// DecodeQueryOutput implements QueryCodec: R yields the set's Elems.
+func (c CounterSetSpec) DecodeQueryOutput(in spec.QueryInput, b []byte) (spec.QueryOutput, error) {
+	if _, ok := in.(spec.Read); ok {
+		return spec.Set().DecodeQueryOutput(in, b)
+	}
+	return c.CounterMapSpec.DecodeQueryOutput(in, b)
+}
+
 // Tag identifies one OR-set insertion: its issuer and the issuer's
 // insertion sequence number, "proc.seq".
 type Tag struct {

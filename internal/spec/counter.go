@@ -28,7 +28,7 @@ func (v CtrVal) String() string { return strconv.FormatInt(int64(v), 10) }
 // a pure CRDT: every linearization of a fixed update set yields the
 // same state, which is why (§VII-C) the naive eager-apply
 // implementation is already update consistent for it.
-type CounterSpec struct{}
+type CounterSpec struct{ builtinQueries }
 
 // Counter returns the counter UQ-ADT.
 func Counter() CounterSpec { return CounterSpec{} }

@@ -47,7 +47,7 @@ func (ReadAllCtrs) String() string { return "R*" }
 // addresses exactly one counter — which makes it the canonical workload
 // for the key-sharded construction (core.ShardedReplica) and its
 // benchmarks.
-type CounterMapSpec struct{}
+type CounterMapSpec struct{ builtinQueries }
 
 // CounterMap returns the counter-map UQ-ADT.
 func CounterMap() CounterMapSpec { return CounterMapSpec{} }

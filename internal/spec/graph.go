@@ -69,7 +69,7 @@ type graphState struct {
 }
 
 // GraphSpec is the directed-graph UQ-ADT with referential integrity.
-type GraphSpec struct{}
+type GraphSpec struct{ builtinQueries }
 
 // Graph returns the directed-graph UQ-ADT.
 func Graph() GraphSpec { return GraphSpec{} }
@@ -132,7 +132,7 @@ func (GraphSpec) Query(s State, in QueryInput) QueryOutput {
 }
 
 func (g *graphState) value() GraphVal {
-	out := GraphVal{}
+	out := GraphVal{Vertices: make([]string, 0, len(g.vertices)), Edges: make([][2]string, 0, len(g.edges))}
 	for v := range g.vertices {
 		out.Vertices = append(out.Vertices, v)
 	}

@@ -32,7 +32,7 @@ func (l Lines) String() string {
 // so, unlike a counter or a grow-only set, the log is not a pure CRDT
 // and genuinely needs the update linearization that update consistency
 // provides: all replicas converge to the same line order.
-type LogSpec struct{}
+type LogSpec struct{ builtinQueries }
 
 // Log returns the append-only log UQ-ADT.
 func Log() LogSpec { return LogSpec{} }
@@ -78,7 +78,8 @@ func (LogSpec) Query(s State, in QueryInput) QueryOutput {
 	if _, ok := in.(ReadLog); !ok {
 		panic(fmt.Sprintf("spec: log does not recognize query %T", in))
 	}
-	return Lines(append([]string(nil), s.([]string)...))
+	st := s.([]string)
+	return Lines(append(make([]string, 0, len(st)), st...))
 }
 
 // EqualOutput implements UQADT.

@@ -28,6 +28,7 @@ func (r ReadKey) String() string { return fmt.Sprintf("R(%s)", r.K) }
 // map[string]string holding only explicitly written registers; reads of
 // unwritten registers return Init.
 type MemorySpec struct {
+	builtinQueries
 	// Init is the initial value v0 of every register.
 	Init string
 }

@@ -33,7 +33,7 @@ func (Front) String() string { return "Front" }
 
 // QueueSpec is a FIFO queue presented as a UQ-ADT. States are []string
 // from front to back.
-type QueueSpec struct{}
+type QueueSpec struct{ builtinQueries }
 
 // Queue returns the FIFO queue UQ-ADT.
 func Queue() QueueSpec { return QueueSpec{} }
@@ -195,7 +195,7 @@ func (Top) String() string { return "Top" }
 
 // StackSpec is a LIFO stack presented as a UQ-ADT. States are []string
 // from bottom to top.
-type StackSpec struct{}
+type StackSpec struct{ builtinQueries }
 
 // Stack returns the LIFO stack UQ-ADT.
 func Stack() StackSpec { return StackSpec{} }

@@ -18,6 +18,7 @@ func (v RegVal) String() string { return string(v) }
 // last written value, or the initial value if none was written. It is
 // the one-cell instance of the shared memory of Algorithm 2.
 type RegisterSpec struct {
+	builtinQueries
 	// Init is the initial value v0.
 	Init string
 }

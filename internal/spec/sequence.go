@@ -39,7 +39,7 @@ type ReadSeq struct{}
 func (ReadSeq) String() string { return "RS" }
 
 // SequenceSpec is the positional-sequence UQ-ADT.
-type SequenceSpec struct{}
+type SequenceSpec struct{ builtinQueries }
 
 // Sequence returns the positional-sequence UQ-ADT.
 func Sequence() SequenceSpec { return SequenceSpec{} }
@@ -90,7 +90,8 @@ func (SequenceSpec) Query(s State, in QueryInput) QueryOutput {
 	if _, ok := in.(ReadSeq); !ok {
 		panic(fmt.Sprintf("spec: sequence does not recognize query %T", in))
 	}
-	return Lines(append([]string(nil), s.([]string)...))
+	st := s.([]string)
+	return Lines(append(make([]string, 0, len(st)), st...))
 }
 
 // EqualOutput implements UQADT.

@@ -48,7 +48,7 @@ func (b Bool) String() string {
 // delete single elements, the query R returns the finite set of present
 // elements and C(v) membership of one. States are map[string]bool with
 // only true entries.
-type SetSpec struct{}
+type SetSpec struct{ builtinQueries }
 
 // Set returns the set UQ-ADT.
 func Set() SetSpec { return SetSpec{} }

@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -19,21 +18,21 @@ type StateCodec interface {
 }
 
 // encodeStrings writes a length-prefixed string list.
-func encodeStrings(ss []string) []byte {
-	var buf bytes.Buffer
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(len(ss)))
-	buf.Write(lenb[:n])
+func encodeStrings(ss []string) []byte { return appendStrings(nil, ss) }
+
+// appendStrings appends a length-prefixed string list to dst.
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
 	for _, s := range ss {
-		n = binary.PutUvarint(lenb[:], uint64(len(s)))
-		buf.Write(lenb[:n])
-		buf.WriteString(s)
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
-	return buf.Bytes()
+	return dst
 }
 
-// decodeStrings reads a list written by encodeStrings and returns the
-// number of bytes consumed.
+// decodeStrings reads a list written by appendStrings and returns the
+// number of bytes consumed. The strings share one copy of their bytes,
+// so a list costs two allocations however long it is.
 func decodeStrings(b []byte) ([]string, int, error) {
 	count, off := binary.Uvarint(b)
 	if off <= 0 {
@@ -44,17 +43,23 @@ func decodeStrings(b []byte) ([]string, int, error) {
 	if count > uint64(len(b)-off) {
 		return nil, 0, fmt.Errorf("spec: string list claims %d strings in %d bytes", count, len(b)-off)
 	}
-	out := make([]string, 0, count)
+	end := off
 	for i := uint64(0); i < count; i++ {
-		l, n := binary.Uvarint(b[off:])
-		if n <= 0 || uint64(len(b)-off-n) < l {
+		l, n := binary.Uvarint(b[end:])
+		if n <= 0 || uint64(len(b)-end-n) < l {
 			return nil, 0, fmt.Errorf("spec: truncated string list")
 		}
-		off += n
-		out = append(out, string(b[off:off+int(l)]))
-		off += int(l)
+		end += n + int(l)
 	}
-	return out, off, nil
+	all := string(b[off:end])
+	out := make([]string, 0, count)
+	for p := 0; p < len(all); {
+		l, n := binary.Uvarint(b[off+p:])
+		p += n
+		out = append(out, all[p:p+int(l)])
+		p += int(l)
+	}
+	return out, end, nil
 }
 
 // EncodeState implements StateCodec for the set.
@@ -195,42 +200,27 @@ func (SequenceSpec) DecodeState(b []byte) (State, error) {
 	return items, nil
 }
 
-// EncodeState implements StateCodec for the graph: vertex list then
-// flattened edge list.
-func (GraphSpec) EncodeState(s State) ([]byte, error) {
-	val := s.(*graphState).value()
-	flatEdges := make([]string, 0, 2*len(val.Edges))
-	for _, e := range val.Edges {
-		flatEdges = append(flatEdges, e[0], e[1])
-	}
-	var buf bytes.Buffer
-	buf.Write(encodeStrings(val.Vertices))
-	buf.Write(encodeStrings(flatEdges))
-	return buf.Bytes(), nil
+// EncodeState implements StateCodec for the graph: its ReadGraph output,
+// encoded as a QueryCodec answer (vertex list, then flattened edge list).
+func (sp GraphSpec) EncodeState(s State) ([]byte, error) {
+	return sp.AppendQueryOutput(nil, s.(*graphState).value())
 }
 
 // DecodeState implements StateCodec for the graph.
 func (sp GraphSpec) DecodeState(b []byte) (State, error) {
-	verts, off, err := decodeStrings(b)
+	out, err := decodeGraphVal(b)
 	if err != nil {
 		return nil, err
 	}
-	flatEdges, _, err := decodeStrings(b[off:])
-	if err != nil {
-		return nil, err
-	}
-	if len(flatEdges)%2 != 0 {
-		return nil, fmt.Errorf("spec: odd graph edge list")
-	}
-	g := sp.Initial().(*graphState)
-	for _, v := range verts {
+	val, g := out.(GraphVal), sp.Initial().(*graphState)
+	for _, v := range val.Vertices {
 		g.vertices[v] = true
 	}
-	for i := 0; i < len(flatEdges); i += 2 {
-		if !g.vertices[flatEdges[i]] || !g.vertices[flatEdges[i+1]] {
+	for _, e := range val.Edges {
+		if !g.vertices[e[0]] || !g.vertices[e[1]] {
 			return nil, fmt.Errorf("spec: dangling edge in graph state")
 		}
-		g.edges[[2]string{flatEdges[i], flatEdges[i+1]}] = true
+		g.edges[e] = true
 	}
 	return g, nil
 }

@@ -43,7 +43,7 @@ const (
 	// KindUpdate is a client-issued update: payload is the spec codec
 	// encoding (no timestamp — the serving replica stamps it).
 	KindUpdate byte = 5
-	// KindQuery is a client query; payload is a gob-encoded input. The
+	// KindQuery is a client query; payload is the encoded input. The
 	// server answers with KindResult.
 	KindQuery byte = 6
 	// KindResult answers KindQuery/KindStateKey/KindStats.

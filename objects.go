@@ -37,7 +37,10 @@ type Object[H any] struct {
 	name  string
 	adt   spec.UQADT
 	codec spec.Codec // resolved: explicit Define codec, or the adt itself
-	wrap  func(p Handle) H
+	// queries carries queries to and from Dial clients, resolved like
+	// codec; nil when neither implements QueryCodec.
+	queries spec.QueryCodec
+	wrap    func(p Handle) H
 	// omega/hasOmega is the declared ω query (WithOmega).
 	omega    spec.QueryInput
 	hasOmega bool
@@ -80,6 +83,7 @@ func (o Object[H]) Dynamic() Object[Handle] {
 		name:     o.name,
 		adt:      o.adt,
 		codec:    o.codec,
+		queries:  o.queries,
 		wrap:     func(p Handle) Handle { return p },
 		omega:    o.omega,
 		hasOmega: o.hasOmega,

@@ -26,6 +26,7 @@ import (
 //   - Partitionable: per-key routing commutes with folding, MergeInto /
 //     UnmergeFrom / ExtractRange are mutual inverses
 //   - QueryKeyer determinism and StateCodec round-trip
+//   - QueryCodec round-trip of the ω query's input and outputs
 //   - Masking: a later update masks an earlier one of its mask key, and
 //     updates of different mask keys commute
 //   - a 3-replica convergence run through the real construction
@@ -236,6 +237,45 @@ func Run[H any](t *testing.T, obj updatec.Object[H]) {
 			}
 			if want, got := adt.KeyState(s), adt.KeyState(dec); want != got {
 				t.Fatalf("state round-trip diverged: %q vs %q", got, want)
+			}
+		})
+	}
+
+	qc, ok := obj.Codec().(updatec.QueryCodec)
+	if !ok {
+		qc, ok = adt.(updatec.QueryCodec)
+	}
+	if in, hasOmega := obj.Omega(); ok && hasOmega {
+		t.Run("query-codec", func(t *testing.T) {
+			// What a Dial client asks and what it is answered must both
+			// survive the wire: the ω input, and its output on the empty
+			// state and on states the workload reaches.
+			b, err := qc.AppendQueryInput(nil, in)
+			if err != nil {
+				t.Fatalf("AppendQueryInput(%v): %v", in, err)
+			}
+			dec, err := qc.DecodeQueryInput(b)
+			if err != nil {
+				t.Fatalf("DecodeQueryInput of %v's encoding: %v", in, err)
+			}
+			check := func(i int, s updatec.State) {
+				want := adt.Query(s, in)
+				if got := adt.Query(s, dec); !adt.EqualOutput(got, want) {
+					t.Fatalf("after %d updates the decoded input answers %v, the original %v", i, got, want)
+				}
+				b, err := qc.AppendQueryOutput(nil, want)
+				if err != nil {
+					t.Fatalf("AppendQueryOutput(%v): %v", want, err)
+				}
+				if got, err := qc.DecodeQueryOutput(in, b); err != nil || !adt.EqualOutput(got, want) {
+					t.Fatalf("after %d updates output %v came back as %v (%v)", i, want, got, err)
+				}
+			}
+			s := adt.Initial()
+			check(0, s)
+			for i, u := range sample(obj, 12, 20) {
+				s = adt.Apply(s, u)
+				check(i+1, s)
 			}
 		})
 	}

@@ -56,10 +56,11 @@
 // The built-ins are not special: they are assembled with the same
 // public kit applications use. Define builds an Object descriptor from
 // any sequential specification (a Spec), and the optional capability
-// interfaces the built-ins implement — Codec, Undoable, Partitionable,
-// QueryKeyer, StateCodec, Commutative, Masking — unlock the same
-// upgrades (sharding, Resize, the undo engine, query caching, a log of
-// one entry per register) for user-defined types. No layer below the
+// interfaces the built-ins implement — Codec, QueryCodec, Undoable,
+// Partitionable, QueryKeyer, StateCodec, Commutative, Masking — unlock
+// the same upgrades (wire queries, sharding, Resize, the undo engine,
+// query caching, a log of one entry per register) for user-defined
+// types. No layer below the
 // descriptor registry knows the built-ins by name.
 //
 // # Consistency levels

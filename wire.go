@@ -22,7 +22,8 @@ import (
 // repaired by anti-entropy when it returns — the partitionable-systems
 // companion result, on a network that can genuinely partition).
 // Dial connects a thin client to any daemon and speaks the same framed
-// protocol: updates as spec codec bytes, queries as gob round-trips.
+// protocol: updates as spec codec bytes, and queries as round trips of
+// the object's QueryCodec bytes, an input out and its output back.
 // "Converged yet?" is answered without touching the state: a daemon's
 // StateKey is its update-set fingerprint, O(1) per shard however much
 // the replica holds. Equal keys mean equal sets of update stamps; that
@@ -213,6 +214,7 @@ func (w *WireNode[H]) serveClient(conn net.Conn, br *bufio.Reader) {
 		}
 		return bw.Flush() == nil
 	}
+	var res []byte // the encoded query output, reused across queries
 	for {
 		f, err := transport.ReadFrame(br, transport.MaxFrame)
 		if err != nil {
@@ -230,7 +232,8 @@ func (w *WireNode[H]) serveClient(conn net.Conn, br *bufio.Reader) {
 			w.rep.Update(u)
 		case transport.KindQuery:
 			kind := transport.KindResult
-			outv, err := w.answerQuery(f.Payload)
+			res, err = w.answerQuery(res[:0], f.Payload)
+			outv := res
 			if err != nil {
 				kind, outv = transport.KindError, []byte(err.Error())
 			}
@@ -261,27 +264,32 @@ func (w *WireNode[H]) serveClient(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// answerQuery decodes and evaluates one client query. Every failure —
-// bytes gob cannot decode, an input the object does not know (specs
-// panic on those) — is an error for the client, never a panic out of its
-// serving goroutine.
-func (w *WireNode[H]) answerQuery(payload []byte) (out []byte, err error) {
+// answerQuery decodes and evaluates one client query and appends its
+// encoded output to dst. Every failure — an object without a QueryCodec,
+// bytes the codec cannot decode, an input the object does not know
+// (specs panic on those) — is an error for the client, never a panic out
+// of its serving goroutine.
+func (w *WireNode[H]) answerQuery(dst, payload []byte) (out []byte, err error) {
+	qc := w.obj.queries
+	if qc == nil {
+		return dst, fmt.Errorf("updatec: %s carries no query codec: %w", w.obj.name, ErrNoCodec)
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("query rejected: %v", r)
+			out, err = dst, fmt.Errorf("query rejected: %v", r)
 		}
 	}()
-	in, err := gobDecode(payload)
+	in, err := qc.DecodeQueryInput(payload)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return gobEncode(w.rep.Query(in))
+	return qc.AppendQueryOutput(dst, w.rep.Query(in))
 }
 
 // Client is a thin connection to one daemon: updates stream as codec
-// bytes, queries round-trip as gob. A Client is safe for concurrent
-// use (operations serialize on the connection); its handle offers
-// read-your-writes against the daemon it is connected to.
+// bytes, queries round-trip as QueryCodec bytes. A Client is safe for
+// concurrent use (operations serialize on the connection); its handle
+// offers read-your-writes against the daemon it is connected to.
 type Client[H any] struct {
 	obj   Object[H]
 	codec spec.Codec
@@ -291,7 +299,8 @@ type Client[H any] struct {
 	bw   *bufio.Writer
 	br   *bufio.Reader
 	buf  []byte
-	err  error // first connection error; sticky
+	qbuf []byte // the encoded query input, reused across queries
+	err  error  // first connection error; sticky
 }
 
 // Dial connects a client for the given object to a daemon address. The
@@ -461,27 +470,33 @@ func (p clientPort[H]) Update(u spec.Update) {
 // and the typed handles type-assert the output, so a failed query
 // panics with the underlying error (matching the spec layer's
 // panic-on-invalid-query idiom) rather than producing a bare nil
-// type-assertion failure; connection errors additionally latch in Err.
+// type-assertion failure. An object without a QueryCodec, or an input
+// its codec cannot encode, fails before anything is sent, so the
+// connection stays usable; connection errors and an answer that does
+// not decode latch in Err.
 func (p clientPort[H]) Query(in spec.QueryInput) spec.QueryOutput {
 	c := p.c
+	qc := c.obj.queries
+	if qc == nil {
+		panic(fmt.Errorf("updatec: %s carries no query codec: %w", c.obj.name, ErrNoCodec))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		panic(c.err)
 	}
-	inb, err := gobEncode(in)
+	var err error
+	if c.qbuf, err = qc.AppendQueryInput(c.qbuf[:0], in); err != nil {
+		panic(fmt.Errorf("updatec: encoding query: %w", err))
+	}
+	reply, err := c.roundTrip(transport.KindQuery, c.qbuf, transport.KindResult)
 	if err != nil {
-		c.err = err
 		panic(err)
 	}
-	reply, err := c.roundTrip(transport.KindQuery, inb, transport.KindResult)
+	out, err := qc.DecodeQueryOutput(in, reply)
 	if err != nil {
-		panic(err)
-	}
-	out, err := gobDecode(reply)
-	if err != nil {
-		c.err = err
-		panic(err)
+		c.err = fmt.Errorf("updatec: decoding query output: %w", err)
+		panic(c.err)
 	}
 	return out
 }

@@ -3,15 +3,18 @@ package updatec
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
 
@@ -294,6 +297,63 @@ func TestWireInProcessConvergence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWireQueriesMatchInProcess asks every query input of every built-in
+// descriptor through Dial and compares each answer with the daemon's own
+// in-process answer, value for value (reflect.DeepEqual: an empty answer
+// is an empty slice on both sides, not nil on one), on an empty daemon
+// and again after a short workload.
+func TestWireQueriesMatchInProcess(t *testing.T) {
+	for _, tc := range []struct {
+		obj Object[Handle]
+		ins []QueryInput
+	}{
+		{SetObject().Dynamic(), []QueryInput{spec.Read{}, spec.Has{V: "k1"}, spec.Has{V: "absent"}}},
+		{CounterObject().Dynamic(), []QueryInput{spec.Read{}}},
+		{RegisterObject("v0").Dynamic(), []QueryInput{spec.Read{}}},
+		{TextLogObject().Dynamic(), []QueryInput{spec.ReadLog{}}},
+		{GraphObject().Dynamic(), []QueryInput{spec.ReadGraph{}}},
+		{SequenceObject().Dynamic(), []QueryInput{spec.ReadSeq{}}},
+		{KVObject().Dynamic(), []QueryInput{spec.ReadKey{K: "k1"}, spec.ReadKey{K: "absent"}}},
+		{CounterMapObject().Dynamic(), []QueryInput{spec.ReadCtr{K: "k1"}, spec.ReadCtr{K: "absent"}, spec.ReadAllCtrs{}}},
+		{MemoryObject("v0").Dynamic(), []QueryInput{spec.ReadKey{K: "k1"}, spec.ReadKey{K: "absent"}}},
+	} {
+		t.Run(tc.obj.Name(), func(t *testing.T) {
+			node, err := ListenAndServe(tc.obj, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			c, err := Dial(tc.obj, node.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			remote := c.Handle()
+			compare := func(when string) {
+				for _, in := range tc.ins {
+					got, want := remote.Query(in), node.Handle().Query(in)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, %v: Dial answered %#v, in process %#v", when, in, got, want)
+					}
+				}
+			}
+			compare("empty")
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 40; i++ {
+				u, ok := tc.obj.RandomUpdate(rng, fmt.Sprint("k", i%4))
+				if !ok {
+					t.Fatal("built-in without a workload")
+				}
+				remote.Update(u)
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			compare("after 40 updates")
+		})
+	}
 }
 
 // TestWireClientProtocol drives a daemon through Dial: updates, a

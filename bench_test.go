@@ -733,6 +733,55 @@ func BenchmarkQueryCached(b *testing.B) {
 	})
 }
 
+// BenchmarkSetElements prices the set's whole-state read R on a
+// 7 000-element state. "64-new" reads after every 64 inserts, the
+// shape of ucperf's live-read (the state goes back to its first 7 000
+// elements every 16 reads); "never-read" reads a state no R has seen.
+// The updates and resets are off the clock: ns/op is one R.
+func BenchmarkSetElements(b *testing.B) {
+	const size, burst, cycle = 7000, 64, 16
+	adt := spec.Set()
+	base := adt.Initial()
+	for k := 0; k < size; k++ {
+		base = adt.Apply(base, spec.Ins{V: fmt.Sprintf("key-%06d", k*7919%100000)})
+	}
+	fresh := make([]string, burst*cycle)
+	for k := range fresh {
+		fresh[k] = fmt.Sprintf("key-%06d", 100000+k*7919%100000)
+	}
+	b.Run("64-new", func(b *testing.B) {
+		adt.Query(base, spec.Read{})
+		var s spec.State
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if i%cycle == 0 {
+				s = adt.Clone(base)
+			}
+			for _, v := range fresh[i%cycle*burst:][:burst] {
+				s = adt.Apply(s, spec.Ins{V: v})
+			}
+			b.StartTimer()
+			adt.Query(s, spec.Read{})
+		}
+	})
+	b.Run("never-read", func(b *testing.B) {
+		unread := adt.Initial()
+		for k := 0; k < size; k++ {
+			unread = adt.Apply(unread, spec.Ins{V: fmt.Sprintf("key-%06d", k*7919%100000)})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := adt.Clone(unread)
+			b.StartTimer()
+			adt.Query(s, spec.Read{})
+		}
+	})
+}
+
 // BenchmarkShardedMergedQuery (E15) measures the whole-state query on a
 // key-sharded replica: "settled" repeats the merged read against
 // unchanged shards, "one-shard-dirty" updates a single key between

@@ -95,13 +95,13 @@ func IssueLWW(r Querier, proc int, v string, del bool) (spec.Update, bool) {
 type NaiveSet struct {
 	id   int
 	send func(payload []byte)
-	s    map[string]bool
+	s    spec.State
 }
 
 // NewNaiveSet returns process id's eager set; send broadcasts its
 // updates, and the transport hands every arrival to Deliver.
 func NewNaiveSet(id int, send func(payload []byte)) *NaiveSet {
-	return &NaiveSet{id: id, send: send, s: map[string]bool{}}
+	return &NaiveSet{id: id, send: send, s: spec.Set().Initial()}
 }
 
 // Update applies u locally, then broadcasts it.

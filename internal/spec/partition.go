@@ -91,32 +91,37 @@ func (SetSpec) QueryKey(in QueryInput) (string, bool) {
 }
 
 // MergeInto implements Partitionable: union of disjoint element sets
-// (set states hold only present elements, so every entry copies over).
+// (set states hold only present elements, so every entry copies over,
+// stamped new in dst).
 func (SetSpec) MergeInto(dst, src State) State {
-	d := dst.(map[string]bool)
-	for k, v := range src.(map[string]bool) {
-		d[k] = v
+	d := dst.(*setState)
+	for k := range src.(*setState).m {
+		d.m[k] = d.gen
 	}
 	return d
 }
 
 // UnmergeFrom implements Partitionable: remove src's elements.
 func (SetSpec) UnmergeFrom(dst, src State) State {
-	d := dst.(map[string]bool)
-	for k := range src.(map[string]bool) {
-		delete(d, k)
+	d := dst.(*setState)
+	for k := range src.(*setState).m {
+		delete(d.m, k)
 	}
 	return d
 }
 
 // ExtractRange implements Partitionable: move the selected elements
-// into a fresh set state.
+// into a fresh set state, never read, so each is stamped generation 0.
 func (SetSpec) ExtractRange(s State, keep func(key string) bool) (State, int) {
-	out, n := extractMap(s.(map[string]bool), keep)
+	st := s.(*setState)
+	out, n := extractMap(st.m, keep)
 	if n == 0 {
 		return nil, 0
 	}
-	return out, n
+	for k := range out {
+		out[k] = 0
+	}
+	return newSetState(out), n
 }
 
 // UpdateKey implements Partitionable: a write addresses its register.

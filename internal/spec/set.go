@@ -2,7 +2,9 @@ package spec
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"sync"
 )
 
 // Ins is the insertion update I(v) of the set S_Val (Example 1).
@@ -27,7 +29,7 @@ func (Read) String() string { return "R" }
 // Has is the membership query C(v) of the set: whether v is present,
 // returned as a Bool. It is the set's keyed point query — O(1) on the
 // state, cached per (log version, v), and on a sharded replica served
-// by the shard owning v alone — where R walks and sorts the whole set.
+// by the shard owning v alone — where R walks the whole set.
 type Has struct{ V string }
 
 // String renders the query input, e.g. "C(1)".
@@ -46,9 +48,84 @@ func (b Bool) String() string {
 
 // SetSpec is the set object S_Val of Example 1: updates insert and
 // delete single elements, the query R returns the finite set of present
-// elements and C(v) membership of one. States are map[string]bool with
-// only true entries.
+// elements and C(v) membership of one. States are *setState: the
+// present elements plus the sorted answer to R as of the last read.
 type SetSpec struct{ builtinQueries }
+
+// setState is a set state. It keeps the sorted answer to R between
+// reads (§VII-C's "intermediate states"), so R merges what changed
+// into it in O(n + k log k) for k new elements instead of sorting all
+// n. Updates write only m; R alone maintains view and gen.
+type setState struct {
+	// m maps each present element to the generation it was inserted
+	// in. An element stamped below gen was present at the last R, so
+	// it is in view; one stamped gen is new since.
+	m map[string]uint64
+
+	// mu guards view and gen: R runs under a replica's shared lock, so
+	// two readers can rebuild the view at once.
+	mu   sync.Mutex
+	view []string // ascending elements as of the last R; never written once published
+	gen  uint64
+}
+
+// newSetState returns a never-read state holding the elements of m,
+// every one stamped with generation 0.
+func newSetState(m map[string]uint64) *setState {
+	return &setState{m: m, view: []string{}}
+}
+
+// insert adds v, stamping it new unless it is already present.
+func (st *setState) insert(v string) {
+	if _, ok := st.m[v]; !ok {
+		st.m[v] = st.gen
+	}
+}
+
+// elems answers R: the present elements, ascending. The result is the
+// state's view, shared with every later reader until the set changes;
+// no one may write to it.
+func (st *setState) elems() Elems {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	add := make([]string, 0, max(len(st.m)-len(st.view), 0))
+	for v, g := range st.m {
+		if g == st.gen {
+			add = append(add, v)
+		}
+	}
+	old := len(st.m) - len(add)
+	if len(add) == 0 && old == len(st.view) {
+		return st.view
+	}
+	slices.Sort(add)
+	out := add // nothing left from the view (on a first read, say): add is the answer
+	if old > 0 {
+		out = make([]string, 0, old+len(add))
+		base := st.view
+		if old < len(base) {
+			// Part of the view left, or left and came back stamped
+			// new. Keep the rest in out's tail: the merge below then
+			// always reads base ahead of where it writes.
+			kept := out[len(add):len(add)]
+			for _, v := range base {
+				if g, ok := st.m[v]; ok && g != st.gen {
+					kept = append(kept, v)
+				}
+			}
+			base = kept
+		}
+		for _, v := range add {
+			i, _ := slices.BinarySearch(base, v)
+			out = append(append(out, base[:i]...), v)
+			base = base[i:]
+		}
+		out = append(out, base...)
+	}
+	st.view = out
+	st.gen++
+	return out
+}
 
 // Set returns the set UQ-ADT.
 func Set() SetSpec { return SetSpec{} }
@@ -57,30 +134,29 @@ func Set() SetSpec { return SetSpec{} }
 func (SetSpec) Name() string { return "set" }
 
 // Initial implements UQADT: the empty set.
-func (SetSpec) Initial() State { return map[string]bool{} }
+func (SetSpec) Initial() State { return newSetState(map[string]uint64{}) }
 
 // Apply implements UQADT: T(s, I(v)) = s ∪ {v}, T(s, D(v)) = s \ {v}.
 func (SetSpec) Apply(s State, u Update) State {
-	m := s.(map[string]bool)
+	st := s.(*setState)
 	switch op := u.(type) {
 	case Ins:
-		m[op.V] = true
+		st.insert(op.V)
 	case Del:
-		delete(m, op.V)
+		delete(st.m, op.V)
 	default:
 		panic(fmt.Sprintf("spec: set does not recognize update %T", u))
 	}
-	return m
+	return st
 }
 
-// Clone implements UQADT.
+// Clone implements UQADT. The clone shares the immutable view.
 func (SetSpec) Clone(s State) State {
-	m := s.(map[string]bool)
-	c := make(map[string]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+	st := s.(*setState)
+	st.mu.Lock()
+	view, gen := st.view, st.gen
+	st.mu.Unlock()
+	return &setState{m: maps.Clone(st.m), view: view, gen: gen}
 }
 
 // Query implements UQADT: G(s, R) = s, rendered canonically, and
@@ -88,9 +164,10 @@ func (SetSpec) Clone(s State) State {
 func (SetSpec) Query(s State, in QueryInput) QueryOutput {
 	switch q := in.(type) {
 	case Read:
-		return setElems(s.(map[string]bool))
+		return s.(*setState).elems()
 	case Has:
-		return Bool(s.(map[string]bool)[q.V])
+		_, ok := s.(*setState).m[q.V]
+		return Bool(ok)
 	default:
 		panic(fmt.Sprintf("spec: set does not recognize query %T", in))
 	}
@@ -112,33 +189,33 @@ func (SetSpec) EqualOutput(a, b QueryOutput) bool {
 
 // KeyState implements UQADT.
 func (SetSpec) KeyState(s State) string {
-	return setElems(s.(map[string]bool)).String()
+	return s.(*setState).elems().String()
 }
 
 // ApplyUndo implements Undoable: the inverse of an insertion is a
 // deletion unless the element was already present (then a no-op), and
 // symmetrically for deletions.
 func (sp SetSpec) ApplyUndo(s State, u Update) (State, Undo) {
-	m := s.(map[string]bool)
+	st := s.(*setState)
 	switch op := u.(type) {
 	case Ins:
-		if m[op.V] {
-			return m, func(t State) State { return t }
+		if _, ok := st.m[op.V]; ok {
+			return st, func(t State) State { return t }
 		}
-		m[op.V] = true
+		st.m[op.V] = st.gen
 		v := op.V
-		return m, func(t State) State {
-			delete(t.(map[string]bool), v)
+		return st, func(t State) State {
+			delete(t.(*setState).m, v)
 			return t
 		}
 	case Del:
-		if !m[op.V] {
-			return m, func(t State) State { return t }
+		if _, ok := st.m[op.V]; !ok {
+			return st, func(t State) State { return t }
 		}
-		delete(m, op.V)
+		delete(st.m, op.V)
 		v := op.V
-		return m, func(t State) State {
-			t.(map[string]bool)[v] = true
+		return st, func(t State) State {
+			t.(*setState).insert(v)
 			return t
 		}
 	default:
@@ -176,19 +253,20 @@ func (SetSpec) ExplainState(obs []Observation) (State, bool) {
 			return nil, false
 		}
 	}
-	m := make(map[string]bool, len(read))
+	m := make(map[string]uint64, len(read))
 	for _, v := range read {
-		m[v] = true
+		m[v] = 0
 	}
 	for v, present := range has {
+		_, in := m[v]
 		switch {
-		case haveRead && m[v] != present:
+		case haveRead && in != present:
 			return nil, false
 		case present:
-			m[v] = true
+			m[v] = 0
 		}
 	}
-	return m, true
+	return newSetState(m), true
 }
 
 // EncodeUpdate implements Codec. Wire format: one tag byte ('I' or 'D')
@@ -222,18 +300,6 @@ func (SetSpec) DecodeUpdate(b []byte) (Update, error) {
 	default:
 		return nil, fmt.Errorf("spec: unknown set update tag %q", b[0])
 	}
-}
-
-// setElems renders a set state canonically.
-func setElems(m map[string]bool) Elems {
-	out := make([]string, 0, len(m))
-	for k, present := range m {
-		if present {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // GSetSpec is the grow-only set: the restriction of SetSpec to

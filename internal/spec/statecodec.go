@@ -64,7 +64,7 @@ func decodeStrings(b []byte) ([]string, int, error) {
 
 // EncodeState implements StateCodec for the set.
 func (SetSpec) EncodeState(s State) ([]byte, error) {
-	return encodeStrings(setElems(s.(map[string]bool))), nil
+	return encodeStrings(s.(*setState).elems()), nil
 }
 
 // DecodeState implements StateCodec for the set.
@@ -73,11 +73,11 @@ func (SetSpec) DecodeState(b []byte) (State, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string]bool, len(elems))
+	m := make(map[string]uint64, len(elems))
 	for _, v := range elems {
-		m[v] = true
+		m[v] = 0
 	}
-	return m, nil
+	return newSetState(m), nil
 }
 
 // EncodeState implements StateCodec for the register.

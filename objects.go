@@ -3,6 +3,7 @@ package updatec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"updatec/internal/check"
 	"updatec/internal/history"
@@ -108,8 +109,11 @@ func (s *Set) Insert(v string) { s.p.Update(spec.Ins{V: v}) }
 // Delete removes v from the set. Wait-free.
 func (s *Set) Delete(v string) { s.p.Update(spec.Del{V: v}) }
 
-// Elements returns this replica's current view, sorted.
-func (s *Set) Elements() []string { return s.p.Query(spec.Read{}).(spec.Elems) }
+// Elements returns this replica's current view, sorted. The caller
+// owns the slice.
+func (s *Set) Elements() []string {
+	return slices.Clone(s.p.Query(spec.Read{}).(spec.Elems))
+}
 
 // Contains reports membership in this replica's current view. It is a
 // keyed point query: O(1) on the replica's maintained state, served by
@@ -329,9 +333,9 @@ func (m *CounterMap) Value(k string) int64 {
 
 // All returns every touched counter as sorted "k=v" entries — a
 // whole-state read: on a sharded cluster it folds the per-shard states
-// (served through the merged-state cache).
+// (served through the merged-state cache). The caller owns the slice.
 func (m *CounterMap) All() []string {
-	return m.p.Query(spec.ReadAllCtrs{}).(spec.Elems)
+	return slices.Clone(m.p.Query(spec.ReadAllCtrs{}).(spec.Elems))
 }
 
 // CounterMapObject describes the replicated counter map.

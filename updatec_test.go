@@ -50,6 +50,35 @@ func TestSetClusterSimulatedDeterminism(t *testing.T) {
 	}
 }
 
+// TestWholeStateReadsBelongToCaller pins that a whole-state answer is
+// the caller's to change: writing into one must not reach the next
+// reader, who would otherwise get the replica's cached answer as the
+// caller left it.
+func TestWholeStateReadsBelongToCaller(t *testing.T) {
+	_, sets, err := New(1, SetObject(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets[0].Insert("a")
+	sets[0].Insert("b")
+	e := sets[0].Elements()
+	e[0] = "zzz"
+	if got := strings.Join(sets[0].Elements(), ","); got != "a,b" {
+		t.Fatalf("Elements after a caller's write = %s, want a,b", got)
+	}
+
+	_, ctrs, err := New(1, CounterMapObject(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrs[0].Inc("k")
+	all := ctrs[0].All()
+	all[0] = "zzz"
+	if got := strings.Join(ctrs[0].All(), ","); got != "k=1" {
+		t.Fatalf("All after a caller's write = %s, want k=1", got)
+	}
+}
+
 func TestDeliverStepwise(t *testing.T) {
 	cluster, sets, err := New(2, SetObject(), WithSeed(3))
 	if err != nil {

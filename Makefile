@@ -74,10 +74,12 @@ test-ucperf:
 
 # fuzz runs a short coverage-guided pass over the byte-level decoders
 # that face the network: the wire-frame envelope codec and the hello, the
-# run decoder behind every sync reply and snapshot suffix,
-# the snapshot as a whole, and the two halves of the anti-entropy exchange
-# (a peer's digest, a donor's sync reply), a client's query as a daemon
-# decodes and evaluates it, and a daemon's answer as a client decodes it.
+# run decoder behind every sync reply and snapshot suffix and the step
+# decoder behind every broadcast delivery, the snapshot as a whole, and
+# the two halves of the anti-entropy exchange (a peer's digest, a donor's
+# sync reply), a client's query as a daemon
+# decodes and evaluates it, a client's frame stream as the daemon batches
+# and answers it, and a daemon's answer as a client decodes it.
 # The seed corpora also run under plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/transport/
@@ -87,6 +89,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzApplySync -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzWireDigest -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzClientQuery -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzClientIntake -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzQueryOutput -fuzztime 10s ./internal/spec/
 
 # bench-consistency prints the E22 table: the same workload at the

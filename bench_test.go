@@ -12,6 +12,7 @@ package updatec
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -942,4 +943,46 @@ func BenchmarkWireQuery(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWireUpdate prices the streamed write path through Dial: one op
+// is 10 000 Inserts written behind the caller, then the Flush barrier, so
+// it covers the client's write-behind, the daemon's batched intake and
+// its write steps. ns/update and allocs/update divide by the inserts;
+// allocations count client and daemon, which share the process.
+func BenchmarkWireUpdate(b *testing.B) {
+	const perOp = 10000
+	node, err := ListenAndServe(SetObject(), WireConfig{ID: 0, Peers: []string{"127.0.0.1:0"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer node.Close()
+	c, err := Dial(SetObject(), node.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	set := c.Handle()
+	keys := make([]string, perOp)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("v%05d", i)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			set.Insert(k)
+		}
+		if err := c.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	updates := float64(b.N * perOp)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/updates, "allocs/update")
 }

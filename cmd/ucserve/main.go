@@ -63,7 +63,7 @@ func main() {
 		shards = flag.Int("shards", 1, "key shards per replica (partitionable objects)")
 		gc     = flag.Bool("gc", false, "enable stability-based log compaction")
 		batch  = flag.Int("batch", 0, "outbound batch coalescing threshold in bytes (default 64KiB; 1 disables)")
-		queue  = flag.Int("queue", 0, "per-peer send queue bound in envelopes (default 4096)")
+		queue  = flag.Int("queue", 0, "per-peer send queue bound in updates (default 4096)")
 		client = flag.String("client", "", "run as client against the given daemon address")
 		verb   = flag.Bool("v", false, "log connection lifecycle events")
 	)

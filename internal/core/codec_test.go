@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"updatec/internal/clock"
@@ -40,8 +42,12 @@ func (n *tapNet) Broadcast(from int, p []byte) {
 }
 
 // TestRunBytesMatchParent pins the wire formats this package may not
-// change: a replica broadcasts bare messages, a SyncReply body is the
-// golden run byte for byte, and a snapshot is its header followed by it.
+// change by accident: a SyncReply body is the golden run byte for byte,
+// a snapshot is its header followed by it, and every broadcast is a step
+// built from the golden run's messages — a lone update its message with
+// a count of one and a length slipped in behind the stamp, and the four
+// updates issued as one batch the first stamp, a count of four and each
+// update's bytes behind its length.
 func TestRunBytesMatchParent(t *testing.T) {
 	want := goldenRun(t)
 	tap := &tapNet{Network: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})}
@@ -49,10 +55,22 @@ func TestRunBytesMatchParent(t *testing.T) {
 	for _, u := range goldenScript {
 		r.Update(u)
 	}
-	// The same messages, bare: the run minus count and length prefixes.
-	bare := [][]byte{want[2:6], want[7:11], want[13 : 13+133], want[len(want)-3:]}
-	if !slices.EqualFunc(tap.sent, bare, bytes.Equal) {
-		t.Fatalf("broadcast %x, want %x", tap.sent, bare)
+	// The golden messages; each stamp is two bytes.
+	msgs := [][]byte{want[2:6], want[7:11], want[13 : 13+133], want[len(want)-3:]}
+	framed := func(op []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(op))), op...) }
+	var lone [][]byte
+	batch := append(slices.Clone(msgs[0][:2]), byte(len(msgs)))
+	for _, m := range msgs {
+		lone = append(lone, append(append(slices.Clone(m[:2]), 0x01), framed(m[2:])...))
+		batch = append(batch, framed(m[2:])...)
+	}
+	if !slices.EqualFunc(tap.sent, lone, bytes.Equal) {
+		t.Fatalf("broadcast %x, want %x", tap.sent, lone)
+	}
+	batched := &tapNet{Network: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})}
+	NewReplica(Config{ID: 0, N: 2, ADT: spec.Set(), Net: batched}).UpdateBatch(goldenScript)
+	if len(batched.sent) != 1 || !bytes.Equal(batched.sent[0], batch) {
+		t.Fatalf("batch broadcast %x, want the one step %x", batched.sent, batch)
 	}
 	reply, err := r.SyncReply(Digest{})
 	if err != nil || !bytes.Equal(reply, want) {
@@ -104,12 +122,14 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzBatchFrame drives the run decoder — the one parser behind every
-// sync reply and snapshot suffix — with arbitrary bytes through a real
-// spec codec. It must never panic and never allocate for a count the
-// bytes cannot back; what it accepts must survive a re-encode and decode
-// unchanged.
+// FuzzBatchFrame drives the two multi-update decoders with arbitrary
+// bytes through a real spec codec: the run decoder — the one parser
+// behind every sync reply and snapshot suffix — and the step decoder
+// behind every broadcast delivery. Neither may panic or allocate for a
+// count the bytes cannot back; what either accepts must survive a
+// re-encode and decode unchanged.
 func FuzzBatchFrame(f *testing.F) {
+	c := newMessageCodec(spec.Set())
 	golden := goldenRun(f)
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
@@ -117,35 +137,90 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0x02, 0x03, 0x05, 0x01, 'x', 0x03, 0x05, 0x01, 'x'})
+	step := appendStepHeader(nil, clock.Timestamp{Clock: 9, Proc: 2}, len(goldenScript))
+	for _, u := range goldenScript {
+		step, _ = c.appendStepUpdate(step, u)
+	}
+	f.Add(step)
 
-	c := newMessageCodec(spec.Set())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := c.decodeRun(data)
-		if err != nil {
+		if entries, err := c.decodeRun(data); err != nil {
 			if entries != nil {
 				t.Fatalf("a refused run returned %d entries", len(entries))
 			}
+		} else {
+			if len(entries) > len(data)/3 {
+				t.Fatalf("%d entries decoded from %d bytes", len(entries), len(data))
+			}
+			again, err := c.appendRun(nil, entries)
+			if err != nil {
+				t.Fatalf("re-encoding an accepted run: %v", err)
+			}
+			back, err := c.decodeRun(again)
+			if err != nil || !slices.Equal(back, entries) {
+				t.Fatalf("re-encoded run decodes to %v, %v; want %v", back, err, entries)
+			}
+		}
+		entries, err := c.decodeStep(nil, data)
+		if err != nil {
+			if entries != nil {
+				t.Fatalf("a refused step returned %d entries", len(entries))
+			}
 			return
 		}
-		if len(entries) > len(data)/3 {
+		if len(entries) == 0 || len(entries) > len(data) {
 			t.Fatalf("%d entries decoded from %d bytes", len(entries), len(data))
 		}
-		again, err := c.appendRun(nil, entries)
-		if err != nil {
-			t.Fatalf("re-encoding an accepted run: %v", err)
+		again := appendStepHeader(nil, entries[0].TS, len(entries))
+		for i, e := range entries {
+			if e.TS != (clock.Timestamp{Clock: entries[0].TS.Clock + uint64(i), Proc: entries[0].TS.Proc}) {
+				t.Fatalf("step entry %d stamped %s after %s", i, e.TS, entries[0].TS)
+			}
+			if again, err = c.appendStepUpdate(again, e.U); err != nil {
+				t.Fatalf("re-encoding an accepted step: %v", err)
+			}
 		}
-		back, err := c.decodeRun(again)
+		back, err := c.decodeStep(nil, again)
 		if err != nil || !slices.Equal(back, entries) {
-			t.Fatalf("re-encoded run decodes to %v, %v; want %v", back, err, entries)
+			t.Fatalf("re-encoded step decodes to %v, %v; want %v", back, err, entries)
 		}
 	})
 }
 
 // corruptPayloads are data payloads the set codec does not accept as a
-// message: a lone 0xff (an unterminated uvarint), a timestamp cut after
-// its clock, and a whole timestamp followed by op bytes the spec does not
-// know — bare, and wrapped as the one message of a run.
+// step: a lone 0xff (an unterminated uvarint), a timestamp cut after its
+// clock, a step that claims more updates than it holds, and a step of
+// one whose op bytes the spec does not know.
 var corruptPayloads = [][]byte{{0xff}, {0x01}, {0x01, 0x01, 0x05, 0x05}, {0x01, 0x03, 0x01, 0x01, 0x05}}
+
+// stepOf is the broadcast payload of one update: a step of one, after
+// prefix (a causal dependency vector, or nothing).
+func stepOf(t testing.TB, c messageCodec, prefix []byte, ts clock.Timestamp, u spec.Update) []byte {
+	t.Helper()
+	p, err := c.appendStepUpdate(appendStepHeader(prefix, ts, 1), u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// stepStamps reads the stamps of a broadcast step without decoding its
+// updates.
+func stepStamps(p []byte) ([]clock.Timestamp, error) {
+	first, off, err := clock.DecodeTimestamp(p)
+	if err != nil {
+		return nil, err
+	}
+	count, n := binary.Uvarint(p[off:])
+	if n <= 0 || count > uint64(len(p)) {
+		return nil, fmt.Errorf("malformed step count")
+	}
+	out := make([]clock.Timestamp, count)
+	for i := range out {
+		out[i] = clock.Timestamp{Clock: first.Clock + uint64(i), Proc: first.Proc}
+	}
+	return out, nil
+}
 
 // trapNet wraps the handlers process 0 attaches so a test can see what
 // they panic with. The networks themselves recover nothing: in process, a
@@ -216,10 +291,7 @@ func TestCorruptPayloadPanicsInProcess(t *testing.T) {
 		// At causal consistency the message rides behind a dependency
 		// vector: one cut short, one with an entry missing, and a whole
 		// vector before bad op bytes or an origin outside the cluster.
-		foreign, err := newMessageCodec(spec.Set()).appendMessage(clock.Vector{0, 0}.Encode(nil), clock.Timestamp{Clock: 1, Proc: 7}, spec.Ins{V: "x"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		foreign := stepOf(t, newMessageCodec(spec.Set()), clock.Vector{0, 0}.Encode(nil), clock.Timestamp{Clock: 1, Proc: 7}, spec.Ins{V: "x"})
 		for _, payload := range [][]byte{{0x02, 0x01}, {0x01, 0x00, 0x01, 0x01, 0x01}, {0x02, 0x00, 0x00, 0x01, 0x01, 0x05, 0x05}, foreign} {
 			net, settle := mk()
 			trap := trapNet{ResizableNetwork: net, got: make(chan any, 1)}
@@ -250,10 +322,7 @@ func TestBelowHorizonIsNotBadPayload(t *testing.T) {
 	if reps[0].Stats().Compacted == 0 {
 		t.Fatal("test needs a compacted replica")
 	}
-	stale, err := reps[0].wire.appendMessage(nil, clock.Timestamp{Clock: 1, Proc: 1}, spec.Ins{V: "late"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := stepOf(t, reps[0].wire, nil, clock.Timestamp{Clock: 1, Proc: 1}, spec.Ins{V: "late"})
 	defer func() {
 		v := recover()
 		if _, bad := v.(transport.BadPayload); v == nil || bad {
@@ -261,4 +330,49 @@ func TestBelowHorizonIsNotBadPayload(t *testing.T) {
 		}
 	}()
 	reps[0].handle(1, stale)
+}
+
+// countNet is a network that bounds its queues in updates, as
+// transport.TCPNetwork does: it records the count each step arrives with
+// and on which shard channel.
+type countNet struct {
+	transport.ResizableNetwork
+	mu     sync.Mutex
+	counts map[[2]int][]int // (origin, shard) → counts in send order
+}
+
+func (n *countNet) BroadcastStep(from, shard, epoch, count int, p []byte) {
+	n.mu.Lock()
+	n.counts[[2]int{from, shard}] = append(n.counts[[2]int{from, shard}], count)
+	n.mu.Unlock()
+	n.ResizableNetwork.BroadcastShardEpoch(from, shard, epoch, p)
+}
+
+// TestStepCountReachesNetwork: a write step hands the network its update
+// count with the payload — from a plain replica and from each shard of a
+// sharded one, through its shard channel — so a queue bounded in updates
+// weighs a step of k as k.
+func TestStepCountReachesNetwork(t *testing.T) {
+	batch := []spec.Update{spec.AddKey{K: "a", N: 1}, spec.AddKey{K: "b", N: 1}, spec.AddKey{K: "a", N: 1}, spec.AddKey{K: "c", N: 1}, spec.AddKey{K: "a", N: 1}}
+	net := &countNet{ResizableNetwork: transport.NewSim(transport.SimOptions{N: 2, Seed: 1}), counts: map[[2]int][]int{}}
+	r := NewReplica(Config{ID: 0, N: 2, ADT: spec.CounterMap(), Net: net})
+	r.Update(spec.AddKey{K: "a", N: 1})
+	r.UpdateBatch(batch)
+	if got := net.counts[[2]int{0, 0}]; !slices.Equal(got, []int{1, 5}) {
+		t.Fatalf("plain replica sent counts %v, want [1 5]", got)
+	}
+
+	net = &countNet{ResizableNetwork: transport.NewSim(transport.SimOptions{N: 2, Seed: 1}), counts: map[[2]int][]int{}}
+	sr := NewShardedReplica(ShardedConfig{ID: 0, N: 2, Shards: 4, ADT: spec.CounterMap(), Net: net})
+	sr.UpdateBatch(batch)
+	total := 0
+	for k, counts := range net.counts {
+		if len(counts) != 1 || k[0] != 0 {
+			t.Fatalf("shard channel %v sent counts %v, want one step", k, counts)
+		}
+		total += counts[0]
+	}
+	if total != len(batch) {
+		t.Fatalf("shard steps carried %d updates in all (%v), want %d", total, net.counts, len(batch))
+	}
 }

@@ -420,14 +420,22 @@ func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 	return out
 }
 
-// handle implements lines 8–11 of Algorithm 1 for a peer's broadcast.
-// A delivery from the replica itself — the transports hand every
-// broadcast back to its sender inline — carries nothing new: the update
-// was inserted by the step that stamped it (UpdateTimestamped), before
-// the broadcast went out. The payload is decoded completely before the
-// lock is taken; one that does not decode lands nothing and is raised as
-// transport.BadPayload. At causal consistency the payload starts with a
-// dependency vector, and the update passes the gate (gateLocked).
+// handle implements lines 8–11 of Algorithm 1 for a peer's broadcast: a
+// step, the sender's updates of one write step. A delivery from
+// the replica itself — the transports hand every broadcast back to its
+// sender inline — carries nothing new: the updates were inserted by the
+// step that stamped them (writeStep), before the broadcast went out. The
+// payload is decoded completely before the lock is taken; one that does
+// not decode lands nothing and is raised as transport.BadPayload. The
+// step, in stamp order by construction, lands under one lock hold with
+// InsertDedup's semantics, entry by entry (mergeLocked), and every entry
+// feeds the stability tail as a delivery of its own would. At causal
+// consistency the payload is a dependency vector and a step of one, and
+// the update passes the gate (gateLocked).
+//
+// Transports may call handle concurrently (TCP runs one receive goroutine
+// per peer link), so everything decoded lives on this call's stack or in
+// its own allocation, never in scratch shared on the Replica.
 func (r *Replica) handle(from int, payload []byte) {
 	if from == r.id {
 		return
@@ -439,9 +447,14 @@ func (r *Replica) handle(from int, payload []byte) {
 			panic(r.badPayload(from, err))
 		}
 	}
-	e, err := r.wire.decodeMessage(payload)
-	if err == nil && deps != nil && (e.TS.Proc < 0 || e.TS.Proc >= r.n) {
-		err = fmt.Errorf("update %s: origin out of range", e.TS)
+	var one [1]Entry
+	step, err := r.wire.decodeStep(one[:0], payload)
+	switch {
+	case err != nil:
+	case deps != nil && len(step) != 1:
+		err = fmt.Errorf("a causal payload carries %d updates, want 1", len(step))
+	case deps != nil && (step[0].TS.Proc < 0 || step[0].TS.Proc >= r.n):
+		err = fmt.Errorf("update %s: origin out of range", step[0].TS)
 	}
 	if err != nil {
 		panic(r.badPayload(from, err))
@@ -449,11 +462,17 @@ func (r *Replica) handle(from int, payload []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if deps != nil {
-		r.gateLocked(gatedEntry{Entry: e, deps: deps})
+		r.gateLocked(gatedEntry{Entry: step[0], deps: deps})
 		return
 	}
-	r.insertLocked(e.TS, e.U)
-	r.tailLocked(e.TS)
+	if len(step) == 1 {
+		r.insertLocked(step[0].TS, step[0].U)
+	} else {
+		r.mergeLocked(step)
+	}
+	for i := range step {
+		r.tailLocked(step[i].TS)
+	}
 }
 
 func (r *Replica) badPayload(from int, err error) transport.BadPayload {
@@ -708,34 +727,98 @@ func (r *Replica) Fingerprint() Fingerprint {
 }
 
 // UpdateTimestamped is Update returning the timestamp assigned to the
-// update; sessions use it to record their own writes. It is the one write
-// step. One exclusive hold stamps the update, lands it in the replica's
-// own log — the only way a replica learns of its own update, so no other
-// step of this replica (a tied peer delivery, a compaction) ever sees the
-// clock at ts without the entry in the log — records it, encodes it and
-// runs the stability/GC tail; the broadcast goes out after the unlock, so
-// queries and deliveries never wait on the network. The writer token is
-// held from the stamp until the broadcast returns: concurrent writers
-// send in the order they stamped.
+// update; sessions use it to record their own writes. It is the write
+// step (writeStep) for one update.
 func (r *Replica) UpdateTimestamped(u spec.Update) clock.Timestamp {
+	one := [1]spec.Update{u}
+	return r.writeStep(one[:])
+}
+
+// UpdateBatch issues us, in order, as one write step: the updates take
+// consecutive stamps, land, and leave in one broadcast — the same
+// stamped updates, landed in the same order, as len(us) calls of Update,
+// for one lock hold, one clock operation and one message. The wire
+// daemon feeds it every update a client has already sent.
+func (r *Replica) UpdateBatch(us []spec.Update) {
+	if len(us) > 0 {
+		r.writeStep(us)
+	}
+}
+
+// writeStep is the one write step, lines 4–7 of Algorithm 1 for k ≥ 1
+// updates; it returns the first one's stamp. One exclusive hold reserves
+// k consecutive stamps (TickN) and, update by update in stamp order,
+// records it, lands it in the replica's own log — the only way a replica
+// learns of its own update, so no other step of this replica (a tied peer
+// delivery, a compaction) ever sees the clock at a stamp without its
+// entry in the log — encodes it and runs the stability/GC tail. The k
+// updates leave as one step; at causal consistency each leaves alone, a
+// step of one behind its own dependency vector. The broadcast goes out
+// after the unlock, so queries and deliveries never wait on the network.
+// The writer token is held from the stamp until the broadcast returns:
+// concurrent writers send in the order they stamped.
+func (r *Replica) writeStep(us []spec.Update) clock.Timestamp {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
 	r.mu.Lock()
-	ts := clock.Timestamp{Clock: r.clk.Tick(), Proc: r.id}
-	if r.rec != nil {
-		r.rec.UpdateDeps(r.id, u, r.depsLocked())
-	}
+	k := uint64(len(us))
+	first := clock.Timestamp{Clock: r.clk.TickN(k) - k + 1, Proc: r.id}
+	var gated [][]byte // causal payloads, one per update
 	r.enc = r.enc[:0]
-	if r.causal {
-		r.enc = r.appendDepsLocked(r.enc)
+	if !r.causal {
+		r.enc = appendStepHeader(r.enc, first, len(us))
 	}
-	r.insertLocked(ts, u)
-	r.enc = mustEncode(r.wire.appendMessage(r.enc, ts, u))
-	payload := bytes.Clone(r.enc)
-	r.tailLocked(ts)
+	for i, u := range us {
+		ts := clock.Timestamp{Clock: first.Clock + uint64(i), Proc: r.id}
+		if r.rec != nil {
+			r.rec.UpdateDeps(r.id, u, r.depsLocked())
+		}
+		if r.causal {
+			r.enc = appendStepHeader(r.appendDepsLocked(r.enc[:0]), ts, 1)
+		}
+		r.insertLocked(ts, u)
+		r.enc = mustEncode(r.wire.appendStepUpdate(r.enc, u))
+		if r.causal {
+			gated = append(gated, bytes.Clone(r.enc))
+		}
+		r.tailLocked(ts)
+	}
+	var payload []byte
+	if !r.causal {
+		payload = bytes.Clone(r.enc)
+	}
 	r.mu.Unlock()
+	if payload != nil {
+		r.broadcast(len(us), payload)
+	}
+	for _, p := range gated {
+		r.broadcast(1, p)
+	}
+	return first
+}
+
+// stepBroadcaster is a network whose send queues are bounded in updates
+// (transport.TCPNetwork): a step of count updates goes out with its
+// count, so a stalled peer holds back the same number of updates however
+// the writer batched. The payload stays opaque to it.
+type stepBroadcaster interface {
+	BroadcastStep(from, shard, epoch, count int, payload []byte)
+}
+
+// broadcast hands the transport a payload carrying count updates, on the
+// replica's shard channel when it has one (epochChannel): with the count
+// where the network bounds its queues in updates, as a plain broadcast
+// otherwise.
+func (r *Replica) broadcast(count int, payload []byte) {
+	net, shard, epoch := r.net, 0, 0
+	if c, ok := net.(epochChannel); ok {
+		net, shard, epoch = c.net, c.shard, c.epoch
+	}
+	if rb, ok := net.(stepBroadcaster); ok {
+		rb.BroadcastStep(r.id, shard, epoch, count, payload)
+		return
+	}
 	r.net.Broadcast(r.id, payload)
-	return ts
 }
 
 // Cluster builds n replicas sharing one transport, all with the same

@@ -296,20 +296,19 @@ func codecSansCodec() spec.UQADT {
 // sender's own copy: a legal interleaving on the live transport, where
 // remote deliveries run on the dispatcher goroutine while the sender is
 // still inside Broadcast.
-type tiedPeerNet struct{ h transport.Handler }
+type tiedPeerNet struct {
+	t testing.TB
+	h transport.Handler
+}
 
 func (n *tiedPeerNet) Attach(_ int, h transport.Handler) { n.h = h }
 
 func (n *tiedPeerNet) Broadcast(from int, payload []byte) {
-	ts, _, err := clock.DecodeTimestamp(payload)
+	stamps, err := stepStamps(payload)
 	if err != nil {
 		panic(err)
 	}
-	op, err := spec.Log().EncodeUpdate(spec.Append{V: "peer"})
-	if err != nil {
-		panic(err)
-	}
-	n.h(1, append(clock.Timestamp{Clock: ts.Clock, Proc: 1}.Encode(nil), op...))
+	n.h(1, stepOf(n.t, newMessageCodec(spec.Log()), nil, clock.Timestamp{Clock: stamps[0].Clock, Proc: 1}, spec.Append{V: "peer"}))
 	n.h(from, payload)
 }
 
@@ -321,7 +320,7 @@ func (n *tiedPeerNet) Broadcast(from int, payload []byte) {
 // "arrived below compaction horizon". The own update now lands in the step
 // that stamps it, so both entries are there, in (clock, id) order.
 func TestTiedPeerDeliveryBeforeSelfDelivery(t *testing.T) {
-	r := NewReplica(Config{ID: 0, N: 2, ADT: spec.Log(), Net: &tiedPeerNet{}, GC: true, GCEvery: 1})
+	r := NewReplica(Config{ID: 0, N: 2, ADT: spec.Log(), Net: &tiedPeerNet{t: t}, GC: true, GCEvery: 1})
 	r.Update(spec.Append{V: "own"})
 	got := r.Query(spec.ReadLog{}).(spec.Lines)
 	if len(got) != 2 || got[0] != "own" || got[1] != "peer" {

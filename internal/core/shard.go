@@ -254,11 +254,11 @@ func (c epochChannel) Broadcast(from int, payload []byte) {
 // if sender and receiver reached that count through different resize
 // histories. A cross-epoch delivery (the sender's table differs from
 // ours: an in-flight message from before a resize, or from a sender
-// that resized first) is decoded and each update landed, original
-// timestamp intact, in the shard that owns its key under the *current* table —
-// exactly where a local move would have put it, so every update ends
-// up in the owning shard exactly once whatever the interleaving of
-// resizes and deliveries.
+// that resized first) is decoded and each update of its step landed,
+// original timestamp intact, in the shard that owns its key under the
+// *current* table — exactly where a local move would have put it, so
+// every update ends up in the owning shard exactly once whatever the
+// interleaving of resizes and deliveries.
 //
 // The router reads the generation atomically instead of taking
 // routeMu: a coordinated live resize drains the network while holding
@@ -272,23 +272,25 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		g.shards[shard].handle(from, payload)
 		return
 	}
-	// Decode with the codec every shard shares before any shard is
-	// touched.
-	e, err := g.shards[0].wire.decodeMessage(payload)
+	// Decode the whole step with the codec every shard shares before any
+	// shard is touched.
+	step, err := g.shards[0].wire.decodeStep(nil, payload)
 	if err != nil {
 		panic(g.shards[0].badPayload(from, err))
 	}
 	r.resharded.Store(true)
-	dst := 0
-	if r.part != nil && len(g.shards) > 1 {
-		dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
+	for _, e := range step {
+		dst := 0
+		if r.part != nil && len(g.shards) > 1 {
+			dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
+		}
+		// Absorb, not handle: the entry keeps its timestamp but must not
+		// feed the stability tracker's peer observations — stamps from a
+		// different epoch's channel interleave non-monotonically with this
+		// shard's, so the FIFO argument behind direct observations does not
+		// apply (see Replica.Absorb).
+		g.shards[dst].Absorb(e.TS, e.U)
 	}
-	// Absorb, not handle: the entry keeps its timestamp but must not feed
-	// the stability tracker's peer observations — stamps from a different
-	// epoch's channel interleave non-monotonically with this shard's, so
-	// the FIFO argument behind direct observations does not apply (see
-	// Replica.Absorb).
-	g.shards[dst].Absorb(e.TS, e.U)
 }
 
 // FlushIntake does nothing: every Update has been stamped, landed and
@@ -367,6 +369,29 @@ func (r *ShardedReplica) Update(u spec.Update) {
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
 	g.shards[r.shardOfUpdate(g, u)].Update(u)
+}
+
+// UpdateBatch issues us in order, each on the shard owning its key: the
+// batch is split by shard, keeping each shard's share in order, and every
+// share is one write step of that shard (Replica.UpdateBatch). Updates of
+// different shards are independent, so only the order within a shard is
+// observable.
+func (r *ShardedReplica) UpdateBatch(us []spec.Update) {
+	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
+	g := r.gen.Load()
+	if r.part == nil || len(g.shards) == 1 {
+		g.shards[0].UpdateBatch(us)
+		return
+	}
+	shares := make([][]spec.Update, len(g.shards))
+	for _, u := range us {
+		s := r.shardOfUpdate(g, u)
+		shares[s] = append(shares[s], u)
+	}
+	for s, share := range shares {
+		g.shards[s].UpdateBatch(share)
+	}
 }
 
 // Query evaluates a query input. A keyed query (spec.Partitionable's

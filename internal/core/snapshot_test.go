@@ -194,10 +194,7 @@ func TestSnapshotBaseGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := donor.wire.appendMessage(nil, clock.Timestamp{Clock: 1, Proc: 1}, spec.Ins{V: "late"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := stepOf(t, donor.wire, nil, clock.Timestamp{Clock: 1, Proc: 1}, spec.Ins{V: "late"})
 	mk := func() *Replica {
 		return NewReplica(Config{ID: 1, N: 2, ADT: spec.Set(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 6})})
 	}

@@ -5,16 +5,15 @@ import (
 	"sync"
 	"testing"
 
-	"updatec/internal/clock"
 	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
 
 // orderNet checks, at the transport's door, the property stability-based
 // compaction rests on (Replica.tailLocked): each origin hands the network
-// its updates in stamp order, per shard channel. It decodes the timestamp
-// at the head of every broadcast payload and records any origin whose
-// stamps go down.
+// its updates in stamp order, per shard channel. It reads the stamps of
+// every broadcast step, in order, and records any origin whose stamps go
+// down.
 type orderNet struct {
 	transport.ResizableNetwork
 	mu   sync.Mutex
@@ -37,16 +36,19 @@ func (n *orderNet) BroadcastShardEpoch(from, shard, epoch int, p []byte) {
 }
 
 func (n *orderNet) check(from, shard int, p []byte) {
-	ts, _, err := clock.DecodeTimestamp(p)
+	stamps, err := stepStamps(p)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	k := [2]int{from, shard}
-	switch {
-	case err != nil:
+	if err != nil || len(stamps) == 0 {
 		n.errs = append(n.errs, fmt.Sprintf("origin %d shard %d: undecodable payload %x", from, shard, p))
-	case ts.Clock <= n.last[k]:
-		n.errs = append(n.errs, fmt.Sprintf("origin %d shard %d sent stamp %d after %d", from, shard, ts.Clock, n.last[k]))
-	default:
+		return
+	}
+	for _, ts := range stamps {
+		if ts.Clock <= n.last[k] {
+			n.errs = append(n.errs, fmt.Sprintf("origin %d shard %d sent stamp %d after %d", from, shard, ts.Clock, n.last[k]))
+			return
+		}
 		n.last[k] = ts.Clock
 	}
 }

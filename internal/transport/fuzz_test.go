@@ -69,7 +69,8 @@ func FuzzEnvelopeDecode(f *testing.F) {
 // FuzzHello feeds arbitrary bytes to the hello parser — the first thing
 // a daemon reads from any connection, before it knows who is speaking. It
 // must never panic; a hello it accepts names a known role, a bounded
-// cluster size and a bounded object name, and survives a re-encode.
+// cluster size and a bounded object name, claims a data format only from
+// a peer, and survives a re-encode (which claims this build's format).
 func FuzzHello(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(WireMagic))
@@ -78,21 +79,29 @@ func FuzzHello(f *testing.F) {
 	f.Add(helloPayload(RolePeer, 3, "set")[:len(WireMagic)+2]) // pre-name hello
 	f.Add(append(helloPayload(RolePeer, 3, ""), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Add(append([]byte(WireMagic), 0x07, 0x03))
+	f.Add(helloPayload(RolePeer, 3, "set")[:len(WireMagic)+6])  // a version-1 peer hello
+	f.Add(append(helloPayload(RolePeer, 3, "set"), 0x05, 0xff)) // a field after the version
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		role, n, name, err := parseHello(data)
+		h, err := parseHello(data)
 		if err != nil {
-			if role != 0 || n != 0 || name != "" {
-				t.Fatalf("a refused hello returned role=%d n=%d name=%q", role, n, name)
+			if h != (helloMsg{}) {
+				t.Fatalf("a refused hello returned %+v", h)
 			}
 			return
 		}
-		if role != RolePeer && role != RoleClient || n < 0 || n > 1<<20 || len(name) > 1<<10 {
-			t.Fatalf("accepted role=%d n=%d name of %d bytes", role, n, len(name))
+		if h.role != RolePeer && h.role != RoleClient || h.size < 0 || h.size > 1<<20 || len(h.name) > 1<<10 {
+			t.Fatalf("accepted role=%d n=%d name of %d bytes", h.role, h.size, len(h.name))
 		}
-		r2, n2, name2, err := parseHello(helloPayload(role, n, name))
-		if err != nil || r2 != role || n2 != n || name2 != name {
-			t.Fatalf("re-encoded hello parses to %d/%d/%q, %v; want %d/%d/%q", r2, n2, name2, err, role, n, name)
+		if h.role == RoleClient && h.version != 0 {
+			t.Fatalf("accepted a client hello with data format %d", h.version)
+		}
+		want := helloMsg{role: h.role, size: h.size, name: h.name}
+		if h.role == RolePeer {
+			want.version = PeerVersion
+		}
+		if h2, err := parseHello(helloPayload(h.role, h.size, h.name)); err != nil || h2 != want {
+			t.Fatalf("re-encoded hello parses to %+v, %v; want %+v", h2, err, want)
 		}
 	})
 }

@@ -9,14 +9,18 @@ import "sync"
 // acquisition). A mailbox is unbounded when max is zero — the
 // wait-freedom configuration LiveNetwork uses — or bounded, in which
 // case push blocks until the consumer frees space, which is the TCP
-// path's backpressure.
+// path's backpressure. The bound counts updates, not envelopes: an
+// envelope carrying k updates (one write step's) weighs k (envelope.count), so a
+// stalled consumer blocks its producers after the same number of
+// updates however they were batched.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// queue and the consumer's batch buffer ping-pong via swapWait.
-	queue []envelope
-	bytes int // payload bytes queued (peer-stats observability)
-	max   int // queue bound; 0 = unbounded
+	queue   []envelope
+	bytes   int // payload bytes queued (peer-stats observability)
+	updates int // updates queued, the sum of the envelopes' weights
+	max     int // bound on updates; 0 = unbounded
 	// discard drops every push immediately (counted in droppedDown):
 	// the TCP path sets it while a peer link is down, so broadcasts to
 	// a dead peer never block or accumulate — the on-reconnect digest
@@ -47,8 +51,9 @@ const (
 	pushDroppedDown
 )
 
-// push enqueues e. On a bounded, full mailbox it blocks until space
-// frees.
+// push enqueues e. On a bounded mailbox already holding max updates it
+// blocks until the consumer takes the queue; an envelope that fits
+// nowhere else may overshoot the bound by its own weight.
 func (m *mailbox) push(e envelope) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -56,7 +61,7 @@ func (m *mailbox) push(e envelope) int {
 		m.droppedDown++
 		return pushDroppedDown
 	}
-	for m.max > 0 && len(m.queue) >= m.max {
+	for m.max > 0 && m.updates >= m.max {
 		m.cond.Wait()
 		if m.closed || m.discard {
 			m.droppedDown++
@@ -65,6 +70,7 @@ func (m *mailbox) push(e envelope) int {
 	}
 	m.queue = append(m.queue, e)
 	m.bytes += len(e.payload)
+	m.updates += e.weight()
 	m.cond.Broadcast()
 	return pushQueued
 }
@@ -91,7 +97,7 @@ func (m *mailbox) swapWait(buf []envelope) ([]envelope, bool) {
 	}
 	batch := m.queue
 	m.queue = buf[:0]
-	m.bytes = 0
+	m.bytes, m.updates = 0, 0
 	m.busy = true
 	// Wake blocked pushers (the bound just cleared) and Drain waiters.
 	m.cond.Broadcast()
@@ -124,7 +130,7 @@ func (m *mailbox) setDiscard(on bool) {
 	if on {
 		m.droppedDown += uint64(len(m.queue))
 		m.queue = m.queue[:0]
-		m.bytes = 0
+		m.bytes, m.updates = 0, 0
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()

@@ -24,7 +24,8 @@ import (
 // (accepted on Listen) are only read. Each direction reconnects
 // independently with exponential backoff.
 //
-// Backpressure: each peer's outbound queue is bounded (QueueLen).
+// Backpressure: each peer's outbound queue is bounded (QueueLen, in
+// updates).
 // When a connected peer falls behind, Broadcast blocks until the
 // sender drains, so memory stays bounded and nothing is lost: the
 // digest exchange runs only on (re)connect, so a live link has no
@@ -86,8 +87,9 @@ type TCPOptions struct {
 	// BatchBytes of framed data (default 64 KiB). 1 disables batching —
 	// one write per frame.
 	BatchBytes int
-	// QueueLen bounds each peer's outbound queue in envelopes
-	// (default 4096).
+	// QueueLen bounds each peer's outbound queue in updates (default
+	// 4096): a data envelope weighs the number of updates its payload
+	// carries (BroadcastStep), a control envelope one.
 	QueueLen int
 	// MaxFrame bounds accepted frame bodies (default MaxFrame).
 	MaxFrame int
@@ -280,10 +282,19 @@ func (t *TCPNetwork) Broadcast(from int, payload []byte) {
 	t.BroadcastShardEpoch(from, 0, 0, payload)
 }
 
-// BroadcastShardEpoch implements ResizableNetwork: self-delivery is
-// inline (the paper's instantaneous self-receipt), remote copies are
-// framed and queued per peer under the configured backpressure policy.
+// BroadcastShardEpoch implements ResizableNetwork: a payload carrying
+// one update (BroadcastStep with count 1).
 func (t *TCPNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte) {
+	t.BroadcastStep(from, shard, epoch, 1, payload)
+}
+
+// BroadcastStep is BroadcastShardEpoch for a payload that carries count
+// updates: self-delivery is inline (the paper's instantaneous
+// self-receipt), remote copies are framed and queued per peer under the
+// configured backpressure policy, each weighing count updates against
+// the peer's QueueLen. The payload stays opaque; the replica passes the
+// count with it.
+func (t *TCPNetwork) BroadcastStep(from, shard, epoch, count int, payload []byte) {
 	if from != t.opts.ID {
 		panic(fmt.Sprintf("transport: TCPNetwork hosts process %d only; Broadcast from %d is a wiring bug", t.opts.ID, from))
 	}
@@ -302,7 +313,7 @@ func (t *TCPNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte)
 		// The payload slice is shared across queues, never copied per
 		// recipient; the sender goroutine copies it into its staging
 		// buffer when framing.
-		e := envelope{kind: KindData, from: from, to: id, shard: shard, epoch: epoch, payload: payload}
+		e := envelope{kind: KindData, from: from, to: id, shard: shard, epoch: epoch, payload: payload, count: count}
 		if p.mb.push(e) == pushQueued {
 			t.sends.Add(1)
 			t.bytes.Add(uint64(len(payload)))
@@ -531,15 +542,15 @@ func (t *TCPNetwork) serveConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	role, size, name, err := parseHello(hello.Payload)
+	h, err := parseHello(hello.Payload)
 	if err != nil {
 		t.badFrames.Add(1)
 		t.forget(conn)
 		conn.Close()
 		return
 	}
-	mismatch := t.opts.ObjectName != "" && name != "" && name != t.opts.ObjectName
-	if role == RoleClient {
+	mismatch := t.opts.ObjectName != "" && h.name != "" && h.name != t.opts.ObjectName
+	if h.role == RoleClient {
 		// The conn stays registered so Close unblocks the handler's read.
 		defer func() {
 			t.forget(conn)
@@ -550,7 +561,7 @@ func (t *TCPNetwork) serveConn(conn net.Conn) {
 			// silent close would read as a network fault, not a
 			// configuration error.
 			t.badFrames.Add(1)
-			msg := fmt.Sprintf("object mismatch: daemon serves %q, client speaks %q", t.opts.ObjectName, name)
+			msg := fmt.Sprintf("object mismatch: daemon serves %q, client speaks %q", t.opts.ObjectName, h.name)
 			conn.Write(AppendFrame(nil, Frame{Kind: KindError, From: -1, Payload: []byte(msg)}))
 			return
 		}
@@ -564,14 +575,21 @@ func (t *TCPNetwork) serveConn(conn net.Conn) {
 	}
 	from := hello.From
 	if mismatch {
-		t.logf("rejecting peer hello: object mismatch: this daemon serves %q, peer %d speaks %q", t.opts.ObjectName, from, name)
+		t.logf("rejecting peer hello: object mismatch: this daemon serves %q, peer %d speaks %q", t.opts.ObjectName, from, h.name)
 		t.badFrames.Add(1)
 		t.forget(conn)
 		conn.Close()
 		return
 	}
-	if size != t.n || from < 0 || from >= t.n || from == t.opts.ID {
-		t.logf("rejecting peer hello: from=%d size=%d (cluster size %d)", from, size, t.n)
+	if h.version != PeerVersion {
+		t.logf("rejecting peer hello: peer %d speaks data format %d, this daemon %d", from, h.version, PeerVersion)
+		t.badFrames.Add(1)
+		t.forget(conn)
+		conn.Close()
+		return
+	}
+	if h.size != t.n || from < 0 || from >= t.n || from == t.opts.ID {
+		t.logf("rejecting peer hello: from=%d size=%d (cluster size %d)", from, h.size, t.n)
 		t.badFrames.Add(1)
 		t.forget(conn)
 		conn.Close()

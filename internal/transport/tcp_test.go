@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -113,6 +115,121 @@ func TestMailboxBoundedPolicies(t *testing.T) {
 	}
 	if _, ok := m.swapWait(nil); ok {
 		t.Fatal("swapWait after close+drain must report closed")
+	}
+}
+
+// TestMailboxBoundCountsUpdates: the bound counts the updates the queued
+// envelopes carry, not the envelopes, so producers park after the same
+// number of updates whether they push runs or single updates. A run
+// that arrives below the bound is queued whole, overshooting by at most
+// its own weight.
+func TestMailboxBoundCountsUpdates(t *testing.T) {
+	for _, count := range []int{1, 3} {
+		m := newMailbox(8)
+		pushed := make(chan int, 16)
+		go func() {
+			for {
+				if m.push(envelope{payload: []byte("x"), count: count}) != pushQueued {
+					close(pushed)
+					return
+				}
+				pushed <- count
+			}
+		}()
+		updates := 0
+	fill:
+		for {
+			select {
+			case c := <-pushed:
+				updates += c
+			case <-time.After(50 * time.Millisecond):
+				break fill
+			}
+		}
+		if updates < 8 || updates >= 8+count {
+			t.Fatalf("runs of %d: the producer parked after %d updates, want [8, %d)", count, updates, 8+count)
+		}
+		if _, _, _, _ = m.depth(); m.updates != updates {
+			t.Fatalf("runs of %d: %d updates queued, producer pushed %d", count, m.updates, updates)
+		}
+		m.close()
+		for range pushed {
+		}
+	}
+}
+
+// TestTCPStalledPeerBlocksAfterQueueLenUpdates: a peer that accepts the
+// link and then stops reading holds the broadcaster back once QueueLen
+// updates are queued for it — counted in updates, so runs of five park
+// it after the same number of updates as single ones would — and lets
+// it go when the link dies.
+func TestTCPStalledPeerBlocksAfterQueueLenUpdates(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			stalled <- c // never read
+		}
+	}()
+	addrs := []string{freeAddrs(t, 1)[0], ln.Addr().String()}
+	const queueLen, count = 20, 5
+	tn, err := NewTCP(TCPOptions{ID: 0, Peers: addrs, Listen: addrs[0], QueueLen: queueLen})
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	var peer net.Conn
+	defer func() { // before tn.Close, which waits for the parked sender
+		ln.Close()
+		if peer != nil {
+			peer.Close()
+		}
+	}()
+	tn.AttachRouter(0, (&tcpSink{}).route)
+	tn.Start()
+	waitUntil(t, 5*time.Second, "link up", func() bool { return tn.PeerStats()[0].Connected })
+	peer = <-stalled
+	var sent atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		payload := make([]byte, 16<<10) // kernel buffers fill after a few hundred
+		for i := 0; i < 1<<14; i++ {
+			tn.BroadcastStep(0, 0, 0, count, payload)
+			sent.Add(1)
+		}
+	}()
+	// Parked: nothing more is sent for a while.
+	for last := int64(-1); ; {
+		time.Sleep(100 * time.Millisecond)
+		n := sent.Load()
+		if n == last {
+			break
+		}
+		select {
+		case <-done:
+			t.Fatalf("the broadcaster never parked (%d runs sent)", n)
+		default:
+		}
+		last = n
+	}
+	mb := tn.peers[1].mb
+	mb.mu.Lock()
+	queued := mb.updates
+	mb.mu.Unlock()
+	if queued < queueLen || queued >= queueLen+count {
+		t.Fatalf("parked with %d updates queued, want [%d, %d)", queued, queueLen, queueLen+count)
+	}
+	ln.Close() // no redial finds it again
+	peer.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the broadcaster stayed parked after the stalled link died")
 	}
 }
 
@@ -379,6 +496,54 @@ func TestTCPWrongClusterSizeRejected(t *testing.T) {
 	waitUntil(t, 5*time.Second, "cross-cluster hello rejected", func() bool {
 		return nets[0].BadFrames() > 0
 	})
+}
+
+// TestTCPOldDataFormatPeerRefused: a peer whose hello carries no data
+// format — a daemon that sends one bare message per frame — is refused
+// and logged at the hello, before any of its frames reaches the router,
+// so its link never churns through bad payloads.
+func TestTCPOldDataFormatPeerRefused(t *testing.T) {
+	var logMu sync.Mutex
+	var logged []string
+	sink := &tcpSink{}
+	nets := newTCPCluster(t, 2, func(id int, o *TCPOptions, tn *TCPNetwork) {
+		if o != nil && id == 0 {
+			o.Logf = func(format string, args ...any) {
+				logMu.Lock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+				logMu.Unlock()
+			}
+		}
+		if tn != nil {
+			tn.AttachRouter(id, sink.route)
+		}
+	})
+	conn, err := net.Dial("tcp", nets[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	current := helloPayload(RolePeer, 2, "")
+	old := current[:len(current)-1] // the same hello without the version
+	conn.Write(AppendFrame(nil, Frame{Kind: KindHello, From: 1, Payload: old}))
+	conn.Write(AppendFrame(nil, Frame{Kind: KindData, From: 1, Payload: []byte("bare message")}))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// The daemon hangs up: an EOF, or a reset when it closed with the data
+	// frame still unread in its socket buffer.
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("the daemon kept an old-format peer link (read: %v)", err)
+	}
+	if got := nets[0].BadFrames(); got != 1 {
+		t.Fatalf("bad frames = %d, want 1 (the hello)", got)
+	}
+	if sink.has("1/0/0:bare message") {
+		t.Fatal("a frame behind a refused hello reached the router")
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if len(logged) == 0 || !strings.Contains(strings.Join(logged, "\n"), "speaks data format 1, this daemon 2") {
+		t.Fatalf("refusal not logged: %q", logged)
+	}
 }
 
 func TestTCPObjectMismatchRejected(t *testing.T) {

@@ -97,8 +97,9 @@ type ResizableNetwork interface {
 
 // Stats counts network traffic. Broadcasts is the number of broadcast
 // invocations (the unit §VII-C's "a unique message is broadcast for
-// each update" refers to); Sends counts point-to-point transmissions
-// that reached a mailbox; Bytes counts payload bytes across all sends.
+// each update" refers to; a replica's write step of k updates is one);
+// Sends counts point-to-point transmissions that reached a mailbox;
+// Bytes counts payload bytes across all sends.
 // Message loss is attributed: DroppedCrash counts messages lost to
 // crashes (in-flight envelopes discarded when their receiver crashes,
 // sends suppressed while it stays down, and CrashPartialBroadcast's
@@ -119,23 +120,31 @@ type Stats struct {
 
 // envelope is one in-flight point-to-point message. The payload slice
 // is immutable and shared by every envelope of one broadcast — the
-// transport never copies message bytes per recipient.
+// transport never copies message bytes per recipient. The two one-byte
+// fields sit last, together, so the struct stays 88 bytes: mailboxes
+// and the simulator's queues copy envelopes by value.
 type envelope struct {
 	from, to int
 	shard    int // destination shard (ResizableNetwork broadcasts)
 	epoch    int // sender's routing epoch (ResizableNetwork broadcasts)
-	// kind distinguishes wire frame types on the TCP path (data vs the
-	// sync-on-connect control frames); the in-process networks carry
-	// only data envelopes and leave it zero.
-	kind    byte
-	payload []byte
-	seq     uint64 // per-(from,to) link sequence, for FIFO (zero otherwise)
+	payload  []byte
+	// count is how many updates payload carries (TCPNetwork.BroadcastStep);
+	// a bounded mailbox weighs the envelope by it. Zero weighs one.
+	count int
+	seq   uint64 // per-(from,to) link sequence, for FIFO (zero otherwise)
 	// elig and lpos belong to SimNetwork's eligible index (simindex.go):
 	// elig mirrors eligible(), lpos is the envelope's position in its
 	// link's FIFO queue. LiveNetwork leaves both zero.
-	elig bool
 	lpos int
+	elig bool
+	// kind distinguishes wire frame types on the TCP path (data vs the
+	// sync-on-connect control frames); the in-process networks carry
+	// only data envelopes and leave it zero.
+	kind byte
 }
+
+// weight is what the envelope counts against a bounded mailbox.
+func (e *envelope) weight() int { return max(e.count, 1) }
 
 // clearTail zeroes the slots past length so dropped payloads become
 // collectable.

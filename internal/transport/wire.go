@@ -19,20 +19,21 @@ import (
 //	  payload              (bodyLen - header bytes)
 //
 // The payload of a data frame is exactly the bytes a Broadcast carried
-// — one timestamped update in its zero-alloc AppendCodec encoding — so
-// the socket transport adds a handful of header bytes and reuses the
+// — a replica's step of timestamped updates, opaque to the transport —
+// so the socket transport adds a handful of header bytes and reuses the
 // in-process wire format unchanged. The
 // same framing carries the connection hello, the sync-on-connect
 // digest exchange, and the client protocol (updates, queries, stats).
 
 // Frame kinds.
 const (
-	// KindData is a replicated broadcast payload (one timestamped
-	// update), tagged with its shard and epoch like an in-process
+	// KindData is a replicated broadcast payload (a step of timestamped
+	// updates), tagged with its shard and epoch like an in-process
 	// envelope.
 	KindData byte = 1
 	// KindHello opens a connection: payload is the wire magic, a role
-	// byte (RolePeer/RoleClient) and the sender's cluster size.
+	// byte (RolePeer/RoleClient), the sender's cluster size, the object
+	// name and, from a peer, its data format (PeerVersion).
 	KindHello byte = 2
 	// KindDigest carries a replica's encoded anti-entropy digest; the
 	// receiver answers with KindSyncReply on its own link.
@@ -199,18 +200,49 @@ func ReadFrame(br *bufio.Reader, max int) (Frame, error) {
 	return decodeBody(body)
 }
 
+// BufferedFrame decodes the next frame when br already holds all of it,
+// reading nothing from the connection; ok is false when it does not, and
+// only a blocking ReadFrame gets that frame. The payload aliases br's
+// buffer: it is valid until the next read from br, and br.Discard(n)
+// consumes the frame. A malformed frame is a permanent error, as with
+// ReadFrame.
+func BufferedFrame(br *bufio.Reader, max int) (f Frame, n int, ok bool, err error) {
+	buf, _ := br.Peek(br.Buffered())
+	f, n, err = DecodeFrame(buf, max)
+	if err == io.ErrUnexpectedEOF {
+		return Frame{}, 0, false, nil
+	}
+	return f, n, err == nil, err
+}
+
+// PeerVersion is the data format a peer hello claims for the payloads of
+// its data frames. Version 2 payloads are steps — every update of one
+// write step in one frame, behind the first one's stamp; version 1 (a hello without the field, as
+// sent by a daemon predating it) carried one bare message per frame.
+// Neither decodes as the other, so a receiver refuses a peer hello of
+// any other version at handshake: a link that let the frames through
+// would be dropped as a bad payload at the first one and redialed
+// forever. Client hellos carry no version; the client protocol is
+// unchanged.
+const PeerVersion = 2
+
 // helloPayload encodes the connection-opening hello: magic, role, the
-// sender's cluster size (a cross-cluster dial is refused early), and
-// the length-prefixed object name the sender speaks (empty = unstated;
+// sender's cluster size (a cross-cluster dial is refused early), the
+// length-prefixed object name the sender speaks (empty = unstated;
 // pre-registry senders simply omit the trailing bytes, which older
-// receivers ignored, so the field is compatible in both directions).
+// receivers ignored, so the field is compatible in both directions) and,
+// for a peer, the uvarint PeerVersion.
 func helloPayload(role byte, n int, name string) []byte {
-	p := make([]byte, 0, len(WireMagic)+1+2*binary.MaxVarintLen64+len(name))
+	p := make([]byte, 0, len(WireMagic)+1+3*binary.MaxVarintLen64+len(name))
 	p = append(p, WireMagic...)
 	p = append(p, role)
 	p = binary.AppendUvarint(p, uint64(n))
 	p = binary.AppendUvarint(p, uint64(len(name)))
-	return append(p, name...)
+	p = append(p, name...)
+	if role == RolePeer {
+		p = binary.AppendUvarint(p, PeerVersion)
+	}
+	return p
 }
 
 // ClientHello returns the encoded hello frame a client opens a daemon
@@ -225,28 +257,50 @@ func ClientHelloFor(name string) []byte {
 	return AppendFrame(nil, Frame{Kind: KindHello, From: -1, Payload: helloPayload(RoleClient, 0, name)})
 }
 
-// parseHello validates a hello payload, returning the role, cluster
-// size, and claimed object name ("" when the sender stated none).
-func parseHello(p []byte) (role byte, n int, name string, err error) {
+// helloMsg is a parsed hello payload.
+type helloMsg struct {
+	role byte
+	size int    // the sender's cluster size
+	name string // the claimed object name; "" when the sender stated none
+	// version is the peer data format claimed (PeerVersion); 1 when the
+	// hello stops before the field. Client hellos leave it 0.
+	version int
+}
+
+// parseHello validates a hello payload. Bytes after the last field it
+// knows are ignored, so a later sender can add fields.
+func parseHello(p []byte) (helloMsg, error) {
 	if len(p) < len(WireMagic)+1 || string(p[:len(WireMagic)]) != WireMagic {
-		return 0, 0, "", frameErrf("transport: bad hello magic")
+		return helloMsg{}, frameErrf("transport: bad hello magic")
 	}
-	role = p[len(WireMagic)]
-	if role != RolePeer && role != RoleClient {
-		return 0, 0, "", frameErrf("transport: unknown hello role %d", role)
+	h := helloMsg{role: p[len(WireMagic)]}
+	if h.role != RolePeer && h.role != RoleClient {
+		return helloMsg{}, frameErrf("transport: unknown hello role %d", h.role)
 	}
 	rest := p[len(WireMagic)+1:]
 	size, m := binary.Uvarint(rest)
 	if m <= 0 || size > 1<<20 {
-		return 0, 0, "", frameErrf("transport: malformed hello cluster size")
+		return helloMsg{}, frameErrf("transport: malformed hello cluster size")
 	}
-	rest = rest[m:]
+	h.size, rest = int(size), rest[m:]
+	if h.role == RolePeer {
+		h.version = 1
+	}
 	if len(rest) == 0 {
-		return role, int(size), "", nil // pre-name hello
+		return h, nil // pre-name hello
 	}
 	nameLen, m := binary.Uvarint(rest)
 	if m <= 0 || nameLen > 1<<10 || uint64(len(rest)-m) < nameLen {
-		return 0, 0, "", frameErrf("transport: malformed hello object name")
+		return helloMsg{}, frameErrf("transport: malformed hello object name")
 	}
-	return role, int(size), string(rest[m : m+int(nameLen)]), nil
+	h.name, rest = string(rest[m:m+int(nameLen)]), rest[m+int(nameLen):]
+	if h.role != RolePeer || len(rest) == 0 {
+		return h, nil
+	}
+	v, m := binary.Uvarint(rest)
+	if m <= 0 || v > 1<<20 {
+		return helloMsg{}, frameErrf("transport: malformed hello data format version")
+	}
+	h.version = int(v)
+	return h, nil
 }

@@ -221,11 +221,13 @@ func (g *Graph) AddEdge(u, v string) { g.p.Update(spec.AddE{U: u, V: v}) }
 // RemoveEdge removes edge u→v. Wait-free.
 func (g *Graph) RemoveEdge(u, v string) { g.p.Update(spec.RemE{U: u, V: v}) }
 
-// Vertices returns this replica's current vertices, sorted.
-func (g *Graph) Vertices() []string { return g.snapshot().Vertices }
+// Vertices returns this replica's current vertices, sorted, in a slice
+// the caller owns.
+func (g *Graph) Vertices() []string { return slices.Clone(g.snapshot().Vertices) }
 
-// Edges returns this replica's current edges, sorted.
-func (g *Graph) Edges() [][2]string { return g.snapshot().Edges }
+// Edges returns this replica's current edges, sorted, in a slice the
+// caller owns.
+func (g *Graph) Edges() [][2]string { return slices.Clone(g.snapshot().Edges) }
 
 func (g *Graph) snapshot() spec.GraphVal {
 	return g.p.Query(spec.ReadGraph{}).(spec.GraphVal)
@@ -262,8 +264,9 @@ func (s *Sequence) InsertAt(pos int, v string) { s.p.Update(spec.InsAt{Pos: pos,
 // DeleteAt deletes the element at position pos. Wait-free.
 func (s *Sequence) DeleteAt(pos int) { s.p.Update(spec.DelAt{Pos: pos}) }
 
-// Items returns this replica's current document.
-func (s *Sequence) Items() []string { return s.p.Query(spec.ReadSeq{}).(spec.Lines) }
+// Items returns this replica's current document, in a slice the caller
+// owns.
+func (s *Sequence) Items() []string { return slices.Clone(s.p.Query(spec.ReadSeq{}).(spec.Lines)) }
 
 // SequenceObject describes the replicated positional sequence.
 func SequenceObject() Object[*Sequence] {

@@ -77,6 +77,31 @@ func TestWholeStateReadsBelongToCaller(t *testing.T) {
 	if got := strings.Join(ctrs[0].All(), ","); got != "k=1" {
 		t.Fatalf("All after a caller's write = %s, want k=1", got)
 	}
+
+	_, graphs, err := New(1, GraphObject(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs[0].AddVertex("u")
+	graphs[0].AddVertex("v")
+	graphs[0].AddEdge("u", "v")
+	vs, es := graphs[0].Vertices(), graphs[0].Edges()
+	vs[0], es[0] = "zzz", [2]string{"zzz", "zzz"}
+	if got := fmt.Sprint(graphs[0].Vertices(), graphs[0].Edges()); got != "[u v] [[u v]]" {
+		t.Fatalf("Vertices and Edges after a caller's write = %s, want [u v] [[u v]]", got)
+	}
+
+	_, seqs, err := New(1, SequenceObject(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs[0].InsertAt(0, "a")
+	seqs[0].InsertAt(1, "b")
+	items := seqs[0].Items()
+	items[0] = "zzz"
+	if got := strings.Join(seqs[0].Items(), ","); got != "a,b" {
+		t.Fatalf("Items after a caller's write = %s, want a,b", got)
+	}
 }
 
 func TestDeliverStepwise(t *testing.T) {

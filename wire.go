@@ -200,10 +200,23 @@ func (w *WireNode[H]) StatsText() string {
 // Flush first for a graceful drain.
 func (w *WireNode[H]) Close() error { return w.tcp.Close() }
 
+// maxIntakeBytes bounds the update frames the daemon stamps in one write
+// step: a client streaming updates has its buffered frames landed and
+// broadcast every ~64 KiB, one run per peer frame.
+const maxIntakeBytes = 64 << 10
+
 // serveClient runs the daemon side of one client connection: frames in
-// order, updates applied fire-and-forget, queries answered in place —
-// one goroutine per client, so a client's query observes its own
-// earlier updates (read-your-writes per connection).
+// order, queries answered in place — one goroutine per client, so a
+// client's query observes its own earlier updates (read-your-writes per
+// connection).
+//
+// Updates are fire-and-forget, and the daemon takes them in batches: it
+// collects every update frame already in its read buffer (up to
+// maxIntakeBytes) and lands them as one write step
+// (ShardedReplica.UpdateBatch). The batch lands before any read that
+// could block and before any reply, so a lone update is stamped at once,
+// a query or a ping sees every update sent before it, and a malformed
+// update costs one error reply after the updates ahead of it have landed.
 func (w *WireNode[H]) serveClient(conn net.Conn, br *bufio.Reader) {
 	bw := bufio.NewWriter(conn)
 	var out []byte
@@ -214,22 +227,65 @@ func (w *WireNode[H]) serveClient(conn net.Conn, br *bufio.Reader) {
 		}
 		return bw.Flush() == nil
 	}
+	var (
+		batch      []spec.Update
+		batchBytes int
+		// arena holds the batch's update bytes copied out of br's buffer,
+		// which the next read overwrites: a codec may keep the bytes it
+		// decodes from. Each batch gets its own.
+		arena []byte
+	)
+	land := func() {
+		if len(batch) > 0 {
+			w.rep.UpdateBatch(batch)
+			clear(batch)
+			batch = batch[:0]
+		}
+		batchBytes, arena = 0, nil
+	}
+	defer land()
+	// take adds one update frame's payload to the batch; a payload that
+	// does not decode lands the batch ahead of it and is answered with an
+	// error.
+	take := func(payload []byte) bool {
+		u, err := w.codec.DecodeUpdate(payload)
+		if err != nil {
+			land()
+			return reply(transport.KindError, []byte(fmt.Sprintf("decoding update: %v", err)))
+		}
+		batch = append(batch, u)
+		if batchBytes += len(payload); batchBytes >= maxIntakeBytes {
+			land()
+		}
+		return true
+	}
 	var res []byte // the encoded query output, reused across queries
 	for {
-		f, err := transport.ReadFrame(br, transport.MaxFrame)
+		f, size, buffered, err := transport.BufferedFrame(br, transport.MaxFrame)
 		if err != nil {
+			return
+		}
+		if buffered && f.Kind == transport.KindUpdate {
+			if arena == nil {
+				arena = make([]byte, 0, min(br.Buffered(), maxIntakeBytes))
+			}
+			at := len(arena)
+			arena = append(arena, f.Payload...)
+			br.Discard(size)
+			if !take(arena[at:]) {
+				return
+			}
+			continue
+		}
+		land()
+		if f, err = transport.ReadFrame(br, transport.MaxFrame); err != nil {
 			return
 		}
 		switch f.Kind {
 		case transport.KindUpdate:
-			u, err := w.codec.DecodeUpdate(f.Payload)
-			if err != nil {
-				if !reply(transport.KindError, []byte(fmt.Sprintf("decoding update: %v", err))) {
-					return
-				}
-				continue
+			if !take(f.Payload) {
+				return
 			}
-			w.rep.Update(u)
 		case transport.KindQuery:
 			kind := transport.KindResult
 			res, err = w.answerQuery(res[:0], f.Payload)
@@ -286,21 +342,61 @@ func (w *WireNode[H]) answerQuery(dst, payload []byte) (out []byte, err error) {
 	return qc.AppendQueryOutput(dst, w.rep.Query(in))
 }
 
+// The client's lead over its daemon is bounded twice: Update waits while
+// maxClientPending bytes of frames are still unwritten, and the socket's
+// send buffer is capped at clientSendBuffer, so a client streaming faster
+// than the daemon stamps waits for it instead of queueing megabytes in
+// kernel buffers that every later update would have to cross.
+const (
+	maxClientPending = 256 << 10
+	clientSendBuffer = 64 << 10
+	// closeDrainTimeout bounds how long Close waits for pending updates
+	// to be written to a daemon that stopped reading.
+	closeDrainTimeout = 5 * time.Second
+)
+
 // Client is a thin connection to one daemon: updates stream as codec
 // bytes, queries round-trip as QueryCodec bytes. A Client is safe for
-// concurrent use (operations serialize on the connection); its handle
+// concurrent use (round trips serialize on the connection); its handle
 // offers read-your-writes against the daemon it is connected to.
+//
+// Updates are written behind the caller: Update appends its frame to a
+// pending buffer and returns, and one flusher goroutine writes
+// everything pending in one write — at once for a lone update, with no
+// timer. A round trip (a query, StateKey, StatsText, Flush) writes the
+// pending frames and its own in one write, so it observes every update
+// issued before it. The pending buffer is bounded (Update waits for the
+// flusher when it is full), Close writes what is pending before it
+// closes, and a failed write latches in Err. Flush is the barrier: when
+// it returns, the daemon has applied every earlier update and written it
+// to its peers.
 type Client[H any] struct {
-	obj   Object[H]
-	codec spec.Codec
+	obj    Object[H]
+	codec  spec.Codec
+	acodec spec.AppendCodec // non-nil when the codec appends
 
-	mu   sync.Mutex
-	conn net.Conn
-	bw   *bufio.Writer
-	br   *bufio.Reader
-	buf  []byte
-	qbuf []byte // the encoded query input, reused across queries
-	err  error  // first connection error; sticky
+	mu sync.Mutex
+	// work wakes the flusher: frames are pending, or the client closed.
+	// moved wakes everyone else: pending was taken (room for an Update
+	// waiting on a full buffer), a write ended (a round trip waits for
+	// the flusher's), an error latched or the client closed. Two conds,
+	// so that a round trip taking the pending frames does not wake a
+	// parked flusher for nothing.
+	work, moved *sync.Cond
+	conn        net.Conn
+	br          *bufio.Reader
+	// pending holds the update frames not yet written; while writing, the
+	// flusher writes the buffer it swapped out for spare with mu released.
+	pending, spare []byte
+	writing        bool
+	closed         bool
+	done           chan struct{} // closed when the flusher exits
+	enc            []byte        // the encoded update, reused
+	qbuf           []byte        // the encoded query input, reused across queries
+	err            error         // first error; sticky, and no frame is added after it
+	// dead is set when a write to the connection failed: only then are
+	// the pending frames dropped instead of written.
+	dead bool
 }
 
 // Dial connects a client for the given object to a daemon address. The
@@ -320,14 +416,53 @@ func Dial[H any](obj Object[H], addr string) (*Client[H], error) {
 	if err != nil {
 		return nil, fmt.Errorf("updatec: dial %s: %w", addr, err)
 	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(clientSendBuffer)
+	}
 	if _, err := conn.Write(transport.ClientHelloFor(obj.name)); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("updatec: hello to %s: %w", addr, err)
 	}
-	return &Client[H]{
+	c := &Client[H]{
 		obj: obj, codec: codec, conn: conn,
-		bw: bufio.NewWriter(conn), br: bufio.NewReaderSize(conn, 64<<10),
-	}, nil
+		br:   bufio.NewReaderSize(conn, 64<<10),
+		done: make(chan struct{}),
+	}
+	c.acodec, _ = codec.(spec.AppendCodec)
+	c.work, c.moved = sync.NewCond(&c.mu), sync.NewCond(&c.mu)
+	go c.flushLoop()
+	return c, nil
+}
+
+// flushLoop is the flusher: it writes whatever is pending, one write per
+// wakeup, until the client is closed and nothing is left.
+func (c *Client[H]) flushLoop() {
+	defer close(c.done)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for len(c.pending) == 0 && !c.closed {
+			c.work.Wait()
+		}
+		if len(c.pending) == 0 {
+			return // closed and drained
+		}
+		if c.dead {
+			c.pending = c.pending[:0]
+			continue
+		}
+		buf := c.pending
+		c.pending, c.spare, c.writing = c.spare[:0], nil, true
+		c.moved.Broadcast() // room for updates waiting on a full buffer
+		c.mu.Unlock()
+		_, err := c.conn.Write(buf)
+		c.mu.Lock()
+		c.writing, c.spare = false, buf[:0]
+		if err != nil {
+			c.writeFailed(err)
+		}
+		c.moved.Broadcast()
+	}
 }
 
 // Handle returns the typed handle driving the daemon through this
@@ -335,18 +470,33 @@ func Dial[H any](obj Object[H], addr string) (*Client[H], error) {
 func (c *Client[H]) Handle() H { return c.obj.wrap(clientPort[H]{c}) }
 
 // Err returns the first connection error the client has hit (handle
-// operations cannot return errors, so failures latch here).
+// operations cannot return errors, so failures latch here — a failed
+// write of updates the flusher sent behind the caller too).
 func (c *Client[H]) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
 }
 
-// Close closes the connection.
+// Close writes every pending update (waiting at most a few seconds for a
+// daemon that stopped reading), then closes the connection. It returns
+// the latched connection error, if any, so a caller that checks it knows
+// whether every update was written.
 func (c *Client[H]) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn.Close()
+	if !c.closed {
+		c.closed = true
+		c.conn.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
+		c.work.Signal()
+		c.moved.Broadcast()
+	}
+	c.mu.Unlock()
+	<-c.done
+	cerr := c.conn.Close()
+	if err := c.Err(); err != nil {
+		return err
+	}
+	return cerr
 }
 
 // Flush is a round-trip barrier: when it returns, every update this
@@ -381,22 +531,6 @@ func (c *Client[H]) StatsText() (string, error) {
 	return string(p), err
 }
 
-// send writes one frame (mu held).
-func (c *Client[H]) send(kind byte, payload []byte) error {
-	if c.err != nil {
-		return c.err
-	}
-	c.buf = transport.AppendFrame(c.buf[:0], transport.Frame{Kind: kind, From: -1, Payload: payload})
-	_, err := c.bw.Write(c.buf)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		c.err = c.sendFailure(err)
-	}
-	return c.err
-}
-
 // sendFailure explains a failed write (mu held). A daemon that refuses
 // the hello answers with an error frame and hangs up, so the write that
 // first notices the closed socket fails with a bare "broken pipe" while
@@ -417,10 +551,44 @@ func isObjectMismatch(f transport.Frame) bool {
 	return f.Kind == transport.KindError && strings.HasPrefix(string(f.Payload), "object mismatch")
 }
 
-// roundTrip sends one frame and reads the matching reply (mu held).
+// writeFailed latches a failed write (mu held): the connection is dead,
+// and what is still pending is dropped.
+func (c *Client[H]) writeFailed(err error) {
+	c.dead = true
+	if c.err == nil {
+		c.err = c.sendFailure(err)
+	}
+}
+
+// usable reports why the client cannot take another frame, if it cannot
+// (mu held). Being closed is not latched in err: Err and Close report
+// only what went wrong on the connection.
+func (c *Client[H]) usable() error {
+	switch {
+	case c.err != nil:
+		return c.err
+	case c.closed:
+		return fmt.Errorf("updatec: client closed: %w", net.ErrClosed)
+	}
+	return nil
+}
+
+// roundTrip sends one frame and reads the matching reply (mu held). The
+// frame goes out behind every pending update, in the same write; a write
+// the flusher has under way finishes first, so frames never interleave.
 func (c *Client[H]) roundTrip(kind byte, payload []byte, want byte) ([]byte, error) {
-	if err := c.send(kind, payload); err != nil {
+	for c.writing && c.err == nil {
+		c.moved.Wait()
+	}
+	if err := c.usable(); err != nil {
 		return nil, err
+	}
+	out := transport.AppendFrame(c.pending, transport.Frame{Kind: kind, From: -1, Payload: payload})
+	c.pending = out[:0]
+	c.moved.Broadcast() // the pending updates are taken
+	if _, err := c.conn.Write(out); err != nil {
+		c.writeFailed(err)
+		return nil, c.err
 	}
 	f, err := transport.ReadFrame(c.br, transport.MaxFrame)
 	if err != nil {
@@ -451,19 +619,37 @@ func (c *Client[H]) roundTrip(kind byte, payload []byte, want byte) ([]byte, err
 // wrap.
 type clientPort[H any] struct{ c *Client[H] }
 
+// Update appends the update's frame to the pending buffer and returns;
+// the flusher writes it (see Client). A full buffer makes it wait for the
+// flusher, so the client's lead over the daemon stays bounded. An update
+// the codec cannot encode latches in Err and stops the client; the
+// updates before it are still written. An Update that Close overtakes is
+// dropped.
 func (p clientPort[H]) Update(u spec.Update) {
 	c := p.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
+	for len(c.pending) >= maxClientPending && c.err == nil && !c.closed {
+		c.moved.Wait()
+	}
+	if c.usable() != nil {
 		return
 	}
-	b, err := c.codec.EncodeUpdate(u)
+	var err error
+	if c.acodec != nil {
+		c.enc, err = c.acodec.AppendUpdate(c.enc[:0], u)
+	} else {
+		c.enc, err = c.codec.EncodeUpdate(u)
+	}
 	if err != nil {
 		c.err = fmt.Errorf("updatec: encoding update: %w", err)
 		return
 	}
-	c.send(transport.KindUpdate, b)
+	idle := len(c.pending) == 0
+	c.pending = transport.AppendFrame(c.pending, transport.Frame{Kind: transport.KindUpdate, From: -1, Payload: c.enc})
+	if idle {
+		c.work.Signal()
+	}
 }
 
 // Query round-trips a query. The port contract has no error channel
@@ -482,8 +668,8 @@ func (p clientPort[H]) Query(in spec.QueryInput) spec.QueryOutput {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
-		panic(c.err)
+	if err := c.usable(); err != nil {
+		panic(err)
 	}
 	var err error
 	if c.qbuf, err = qc.AppendQueryInput(c.qbuf[:0], in); err != nil {

@@ -2,9 +2,11 @@ package updatec
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 
 	"updatec/internal/core"
@@ -93,6 +95,120 @@ func FuzzClientQuery(f *testing.F) {
 		reply := ask(known)
 		if out, err := qc.DecodeQueryOutput(spec.ReadCtr{K: "k1"}, reply.Payload); reply.Kind != transport.KindResult || err != nil || out != spec.CtrVal(4) {
 			t.Fatalf("after %x the known query got kind %d: %v (%v)", data, reply.Kind, out, err)
+		}
+	})
+}
+
+// FuzzClientIntake feeds arbitrary frame sequences to a daemon's client
+// loop (serveClient) over an in-memory connection read through a buffer
+// of fuzzed size, so runs of update frames are batched, cut by the
+// buffer's edge, or read one blocking frame at a time. The daemon must
+// not panic, must answer every request frame and every update that does
+// not decode with exactly one reply, in order, and must land every
+// update that decodes exactly once.
+//
+// The input is a list of frames: a kind byte, a length byte, that many
+// payload bytes. The first length byte of 0xff stands for a payload of
+// 70 000 bytes, longer than any intake buffer.
+func FuzzClientIntake(f *testing.F) {
+	obj := SetObject()
+	// Every input gets a fresh replica; they share an idle transport,
+	// which a ping flushes and the stats dump reads.
+	tcp, err := transport.NewTCP(transport.TCPOptions{ID: 0, Peers: []string{"127.0.0.1:0"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { tcp.Close() })
+	upd := func(u spec.Update) []byte {
+		b, err := obj.codec.EncodeUpdate(u)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append([]byte{transport.KindUpdate, byte(len(b))}, b...)
+	}
+	read, err := obj.queries.AppendQueryInput(nil, spec.Has{V: "a"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	query := append([]byte{transport.KindQuery, byte(len(read))}, read...)
+	f.Add(byte(0), slices.Concat(upd(spec.Ins{V: "a"}), upd(spec.Ins{V: "b"}), []byte{transport.KindUpdate, 1, 0xff}, upd(spec.Del{V: "a"}), query))
+	f.Add(byte(200), slices.Concat(upd(spec.Ins{V: "x"}), []byte{transport.KindPing, 0, transport.KindStateKey, 0, transport.KindStats, 0, 42, 0}))
+	f.Add(byte(3), slices.Concat(upd(spec.Ins{V: "y"}), []byte{transport.KindUpdate, 0xff}, query))
+
+	f.Fuzz(func(t *testing.T, bufSize byte, data []byte) {
+		type sent struct {
+			kind    byte
+			payload []byte
+		}
+		var frames []sent
+		long := false
+		for len(data) >= 2 {
+			kind, n := data[0], int(data[1])
+			data = data[2:]
+			var payload []byte
+			if n == 0xff && !long {
+				payload, long = append([]byte{'I'}, bytes.Repeat([]byte{'z'}, 70000)...), true
+			} else {
+				payload = data[:min(n, len(data))]
+				data = data[len(payload):]
+			}
+			frames = append(frames, sent{kind, payload})
+		}
+		frames = append(frames, sent{transport.KindPing, nil})
+		// The reply each frame draws, in order; a query may draw either.
+		const resultOrError = 0
+		var replies []byte
+		landed := 0
+		for _, fr := range frames {
+			switch fr.kind {
+			case transport.KindUpdate:
+				if _, err := obj.codec.DecodeUpdate(fr.payload); err != nil {
+					replies = append(replies, transport.KindError)
+				} else {
+					landed++
+				}
+			case transport.KindQuery:
+				replies = append(replies, resultOrError)
+			case transport.KindStateKey, transport.KindStats:
+				replies = append(replies, transport.KindResult)
+			case transport.KindPing:
+				replies = append(replies, transport.KindPong)
+			default:
+				replies = append(replies, transport.KindError)
+			}
+		}
+		var stream []byte
+		for _, fr := range frames {
+			stream = transport.AppendFrame(stream, transport.Frame{Kind: fr.kind, From: -1, Payload: fr.payload})
+		}
+
+		node := &WireNode[*Set]{obj: obj, codec: obj.codec, tcp: tcp, rep: core.NewShardedReplica(core.ShardedConfig{
+			ID: 0, N: 1, Shards: 1, ADT: obj.adt, Codec: obj.codec,
+			Net: transport.NewSim(transport.SimOptions{N: 1, Seed: 1}),
+		})}
+		server, client := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			node.serveClient(server, bufio.NewReaderSize(server, 16+int(bufSize)*8))
+		}()
+		defer func() {
+			client.Close()
+			<-done
+		}()
+		go client.Write(stream)
+		br := bufio.NewReader(client)
+		for i, want := range replies {
+			reply, err := transport.ReadFrame(br, transport.MaxFrame)
+			if err != nil {
+				t.Fatalf("reply %d of %d: %v", i+1, len(replies), err)
+			}
+			if reply.Kind != want && (want != resultOrError || reply.Kind != transport.KindResult && reply.Kind != transport.KindError) {
+				t.Fatalf("reply %d of %d has kind %d, want %d", i+1, len(replies), reply.Kind, want)
+			}
+		}
+		if got := node.rep.Stats().TotalOps; got != landed {
+			t.Fatalf("%d updates landed, want %d", got, landed)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package updatec
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -157,6 +159,13 @@ func serveWireMesh[H any](t *testing.T, obj Object[H], cfg WireConfig) []*WireNo
 	for i := range nodes {
 		cfg.ID = i
 		node, err := ListenAndServe(obj, cfg)
+		// A port wireAddrs reserved can be held for a moment as the local
+		// end of an earlier node's dial, refused at once since nothing
+		// listens there yet: wait for the dial to let it go.
+		for try := 0; errors.Is(err, syscall.EADDRINUSE) && try < 100; try++ {
+			time.Sleep(10 * time.Millisecond)
+			node, err = ListenAndServe(obj, cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,7 +499,8 @@ func TestWireHostilePeerPayload(t *testing.T) {
 
 	hello := transport.AppendFrame(nil, transport.Frame{
 		Kind: transport.KindHello, From: 1,
-		Payload: append([]byte(transport.WireMagic), transport.RolePeer, 2),
+		// Magic, role, cluster size, no object name, data format.
+		Payload: append([]byte(transport.WireMagic), transport.RolePeer, 2, 0, transport.PeerVersion),
 	})
 	empty, sent := node.StateKey(), 0
 	for _, payload := range [][]byte{{0xff}, {0x01}, {0x01, 0x01, 0x05, 0x05}} {

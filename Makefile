@@ -22,15 +22,18 @@ fmt:
 race:
 	$(GO) test -race ./...
 
-# stress repeats the suites where a race or a send-order slip shows up
-# only sometimes — the wire cluster, concurrent writers on one handle
-# (with GC, at both consistency levels), per-origin stamp order at the
-# transport, a lone update sent without help, the causal gate on every
-# path — twenty times plain and three times under the race detector
-# (-short: three GC rounds instead of twenty, no multi-process daemons).
+# stress repeats the suites where a race, a send-order or a FIFO slip
+# shows up only sometimes — the wire cluster, concurrent writers on one
+# handle (with GC, at both consistency levels), per-origin stamp order at
+# the transport, a lone update sent without help, the causal gate on
+# every path, and the live sharded suites (writers racing a resize with
+# GC, the sharded hammer), whose shards share one writer token, one
+# stability tracker and one mailbox per process — twenty times plain and
+# three times under the race detector (-short: three GC rounds instead
+# of twenty, no multi-process daemons).
 stress:
-	$(GO) test -count=20 -run 'Wire|Concurrent|StampOrder|SentWithoutHelp|Causal' . ./internal/core
-	$(GO) test -race -short -count=3 -run 'Wire|Concurrent|StampOrder|SentWithoutHelp|Causal' . ./internal/core
+	$(GO) test -count=20 -run 'Wire|Concurrent|StampOrder|SentWithoutHelp|Causal|LockFreeShardedResize|ShardedLiveHammer' . ./internal/core
+	$(GO) test -race -short -count=3 -run 'Wire|Concurrent|StampOrder|SentWithoutHelp|Causal|LockFreeShardedResize|ShardedLiveHammer' . ./internal/core
 
 # verify is the tier-1 gate plus the race run: one command for CI and
 # reviewers.

@@ -878,8 +878,10 @@ func BenchmarkContendedUpdate(b *testing.B) {
 }
 
 // BenchmarkShardedContendedUpdate (E20): the same contention shape on
-// a 4-shard counter map — writers hash across shard lanes, so they
-// contend per shard rather than per replica.
+// a 4-shard counter map — writers hash across shard lanes, but share the
+// process's writer token, and every delivery to a process goes through
+// its one dispatcher: it prices one send order and one FIFO stream per
+// process link.
 func BenchmarkShardedContendedUpdate(b *testing.B) {
 	keys := make([]string, 16)
 	for i := range keys {
@@ -887,7 +889,7 @@ func BenchmarkShardedContendedUpdate(b *testing.B) {
 	}
 	for _, par := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			net := transport.NewLiveSharded(3, 4)
+			net := transport.NewLive(3)
 			defer net.Close()
 			reps := core.ShardedCluster(3, 4, spec.CounterMap(), net, core.ClusterOptions{})
 			var seq atomic.Uint64

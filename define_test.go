@@ -96,6 +96,50 @@ func (peakSpec) DecodeUpdate(b []byte) (Update, error) {
 	return peakScore{Player: player, Points: int64(pts)}, nil
 }
 
+// peakSpec's StateCodec, for snapshots of a compacted log: the entry
+// count, then each player's name and best score, in player order.
+func (peakSpec) EncodeState(s State) ([]byte, error) {
+	m := s.(map[string]int64)
+	players := make([]string, 0, len(m))
+	for p := range m {
+		players = append(players, p)
+	}
+	sort.Strings(players)
+	b := binary.AppendUvarint(nil, uint64(len(m)))
+	for _, p := range players {
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = append(b, p...)
+		b = binary.AppendVarint(b, m[p])
+	}
+	return b, nil
+}
+
+func (peakSpec) DecodeState(b []byte) (State, error) {
+	count, n := binary.Uvarint(b)
+	if n <= 0 || count > uint64(len(b)) {
+		return nil, fmt.Errorf("peakmap: malformed state count")
+	}
+	b = b[n:]
+	m := make(map[string]int64, count)
+	for ; count > 0; count-- {
+		l, n := binary.Uvarint(b)
+		if n <= 0 || uint64(len(b)-n) < l {
+			return nil, fmt.Errorf("peakmap: truncated player")
+		}
+		p := string(b[n : n+int(l)])
+		v, m2 := binary.Varint(b[n+int(l):])
+		if m2 <= 0 {
+			return nil, fmt.Errorf("peakmap: truncated score")
+		}
+		m[p] = v
+		b = b[n+int(l)+m2:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("peakmap: %d trailing state bytes", len(b))
+	}
+	return m, nil
+}
+
 // peakSpec's QueryCodec, for Dial clients: an input is a tag byte (0 for
 // Top, 1 for Best) and then Best's player; Best answers a varint, Top a
 // run of length-prefixed strings.
@@ -367,12 +411,7 @@ func TestDefineWireLoopbackConvergence(t *testing.T) {
 // typed queries round-trip through Dial against a live daemon, in the
 // object's own QueryCodec.
 func TestDefineWireDialQueries(t *testing.T) {
-	addrs := wireAddrs(t, 1)
-	node, err := ListenAndServe(peakObject, WireConfig{ID: 0, Peers: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := serveWire(t, peakObject, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
 	c, err := Dial(peakObject, node.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -397,11 +436,7 @@ func TestDefineWireDialQueries(t *testing.T) {
 // sent, so the connection stays aligned and keeps working; a daemon asked
 // such a query anyway answers with the same error.
 func TestDefineWireNoQueryCodec(t *testing.T) {
-	node, err := ListenAndServe(peakNoQueries, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := serveWire(t, peakNoQueries, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
 	empty := node.StateKey()
 	c, err := Dial(peakNoQueries, node.Addr())
 	if err != nil {
@@ -434,12 +469,7 @@ func TestDefineWireNoQueryCodec(t *testing.T) {
 // for one object dialing a daemon serving another fails its first
 // round-trip with ErrObjectMismatch instead of corrupting state.
 func TestDefineWireObjectMismatch(t *testing.T) {
-	addrs := wireAddrs(t, 1)
-	node, err := ListenAndServe(peakObject, WireConfig{ID: 0, Peers: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := serveWire(t, peakObject, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
 	empty := node.StateKey()
 	c, err := Dial(SetObject(), node.Addr())
 	if err != nil {

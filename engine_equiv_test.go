@@ -289,7 +289,7 @@ func TestReplicasMatchReplayAcrossRebinds(t *testing.T) {
 		for _, gc := range []bool{false, true} {
 			gc := gc
 			t.Run(fmt.Sprintf("%s/gc=%v", obj.name, gc), func(t *testing.T) {
-				for seed := int64(1); seed <= 3; seed++ {
+				for seed := int64(1); seed <= 20; seed++ {
 					p := newEquivPair(t, obj, seed, gc)
 					rng := rand.New(rand.NewSource(seed * 7919))
 					for step := 0; step < steps; step++ {
@@ -328,18 +328,15 @@ func TestReplicasMatchReplayAcrossRebinds(t *testing.T) {
 							}
 						case 370:
 							// Without GC no donor compacts, so every pull
-							// is an entry reply and lands as a merge (the
-							// snapshot fallback is step 350's subject).
-							if !gc {
-								p.nets[0].Partition([]int{0}, []int{1, 2})
-								p.nets[1].Partition([]int{0}, []int{1, 2})
-							}
+							// is an entry reply and lands as a merge; with
+							// GC a donor that compacted past the puller
+							// answers with a snapshot.
+							p.nets[0].Partition([]int{0}, []int{1, 2})
+							p.nets[1].Partition([]int{0}, []int{1, 2})
 						case 440:
-							if !gc {
-								p.readAll(where + " before the heal")
-								p.healAndSync()
-								p.readAll(where + " after the heal's pulls")
-							}
+							p.readAll(where + " before the heal")
+							p.healAndSync()
+							p.readAll(where + " after the heal's pulls")
 						case 450:
 							if p.canSnapshot {
 								p.restoreFresh(0, where)

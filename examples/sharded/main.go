@@ -2,11 +2,11 @@
 // the public generic API: a 3-replica counter-map cluster on a live
 // goroutine transport with 4 shards per replica, hammered by
 // concurrent writers on different keys. Each shard runs its own copy
-// of Algorithm 1 — own log, own Lamport clock, own engine, own
-// mailbox — so updates to different keys never contend, while every
-// per-key guarantee of the paper (wait-freedom, strong update
-// consistency) holds per shard and the merged read is explainable by
-// one total order of all updates.
+// of Algorithm 1 — own log, own engine — on the process's one Lamport
+// clock, so a keyed read touches one shard, while every per-key
+// guarantee of the paper (wait-freedom, strong update consistency)
+// holds per shard and the merged read is explainable by one total
+// order of all updates.
 //
 //	go run ./examples/sharded
 package main
@@ -42,7 +42,7 @@ func main() {
 	}
 
 	// Writers spread over replicas and keys; every increment is
-	// wait-free and is broadcast on its key's shard channel only.
+	// wait-free and is broadcast tagged with its key's shard.
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

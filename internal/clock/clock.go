@@ -206,10 +206,12 @@ func DecodeVector(b []byte) (Vector, int, error) {
 // SOUNDNESS: for compacting a replay log, observations must be
 // *direct* — ObservePeer(j, c) may only be called when a message
 // stamped c was delivered from j over a FIFO link, because then every
-// still-in-flight message from j carries a larger stamp. Merging
-// hearsay vectors (ObserveVector) is only sound for applications where
-// overshooting the true minimum is acceptable; internal/core does not
-// use it for log compaction.
+// still-in-flight message from j carries a larger stamp. The link is
+// the one between two processes, so the shards of a sharded replica
+// share one tracker: a stamp on any shard bounds what is in flight to
+// all of them. Merging hearsay vectors (ObserveVector) is only sound
+// for applications where overshooting the true minimum is acceptable;
+// internal/core does not use it for log compaction.
 //
 // A Stability is safe for concurrent use: each component is a running
 // atomic maximum, so a query serving a cache hit under a replica's
@@ -299,13 +301,4 @@ func (s *Stability) Retire(j int) {
 	if j >= 0 && j < len(s.reached) {
 		s.reached[j].Store(retiredClock)
 	}
-}
-
-// Retired reports whether process j has been retired. Resharding uses
-// it to carry retirement over into the fresh trackers of the new
-// shards (everything else a tracker learned is re-learned from future
-// deliveries; retirement never would be, since a crashed process stays
-// silent).
-func (s *Stability) Retired(j int) bool {
-	return j >= 0 && j < len(s.reached) && s.reached[j].Load() == retiredClock
 }

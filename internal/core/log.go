@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -60,11 +61,6 @@ type Log struct {
 	// sum is the wrapping sum of entryHash over every update this log has
 	// landed, compacted ones included (see Fingerprint).
 	sum uint64
-	// seeded marks a base installed by SeedBase — a *merged* base whose
-	// horizon is the minimum across several old shards' horizons. Only
-	// such logs get the relaxed below-horizon guard (see belowHorizon);
-	// a base built by this log's own CompactBelow keeps the strict one.
-	seeded bool
 	// mask is Algorithm 2's log policy (spec.Masking.MaskKey), installed
 	// by the replica of a masking spec; nil otherwise. A masking log keeps
 	// in winners the highest entry per mask key. An arrival that sorts
@@ -77,13 +73,14 @@ type Log struct {
 	dead    int
 	masked  uint64
 	// merged marks a base installed by MergeSnapshot (anti-entropy's
-	// snapshot fallback). Such a base proves containment at the *donor*:
+	// snapshot fallback), or seeded by a resize whose horizon such a base
+	// set (SeedBase). Such a base proves containment at the *donor*:
 	// everything at or below its horizon was delivered there and folded
 	// in, so a later below-horizon arrival here is a redelivery of an
 	// already-folded update — a healed link draining its queue — and is
-	// dropped as a duplicate. Only a base built by this log's own
-	// CompactBelow keeps the below-horizon panic: there, a low arrival
-	// means our own stability tracker declared stability too early.
+	// dropped as a duplicate. A base folded at this process's own
+	// stability horizon keeps the below-horizon panic: there, a low
+	// arrival means the stability tracker declared stability too early.
 	merged bool
 }
 
@@ -95,26 +92,6 @@ func NewLog(adt spec.UQADT) *Log {
 // setMask installs Algorithm 2's masking policy on an empty log.
 func (l *Log) setMask(f func(u spec.Update) string) {
 	l.mask, l.winners = f, map[string]Entry{}
-}
-
-// belowHorizon reports whether inserting ts under the compaction
-// horizon would be a stability violation. Normally any ts not
-// strictly above baseTS proves one, and that stays true for logs
-// receiving cross-epoch traffic: a sender stamps every shard from its
-// one process clock, so its stamps after a resize strictly exceed
-// every direct observation this log's tracker took. A *seeded* base
-// keeps a relaxed guard — only a strictly smaller clock is a
-// violation. Its horizon is the minimum of several old shards'
-// horizons, and every update at or below it was folded into one of
-// their bases; since a (clock, proc) pair names one update, an arrival
-// at the horizon's clock that passes this guard is a redelivery of a
-// folded update, and landing it folds it twice (ROADMAP item 1's
-// double fold).
-func belowHorizon(l *Log, ts clock.Timestamp) bool {
-	if l.seeded {
-		return ts.Clock < l.baseTS.Clock
-	}
-	return !l.baseTS.Less(ts)
 }
 
 // masks reports whether e sorts below the winner of its mask key: a
@@ -303,7 +280,7 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 		l.masked++
 		return 0, false
 	}
-	if l.base != nil && belowHorizon(l, e.TS) {
+	if l.Covers(e.TS) {
 		if l.merged {
 			// A merge-installed base provably contains everything under
 			// its horizon (see the merged field): this is a redelivery
@@ -468,7 +445,7 @@ func (l *Log) admit(batch []Entry) (kept []Entry, dups int) {
 // compaction). The sync path uses it to skip entries a digest's Base
 // already accounts for.
 func (l *Log) Covers(ts clock.Timestamp) bool {
-	return l.base != nil && belowHorizon(l, ts)
+	return l.base != nil && !l.baseTS.Less(ts)
 }
 
 // aboveBase returns the part of batch, which is in log order, that the
@@ -524,26 +501,23 @@ func (l *Log) CompactBelow(horizon uint64) int {
 	return cut
 }
 
-// SeedBase installs a compacted-prefix snapshot into an empty log. The
-// resharding move uses it to carry the folded state of the old shards
-// into a new shard's log: s must hold exactly the key components owned
-// by this log, and ts must be a timestamp such that every future
-// insert sorts strictly above it — for a merged base that is the
-// *minimum* of the contributing old shards' horizons (each old shard's
-// live and in-flight entries sort above its own horizon, hence above
-// the minimum). count is how many folded updates s represents when the
-// caller knows it, 0 otherwise (the per-key split of a folded state
-// cannot recover per-range update counts; the sharded layer accounts
-// for them separately). For the same reason a seeded base adds nothing
-// to the fingerprint's sum.
-func (l *Log) SeedBase(s spec.State, ts clock.Timestamp, count int) {
+// SeedBase installs a compacted-prefix snapshot into an empty log. A
+// resize compacts every old shard at one horizon and seeds every new
+// shard with the key components of those bases it owns, so s folds
+// exactly this log's updates with a clock at or below horizon, and the
+// base's timestamp is (horizon, MaxInt): every later insert must carry a
+// higher clock. merged is set when the horizon is an adopted donor
+// base's rather than this process's stability horizon (see the merged
+// field). The per-key split of a folded state cannot recover per-range
+// update counts, so the sharded layer accounts for them, and for the
+// same reason a seeded base adds nothing to the fingerprint's sum.
+func (l *Log) SeedBase(s spec.State, horizon uint64, merged bool) {
 	if l.base != nil || l.Len() != 0 {
 		panic("core: SeedBase requires an empty log")
 	}
 	l.base = s
-	l.baseTS = ts
-	l.baseLen = count
-	l.seeded = true
+	l.baseTS = clock.Timestamp{Clock: horizon, Proc: math.MaxInt}
+	l.merged = merged
 	l.version++
 }
 

@@ -33,17 +33,14 @@ import (
 // modeling the paper's sequential process; queries that can be served
 // without touching engine-internal caches (Engine.StateConcurrent) run
 // under the read half, concurrently with each other. The logical clock
-// is atomic so those readers can still stamp their query events; the
-// shards of a ShardedReplica share one, the process's clock.
-// Writers additionally hold the writer token (sendMu) from the stamp
-// until their broadcast returns, so the replica sends in stamp order.
+// is atomic so those readers can still stamp their query events.
+// Writers additionally hold the process's writer token from the stamp
+// until their broadcast returns, so the process sends in stamp order.
+// The clock, the token and the stability tracker belong to the process
+// (process): the shards of a ShardedReplica share them.
 type Replica struct {
-	// sendMu is the writer token: UpdateTimestamped holds it across
-	// stamp and broadcast, so concurrent writers hand the transport
-	// their stamps in the order they were issued — the per-origin FIFO
-	// that stability-based compaction relies on (tailLocked). Lock
-	// order is sendMu → mu; nothing else takes sendMu.
-	sendMu  sync.Mutex
+	// sendMu is the process's writer token (process.sendMu).
+	sendMu  *sync.Mutex
 	mu      sync.RWMutex
 	id      int
 	n       int
@@ -153,6 +150,33 @@ func (c *queryCache) store(ver uint64, key spec.QueryCacheKey, out spec.QueryOut
 	c.m[key] = out
 }
 
+// process is what the replicas of one process share: a ShardedReplica's
+// shards are one process of Algorithm 1, so they stamp with one Lamport
+// clock, send under one writer token and compact at one stability
+// horizon. On a FIFO link a stamp from process j proves that j's earlier
+// stamps have arrived, whatever shard they were for, so one tracker fed
+// by every shard's deliveries is sound — given that j sends in stamp
+// order across all its shards, which the one token guarantees.
+type process struct {
+	clk clock.AtomicLamport
+	// stab is the stability tracker; nil without GC.
+	stab *clock.Stability
+	// sendMu is the writer token: writeStep holds it across stamp and
+	// broadcast, so concurrent writers on any shard hand the transport
+	// their stamps in the order they were issued — the per-origin FIFO
+	// that stability-based compaction relies on (tailLocked). Lock
+	// order is sendMu → Replica.mu; nothing else takes sendMu.
+	sendMu sync.Mutex
+}
+
+func newProcess(n, id int, gc bool) *process {
+	p := &process{}
+	if gc {
+		p.stab = clock.NewStability(n, id)
+	}
+	return p
+}
+
 // Config assembles a Replica.
 type Config struct {
 	// ID is the process id (0 ≤ ID < N); ids are unique and totally
@@ -188,11 +212,13 @@ type Config struct {
 }
 
 // NewReplica builds the replica and attaches it to the transport.
-func NewReplica(cfg Config) *Replica { return newReplica(cfg, new(clock.AtomicLamport)) }
+func NewReplica(cfg Config) *Replica {
+	return newReplica(cfg, newProcess(cfg.N, cfg.ID, cfg.GC))
+}
 
-// newReplica is NewReplica stamping with clk: a ShardedReplica passes
-// every shard the process's one clock.
-func newReplica(cfg Config, clk *clock.AtomicLamport) *Replica {
+// newReplica is NewReplica as one shard of process p: a ShardedReplica
+// passes every shard the process's clock, writer token and tracker.
+func newReplica(cfg Config, p *process) *Replica {
 	codec := cfg.Codec
 	if codec == nil {
 		codec, _ = cfg.ADT.(spec.Codec)
@@ -213,7 +239,9 @@ func newReplica(cfg Config, clk *clock.AtomicLamport) *Replica {
 		n:         cfg.N,
 		adt:       cfg.ADT,
 		wire:      newMessageCodec(codec),
-		clk:       clk,
+		clk:       &p.clk,
+		stab:      p.stab,
+		sendMu:    &p.sendMu,
 		log:       NewLog(cfg.ADT),
 		engine:    eng,
 		net:       cfg.Net,
@@ -229,9 +257,6 @@ func newReplica(cfg Config, clk *clock.AtomicLamport) *Replica {
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
 	if m, ok := cfg.ADT.(spec.Masking); ok {
 		r.log.setMask(m.MaskKey)
-	}
-	if cfg.GC {
-		r.stab = clock.NewStability(cfg.N, cfg.ID)
 	}
 	r.engine.Bind(cfg.ADT, r.log)
 	r.net.Attach(cfg.ID, r.handle)
@@ -485,13 +510,14 @@ func (r *Replica) badPayload(from int, err error) transport.BadPayload {
 // exclusive lock.
 //
 // Stability only trusts *direct* observations: a sender's update stamps
-// strictly increase and it sends them in that order (UpdateTimestamped's
-// writer token), so on a FIFO link the highest stamp delivered from a
-// sender bounds every still-in-flight message from it. Hearsay (a vector
-// piggybacked by a third process) is NOT sound here — another process's
-// knowledge of j's clock can overtake j's own in-flight messages on our
-// link, which would let the horizon pass an update that has not arrived
-// yet.
+// strictly increase and it sends them in that order (writeStep's writer
+// token, one per process), so on a FIFO link — one stream per pair of
+// processes, whatever the shard — the highest stamp delivered from a
+// sender bounds every still-in-flight message from it, on every shard.
+// Hearsay (a vector piggybacked by a third process) is NOT sound here —
+// another process's knowledge of j's clock can overtake j's own
+// in-flight messages on our link, which would let the horizon pass an
+// update that has not arrived yet.
 func (r *Replica) tailLocked(ts clock.Timestamp) {
 	if r.stab == nil {
 		return
@@ -505,7 +531,7 @@ func (r *Replica) tailLocked(ts clock.Timestamp) {
 	r.sinceGC++
 	if r.sinceGC >= r.gcEvery {
 		r.sinceGC = 0
-		r.compact()
+		r.compact(r.stab.Horizon())
 	}
 }
 
@@ -583,27 +609,22 @@ func (r *Replica) observeOrigin(ts clock.Timestamp) {
 }
 
 // Absorb inserts an already-timestamped update directly into the
-// replica's log — the resharding state-transfer path: entries moved
-// from an old shard's log, and in-flight old-epoch deliveries
-// re-routed by key, keep their original timestamps so every replica
+// replica's log — the resharding path: in-flight old-epoch deliveries
+// re-routed by key keep their original timestamps, so every replica
 // sorts them identically. Unlike a delivery through handle, Absorb
-// never broadcasts and never feeds the stability tracker's *peer*
-// observations: an absorbed entry was observed on a different (old
-// shard) channel, and the per-sender FIFO argument that makes a direct
-// observation sound does not transfer — several old channels' stamps
-// interleave non-monotonically, so treating one as a FIFO observation
-// here could declare stability over an old-epoch message still in
-// flight. The tracker re-learns from current-epoch deliveries instead.
+// never broadcasts and never feeds the stability tracker: the tracker
+// learns only from deliveries that reach the shard they were sent to,
+// which is conservative.
 func (r *Replica) Absorb(ts clock.Timestamp, u spec.Update) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.insertLocked(ts, u)
 }
 
-// compact folds stable entries into the log base. Caller holds the
-// lock.
-func (r *Replica) compact() {
-	n := r.log.CompactBelow(r.stab.Horizon())
+// compact folds the entries with a clock at or below horizon into the
+// log base. Caller holds the lock.
+func (r *Replica) compact(horizon uint64) {
+	n := r.log.CompactBelow(horizon)
 	if n > 0 {
 		r.compacted += uint64(n)
 		r.engine.Compacted(n)
@@ -616,7 +637,7 @@ func (r *Replica) ForceCompact() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.stab != nil {
-		r.compact()
+		r.compact(r.stab.Horizon())
 	}
 }
 
@@ -755,8 +776,9 @@ func (r *Replica) UpdateBatch(us []spec.Update) {
 // updates leave as one step; at causal consistency each leaves alone, a
 // step of one behind its own dependency vector. The broadcast goes out
 // after the unlock, so queries and deliveries never wait on the network.
-// The writer token is held from the stamp until the broadcast returns:
-// concurrent writers send in the order they stamped.
+// The process's writer token is held from the stamp until the broadcast
+// returns: concurrent writers, on any shard, send in the order they
+// stamped.
 func (r *Replica) writeStep(us []spec.Update) clock.Timestamp {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
@@ -805,10 +827,10 @@ type stepBroadcaster interface {
 	BroadcastStep(from, shard, epoch, count int, payload []byte)
 }
 
-// broadcast hands the transport a payload carrying count updates, on the
-// replica's shard channel when it has one (epochChannel): with the count
-// where the network bounds its queues in updates, as a plain broadcast
-// otherwise.
+// broadcast hands the transport a payload carrying count updates, with
+// the replica's shard and epoch tags when it has them (epochChannel):
+// with the count where the network bounds its queues in updates, as a
+// plain broadcast otherwise.
 func (r *Replica) broadcast(count int, payload []byte) {
 	net, shard, epoch := r.net, 0, 0
 	if c, ok := net.(epochChannel); ok {

@@ -6,23 +6,22 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"updatec/internal/clock"
 	"updatec/internal/history"
 	"updatec/internal/spec"
 	"updatec/internal/transport"
 )
 
 // ShardedReplica is the key-sharded variant of the universal
-// construction: one process's instance of S independent copies of
-// Algorithm 1, one per shard of the key space. Each shard owns its own
-// Log and query engine, and broadcasts on its own shard-tagged
-// transport channel (transport.ResizableNetwork), so deliveries and
-// updates touching different shards never contend — one replica's
-// update path scales across cores, and a late-arriving update displaces
-// only its own shard's log suffix instead of the whole log. Every shard
-// stamps with the process's one Lamport clock, as Algorithm 1 has it:
-// a (clock, proc) pair names one update of the whole replica, and the
-// shard logs merged by stamp give one order of every update that
+// construction: one process's instance of S copies of Algorithm 1, one
+// per shard of the key space. Each shard owns its own Log and query
+// engine, so a keyed read touches one shard and a late-arriving update
+// displaces only its own shard's log suffix instead of the whole log;
+// broadcasts carry the shard's tag (transport.ResizableNetwork). The
+// shards share what makes them one process (type process): the Lamport
+// clock they all stamp with, as Algorithm 1 has it, the writer token
+// they send under and the stability horizon they compact at. A (clock,
+// proc) pair names one update of the whole replica, and the shard logs
+// merged by stamp give one order of every update that
 // contains each process's issue order.
 //
 // The construction is sound for spec.Partitionable data types: updates
@@ -52,8 +51,9 @@ import (
 // plain Replica (the remaining shards stay empty).
 //
 // A ShardedReplica is safe for concurrent use; concurrency control
-// lives in the per-shard Replicas, plus a routing lock whose read half
-// the operation hot paths hold so a resize can exclude them.
+// lives in the per-shard Replicas and the process's writer token, plus a
+// routing lock whose read half the operation hot paths hold so a resize
+// can exclude them.
 type ShardedReplica struct {
 	id        int
 	n         int
@@ -64,11 +64,12 @@ type ShardedReplica struct {
 	newEngine func() Engine
 	gc        bool
 	gcEvery   int
-	// clk is the process clock every shard stamps with; rec, when set,
-	// records the process's operations: the shards record their updates
-	// and keyed queries, queryMerged and QueryOmega the merged ones.
-	clk clock.AtomicLamport
-	rec *history.Recorder
+	// proc is what every shard shares: the clock, the writer token and
+	// the stability tracker. rec, when set, records the process's
+	// operations: the shards record their updates and keyed queries,
+	// queryMerged and QueryOmega the merged ones.
+	proc *process
+	rec  *history.Recorder
 	// net is the shard- and epoch-aware transport the cluster shares.
 	net transport.ResizableNetwork
 
@@ -160,21 +161,22 @@ type ShardedConfig struct {
 	Net transport.ResizableNetwork
 	// NewEngine builds each shard's query engine (nil → DefaultEngine).
 	NewEngine func() Engine
-	// GC enables per-shard stability-based log compaction; it requires
-	// a FIFO transport, exactly as for a plain Replica. GCEvery is the
-	// compaction period in deliveries (default 32).
+	// GC enables stability-based log compaction at the process's one
+	// horizon; it requires a FIFO transport, exactly as for a plain
+	// Replica. GCEvery is each shard's compaction period in deliveries
+	// (default 32).
 	GC      bool
 	GCEvery int
 	// Recorder records the replica's operations for the consistency
 	// deciders, at every shard count and across a Resize.
 	Recorder *history.Recorder
-	// Causal gates visibility on causal order (Config.Causal). A
-	// dependency vector describes one log, so it requires one shard.
+	// Causal gates visibility on causal order (Config.Causal). The gate
+	// lives in one shard's Replica, so it requires one shard.
 	Causal bool
 }
 
-// NewShardedReplica builds the per-shard replicas and attaches one
-// delivery router per process to the transport (each per-shard replica
+// NewShardedReplica builds the per-shard replicas of one process and
+// attaches its delivery router to the transport (each per-shard replica
 // broadcasts with its shard and epoch tags).
 func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 	if cfg.Shards <= 0 {
@@ -192,6 +194,7 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		newEngine: cfg.NewEngine,
 		gc:        cfg.GC,
 		gcEvery:   cfg.GCEvery,
+		proc:      newProcess(cfg.N, cfg.ID, cfg.GC),
 		rec:       cfg.Recorder,
 		net:       cfg.Net,
 	}
@@ -212,7 +215,7 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 			Net:    epochChannel{net: cfg.Net, shard: s, epoch: cfg.Shards},
 			Engine: eng, GC: cfg.GC, GCEvery: cfg.GCEvery,
 			Recorder: cfg.Recorder, Causal: cfg.Causal,
-		}, &r.clk)
+		}, r.proc)
 	}
 	r.gen.Store(g)
 	cfg.Net.AttachRouter(cfg.ID, r.route)
@@ -284,11 +287,8 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		if r.part != nil && len(g.shards) > 1 {
 			dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
 		}
-		// Absorb, not handle: the entry keeps its timestamp but must not
-		// feed the stability tracker's peer observations — stamps from a
-		// different epoch's channel interleave non-monotonically with this
-		// shard's, so the FIFO argument behind direct observations does not
-		// apply (see Replica.Absorb).
+		// Absorb, not handle: the entry keeps its timestamp and feeds no
+		// stability observation (see Replica.Absorb).
 		g.shards[dst].Absorb(e.TS, e.U)
 	}
 }
@@ -618,7 +618,7 @@ func (r *ShardedReplica) Stats() Stats {
 		agg.Gated += st.Gated
 		agg.Folded += st.Folded
 	}
-	agg.Clock = r.clk.Now()
+	agg.Clock = r.proc.clk.Now()
 	agg.TotalOps += int(r.movedCompacted)
 	agg.Compacted += r.movedCompacted
 	return agg
@@ -643,14 +643,12 @@ func (r *ShardedReplica) ForceCompact() {
 	}
 }
 
-// RetireProcess tells every shard's stability tracker that a process
+// RetireProcess tells the process's stability tracker that a process
 // crashed and will never issue updates again (see
 // Replica.RetireProcess).
 func (r *ShardedReplica) RetireProcess(j int) {
-	r.routeMu.RLock()
-	defer r.routeMu.RUnlock()
-	for _, sh := range r.gen.Load().shards {
-		sh.RetireProcess(j)
+	if r.proc.stab != nil {
+		r.proc.stab.Retire(j)
 	}
 }
 
@@ -658,8 +656,9 @@ func (r *ShardedReplica) RetireProcess(j int) {
 // shards, live. It builds a fresh routing generation (new per-shard
 // replicas with their own logs and engines, broadcasting under
 // the next epoch), transfers every key range's state from the old
-// shard that owned it — the compacted base split per key
-// (spec.Partitionable.ExtractRange), the live log suffix replayed
+// shard that owned it — every old shard compacted at one horizon and
+// its base split per key (spec.Partitionable.ExtractRange), the live
+// log suffix replayed
 // entry by entry with timestamps intact — then atomically flips the
 // router and rebuilds the merged-state cache. Updates and queries are
 // excluded for the duration of the move; they are wait-free again the
@@ -672,17 +671,13 @@ func (r *ShardedReplica) RetireProcess(j int) {
 // different times — convergence only requires that they all eventually
 // run the same table.
 //
-// GC soundness across a staggered resize rests on the transports'
-// per-link FIFO guarantee holding across shard channels (GC requires
-// FIFO regardless): everything a sender broadcast before its flip is
-// delivered before anything it broadcast after, so by the time a new
-// shard's fresh stability tracker takes its first direct observation
-// from a sender (a current-epoch delivery through handle), none of
-// that sender's old-epoch messages remain in flight here — which is
-// exactly why cross-epoch deliveries go through Absorb, feeding no
-// peer observations, while current-epoch ones may. On the live
-// transport ResizeCluster drains first, so no cross-epoch message
-// ever exists.
+// GC soundness across a staggered resize rests on the process's one
+// stability tracker, which outlives the flip, and on the transports'
+// one FIFO stream per process link (GC requires FIFO regardless): a
+// stamp the tracker observed from a sender bounds everything still in
+// flight from it, old epoch or new, so nothing in flight sorts at or
+// below the horizon the new shards are seeded at. On the live transport
+// ResizeCluster drains first, so no cross-epoch message ever exists.
 //
 // On a live (goroutine) transport a lone Resize would race concurrent
 // deliveries against the move; use ResizeCluster, which coordinates
@@ -695,7 +690,6 @@ func (r *ShardedReplica) Resize(newShards int) {
 	if r.part == nil {
 		panic(fmt.Sprintf("core: %s is not partitionable; Resize requires per-key state", r.adt.Name()))
 	}
-	r.net.EnsureShards(newShards)
 	r.routeMu.Lock()
 	defer r.routeMu.Unlock()
 	r.resizeLocked(newShards)
@@ -719,7 +713,6 @@ func ResizeCluster(reps []*ShardedReplica, newShards int, drain func()) {
 	if newShards <= 0 {
 		panic("core: ResizeCluster needs at least one shard")
 	}
-	reps[0].net.EnsureShards(newShards)
 	for _, r := range reps {
 		r.routeMu.Lock()
 	}
@@ -760,36 +753,33 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 			ID: r.id, N: r.n, ADT: r.adt, Codec: r.codec,
 			Net:    epochChannel{net: r.net, shard: s, epoch: newShards},
 			Engine: eng, GC: r.gc, GCEvery: r.gcEvery, Recorder: r.rec,
-		}, &r.clk)
+		}, r.proc)
 	}
 
-	// The seed horizon for split bases: the minimum of the old shards'
-	// compaction horizons — zero unless every old shard has compacted.
-	// Every live or in-flight entry sorts strictly above its own old
-	// shard's horizon, hence above the minimum, which is what
-	// Log.Insert's below-base guard checks (per key the folded
-	// components are always below a later entry of the same key, since
-	// the key's whole history lived in one old shard).
-	var horizon clock.Timestamp
-	allCompacted := true
+	// One horizon h for the move: every old shard is compacted at it and
+	// every new shard seeded at it. It is the process's stability horizon,
+	// or an old shard's base clock above that — a base a pull adopted from
+	// a donor that had compacted further, and the pull brought every shard
+	// up to it (SyncFrom lands every shard or fails). Either way every old
+	// shard holds every update of its keys with a clock up to h, so after
+	// the compaction each old base folds exactly those, and nothing live
+	// or in flight sorts at or below h. A masking log never compacts, so
+	// it gets no horizon.
+	var stable uint64
+	if r.proc.stab != nil && old.shards[0].log.mask == nil {
+		stable = r.proc.stab.Horizon()
+	}
+	h := stable
 	for _, o := range old.shards {
-		if base, _ := o.log.Base(); base == nil {
-			allCompacted = false
-			break
-		}
-	}
-	if allCompacted {
-		_, horizon = old.shards[0].log.Base()
-		for _, o := range old.shards[1:] {
-			if _, ts := o.log.Base(); ts.Less(horizon) {
-				horizon = ts
-			}
+		if _, ts := o.log.Base(); ts.Clock > h {
+			h = ts.Clock
 		}
 	}
 
-	// Split every old shard into per-new-shard seeds: base state by key
-	// range, live entries by key. The old shards are left untouched —
-	// the old generation stays internally consistent until the flip.
+	// Compact every old shard at h and split it into per-new-shard seeds:
+	// base state by key range, live entries by key. A compaction leaves an
+	// old shard consistent, and nothing else touches it, so the old
+	// generation stays internally consistent until the flip.
 	type seed struct {
 		base    spec.State
 		entries []Entry
@@ -797,6 +787,9 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 	seeds := make([]seed, newShards)
 	for _, o := range old.shards {
 		o.mu.Lock()
+		if h > 0 {
+			o.compact(h)
+		}
 		if base, _ := o.log.Base(); base != nil {
 			work := r.adt.Clone(base)
 			for s := range seeds {
@@ -823,33 +816,24 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 		o.mu.Unlock()
 	}
 
-	// Replay each seed into its new shard: seed the base, land the bucket
-	// — sorted, since it interleaves several old shards' runs — as one
-	// merge under one lock hold, and carry over retirement (a crashed
-	// process stays crashed; everything else the fresh stability trackers
-	// re-learn from current-epoch deliveries). The process clock is
-	// already above everything moved, so post-resize updates stamp above
-	// it.
-	oldStab := old.shards[0].stab
+	// Replay each seed into its new shard: seed the base at h, then land
+	// the bucket — sorted, since it interleaves several old shards' runs —
+	// as one merge under one lock hold. The base is merged exactly when h
+	// is above the stability horizon. The process clock is already above
+	// everything moved, so post-resize updates stamp above it.
 	for s := range seeds {
 		rep := next.shards[s]
-		if seeds[s].base != nil {
-			rep.log.SeedBase(seeds[s].base, horizon, 0)
+		if h > 0 {
+			base := seeds[s].base
+			if base == nil {
+				base = r.adt.Initial()
+			}
+			rep.log.SeedBase(base, h, h > stable)
 		}
 		rep.log.SortEntries(seeds[s].entries)
 		rep.mu.Lock()
 		rep.mergeLocked(seeds[s].entries)
 		rep.mu.Unlock()
-		if rep.stab != nil {
-			rep.stab.ObserveSelf(rep.clk.Now())
-			if oldStab != nil {
-				for j := 0; j < r.n; j++ {
-					if oldStab.Retired(j) {
-						rep.stab.Retire(j)
-					}
-				}
-			}
-		}
 	}
 
 	// Flip the router, then rebuild the merged-state cache for the new

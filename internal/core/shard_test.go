@@ -218,7 +218,7 @@ func TestShardedGC(t *testing.T) {
 // account for every update.
 func TestShardedLiveHammer(t *testing.T) {
 	const n, shards, workers, perWorker = 3, 4, 6, 200
-	net := transport.NewLiveSharded(n, shards)
+	net := transport.NewLive(n)
 	defer net.Close()
 	reps := ShardedCluster(n, shards, spec.CounterMap(), net, ClusterOptions{
 		NewEngine: func() Engine { return NewUndoEngine() },

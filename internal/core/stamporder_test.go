@@ -11,18 +11,18 @@ import (
 
 // orderNet checks, at the transport's door, the property stability-based
 // compaction rests on (Replica.tailLocked): each origin hands the network
-// its updates in stamp order, per shard channel. It reads the stamps of
-// every broadcast step, in order, and records any origin whose stamps go
-// down.
+// its updates in stamp order, across all its shards — the shards of a
+// process share one stability tracker. It reads the stamps of every
+// broadcast step, in order, and records any origin whose stamps go down.
 type orderNet struct {
 	transport.ResizableNetwork
 	mu   sync.Mutex
-	last map[[2]int]uint64 // (origin, shard) → highest clock sent so far
+	last map[int]uint64 // origin → highest clock sent so far
 	errs []string
 }
 
 func newOrderNet(net transport.ResizableNetwork) *orderNet {
-	return &orderNet{ResizableNetwork: net, last: map[[2]int]uint64{}}
+	return &orderNet{ResizableNetwork: net, last: map[int]uint64{}}
 }
 
 func (n *orderNet) Broadcast(from int, p []byte) {
@@ -39,17 +39,16 @@ func (n *orderNet) check(from, shard int, p []byte) {
 	stamps, err := stepStamps(p)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	k := [2]int{from, shard}
 	if err != nil || len(stamps) == 0 {
 		n.errs = append(n.errs, fmt.Sprintf("origin %d shard %d: undecodable payload %x", from, shard, p))
 		return
 	}
 	for _, ts := range stamps {
-		if ts.Clock <= n.last[k] {
-			n.errs = append(n.errs, fmt.Sprintf("origin %d shard %d sent stamp %d after %d", from, shard, ts.Clock, n.last[k]))
+		if ts.Clock <= n.last[from] {
+			n.errs = append(n.errs, fmt.Sprintf("origin %d shard %d sent stamp %d after %d", from, shard, ts.Clock, n.last[from]))
 			return
 		}
-		n.last[k] = ts.Clock
+		n.last[from] = ts.Clock
 	}
 }
 
@@ -66,7 +65,7 @@ func (n *orderNet) verify(t *testing.T) {
 }
 
 // TestStampOrderPerOrigin: eight goroutines writing through one replica
-// (and through one 4-shard replica, checked per shard channel) never hand
+// (and through one 4-shard replica, checked across its shards) never hand
 // the transport a stamp below one it has already sent for that origin.
 func TestStampOrderPerOrigin(t *testing.T) {
 	const writers, perWriter = 8, 1000
@@ -93,7 +92,7 @@ func TestStampOrderPerOrigin(t *testing.T) {
 		net.verify(t)
 	})
 	t.Run("sharded", func(t *testing.T) {
-		live := transport.NewLiveSharded(2, 4)
+		live := transport.NewLive(2)
 		defer live.Close()
 		net := newOrderNet(live)
 		reps := ShardedCluster(2, 4, spec.CounterMap(), net, ClusterOptions{})

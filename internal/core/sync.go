@@ -273,18 +273,7 @@ func (r *Replica) ApplySync(payload []byte) (int, error) {
 	if len(payload) == 0 {
 		return 0, nil
 	}
-	batch, err := r.wire.decodeRun(payload)
-	if err != nil {
-		return 0, fmt.Errorf("core: sync reply: %w", err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// A donor replies in its log order, which is ours; anything else is
-	// sorted rather than trusted.
-	r.log.SortEntries(batch)
-	applied := r.mergeLocked(r.log.aboveBase(batch))
-	r.syncApplied += uint64(applied)
-	return applied, nil
+	return r.syncLand(syncEntries, payload)
 }
 
 // MergeSnapshot merges a donor's Snapshot into a replica that already
@@ -298,15 +287,7 @@ func (r *Replica) ApplySync(payload []byte) (int, error) {
 // entries on top, deduplicated. Returns how many of the donor's entries
 // were new here.
 func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
-	sd, err := r.parseSnapshot(snap)
-	if err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	applied := r.installSnapshotLocked(sd, true)
-	r.syncApplied += uint64(applied)
-	return applied, nil
+	return r.syncLand(syncSnapshot, snap)
 }
 
 // installSnapshotLocked rebuilds the log as the union of what the replica
@@ -332,13 +313,9 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	obase, obaseTS := old.Base()
 	if sd.base != nil && (obase == nil || obaseTS.Clock < sd.baseTS.Clock) {
 		nl.RestoreBase(sd.base, sd.baseTS, sd.baseLen, sd.baseSum)
-		// A seeded (post-resize) receiver keeps the relaxed
-		// below-horizon guard (belowHorizon).
-		nl.seeded = old.seeded
 		nl.merged = merged
 	} else if obase != nil {
 		nl.RestoreBase(obase, obaseTS, old.baseLen, old.baseSum())
-		nl.seeded = old.seeded
 		nl.merged = old.merged
 	}
 	// What either side held under the adopted base is folded into it.
@@ -401,49 +378,98 @@ func (r *Replica) syncAnswerLocked(d Digest) (mode byte, body []byte, err error)
 	return syncEntries, body, nil
 }
 
-// syncLand is the requester half: land what a donor's syncAnswer produced,
-// reporting how many entries were new here.
-func (r *Replica) syncLand(mode byte, body []byte) (int, error) {
+// pulled is a donor's syncAnswer decoded: the entries of a reply, or a
+// snapshot, and at causal consistency the donor's per-origin stamps as
+// of the answer.
+type pulled struct {
+	mode       byte
+	entries    []Entry
+	snap       snapshotData
+	held, seen clock.Vector
+}
+
+// syncDecode is the requester half's first step: decode what a donor's
+// syncAnswer produced, landing nothing.
+func (r *Replica) syncDecode(mode byte, body []byte) (p pulled, err error) {
+	p.mode = mode
 	switch mode {
 	case syncNone:
-		return 0, nil
 	case syncEntries:
-		return r.ApplySync(body)
+		if p.entries, err = r.wire.decodeRun(body); err != nil {
+			err = fmt.Errorf("core: sync reply: %w", err)
+		}
 	case syncSnapshot:
-		return r.MergeSnapshot(body)
+		p.snap, err = r.parseSnapshot(body)
+	default:
+		err = fmt.Errorf("core: unknown sync mode %d", mode)
 	}
-	return 0, fmt.Errorf("core: unknown sync mode %d", mode)
+	return p, err
+}
+
+// land is the requester half's second step: land a decoded answer under
+// one lock hold, reporting how many entries were new here. A donor
+// replies in its log order, which is ours; anything else is sorted
+// rather than trusted. At causal consistency the landing ends by raising
+// this replica's per-origin stamps to the donor's (raiseLocked).
+func (r *Replica) land(p pulled) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	switch p.mode {
+	case syncEntries:
+		r.log.SortEntries(p.entries)
+		n = r.mergeLocked(r.log.aboveBase(p.entries))
+	case syncSnapshot:
+		n = r.installSnapshotLocked(p.snap, true)
+	}
+	r.syncApplied += uint64(n)
+	if p.held != nil {
+		r.raiseLocked(p.held, p.seen)
+	}
+	return n
+}
+
+// syncLand is the requester half: land what a donor's syncAnswer
+// produced, reporting how many entries were new here.
+func (r *Replica) syncLand(mode byte, body []byte) (int, error) {
+	p, err := r.syncDecode(mode, body)
+	if err != nil {
+		return 0, err
+	}
+	return r.land(p), nil
+}
+
+// pullLocked is a pull up to its landing: donor answers digest d and r
+// decodes the answer. The caller holds donor's lock (either half).
+func (r *Replica) pullLocked(donor *Replica, d Digest) (pulled, error) {
+	mode, body, err := donor.syncAnswerLocked(d)
+	if err != nil {
+		return pulled{}, err
+	}
+	p, err := r.syncDecode(mode, body)
+	if err == nil && r.causal {
+		p.held, p.seen = donor.originMax.Clone(), donor.seen.Clone()
+	}
+	return p, err
 }
 
 // SyncFrom runs one complete anti-entropy pull from donor: digest,
 // reply, apply — falling back to snapshot transfer when the donor has
 // compacted past this replica's horizon. Returns how many entries (or
 // snapshot-carried updates) were new here. Both replicas stay fully
-// available throughout: the donor side holds only its read lock. At
-// causal consistency the pull ends by raising this replica's per-origin
-// stamps to the donor's as of its answer (raiseLocked).
+// available throughout: the donor side holds only its read lock.
 func (r *Replica) SyncFrom(donor *Replica) (int, error) {
 	if donor == r {
 		return 0, nil
 	}
 	d := r.Digest()
 	donor.mu.RLock()
-	mode, body, err := donor.syncAnswerLocked(d)
-	var held, seen clock.Vector
-	if r.causal {
-		held, seen = donor.originMax.Clone(), donor.seen.Clone()
-	}
+	p, err := r.pullLocked(donor, d)
 	donor.mu.RUnlock()
 	if err != nil {
 		return 0, err
 	}
-	n, err := r.syncLand(mode, body)
-	if err == nil && r.causal {
-		r.mu.Lock()
-		r.raiseLocked(held, seen)
-		r.mu.Unlock()
-	}
-	return n, err
+	return r.land(p), nil
 }
 
 // SyncFrom pulls every shard's missing suffix from the corresponding
@@ -453,6 +479,14 @@ func (r *Replica) SyncFrom(donor *Replica) (int, error) {
 // routing structure), so a mismatch means the caller is syncing across
 // clusters or mid-resize, and the pull is refused rather than guessed
 // at. Returns the total number of newly landed entries.
+//
+// A pull lands every shard or fails. The peer answers every shard at one
+// cut, its shards' locks all held, and every answer is decoded before
+// any lands. At that cut the peer holds, on every shard, every update of
+// the shard's keys up to its highest base clock, so after the pull so
+// does this replica — which is what a resize's one horizon relies on
+// when a base adopted here sits above the process's stability horizon
+// (resizeLocked).
 func (r *ShardedReplica) SyncFrom(peer *ShardedReplica) (int, error) {
 	if peer == r {
 		return 0, nil
@@ -464,13 +498,30 @@ func (r *ShardedReplica) SyncFrom(peer *ShardedReplica) (int, error) {
 		return 0, fmt.Errorf("core: sync requires equal shard counts (have %d, peer has %d); resize to a common count first",
 			len(mine.shards), len(theirs.shards))
 	}
-	applied := 0
-	for s := range mine.shards {
-		n, err := mine.shards[s].SyncFrom(theirs.shards[s])
-		applied += n
-		if err != nil {
-			return applied, fmt.Errorf("core: shard %d: %w", s, err)
+	ds := make([]Digest, len(mine.shards))
+	for s, sh := range mine.shards {
+		ds[s] = sh.Digest()
+	}
+	ps := make([]pulled, len(ds))
+	var err error
+	for _, sh := range theirs.shards {
+		sh.mu.RLock()
+	}
+	for s, sh := range theirs.shards {
+		if ps[s], err = mine.shards[s].pullLocked(sh, ds[s]); err != nil {
+			err = fmt.Errorf("core: shard %d: %w", s, err)
+			break
 		}
+	}
+	for _, sh := range theirs.shards {
+		sh.mu.RUnlock()
+	}
+	if err != nil {
+		return 0, err
+	}
+	applied := 0
+	for s, p := range ps {
+		applied += mine.shards[s].land(p)
 	}
 	return applied, nil
 }

@@ -6,30 +6,18 @@ import (
 )
 
 // LiveNetwork delivers messages with one dispatcher goroutine and an
-// unbounded mailbox per (process, shard) pair, so Broadcast never
-// blocks — the wait-freedom requirement. Unsharded use (NewLive) has a
-// single shard per process; NewLiveSharded gives every shard its own
-// mailbox and dispatcher, so deliveries to different shards of the
-// same process run in parallel. It is safe for concurrent use.
+// unbounded mailbox per process, so Broadcast never blocks — the
+// wait-freedom requirement. Every message to a process goes through its
+// one mailbox whatever its shard tag, so each link is one FIFO stream,
+// as on SimNetwork with FIFO on and TCPNetwork: a sharded replica's
+// stability tracker, shared by its shards, relies on that. It is safe
+// for concurrent use.
 type LiveNetwork struct {
-	n      int
-	shards int
-	// nodes holds the mailbox + dispatcher table, nodes[id][shard], one
-	// per shard of each process. The table is copy-on-write: EnsureShards
-	// builds a fresh table and swaps the pointer (writers coordinate
-	// under mu), so the broadcast hot path loads and indexes it without
-	// a lock.
-	nodes atomic.Pointer[[][]*liveNode]
-	// routers[id], when set, receives every delivery to id with its
-	// shard and epoch tags (ResizableNetwork); nodes added later by
-	// EnsureShards inherit it.
-	routers []EpochHandler
-	// crashedProc[id] records a Crash(id) at the process level (guarded
-	// by mu) so nodes added later by EnsureShards are born crashed — a
-	// crashed process must not come back to life on new shard indices.
-	crashedProc []bool
-	mu          sync.Mutex
-	stats       Stats
+	n int
+	// nodes holds the mailbox + dispatcher of each process.
+	nodes []*liveNode
+	mu    sync.Mutex
+	stats Stats
 	// delivered counts messages the dispatchers handed to a handler, and
 	// droppedCrash those they discarded because their process was
 	// crashed; atomic because dispatchers bump them outside mu.
@@ -61,86 +49,29 @@ type liveNode struct {
 	done chan struct{}
 }
 
-// NewLive returns a live network for n processes with a single shard
-// per process. Close must be called to stop the dispatcher goroutines.
-func NewLive(n int) *LiveNetwork { return NewLiveSharded(n, 1) }
-
-// NewLiveSharded returns a live network for n processes with the given
-// number of shards per process, one mailbox and dispatcher goroutine
-// each. Close must be called to stop the dispatchers.
-func NewLiveSharded(n, shards int) *LiveNetwork {
-	if shards <= 0 {
-		panic("transport: NewLiveSharded needs at least one shard")
+// NewLive returns a live network for n processes. Close must be called
+// to stop the dispatcher goroutines.
+func NewLive(n int) *LiveNetwork {
+	ln := &LiveNetwork{n: n, nodes: make([]*liveNode, n)}
+	for i := range ln.nodes {
+		nd := &liveNode{mb: newMailbox(0), ln: ln, done: make(chan struct{})}
+		go nd.run()
+		ln.nodes[i] = nd
 	}
-	ln := &LiveNetwork{n: n, shards: shards, routers: make([]EpochHandler, n), crashedProc: make([]bool, n)}
-	nodes := make([][]*liveNode, n)
-	for i := range nodes {
-		nodes[i] = make([]*liveNode, shards)
-		for s := range nodes[i] {
-			nodes[i][s] = newLiveNode(ln)
-		}
-	}
-	ln.nodes.Store(&nodes)
 	return ln
 }
 
-func newLiveNode(ln *LiveNetwork) *liveNode {
-	node := &liveNode{mb: newMailbox(0), ln: ln, done: make(chan struct{})}
-	go node.run()
-	return node
-}
+// NewLiveSharded is NewLive: the shard count no longer shapes the
+// network, whose one mailbox per process carries every shard tag.
+func NewLiveSharded(n, _ int) *LiveNetwork { return NewLive(n) }
 
-// snapshot captures the current node table; a captured table is
-// immutable (EnsureShards swaps in a fresh one, never mutates one).
-func (ln *LiveNetwork) snapshot() [][]*liveNode { return *ln.nodes.Load() }
-
-// EnsureShards implements ResizableNetwork: it grows every process's
-// mailbox row to the given shard count, spawning a dispatcher per new
-// (process, shard) channel. Existing nodes — and any envelopes queued
-// in them — are carried over untouched. Shrinking is implicit: a
-// routing epoch with fewer shards simply stops broadcasting to the
-// higher indices, whose dispatchers idle until Close.
-func (ln *LiveNetwork) EnsureShards(shards int) {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if shards <= ln.shards || ln.closed {
-		return
-	}
-	old := *ln.nodes.Load()
-	nodes := make([][]*liveNode, ln.n)
-	for i := range nodes {
-		row := make([]*liveNode, shards)
-		copy(row, old[i])
-		for s := ln.shards; s < shards; s++ {
-			node := newLiveNode(ln)
-			if rt := ln.routers[i]; rt != nil {
-				node.hmu.Lock()
-				node.route = rt
-				node.hmu.Unlock()
-			}
-			if ln.crashedProc[i] {
-				node.crashed.Store(true)
-			}
-			row[s] = node
-		}
-		nodes[i] = row
-	}
-	ln.nodes.Store(&nodes)
-	ln.shards = shards
-}
-
-// AttachRouter implements ResizableNetwork: every current and future
-// channel of process id delivers through h.
+// AttachRouter implements ResizableNetwork: every delivery to id goes
+// through h.
 func (ln *LiveNetwork) AttachRouter(id int, h EpochHandler) {
-	ln.mu.Lock()
-	ln.routers[id] = h
-	nodes := *ln.nodes.Load()
-	ln.mu.Unlock()
-	for _, nd := range nodes[id] {
-		nd.hmu.Lock()
-		nd.route = h
-		nd.hmu.Unlock()
-	}
+	nd := ln.nodes[id]
+	nd.hmu.Lock()
+	nd.route = h
+	nd.hmu.Unlock()
 }
 
 func (nd *liveNode) run() {
@@ -184,7 +115,7 @@ func (nd *liveNode) run() {
 
 // Attach implements Network.
 func (ln *LiveNetwork) Attach(id int, h Handler) {
-	nd := ln.snapshot()[id][0]
+	nd := ln.nodes[id]
 	nd.hmu.Lock()
 	nd.handler = h
 	nd.hmu.Unlock()
@@ -197,11 +128,10 @@ func (ln *LiveNetwork) Broadcast(from int, payload []byte) {
 }
 
 // BroadcastShardEpoch implements ResizableNetwork: the message goes to
-// the mailbox of shard `shard` at every other process, tagged with the
-// sender's routing epoch.
+// the mailbox of every other process, tagged with the destination shard
+// and the sender's routing epoch.
 func (ln *LiveNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byte) {
-	nodes := ln.snapshot()
-	self := nodes[from][shard]
+	self := ln.nodes[from]
 	self.hmu.Lock()
 	h, rt := self.handler, self.route
 	self.hmu.Unlock()
@@ -229,39 +159,21 @@ func (ln *LiveNetwork) BroadcastShardEpoch(from, shard, epoch int, payload []byt
 		// The payload slice is shared with every other mailbox; the
 		// mailboxes are unbounded, so push never blocks (and is a
 		// counted no-op after Close).
-		nodes[to][shard].mb.push(envelope{from: from, to: to, shard: shard, epoch: epoch, payload: payload})
+		ln.nodes[to].mb.push(envelope{from: from, to: to, shard: shard, epoch: epoch, payload: payload})
 	}
 }
 
-// Crash halts a process: every shard stops handling queued and future
-// messages (including a batch the dispatcher already swapped out of the
-// mailbox) and the process's broadcasts are suppressed — including on
-// shard channels a later EnsureShards adds.
-func (ln *LiveNetwork) Crash(id int) {
-	ln.mu.Lock()
-	ln.crashedProc[id] = true
-	nodes := *ln.nodes.Load()
-	ln.mu.Unlock()
-	for _, nd := range nodes[id] {
-		nd.crashed.Store(true)
-	}
-}
+// Crash halts a process: it stops handling queued and future messages
+// (including a batch the dispatcher already swapped out of the mailbox)
+// and its broadcasts are suppressed.
+func (ln *LiveNetwork) Crash(id int) { ln.nodes[id].crashed.Store(true) }
 
-// Recover brings a crashed process back on every shard channel,
-// including ones EnsureShards added while it was down. Messages the
-// dispatchers dropped during the crash are lost; anything still queued
-// at recovery time delivers normally (indistinguishable from in-flight
-// delay — the live transport's crash drop is inherently racy). State
-// repair is the anti-entropy layer's job, not the transport's.
-func (ln *LiveNetwork) Recover(id int) {
-	ln.mu.Lock()
-	ln.crashedProc[id] = false
-	nodes := *ln.nodes.Load()
-	ln.mu.Unlock()
-	for _, nd := range nodes[id] {
-		nd.crashed.Store(false)
-	}
-}
+// Recover brings a crashed process back. Messages the dispatcher dropped
+// during the crash are lost; anything still queued at recovery time
+// delivers normally (indistinguishable from in-flight delay — the live
+// transport's crash drop is inherently racy). State repair is the
+// anti-entropy layer's job, not the transport's.
+func (ln *LiveNetwork) Recover(id int) { ln.nodes[id].crashed.Store(false) }
 
 // Close stops all dispatchers after draining their queues and waits for
 // them to exit.
@@ -273,16 +185,11 @@ func (ln *LiveNetwork) Close() {
 	}
 	ln.closed = true
 	ln.mu.Unlock()
-	nodes := ln.snapshot()
-	for _, row := range nodes {
-		for _, nd := range row {
-			nd.mb.close()
-		}
+	for _, nd := range ln.nodes {
+		nd.mb.close()
 	}
-	for _, row := range nodes {
-		for _, nd := range row {
-			<-nd.done
-		}
+	for _, nd := range ln.nodes {
+		<-nd.done
 	}
 }
 
@@ -295,11 +202,9 @@ func (ln *LiveNetwork) Close() {
 func (ln *LiveNetwork) Drain() {
 	for {
 		stable := true
-		for _, row := range ln.snapshot() {
-			for _, nd := range row {
-				if nd.mb.waitEmpty() {
-					stable = false
-				}
+		for _, nd := range ln.nodes {
+			if nd.mb.waitEmpty() {
+				stable = false
 			}
 		}
 		if stable {

@@ -3,7 +3,7 @@ package transport
 import "sync"
 
 // mailbox is the batch-drain queue shared by both asynchronous
-// transports: LiveNetwork's per-(process, shard) dispatcher and
+// transports: LiveNetwork's per-process dispatcher and
 // TCPNetwork's per-peer sender both drain it with one lock round-trip
 // per backlog (swap the whole queue out, never pop one envelope per
 // acquisition). A mailbox is unbounded when max is zero — the

@@ -154,11 +154,6 @@ func (n *SimNetwork) Broadcast(from int, payload []byte) {
 // AttachRouter implements ResizableNetwork.
 func (n *SimNetwork) AttachRouter(id int, h EpochHandler) { n.routers[id] = h }
 
-// EnsureShards implements ResizableNetwork: the simulator keeps no
-// per-shard structures beyond the handler tables, and a router-attached
-// process needs none, so growth is implicit.
-func (n *SimNetwork) EnsureShards(int) {}
-
 // deliver hands an envelope's content to the receiving process: its
 // router when one is attached, otherwise the plain handler, which is the
 // shard-0 channel only.

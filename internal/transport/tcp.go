@@ -36,10 +36,9 @@ import (
 // Cluster.Heal repairs a partition in-process.
 //
 // Handlers are invoked from per-connection reader goroutines —
-// concurrently across peers, unlike the in-process transports' serial
-// dispatchers. Replica.handle and the sharded router are safe for
-// concurrent delivery (they are also driven concurrently by
-// LiveNetwork's per-shard dispatchers).
+// concurrently across peers, serially per peer, like LiveNetwork's one
+// dispatcher per process. Replica.handle and the sharded router are
+// safe for concurrent delivery.
 type TCPNetwork struct {
 	opts TCPOptions
 	n    int
@@ -270,12 +269,6 @@ func (t *TCPNetwork) AttachRouter(id int, h EpochHandler) {
 	t.router = h
 	t.mu.Unlock()
 }
-
-// EnsureShards implements ResizableNetwork: shard channels are
-// implicit in the frame tags, so growth is a no-op. (Coordinated
-// cluster Resize is not supported across processes — each daemon would
-// need a distributed drain barrier; resize wire clusters by restart.)
-func (t *TCPNetwork) EnsureShards(int) {}
 
 // Broadcast implements Network.
 func (t *TCPNetwork) Broadcast(from int, payload []byte) {

@@ -10,8 +10,8 @@
 // schedule; it supports crash faults, network partitions, per-link
 // faults and FIFO control, and is what the experiment harness uses for
 // reproducible runs. LiveNetwork (live.go) delivers messages with real
-// goroutines and per-process mailboxes and is used by the examples and
-// the race-detector tests. TCPNetwork (tcp.go) carries the same
+// goroutines, one mailbox per process, and is used by the examples
+// and the race-detector tests. TCPNetwork (tcp.go) carries the same
 // envelopes between daemons over sockets.
 //
 // Every network implements the broadcast contract of Algorithm 1: a
@@ -23,9 +23,10 @@
 // Each also implements ResizableNetwork: envelopes carry a shard and an
 // epoch tag and each process attaches one router that receives them,
 // which is what the key-sharded construction (core.ShardedReplica) runs
-// on. FIFO ordering, when enabled, is enforced per link across all
-// shards — each shard's messages are a subsequence of the link, so every
-// shard individually observes FIFO delivery too.
+// on. The tags name a destination, not a channel: every network carries
+// all of a process's messages to a peer on one stream (one mailbox and
+// dispatcher per process on LiveNetwork, one connection per peer on
+// TCPNetwork), so FIFO order, where it holds, holds across shards.
 package transport
 
 import "fmt"
@@ -62,14 +63,12 @@ type Network interface {
 type EpochHandler func(from, shard, epoch int, payload []byte)
 
 // ResizableNetwork extends Network with what a key-sharded, live
-// resharding replica needs: every envelope carries a shard tag — the
-// network moves each shard's messages on its own channel (on
-// LiveNetwork an independent mailbox and dispatcher per shard, so
-// deliveries to different shards of one process proceed in parallel) —
-// and an epoch tag, each process registers a single router that receives
-// every delivery with both tags, and the set of per-(process, shard)
-// channels can grow at runtime. A message broadcast under epoch e is
-// delivered with that tag even if receivers have since flipped to a
+// resharding replica needs: every envelope carries a shard tag and an
+// epoch tag, and each process registers a single router that receives
+// every delivery with both. The tags travel with the message; they open
+// no channel of their own, so a process's messages to one peer stay one
+// stream whatever shard they are for. A message broadcast under epoch e
+// is delivered with that tag even if receivers have since flipped to a
 // later routing table — the in-flight old-epoch envelope reaches the
 // receiver's router, which lands it in the shard that owns its key
 // *now*.
@@ -88,11 +87,6 @@ type ResizableNetwork interface {
 	// of every process. Self-delivery is synchronous; remote delivery
 	// is asynchronous.
 	BroadcastShardEpoch(from, shard, epoch int, payload []byte)
-	// EnsureShards guarantees channels exist for shard indices below
-	// shards at every process (growing a live network's mailboxes; a
-	// no-op where channels are implicit). It must be called before any
-	// broadcast to a shard index the network was not built with.
-	EnsureShards(shards int)
 }
 
 // Stats counts network traffic. Broadcasts is the number of broadcast

@@ -3,6 +3,8 @@ package transport
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -379,9 +381,10 @@ func TestSimShardedDelivery(t *testing.T) {
 	}
 }
 
-// TestSimShardedFIFOPerShard: with FIFO enabled, each shard observes
-// its own messages from one sender in send order (shard traffic is a
-// subsequence of the per-link FIFO stream).
+// TestSimShardedFIFOPerShard: with FIFO enabled, one sender's messages
+// reach a peer in send order across shard tags — the link is one FIFO
+// stream, so each shard's messages, a subsequence of it, are in order
+// too.
 func TestSimShardedFIFOPerShard(t *testing.T) {
 	net := NewSim(SimOptions{N: 2, Seed: 9, FIFO: true})
 	var got []string
@@ -389,23 +392,46 @@ func TestSimShardedFIFOPerShard(t *testing.T) {
 	net.AttachRouter(1, func(_, s, _ int, payload []byte) {
 		got = append(got, fmt.Sprintf("s%d:%s", s, payload))
 	})
-	for k := 0; k < 6; k++ {
-		net.BroadcastShardEpoch(0, k%2, 2, []byte(fmt.Sprint(k)))
+	var want []string
+	for k := 0; k < 12; k++ {
+		net.BroadcastShardEpoch(0, k%4, 4, []byte(fmt.Sprint(k)))
+		want = append(want, fmt.Sprintf("s%d:%d", k%4, k))
 	}
 	net.Quiesce()
-	var shard0, shard1 []string
-	for _, g := range got {
-		if g[1] == '0' {
-			shard0 = append(shard0, g)
-		} else {
-			shard1 = append(shard1, g)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("link 0→1 FIFO violated: got %v, want %v", got, want)
 	}
-	want0 := []string{"s0:0", "s0:2", "s0:4"}
-	want1 := []string{"s1:1", "s1:3", "s1:5"}
-	for i := range want0 {
-		if shard0[i] != want0[i] || shard1[i] != want1[i] {
-			t.Fatalf("per-shard FIFO violated: %v / %v", shard0, shard1)
+}
+
+// TestLiveFIFOAcrossShards: one goroutine broadcasts round-robin over four
+// shard tags, and the peer sees every message in send order — the live
+// network keeps one mailbox per process, not one per shard.
+func TestLiveFIFOAcrossShards(t *testing.T) {
+	const msgs, shards = 2000, 4
+	net := NewLive(2)
+	defer net.Close()
+	var mu sync.Mutex
+	var got []int
+	net.AttachRouter(0, func(int, int, int, []byte) {})
+	net.AttachRouter(1, func(_, s, _ int, payload []byte) {
+		k, _ := strconv.Atoi(string(payload))
+		if k%shards != s {
+			t.Errorf("message %d arrived on shard %d", k, s)
+		}
+		mu.Lock()
+		got = append(got, k)
+		mu.Unlock()
+	})
+	for k := 0; k < msgs; k++ {
+		net.BroadcastShardEpoch(0, k%shards, shards, []byte(strconv.Itoa(k)))
+	}
+	net.Drain()
+	if len(got) != msgs {
+		t.Fatalf("delivered %d of %d", len(got), msgs)
+	}
+	for i, k := range got {
+		if k != i {
+			t.Fatalf("link 0→1 FIFO violated at position %d: got message %d", i, k)
 		}
 	}
 }
@@ -414,7 +440,7 @@ func TestSimShardedFIFOPerShard(t *testing.T) {
 // land on the right shard of every process.
 func TestLiveShardedDeliversAll(t *testing.T) {
 	const n, shards, per = 3, 4, 40
-	net := NewLiveSharded(n, shards)
+	net := NewLive(n)
 	defer net.Close()
 	var mu sync.Mutex
 	counts := make([][]int, n)
@@ -525,12 +551,11 @@ func TestLiveCrashDropsBacklog(t *testing.T) {
 	}
 }
 
-// TestLiveCrashSurvivesEnsureShards: a crashed process must stay
-// crashed on shard channels added after the crash — EnsureShards grows
-// the mailbox table mid-run (a live resize does this), and the new
-// nodes must be born with the process's crash state.
+// TestLiveCrashSurvivesEnsureShards: a crashed process drops
+// deliveries and suppresses its own broadcasts on every shard tag, ones
+// it never used before the crash included.
 func TestLiveCrashSurvivesEnsureShards(t *testing.T) {
-	ln := NewLiveSharded(2, 2)
+	ln := NewLive(2)
 	defer ln.Close()
 	var delivered [2]atomic.Uint64
 	for id := 0; id < 2; id++ {
@@ -540,17 +565,16 @@ func TestLiveCrashSurvivesEnsureShards(t *testing.T) {
 		})
 	}
 	ln.Crash(1)
-	ln.EnsureShards(4)
-	// Deliveries to the crashed process's new shard channels must be
-	// dropped, and its own broadcasts on them suppressed.
-	ln.BroadcastShardEpoch(0, 3, 1, []byte("x"))
-	ln.BroadcastShardEpoch(1, 3, 1, []byte("y"))
+	for shard := 0; shard < 4; shard++ {
+		ln.BroadcastShardEpoch(0, shard, 4, []byte("x"))
+		ln.BroadcastShardEpoch(1, shard, 4, []byte("y"))
+	}
 	ln.Drain()
 	if got := delivered[1].Load(); got != 0 {
-		t.Fatalf("crashed process handled %d deliveries on a post-crash shard channel", got)
+		t.Fatalf("crashed process handled %d deliveries", got)
 	}
-	if got := delivered[0].Load(); got != 1 {
-		t.Fatalf("live process deliveries: got %d, want 1 (its own broadcast only)", got)
+	if got := delivered[0].Load(); got != 4 {
+		t.Fatalf("live process deliveries: got %d, want 4 (its own broadcasts only)", got)
 	}
 }
 

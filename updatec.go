@@ -38,10 +38,11 @@
 // Partitionable objects — those whose state decomposes into
 // independent per-key components: SetObject, KVObject, MemoryObject,
 // CounterMapObject — additionally accept WithShards(s): each replica
-// then runs one instance of Algorithm 1 per key shard (own log, clock,
-// engine and transport channel), so updates to different keys never
-// contend, while per shard the paper's guarantees hold verbatim and
-// the merged object stays update consistent. The shard count can be
+// then runs one instance of Algorithm 1 per key shard (own log and
+// engine; the clock, send order and compaction horizon stay the
+// process's), so a keyed read touches one shard and a late arrival
+// redoes one shard's suffix, while per shard the paper's guarantees
+// hold verbatim and the merged object stays update consistent. The shard count can be
 // changed live with Cluster.Resize, which moves each key range's state
 // between shards (snapshot of the compacted base plus replay of the
 // live log suffix) and lands in-flight messages via epoch-tagged
@@ -114,8 +115,7 @@ const (
 	// no wait-free object is both pipelined consistent and convergent, and
 	// a late arrival may be ordered before updates a replica already
 	// showed. Causal accepts every option except WithShards and Resize:
-	// a dependency vector describes one log, and causal visibility
-	// across shards would need one vector per process and shard.
+	// the causal gate lives in one shard's replica.
 	Causal
 )
 
@@ -186,8 +186,10 @@ func WithRecording() Option { return func(c *config) { c.record = true } }
 func WithConsistency(l Level) Option { return func(c *config) { c.level = l } }
 
 // WithShards runs each replica as s key shards — one instance of
-// Algorithm 1 (log, Lamport clock, query engine, transport channel)
-// per shard, updates routed to the shard owning their key. It requires
+// Algorithm 1 (log, query engine) per shard, updates routed to the
+// shard owning their key; the shards share the process's Lamport
+// clock, writer token and stability tracker, and its one stream to
+// each peer. It requires
 // a partitionable object (SetObject, KVObject, MemoryObject,
 // CounterMapObject):
 // distinct keys are independent there, so update consistency composes
@@ -266,7 +268,7 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	}
 	if cfg.shards > 1 {
 		if cfg.level == Causal {
-			return nil, nil, fmt.Errorf("updatec: WithShards is not supported at WithConsistency(Causal): a dependency vector describes one shard's log, and causal visibility across keys would need one vector per process and shard: %w", ErrUnsupported)
+			return nil, nil, fmt.Errorf("updatec: WithShards is not supported at WithConsistency(Causal): the causal gate lives in one shard's replica: %w", ErrUnsupported)
 		}
 		if !obj.partitionable() {
 			return nil, nil, fmt.Errorf("updatec: %s is not partitionable; WithShards requires a spec implementing Partitionable: %w", obj.name, ErrUnsupported)
@@ -284,7 +286,7 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 		cl.sim = transport.NewSim(transport.SimOptions{N: n, Seed: cfg.seed, FIFO: cfg.fifo})
 		net = cl.sim
 	} else {
-		cl.live = transport.NewLiveSharded(n, cfg.shards)
+		cl.live = transport.NewLive(n)
 		net = cl.live
 	}
 	if cfg.record {
@@ -367,7 +369,7 @@ func (c *Cluster[H]) Resize(newShards int) error {
 		return fmt.Errorf("updatec: Resize needs at least one shard, got %d: %w", newShards, ErrBadOption)
 	}
 	if c.level == Causal {
-		return fmt.Errorf("updatec: Resize is not supported at WithConsistency(Causal): a dependency vector describes one shard's log, so causal clusters stay at one shard: %w", ErrUnsupported)
+		return fmt.Errorf("updatec: Resize is not supported at WithConsistency(Causal): the causal gate lives in one shard's replica, so causal clusters stay at one shard: %w", ErrUnsupported)
 	}
 	if !c.obj.partitionable() {
 		return fmt.Errorf("updatec: %s is not partitionable; Resize requires a spec implementing Partitionable: %w", c.obj.name, ErrUnsupported)

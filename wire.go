@@ -43,11 +43,15 @@ type WireConfig struct {
 	// Shards runs the replica key-sharded (WithShards semantics; needs
 	// a partitionable object). 0 means 1.
 	Shards int
-	// GC enables stability-based log compaction. TCP is FIFO per
-	// connection, but a reconnect can reorder a lost tail behind
-	// digest-sync'd entries; compaction stays correct because synced
-	// entries skip stability accounting and redeliveries below the
-	// horizon are dropped by the merged-base guard.
+	// GC enables stability-based log compaction, at one horizon for all
+	// of the replica's shards: every shard's traffic to a peer shares
+	// one connection, FIFO, so a stamp from a peer proves that its
+	// earlier ones arrived, whatever their shard. A reconnect can
+	// reorder a lost tail behind digest-sync'd entries; compaction stays
+	// correct because synced entries skip stability accounting and
+	// redeliveries below an adopted snapshot's horizon are dropped by the
+	// merged-base guard. A daemon never resizes, so its shards' bases are
+	// never split.
 	GC bool
 	// BatchBytes and QueueLen tune the transport's per-peer send queues
 	// (transport.TCPOptions semantics: coalescing threshold and queue

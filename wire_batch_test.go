@@ -21,12 +21,7 @@ import (
 // serveOne starts a one-daemon cluster of obj.
 func serveOne[H any](t *testing.T, obj Object[H]) *WireNode[H] {
 	t.Helper()
-	node, err := ListenAndServe(obj, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { node.Close() })
-	return node
+	return serveWire(t, obj, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
 }
 
 // TestWireLoneInsertSentWithoutHelp is TestSentWithoutHelp over the wire:

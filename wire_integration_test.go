@@ -1,6 +1,7 @@
 package updatec
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -149,6 +150,25 @@ func runWireInProcess[H any](t *testing.T, obj Object[H], shards int, reference 
 	return hs
 }
 
+// serveWire starts a ListenAndServe node on an address wireAddrs
+// reserved, closed when the test ends. Such a port can be held for a
+// moment as the local end of an earlier dial, refused at once since
+// nothing listens there yet, so a bind that finds it in use is retried
+// until the dial lets it go.
+func serveWire[H any](t *testing.T, obj Object[H], cfg WireConfig) *WireNode[H] {
+	t.Helper()
+	node, err := ListenAndServe(obj, cfg)
+	for try := 0; errors.Is(err, syscall.EADDRINUSE) && try < 100; try++ {
+		time.Sleep(10 * time.Millisecond)
+		node, err = ListenAndServe(obj, cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	return node
+}
+
 // serveWireMesh starts a 3-node ListenAndServe cluster over real loopback
 // sockets, each node configured as cfg with its own ID and the shared peer
 // list, and waits until every peer link is up.
@@ -158,19 +178,7 @@ func serveWireMesh[H any](t *testing.T, obj Object[H], cfg WireConfig) []*WireNo
 	nodes := make([]*WireNode[H], 3)
 	for i := range nodes {
 		cfg.ID = i
-		node, err := ListenAndServe(obj, cfg)
-		// A port wireAddrs reserved can be held for a moment as the local
-		// end of an earlier node's dial, refused at once since nothing
-		// listens there yet: wait for the dial to let it go.
-		for try := 0; errors.Is(err, syscall.EADDRINUSE) && try < 100; try++ {
-			time.Sleep(10 * time.Millisecond)
-			node, err = ListenAndServe(obj, cfg)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes[i] = node
+		nodes[i] = serveWire(t, obj, cfg)
 	}
 	waitWire(t, 10*time.Second, "peer mesh", func() bool {
 		for _, n := range nodes {
@@ -329,11 +337,7 @@ func TestWireQueriesMatchInProcess(t *testing.T) {
 		{MemoryObject("v0").Dynamic(), []QueryInput{spec.ReadKey{K: "k1"}, spec.ReadKey{K: "absent"}}},
 	} {
 		t.Run(tc.obj.Name(), func(t *testing.T) {
-			node, err := ListenAndServe(tc.obj, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer node.Close()
+			node := serveWire(t, tc.obj, WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
 			c, err := Dial(tc.obj, node.Addr())
 			if err != nil {
 				t.Fatal(err)
@@ -369,12 +373,7 @@ func TestWireQueriesMatchInProcess(t *testing.T) {
 // read-your-writes query on the same connection, the protocol
 // round-trips, and the cross-object mismatch error path.
 func TestWireClientProtocol(t *testing.T) {
-	addrs := wireAddrs(t, 1)
-	node, err := ListenAndServe(SetObject(), WireConfig{ID: 0, Peers: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := serveWire(t, SetObject(), WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
 
 	c, err := Dial(SetObject(), node.Addr())
 	if err != nil {
@@ -440,12 +439,7 @@ func TestWireClientProtocol(t *testing.T) {
 // TestWireRejectsGarbage throws raw TCP garbage at a daemon — both
 // before and after a valid hello — and requires it to keep serving.
 func TestWireRejectsGarbage(t *testing.T) {
-	addrs := wireAddrs(t, 1)
-	node, err := ListenAndServe(SetObject(), WireConfig{ID: 0, Peers: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := serveWire(t, SetObject(), WireConfig{ID: 0, Peers: wireAddrs(t, 1)})
 
 	for _, junk := range [][]byte{
 		[]byte("GET / HTTP/1.1\r\n\r\n"),
@@ -484,18 +478,13 @@ func TestWireRejectsGarbage(t *testing.T) {
 // daemon, nothing lands, and a client still inserts and reads. At the
 // parent commit the first of these frames killed the process.
 func TestWireHostilePeerPayload(t *testing.T) {
-	addrs := wireAddrs(t, 2)
 	var logged strings.Builder
 	var logMu sync.Mutex
-	node, err := ListenAndServe(SetObject(), WireConfig{ID: 0, Peers: addrs, Logf: func(format string, args ...any) {
+	node := serveWire(t, SetObject(), WireConfig{ID: 0, Peers: wireAddrs(t, 2), Logf: func(format string, args ...any) {
 		logMu.Lock()
 		defer logMu.Unlock()
 		fmt.Fprintf(&logged, format+"\n", args...)
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
 
 	hello := transport.AppendFrame(nil, transport.Frame{
 		Kind: transport.KindHello, From: 1,
@@ -621,11 +610,13 @@ func buildUcserve(t *testing.T) string {
 
 type wireDaemon struct {
 	cmd  *exec.Cmd
-	args []string
+	done chan struct{} // closed once the process has exited
 }
 
-// startDaemon launches one ucserve process; cleanup kills it if the
-// test did not already.
+// startDaemon launches one ucserve process and waits until it serves;
+// cleanup kills it if the test did not already. A daemon whose address
+// was held for a moment (see serveWire) exits at once and is started
+// again.
 func startDaemon(t *testing.T, bin string, id int, peers []string, objName string, extra ...string) *wireDaemon {
 	t.Helper()
 	args := append([]string{
@@ -633,22 +624,51 @@ func startDaemon(t *testing.T, bin string, id int, peers []string, objName strin
 		"-peers", strings.Join(peers, ","),
 		"-obj", objName,
 	}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+	for try := 0; ; try++ {
+		d, err := launchDaemon(bin, args)
+		if err == nil {
+			t.Cleanup(d.kill)
+			return d
+		}
+		if !strings.Contains(err.Error(), "address already in use") || try == 100 {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	d := &wireDaemon{cmd: cmd, args: args}
-	t.Cleanup(func() { d.kill() })
-	return d
+}
+
+// launchDaemon starts a ucserve process and returns once it says that it
+// serves, or an error carrying its stderr once it exits instead.
+func launchDaemon(bin string, args []string) (*wireDaemon, error) {
+	out, w := io.Pipe()
+	var stderr strings.Builder
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = w
+	cmd.Stderr = io.MultiWriter(os.Stderr, &stderr)
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	d := &wireDaemon{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		cmd.Wait()
+		w.Close()
+		close(d.done)
+	}()
+	sc := bufio.NewScanner(out)
+	for sc.Scan() {
+		if strings.Contains(sc.Text(), " serving ") {
+			go io.Copy(io.Discard, out)
+			return d, nil
+		}
+	}
+	<-d.done
+	return nil, fmt.Errorf("ucserve %s exited before serving: %s", strings.Join(args, " "), stderr.String())
 }
 
 // kill is SIGKILL — the crash under test, and the cleanup path.
 func (d *wireDaemon) kill() {
-	if d.cmd.ProcessState == nil {
-		d.cmd.Process.Kill()
-		d.cmd.Wait()
-	}
+	d.cmd.Process.Kill()
+	<-d.done
 }
 
 // dialRetry waits out a daemon's startup window.

@@ -10,8 +10,8 @@ import (
 // TestCausalEveryPath runs every registered object at the causal level on
 // every path the level shares with the default one: plain delivery; lossy,
 // duplicating links repaired by Sync; a partition healed; a crash
-// recovered by anti-entropy, with and without GC; WithGC; WithEngine
-// (Replay); and a session's read-your-writes across failover. Every case
+// recovered by anti-entropy, with and without GC; WithGC; the replay
+// engine; and a session's read-your-writes across failover. Every case
 // must converge, with equal ω answers on every replica.
 func TestCausalEveryPath(t *testing.T) {
 	paths := []string{"plain", "faults-sync", "partition-heal", "crash-recover", "gc-crash-recover", "gc", "replay", "session"}
@@ -38,7 +38,7 @@ func causalRun(t *testing.T, obj Object[Handle], path string, seed int64) {
 	case "gc", "gc-crash-recover":
 		opts = append(opts, WithGC(), WithFIFO())
 	case "replay":
-		opts = append(opts, WithEngine(Replay))
+		opts = append(opts, withReplayEngine())
 	}
 	cl, hs, err := New(3, obj, opts...)
 	if err != nil {

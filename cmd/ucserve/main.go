@@ -7,7 +7,10 @@
 //	        [-batch bytes] [-queue len] [-v]
 //
 // Every process of the cluster runs the same -peers list (index =
-// replica id) with its own -id. The daemon serves replication traffic
+// replica id) with its own -id. -shards is each daemon's own choice:
+// daemons at different shard counts form one cluster, since a delivery
+// is routed by the receiver's table and anti-entropy repair is a whole
+// process's. The daemon serves replication traffic
 // to its peers and the framed client protocol on the same port. A
 // kill -9'd daemon can simply be restarted: the on-connect digest
 // exchange pulls everything it missed from its peers. SIGUSR1 dumps
@@ -60,7 +63,7 @@ func main() {
 		listen = flag.String("listen", "", "listen address (default: the -peers entry for -id)")
 		peers  = flag.String("peers", "", "comma-separated cluster addresses, one per replica id")
 		obj    = flag.String("obj", "set", "registered object name: "+strings.Join(updatec.Objects(), ", "))
-		shards = flag.Int("shards", 1, "key shards per replica (partitionable objects)")
+		shards = flag.Int("shards", 1, "key shards of this daemon's replica (partitionable objects); peers may differ")
 		gc     = flag.Bool("gc", false, "enable stability-based log compaction")
 		batch  = flag.Int("batch", 0, "outbound batch coalescing threshold in bytes (default 64KiB; 1 disables)")
 		queue  = flag.Int("queue", 0, "per-peer send queue bound in updates (default 4096)")

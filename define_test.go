@@ -348,7 +348,7 @@ func TestDefineOptionErrGates(t *testing.T) {
 	// options compose with it.
 	for name, opts := range map[string][]Option{
 		"causal+gc":     {WithGC()},
-		"causal+engine": {WithEngine(Replay)},
+		"causal+engine": {withReplayEngine()},
 	} {
 		cl, _, err := New(2, RegisterObject(""), append(opts, WithConsistency(Causal))...)
 		if err != nil {

@@ -3,7 +3,6 @@ package updatec
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -278,7 +277,8 @@ func (p *equivPair) readAll(where string) {
 // TestReplicasMatchReplayAcrossRebinds runs whole replicas — real
 // delivery under the seeded adversary, with and without stability GC —
 // through the paths that rewrite a log behind its engine: compaction,
-// Resize (both directions), MergeSnapshot onto a replica that holds
+// Resize (both directions) with pulls between replicas at different
+// shard counts, MergeSnapshot onto a replica that holds
 // state, Restore into a fresh one, and a partition both sides write
 // through, healed by digest pulls whose replies merge in below what the
 // engines folded.
@@ -315,10 +315,16 @@ func TestReplicasMatchReplayAcrossRebinds(t *testing.T) {
 								to = 1
 							}
 							// Staggered, as the simulator allows: traffic
-							// crosses epochs between the replicas' moves.
+							// crosses epochs between the replicas' moves,
+							// and a moved replica and the next, not yet
+							// moved, pull from each other across counts.
 							for i := range p.fold {
 								p.both(i, func(r *core.ShardedReplica) { r.Resize(to) })
 								p.step(rng.Intn(3))
+								if i+1 < len(p.fold) {
+									p.pull(i, i+1)
+									p.pull(i+1, i)
+								}
 							}
 							p.readAll(where + " after resize")
 						case 350:
@@ -369,6 +375,16 @@ func (p *equivPair) mergeSnapshot(dst, src int) {
 			if _, err := reps[dst].Shard(s).MergeSnapshot(snap); err != nil {
 				p.t.Fatal(err)
 			}
+		}
+	}
+}
+
+// pull has replica dst pull from replica src, on both clusters.
+func (p *equivPair) pull(dst, src int) {
+	p.t.Helper()
+	for _, reps := range [][]*core.ShardedReplica{p.fold, p.replay} {
+		if _, err := reps[dst].SyncFrom(reps[src]); err != nil {
+			p.t.Fatal(err)
 		}
 	}
 }
@@ -447,9 +463,9 @@ func (p *equivPair) restoreFresh(src int, where string) {
 // injected duplicates, a partition healed by SyncFrom pulls, GC
 // compaction, Snapshot+Restore, MergeSnapshot onto a replica holding an
 // older snapshot (and an older snapshot onto a newer one) and a pull from
-// a compacted donor, which falls back to a snapshot. A Resize withdraws
-// the fingerprint, on the resized replica and on the peers its
-// cross-epoch broadcasts reach.
+// a compacted donor, which falls back to a snapshot. The fingerprint is
+// the process's, so it stays defined across a staggered Resize and the
+// cross-epoch deliveries around it.
 func TestFingerprintSoundEveryObject(t *testing.T) {
 	for _, obj := range equivObjects(t) {
 		obj := obj
@@ -484,25 +500,37 @@ func fingerprintRun(t *testing.T, obj Object[Handle], seed int64, gc bool) {
 		r.Update(obj.workload(rng, equivKeys[rng.Intn(len(equivKeys))]))
 	}
 	agreed := 0
-	// compare checks equal fingerprints ⇒ equal state keys on every pair.
+	// compare checks equal fingerprints ⇒ equal state keys on every pair;
+	// replicas at different shard counts compare their merged states.
 	compare := func(where string) {
 		t.Helper()
-		fps := make([][]core.Fingerprint, len(reps))
+		fps := make([]core.Fingerprint, len(reps))
 		for i, r := range reps {
-			var ok bool
-			if fps[i], ok = r.Fingerprint(); !ok {
-				t.Fatalf("%s: replica %d withdrew its fingerprint without a resize", where, i)
-			}
+			fps[i] = r.Fingerprint()
 		}
 		for i := range reps {
 			for j := i + 1; j < len(reps); j++ {
-				if !slices.Equal(fps[i], fps[j]) {
+				if fps[i] != fps[j] {
 					continue
 				}
 				agreed++
-				if a, b := reps[i].StateKey(), reps[j].StateKey(); a != b {
+				a, b := reps[i].StateKey(), reps[j].StateKey()
+				if reps[i].NumShards() != reps[j].NumShards() {
+					a, b = obj.adt.KeyState(reps[i].MergedState()), obj.adt.KeyState(reps[j].MergedState())
+				}
+				if a != b {
 					t.Fatalf("%s: replicas %d and %d share fingerprint %v but not state: %s vs %s", where, i, j, fps[i], a, b)
 				}
+			}
+		}
+	}
+	// settled checks that a quiesced cluster agrees on one fingerprint.
+	settled := func(where string) {
+		t.Helper()
+		compare(where)
+		for i, r := range reps[1:] {
+			if got, want := r.Fingerprint(), reps[0].Fingerprint(); got != want {
+				t.Fatalf("%s: replica %d fingerprint %v, replica 0 %v", where, i+1, got, want)
 			}
 		}
 	}
@@ -549,13 +577,7 @@ func fingerprintRun(t *testing.T, obj Object[Handle], seed int64, gc bool) {
 	}
 	net.Quiesce()
 	where := fmt.Sprintf("seed %d settled", seed)
-	compare(where)
-	want, _ := reps[0].Fingerprint()
-	for i, r := range reps[1:] {
-		if got, _ := r.Fingerprint(); !slices.Equal(got, want) {
-			t.Fatalf("%s: replica %d fingerprint %v, replica 0 %v", where, i+1, got, want)
-		}
-	}
+	settled(where)
 	if agreed < 20 {
 		t.Fatalf("seed %d: vacuous run: fingerprints agreed on only %d pairs", seed, agreed)
 	}
@@ -603,16 +625,19 @@ func fingerprintRun(t *testing.T, obj Object[Handle], seed int64, gc bool) {
 	}
 
 	if obj.partitionable() {
-		reps[0].Resize(4)
-		if _, ok := reps[0].Fingerprint(); ok {
-			t.Fatalf("%s: a resized replica still reports a fingerprint", where)
-		}
-		update(reps[0])
-		net.Quiesce()
-		for i, r := range reps[1:] {
-			if _, ok := r.Fingerprint(); ok {
-				t.Fatalf("%s: replica %d landed a cross-epoch delivery and still reports a fingerprint", where, i+1)
+		// Replica 0 resizes first: until the others follow, every broadcast
+		// between it and them crosses epochs, both ways.
+		for i, r := range reps {
+			r.Resize(4)
+			for step := 0; step < 30; step++ {
+				update(reps[rng.Intn(3)])
+				net.StepN(rng.Intn(4))
+				if step%5 == 0 {
+					compare(fmt.Sprintf("%s, %d of 3 resized, step %d", where, i+1, step))
+				}
 			}
+			net.Quiesce()
+			settled(fmt.Sprintf("%s, %d of 3 resized", where, i+1))
 		}
 	}
 }

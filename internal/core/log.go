@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -72,9 +71,9 @@ type Log struct {
 	winners map[string]Entry
 	dead    int
 	masked  uint64
-	// merged marks a base installed by MergeSnapshot (anti-entropy's
-	// snapshot fallback), or seeded by a resize whose horizon such a base
-	// set (SeedBase). Such a base proves containment at the *donor*:
+	// merged marks a base installed by a pull's snapshot or MergeSnapshot,
+	// or by a resize whose horizon such a base set. Such a base proves
+	// containment at the *donor*:
 	// everything at or below its horizon was delivered there and folded
 	// in, so a later below-horizon arrival here is a redelivery of an
 	// already-folded update — a healed link draining its queue — and is
@@ -176,9 +175,9 @@ func (l *Log) Entries() []Entry { return l.buf[l.head:] }
 // mean equal update sets (up to a 64-bit hash collision), and
 // Algorithm 1's state is a function of that set: equal fingerprints
 // mean equal states at O(1) per comparison, where comparing canonical
-// state keys replays the log. A resharded log's seeded base carries no
-// stamp sum (SeedBase), so its fingerprint undercounts what it holds,
-// and the sharded layer reports none (ShardedReplica.Fingerprint).
+// state keys replays the log. A base split by key over a process's
+// shards keeps its whole count and sum in shard 0's log and 0 in the
+// others', so ShardedReplica.Fingerprint is the sum of its shards'.
 //
 // A masking log fingerprints its winners instead: the count of mask keys
 // and the sum of entryHash over each key's winning stamp, updated
@@ -499,26 +498,6 @@ func (l *Log) CompactBelow(horizon uint64) int {
 	}
 	l.version++
 	return cut
-}
-
-// SeedBase installs a compacted-prefix snapshot into an empty log. A
-// resize compacts every old shard at one horizon and seeds every new
-// shard with the key components of those bases it owns, so s folds
-// exactly this log's updates with a clock at or below horizon, and the
-// base's timestamp is (horizon, MaxInt): every later insert must carry a
-// higher clock. merged is set when the horizon is an adopted donor
-// base's rather than this process's stability horizon (see the merged
-// field). The per-key split of a folded state cannot recover per-range
-// update counts, so the sharded layer accounts for them, and for the
-// same reason a seeded base adds nothing to the fingerprint's sum.
-func (l *Log) SeedBase(s spec.State, horizon uint64, merged bool) {
-	if l.base != nil || l.Len() != 0 {
-		panic("core: SeedBase requires an empty log")
-	}
-	l.base = s
-	l.baseTS = clock.Timestamp{Clock: horizon, Proc: math.MaxInt}
-	l.merged = merged
-	l.version++
 }
 
 // Replay returns the state after the base and all live entries. The

@@ -609,12 +609,12 @@ func (r *Replica) observeOrigin(ts clock.Timestamp) {
 }
 
 // Absorb inserts an already-timestamped update directly into the
-// replica's log — the resharding path: in-flight old-epoch deliveries
-// re-routed by key keep their original timestamps, so every replica
-// sorts them identically. Unlike a delivery through handle, Absorb
-// never broadcasts and never feeds the stability tracker: the tracker
-// learns only from deliveries that reach the shard they were sent to,
-// which is conservative.
+// replica's log, with the duplicate and masking semantics of a delivery,
+// but without one's stability tail: it never broadcasts and never feeds
+// the stability tracker. No step of the replica calls it — a
+// cross-epoch delivery lands through the router, which does feed the
+// tracker (ShardedReplica.route) — so it is the way to build a log by
+// hand, stamps chosen by the caller, for tests and measurements.
 func (r *Replica) Absorb(ts clock.Timestamp, u spec.Update) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -351,10 +351,11 @@ func TestResizeHeterogeneousCounts(t *testing.T) {
 	}
 }
 
-// TestResizeSnapshotRoundTrip: a resized shard's log can carry a
-// seeded base whose folded-update count is unknown (baseLen 0 with
-// base != nil) — Snapshot/Restore must round-trip that shape, which is
-// why the wire format flags base presence explicitly.
+// TestResizeSnapshotRoundTrip: a resized shard's log other than shard
+// 0's carries a seeded base with no folded-update count of its own
+// (baseLen 0 with base != nil; shard 0 carries the whole count) —
+// Snapshot/Restore must round-trip that shape, which is why the wire
+// format flags base presence explicitly.
 func TestResizeSnapshotRoundTrip(t *testing.T) {
 	adt := spec.CounterMap()
 	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 4, FIFO: true})
@@ -364,12 +365,16 @@ func TestResizeSnapshotRoundTrip(t *testing.T) {
 		net.StepN(2)
 	}
 	net.Quiesce()
+	compacted := reps[0].Stats().Compacted
 	for _, r := range reps {
 		r.ForceCompact()
 		r.Resize(4)
 	}
 	net.Quiesce()
-	restoredKey := func(donor *Replica) string {
+	if c := reps[0].Stats().Compacted; c <= compacted {
+		t.Fatalf("Compacted %d -> %d across ForceCompact and Resize", compacted, c)
+	}
+	restored := func(donor *Replica) *Replica {
 		snap, err := donor.Snapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -378,20 +383,36 @@ func TestResizeSnapshotRoundTrip(t *testing.T) {
 		if err := fresh.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
-		return fresh.StateKey()
+		return fresh
 	}
 	seeded := false
+	var sum Fingerprint
 	for s := 0; s < reps[0].NumShards(); s++ {
 		donor := reps[0].Shard(s)
 		if base, _ := donor.log.Base(); base != nil && donor.log.baseLen == 0 {
 			seeded = true
 		}
-		if got, want := restoredKey(donor), donor.StateKey(); got != want {
+		fresh := restored(donor)
+		if got, want := fresh.StateKey(), donor.StateKey(); got != want {
 			t.Fatalf("shard %d: restored state diverges from donor:\n got %s\nwant %s", s, got, want)
 		}
+		fp := fresh.log.Fingerprint()
+		sum.Count += fp.Count
+		sum.Sum += fp.Sum
 	}
 	if !seeded {
 		t.Fatalf("no shard carried a seeded base; the round-trip test lost its point")
+	}
+	// The shards' snapshots, restored one by one, carry the process's
+	// whole update set between them.
+	if want := reps[0].Fingerprint(); sum != want {
+		t.Fatalf("restored shards sum to fingerprint %s, the process holds %s", sum, want)
+	}
+	// A resize back to one shard keeps what the process folded counted.
+	compacted = reps[0].Stats().Compacted
+	reps[0].Resize(1)
+	if c := reps[0].Stats().Compacted; c < compacted {
+		t.Fatalf("Compacted went back across Resize(1): %d -> %d", compacted, c)
 	}
 }
 

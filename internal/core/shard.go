@@ -85,17 +85,13 @@ type ShardedReplica struct {
 	// generations are immutable once published.
 	gen atomic.Pointer[shardGen]
 	mc  mergedCache
-	// resharded is set once a shard lands an entry moved across routing
-	// tables — by a resize or a cross-epoch delivery — and withdraws the
-	// fingerprint (Fingerprint).
-	resharded atomic.Bool
 
 	// resize bookkeeping (written under routeMu's write half):
 	// resizes counts Resize calls that changed the shard count,
-	// movedEntries the live log entries replayed across shards, and
-	// movedCompacted the compacted updates whose folded state was
-	// carried over in split bases (per-range counts are unrecoverable
-	// from a folded state, so Stats accounts for them here).
+	// movedEntries the live log entries replayed across shards,
+	// movedCompacted the updates the retired generations folded — their
+	// shards' compactions and each resize's own fold — which no live
+	// shard's counter holds.
 	resizes        uint64
 	movedEntries   uint64
 	movedCompacted uint64
@@ -106,6 +102,11 @@ type ShardedReplica struct {
 type shardGen struct {
 	epoch  int
 	shards []*Replica
+}
+
+// procShards returns generation g's shards as the unit of a pull.
+func (r *ShardedReplica) procShards(g *shardGen) procShards {
+	return procShards{shards: g.shards, part: r.part}
 }
 
 // mergedCache is the whole-state read cache of a ShardedReplica: the
@@ -255,13 +256,14 @@ func (c epochChannel) Broadcast(from int, payload []byte) {
 // determines the routing table — matches ours goes straight to the
 // tagged shard's handler: the hot path, no second decode, correct even
 // if sender and receiver reached that count through different resize
-// histories. A cross-epoch delivery (the sender's table differs from
-// ours: an in-flight message from before a resize, or from a sender
-// that resized first) is decoded and each update of its step landed,
-// original timestamp intact, in the shard that owns its key under the
-// *current* table — exactly where a local move would have put it, so
-// every update ends up in the owning shard exactly once whatever the
-// interleaving of resizes and deliveries.
+// histories. A cross-epoch delivery (an in-flight message from before a
+// resize, from a sender that resized first, or from a daemon run at
+// another shard count) is decoded, and each owning shard under the
+// *current* table lands its share of the step as handle lands a step,
+// timestamps intact — where a local move would have put them. Once every
+// share is in, the stamps feed the process's one stability tracker: the
+// link is one FIFO stream whatever the tags, so processes at different
+// shard counts compact too.
 //
 // The router reads the generation atomically instead of taking
 // routeMu: a coordinated live resize drains the network while holding
@@ -275,21 +277,23 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		g.shards[shard].handle(from, payload)
 		return
 	}
-	// Decode the whole step with the codec every shard shares before any
-	// shard is touched.
 	step, err := g.shards[0].wire.decodeStep(nil, payload)
 	if err != nil {
 		panic(g.shards[0].badPayload(from, err))
 	}
-	r.resharded.Store(true)
-	for _, e := range step {
-		dst := 0
-		if r.part != nil && len(g.shards) > 1 {
-			dst = routeKey(r.part.UpdateKey(e.U), len(g.shards))
+	// Every share lands before any stamp feeds the tracker; the owning
+	// shards' locks are held, in shard order, until route returns.
+	ps := r.procShards(g)
+	shares := ps.split(step)
+	for s, share := range shares {
+		if len(share) > 0 {
+			g.shards[s].mu.Lock()
+			defer g.shards[s].mu.Unlock()
+			g.shards[s].mergeLocked(share)
 		}
-		// Absorb, not handle: the entry keeps its timestamp and feeds no
-		// stability observation (see Replica.Absorb).
-		g.shards[dst].Absorb(e.TS, e.U)
+	}
+	for _, e := range step {
+		g.shards[ps.owner(e.U)].tailLocked(e.TS)
 	}
 }
 
@@ -576,32 +580,32 @@ func (r *ShardedReplica) StateKey() string {
 	return b.String()
 }
 
-// Fingerprint returns every shard's Replica.Fingerprint, in shard order.
+// Fingerprint returns the fingerprint of the update set the process
+// holds: the sum of its shards' (Log.Fingerprint), at one cut.
 // Two replicas of one cluster hold the same updates — and so the same
-// merged state — exactly when the lists are equal. ok is false once this
-// replica resized or routed a peer's cross-epoch delivery: a resize
-// seeds each new shard with a base split from the old shards' folded
-// states, and a seeded base carries no stamp sum (Log.SeedBase), so
-// equal fingerprints no longer mean equal update sets. A cluster is
-// comparable by fingerprint only while every replica reports ok (a peer
-// may have pulled the moved entries by anti-entropy); compare StateKey
-// otherwise.
-func (r *ShardedReplica) Fingerprint() (fps []Fingerprint, ok bool) {
+// merged state — exactly when their fingerprints are equal, whatever
+// their shard counts and resize histories.
+func (r *ShardedReplica) Fingerprint() Fingerprint {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	fps = make([]Fingerprint, len(g.shards))
-	for s, sh := range g.shards {
-		fps[s] = sh.Fingerprint()
+	ps := r.procShards(g)
+	ps.each((*sync.RWMutex).RLock)
+	defer ps.each((*sync.RWMutex).RUnlock)
+	var fp Fingerprint
+	for _, sh := range g.shards {
+		f := sh.log.Fingerprint()
+		fp.Count += f.Count
+		fp.Sum += f.Sum
 	}
-	return fps, !r.resharded.Load()
+	return fp
 }
 
 // Stats aggregates the per-shard replica counters: lengths and counts
-// sum, the clock is the process clock. Compacted updates
-// whose folded state was carried across a resize stay counted (a split
-// base cannot recover per-range counts, so the replica accounts for
-// them once, at move time).
+// sum, and the clock is the process clock. Compacted counts what this
+// process folded itself — by compaction and by resizes, retired
+// generations included — at every shard count; a base adopted from a
+// donor does not count.
 func (r *ShardedReplica) Stats() Stats {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
@@ -619,7 +623,6 @@ func (r *ShardedReplica) Stats() Stats {
 		agg.Folded += st.Folded
 	}
 	agg.Clock = r.proc.clk.Now()
-	agg.TotalOps += int(r.movedCompacted)
 	agg.Compacted += r.movedCompacted
 	return agg
 }
@@ -654,15 +657,13 @@ func (r *ShardedReplica) RetireProcess(j int) {
 
 // Resize re-partitions the replica's key space across newShards
 // shards, live. It builds a fresh routing generation (new per-shard
-// replicas with their own logs and engines, broadcasting under
-// the next epoch), transfers every key range's state from the old
-// shard that owned it — every old shard compacted at one horizon and
-// its base split per key (spec.Partitionable.ExtractRange), the live
-// log suffix replayed
-// entry by entry with timestamps intact — then atomically flips the
-// router and rebuilds the merged-state cache. Updates and queries are
-// excluded for the duration of the move; they are wait-free again the
-// moment the flip lands.
+// replicas with their own logs and engines, broadcasting under the next
+// epoch), moves the process into it — folded at one horizon, the base
+// split per key (spec.Partitionable.ExtractRange) and the live entries
+// routed with timestamps intact — then atomically flips the router and
+// rebuilds the merged-state cache. Updates and queries are excluded for
+// the duration of the move; they are wait-free again the moment the
+// flip lands.
 //
 // In-flight messages need no coordination: every broadcast carries its
 // epoch (the sender's shard count), and the router lands cross-epoch
@@ -672,12 +673,9 @@ func (r *ShardedReplica) RetireProcess(j int) {
 // run the same table.
 //
 // GC soundness across a staggered resize rests on the process's one
-// stability tracker, which outlives the flip, and on the transports'
-// one FIFO stream per process link (GC requires FIFO regardless): a
-// stamp the tracker observed from a sender bounds everything still in
-// flight from it, old epoch or new, so nothing in flight sorts at or
-// below the horizon the new shards are seeded at. On the live transport
-// ResizeCluster drains first, so no cross-epoch message ever exists.
+// stability tracker, which outlives the flip, and on the transports' one
+// FIFO stream per process link: nothing in flight sorts at or below the
+// horizon the new shards are seeded at.
 //
 // On a live (goroutine) transport a lone Resize would race concurrent
 // deliveries against the move; use ResizeCluster, which coordinates
@@ -742,7 +740,6 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 	if old.shards[0].causal {
 		panic("core: Resize would drop causal visibility, which requires one shard")
 	}
-	r.resharded.Store(true)
 	next := &shardGen{epoch: old.epoch + 1, shards: make([]*Replica, newShards)}
 	for s := range next.shards {
 		var eng Engine
@@ -756,85 +753,25 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 		}, r.proc)
 	}
 
-	// One horizon h for the move: every old shard is compacted at it and
-	// every new shard seeded at it. It is the process's stability horizon,
-	// or an old shard's base clock above that — a base a pull adopted from
-	// a donor that had compacted further, and the pull brought every shard
-	// up to it (SyncFrom lands every shard or fails). Either way every old
-	// shard holds every update of its keys with a clock up to h, so after
-	// the compaction each old base folds exactly those, and nothing live
-	// or in flight sorts at or below h. A masking log never compacts, so
-	// it gets no horizon.
-	var stable uint64
-	if r.proc.stab != nil && old.shards[0].log.mask == nil {
-		stable = r.proc.stab.Horizon()
-	}
-	h := stable
+	// The move is the old generation folded at the process horizon and
+	// installed in the new one as a pull's snapshot is. The new bases are
+	// merged exactly when the horizon is above the stability horizon, as
+	// an adopted donor base is.
+	ops, nps := r.procShards(old), r.procShards(next)
+	ops.each((*sync.RWMutex).RLock)
+	nps.each((*sync.RWMutex).Lock)
+	stable, bases := ops.horizonsLocked()
+	sd := ops.foldLocked(max(stable, bases))
+	nps.installLocked(sd, nps.splitBase(sd.base), nps.split(sd.entries), bases > stable)
+	nps.each((*sync.RWMutex).Unlock)
+	// What the old generation folded stays counted: its shards' own
+	// compactions and the live entries this fold took in.
 	for _, o := range old.shards {
-		if _, ts := o.log.Base(); ts.Clock > h {
-			h = ts.Clock
-		}
+		r.movedCompacted += o.compacted + uint64(len(o.log.unmasked()))
 	}
-
-	// Compact every old shard at h and split it into per-new-shard seeds:
-	// base state by key range, live entries by key. A compaction leaves an
-	// old shard consistent, and nothing else touches it, so the old
-	// generation stays internally consistent until the flip.
-	type seed struct {
-		base    spec.State
-		entries []Entry
-	}
-	seeds := make([]seed, newShards)
-	for _, o := range old.shards {
-		o.mu.Lock()
-		if h > 0 {
-			o.compact(h)
-		}
-		if base, _ := o.log.Base(); base != nil {
-			work := r.adt.Clone(base)
-			for s := range seeds {
-				dst := s
-				ext, cnt := r.part.ExtractRange(work, func(key string) bool {
-					return routeKey(key, newShards) == dst
-				})
-				if cnt == 0 {
-					continue
-				}
-				if seeds[dst].base == nil {
-					seeds[dst].base = ext
-				} else {
-					seeds[dst].base = r.part.MergeInto(seeds[dst].base, ext)
-				}
-			}
-			r.movedCompacted += uint64(o.log.baseLen)
-		}
-		for _, e := range o.log.unmasked() {
-			dst := routeKey(r.part.UpdateKey(e.U), newShards)
-			seeds[dst].entries = append(seeds[dst].entries, e)
-			r.movedEntries++
-		}
-		o.mu.Unlock()
-	}
-
-	// Replay each seed into its new shard: seed the base at h, then land
-	// the bucket — sorted, since it interleaves several old shards' runs —
-	// as one merge under one lock hold. The base is merged exactly when h
-	// is above the stability horizon. The process clock is already above
-	// everything moved, so post-resize updates stamp above it.
-	for s := range seeds {
-		rep := next.shards[s]
-		if h > 0 {
-			base := seeds[s].base
-			if base == nil {
-				base = r.adt.Initial()
-			}
-			rep.log.SeedBase(base, h, h > stable)
-		}
-		rep.log.SortEntries(seeds[s].entries)
-		rep.mu.Lock()
-		rep.mergeLocked(seeds[s].entries)
-		rep.mu.Unlock()
-	}
+	r.movedCompacted -= uint64(len(sd.entries))
+	ops.each((*sync.RWMutex).RUnlock)
+	r.movedEntries += uint64(len(sd.entries))
 
 	// Flip the router, then rebuild the merged-state cache for the new
 	// generation: every stale contribution is dropped and the output

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"updatec/internal/clock"
 	"updatec/internal/spec"
@@ -19,22 +20,19 @@ import (
 // Snapshots are self-delimiting byte strings:
 //
 //	uvarint clock
-//	uvarint baseLen  (folded update count; 0 when nothing was
-//	                  compacted OR when the count is unknown — a
-//	                  resharded shard's seeded base carries state whose
-//	                  per-range count is unrecoverable)
+//	uvarint baseLen  (folded update count)
 //	byte    hasBase  (1 when a base block follows)
 //	[ baseTS, u64le baseSum, uvarint len(baseState), baseState ]
 //	                 when hasBase == 1
 //	the live entries, as one run (codec.go)
 //
-// baseSum is the base's share of the log's Fingerprint sum, so a
-// restored or merged log carries the donor's fingerprint for what it
-// adopts folded.
-//
-// Base presence is an explicit flag rather than baseLen > 0 exactly
-// because of seeded bases: base != nil with baseLen == 0 is a legal
-// log shape after a Resize, and encoder and decoder must agree on it.
+// baseSum is the base's share of the Fingerprint sum, counted like
+// baseLen, so a restored or merged log carries the donor's fingerprint
+// for what it adopts folded. A pull's snapshot (procShards.foldLocked)
+// stamps its base (H, MaxInt): it folds every update up to the donor's
+// horizon H. Base presence is an explicit flag because a base split by
+// key carries baseLen 0 in every shard but shard 0, which carries the
+// whole count (procShards.installLocked).
 //
 // Encoding the base state requires the spec to implement
 // spec.StateCodec; uncompacted replicas need only the update codec. A
@@ -46,15 +44,16 @@ import (
 func (r *Replica) Snapshot() ([]byte, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.snapshotLocked()
+	base, baseTS := r.log.Base()
+	return r.appendSnapshot(nil, r.log.TotalLen()-r.log.Len(), base, baseTS, r.log.baseSum(), r.log.unmasked())
 }
 
-// snapshotLocked is Snapshot with the lock held (either half).
-func (r *Replica) snapshotLocked() ([]byte, error) {
-	entries := r.log.unmasked()
-	out := binary.AppendUvarint(make([]byte, 0, 32+len(entries)*16), r.clk.Now())
-	out = binary.AppendUvarint(out, uint64(r.log.TotalLen()-r.log.Len()))
-	base, baseTS := r.log.Base()
+// appendSnapshot appends to out a snapshot at the process clock: base
+// (nil: none) folding baseLen updates up to baseTS with fingerprint sum
+// baseSum, then the live entries.
+func (r *Replica) appendSnapshot(out []byte, baseLen int, base spec.State, baseTS clock.Timestamp, baseSum uint64, live []Entry) ([]byte, error) {
+	out = binary.AppendUvarint(slices.Grow(out, 32+len(live)*16), r.clk.Now())
+	out = binary.AppendUvarint(out, uint64(baseLen))
 	if base == nil {
 		out = append(out, 0)
 	} else {
@@ -67,11 +66,11 @@ func (r *Replica) snapshotLocked() ([]byte, error) {
 			return nil, fmt.Errorf("core: encoding base state: %w", err)
 		}
 		out = baseTS.Encode(append(out, 1))
-		out = binary.LittleEndian.AppendUint64(out, r.log.baseSum())
+		out = binary.LittleEndian.AppendUint64(out, baseSum)
 		out = binary.AppendUvarint(out, uint64(len(stateBytes)))
 		out = append(out, stateBytes...)
 	}
-	return r.wire.appendRun(out, entries)
+	return r.wire.appendRun(out, live)
 }
 
 // snapshotData is a decoded Snapshot; parseSnapshot produces it for

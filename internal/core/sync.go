@@ -1,10 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"updatec/internal/clock"
+	"updatec/internal/spec"
 )
 
 // Anti-entropy log repair. The paper's convergence argument (§VI)
@@ -21,26 +26,24 @@ import (
 //	payload := donor.SyncReply(digest)
 //	applied := r.ApplySync(payload)  — land the missing suffix
 //
-// or, end to end, r.SyncFrom(donor). The payload is a run (codec.go),
-// and a reply lands as one sorted merge into the log (Log.MergeSorted, linear in the reply plus
-// the suffix it displaces) with the semantics of resharding's Absorb:
-// no broadcast, no stability peer-observation (the FIFO argument does
-// not hold for sync-transferred entries), duplicates dropped and
-// counted. Pulls are one-directional; a symmetric exchange is two
-// pulls. Because logs only grow and inserts are idempotent, one
-// all-pairs round of pulls
-// after a heal makes every replica's update set the union of what the
-// group held — the transport's queued originals then arrive as counted
-// duplicates instead of divergence.
+// or, end to end, r.SyncFrom(donor). The unit of a pull is the process
+// (procShards), a plain Replica being the one-shard case: the digest
+// summarizes every shard, the donor answers at one cut of all its shards,
+// and the requester routes the answer by its own table, so processes
+// repair each other whatever their shard counts. Replica.SyncFrom,
+// ShardedReplica.SyncFrom and WireSync are three entry points to that
+// one digest → answer → land.
 //
-// When the donor has compacted past the requester's horizon the
-// missing prefix no longer exists as entries; SyncReply reports
-// ErrCompacted and the pull falls back to full state transfer (syncAnswer,
-// syncLand), merging the donor's Snapshot with the requester's surviving
-// live suffix (MergeSnapshot). Stability makes the fallback sound: the
-// donor's base folds every update at or below its horizon, and the
-// requester's own base — compacted at a strictly lower horizon, or it
-// would not have hit ErrCompacted — is a prefix of that.
+// The answer is a run (codec.go) and lands as one sorted merge per shard
+// (Log.MergeSorted): no broadcast, no stability peer-observation (the
+// FIFO argument does not hold for sync-transferred entries), duplicates
+// dropped and counted. Logs only grow and inserts are idempotent, so one
+// all-pairs round of pulls after a heal makes every replica's update set
+// the union of what the group held. When the donor has compacted past
+// the requester's horizon the missing prefix no longer exists as
+// entries, and the donor answers with one snapshot of the process folded
+// at its horizon H instead: it holds every update at or below H, and the
+// requester's bases fold a prefix of that.
 
 // ErrCompacted reports that a sync donor has garbage-collected part of
 // the suffix the requester is missing; the requester must fall back to
@@ -80,27 +83,22 @@ const ladderRungs = 16
 // no live entries has an empty ladder.
 type OriginDigest []Rung
 
-// Digest summarizes what a replica's log holds, per origin, for an
+// Digest summarizes what a process holds, per origin, for an
 // anti-entropy exchange.
 type Digest struct {
-	// Ver is the log's version (mutation counter) at digest time. It is
-	// replica-local — two replicas' versions are not comparable — and
-	// serves only to detect local movement between a caller's own
-	// rounds.
-	Ver uint64
-	// Base is the clock of the compaction horizon: every update with
-	// clock ≤ Base is folded into this replica's base state, so the
-	// donor need not (and cannot be asked to) resend it.
+	// Base is the process horizon H (procShards.horizonsLocked): the
+	// process holds every update with clock ≤ Base, folded or live, so
+	// the donor need not (and cannot be asked to) resend it.
 	Base uint64
-	// Origins[j] summarizes the live entries originated by process j.
+	// Origins[j] summarizes the live entries above Base originated by
+	// process j, over every shard.
 	Origins []OriginDigest
 }
 
 // mix64 is the splitmix64 finalizer; a rung's set hash is the wrapping
-// sum of mix64 over entry clocks, which is order-independent (insertion
-// interleavings don't matter) and handles the multiplicity a resharded
-// log can legitimately hold (equal (clock, proc) under different keys
-// sums twice on both sides).
+// sum of mix64 over entry clocks, which is order-independent, so neither
+// insertion interleavings nor the split of an origin's entries over
+// shards matter.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -126,11 +124,13 @@ func newLadder(base, top uint64) OriginDigest {
 }
 
 // tallyLadders makes every rung of ladders[j] cumulative over the
-// entries of origin j with a clock above base: Count and Hash are
-// overwritten, the clocks (ascending) are the caller's. Entries above an
-// origin's top rung are counted in above[j]. One pass: entries ascend by
-// clock, so each origin's rung cursor only moves up.
-func tallyLadders(entries []Entry, base uint64, ladders []OriginDigest) (above []uint64) {
+// entries of origin j with a clock above base, in every log: Count and
+// Hash are overwritten, the clocks (ascending) are the caller's. Entries
+// above an origin's top rung are counted in above[j]. One pass per log:
+// its entries ascend by clock, so each origin's rung cursor only moves
+// up; each entry lands in its own rung's bucket, and the buckets become
+// cumulative once every log is in.
+func tallyLadders(logs [][]Entry, base uint64, ladders []OriginDigest) (above []uint64) {
 	above = make([]uint64, len(ladders))
 	cur := make([]int, len(ladders))
 	for _, od := range ladders {
@@ -138,23 +138,26 @@ func tallyLadders(entries []Entry, base uint64, ladders []OriginDigest) (above [
 			od[i].Count, od[i].Hash = 0, 0
 		}
 	}
-	for i := range entries {
-		ts := entries[i].TS
-		if ts.Clock <= base || ts.Proc < 0 || ts.Proc >= len(ladders) {
-			continue
+	for _, entries := range logs {
+		clear(cur)
+		for i := range entries {
+			ts := entries[i].TS
+			if ts.Clock <= base || ts.Proc < 0 || ts.Proc >= len(ladders) {
+				continue
+			}
+			od := ladders[ts.Proc]
+			p := cur[ts.Proc]
+			for p < len(od) && od[p].Clock < ts.Clock {
+				p++
+			}
+			cur[ts.Proc] = p
+			if p == len(od) {
+				above[ts.Proc]++
+				continue
+			}
+			od[p].Count++
+			od[p].Hash += mix64(ts.Clock)
 		}
-		od := ladders[ts.Proc]
-		p := cur[ts.Proc]
-		for p < len(od) && od[p].Clock < ts.Clock {
-			p++
-		}
-		cur[ts.Proc] = p
-		if p == len(od) {
-			above[ts.Proc]++
-			continue
-		}
-		od[p].Count++
-		od[p].Hash += mix64(ts.Clock)
 	}
 	for _, od := range ladders {
 		for i := 1; i < len(od); i++ {
@@ -165,19 +168,112 @@ func tallyLadders(entries []Entry, base uint64, ladders []OriginDigest) (above [
 	return above
 }
 
-// Digest summarizes the replica's log for an anti-entropy pull.
-func (r *Replica) Digest() Digest {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d := Digest{Ver: r.log.Version(), Origins: make([]OriginDigest, r.n)}
-	_, baseTS := r.log.Base()
-	d.Base = baseTS.Clock
-	entries := r.log.unmasked()
-	// Entries ascend by clock: an origin's last entry carries its top.
-	top := make([]uint64, r.n)
-	for i := range entries {
-		if ts := entries[i].TS; ts.Proc >= 0 && ts.Proc < r.n && ts.Clock > d.Base {
-			top[ts.Proc] = ts.Clock
+// procShards is one process's shards under one routing table: the unit
+// an anti-entropy pull digests, answers and lands, and a resize moves. A
+// plain Replica is the one-shard case (Replica.procShards); a
+// ShardedReplica passes a generation.
+type procShards struct {
+	shards []*Replica
+	// part routes updates and splits bases; nil, or one shard, puts
+	// everything in shard 0.
+	part spec.Partitionable
+}
+
+// procShards is the replica as a one-shard process.
+func (r *Replica) procShards() procShards { return procShards{shards: []*Replica{r}} }
+
+// each applies f to every shard's lock, in shard order: the lock order
+// of every path that holds several.
+func (ps procShards) each(f func(*sync.RWMutex)) {
+	for _, sh := range ps.shards {
+		f(&sh.mu)
+	}
+}
+
+// keyed reports whether updates spread over several shards by key.
+func (ps procShards) keyed() bool { return ps.part != nil && len(ps.shards) > 1 }
+
+// owner returns the shard that owns u under this table.
+func (ps procShards) owner(u spec.Update) int {
+	if !ps.keyed() {
+		return 0
+	}
+	return routeKey(ps.part.UpdateKey(u), len(ps.shards))
+}
+
+// split buckets entries by owning shard, each bucket in their order.
+func (ps procShards) split(entries []Entry) [][]Entry {
+	shares := make([][]Entry, len(ps.shards))
+	if !ps.keyed() {
+		shares[0] = entries
+		return shares
+	}
+	for _, e := range entries {
+		s := ps.owner(e.U)
+		shares[s] = append(shares[s], e)
+	}
+	return shares
+}
+
+// splitBase splits a folded base, which it consumes, into the key
+// components each shard owns (nil where it owns none); nil when the
+// shards are not keyed, and shard 0 takes the base whole.
+func (ps procShards) splitBase(base spec.State) []spec.State {
+	if base == nil || !ps.keyed() {
+		return nil
+	}
+	bases := make([]spec.State, len(ps.shards))
+	for s := range bases {
+		bases[s], _ = ps.part.ExtractRange(base, func(key string) bool { return routeKey(key, len(bases)) == s })
+	}
+	return bases
+}
+
+// live returns every shard's live entries, unmasked. Caller holds every
+// shard's lock (either half).
+func (ps procShards) live() [][]Entry {
+	logs := make([][]Entry, len(ps.shards))
+	for s, sh := range ps.shards {
+		logs[s] = sh.log.unmasked()
+	}
+	return logs
+}
+
+// horizonsLocked returns the process's stability horizon and the
+// highest base clock of its shards; the larger is the process horizon H.
+// The process holds every update up to H in the shard that owns its key:
+// stability puts it there, and a base above the stability horizon was
+// adopted by a pull, which lands every shard or fails. A masking log
+// never compacts, so it gets no stability horizon. Caller holds every
+// shard's lock (either half).
+func (ps procShards) horizonsLocked() (stable, bases uint64) {
+	for _, sh := range ps.shards {
+		if _, ts := sh.log.Base(); ts.Clock > bases {
+			bases = ts.Clock
+		}
+	}
+	if r0 := ps.shards[0]; r0.stab != nil && r0.log.mask == nil {
+		stable = r0.stab.Horizon()
+	}
+	return stable, bases
+}
+
+// digest summarizes the process for a pull under every shard's read lock.
+func (ps procShards) digest() Digest {
+	ps.each((*sync.RWMutex).RLock)
+	defer ps.each((*sync.RWMutex).RUnlock)
+	n := ps.shards[0].n
+	d := Digest{Origins: make([]OriginDigest, n)}
+	d.Base = max(ps.horizonsLocked())
+	logs := ps.live()
+	// Each log ascends by clock, so an origin's last entry in it carries
+	// the origin's top there.
+	top := make([]uint64, n)
+	for _, entries := range logs {
+		for i := range entries {
+			if ts := entries[i].TS; ts.Proc >= 0 && ts.Proc < n && ts.Clock > d.Base && ts.Clock > top[ts.Proc] {
+				top[ts.Proc] = ts.Clock
+			}
 		}
 	}
 	for j, c := range top {
@@ -185,45 +281,33 @@ func (r *Replica) Digest() Digest {
 			d.Origins[j] = newLadder(d.Base, c)
 		}
 	}
-	tallyLadders(entries, d.Base, d.Origins)
+	tallyLadders(logs, d.Base, d.Origins)
 	return d
 }
 
-// SyncReply encodes the update suffix a peer with digest d is missing
-// from this replica's log, as one run (codec.go) — the format of a
-// snapshot's live suffix, so ApplySync decodes it with the same decoder. A
-// nil, nil reply means the peer is missing nothing this donor can tell. Per
-// origin the donor sends what it holds above the highest rung of the
-// peer's ladder at which its own cumulative count and hash agree (see
-// OriginDigest), and everything above d.Base when no rung does — a
-// superset of the missing set is always correct, since the receiver
-// deduplicates. ErrCompacted is returned when this donor's own compaction
-// horizon is above d.Base: part of what the peer is missing exists here
-// only folded into state.
-func (r *Replica) SyncReply(d Digest) ([]byte, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.syncReplyLocked(d)
-}
-
-// syncReplyLocked is SyncReply with the lock held (either half).
-func (r *Replica) syncReplyLocked(d Digest) ([]byte, error) {
-	_, baseTS := r.log.Base()
-	if baseTS.Clock > d.Base {
-		return nil, ErrCompacted
-	}
-	entries := r.log.unmasked()
+// runLocked appends to out, as one run, the entries a peer with digest d
+// is missing, or returns out unchanged when it is missing nothing this
+// donor can tell. Per origin the donor sends what it holds above the
+// highest rung of the peer's ladder at which its own cumulative count and
+// hash agree (see OriginDigest), and everything above d.Base when no rung
+// does — a superset of the missing set is always correct, since the
+// receiver deduplicates. The entries go shard by shard, each shard's in
+// log order. Caller holds every shard's lock (either half), and no shard
+// is compacted above d.Base.
+func (ps procShards) runLocked(out []byte, d Digest) ([]byte, error) {
+	n := ps.shards[0].n
+	logs := ps.live()
 	// Pass 1: the donor's own cumulative view at the peer's rung clocks
-	// (a digest narrower than r.n leaves the other origins no ladder),
-	// and from it the clock above which each origin is sent.
-	mine := make([]OriginDigest, r.n)
+	// (a digest narrower than n leaves the other origins no ladder), and
+	// from it the clock above which each origin is sent.
+	mine := make([]OriginDigest, n)
 	for j := range mine {
 		if j < len(d.Origins) {
 			mine[j] = append(OriginDigest(nil), d.Origins[j]...)
 		}
 	}
-	above := tallyLadders(entries, d.Base, mine)
-	cut := make([]uint64, r.n)
+	above := tallyLadders(logs, d.Base, mine)
+	cut := make([]uint64, n)
 	total := uint64(0)
 	for j, od := range mine {
 		cut[j] = d.Base
@@ -241,62 +325,270 @@ func (r *Replica) syncReplyLocked(d Digest) ([]byte, error) {
 		total += send
 	}
 	if total == 0 {
-		return nil, nil
+		return out, nil
 	}
-	// Pass 2: encode the selected entries. This is the repair path, not
-	// the broadcast hot path, so the buffer is local (r.enc needs the
-	// exclusive lock; holding only the read half keeps concurrent
-	// queries flowing on the donor).
-	out := appendRunHeader(make([]byte, 0, 16+total*16), int(total))
-	for i := range entries {
-		ts := entries[i].TS
-		if ts.Clock <= d.Base || ts.Proc < 0 || ts.Proc >= r.n || ts.Clock <= cut[ts.Proc] {
-			continue
-		}
-		var err error
-		if out, err = r.wire.appendFramed(out, ts, entries[i].U); err != nil {
-			return nil, err
+	// Pass 2: encode the selected entries into a local buffer (r.enc needs
+	// the exclusive lock; the read half keeps the donor's queries flowing).
+	out = appendRunHeader(slices.Grow(out, 16+int(total)*16), int(total))
+	for _, entries := range logs {
+		for i := range entries {
+			ts := entries[i].TS
+			if ts.Clock <= d.Base || ts.Proc < 0 || ts.Proc >= n || ts.Clock <= cut[ts.Proc] {
+				continue
+			}
+			var err error
+			if out, err = ps.shards[0].wire.appendFramed(out, ts, entries[i].U); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
 }
 
-// ApplySync lands a SyncReply payload. The whole payload is decoded and
-// validated first — a malformed reply lands nothing — and the entries
-// then merge into the log under one lock hold (mergeLocked): no
-// broadcast, no stability peer-observation, duplicates dropped and
-// counted, one engine notification. Returns how many entries were
-// actually new. Frames at or below this replica's own compaction horizon
-// are skipped (they are already folded into the base; stability
-// guarantees they were delivered before compaction).
+// foldLocked is the process folded at horizon h, which is at or above
+// every shard's base clock: each shard's base brought to h by folding its
+// live entries up to h into a clone (what compact(h) does), the bases
+// merged key by key (nil when nothing is folded), stamped (h, MaxInt);
+// the process fingerprint less the live entries above h as the base's
+// count and sum; and those live entries, in log order. Caller holds every
+// shard's lock (either half).
+func (ps procShards) foldLocked(h uint64) (sd snapshotData) {
+	r0 := ps.shards[0]
+	var fp Fingerprint
+	for _, sh := range ps.shards {
+		entries := sh.log.unmasked()
+		cut, _ := slices.BinarySearchFunc(entries, h, func(e Entry, h uint64) int { return cmp.Compare(e.TS.Clock, h+1) })
+		shfp := sh.log.Fingerprint()
+		fp.Count += shfp.Count - uint64(len(entries)-cut)
+		fp.Sum += shfp.Sum
+		for _, e := range entries[cut:] {
+			fp.Sum -= entryHash(e.TS)
+		}
+		sd.entries = append(sd.entries, entries[cut:]...)
+		if b, _ := sh.log.Base(); b == nil && cut == 0 {
+			continue
+		}
+		folded := sh.log.BaseState()
+		for _, e := range entries[:cut] {
+			folded = sh.adt.Apply(folded, e.U)
+		}
+		if sd.base == nil {
+			sd.base = folded
+		} else {
+			sd.base = ps.part.MergeInto(sd.base, folded)
+		}
+	}
+	r0.log.SortEntries(sd.entries)
+	sd.clock, sd.baseLen, sd.baseSum = r0.clk.Now(), int(fp.Count), fp.Sum
+	sd.baseTS = clock.Timestamp{Clock: h, Proc: math.MaxInt}
+	return sd
+}
+
+// installLocked lands a snapshot sd on every shard, its base split into
+// bases when the shards are keyed and its live entries into shares, and
+// returns how many of each shard's share were new there. The base is
+// adopted by every shard or by none: by all when each shard's own base
+// folds a lower clock, each shard then holding its keys' components of it
+// at sd's stamp, guarded as merged says (Log.merged). The base's count
+// and sum cannot be split by key: shard 0 carries them and the other
+// shards' bases carry 0, which sums to the process fingerprint. Caller
+// holds every shard's exclusive lock.
+func (ps procShards) installLocked(sd snapshotData, bases []spec.State, shares [][]Entry, merged bool) []int {
+	adopt := sd.base != nil
+	for _, sh := range ps.shards {
+		if b, ts := sh.log.Base(); b != nil && ts.Clock >= sd.baseTS.Clock {
+			adopt = false
+		}
+	}
+	landed := make([]int, len(ps.shards))
+	for s, sh := range ps.shards {
+		share := sd
+		share.entries = shares[s]
+		switch {
+		case !adopt || (s > 0 && bases == nil):
+			share.base = nil
+		case bases != nil:
+			share.base = bases[s]
+			if share.base == nil {
+				share.base = sh.adt.Initial()
+			}
+			if s > 0 {
+				share.baseLen, share.baseSum = 0, 0
+			}
+		}
+		landed[s] = sh.installSnapshotLocked(share, merged)
+	}
+	return landed
+}
+
+// The modes of a donor's answer (WireSync sends the byte before the body).
+const (
+	syncNone     byte = 0 // the requester is missing nothing
+	syncEntries  byte = 1 // body is a run of entries
+	syncSnapshot byte = 2 // body is a snapshot of the donor process
+)
+
+// answerLocked is the donor half: appended to out, the entries a peer
+// with digest d is missing, or — when a shard has compacted past the
+// peer's horizon and they no longer exist as entries — one snapshot of
+// the process folded at its horizon H. Caller holds every shard's lock
+// (either half).
+func (ps procShards) answerLocked(out []byte, d Digest) (mode byte, body []byte, err error) {
+	if stable, bases := ps.horizonsLocked(); bases > d.Base {
+		sd := ps.foldLocked(max(stable, bases))
+		if body, err = ps.shards[0].appendSnapshot(out, sd.baseLen, sd.base, sd.baseTS, sd.baseSum, sd.entries); err != nil {
+			return 0, nil, fmt.Errorf("core: sync snapshot fallback: %w", err)
+		}
+		return syncSnapshot, body, nil
+	}
+	if body, err = ps.runLocked(out, d); err != nil || len(body) == len(out) {
+		return syncNone, nil, err
+	}
+	return syncEntries, body, nil
+}
+
+// pulled is a donor's answer decoded and split by the requester's
+// routing table: each shard's share of the entries, or of a snapshot's
+// live entries and — on keyed shards — of its base; and at causal
+// consistency the donor's per-origin stamps as of the answer.
+type pulled struct {
+	mode       byte
+	snap       snapshotData
+	bases      []spec.State
+	shares     [][]Entry
+	held, seen clock.Vector
+}
+
+// decode is the requester half's first step: decode and split what a
+// donor's answer produced, landing nothing. The routing table must not
+// change until the landing (ShardedReplica holds routeMu's read half).
+func (ps procShards) decode(mode byte, body []byte) (p pulled, err error) {
+	p.mode = mode
+	switch mode {
+	case syncNone:
+		if len(body) != 0 {
+			err = errors.New("core: sync reply carries a body after mode 0")
+		}
+	case syncEntries:
+		if p.snap.entries, err = ps.shards[0].wire.decodeRun(body); err != nil {
+			err = fmt.Errorf("core: sync reply: %w", err)
+		}
+	case syncSnapshot:
+		if p.snap, err = ps.shards[0].parseSnapshot(body); err == nil {
+			p.bases = ps.splitBase(p.snap.base)
+		}
+	default:
+		err = fmt.Errorf("core: unknown sync mode %d", mode)
+	}
+	p.shares = ps.split(p.snap.entries)
+	return p, err
+}
+
+// land is the requester half's second step: land a decoded answer under
+// every shard's exclusive lock, reporting how many entries were new here.
+// A donor replies in log order per shard, which is ours when the routing
+// tables agree; anything else is sorted rather than trusted. At causal
+// consistency the landing ends by raising the replica's per-origin stamps
+// to the donor's (raiseLocked).
+func (ps procShards) land(p pulled) (n int) {
+	ps.each((*sync.RWMutex).Lock)
+	defer ps.each((*sync.RWMutex).Unlock)
+	landed := make([]int, len(ps.shards))
+	switch p.mode {
+	case syncEntries:
+		for s, sh := range ps.shards {
+			sh.log.SortEntries(p.shares[s])
+			landed[s] = sh.mergeLocked(sh.log.aboveBase(p.shares[s]))
+		}
+	case syncSnapshot:
+		landed = ps.installLocked(p.snap, p.bases, p.shares, true)
+	}
+	for s, k := range landed {
+		ps.shards[s].syncApplied += uint64(k)
+		n += k
+	}
+	if p.held != nil {
+		ps.shards[0].raiseLocked(p.held, p.seen)
+	}
+	return n
+}
+
+// landBytes decodes an answer whole, then lands it.
+func (ps procShards) landBytes(mode byte, body []byte) (int, error) {
+	p, err := ps.decode(mode, body)
+	if err != nil {
+		return 0, err
+	}
+	return ps.land(p), nil
+}
+
+// pullProcess runs one pull from donor into req: digest, answer at one
+// cut of the donor's shards under their read locks, decode, land.
+func pullProcess(req, donor procShards) (int, error) {
+	d := req.digest()
+	donor.each((*sync.RWMutex).RLock)
+	mode, body, err := donor.answerLocked(nil, d)
+	var held, seen clock.Vector
+	if r0 := donor.shards[0]; req.shards[0].causal {
+		held, seen = r0.originMax.Clone(), r0.seen.Clone()
+	}
+	donor.each((*sync.RWMutex).RUnlock)
+	if err != nil {
+		return 0, err
+	}
+	p, err := req.decode(mode, body)
+	if err != nil {
+		return 0, err
+	}
+	p.held, p.seen = held, seen
+	return req.land(p), nil
+}
+
+// Digest summarizes the replica's log for an anti-entropy pull.
+func (r *Replica) Digest() Digest { return r.procShards().digest() }
+
+// SyncReply encodes the update suffix a peer with digest d is missing
+// from this replica's log as one run (procShards.runLocked); nil, nil
+// when it is missing nothing this donor can tell. ErrCompacted means this
+// donor's compaction horizon is above d.Base: part of what the peer is
+// missing exists here only folded into state.
+func (r *Replica) SyncReply(d Digest) ([]byte, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if _, baseTS := r.log.Base(); baseTS.Clock > d.Base {
+		return nil, ErrCompacted
+	}
+	return r.procShards().runLocked(nil, d)
+}
+
+// ApplySync lands a SyncReply payload: decoded whole first — a malformed
+// reply lands nothing — then merged under one lock hold (mergeLocked),
+// skipping what the base already folds. Returns how many entries were
+// new.
 func (r *Replica) ApplySync(payload []byte) (int, error) {
 	if len(payload) == 0 {
 		return 0, nil
 	}
-	return r.syncLand(syncEntries, payload)
+	return r.procShards().landBytes(syncEntries, payload)
 }
 
 // MergeSnapshot merges a donor's Snapshot into a replica that already
-// holds state — the ErrCompacted fallback of a pull, and the general
-// recovery move when a donor has GC'd past what a rejoining replica
-// missed. The donor's base replaces this replica's own (stability makes
-// it a superset: both bases fold downward-closed sets of delivered
-// updates, and the donor's horizon is strictly higher or SyncReply
-// would not have refused); the new log is then two merges — this
-// replica's live entries above the donor's horizon, and the donor's live
-// entries on top, deduplicated. Returns how many of the donor's entries
-// were new here.
+// holds state. The donor's base replaces this replica's own when it
+// folds a higher clock (stability makes it a superset); the live entries
+// of both above the adopted horizon merge, deduplicated. Returns how many
+// of the donor's entries were new here.
 func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
-	return r.syncLand(syncSnapshot, snap)
+	return r.procShards().landBytes(syncSnapshot, snap)
 }
 
 // installSnapshotLocked rebuilds the log as the union of what the replica
 // holds and a decoded snapshot — for Restore the replica holds nothing —
-// and returns how many of the snapshot's live entries were new. merged is
-// the guard an adopted snapshot base gets (Log.merged): true for
-// MergeSnapshot, whose later below-horizon arrivals are redeliveries of
-// folded updates, false for Restore, whose base stays strict. Caller holds
-// the exclusive lock.
+// and returns how many of the snapshot's live entries were new. The
+// snapshot's base, when it has one, replaces the replica's: the caller
+// has checked that it folds further (installLocked). merged is the guard
+// it gets (Log.merged): true for a pull, whose later below-horizon
+// arrivals are redeliveries of folded updates, false for Restore, whose
+// base stays strict. Caller holds the exclusive lock.
 func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	old := r.log
 	nl := NewLog(r.adt)
@@ -304,14 +596,8 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 		nl.setMask(old.mask)
 		nl.masked = old.masked
 	}
-	// Keep whichever base folded further. A base's folded entries exist
-	// nowhere else, so adopting the lower-horizon one would lose the
-	// difference; the higher base is a superset of the lower (both fold
-	// downward-closed sets of delivered updates — stability). On the
-	// ErrCompacted path the donor's is higher by construction, but
-	// MergeSnapshot is also a general recovery entry point.
 	obase, obaseTS := old.Base()
-	if sd.base != nil && (obase == nil || obaseTS.Clock < sd.baseTS.Clock) {
+	if sd.base != nil {
 		nl.RestoreBase(sd.base, sd.baseTS, sd.baseLen, sd.baseSum)
 		nl.merged = merged
 	} else if obase != nil {
@@ -343,185 +629,27 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	return applied
 }
 
-// The two halves of a pull. What travels between them is a mode and a
-// body: in process SyncFrom passes them as values, across a socket
-// WireSync frames them per shard.
-const (
-	syncNone     byte = 0 // the requester is missing nothing
-	syncEntries  byte = 1 // body is a SyncReply run
-	syncSnapshot byte = 2 // body is a Snapshot
-)
-
-// syncAnswer is the donor half: the entries a peer with digest d is
-// missing, or — when this donor has compacted past the peer's horizon and
-// they no longer exist as entries — its snapshot.
-func (r *Replica) syncAnswer(d Digest) (mode byte, body []byte, err error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.syncAnswerLocked(d)
-}
-
-// syncAnswerLocked is syncAnswer with the lock held (either half).
-func (r *Replica) syncAnswerLocked(d Digest) (mode byte, body []byte, err error) {
-	body, err = r.syncReplyLocked(d)
-	switch {
-	case errors.Is(err, ErrCompacted):
-		if body, err = r.snapshotLocked(); err != nil {
-			return 0, nil, fmt.Errorf("core: sync snapshot fallback: %w", err)
-		}
-		return syncSnapshot, body, nil
-	case err != nil:
-		return 0, nil, err
-	case body == nil:
-		return syncNone, nil, nil
-	}
-	return syncEntries, body, nil
-}
-
-// pulled is a donor's syncAnswer decoded: the entries of a reply, or a
-// snapshot, and at causal consistency the donor's per-origin stamps as
-// of the answer.
-type pulled struct {
-	mode       byte
-	entries    []Entry
-	snap       snapshotData
-	held, seen clock.Vector
-}
-
-// syncDecode is the requester half's first step: decode what a donor's
-// syncAnswer produced, landing nothing.
-func (r *Replica) syncDecode(mode byte, body []byte) (p pulled, err error) {
-	p.mode = mode
-	switch mode {
-	case syncNone:
-	case syncEntries:
-		if p.entries, err = r.wire.decodeRun(body); err != nil {
-			err = fmt.Errorf("core: sync reply: %w", err)
-		}
-	case syncSnapshot:
-		p.snap, err = r.parseSnapshot(body)
-	default:
-		err = fmt.Errorf("core: unknown sync mode %d", mode)
-	}
-	return p, err
-}
-
-// land is the requester half's second step: land a decoded answer under
-// one lock hold, reporting how many entries were new here. A donor
-// replies in its log order, which is ours; anything else is sorted
-// rather than trusted. At causal consistency the landing ends by raising
-// this replica's per-origin stamps to the donor's (raiseLocked).
-func (r *Replica) land(p pulled) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	switch p.mode {
-	case syncEntries:
-		r.log.SortEntries(p.entries)
-		n = r.mergeLocked(r.log.aboveBase(p.entries))
-	case syncSnapshot:
-		n = r.installSnapshotLocked(p.snap, true)
-	}
-	r.syncApplied += uint64(n)
-	if p.held != nil {
-		r.raiseLocked(p.held, p.seen)
-	}
-	return n
-}
-
-// syncLand is the requester half: land what a donor's syncAnswer
-// produced, reporting how many entries were new here.
-func (r *Replica) syncLand(mode byte, body []byte) (int, error) {
-	p, err := r.syncDecode(mode, body)
-	if err != nil {
-		return 0, err
-	}
-	return r.land(p), nil
-}
-
-// pullLocked is a pull up to its landing: donor answers digest d and r
-// decodes the answer. The caller holds donor's lock (either half).
-func (r *Replica) pullLocked(donor *Replica, d Digest) (pulled, error) {
-	mode, body, err := donor.syncAnswerLocked(d)
-	if err != nil {
-		return pulled{}, err
-	}
-	p, err := r.syncDecode(mode, body)
-	if err == nil && r.causal {
-		p.held, p.seen = donor.originMax.Clone(), donor.seen.Clone()
-	}
-	return p, err
-}
-
-// SyncFrom runs one complete anti-entropy pull from donor: digest,
-// reply, apply — falling back to snapshot transfer when the donor has
-// compacted past this replica's horizon. Returns how many entries (or
-// snapshot-carried updates) were new here. Both replicas stay fully
-// available throughout: the donor side holds only its read lock.
+// SyncFrom runs one complete anti-entropy pull from donor (pullProcess).
+// Returns how many live entries were new here. The donor side holds only
+// its read lock.
 func (r *Replica) SyncFrom(donor *Replica) (int, error) {
 	if donor == r {
 		return 0, nil
 	}
-	d := r.Digest()
-	donor.mu.RLock()
-	p, err := r.pullLocked(donor, d)
-	donor.mu.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	return r.land(p), nil
+	return pullProcess(r.procShards(), donor.procShards())
 }
 
-// SyncFrom pulls every shard's missing suffix from the corresponding
-// shard of peer. Both replicas must be at the same shard count —
-// cluster-level resizes keep counts uniform (crashed replicas are
-// resized too; a crash suppresses delivery in the transport, not
-// routing structure), so a mismatch means the caller is syncing across
-// clusters or mid-resize, and the pull is refused rather than guessed
-// at. Returns the total number of newly landed entries.
-//
-// A pull lands every shard or fails. The peer answers every shard at one
-// cut, its shards' locks all held, and every answer is decoded before
-// any lands. At that cut the peer holds, on every shard, every update of
-// the shard's keys up to its highest base clock, so after the pull so
-// does this replica — which is what a resize's one horizon relies on
-// when a base adopted here sits above the process's stability horizon
-// (resizeLocked).
+// SyncFrom pulls what this replica is missing from peer, whatever either
+// one's shard count (pullProcess). The answer is decoded and split before
+// any shard lands, so a pull lands every shard or fails, and at its end
+// this replica holds every update up to the peer's horizon — which the
+// process horizon relies on (horizonsLocked). Returns the number of newly
+// landed entries.
 func (r *ShardedReplica) SyncFrom(peer *ShardedReplica) (int, error) {
 	if peer == r {
 		return 0, nil
 	}
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
-	mine, theirs := r.gen.Load(), peer.gen.Load()
-	if len(mine.shards) != len(theirs.shards) {
-		return 0, fmt.Errorf("core: sync requires equal shard counts (have %d, peer has %d); resize to a common count first",
-			len(mine.shards), len(theirs.shards))
-	}
-	ds := make([]Digest, len(mine.shards))
-	for s, sh := range mine.shards {
-		ds[s] = sh.Digest()
-	}
-	ps := make([]pulled, len(ds))
-	var err error
-	for _, sh := range theirs.shards {
-		sh.mu.RLock()
-	}
-	for s, sh := range theirs.shards {
-		if ps[s], err = mine.shards[s].pullLocked(sh, ds[s]); err != nil {
-			err = fmt.Errorf("core: shard %d: %w", s, err)
-			break
-		}
-	}
-	for _, sh := range theirs.shards {
-		sh.mu.RUnlock()
-	}
-	if err != nil {
-		return 0, err
-	}
-	applied := 0
-	for s, p := range ps {
-		applied += mine.shards[s].land(p)
-	}
-	return applied, nil
+	return pullProcess(r.procShards(r.gen.Load()), peer.procShards(peer.gen.Load()))
 }

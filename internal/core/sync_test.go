@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -171,14 +172,74 @@ func TestRecoverySpansResize(t *testing.T) {
 	}
 }
 
-// TestShardedSyncRequiresEqualCounts: a mid-resize or cross-cluster
-// pull is refused rather than guessed at.
-func TestShardedSyncRequiresEqualCounts(t *testing.T) {
-	net := transport.NewSim(transport.SimOptions{N: 2, Seed: 1})
-	reps := ShardedCluster(2, 2, spec.CounterMap(), net, ClusterOptions{})
-	reps[0].Resize(4)
-	if _, err := reps[1].SyncFrom(reps[0]); err == nil {
-		t.Fatal("expected an error syncing across unequal shard counts")
+// TestShardedSyncAcrossShardCounts: a pull is the process's, so a
+// 2-shard and a 4-shard replica repair each other both ways, with GC off
+// and on — entry replies across a partition, and, from a donor compacted
+// past an empty requester at the other count, the snapshot fallback —
+// and end with one merged state and one fingerprint.
+func TestShardedSyncAcrossShardCounts(t *testing.T) {
+	adt := spec.CounterMap()
+	for _, gc := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			where := fmt.Sprintf("gc=%v seed %d", gc, seed)
+			net := transport.NewSim(transport.SimOptions{N: 2, Seed: seed, FIFO: gc})
+			mk := func(id, shards int, net transport.ResizableNetwork) *ShardedReplica {
+				return NewShardedReplica(ShardedConfig{ID: id, N: 2, Shards: shards, ADT: adt, Net: net, GC: gc, GCEvery: 4})
+			}
+			reps := []*ShardedReplica{mk(0, 2, net), mk(1, 4, net)}
+			rng := rand.New(rand.NewSource(seed))
+			write := func(k int) {
+				for i := 0; i < k; i++ {
+					reps[i%2].Update(resizeUpdate(adt, 2, i%2, i, rng))
+					net.StepN(rng.Intn(3))
+				}
+			}
+			same := func(stage string, a, b *ShardedReplica) {
+				t.Helper()
+				if mergedKey(a) != mergedKey(b) || a.Fingerprint() != b.Fingerprint() {
+					t.Fatalf("%s %s: %d and %d shards disagree: %v vs %v", where, stage, a.NumShards(), b.NumShards(), a.Fingerprint(), b.Fingerprint())
+				}
+			}
+			write(100)
+			net.Quiesce()
+			net.Partition([]int{0}, []int{1})
+			write(100)
+			for _, pair := range [][2]int{{0, 1}, {1, 0}} {
+				if n, err := reps[pair[0]].SyncFrom(reps[pair[1]]); err != nil || n == 0 {
+					t.Fatalf("%s: pull %d<-%d landed %d: %v", where, pair[0], pair[1], n, err)
+				}
+			}
+			same("after the pulls", reps[0], reps[1])
+			net.Heal()
+			write(60)
+			net.Quiesce()
+			same("healed", reps[0], reps[1])
+			if !gc {
+				continue
+			}
+			for _, r := range reps {
+				r.ForceCompact()
+				if r.Stats().Compacted == 0 {
+					t.Fatalf("%s: the %d-shard replica never compacted", where, r.NumShards())
+				}
+			}
+			// A replica restarting empty at the other shard count pulls from
+			// each: the donor has compacted past it, so the answer is one
+			// snapshot of the donor process.
+			for i, donor := range reps {
+				if _, err := donor.Shard(0).SyncReply(Digest{}); !errors.Is(err, ErrCompacted) {
+					t.Fatalf("%s: donor %d must be compacted past an empty requester, got %v", where, i, err)
+				}
+				fresh := mk(1-i, 6-donor.NumShards(), transport.NewSim(transport.SimOptions{N: 2, Seed: 1}))
+				if _, err := fresh.SyncFrom(donor); err != nil || fresh.Fingerprint().Count == 0 {
+					t.Fatalf("%s: snapshot pull from donor %d landed nothing: %v", where, i, err)
+				}
+				same("after the snapshot pull", fresh, donor)
+				if n, err := donor.SyncFrom(fresh); err != nil || n != 0 {
+					t.Fatalf("%s: donor %d pulled %d back from its own snapshot: %v", where, i, n, err)
+				}
+			}
+		}
 	}
 }
 

@@ -9,63 +9,125 @@ import (
 	"updatec/internal/transport"
 )
 
-// fuzzPair is a donor holding 60 set updates and a requester holding
-// the donor's every third, over a transport nobody steps.
-func fuzzPair() (donor, req *Replica) {
-	reps := Cluster(2, spec.Set(), transport.NewSim(transport.SimOptions{N: 2, Seed: 1}), ClusterOptions{})
-	for i := 0; i < 60; i++ {
-		reps[0].Update(spec.Ins{V: fmt.Sprint(i % 11)})
+// fuzzShardCounts are the requester (and donor) shard counts the sync
+// fuzzers drive: the one-shard case and a keyed split.
+var fuzzShardCounts = []int{1, 4}
+
+// fuzzPair is a 2-shard donor holding 60 set updates and a requester at
+// the given shard count holding the donor's every third, over transports
+// nobody steps.
+func fuzzPair(shards int) (donor, req *ShardedReplica) {
+	mk := func(id, shards int) *ShardedReplica {
+		return NewShardedReplica(ShardedConfig{ID: id, N: 2, Shards: shards, ADT: spec.Set(),
+			Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})})
 	}
-	for i, e := range reps[0].log.Entries() {
+	donor, req = mk(0, 2), mk(1, shards)
+	for i := 0; i < 60; i++ {
+		donor.Update(spec.Ins{V: fmt.Sprint(i % 11)})
+	}
+	var held []Entry
+	for s := 0; s < donor.NumShards(); s++ {
+		held = append(held, donor.Shard(s).log.Entries()...)
+	}
+	for i, e := range held {
 		if i%3 == 0 {
-			reps[1].Absorb(e.TS, e.U)
+			req.Shard(req.ShardOf(e.U.(spec.Ins).V)).Absorb(e.TS, e.U)
 		}
 	}
-	return reps[0], reps[1]
+	return donor, req
 }
 
-// FuzzApplySync feeds arbitrary bytes to the sync-reply decoder — what a
-// reconnecting peer's KindSyncReply frame hands ucserve. It must never
-// panic; a reply it refuses must leave the log, its version and the
-// counters untouched; one it accepts must land exactly what it reports
-// and leave the log in order.
-func FuzzApplySync(f *testing.F) {
-	donor, req := fuzzPair()
-	valid, err := donor.SyncReply(req.Digest())
-	if err != nil {
-		f.Fatal(err)
+// syncState is what a refused sync payload must leave untouched.
+type syncState struct {
+	fp    Fingerprint
+	key   string
+	stats Stats
+	vers  []uint64
+	// ver and logLen total the shards' log versions and live lengths.
+	ver    uint64
+	logLen int
+}
+
+func syncStateOf(r *ShardedReplica) syncState {
+	st := syncState{fp: r.Fingerprint(), key: mergedKey(r), stats: r.Stats()}
+	for s := 0; s < r.NumShards(); s++ {
+		st.vers = append(st.vers, r.Shard(s).Version())
+		st.ver += r.Shard(s).Version()
+		st.logLen += r.Shard(s).log.Len()
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(append([]byte{0x7f}, valid[1:]...)) // more frames claimed than sent
+	return st
+}
+
+func (a syncState) equal(b syncState) bool {
+	return a.fp == b.fp && a.key == b.key && a.stats == b.stats && slices.Equal(a.vers, b.vers)
+}
+
+// FuzzApplySync feeds arbitrary bytes to the wire sync-reply decoder —
+// what a reconnecting peer's KindSyncReply frame hands ucserve — on a
+// one-shard and a four-shard requester. It must never panic; a reply it
+// refuses must leave the replica as it was, on every shard; one it
+// accepts must leave every shard's log in order, each entry in the shard
+// that owns its key, and the replica able to answer a digest; a run it
+// accepts must land exactly what it counts as landed — over all shards,
+// the log versions move and the logs grow by the rise in SyncApplied.
+func FuzzApplySync(f *testing.F) {
+	for _, shards := range fuzzShardCounts {
+		donor, req := fuzzPair(shards)
+		digest, err := NewWireSync(req).DigestPayload()
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid, err := NewWireSync(donor).SyncReply(digest)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		f.Add(append([]byte{valid[0], 0x7f}, valid[2:]...)) // more frames claimed than sent
+		snap, err := donor.Shard(0).Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{syncSnapshot}, snap...))
+	}
 	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x00})
-	f.Add([]byte{0x02, 0x03, 0x05, 0x01, 'x', 0x03, 0x05, 0x01, 'x'})
+	f.Add([]byte{syncNone})
+	f.Add([]byte{syncNone, 0x00})
+	f.Add([]byte{syncEntries, 0x01, 0x00})
+	f.Add([]byte{syncEntries, 0x02, 0x03, 0x05, 0x01, 'x', 0x03, 0x05, 0x01, 'x'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, req := fuzzPair()
-		ver, stats := req.Version(), req.Stats()
-		held := slices.Clone(req.log.Entries())
-		applied, err := req.ApplySync(data)
-		if err != nil {
-			if applied != 0 || req.Version() != ver || req.Stats() != stats || !slices.Equal(req.log.Entries(), held) {
-				t.Fatalf("a refused reply landed %d entries, version %d -> %d", applied, ver, req.Version())
+		for _, shards := range fuzzShardCounts {
+			_, req := fuzzPair(shards)
+			before := syncStateOf(req)
+			if err := NewWireSync(req).ApplySync(data); err != nil {
+				if after := syncStateOf(req); !after.equal(before) {
+					t.Fatalf("%d shards: a refused reply changed the replica: %v\nbefore %+v\nafter  %+v", shards, err, before, after)
+				}
+				continue
 			}
-			return
-		}
-		if got := req.Version() - ver; got != uint64(applied) || req.log.Len() != len(held)+applied {
-			t.Fatalf("reported %d landed; version moved by %d, log grew by %d", applied, got, req.log.Len()-len(held))
-		}
-		entries := req.log.Entries()
-		for i := 1; i < len(entries); i++ {
-			if !entries[i-1].TS.Less(entries[i].TS) {
-				t.Fatalf("log out of order at %d: %s then %s", i, entries[i-1].TS, entries[i].TS)
+			if after := syncStateOf(req); data[0] == syncEntries {
+				applied := after.stats.SyncApplied - before.stats.SyncApplied
+				if moved, grew := after.ver-before.ver, after.logLen-before.logLen; moved != applied || grew != int(applied) {
+					t.Fatalf("%d shards: reported %d landed; versions moved by %d, logs grew by %d", shards, applied, moved, grew)
+				}
 			}
-		}
-		// Whatever landed can be digested and served onwards.
-		if _, err := req.SyncReply(Digest{}); err != nil {
-			t.Fatal(err)
+			for s := 0; s < req.NumShards(); s++ {
+				entries := req.Shard(s).log.Entries()
+				for i, e := range entries {
+					if i > 0 && !entries[i-1].TS.Less(e.TS) {
+						t.Fatalf("%d shards: shard %d out of order at %d: %s then %s", shards, s, i, entries[i-1].TS, e.TS)
+					}
+					if own := req.ShardOf(e.U.(spec.Ins).V); own != s {
+						t.Fatalf("%d shards: %s landed in shard %d, owner %d", shards, e.TS, s, own)
+					}
+				}
+			}
+			// Whatever landed can be digested and served onwards.
+			if _, err := NewWireSync(req).SyncReply([]byte{0, 0}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -73,54 +135,47 @@ func FuzzApplySync(f *testing.F) {
 // FuzzWireDigest feeds arbitrary bytes to the wire digest decoder — a
 // peer's KindDigest frame. It must never panic and never allocate for a
 // count the bytes cannot back; what it accepts must be ladders a donor
-// can walk, and answering it must not panic either.
+// can walk, and a one-shard and a four-shard donor must both answer it.
 func FuzzWireDigest(f *testing.F) {
-	donor, req := fuzzPair()
-	wire := func(r *Replica) *WireSync {
-		sr := NewShardedReplica(ShardedConfig{ID: 0, N: 2, Shards: 1, ADT: spec.Set(), Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1})})
-		for _, e := range r.log.Entries() {
-			sr.Shard(0).Absorb(e.TS, e.U)
+	var donors []*WireSync
+	for _, shards := range fuzzShardCounts {
+		_, req := fuzzPair(shards)
+		donors = append(donors, NewWireSync(req))
+		valid, err := NewWireSync(req).DigestPayload()
+		if err != nil {
+			f.Fatal(err)
 		}
-		return NewWireSync(sr)
+		f.Add(valid)
+		f.Add(valid[:len(valid)-2])
 	}
-	w := wire(donor)
-	valid, err := wire(req).DigestPayload()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-2])
 	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x00, 0x00})
-	f.Add([]byte{0x01, 0x00, 0x01, 0x02, 0x09, 0x01, 0x01, 0x04, 0x01, 0x01}) // rungs descending
-	f.Add([]byte{0x01, 0x00, 0x01, 0x7f})                                     // 127 rungs claimed
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})                                     // 2^28 shards claimed
+	f.Add([]byte{0x00, 0x00})
+	f.Add([]byte{0x00, 0x01, 0x02, 0x09, 0x01, 0x01, 0x04, 0x01, 0x01}) // rungs descending
+	f.Add([]byte{0x00, 0x01, 0x7f})                                     // 127 rungs claimed
+	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0x7f})                         // 2^28 origins claimed
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, err := decodeWireDigest(data)
+		d, err := decodeWireDigest(data)
 		if err != nil {
 			return
 		}
-		if len(ds) > len(data) {
-			t.Fatalf("%d shards decoded from %d bytes", len(ds), len(data))
+		if len(d.Origins) > len(data) {
+			t.Fatalf("%d origins decoded from %d bytes", len(d.Origins), len(data))
 		}
-		for _, d := range ds {
-			if len(d.Origins) > len(data) {
-				t.Fatalf("%d origins decoded from %d bytes", len(d.Origins), len(data))
+		for _, od := range d.Origins {
+			if len(od) > ladderRungs {
+				t.Fatalf("ladder of %d rungs accepted", len(od))
 			}
-			for _, od := range d.Origins {
-				if len(od) > ladderRungs {
-					t.Fatalf("ladder of %d rungs accepted", len(od))
-				}
-				for i := 1; i < len(od); i++ {
-					if od[i].Clock <= od[i-1].Clock {
-						t.Fatalf("ladder not ascending: %v", od)
-					}
+			for i := 1; i < len(od); i++ {
+				if od[i].Clock <= od[i-1].Clock {
+					t.Fatalf("ladder not ascending: %v", od)
 				}
 			}
 		}
-		if _, err := w.SyncReply(data); err != nil && len(ds) == 1 {
-			t.Fatalf("a well-formed one-shard digest was refused: %v", err)
+		for _, w := range donors {
+			if _, err := w.SyncReply(data); err != nil {
+				t.Fatalf("a well-formed digest was refused: %v", err)
+			}
 		}
 	})
 }

@@ -3,48 +3,32 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"sync"
 )
 
 // Wire encoding of the anti-entropy exchange (sync.go), used by the
-// TCP transport's sync-on-connect: in-process the exchange passes a
-// Digest struct and an opaque reply between *Replica values, but
-// across a socket both directions must be bytes. WireSync wraps one
-// process's ShardedReplica behind the three-method shape
-// transport.SyncProvider expects — the transport moves the payloads
-// without understanding them, exactly as it moves update frames.
+// TCP transport's sync-on-connect. WireSync wraps one process's
+// ShardedReplica behind the three-method shape transport.SyncProvider
+// expects; the transport moves the payloads without understanding them.
 //
-// Digest payload (all shards of one replica, in shard order):
+// Digest payload — one process's Digest, whatever its shard count:
 //
-//	uvarint shardCount
-//	shardCount × ( uvarint base,
-//	               uvarint originCount,
-//	               originCount × ( uvarint rungCount,
-//	                               rungCount × ( uvarint clock, uvarint count, uvarint hash ) ) )
+//	uvarint base,
+//	uvarint originCount,
+//	originCount × ( uvarint rungCount,
+//	                rungCount × ( uvarint clock, uvarint count, uvarint hash ) )
 //
 // with at most ladderRungs rungs per origin, in strictly ascending clock
 // order (see OriginDigest).
 //
-// Reply payload:
-//
-//	uvarint shardCount
-//	shardCount × ( byte mode, mode≠0 → uvarint len + body )
-//
-// where mode and body are exactly what the donor shard's syncAnswer
-// produced and the requester shard's syncLand consumes (sync.go): 1
-// carries a Replica.SyncReply entry run and 2 a full Replica.Snapshot —
-// the per-shard fallback when the donor shard has compacted past the
-// requester's horizon. Mode 0 means the requester's shard is missing
-// nothing.
-//
-// Both sides refuse mismatched shard counts, like
-// ShardedReplica.SyncFrom: wire clusters do not resize live (the TCP
-// transport has no cross-process drain barrier), so a mismatch means
-// misconfiguration, not a transient.
+// Reply payload: the mode byte of the donor's answer, then its body (a
+// run of entries, or one snapshot of the donor process); a requester
+// missing nothing gets no reply. The two sides need not share a shard
+// count: the requester routes the answer by its own table.
 
 // WireSync adapts a ShardedReplica to the transport's byte-level sync
 // exchange. It is stateless beyond the replica pointer and safe for
-// concurrent use (the per-shard sync entry points lock internally).
+// concurrent use.
 type WireSync struct {
 	r *ShardedReplica
 }
@@ -52,30 +36,28 @@ type WireSync struct {
 // NewWireSync wraps r for a TCPNetwork.SetSyncProvider hook.
 func NewWireSync(r *ShardedReplica) *WireSync { return &WireSync{r: r} }
 
-// DigestPayload encodes every shard's digest.
+// DigestPayload encodes the process's digest.
 func (w *WireSync) DigestPayload() ([]byte, error) {
-	gen := w.r.gen.Load()
-	out := binary.AppendUvarint(nil, uint64(len(gen.shards)))
-	for _, sh := range gen.shards {
-		d := sh.Digest()
-		out = binary.AppendUvarint(out, d.Base)
-		out = binary.AppendUvarint(out, uint64(len(d.Origins)))
-		for _, od := range d.Origins {
-			out = binary.AppendUvarint(out, uint64(len(od)))
-			for _, g := range od {
-				out = binary.AppendUvarint(out, g.Clock)
-				out = binary.AppendUvarint(out, g.Count)
-				out = binary.AppendUvarint(out, g.Hash)
-			}
+	w.r.routeMu.RLock()
+	defer w.r.routeMu.RUnlock()
+	d := w.r.procShards(w.r.gen.Load()).digest()
+	out := binary.AppendUvarint(nil, d.Base)
+	out = binary.AppendUvarint(out, uint64(len(d.Origins)))
+	for _, od := range d.Origins {
+		out = binary.AppendUvarint(out, uint64(len(od)))
+		for _, g := range od {
+			out = binary.AppendUvarint(out, g.Clock)
+			out = binary.AppendUvarint(out, g.Count)
+			out = binary.AppendUvarint(out, g.Hash)
 		}
 	}
 	return out, nil
 }
 
-// decodeWireDigest parses a DigestPayload into per-shard Digests. Every
+// decodeWireDigest parses a DigestPayload, which must be all of p. Every
 // count is checked against what the remaining bytes could hold (or its
 // fixed ceiling) before anything is allocated for it.
-func decodeWireDigest(p []byte) ([]Digest, error) {
+func decodeWireDigest(p []byte) (Digest, error) {
 	next := func() (uint64, error) {
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
@@ -84,110 +66,76 @@ func decodeWireDigest(p []byte) ([]Digest, error) {
 		p = p[n:]
 		return v, nil
 	}
-	// A shard is at least two bytes (base, origin count), an origin one.
-	nshards, err := next()
-	if err != nil || nshards > uint64(len(p))/2 {
-		return nil, errors.New("core: malformed wire digest shard count")
+	var d Digest
+	var err error
+	if d.Base, err = next(); err != nil {
+		return d, err
 	}
-	ds := make([]Digest, nshards)
-	for s := range ds {
-		if ds[s].Base, err = next(); err != nil {
-			return nil, err
-		}
-		norig, err := next()
-		if err != nil || norig > uint64(len(p)) {
-			return nil, errors.New("core: malformed wire digest origin count")
-		}
-		ds[s].Origins = make([]OriginDigest, norig)
-		for j := range ds[s].Origins {
-			nrungs, err := next()
-			if err != nil || nrungs > ladderRungs {
-				return nil, errors.New("core: malformed wire digest rung count")
-			}
-			od := make(OriginDigest, nrungs)
-			for i := range od {
-				g := &od[i]
-				if g.Clock, err = next(); err != nil {
-					return nil, err
-				}
-				if g.Count, err = next(); err != nil {
-					return nil, err
-				}
-				if g.Hash, err = next(); err != nil {
-					return nil, err
-				}
-				if i > 0 && g.Clock <= od[i-1].Clock {
-					return nil, errors.New("core: wire digest rungs out of order")
-				}
-			}
-			ds[s].Origins[j] = od
-		}
+	// An origin is at least one byte, its rung count.
+	norig, err := next()
+	if err != nil || norig > uint64(len(p)) {
+		return d, errors.New("core: malformed wire digest origin count")
 	}
-	return ds, nil
+	d.Origins = make([]OriginDigest, norig)
+	for j := range d.Origins {
+		nrungs, err := next()
+		if err != nil || nrungs > ladderRungs {
+			return d, errors.New("core: malformed wire digest rung count")
+		}
+		od := make(OriginDigest, nrungs)
+		for i := range od {
+			g := &od[i]
+			if g.Clock, err = next(); err != nil {
+				return d, err
+			}
+			if g.Count, err = next(); err != nil {
+				return d, err
+			}
+			if g.Hash, err = next(); err != nil {
+				return d, err
+			}
+			if i > 0 && g.Clock <= od[i-1].Clock {
+				return d, errors.New("core: wire digest rungs out of order")
+			}
+		}
+		d.Origins[j] = od
+	}
+	if len(p) != 0 {
+		return d, errors.New("core: trailing bytes after wire digest")
+	}
+	return d, nil
 }
 
-// SyncReply answers a peer's digest with, per shard, the entry suffix
-// it is missing — or a snapshot when this donor has compacted past the
-// peer's horizon. A nil, nil reply means no shard is missing anything.
+// SyncReply answers a peer's digest at one cut of every shard: the
+// entries it is missing, or one snapshot when this process has compacted
+// past the peer's horizon. A nil, nil reply means the peer is missing
+// nothing.
 func (w *WireSync) SyncReply(digest []byte) ([]byte, error) {
-	ds, err := decodeWireDigest(digest)
+	d, err := decodeWireDigest(digest)
 	if err != nil {
 		return nil, err
 	}
-	gen := w.r.gen.Load()
-	if len(ds) != len(gen.shards) {
-		return nil, fmt.Errorf("core: wire sync requires equal shard counts (peer has %d, have %d)", len(ds), len(gen.shards))
+	w.r.routeMu.RLock()
+	defer w.r.routeMu.RUnlock()
+	ps := w.r.procShards(w.r.gen.Load())
+	ps.each((*sync.RWMutex).RLock)
+	mode, body, err := ps.answerLocked([]byte{0}, d)
+	ps.each((*sync.RWMutex).RUnlock)
+	if err != nil || mode == syncNone {
+		return nil, err
 	}
-	out := binary.AppendUvarint(nil, uint64(len(gen.shards)))
-	empty := true
-	for s, sh := range gen.shards {
-		mode, body, err := sh.syncAnswer(ds[s])
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", s, err)
-		}
-		out = append(out, mode)
-		if mode == syncNone {
-			continue
-		}
-		empty = false
-		out = binary.AppendUvarint(out, uint64(len(body)))
-		out = append(out, body...)
-	}
-	if empty {
-		return nil, nil
-	}
-	return out, nil
+	body[0] = mode
+	return body, nil
 }
 
-// ApplySync lands a SyncReply payload shard by shard.
+// ApplySync lands a SyncReply payload: decoded and split whole before
+// any shard lands, so a malformed one lands nothing.
 func (w *WireSync) ApplySync(payload []byte) error {
-	nshards, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return errors.New("core: malformed wire sync reply shard count")
+	if len(payload) == 0 {
+		return errors.New("core: empty wire sync reply")
 	}
-	p := payload[n:]
-	gen := w.r.gen.Load()
-	if nshards != uint64(len(gen.shards)) {
-		return fmt.Errorf("core: wire sync reply for %d shards, have %d", nshards, len(gen.shards))
-	}
-	for s, sh := range gen.shards {
-		if len(p) == 0 {
-			return fmt.Errorf("core: truncated wire sync reply at shard %d", s)
-		}
-		mode := p[0]
-		p = p[1:]
-		if mode == syncNone {
-			continue
-		}
-		blen, m := binary.Uvarint(p)
-		if m <= 0 || uint64(len(p)-m) < blen {
-			return fmt.Errorf("core: truncated wire sync reply body at shard %d", s)
-		}
-		body := p[m : m+int(blen)]
-		p = p[m+int(blen):]
-		if _, err := sh.syncLand(mode, body); err != nil {
-			return fmt.Errorf("core: shard %d: %w", s, err)
-		}
-	}
-	return nil
+	w.r.routeMu.RLock()
+	defer w.r.routeMu.RUnlock()
+	_, err := w.r.procShards(w.r.gen.Load()).landBytes(payload[0], payload[1:])
+	return err
 }

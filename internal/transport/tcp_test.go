@@ -498,51 +498,63 @@ func TestTCPWrongClusterSizeRejected(t *testing.T) {
 	})
 }
 
-// TestTCPOldDataFormatPeerRefused: a peer whose hello carries no data
-// format — a daemon that sends one bare message per frame — is refused
-// and logged at the hello, before any of its frames reaches the router,
-// so its link never churns through bad payloads.
+// TestTCPOldDataFormatPeerRefused: a peer whose hello carries an older
+// data format — none at all, from a daemon that sends one bare message
+// per frame, or version 2, whose sync payloads are framed per shard — is
+// refused and logged at the hello, before any of its frames reaches the
+// router, so its link never churns through payloads it would misparse.
 func TestTCPOldDataFormatPeerRefused(t *testing.T) {
-	var logMu sync.Mutex
-	var logged []string
-	sink := &tcpSink{}
-	nets := newTCPCluster(t, 2, func(id int, o *TCPOptions, tn *TCPNetwork) {
-		if o != nil && id == 0 {
-			o.Logf = func(format string, args ...any) {
-				logMu.Lock()
-				logged = append(logged, fmt.Sprintf(format, args...))
-				logMu.Unlock()
-			}
-		}
-		if tn != nil {
-			tn.AttachRouter(id, sink.route)
-		}
-	})
-	conn, err := net.Dial("tcp", nets[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	current := helloPayload(RolePeer, 2, "")
-	old := current[:len(current)-1] // the same hello without the version
-	conn.Write(AppendFrame(nil, Frame{Kind: KindHello, From: 1, Payload: old}))
-	conn.Write(AppendFrame(nil, Frame{Kind: KindData, From: 1, Payload: []byte("bare message")}))
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// The daemon hangs up: an EOF, or a reset when it closed with the data
-	// frame still unread in its socket buffer.
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
-		t.Fatalf("the daemon kept an old-format peer link (read: %v)", err)
-	}
-	if got := nets[0].BadFrames(); got != 1 {
-		t.Fatalf("bad frames = %d, want 1 (the hello)", got)
-	}
-	if sink.has("1/0/0:bare message") {
-		t.Fatal("a frame behind a refused hello reached the router")
-	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	if len(logged) == 0 || !strings.Contains(strings.Join(logged, "\n"), "speaks data format 1, this daemon 2") {
-		t.Fatalf("refusal not logged: %q", logged)
+	for _, tc := range []struct {
+		name    string
+		hello   []byte
+		version int
+	}{
+		{"no version", current[:len(current)-1], 1},
+		{"version 2", append(current[:len(current)-1:len(current)-1], 2), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logMu sync.Mutex
+			var logged []string
+			sink := &tcpSink{}
+			nets := newTCPCluster(t, 2, func(id int, o *TCPOptions, tn *TCPNetwork) {
+				if o != nil && id == 0 {
+					o.Logf = func(format string, args ...any) {
+						logMu.Lock()
+						logged = append(logged, fmt.Sprintf(format, args...))
+						logMu.Unlock()
+					}
+				}
+				if tn != nil {
+					tn.AttachRouter(id, sink.route)
+				}
+			})
+			conn, err := net.Dial("tcp", nets[0].Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.Write(AppendFrame(nil, Frame{Kind: KindHello, From: 1, Payload: tc.hello}))
+			conn.Write(AppendFrame(nil, Frame{Kind: KindData, From: 1, Payload: []byte("bare message")}))
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			// The daemon hangs up: an EOF, or a reset when it closed with the
+			// data frame still unread in its socket buffer.
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("the daemon kept an old-format peer link (read: %v)", err)
+			}
+			if got := nets[0].BadFrames(); got != 1 {
+				t.Fatalf("bad frames = %d, want 1 (the hello)", got)
+			}
+			if sink.has("1/0/0:bare message") {
+				t.Fatal("a frame behind a refused hello reached the router")
+			}
+			logMu.Lock()
+			defer logMu.Unlock()
+			want := fmt.Sprintf("speaks data format %d, this daemon %d", tc.version, PeerVersion)
+			if len(logged) == 0 || !strings.Contains(strings.Join(logged, "\n"), want) {
+				t.Fatalf("refusal not logged: %q", logged)
+			}
+		})
 	}
 }
 

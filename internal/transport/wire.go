@@ -216,15 +216,18 @@ func BufferedFrame(br *bufio.Reader, max int) (f Frame, n int, ok bool, err erro
 }
 
 // PeerVersion is the data format a peer hello claims for the payloads of
-// its data frames. Version 2 payloads are steps — every update of one
-// write step in one frame, behind the first one's stamp; version 1 (a hello without the field, as
-// sent by a daemon predating it) carried one bare message per frame.
-// Neither decodes as the other, so a receiver refuses a peer hello of
-// any other version at handshake: a link that let the frames through
-// would be dropped as a bad payload at the first one and redialed
-// forever. Client hellos carry no version; the client protocol is
-// unchanged.
-const PeerVersion = 2
+// its frames. Version 3 sync payloads are one process's: a digest with
+// no shard count, and a reply of one mode byte and one body, so daemons
+// at different shard counts repair each other. Version 2 framed both per
+// shard; its data payloads were already steps — every update of one
+// write step in one frame, behind the first one's stamp — where version 1
+// (a hello without the field, as sent by a daemon predating it) carried
+// one bare message per frame. No version decodes as another, so a
+// receiver refuses a peer hello of any other version at handshake: a
+// link that let the frames through would be misparsed, or dropped as a
+// bad payload at the first frame and redialed forever. Client hellos
+// carry no version; the client protocol is unchanged.
+const PeerVersion = 3
 
 // helloPayload encodes the connection-opening hello: magic, role, the
 // sender's cluster size (a cross-cluster dial is refused early), the

@@ -359,7 +359,7 @@ func CounterMapObject() Object[*CounterMap] {
 // number of registers written however many writes it has seen. Reads
 // are keyed queries on the maintained state. Memory accepts every
 // option the generic construction does — WithShards and Resize (it is
-// partitionable), WithEngine, WithGC (there is nothing left to fold),
+// partitionable), WithGC (there is nothing left to fold),
 // sessions, the wire transport and Dial.
 type Memory struct{ p port }
 

@@ -84,18 +84,6 @@ import (
 	"updatec/internal/transport"
 )
 
-// EngineKind names a query engine of the generic construction
-// (§VII-C) to run instead of the default. Without WithEngine a cluster
-// keeps its state between reads and repairs it when a read asks — by
-// undo/redo of what a late update displaced when the object is
-// Undoable (every built-in is), from periodic snapshots otherwise (see
-// ARCHITECTURE.md, "read path"). Replay is the paper's literal
-// algorithm: every read replays the log and nothing is retained.
-type EngineKind int
-
-// Replay is the one selectable query engine.
-const Replay EngineKind = 0
-
 // Level selects a consistency level for a cluster (WithConsistency).
 type Level int
 
@@ -136,11 +124,13 @@ type config struct {
 	simulated bool
 	fifo      bool
 	gc        bool
-	engine    EngineKind
-	engineSet bool
-	record    bool
-	shards    int
-	level     Level
+	// replay runs every replica on the paper-literal ReplayEngine instead
+	// of the one its object's capabilities pick: the oracle this package's
+	// tests compare the default engine with. No exported option sets it.
+	replay bool
+	record bool
+	shards int
+	level  Level
 }
 
 // Option configures a cluster.
@@ -164,11 +154,6 @@ func WithFIFO() Option { return func(c *config) { c.fifo = true } }
 // write through one handle: a replica sends its updates in the order it
 // stamps them, which is what compaction relies on.
 func WithGC() Option { return func(c *config) { c.gc = true } }
-
-// WithEngine selects the query engine.
-func WithEngine(k EngineKind) Option {
-	return func(c *config) { c.engine = k; c.engineSet = true }
-}
 
 // WithRecording records every operation into a distributed history
 // available from Cluster.History and Cluster.Classify.
@@ -293,10 +278,10 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 		cl.rec = history.NewRecorder(obj.adt, n)
 	}
 	handles := make([]H, n)
-	// Without WithEngine the replicas pick their engine from the
-	// object's capabilities (core.DefaultEngine).
+	// The replicas pick their engine from the object's capabilities
+	// (core.DefaultEngine) unless the tests' oracle switch is set.
 	var mkEngine func() core.Engine
-	if cfg.engineSet && cfg.engine == Replay {
+	if cfg.replay {
 		mkEngine = func() core.Engine { return core.NewReplayEngine() }
 	}
 	cl.replicas = core.ShardedCluster(n, cfg.shards, obj.adt, net, core.ClusterOptions{
@@ -688,9 +673,8 @@ func (c *Cluster[H]) Stats() NetworkStats {
 // answer). On a sharded cluster the comparison covers every shard.
 //
 // It compares canonical StateKeys, not update-set fingerprints (the wire
-// daemons' StateKey): it is the oracle in-process runs end with, it must
-// cover resized clusters, where fingerprints are withdrawn; and it runs
-// once, after Settle, not in a polling loop.
+// daemons' StateKey): it is the oracle in-process runs end with, and it
+// runs once, after Settle, not in a polling loop.
 func (c *Cluster[H]) Converged() bool {
 	crashed := c.crashedSet()
 	want, first := "", true

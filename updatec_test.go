@@ -284,9 +284,9 @@ func TestOptionObjectCombinationErrors(t *testing.T) {
 	// MemoryObject (Algorithm 2) is the register map with a masking log:
 	// it takes every option the generic construction does.
 	for name, opts := range map[string][]Option{
-		"WithEngine": {WithSeed(1), WithEngine(Replay)},
-		"WithGC":     {WithSeed(1), WithFIFO(), WithGC()},
-		"WithShards": {WithSeed(1), WithShards(2)},
+		"replay engine": {WithSeed(1), withReplayEngine()},
+		"WithGC":        {WithSeed(1), WithFIFO(), WithGC()},
+		"WithShards":    {WithSeed(1), WithShards(2)},
 	} {
 		cluster, mems, err := New(2, MemoryObject("v0"), opts...)
 		if err != nil {
@@ -327,9 +327,13 @@ func TestOptionObjectCombinationErrors(t *testing.T) {
 	}
 }
 
+// withReplayEngine runs a cluster on the paper-literal ReplayEngine: the
+// oracle the default engine is compared with.
+func withReplayEngine() Option { return func(c *config) { c.replay = true } }
+
 func TestEngineOptions(t *testing.T) {
-	// The default engine, then the selectable one.
-	for _, engine := range [][]Option{nil, {WithEngine(Replay)}} {
+	// The default engine, then the replay oracle.
+	for _, engine := range [][]Option{nil, {withReplayEngine()}} {
 		cluster, sets, err := New(2, SetObject(), append(engine, WithSeed(19))...)
 		if err != nil {
 			t.Fatal(err)

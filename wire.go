@@ -25,8 +25,8 @@ import (
 // protocol: updates as spec codec bytes, and queries as round trips of
 // the object's QueryCodec bytes, an input out and its output back.
 // "Converged yet?" is answered without touching the state: a daemon's
-// StateKey is its update-set fingerprint, O(1) per shard however much
-// the replica holds. Equal keys mean equal sets of update stamps; that
+// StateKey is its update-set fingerprint, O(shards) however much the
+// replica holds. Equal keys mean equal sets of update stamps; that
 // is the same updates, and so the same state (Algorithm 1's state is a
 // function of that set), only while no stamp names two updates — see
 // WireNode.StateKey for the one way a daemon breaks that.
@@ -41,17 +41,19 @@ type WireConfig struct {
 	// Listen is the local listen address; empty defaults to Peers[ID].
 	Listen string
 	// Shards runs the replica key-sharded (WithShards semantics; needs
-	// a partitionable object). 0 means 1.
+	// a partitionable object). 0 means 1. It is this daemon's own choice:
+	// its peers may run other counts.
 	Shards int
 	// GC enables stability-based log compaction, at one horizon for all
-	// of the replica's shards: every shard's traffic to a peer shares
-	// one connection, FIFO, so a stamp from a peer proves that its
-	// earlier ones arrived, whatever their shard. A reconnect can
-	// reorder a lost tail behind digest-sync'd entries; compaction stays
-	// correct because synced entries skip stability accounting and
-	// redeliveries below an adopted snapshot's horizon are dropped by the
-	// merged-base guard. A daemon never resizes, so its shards' bases are
-	// never split.
+	// of the replica's shards: all traffic from a peer shares one
+	// connection, FIFO, so a stamp from a peer proves that its earlier
+	// ones arrived, whatever their shard and the peer's shard count.
+	// Synced entries skip stability accounting, and redeliveries below an
+	// adopted snapshot's horizon are dropped by the merged-base guard. An
+	// update sent while its link is down is dropped and left to the
+	// digest exchange on reconnect, and a peer that observes the sender's
+	// newer stamps before that exchange lands can compact past it (see
+	// ROADMAP item 17).
 	GC bool
 	// BatchBytes and QueueLen tune the transport's per-peer send queues
 	// (transport.TCPOptions semantics: coalescing threshold and queue
@@ -152,13 +154,13 @@ func (w *WireNode[H]) Handle() H { return w.handle }
 // Addr returns the bound listen address (resolving ":0").
 func (w *WireNode[H]) Addr() string { return w.tcp.Addr() }
 
-// StateKey returns the replica's convergence key: its per-shard update-set
-// fingerprints (core.ShardedReplica.Fingerprint), rendered. Two daemons
+// StateKey returns the replica's convergence key: its update-set
+// fingerprint (core.ShardedReplica.Fingerprint), rendered. Two daemons
 // of one cluster have equal keys exactly when they hold the same set of
-// update stamps (clock, proc); keys of independent clusters are not
-// comparable. It costs O(shards) whatever the replica holds, so polling
-// a replica that is still ingesting is cheap. Wire clusters never
-// resize, so the fingerprint is always defined.
+// update stamps (clock, proc), whatever shard count each runs; keys of
+// independent clusters are not comparable. It costs O(shards) whatever
+// the replica holds, so polling a replica that is still ingesting is
+// cheap.
 //
 // Equal stamps mean equal updates, and so equal states, only while no
 // daemon reuses a stamp. A daemon restarted after a crash breaks that:
@@ -168,10 +170,7 @@ func (w *WireNode[H]) Addr() string { return w.tcp.Addr() }
 // pre-crash update. Each log keeps whichever of the two it saw first,
 // the states differ for good, and the keys still agree. Only a canonical
 // comparison (Replica.StateKey, the object's ω query) shows it.
-func (w *WireNode[H]) StateKey() string {
-	fps, _ := w.rep.Fingerprint()
-	return fmt.Sprint(fps)
-}
+func (w *WireNode[H]) StateKey() string { return w.rep.Fingerprint().String() }
 
 // Flush blocks until every queued outbound envelope has been written
 // to its peer socket (or the timeout expires).

@@ -36,6 +36,8 @@ import (
 // (the same updates carry other timestamps), so the reference comparison
 // is always of canonical state, never of keys.
 
+// wireAddrs reserves n distinct loopback addresses: every listener stays
+// open until all are taken, so the kernel cannot hand one port out twice.
 func wireAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -44,8 +46,8 @@ func wireAddrs(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs
 }
@@ -566,6 +568,128 @@ func TestWireConcurrentGCWriters(t *testing.T) {
 	})
 }
 
+// TestWireMixedShardCounts: the daemons of one cluster pick their shard
+// counts on their own. Three in-process daemons at 1, 2 and 4 shards,
+// written on every daemon, converge — with GC off and on — to the ω
+// answer of an unsharded reference and to one fingerprint; the 1-shard
+// daemon is closed, the others keep writing, and once restarted it is
+// written to only after its on-connect pulls (a restarted daemon can
+// reuse a stamp before them, ROADMAP item 3). Every delivery between two
+// of them crosses routing epochs, and with GC every daemon still
+// compacts. Writes wait for every link to be up: an update sent to a
+// peer whose link is down is dropped, and with GC a peer can compact past
+// it before the sync reply that repairs it lands (ROADMAP item 17).
+func TestWireMixedShardCounts(t *testing.T) {
+	obj := CounterMapObject()
+	counts := []int{1, 2, 4}
+	for _, gc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gc=%v", gc), func(t *testing.T) {
+			addrs := wireAddrs(t, 3)
+			nodes := make([]*WireNode[*CounterMap], 3)
+			start := func(i int) {
+				nodes[i] = serveWire(t, obj, WireConfig{ID: i, Peers: addrs, Shards: counts[i], GC: gc})
+			}
+			meshUp := func(what string) {
+				t.Helper()
+				waitWire(t, 10*time.Second, what, func() bool {
+					for _, n := range nodes {
+						for _, p := range n.Stats().Peers {
+							if !p.Connected {
+								return false
+							}
+						}
+					}
+					return true
+				})
+			}
+			for i := range nodes {
+				start(i)
+			}
+			meshUp("peer mesh")
+			// phase has the writers add on their daemons, and on the reference
+			// replica of the same id.
+			var script []func(hs []*CounterMap)
+			phase := func(writers ...int) {
+				step := len(script)
+				write := func(hs []*CounterMap) {
+					for j := 0; j < 150; j++ {
+						for _, i := range writers {
+							hs[i].Add(fmt.Sprintf("k%d", (i*7+j+step)%11), int64(i+1))
+						}
+					}
+				}
+				script = append(script, write)
+				hs := make([]*CounterMap, len(nodes))
+				for _, i := range writers {
+					hs[i] = nodes[i].Handle()
+				}
+				write(hs)
+			}
+			omega := func(n *WireNode[*CounterMap]) string {
+				in, _ := obj.Omega()
+				return fmt.Sprint(n.rep.Query(in))
+			}
+			converge := func(what string, live []*WireNode[*CounterMap]) {
+				t.Helper()
+				for _, n := range live {
+					if err := n.Flush(5 * time.Second); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := refOmega(obj, referenceWire(t, obj, 1, func(hs []*CounterMap) {
+					for _, write := range script {
+						write(hs)
+					}
+				}))
+				waitWire(t, 15*time.Second, what, func() bool {
+					for _, n := range live {
+						if n.StateKey() != live[0].StateKey() || omega(n) != want {
+							return false
+						}
+					}
+					return true
+				}, func() string {
+					var b strings.Builder
+					for _, n := range live {
+						fmt.Fprintf(&b, "key %s omega %s\n%s", n.StateKey(), omega(n), n.StatsText())
+					}
+					return b.String()
+				})
+			}
+			phase(0, 1, 2)
+			converge("mixed-count convergence", nodes)
+
+			nodes[0].Close()
+			phase(1, 2)
+			converge("survivor convergence", nodes[1:])
+
+			start(0)
+			meshUp("peer mesh after the restart")
+			waitWire(t, 10*time.Second, "the survivors' new links to the restarted daemon", func() bool {
+				for _, n := range nodes[1:] {
+					if p := n.Stats().Peers[0]; p.Peer != 0 || p.Connects < 2 {
+						return false
+					}
+				}
+				return true
+			})
+			waitWire(t, 15*time.Second, "the restarted daemon's on-connect pulls", func() bool {
+				return nodes[0].Stats().SyncsApplied > 0 && nodes[0].StateKey() == nodes[1].StateKey()
+			})
+			phase(0, 1, 2)
+			converge("convergence after the restart", nodes)
+			if !gc {
+				return
+			}
+			for i, n := range nodes {
+				if st := n.rep.Stats(); st.Compacted == 0 {
+					t.Fatalf("the %d-shard daemon %d never compacted: %+v", counts[i], i, st)
+				}
+			}
+		})
+	}
+}
+
 // TestWireConfigRejections pins the constructor's validation: the wire
 // transport refuses sharding non-partitionable objects and out-of-range
 // ids, with errors rather than panics.
@@ -710,19 +834,15 @@ func waitClients[H any](t *testing.T, cs []*Client[H], what string, ok func() bo
 	}, clientDump(cs))
 }
 
-// runWireProcs spawns a 3-daemon ucserve cluster, applies the workload
-// through one Dial client per daemon, and requires every daemon to
-// converge to the in-process reference state.
-func runWireProcs[H any](t *testing.T, objName string, obj Object[H], shards int, drive func(hs []H)) []*Client[H] {
+// runWireProcs spawns a 3-daemon ucserve cluster, daemon i at shards[i]
+// shards, applies the workload through one Dial client per daemon, and
+// requires every daemon to converge to the in-process reference state.
+func runWireProcs[H any](t *testing.T, objName string, obj Object[H], shards []int, drive func(hs []H)) []*Client[H] {
 	t.Helper()
 	bin := buildUcserve(t)
 	addrs := wireAddrs(t, 3)
-	var extra []string
-	if shards > 1 {
-		extra = append(extra, "-shards", fmt.Sprint(shards))
-	}
 	for id := range addrs {
-		startDaemon(t, bin, id, addrs, objName, extra...)
+		startDaemon(t, bin, id, addrs, objName, "-shards", fmt.Sprint(shards[id]))
 	}
 	cs := make([]*Client[H], 3)
 	hs := make([]H, 3)
@@ -736,7 +856,7 @@ func runWireProcs[H any](t *testing.T, objName string, obj Object[H], shards int
 			t.Fatal(err)
 		}
 	}
-	want := refOmega(obj, referenceWire(t, obj, shards, drive))
+	want := refOmega(obj, referenceWire(t, obj, shards[0], drive))
 	waitClients(t, cs, objName+" cluster convergence", func() bool { return sameOmega(obj, cs, want) })
 	return cs
 }
@@ -749,7 +869,7 @@ func TestWireMultiProcessConvergence(t *testing.T) {
 		t.Skip("multi-process suite skipped in -short")
 	}
 	t.Run("set", func(t *testing.T) {
-		runWireProcs(t, "set", SetObject(), 1, func(hs []*Set) {
+		runWireProcs(t, "set", SetObject(), []int{1, 1, 1}, func(hs []*Set) {
 			for i, h := range hs {
 				for j := 0; j < 30; j++ {
 					h.Insert(fmt.Sprintf("p%d-%d", i, j))
@@ -758,7 +878,7 @@ func TestWireMultiProcessConvergence(t *testing.T) {
 		})
 	})
 	t.Run("counter", func(t *testing.T) {
-		runWireProcs(t, "counter", CounterObject(), 1, func(hs []*Counter) {
+		runWireProcs(t, "counter", CounterObject(), []int{1, 1, 1}, func(hs []*Counter) {
 			for i, h := range hs {
 				for j := 0; j < 30; j++ {
 					h.Add(int64(i + 1))
@@ -766,14 +886,20 @@ func TestWireMultiProcessConvergence(t *testing.T) {
 			}
 		})
 	})
-	t.Run("countermap-sharded", func(t *testing.T) {
-		runWireProcs(t, "countermap", CounterMapObject(), 2, func(hs []*CounterMap) {
-			for _, h := range hs {
-				for j := 0; j < 30; j++ {
-					h.Add(fmt.Sprintf("k%d", j%5), 1)
-				}
+	countermap := func(hs []*CounterMap) {
+		for _, h := range hs {
+			for j := 0; j < 30; j++ {
+				h.Add(fmt.Sprintf("k%d", j%5), 1)
 			}
-		})
+		}
+	}
+	t.Run("countermap-sharded", func(t *testing.T) {
+		runWireProcs(t, "countermap", CounterMapObject(), []int{2, 2, 2}, countermap)
+	})
+	// Each daemon's -shards is its own choice: ucserve -shards 1, 2 and 4
+	// form one cluster.
+	t.Run("countermap-mixed-shards", func(t *testing.T) {
+		runWireProcs(t, "countermap", CounterMapObject(), []int{1, 2, 4}, countermap)
 	})
 }
 

@@ -881,30 +881,44 @@ func BenchmarkContendedUpdate(b *testing.B) {
 // a 4-shard counter map — writers hash across shard lanes, but share the
 // process's writer token, and every delivery to a process goes through
 // its one dispatcher: it prices one send order and one FIFO stream per
-// process link.
+// process link. The causal rows, at one and four shards, price the causal
+// gate's one lock domain: a write step and a delivery there hold every
+// shard's lock.
 func BenchmarkShardedContendedUpdate(b *testing.B) {
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%02d", i)
 	}
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			net := transport.NewLive(3)
-			defer net.Close()
-			reps := core.ShardedCluster(3, 4, spec.CounterMap(), net, core.ClusterOptions{})
-			var seq atomic.Uint64
-			b.SetParallelism(par)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					k := seq.Add(1)
-					reps[0].Update(spec.AddKey{K: keys[k%uint64(len(keys))], N: 1})
-				}
+	for _, c := range []struct {
+		name   string
+		shards int
+		causal bool
+	}{{"", 4, false}, {"causal/shards=1/", 1, true}, {"causal/shards=4/", 4, true}} {
+		for _, par := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%sparallelism=%d", c.name, par), func(b *testing.B) {
+				benchShardedContended(b, keys, par, c.shards, c.causal)
 			})
-			net.Drain()
-		})
+		}
 	}
+}
+
+// benchShardedContended drives par writers through replica 0 of three
+// counter-map replicas at the given shard count and level.
+func benchShardedContended(b *testing.B, keys []string, par, shards int, causal bool) {
+	net := transport.NewLive(3)
+	defer net.Close()
+	reps := core.ShardedCluster(3, shards, spec.CounterMap(), net, core.ClusterOptions{Causal: causal})
+	var seq atomic.Uint64
+	b.SetParallelism(par)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			k := seq.Add(1)
+			reps[0].Update(spec.AddKey{K: keys[k%uint64(len(keys))], N: 1})
+		}
+	})
+	net.Drain()
 }
 
 // BenchmarkWireQuery prices one query round trip through Dial against an

@@ -2,7 +2,10 @@ package updatec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"updatec/internal/check"
 )
 
 // TestConsistencyCausalCommutativeConverges runs a commutative object
@@ -111,5 +114,72 @@ func TestConsistencyDefaultLevelCCEqualsPC(t *testing.T) {
 	}
 	if c.CausallyConsistent != c.PipelinedConsistent {
 		t.Fatalf("without dependency vectors CC must equal PC: %+v", c)
+	}
+}
+
+// TestCausalShardedRecordedCC records one causal counter-map schedule at
+// one shard, at four, and resized 1→4→2 with the backlog in flight —
+// keyed reads, whole-state reads (which read every shard at one cut) and
+// updates — and hands each history to the CC decider: the sharded runs
+// are decided causally consistent wherever the one-shard run is, and the
+// counter map's updates commute, so that is everywhere.
+func TestCausalShardedRecordedCC(t *testing.T) {
+	keys := []string{"a", "b", "c", "d"}
+	for seed := int64(1); seed <= 2; seed++ {
+		verdicts := map[string]bool{}
+		for _, shape := range []string{"1", "4", "1-4-2"} {
+			opts := []Option{WithConsistency(Causal), WithSeed(seed), WithRecording()}
+			if shape == "4" {
+				opts = append(opts, WithShards(4))
+			}
+			cl, maps, err := New(3, CounterMapObject(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 36; step++ {
+				if to, ok := map[int]int{12: 4, 24: 2}[step]; ok && shape == "1-4-2" {
+					if err := cl.Resize(to); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m, key := maps[rng.Intn(len(maps))], keys[rng.Intn(len(keys))]
+				switch rng.Intn(4) {
+				case 0:
+					m.Value(key)
+				case 1:
+					m.All()
+				default:
+					m.Inc(key)
+				}
+				for k := rng.Intn(3); k > 0 && cl.Deliver(); k-- {
+				}
+			}
+			h, err := cl.recorded()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cl.Converged() {
+				t.Fatalf("seed %d, shards %s: did not converge", seed, shape)
+			}
+			withDeps := 0
+			for _, e := range h.Queries() {
+				if e.Deps != nil {
+					withDeps++
+				}
+			}
+			if withDeps < len(h.Queries()) || len(h.Queries()) < 10 {
+				t.Fatalf("seed %d, shards %s: %d of %d queries recorded with dependencies", seed, shape, withDeps, len(h.Queries()))
+			}
+			if cc := check.CC(h); cc.Undecided {
+				t.Fatalf("seed %d, shards %s: CC undecided: %s", seed, shape, cc.Reason)
+			} else {
+				verdicts[shape] = cc.Holds
+			}
+			cl.Close()
+		}
+		if !verdicts["1"] || verdicts["4"] != verdicts["1"] || verdicts["1-4-2"] != verdicts["1"] {
+			t.Fatalf("seed %d: CC verdicts by shard shape %v, want all true", seed, verdicts)
+		}
 	}
 }

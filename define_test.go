@@ -324,18 +324,6 @@ func TestDefineOptionErrGates(t *testing.T) {
 		{"zero shards", func() error { _, _, err := New(2, peakObject, WithShards(0)); return err }(), ErrBadOption},
 		{"unknown level", func() error { _, _, err := New(2, peakObject, WithConsistency(Level(42))); return err }(), ErrBadOption},
 		{"shards on non-partitionable", func() error { _, _, err := New(2, CounterObject(), WithShards(4)); return err }(), ErrUnsupported},
-		{"causal+shards", func() error {
-			_, _, err := New(2, peakObject, WithConsistency(Causal), WithShards(2))
-			return err
-		}(), ErrUnsupported},
-		{"causal+resize", func() error {
-			cl, _, err := New(2, peakObject, WithConsistency(Causal))
-			if err != nil {
-				return nil
-			}
-			defer cl.Close()
-			return cl.Resize(2)
-		}(), ErrUnsupported},
 	} {
 		if tc.err == nil {
 			t.Fatalf("%s: option combination was accepted", tc.name)
@@ -355,6 +343,15 @@ func TestDefineOptionErrGates(t *testing.T) {
 			t.Fatalf("%s: %v, want accepted", name, err)
 		}
 		cl.Close()
+	}
+	// The gate is the process's, so a causal cluster shards and resizes.
+	cl, _, err := New(2, peakObject, WithConsistency(Causal), WithShards(2))
+	if err != nil {
+		t.Fatalf("causal+shards: %v, want accepted", err)
+	}
+	defer cl.Close()
+	if err := cl.Resize(4); err != nil {
+		t.Fatalf("causal+resize: %v, want accepted", err)
 	}
 }
 

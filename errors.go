@@ -21,10 +21,12 @@ var (
 	// worker count, an unknown consistency level.
 	ErrBadOption = errors.New("invalid option value")
 
-	// ErrUnsupported marks an object/option combination the object does
-	// not support: WithShards on a non-partitionable spec, WithGC on a
-	// causal cluster, Resize without the
-	// Partitionable capability, and so on. The message says which
+	// ErrUnsupported marks an object/option combination the object or
+	// transport does not support: WithShards or Resize (or a sharded
+	// wire daemon) on a non-partitionable spec, WithRecording on an
+	// object without a converged query, WithGC on a simulated network
+	// without WithFIFO, Partition, Heal and FaultLink on a live cluster,
+	// and FaultLink on a WithGC cluster. The message says which
 	// capability is missing.
 	ErrUnsupported = errors.New("unsupported object/option combination")
 

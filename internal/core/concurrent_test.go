@@ -130,7 +130,7 @@ func TestLockFreeConcurrentConvergesAllKinds(t *testing.T) {
 					states[gc] = want
 				})
 			}
-			if spec.IsCommutative(adt) && states[false] != states[true] {
+			if c, ok := adt.(spec.Commutative); ok && c.CommutativeUpdates() && states[false] != states[true] {
 				t.Fatalf("commutative kind folded differently with GC: %s, without %s", states[true], states[false])
 			}
 		})

@@ -17,7 +17,7 @@ func freshFold(r *ShardedReplica) spec.State {
 	part := adt.(spec.Partitionable)
 	merged := adt.Initial()
 	for s := 0; s < r.NumShards(); s++ {
-		r.Shard(s).ReadState(func(st spec.State) {
+		r.Shard(s).ReadStateAt(func(st spec.State, _ uint64) {
 			merged = part.MergeInto(merged, adt.Clone(st))
 		})
 	}

@@ -109,7 +109,7 @@ func TestQueryCacheSoundUnderLateArrivals(t *testing.T) {
 
 	reference := func() spec.QueryOutput {
 		var out spec.QueryOutput
-		rep.ReadState(func(s spec.State) { out = adt.Query(s, spec.Read{}) })
+		rep.ReadStateAt(func(s spec.State, _ uint64) { out = adt.Query(s, spec.Read{}) })
 		return out
 	}
 

@@ -36,17 +36,15 @@ import (
 // is atomic so those readers can still stamp their query events.
 // Writers additionally hold the process's writer token from the stamp
 // until their broadcast returns, so the process sends in stamp order.
-// The clock, the token and the stability tracker belong to the process
-// (process): the shards of a ShardedReplica share them.
+// The clock, the token, the stability tracker and the causal gate belong
+// to the process (process): the shards of a ShardedReplica share them.
 type Replica struct {
-	// sendMu is the process's writer token (process.sendMu).
-	sendMu  *sync.Mutex
+	proc    *process
 	mu      sync.RWMutex
 	id      int
 	n       int
 	adt     spec.UQADT
 	wire    messageCodec
-	clk     *clock.AtomicLamport
 	log     *Log
 	engine  Engine
 	net     transport.Network
@@ -83,14 +81,6 @@ type Replica struct {
 	// (spec.QueryKeyer); it enables the query-output cache below.
 	qkeyer spec.QueryKeyer
 	qc     queryCache
-	// causal gates visibility (Config.Causal, gate.go): pending holds
-	// peer updates whose dependencies are not covered yet, sorted by
-	// stamp; gated counts the arrivals that had to wait; seen[j] counts
-	// process j's updates visible here.
-	causal  bool
-	pending []gatedEntry
-	gated   uint64
-	seen    clock.Vector
 }
 
 // maxQueryCacheEntries bounds the per-replica query-output cache; when
@@ -152,11 +142,12 @@ func (c *queryCache) store(ver uint64, key spec.QueryCacheKey, out spec.QueryOut
 
 // process is what the replicas of one process share: a ShardedReplica's
 // shards are one process of Algorithm 1, so they stamp with one Lamport
-// clock, send under one writer token and compact at one stability
-// horizon. On a FIFO link a stamp from process j proves that j's earlier
-// stamps have arrived, whatever shard they were for, so one tracker fed
-// by every shard's deliveries is sound — given that j sends in stamp
-// order across all its shards, which the one token guarantees.
+// clock, send under one writer token, compact at one stability horizon
+// and pass one causal gate. On a FIFO link a stamp from process j proves
+// that j's earlier stamps have arrived, whatever shard they were for, so
+// one tracker fed by every shard's deliveries is sound — given that j
+// sends in stamp order across all its shards, which the one token
+// guarantees.
 type process struct {
 	clk clock.AtomicLamport
 	// stab is the stability tracker; nil without GC.
@@ -165,16 +156,29 @@ type process struct {
 	// broadcast, so concurrent writers on any shard hand the transport
 	// their stamps in the order they were issued — the per-origin FIFO
 	// that stability-based compaction relies on (tailLocked). Lock
-	// order is sendMu → Replica.mu; nothing else takes sendMu.
+	// order is sendMu → the shards' Replica.mu in shard order; nothing
+	// else takes sendMu.
 	sendMu sync.Mutex
+	// gen is the process's current shards (shardGen); a resize swaps it.
+	gen atomic.Pointer[shardGen]
+	// causal gates visibility (Config.Causal, gate.go): pending holds
+	// peer updates whose dependencies are not covered yet, sorted by
+	// stamp; gated counts the arrivals that had to wait; seen[j] counts
+	// j's updates visible here. All change under every shard's lock.
+	causal  bool
+	pending []gatedEntry
+	gated   uint64
+	seen    clock.Vector
 }
 
-func newProcess(n, id int, gc bool) *process {
-	p := &process{}
-	if gc {
-		p.stab = clock.NewStability(n, id)
+func (p *process) init(cfg Config) {
+	p.causal = cfg.Causal
+	if cfg.GC {
+		p.stab = clock.NewStability(cfg.N, cfg.ID)
 	}
-	return p
+	if cfg.Causal {
+		p.seen = clock.NewVector(cfg.N)
+	}
 }
 
 // Config assembles a Replica.
@@ -207,17 +211,23 @@ type Config struct {
 	Recorder *history.Recorder
 	// Causal gates visibility on causal order (gate.go): each update is
 	// broadcast behind its issuer's dependency vector, and a peer's update
-	// lands only once this replica covers that vector.
+	// lands only once this process covers that vector.
 	Causal bool
 }
 
-// NewReplica builds the replica and attaches it to the transport.
+// NewReplica builds the replica, a process of one shard, and attaches it
+// to the transport.
 func NewReplica(cfg Config) *Replica {
-	return newReplica(cfg, newProcess(cfg.N, cfg.ID, cfg.GC))
+	p := &process{}
+	p.init(cfg)
+	r := newReplica(cfg, p)
+	p.gen.Store(&shardGen{shards: []*Replica{r}})
+	cfg.Net.Attach(cfg.ID, r.handle)
+	return r
 }
 
-// newReplica is NewReplica as one shard of process p: a ShardedReplica
-// passes every shard the process's clock, writer token and tracker.
+// newReplica builds one shard of process p, unattached: a ShardedReplica
+// passes every shard the process, whose router dispatches to them.
 func newReplica(cfg Config, p *process) *Replica {
 	codec := cfg.Codec
 	if codec == nil {
@@ -239,9 +249,8 @@ func newReplica(cfg Config, p *process) *Replica {
 		n:         cfg.N,
 		adt:       cfg.ADT,
 		wire:      newMessageCodec(codec),
-		clk:       &p.clk,
+		proc:      p,
 		stab:      p.stab,
-		sendMu:    &p.sendMu,
 		log:       NewLog(cfg.ADT),
 		engine:    eng,
 		net:       cfg.Net,
@@ -249,17 +258,12 @@ func newReplica(cfg Config, p *process) *Replica {
 		gcEvery:   gcEvery,
 		rec:       cfg.Recorder,
 		originMax: clock.NewVector(cfg.N),
-		causal:    cfg.Causal,
-	}
-	if cfg.Causal {
-		r.seen = clock.NewVector(cfg.N)
 	}
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
 	if m, ok := cfg.ADT.(spec.Masking); ok {
 		r.log.setMask(m.MaskKey)
 	}
 	r.engine.Bind(cfg.ADT, r.log)
-	r.net.Attach(cfg.ID, r.handle)
 	return r
 }
 
@@ -355,7 +359,7 @@ func (r *Replica) queryCovered(cover clock.Vector, in spec.QueryInput) (spec.Que
 		}
 		r.absorbLocked(cover)
 	}
-	cl := r.clk.Tick()
+	cl := r.proc.clk.Tick()
 	if r.stab != nil {
 		r.stab.ObserveSelf(cl)
 	}
@@ -379,7 +383,7 @@ func (r *Replica) queryCovered(cover clock.Vector, in spec.QueryInput) (spec.Que
 // bookkeeping intact, so recorded and GC replicas get the read-path
 // win too.
 func (r *Replica) queryTickShared(in spec.QueryInput, out spec.QueryOutput) {
-	cl := r.clk.Tick()
+	cl := r.proc.clk.Tick()
 	if r.stab != nil {
 		r.stab.ObserveSelf(cl)
 	}
@@ -394,20 +398,13 @@ func (r *Replica) QueryCacheStats() (hits, misses uint64) {
 	return r.qc.hits.Load(), r.qc.misses.Load()
 }
 
-// ReadState invokes f with the replica's current state under the
-// replica's lock (shared when the engine can serve readers
-// concurrently, exclusive otherwise). The state is read-only and valid
-// only for the duration of the call — f must copy whatever it needs.
-// ShardedReplica uses it to fold per-shard states into a merged query
-// state without racing concurrent deliveries.
-func (r *Replica) ReadState(f func(spec.State)) {
-	r.ReadStateAt(func(s spec.State, _ uint64) { f(s) })
-}
-
-// ReadStateAt is ReadState with the log version the state derives
-// from: the version is read under the same lock as the state, so the
-// pair is consistent. The sharded merged-state cache keys each shard's
-// cached contribution on it.
+// ReadStateAt invokes f with the replica's current state and the log
+// version it derives from, under the replica's lock (shared when the
+// engine can serve readers concurrently, exclusive otherwise), so the
+// pair is consistent. The state is read-only and valid only for the
+// duration of the call — f must copy whatever it needs. The sharded
+// merged-state cache keys each shard's cached contribution on the
+// version.
 func (r *Replica) ReadStateAt(f func(s spec.State, ver uint64)) {
 	r.mu.RLock()
 	if s, ok := r.engine.StateConcurrent(); ok {
@@ -437,7 +434,7 @@ func (r *Replica) Version() uint64 {
 func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.clk.Tick()
+	r.proc.clk.Tick()
 	out := r.adt.Query(r.engine.State(), in)
 	if r.rec != nil {
 		r.rec.QueryOmegaDeps(r.id, in, out, r.depsLocked())
@@ -456,7 +453,7 @@ func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 // InsertDedup's semantics, entry by entry (mergeLocked), and every entry
 // feeds the stability tail as a delivery of its own would. At causal
 // consistency the payload is a dependency vector and a step of one, and
-// the update passes the gate (gateLocked).
+// the update passes the process's gate (process.gate).
 //
 // Transports may call handle concurrently (TCP runs one receive goroutine
 // per peer link), so everything decoded lives on this call's stack or in
@@ -466,7 +463,7 @@ func (r *Replica) handle(from int, payload []byte) {
 		return
 	}
 	var deps clock.Vector
-	if r.causal {
+	if r.proc.causal {
 		var err error
 		if deps, payload, err = decodeDeps(payload, r.n); err != nil {
 			panic(r.badPayload(from, err))
@@ -484,12 +481,12 @@ func (r *Replica) handle(from int, payload []byte) {
 	if err != nil {
 		panic(r.badPayload(from, err))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if deps != nil {
-		r.gateLocked(gatedEntry{Entry: step[0], deps: deps})
+		r.proc.gate(gatedEntry{Entry: step[0], deps: deps})
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if len(step) == 1 {
 		r.insertLocked(step[0].TS, step[0].U)
 	} else {
@@ -527,7 +524,7 @@ func (r *Replica) tailLocked(ts clock.Timestamp) {
 	// below it is in the log (UpdateTimestamped stamps and inserts under
 	// one hold), so our own reached-clock may follow — this lets passive
 	// (query-only) replicas compact.
-	r.stab.ObserveSelf(r.clk.Now())
+	r.stab.ObserveSelf(r.proc.clk.Now())
 	r.sinceGC++
 	if r.sinceGC >= r.gcEvery {
 		r.sinceGC = 0
@@ -543,7 +540,7 @@ func (r *Replica) tailLocked(ts clock.Timestamp) {
 // raises the origin coverage, because the replica's state already
 // reflects it — overwritten. Caller holds the exclusive lock.
 func (r *Replica) insertLocked(ts clock.Timestamp, u spec.Update) bool {
-	r.clk.Observe(ts.Clock)
+	r.proc.clk.Observe(ts.Clock)
 	r.observeOrigin(ts)
 	e := Entry{TS: ts, U: u}
 	at, ok := r.log.InsertDedup(e)
@@ -585,7 +582,7 @@ func (r *Replica) mergeLocked(batch []Entry) int {
 	}
 	if n := len(batch); n > 0 {
 		// The batch is sorted, so its last entry carries its highest clock.
-		r.clk.Observe(batch[n-1].TS.Clock)
+		r.proc.clk.Observe(batch[n-1].TS.Clock)
 	}
 	first, landed, late, dups := r.log.MergeSorted(batch)
 	r.dupDrops += uint64(dups)
@@ -595,7 +592,6 @@ func (r *Replica) mergeLocked(batch []Entry) int {
 		if r.log.mask != nil {
 			r.purgeLocked()
 		}
-		r.releaseLocked()
 	}
 	return landed
 }
@@ -689,8 +685,8 @@ func (r *Replica) Stats() Stats {
 		DupDropped:  r.dupDrops,
 		Masked:      r.log.masked,
 		SyncApplied: r.syncApplied,
-		Gated:       r.gated,
-		Clock:       r.clk.Now(),
+		Gated:       r.proc.gated,
+		Clock:       r.proc.clk.Now(),
 		Folded:      folded,
 	}
 }
@@ -773,49 +769,33 @@ func (r *Replica) UpdateBatch(us []spec.Update) {
 // learns of its own update, so no other step of this replica (a tied peer
 // delivery, a compaction) ever sees the clock at a stamp without its
 // entry in the log — encodes it and runs the stability/GC tail. The k
-// updates leave as one step; at causal consistency each leaves alone, a
-// step of one behind its own dependency vector. The broadcast goes out
-// after the unlock, so queries and deliveries never wait on the network.
-// The process's writer token is held from the stamp until the broadcast
-// returns: concurrent writers, on any shard, send in the order they
-// stamped.
+// updates leave as one step; at causal consistency the process's gate
+// writes them (writeGated). The broadcast goes out after the unlock, so
+// queries and deliveries never wait on the network. The process's writer
+// token is held from the stamp until the broadcast returns: concurrent
+// writers, on any shard, send in the order they stamped.
 func (r *Replica) writeStep(us []spec.Update) clock.Timestamp {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
+	r.proc.sendMu.Lock()
+	defer r.proc.sendMu.Unlock()
+	if r.proc.causal {
+		return r.proc.writeGated(r, us)
+	}
 	r.mu.Lock()
 	k := uint64(len(us))
-	first := clock.Timestamp{Clock: r.clk.TickN(k) - k + 1, Proc: r.id}
-	var gated [][]byte // causal payloads, one per update
-	r.enc = r.enc[:0]
-	if !r.causal {
-		r.enc = appendStepHeader(r.enc, first, len(us))
-	}
+	first := clock.Timestamp{Clock: r.proc.clk.TickN(k) - k + 1, Proc: r.id}
+	r.enc = appendStepHeader(r.enc[:0], first, len(us))
 	for i, u := range us {
 		ts := clock.Timestamp{Clock: first.Clock + uint64(i), Proc: r.id}
 		if r.rec != nil {
-			r.rec.UpdateDeps(r.id, u, r.depsLocked())
-		}
-		if r.causal {
-			r.enc = appendStepHeader(r.appendDepsLocked(r.enc[:0]), ts, 1)
+			r.rec.Update(r.id, u)
 		}
 		r.insertLocked(ts, u)
 		r.enc = mustEncode(r.wire.appendStepUpdate(r.enc, u))
-		if r.causal {
-			gated = append(gated, bytes.Clone(r.enc))
-		}
 		r.tailLocked(ts)
 	}
-	var payload []byte
-	if !r.causal {
-		payload = bytes.Clone(r.enc)
-	}
+	payload := bytes.Clone(r.enc)
 	r.mu.Unlock()
-	if payload != nil {
-		r.broadcast(len(us), payload)
-	}
-	for _, p := range gated {
-		r.broadcast(1, p)
-	}
+	r.broadcast(len(us), payload)
 	return first
 }
 

@@ -102,7 +102,7 @@ func (s *ShardedSession) Update(u spec.Update) {
 	defer s.r.routeMu.RUnlock()
 	g := s.r.gen.Load()
 	shards := s.lanes(g)
-	sh := s.r.shardOfUpdate(g, u)
+	sh := g.owner(u)
 	ts := shards[sh].UpdateTimestamped(u)
 	s.vecs[sh].Observe(ts)
 }
@@ -117,7 +117,7 @@ func (s *ShardedSession) TryQuery(in spec.QueryInput) (out spec.QueryOutput, ok 
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
 	shards := s.lanes(g)
-	if r.part == nil || len(shards) == 1 {
+	if !g.keyed() {
 		return shards[0].SessionQuery(s.vecs[0], in)
 	}
 	if key, keyed := r.part.QueryKey(in); keyed {

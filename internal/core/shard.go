@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"updatec/internal/history"
 	"updatec/internal/spec"
@@ -19,7 +18,8 @@ import (
 // broadcasts carry the shard's tag (transport.ResizableNetwork). The
 // shards share what makes them one process (type process): the Lamport
 // clock they all stamp with, as Algorithm 1 has it, the writer token
-// they send under and the stability horizon they compact at. A (clock,
+// they send under, the stability horizon they compact at and, at causal
+// consistency, the gate their peers' updates pass (gate.go). A (clock,
 // proc) pair names one update of the whole replica, and the shard logs
 // merged by stamp give one order of every update that
 // contains each process's issue order.
@@ -64,12 +64,13 @@ type ShardedReplica struct {
 	newEngine func() Engine
 	gc        bool
 	gcEvery   int
-	// proc is what every shard shares: the clock, the writer token and
-	// the stability tracker. rec, when set, records the process's
-	// operations: the shards record their updates and keyed queries,
-	// queryMerged and QueryOmega the merged ones.
-	proc *process
-	rec  *history.Recorder
+	// process is what every shard shares: the clock, the writer token,
+	// the stability tracker, the causal gate and the current generation
+	// of shards (gen). rec, when set, records the process's operations:
+	// the shards record their updates and keyed queries, queryMerged the
+	// merged ones.
+	process
+	rec *history.Recorder
 	// net is the shard- and epoch-aware transport the cluster shares.
 	net transport.ResizableNetwork
 
@@ -80,11 +81,7 @@ type ShardedReplica struct {
 	// coordinated live resize holds the write half (ResizeCluster
 	// drains the network before moving any state).
 	routeMu sync.RWMutex
-	// gen is the current routing generation: the epoch and the
-	// per-shard replicas. It is replaced wholesale by a resize;
-	// generations are immutable once published.
-	gen atomic.Pointer[shardGen]
-	mc  mergedCache
+	mc      mergedCache
 
 	// resize bookkeeping (written under routeMu's write half):
 	// resizes counts Resize calls that changed the shard count,
@@ -95,18 +92,6 @@ type ShardedReplica struct {
 	resizes        uint64
 	movedEntries   uint64
 	movedCompacted uint64
-}
-
-// shardGen is one routing generation: a resize builds a fresh one and
-// swaps the pointer. The shards slice is never mutated after publish.
-type shardGen struct {
-	epoch  int
-	shards []*Replica
-}
-
-// procShards returns generation g's shards as the unit of a pull.
-func (r *ShardedReplica) procShards(g *shardGen) procShards {
-	return procShards{shards: g.shards, part: r.part}
 }
 
 // mergedCache is the whole-state read cache of a ShardedReplica: the
@@ -171,8 +156,8 @@ type ShardedConfig struct {
 	// Recorder records the replica's operations for the consistency
 	// deciders, at every shard count and across a Resize.
 	Recorder *history.Recorder
-	// Causal gates visibility on causal order (Config.Causal). The gate
-	// lives in one shard's Replica, so it requires one shard.
+	// Causal gates visibility on causal order (Config.Causal), at every
+	// shard count and across a Resize: the gate is the process's.
 	Causal bool
 }
 
@@ -183,9 +168,6 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 	if cfg.Shards <= 0 {
 		panic("core: ShardedConfig.Shards must be positive")
 	}
-	if cfg.Causal && cfg.Shards > 1 {
-		panic("core: causal visibility requires one shard")
-	}
 	part, _ := cfg.ADT.(spec.Partitionable)
 	r := &ShardedReplica{
 		id:        cfg.ID,
@@ -195,32 +177,37 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		newEngine: cfg.NewEngine,
 		gc:        cfg.GC,
 		gcEvery:   cfg.GCEvery,
-		proc:      newProcess(cfg.N, cfg.ID, cfg.GC),
 		rec:       cfg.Recorder,
 		net:       cfg.Net,
 	}
+	r.init(Config{ID: cfg.ID, N: cfg.N, GC: cfg.GC, Causal: cfg.Causal})
 	if r.codec = cfg.Codec; r.codec == nil {
 		r.codec, _ = cfg.ADT.(spec.Codec)
 	}
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
 	r.mc.vers = make([]uint64, cfg.Shards)
 	r.mc.parts = make([]spec.State, cfg.Shards)
-	g := &shardGen{shards: make([]*Replica, cfg.Shards)}
-	for s := range g.shards {
-		var eng Engine
-		if cfg.NewEngine != nil {
-			eng = cfg.NewEngine()
-		}
-		g.shards[s] = newReplica(Config{
-			ID: cfg.ID, N: cfg.N, ADT: cfg.ADT, Codec: r.codec,
-			Net:    epochChannel{net: cfg.Net, shard: s, epoch: cfg.Shards},
-			Engine: eng, GC: cfg.GC, GCEvery: cfg.GCEvery,
-			Recorder: cfg.Recorder, Causal: cfg.Causal,
-		}, r.proc)
-	}
-	r.gen.Store(g)
+	r.gen.Store(r.newGen(0, cfg.Shards))
 	cfg.Net.AttachRouter(cfg.ID, r.route)
 	return r
+}
+
+// newGen builds a generation of fresh shards at the given epoch, each
+// broadcasting with its shard tag and the shard count.
+func (r *ShardedReplica) newGen(epoch, shards int) *shardGen {
+	g := &shardGen{epoch: epoch, shards: make([]*Replica, shards), part: r.part}
+	for s := range g.shards {
+		var eng Engine
+		if r.newEngine != nil {
+			eng = r.newEngine()
+		}
+		g.shards[s] = newReplica(Config{
+			ID: r.id, N: r.n, ADT: r.adt, Codec: r.codec,
+			Net:    epochChannel{net: r.net, shard: s, epoch: shards},
+			Engine: eng, GC: r.gc, GCEvery: r.gcEvery, Recorder: r.rec,
+		}, &r.process)
+	}
+	return g
 }
 
 // epochChannel binds a per-shard Replica's broadcasts to its (shard,
@@ -263,7 +250,8 @@ func (c epochChannel) Broadcast(from int, payload []byte) {
 // timestamps intact — where a local move would have put them. Once every
 // share is in, the stamps feed the process's one stability tracker: the
 // link is one FIFO stream whatever the tags, so processes at different
-// shard counts compact too.
+// shard counts compact too. At causal consistency any shard's handler
+// passes a payload to the process's gate, which lands by key.
 //
 // The router reads the generation atomically instead of taking
 // routeMu: a coordinated live resize drains the network while holding
@@ -277,14 +265,17 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		g.shards[shard].handle(from, payload)
 		return
 	}
+	if r.causal {
+		g.shards[0].handle(from, payload)
+		return
+	}
 	step, err := g.shards[0].wire.decodeStep(nil, payload)
 	if err != nil {
 		panic(g.shards[0].badPayload(from, err))
 	}
 	// Every share lands before any stamp feeds the tracker; the owning
 	// shards' locks are held, in shard order, until route returns.
-	ps := r.procShards(g)
-	shares := ps.split(step)
+	shares := g.split(step)
 	for s, share := range shares {
 		if len(share) > 0 {
 			g.shards[s].mu.Lock()
@@ -293,7 +284,7 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		}
 	}
 	for _, e := range step {
-		g.shards[ps.owner(e.U)].tailLocked(e.TS)
+		g.shards[g.owner(e.U)].tailLocked(e.TS)
 	}
 }
 
@@ -323,10 +314,10 @@ func (r *ShardedReplica) Shard(s int) *Replica { return r.gen.Load().shards[s] }
 // ShardOf returns the shard that currently owns the given key. For a
 // non-partitionable data type it reports shard 0 — where every update
 // actually lives (the key hash is meaningless when updates are not
-// keyed) — matching the routing of shardOfUpdate.
+// keyed) — matching the routing of updates (shardGen.owner).
 func (r *ShardedReplica) ShardOf(key string) int {
 	g := r.gen.Load()
-	if r.part == nil || len(g.shards) == 1 {
+	if !g.keyed() {
 		return 0
 	}
 	return routeKey(key, len(g.shards))
@@ -356,15 +347,6 @@ func fnv1a(key string) uint64 {
 	return h
 }
 
-// shardOfUpdate routes an update to its owning shard under generation
-// g.
-func (r *ShardedReplica) shardOfUpdate(g *shardGen, u spec.Update) int {
-	if r.part == nil || len(g.shards) == 1 {
-		return 0
-	}
-	return routeKey(r.part.UpdateKey(u), len(g.shards))
-}
-
 // Update issues u on the shard owning its key (lines 4–7 of
 // Algorithm 1 on the process clock and that shard's log). Like
 // Replica.Update it is wait-free and locally visible when it returns.
@@ -372,7 +354,7 @@ func (r *ShardedReplica) Update(u spec.Update) {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	g.shards[r.shardOfUpdate(g, u)].Update(u)
+	g.shards[g.owner(u)].Update(u)
 }
 
 // UpdateBatch issues us in order, each on the shard owning its key: the
@@ -384,13 +366,13 @@ func (r *ShardedReplica) UpdateBatch(us []spec.Update) {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	if r.part == nil || len(g.shards) == 1 {
+	if !g.keyed() {
 		g.shards[0].UpdateBatch(us)
 		return
 	}
 	shares := make([][]spec.Update, len(g.shards))
 	for _, u := range us {
-		s := r.shardOfUpdate(g, u)
+		s := g.owner(u)
 		shares[s] = append(shares[s], u)
 	}
 	for s, share := range shares {
@@ -416,7 +398,7 @@ func (r *ShardedReplica) Query(in spec.QueryInput) spec.QueryOutput {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	if r.part == nil || len(g.shards) == 1 {
+	if !g.keyed() {
 		return g.shards[0].Query(in)
 	}
 	if key, ok := r.part.QueryKey(in); ok {
@@ -433,7 +415,7 @@ func (r *ShardedReplica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	if r.part == nil || len(g.shards) == 1 {
+	if !g.keyed() {
 		return g.shards[0].QueryOmega(in)
 	}
 	return r.queryMerged(g, in, true)
@@ -454,7 +436,7 @@ func (r *ShardedReplica) queryMerged(g *shardGen, in spec.QueryInput, omega bool
 	mc := &r.mc
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	r.refreshMergedLocked(g)
+	deps := r.refreshMergedLocked(g)
 	mc.reads++
 	out, ok := spec.QueryOutput(nil), false
 	if cacheable {
@@ -469,9 +451,9 @@ func (r *ShardedReplica) queryMerged(g *shardGen, in spec.QueryInput, omega bool
 	switch {
 	case r.rec == nil:
 	case omega:
-		r.rec.QueryOmega(r.id, in, out)
+		r.rec.QueryOmegaDeps(r.id, in, out, deps)
 	default:
-		r.rec.Query(r.id, in, out)
+		r.rec.QueryDeps(r.id, in, out, deps)
 	}
 	return out
 }
@@ -485,18 +467,30 @@ func (r *ShardedReplica) queryMerged(g *shardGen, in spec.QueryInput, omega bool
 // per-shard states are key-disjoint, so replacing one contribution
 // never disturbs another's keys. A version of 0 means the shard has
 // never been mutated, matching the nil contribution it starts with.
-func (r *ShardedReplica) refreshMergedLocked(g *shardGen) {
+//
+// At causal consistency a release lands across shards in one step, so the
+// shards are read at one cut under every shard's lock, and the visible
+// counts at that cut are returned for the record (depsLocked).
+func (r *ShardedReplica) refreshMergedLocked(g *shardGen) (deps []uint64) {
 	mc := &r.mc
 	if mc.merged == nil {
 		mc.merged = r.adt.Initial()
 	}
+	version, read := (*Replica).Version, (*Replica).ReadStateAt
+	if r.causal {
+		g.each((*sync.RWMutex).Lock)
+		defer g.each((*sync.RWMutex).Unlock)
+		deps = g.shards[0].depsLocked()
+		version = func(sh *Replica) uint64 { return sh.log.Version() }
+		read = func(sh *Replica, f func(spec.State, uint64)) { f(sh.engine.State(), sh.log.Version()) }
+	}
 	for s, sh := range g.shards {
-		if sh.Version() == mc.vers[s] {
+		if version(sh) == mc.vers[s] {
 			continue
 		}
 		var fresh spec.State
 		var ver uint64
-		sh.ReadStateAt(func(st spec.State, v uint64) {
+		read(sh, func(st spec.State, v uint64) {
 			fresh = r.adt.Clone(st)
 			ver = v
 		})
@@ -509,6 +503,7 @@ func (r *ShardedReplica) refreshMergedLocked(g *shardGen) {
 		mc.gen++
 		mc.folds++
 	}
+	return deps
 }
 
 // MergedState returns a clone of the replica's current whole state —
@@ -519,9 +514,9 @@ func (r *ShardedReplica) MergedState() spec.State {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	if r.part == nil || len(g.shards) == 1 {
+	if !g.keyed() {
 		var out spec.State
-		g.shards[0].ReadState(func(s spec.State) { out = r.adt.Clone(s) })
+		g.shards[0].ReadStateAt(func(s spec.State, _ uint64) { out = r.adt.Clone(s) })
 		return out
 	}
 	r.mc.mu.Lock()
@@ -589,9 +584,8 @@ func (r *ShardedReplica) Fingerprint() Fingerprint {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	g := r.gen.Load()
-	ps := r.procShards(g)
-	ps.each((*sync.RWMutex).RLock)
-	defer ps.each((*sync.RWMutex).RUnlock)
+	g.each((*sync.RWMutex).RLock)
+	defer g.each((*sync.RWMutex).RUnlock)
 	var fp Fingerprint
 	for _, sh := range g.shards {
 		f := sh.log.Fingerprint()
@@ -619,10 +613,10 @@ func (r *ShardedReplica) Stats() Stats {
 		agg.DupDropped += st.DupDropped
 		agg.Masked += st.Masked
 		agg.SyncApplied += st.SyncApplied
-		agg.Gated += st.Gated
+		agg.Gated = st.Gated // the process's, which every shard reports
 		agg.Folded += st.Folded
 	}
-	agg.Clock = r.proc.clk.Now()
+	agg.Clock = r.clk.Now()
 	agg.Compacted += r.movedCompacted
 	return agg
 }
@@ -650,8 +644,8 @@ func (r *ShardedReplica) ForceCompact() {
 // crashed and will never issue updates again (see
 // Replica.RetireProcess).
 func (r *ShardedReplica) RetireProcess(j int) {
-	if r.proc.stab != nil {
-		r.proc.stab.Retire(j)
+	if r.stab != nil {
+		r.stab.Retire(j)
 	}
 }
 
@@ -675,7 +669,8 @@ func (r *ShardedReplica) RetireProcess(j int) {
 // GC soundness across a staggered resize rests on the process's one
 // stability tracker, which outlives the flip, and on the transports' one
 // FIFO stream per process link: nothing in flight sorts at or below the
-// horizon the new shards are seeded at.
+// horizon the new shards are seeded at. The causal gate is the process's
+// and outlives the flip too.
 //
 // On a live (goroutine) transport a lone Resize would race concurrent
 // deliveries against the move; use ResizeCluster, which coordinates
@@ -735,42 +730,32 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 	if newShards == len(old.shards) {
 		return
 	}
-	// Mirror the constructor's guard: causal visibility requires one
-	// shard.
-	if old.shards[0].causal {
-		panic("core: Resize would drop causal visibility, which requires one shard")
-	}
-	next := &shardGen{epoch: old.epoch + 1, shards: make([]*Replica, newShards)}
-	for s := range next.shards {
-		var eng Engine
-		if r.newEngine != nil {
-			eng = r.newEngine()
-		}
-		next.shards[s] = newReplica(Config{
-			ID: r.id, N: r.n, ADT: r.adt, Codec: r.codec,
-			Net:    epochChannel{net: r.net, shard: s, epoch: newShards},
-			Engine: eng, GC: r.gc, GCEvery: r.gcEvery, Recorder: r.rec,
-		}, r.proc)
-	}
+	next := r.newGen(old.epoch+1, newShards)
 
 	// The move is the old generation folded at the process horizon and
 	// installed in the new one as a pull's snapshot is. The new bases are
 	// merged exactly when the horizon is above the stability horizon, as
-	// an adopted donor base is.
-	ops, nps := r.procShards(old), r.procShards(next)
-	ops.each((*sync.RWMutex).RLock)
-	nps.each((*sync.RWMutex).Lock)
-	stable, bases := ops.horizonsLocked()
-	sd := ops.foldLocked(max(stable, bases))
-	nps.installLocked(sd, nps.splitBase(sd.base), nps.split(sd.entries), bases > stable)
-	nps.each((*sync.RWMutex).Unlock)
+	// an adopted donor base is. A causal process's coverage must not fall:
+	// a masking log's covers writes it dropped and stamps a pull raised.
+	old.each((*sync.RWMutex).RLock)
+	next.each((*sync.RWMutex).Lock)
+	stable, bases := old.horizonsLocked()
+	sd := old.foldLocked(max(stable, bases))
+	next.installLocked(sd, next.splitBase(sd.base), next.split(sd.entries), bases > stable)
+	if r.causal {
+		held := old.heldLocked()
+		for _, sh := range next.shards {
+			sh.originMax.Merge(held)
+		}
+	}
+	next.each((*sync.RWMutex).Unlock)
 	// What the old generation folded stays counted: its shards' own
 	// compactions and the live entries this fold took in.
 	for _, o := range old.shards {
 		r.movedCompacted += o.compacted + uint64(len(o.log.unmasked()))
 	}
 	r.movedCompacted -= uint64(len(sd.entries))
-	ops.each((*sync.RWMutex).RUnlock)
+	old.each((*sync.RWMutex).RUnlock)
 	r.movedEntries += uint64(len(sd.entries))
 
 	// Flip the router, then rebuild the merged-state cache for the new

@@ -93,7 +93,7 @@ func TestShardedMatchesUnshardedForCommutativeSpec(t *testing.T) {
 func replState(t *testing.T, r *Replica) spec.State {
 	t.Helper()
 	var out spec.State
-	r.ReadState(func(s spec.State) { out = r.ADT().Clone(s) })
+	r.ReadStateAt(func(s spec.State, _ uint64) { out = r.ADT().Clone(s) })
 	return out
 }
 

@@ -28,11 +28,11 @@ import (
 //
 // baseSum is the base's share of the Fingerprint sum, counted like
 // baseLen, so a restored or merged log carries the donor's fingerprint
-// for what it adopts folded. A pull's snapshot (procShards.foldLocked)
+// for what it adopts folded. A pull's snapshot (shardGen.foldLocked)
 // stamps its base (H, MaxInt): it folds every update up to the donor's
 // horizon H. Base presence is an explicit flag because a base split by
 // key carries baseLen 0 in every shard but shard 0, which carries the
-// whole count (procShards.installLocked).
+// whole count (shardGen.installLocked).
 //
 // Encoding the base state requires the spec to implement
 // spec.StateCodec; uncompacted replicas need only the update codec. A
@@ -52,7 +52,7 @@ func (r *Replica) Snapshot() ([]byte, error) {
 // (nil: none) folding baseLen updates up to baseTS with fingerprint sum
 // baseSum, then the live entries.
 func (r *Replica) appendSnapshot(out []byte, baseLen int, base spec.State, baseTS clock.Timestamp, baseSum uint64, live []Entry) ([]byte, error) {
-	out = binary.AppendUvarint(slices.Grow(out, 32+len(live)*16), r.clk.Now())
+	out = binary.AppendUvarint(slices.Grow(out, 32+len(live)*16), r.proc.clk.Now())
 	out = binary.AppendUvarint(out, uint64(baseLen))
 	if base == nil {
 		out = append(out, 0)

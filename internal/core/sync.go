@@ -27,11 +27,11 @@ import (
 //	applied := r.ApplySync(payload)  — land the missing suffix
 //
 // or, end to end, r.SyncFrom(donor). The unit of a pull is the process
-// (procShards), a plain Replica being the one-shard case: the digest
+// (shardGen), a plain Replica being the one-shard case: the digest
 // summarizes every shard, the donor answers at one cut of all its shards,
 // and the requester routes the answer by its own table, so processes
-// repair each other whatever their shard counts. Replica.SyncFrom,
-// ShardedReplica.SyncFrom and WireSync are three entry points to that
+// repair each other whatever their shard counts. SyncFrom and the
+// ShardedReplica's wire exchange (wiresync.go) are entry points to that
 // one digest → answer → land.
 //
 // The answer is a run (codec.go) and lands as one sorted merge per shard
@@ -86,7 +86,7 @@ type OriginDigest []Rung
 // Digest summarizes what a process holds, per origin, for an
 // anti-entropy exchange.
 type Digest struct {
-	// Base is the process horizon H (procShards.horizonsLocked): the
+	// Base is the process horizon H (shardGen.horizonsLocked): the
 	// process holds every update with clock ≤ Base, folded or live, so
 	// the donor need not (and cannot be asked to) resend it.
 	Base uint64
@@ -168,48 +168,50 @@ func tallyLadders(logs [][]Entry, base uint64, ladders []OriginDigest) (above []
 	return above
 }
 
-// procShards is one process's shards under one routing table: the unit
-// an anti-entropy pull digests, answers and lands, and a resize moves. A
-// plain Replica is the one-shard case (Replica.procShards); a
-// ShardedReplica passes a generation.
-type procShards struct {
+// shardGen is one routing generation of a process (process.gen): its
+// shards under one table, the unit a pull digests, answers and lands, a
+// resize moves and the causal gate covers. A resize builds a fresh one;
+// a published generation never changes.
+type shardGen struct {
+	epoch  int
 	shards []*Replica
 	// part routes updates and splits bases; nil, or one shard, puts
 	// everything in shard 0.
 	part spec.Partitionable
 }
 
-// procShards is the replica as a one-shard process.
-func (r *Replica) procShards() procShards { return procShards{shards: []*Replica{r}} }
+// alone is the replica as a one-shard process, the unit of its own sync
+// methods (a ShardedReplica's shard pulls through the ShardedReplica).
+func (r *Replica) alone() *shardGen { return &shardGen{shards: []*Replica{r}} }
 
 // each applies f to every shard's lock, in shard order: the lock order
 // of every path that holds several.
-func (ps procShards) each(f func(*sync.RWMutex)) {
-	for _, sh := range ps.shards {
+func (g *shardGen) each(f func(*sync.RWMutex)) {
+	for _, sh := range g.shards {
 		f(&sh.mu)
 	}
 }
 
 // keyed reports whether updates spread over several shards by key.
-func (ps procShards) keyed() bool { return ps.part != nil && len(ps.shards) > 1 }
+func (g *shardGen) keyed() bool { return g.part != nil && len(g.shards) > 1 }
 
 // owner returns the shard that owns u under this table.
-func (ps procShards) owner(u spec.Update) int {
-	if !ps.keyed() {
+func (g *shardGen) owner(u spec.Update) int {
+	if !g.keyed() {
 		return 0
 	}
-	return routeKey(ps.part.UpdateKey(u), len(ps.shards))
+	return routeKey(g.part.UpdateKey(u), len(g.shards))
 }
 
 // split buckets entries by owning shard, each bucket in their order.
-func (ps procShards) split(entries []Entry) [][]Entry {
-	shares := make([][]Entry, len(ps.shards))
-	if !ps.keyed() {
+func (g *shardGen) split(entries []Entry) [][]Entry {
+	shares := make([][]Entry, len(g.shards))
+	if !g.keyed() {
 		shares[0] = entries
 		return shares
 	}
 	for _, e := range entries {
-		s := ps.owner(e.U)
+		s := g.owner(e.U)
 		shares[s] = append(shares[s], e)
 	}
 	return shares
@@ -218,22 +220,22 @@ func (ps procShards) split(entries []Entry) [][]Entry {
 // splitBase splits a folded base, which it consumes, into the key
 // components each shard owns (nil where it owns none); nil when the
 // shards are not keyed, and shard 0 takes the base whole.
-func (ps procShards) splitBase(base spec.State) []spec.State {
-	if base == nil || !ps.keyed() {
+func (g *shardGen) splitBase(base spec.State) []spec.State {
+	if base == nil || !g.keyed() {
 		return nil
 	}
-	bases := make([]spec.State, len(ps.shards))
+	bases := make([]spec.State, len(g.shards))
 	for s := range bases {
-		bases[s], _ = ps.part.ExtractRange(base, func(key string) bool { return routeKey(key, len(bases)) == s })
+		bases[s], _ = g.part.ExtractRange(base, func(key string) bool { return routeKey(key, len(bases)) == s })
 	}
 	return bases
 }
 
 // live returns every shard's live entries, unmasked. Caller holds every
 // shard's lock (either half).
-func (ps procShards) live() [][]Entry {
-	logs := make([][]Entry, len(ps.shards))
-	for s, sh := range ps.shards {
+func (g *shardGen) live() [][]Entry {
+	logs := make([][]Entry, len(g.shards))
+	for s, sh := range g.shards {
 		logs[s] = sh.log.unmasked()
 	}
 	return logs
@@ -246,26 +248,26 @@ func (ps procShards) live() [][]Entry {
 // adopted by a pull, which lands every shard or fails. A masking log
 // never compacts, so it gets no stability horizon. Caller holds every
 // shard's lock (either half).
-func (ps procShards) horizonsLocked() (stable, bases uint64) {
-	for _, sh := range ps.shards {
+func (g *shardGen) horizonsLocked() (stable, bases uint64) {
+	for _, sh := range g.shards {
 		if _, ts := sh.log.Base(); ts.Clock > bases {
 			bases = ts.Clock
 		}
 	}
-	if r0 := ps.shards[0]; r0.stab != nil && r0.log.mask == nil {
+	if r0 := g.shards[0]; r0.stab != nil && r0.log.mask == nil {
 		stable = r0.stab.Horizon()
 	}
 	return stable, bases
 }
 
 // digest summarizes the process for a pull under every shard's read lock.
-func (ps procShards) digest() Digest {
-	ps.each((*sync.RWMutex).RLock)
-	defer ps.each((*sync.RWMutex).RUnlock)
-	n := ps.shards[0].n
+func (g *shardGen) digest() Digest {
+	g.each((*sync.RWMutex).RLock)
+	defer g.each((*sync.RWMutex).RUnlock)
+	n := g.shards[0].n
 	d := Digest{Origins: make([]OriginDigest, n)}
-	d.Base = max(ps.horizonsLocked())
-	logs := ps.live()
+	d.Base = max(g.horizonsLocked())
+	logs := g.live()
 	// Each log ascends by clock, so an origin's last entry in it carries
 	// the origin's top there.
 	top := make([]uint64, n)
@@ -294,9 +296,9 @@ func (ps procShards) digest() Digest {
 // receiver deduplicates. The entries go shard by shard, each shard's in
 // log order. Caller holds every shard's lock (either half), and no shard
 // is compacted above d.Base.
-func (ps procShards) runLocked(out []byte, d Digest) ([]byte, error) {
-	n := ps.shards[0].n
-	logs := ps.live()
+func (g *shardGen) runLocked(out []byte, d Digest) ([]byte, error) {
+	n := g.shards[0].n
+	logs := g.live()
 	// Pass 1: the donor's own cumulative view at the peer's rung clocks
 	// (a digest narrower than n leaves the other origins no ladder), and
 	// from it the clock above which each origin is sent.
@@ -337,7 +339,7 @@ func (ps procShards) runLocked(out []byte, d Digest) ([]byte, error) {
 				continue
 			}
 			var err error
-			if out, err = ps.shards[0].wire.appendFramed(out, ts, entries[i].U); err != nil {
+			if out, err = g.shards[0].wire.appendFramed(out, ts, entries[i].U); err != nil {
 				return nil, err
 			}
 		}
@@ -352,10 +354,10 @@ func (ps procShards) runLocked(out []byte, d Digest) ([]byte, error) {
 // the process fingerprint less the live entries above h as the base's
 // count and sum; and those live entries, in log order. Caller holds every
 // shard's lock (either half).
-func (ps procShards) foldLocked(h uint64) (sd snapshotData) {
-	r0 := ps.shards[0]
+func (g *shardGen) foldLocked(h uint64) (sd snapshotData) {
+	r0 := g.shards[0]
 	var fp Fingerprint
-	for _, sh := range ps.shards {
+	for _, sh := range g.shards {
 		entries := sh.log.unmasked()
 		cut, _ := slices.BinarySearchFunc(entries, h, func(e Entry, h uint64) int { return cmp.Compare(e.TS.Clock, h+1) })
 		shfp := sh.log.Fingerprint()
@@ -375,11 +377,11 @@ func (ps procShards) foldLocked(h uint64) (sd snapshotData) {
 		if sd.base == nil {
 			sd.base = folded
 		} else {
-			sd.base = ps.part.MergeInto(sd.base, folded)
+			sd.base = g.part.MergeInto(sd.base, folded)
 		}
 	}
 	r0.log.SortEntries(sd.entries)
-	sd.clock, sd.baseLen, sd.baseSum = r0.clk.Now(), int(fp.Count), fp.Sum
+	sd.clock, sd.baseLen, sd.baseSum = r0.proc.clk.Now(), int(fp.Count), fp.Sum
 	sd.baseTS = clock.Timestamp{Clock: h, Proc: math.MaxInt}
 	return sd
 }
@@ -393,15 +395,15 @@ func (ps procShards) foldLocked(h uint64) (sd snapshotData) {
 // and sum cannot be split by key: shard 0 carries them and the other
 // shards' bases carry 0, which sums to the process fingerprint. Caller
 // holds every shard's exclusive lock.
-func (ps procShards) installLocked(sd snapshotData, bases []spec.State, shares [][]Entry, merged bool) []int {
+func (g *shardGen) installLocked(sd snapshotData, bases []spec.State, shares [][]Entry, merged bool) []int {
 	adopt := sd.base != nil
-	for _, sh := range ps.shards {
+	for _, sh := range g.shards {
 		if b, ts := sh.log.Base(); b != nil && ts.Clock >= sd.baseTS.Clock {
 			adopt = false
 		}
 	}
-	landed := make([]int, len(ps.shards))
-	for s, sh := range ps.shards {
+	landed := make([]int, len(g.shards))
+	for s, sh := range g.shards {
 		share := sd
 		share.entries = shares[s]
 		switch {
@@ -421,7 +423,7 @@ func (ps procShards) installLocked(sd snapshotData, bases []spec.State, shares [
 	return landed
 }
 
-// The modes of a donor's answer (WireSync sends the byte before the body).
+// The modes of a donor's answer (a wire reply's first byte).
 const (
 	syncNone     byte = 0 // the requester is missing nothing
 	syncEntries  byte = 1 // body is a run of entries
@@ -433,15 +435,15 @@ const (
 // peer's horizon and they no longer exist as entries — one snapshot of
 // the process folded at its horizon H. Caller holds every shard's lock
 // (either half).
-func (ps procShards) answerLocked(out []byte, d Digest) (mode byte, body []byte, err error) {
-	if stable, bases := ps.horizonsLocked(); bases > d.Base {
-		sd := ps.foldLocked(max(stable, bases))
-		if body, err = ps.shards[0].appendSnapshot(out, sd.baseLen, sd.base, sd.baseTS, sd.baseSum, sd.entries); err != nil {
+func (g *shardGen) answerLocked(out []byte, d Digest) (mode byte, body []byte, err error) {
+	if stable, bases := g.horizonsLocked(); bases > d.Base {
+		sd := g.foldLocked(max(stable, bases))
+		if body, err = g.shards[0].appendSnapshot(out, sd.baseLen, sd.base, sd.baseTS, sd.baseSum, sd.entries); err != nil {
 			return 0, nil, fmt.Errorf("core: sync snapshot fallback: %w", err)
 		}
 		return syncSnapshot, body, nil
 	}
-	if body, err = ps.runLocked(out, d); err != nil || len(body) == len(out) {
+	if body, err = g.runLocked(out, d); err != nil || len(body) == len(out) {
 		return syncNone, nil, err
 	}
 	return syncEntries, body, nil
@@ -462,7 +464,7 @@ type pulled struct {
 // decode is the requester half's first step: decode and split what a
 // donor's answer produced, landing nothing. The routing table must not
 // change until the landing (ShardedReplica holds routeMu's read half).
-func (ps procShards) decode(mode byte, body []byte) (p pulled, err error) {
+func (g *shardGen) decode(mode byte, body []byte) (p pulled, err error) {
 	p.mode = mode
 	switch mode {
 	case syncNone:
@@ -470,17 +472,17 @@ func (ps procShards) decode(mode byte, body []byte) (p pulled, err error) {
 			err = errors.New("core: sync reply carries a body after mode 0")
 		}
 	case syncEntries:
-		if p.snap.entries, err = ps.shards[0].wire.decodeRun(body); err != nil {
+		if p.snap.entries, err = g.shards[0].wire.decodeRun(body); err != nil {
 			err = fmt.Errorf("core: sync reply: %w", err)
 		}
 	case syncSnapshot:
-		if p.snap, err = ps.shards[0].parseSnapshot(body); err == nil {
-			p.bases = ps.splitBase(p.snap.base)
+		if p.snap, err = g.shards[0].parseSnapshot(body); err == nil {
+			p.bases = g.splitBase(p.snap.base)
 		}
 	default:
 		err = fmt.Errorf("core: unknown sync mode %d", mode)
 	}
-	p.shares = ps.split(p.snap.entries)
+	p.shares = g.split(p.snap.entries)
 	return p, err
 }
 
@@ -488,49 +490,49 @@ func (ps procShards) decode(mode byte, body []byte) (p pulled, err error) {
 // every shard's exclusive lock, reporting how many entries were new here.
 // A donor replies in log order per shard, which is ours when the routing
 // tables agree; anything else is sorted rather than trusted. At causal
-// consistency the landing ends by raising the replica's per-origin stamps
-// to the donor's (raiseLocked).
-func (ps procShards) land(p pulled) (n int) {
-	ps.each((*sync.RWMutex).Lock)
-	defer ps.each((*sync.RWMutex).Unlock)
-	landed := make([]int, len(ps.shards))
+// consistency it ends by raising the process's stamps to the donor's and
+// releasing what that covers (process.raiseLocked).
+func (g *shardGen) land(p pulled) (n int) {
+	g.each((*sync.RWMutex).Lock)
+	defer g.each((*sync.RWMutex).Unlock)
+	landed := make([]int, len(g.shards))
 	switch p.mode {
 	case syncEntries:
-		for s, sh := range ps.shards {
+		for s, sh := range g.shards {
 			sh.log.SortEntries(p.shares[s])
 			landed[s] = sh.mergeLocked(sh.log.aboveBase(p.shares[s]))
 		}
 	case syncSnapshot:
-		landed = ps.installLocked(p.snap, p.bases, p.shares, true)
+		landed = g.installLocked(p.snap, p.bases, p.shares, true)
 	}
 	for s, k := range landed {
-		ps.shards[s].syncApplied += uint64(k)
+		g.shards[s].syncApplied += uint64(k)
 		n += k
 	}
-	if p.held != nil {
-		ps.shards[0].raiseLocked(p.held, p.seen)
+	if proc := g.shards[0].proc; proc.causal {
+		proc.raiseLocked(g, p.held, p.seen)
 	}
 	return n
 }
 
 // landBytes decodes an answer whole, then lands it.
-func (ps procShards) landBytes(mode byte, body []byte) (int, error) {
-	p, err := ps.decode(mode, body)
+func (g *shardGen) landBytes(mode byte, body []byte) (int, error) {
+	p, err := g.decode(mode, body)
 	if err != nil {
 		return 0, err
 	}
-	return ps.land(p), nil
+	return g.land(p), nil
 }
 
 // pullProcess runs one pull from donor into req: digest, answer at one
 // cut of the donor's shards under their read locks, decode, land.
-func pullProcess(req, donor procShards) (int, error) {
+func pullProcess(req, donor *shardGen) (int, error) {
 	d := req.digest()
 	donor.each((*sync.RWMutex).RLock)
 	mode, body, err := donor.answerLocked(nil, d)
 	var held, seen clock.Vector
-	if r0 := donor.shards[0]; req.shards[0].causal {
-		held, seen = r0.originMax.Clone(), r0.seen.Clone()
+	if req.shards[0].proc.causal {
+		held, seen = donor.heldLocked().Clone(), donor.shards[0].proc.seen.Clone()
 	}
 	donor.each((*sync.RWMutex).RUnlock)
 	if err != nil {
@@ -545,10 +547,10 @@ func pullProcess(req, donor procShards) (int, error) {
 }
 
 // Digest summarizes the replica's log for an anti-entropy pull.
-func (r *Replica) Digest() Digest { return r.procShards().digest() }
+func (r *Replica) Digest() Digest { return r.alone().digest() }
 
 // SyncReply encodes the update suffix a peer with digest d is missing
-// from this replica's log as one run (procShards.runLocked); nil, nil
+// from this replica's log as one run (shardGen.runLocked); nil, nil
 // when it is missing nothing this donor can tell. ErrCompacted means this
 // donor's compaction horizon is above d.Base: part of what the peer is
 // missing exists here only folded into state.
@@ -558,7 +560,7 @@ func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	if _, baseTS := r.log.Base(); baseTS.Clock > d.Base {
 		return nil, ErrCompacted
 	}
-	return r.procShards().runLocked(nil, d)
+	return r.alone().runLocked(nil, d)
 }
 
 // ApplySync lands a SyncReply payload: decoded whole first — a malformed
@@ -569,7 +571,7 @@ func (r *Replica) ApplySync(payload []byte) (int, error) {
 	if len(payload) == 0 {
 		return 0, nil
 	}
-	return r.procShards().landBytes(syncEntries, payload)
+	return r.alone().landBytes(syncEntries, payload)
 }
 
 // MergeSnapshot merges a donor's Snapshot into a replica that already
@@ -578,7 +580,7 @@ func (r *Replica) ApplySync(payload []byte) (int, error) {
 // of both above the adopted horizon merge, deduplicated. Returns how many
 // of the donor's entries were new here.
 func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
-	return r.procShards().landBytes(syncSnapshot, snap)
+	return r.alone().landBytes(syncSnapshot, snap)
 }
 
 // installSnapshotLocked rebuilds the log as the union of what the replica
@@ -621,9 +623,9 @@ func (r *Replica) installSnapshotLocked(sd snapshotData, merged bool) int {
 	nl.version += old.version
 	nl.purge()
 	r.log = nl
-	r.clk.Observe(sd.clock)
+	r.proc.clk.Observe(sd.clock)
 	if r.stab != nil {
-		r.stab.ObserveSelf(r.clk.Now())
+		r.stab.ObserveSelf(r.proc.clk.Now())
 	}
 	r.engine.Bind(r.adt, r.log)
 	return applied
@@ -636,7 +638,7 @@ func (r *Replica) SyncFrom(donor *Replica) (int, error) {
 	if donor == r {
 		return 0, nil
 	}
-	return pullProcess(r.procShards(), donor.procShards())
+	return pullProcess(r.alone(), donor.alone())
 }
 
 // SyncFrom pulls what this replica is missing from peer, whatever either
@@ -651,5 +653,5 @@ func (r *ShardedReplica) SyncFrom(peer *ShardedReplica) (int, error) {
 	}
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
-	return pullProcess(r.procShards(r.gen.Load()), peer.procShards(peer.gen.Load()))
+	return pullProcess(r.gen.Load(), peer.gen.Load())
 }

@@ -73,11 +73,11 @@ func (a syncState) equal(b syncState) bool {
 func FuzzApplySync(f *testing.F) {
 	for _, shards := range fuzzShardCounts {
 		donor, req := fuzzPair(shards)
-		digest, err := NewWireSync(req).DigestPayload()
+		digest, err := req.DigestPayload()
 		if err != nil {
 			f.Fatal(err)
 		}
-		valid, err := NewWireSync(donor).SyncReply(digest)
+		valid, err := donor.SyncReply(digest)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func FuzzApplySync(f *testing.F) {
 		for _, shards := range fuzzShardCounts {
 			_, req := fuzzPair(shards)
 			before := syncStateOf(req)
-			if err := NewWireSync(req).ApplySync(data); err != nil {
+			if err := req.ApplySync(data); err != nil {
 				if after := syncStateOf(req); !after.equal(before) {
 					t.Fatalf("%d shards: a refused reply changed the replica: %v\nbefore %+v\nafter  %+v", shards, err, before, after)
 				}
@@ -125,7 +125,7 @@ func FuzzApplySync(f *testing.F) {
 				}
 			}
 			// Whatever landed can be digested and served onwards.
-			if _, err := NewWireSync(req).SyncReply([]byte{0, 0}); err != nil {
+			if _, err := req.SyncReply([]byte{0, 0}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -137,11 +137,11 @@ func FuzzApplySync(f *testing.F) {
 // count the bytes cannot back; what it accepts must be ladders a donor
 // can walk, and a one-shard and a four-shard donor must both answer it.
 func FuzzWireDigest(f *testing.F) {
-	var donors []*WireSync
+	var donors []*ShardedReplica
 	for _, shards := range fuzzShardCounts {
 		_, req := fuzzPair(shards)
-		donors = append(donors, NewWireSync(req))
-		valid, err := NewWireSync(req).DigestPayload()
+		donors = append(donors, req)
+		valid, err := req.DigestPayload()
 		if err != nil {
 			f.Fatal(err)
 		}

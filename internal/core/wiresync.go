@@ -7,9 +7,9 @@ import (
 )
 
 // Wire encoding of the anti-entropy exchange (sync.go), used by the
-// TCP transport's sync-on-connect. WireSync wraps one process's
-// ShardedReplica behind the three-method shape transport.SyncProvider
-// expects; the transport moves the payloads without understanding them.
+// TCP transport's sync-on-connect. A ShardedReplica is a
+// transport.SyncProvider: the three methods below, safe for concurrent
+// use; the transport moves the payloads without understanding them.
 //
 // Digest payload — one process's Digest, whatever its shard count:
 //
@@ -26,21 +26,11 @@ import (
 // missing nothing gets no reply. The two sides need not share a shard
 // count: the requester routes the answer by its own table.
 
-// WireSync adapts a ShardedReplica to the transport's byte-level sync
-// exchange. It is stateless beyond the replica pointer and safe for
-// concurrent use.
-type WireSync struct {
-	r *ShardedReplica
-}
-
-// NewWireSync wraps r for a TCPNetwork.SetSyncProvider hook.
-func NewWireSync(r *ShardedReplica) *WireSync { return &WireSync{r: r} }
-
 // DigestPayload encodes the process's digest.
-func (w *WireSync) DigestPayload() ([]byte, error) {
-	w.r.routeMu.RLock()
-	defer w.r.routeMu.RUnlock()
-	d := w.r.procShards(w.r.gen.Load()).digest()
+func (r *ShardedReplica) DigestPayload() ([]byte, error) {
+	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
+	d := r.gen.Load().digest()
 	out := binary.AppendUvarint(nil, d.Base)
 	out = binary.AppendUvarint(out, uint64(len(d.Origins)))
 	for _, od := range d.Origins {
@@ -110,17 +100,17 @@ func decodeWireDigest(p []byte) (Digest, error) {
 // entries it is missing, or one snapshot when this process has compacted
 // past the peer's horizon. A nil, nil reply means the peer is missing
 // nothing.
-func (w *WireSync) SyncReply(digest []byte) ([]byte, error) {
+func (r *ShardedReplica) SyncReply(digest []byte) ([]byte, error) {
 	d, err := decodeWireDigest(digest)
 	if err != nil {
 		return nil, err
 	}
-	w.r.routeMu.RLock()
-	defer w.r.routeMu.RUnlock()
-	ps := w.r.procShards(w.r.gen.Load())
-	ps.each((*sync.RWMutex).RLock)
-	mode, body, err := ps.answerLocked([]byte{0}, d)
-	ps.each((*sync.RWMutex).RUnlock)
+	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
+	g := r.gen.Load()
+	g.each((*sync.RWMutex).RLock)
+	mode, body, err := g.answerLocked([]byte{0}, d)
+	g.each((*sync.RWMutex).RUnlock)
 	if err != nil || mode == syncNone {
 		return nil, err
 	}
@@ -130,12 +120,12 @@ func (w *WireSync) SyncReply(digest []byte) ([]byte, error) {
 
 // ApplySync lands a SyncReply payload: decoded and split whole before
 // any shard lands, so a malformed one lands nothing.
-func (w *WireSync) ApplySync(payload []byte) error {
+func (r *ShardedReplica) ApplySync(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("core: empty wire sync reply")
 	}
-	w.r.routeMu.RLock()
-	defer w.r.routeMu.RUnlock()
-	_, err := w.r.procShards(w.r.gen.Load()).landBytes(payload[0], payload[1:])
+	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
+	_, err := r.gen.Load().landBytes(payload[0], payload[1:])
 	return err
 }

@@ -16,7 +16,7 @@ import (
 // wireExchange runs one full byte-level anti-entropy pull: requester
 // sends its digest, donor answers, requester applies. It returns
 // whether the donor had anything to send.
-func wireExchange(t *testing.T, requester, donor *WireSync) bool {
+func wireExchange(t *testing.T, requester, donor *ShardedReplica) bool {
 	t.Helper()
 	digest, err := requester.DigestPayload()
 	if err != nil {
@@ -51,7 +51,7 @@ func TestWireSyncRepairsPartitionedSharded(t *testing.T) {
 	if reps[1].StateKey() == reps[0].StateKey() {
 		t.Fatal("partitioned replica cannot already match")
 	}
-	w0, w1 := NewWireSync(reps[0]), NewWireSync(reps[1])
+	w0, w1 := reps[0], reps[1]
 	if !wireExchange(t, w1, w0) {
 		t.Fatal("donor with 400 unseen updates sent an empty reply")
 	}
@@ -95,7 +95,7 @@ func TestWireSyncAcrossShardCounts(t *testing.T) {
 					reps[i%2].Update(spec.AddKey{K: fmt.Sprintf("k%d", i%17), N: int64(i%3 + 1)})
 				}
 				net.Quiesce()
-				ws := []*WireSync{NewWireSync(reps[0]), NewWireSync(reps[1])}
+				ws := []*ShardedReplica{reps[0], reps[1]}
 				if !wireExchange(t, ws[0], ws[1]) || !wireExchange(t, ws[1], ws[0]) {
 					t.Fatalf("gc=%v %d<->%d shards: a partitioned side sent an empty reply", gc, a, b)
 				}
@@ -125,7 +125,7 @@ func TestWireSyncCorruptTailLandsNothing(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		reps[0].Update(spec.AddKey{K: fmt.Sprintf("k%d", i%23), N: 1})
 	}
-	donor, requester := NewWireSync(reps[0]), NewWireSync(reps[1])
+	donor, requester := reps[0], reps[1]
 	digest, err := requester.DigestPayload()
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +156,11 @@ func TestWireSyncCorruptTailLandsNothing(t *testing.T) {
 // direction must error out cleanly, never panic or corrupt state.
 func TestWireSyncMalformedPayloads(t *testing.T) {
 	net := transport.NewSim(transport.SimOptions{N: 1, Seed: 2})
-	w := NewWireSync(NewShardedReplica(ShardedConfig{
+	w := NewShardedReplica(ShardedConfig{
 		ID: 0, N: 1, Shards: 2, ADT: spec.CounterMap(), Net: net,
-	}))
-	w.r.Update(spec.AddKey{K: "a", N: 3})
-	key := w.r.StateKey()
+	})
+	w.Update(spec.AddKey{K: "a", N: 3})
+	key := w.StateKey()
 
 	digest, err := w.DigestPayload()
 	if err != nil {
@@ -183,7 +183,7 @@ func TestWireSyncMalformedPayloads(t *testing.T) {
 	if err := w.ApplySync([]byte{syncEntries, 200}); err == nil {
 		t.Fatal("ApplySync accepted a reply with a truncated body")
 	}
-	if w.r.StateKey() != key {
+	if w.StateKey() != key {
 		t.Fatal("malformed payloads changed replica state")
 	}
 }
@@ -212,7 +212,7 @@ func TestWireSyncSnapshotFallback(t *testing.T) {
 		ID: 1, N: 2, Shards: 1, ADT: spec.Set(),
 		Net: transport.NewSim(transport.SimOptions{N: 2, Seed: 1}),
 	})
-	donor, requester := NewWireSync(reps[0]), NewWireSync(restored)
+	donor, requester := reps[0], restored
 	digest, err := requester.DigestPayload()
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestSyncBytesMatchParent(t *testing.T) {
 			"3135067402493131360675004931313706760149313138067702493131390678" +
 			"0049313230")
 	donor, req := goldenPullPair()
-	digest, err := NewWireSync(req).DigestPayload()
+	digest, err := req.DigestPayload()
 	if err != nil || !bytes.Equal(digest, wantDigest) {
 		t.Fatalf("DigestPayload = %x, %v; want %x", digest, err, wantDigest)
 	}
@@ -310,7 +310,7 @@ func TestSyncBytesMatchParent(t *testing.T) {
 	if err != nil || !bytes.Equal(body, wantBody) {
 		t.Fatalf("SyncReply = %x, %v; want %x", body, err, wantBody)
 	}
-	reply, err := NewWireSync(donor).SyncReply(digest)
+	reply, err := donor.SyncReply(digest)
 	if err != nil || !bytes.Equal(reply, append([]byte{syncEntries}, wantBody...)) {
 		t.Fatalf("wire SyncReply = %x, %v; want the mode byte and %x", reply, err, wantBody)
 	}

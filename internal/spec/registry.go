@@ -39,10 +39,3 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// IsCommutative reports whether all updates of the given UQ-ADT
-// commute, as declared through the optional Commutative interface.
-func IsCommutative(adt UQADT) bool {
-	c, ok := adt.(Commutative)
-	return ok && c.CommutativeUpdates()
-}

@@ -108,8 +108,9 @@ type TCPOptions struct {
 }
 
 // SyncProvider is the transport's hook into the replica's anti-entropy
-// machinery (core.WireSync): the payloads are opaque to the transport,
-// which only moves them. On every (re)connect of a peer link — in
+// machinery (core.ShardedReplica implements it): the payloads are
+// opaque to the transport, which only moves them. On every (re)connect
+// of a peer link — in
 // either direction — the transport queues this node's digest to that
 // peer; a received digest is answered with a sync reply, and a
 // received reply is applied. Both sides do this, so any link cycle

@@ -102,8 +102,8 @@ const (
 	// is unobservable. For others it is not: by the paper's Proposition 1
 	// no wait-free object is both pipelined consistent and convergent, and
 	// a late arrival may be ordered before updates a replica already
-	// showed. Causal accepts every option except WithShards and Resize:
-	// the causal gate lives in one shard's replica.
+	// showed. Causal accepts every option, WithShards and Resize
+	// included: the gate belongs to the process, not to one shard.
 	Causal
 )
 
@@ -228,9 +228,8 @@ type NetworkStats = transport.Stats
 // New validates the option/object combination and returns an error —
 // rather than silently ignoring the option — when the object does not
 // support it. Support is probed through the object's capabilities, not
-// a list of built-in names: WithShards needs a Partitionable spec,
-// WithRecording needs a converged query (WithOmega), and
-// WithConsistency(Causal) rejects WithShards. Every
+// a list of built-in names: WithShards needs a Partitionable spec, and
+// WithRecording needs a converged query (WithOmega). Every
 // validation error wraps one of the package sentinels (ErrBadObject,
 // ErrBadOption, ErrUnsupported), so callers can test categories with
 // errors.Is.
@@ -251,13 +250,8 @@ func New[H any](n int, obj Object[H], opts ...Option) (*Cluster[H], []H, error) 
 	if cfg.shards < 1 {
 		return nil, nil, fmt.Errorf("updatec: WithShards needs at least one shard, got %d: %w", cfg.shards, ErrBadOption)
 	}
-	if cfg.shards > 1 {
-		if cfg.level == Causal {
-			return nil, nil, fmt.Errorf("updatec: WithShards is not supported at WithConsistency(Causal): the causal gate lives in one shard's replica: %w", ErrUnsupported)
-		}
-		if !obj.partitionable() {
-			return nil, nil, fmt.Errorf("updatec: %s is not partitionable; WithShards requires a spec implementing Partitionable: %w", obj.name, ErrUnsupported)
-		}
+	if cfg.shards > 1 && !obj.partitionable() {
+		return nil, nil, fmt.Errorf("updatec: %s is not partitionable; WithShards requires a spec implementing Partitionable: %w", obj.name, ErrUnsupported)
 	}
 	if cfg.gc && cfg.simulated && !cfg.fifo {
 		return nil, nil, fmt.Errorf("updatec: WithGC on a simulated network requires WithFIFO: %w", ErrUnsupported)
@@ -341,9 +335,12 @@ func (c *Cluster[H]) ShardOf(key string) int {
 // Resize follows the same option/object discipline as WithShards: it
 // returns an error for non-partitionable objects, non-positive shard
 // counts, and closed clusters. A recorded cluster keeps recording
-// across a Resize. Sessions opened before a Resize to a different shard count are invalidated: their
-// per-shard observation lanes no longer correspond to key ranges, and
-// further use panics — open a new session.
+// across a Resize, and a causal cluster keeps its gate: updates held
+// back for a dependency stay held and land, once released, in the shard
+// that owns their key then. Sessions opened before a Resize to a
+// different shard count are invalidated: their per-shard observation
+// lanes no longer correspond to key ranges, and further use panics —
+// open a new session.
 func (c *Cluster[H]) Resize(newShards int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -352,9 +349,6 @@ func (c *Cluster[H]) Resize(newShards int) error {
 	}
 	if newShards < 1 {
 		return fmt.Errorf("updatec: Resize needs at least one shard, got %d: %w", newShards, ErrBadOption)
-	}
-	if c.level == Causal {
-		return fmt.Errorf("updatec: Resize is not supported at WithConsistency(Causal): the causal gate lives in one shard's replica, so causal clusters stay at one shard: %w", ErrUnsupported)
 	}
 	if !c.obj.partitionable() {
 		return fmt.Errorf("updatec: %s is not partitionable; Resize requires a spec implementing Partitionable: %w", c.obj.name, ErrUnsupported)

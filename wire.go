@@ -141,7 +141,7 @@ func ListenAndServe[H any](obj Object[H], cfg WireConfig) (*WireNode[H], error) 
 	})
 	node := &WireNode[H]{obj: obj, cfg: cfg, tcp: tcp, rep: rep, codec: codec}
 	node.handle = obj.wrap(rep)
-	tcp.SetSyncProvider(core.NewWireSync(rep))
+	tcp.SetSyncProvider(rep)
 	tcp.SetClientHandler(node.serveClient)
 	tcp.Start()
 	return node, nil
